@@ -36,6 +36,7 @@ import numpy as np
 
 from . import __version__
 from .coeffs import (
+    CONDITION_MAX,
     coeff_integral_crosscheck,
     compute_k_lambda,
     compute_me_coeffs,
@@ -51,10 +52,24 @@ from .errors import (
     SingularityError,
     ValidationError,
 )
-from .greens import TimeGrid, correlated_correction, solve_u, solve_v_fdt, solve_v_volterra
-from .moments import GaussianMoments, evolve_covariances, evolve_means, to_quadratures
+from .greens import (
+    INSTABILITY_MAX_ABS,
+    TimeGrid,
+    correlated_correction,
+    solve_u,
+    solve_v_fdt,
+    solve_v_volterra,
+)
+from .moments import (
+    COMMUTATOR_DRIFT_TOL,
+    GaussianMoments,
+    evolve_covariances,
+    evolve_means,
+    to_quadratures,
+)
 from .oracle import build_dynamics, exact_moments, propagate, reduced_moments, thermal_total_state
 from .spectral import (
+    QUADRATURE_RTOL,
     SpectralModel,
     build_kernels,
     default_omega_s,
@@ -270,10 +285,8 @@ def _write_manifest(path: Path, cfg: RunConfig, pipeline: str,
         for key in sorted(schemes):
             fh.write(f"{key} = {schemes[key]}\n")
         fh.write("\n[tolerances]\n")
-        fh.write("instability_max_abs = 1e6\n")
-        fh.write("condition_max = 1e12\n")
-        fh.write("commutator_drift = 1e-6\n")
-        fh.write("quadrature_self_check_rtol = 1e-8\n")
+        for key, val in _TOLERANCES.items():
+            fh.write(f"{key} = {val!r}\n")
         if summaries:
             fh.write("\n[summary]\n")
             for key in sorted(summaries):
@@ -285,7 +298,14 @@ _BASE_SCHEMES = {
     "v_solver": "product-trapezoid double quadrature (O(n^2) marching)",
     "v_crosscheck": "volterra pc2 marching over fixed-t columns",
     "quadrature": "composite-gauss-legendre with self-refinement check",
-    "oracle": "rk4 fixed-substep arrowhead matvec",
+    "oracle": "rk4 fixed-substep, sparse CSR generator",
+}
+
+_TOLERANCES = {
+    "instability_max_abs": INSTABILITY_MAX_ABS,
+    "condition_max": CONDITION_MAX,
+    "commutator_drift": COMMUTATOR_DRIFT_TOL,
+    "quadrature_self_check_rtol": QUADRATURE_RTOL,
 }
 
 
@@ -303,32 +323,22 @@ def _setup(cfg: RunConfig):
     return model, omega_s, grid
 
 
-def _interleave(names, series) -> tuple[list[str], list[np.ndarray]]:
-    cols_names, cols = [], []
-    for name, arr in zip(names, series):
-        if np.iscomplexobj(arr):
-            cols_names += [f"re_{name}", f"im_{name}"]
-            cols += [arr.real, arr.imag]
-        else:
-            cols_names.append(name)
-            cols.append(arr)
-    return cols_names, cols
+def _matrix_columns(label: str, tab: np.ndarray):
+    names, cols = [], []
+    for i in range(2):
+        for j in range(2):
+            names += [f"re_{label}{i + 1}{j + 1}", f"im_{label}{i + 1}{j + 1}"]
+            cols += [tab[:, i, j].real, tab[:, i, j].imag]
+    return names, cols
 
 
 def _run_kernels(cfg: RunConfig, out: Path) -> ResultBundle:
     model, omega_s, grid = _setup(cfg)
     kernel = build_kernels(model)
-    g = kernel.g(grid.times)
-    gt = kernel.gtilde(grid.times)
-    names = ["t"]
-    cols = [grid.times]
-    for label, tab in (("g", g), ("gt", gt)):
-        for i in range(2):
-            for j in range(2):
-                names += [f"re_{label}{i + 1}{j + 1}", f"im_{label}{i + 1}{j + 1}"]
-                cols += [tab[:, i, j].real, tab[:, i, j].imag]
+    g_names, g_cols = _matrix_columns("g", kernel.g(grid.times))
+    gt_names, gt_cols = _matrix_columns("gt", kernel.gtilde(grid.times))
     path = out / "kernels.csv"
-    _write_csv(path, names, cols)
+    _write_csv(path, ["t"] + g_names + gt_names, [grid.times] + g_cols + gt_cols)
     return ResultBundle(pipeline="kernels", out_dir=out,
                         csv_paths={"kernels": path},
                         summaries={"omega_s": omega_s})
@@ -340,15 +350,6 @@ def _greens_run(cfg: RunConfig):
     sol = solve_u(kernel, omega_s, grid)
     sol.v_equal_time = solve_v_fdt(kernel, sol.u, grid)
     return model, omega_s, grid, kernel, sol
-
-
-def _matrix_columns(label: str, tab: np.ndarray):
-    names, cols = [], []
-    for i in range(2):
-        for j in range(2):
-            names += [f"re_{label}{i + 1}{j + 1}", f"im_{label}{i + 1}{j + 1}"]
-            cols += [tab[:, i, j].real, tab[:, i, j].imag]
-    return names, cols
 
 
 def _run_greens(cfg: RunConfig, out: Path) -> ResultBundle:
@@ -561,8 +562,7 @@ def _run_oracle_compare(cfg: RunConfig, out: Path) -> ResultBundle:
 
 def replace_occupations(bath, occupations):
     """Copy of a bath discretization with per-mode occupations replaced."""
-    from dataclasses import replace as _dc_replace
-    return _dc_replace(bath, occupations=np.asarray(occupations, dtype=float))
+    return replace(bath, occupations=np.asarray(occupations, dtype=float))
 
 
 def run(cfg: RunConfig, pipeline: str) -> ResultBundle:

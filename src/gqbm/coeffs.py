@@ -61,7 +61,7 @@ def _invert_2x2(u: np.ndarray, times: np.ndarray) -> np.ndarray:
     fro2 = np.sum(np.abs(u) ** 2, axis=(1, 2))
     # ||U||_F ||U^-1||_F = ||U||_F^2 / |det| for 2x2 matrices
     cond = fro2 / np.maximum(np.abs(det), 1e-300)
-    bad = np.nonzero(cond > CONDITION_MAX)[0]
+    bad = np.nonzero(~(cond <= CONDITION_MAX))[0]
     if bad.size:
         raise SingularityError(
             f"propagator inversion ill conditioned (estimate "
@@ -290,10 +290,7 @@ def coeff_integral_crosscheck(kernel: Kernel, sol: GreensSolution) -> dict:
     grid = sol.grid
     n = grid.n_steps
     dt = grid.dt
-    gt = kernel.gtilde_signed_table(grid)
-    zgtz = gt.copy()
-    zgtz[:, 0, 1] *= -1.0
-    zgtz[:, 1, 0] *= -1.0
+    zgtz = kernel.zgtz_signed_table(grid)
     zg = _zmul(kernel.g_table(grid))
     udag = np.conj(np.swapaxes(sol.u, -1, -2))
 

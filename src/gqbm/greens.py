@@ -198,10 +198,7 @@ def solve_v_fdt(kernel: Kernel, u: np.ndarray, grid: TimeGrid) -> np.ndarray:
     if u.shape != (n + 1, 2, 2):
         raise ContractViolationError(
             f"u has shape {u.shape}, expected {(n + 1, 2, 2)} for this grid")
-    gt = kernel.gtilde_signed_table(grid)
-    zgtz = gt.copy()
-    zgtz[:, 0, 1] *= -1.0
-    zgtz[:, 1, 0] *= -1.0
+    zgtz = kernel.zgtz_signed_table(grid)
     udag = np.conj(np.swapaxes(u, -1, -2))
     return _fdt_double_integral(u, udag, zgtz, n, grid.dt)
 
@@ -215,10 +212,7 @@ def v_first_derivative(kernel: Kernel, sol: GreensSolution) -> np.ndarray:
     grid = sol.grid
     n = grid.n_steps
     dt = grid.dt
-    gt = kernel.gtilde_signed_table(grid)
-    zgtz = gt.copy()
-    zgtz[:, 0, 1] *= -1.0
-    zgtz[:, 1, 0] *= -1.0
+    zgtz = kernel.zgtz_signed_table(grid)
     udag = np.conj(np.swapaxes(sol.u, -1, -2))
 
     vdot = _fdt_double_integral(sol.u_dot, udag, zgtz, n, dt)
@@ -250,10 +244,7 @@ def solve_v_volterra(kernel: Kernel, sol: GreensSolution,
     omega_s = sol.omega_s
 
     zg = _zmul(kernel.g_table(grid))
-    gt = kernel.gtilde_signed_table(grid)
-    zgtz = gt.copy()
-    zgtz[:, 0, 1] *= -1.0
-    zgtz[:, 1, 0] *= -1.0
+    zgtz = kernel.zgtz_signed_table(grid)
     udag = np.conj(np.swapaxes(u, -1, -2))
     mws = -1j * omega_s * Z
 

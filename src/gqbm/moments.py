@@ -115,29 +115,44 @@ def _diffusion(coeffs) -> np.ndarray:
     return d
 
 
+def _midpoint_march(rhs, series: tuple, y0: np.ndarray, dt: float,
+                    monitor=lambda m, y: None) -> np.ndarray:
+    """States of the linear ODE dy/dt = rhs(*coeffs(t), y) on the grid.
+
+    series holds the coefficient arrays on the grid points; the explicit
+    midpoint rule interpolates them linearly at half steps.  monitor(m, y)
+    sees every state, the initial one included, and raises to stop.
+    """
+    n = series[0].shape[0] - 1
+    out = np.empty((n + 1,) + y0.shape, dtype=y0.dtype)
+    out[0] = y = y0
+    monitor(0, y)
+    for m in range(n):
+        now = [c[m] for c in series]
+        mid = [0.5 * (c[m] + c[m + 1]) for c in series]
+        half = y + 0.5 * dt * rhs(*now, y)
+        y = y + dt * rhs(*mid, half)
+        monitor(m + 1, y)
+        out[m + 1] = y
+    return out
+
+
 def evolve_means(coeffs, init: GaussianMoments, grid) -> np.ndarray:
     """<a>(t) on the grid; the conjugate component is monitored, not trusted."""
     init.require_physical()
     _require_grid_match(coeffs, grid)
-    a_ser = _mean_generator(coeffs)
-    dt = grid.dt
-    n = grid.n_steps
 
-    y = np.array([init.mean_a, np.conj(init.mean_a)], dtype=complex)
-    out = np.empty(n + 1, dtype=complex)
-    out[0] = y[0]
-    for m in range(n):
-        a0 = a_ser[m]
-        a_half = 0.5 * (a_ser[m] + a_ser[m + 1])
-        y_half = y + 0.5 * dt * (a0 @ y)
-        y = y + dt * (a_half @ y_half)
+    def conjugacy(m, y):
         dev = abs(y[1] - np.conj(y[0]))
-        if dev > CONJUGACY_TOL * max(1.0, abs(y[0])):
+        if not (dev <= CONJUGACY_TOL * max(1.0, abs(y[0]))):
             raise NumericalQualityError(
                 f"mean conjugacy violated by {dev:.3e} at t = "
-                f"{grid.times[m + 1]:.6g}")
-        out[m + 1] = y[0]
-    return out
+                f"{grid.times[m]:.6g}")
+
+    y0 = np.array([init.mean_a, np.conj(init.mean_a)], dtype=complex)
+    ys = _midpoint_march(lambda a, y: a @ y, (_mean_generator(coeffs),), y0,
+                         grid.dt, conjugacy)
+    return ys[:, 0]
 
 
 @dataclass
@@ -158,6 +173,10 @@ class SecondMomentSeries:
         return out
 
 
+def _commutator_drift(nm: np.ndarray):
+    return np.abs(nm[..., 1, 1] - nm[..., 0, 0] - 1.0)
+
+
 def evolve_covariances(coeffs, init: GaussianMoments, grid) -> SecondMomentSeries:
     """Second moments under dN/dt = A N + N A^dag + D.
 
@@ -168,38 +187,22 @@ def evolve_covariances(coeffs, init: GaussianMoments, grid) -> SecondMomentSerie
     """
     init.require_physical()
     _require_grid_match(coeffs, grid)
-    a_ser = _mean_generator(coeffs)
-    d_ser = _diffusion(coeffs)
-    dt = grid.dt
-    n = grid.n_steps
 
-    nm = np.array([[init.delta_n, init.delta_s],
-                   [np.conj(init.delta_s), 1.0 + init.delta_n]], dtype=complex)
-    delta_n = np.empty(n + 1)
-    delta_s = np.empty(n + 1, dtype=complex)
-    delta_n[0] = nm[0, 0].real
-    delta_s[0] = nm[0, 1]
-    drift = abs(nm[1, 1] - nm[0, 0] - 1.0)
-
-    def rhs(a, d, mat):
-        return a @ mat + mat @ np.conj(a).T + d
-
-    for m in range(n):
-        a0, d0 = a_ser[m], d_ser[m]
-        a_half = 0.5 * (a_ser[m] + a_ser[m + 1])
-        d_half = 0.5 * (d_ser[m] + d_ser[m + 1])
-        half = nm + 0.5 * dt * rhs(a0, d0, nm)
-        nm = nm + dt * rhs(a_half, d_half, half)
-
-        drift = max(drift, abs(nm[1, 1] - nm[0, 0] - 1.0))
-        if drift > COMMUTATOR_DRIFT_TOL:
+    def drift_monitor(m, nm):
+        drift = _commutator_drift(nm)
+        if not (drift <= COMMUTATOR_DRIFT_TOL):
             raise NumericalQualityError(
-                f"commutator drift {drift:.3e} at t = {grid.times[m + 1]:.6g} "
+                f"commutator drift {drift:.3e} at t = {grid.times[m]:.6g} "
                 f"exceeds {COMMUTATOR_DRIFT_TOL:.1e}")
-        delta_n[m + 1] = nm[0, 0].real
-        delta_s[m + 1] = nm[0, 1]
-    return SecondMomentSeries(times=grid.times, delta_n=delta_n,
-                              delta_s=delta_s, max_commutator_drift=drift)
+
+    nm0 = np.array([[init.delta_n, init.delta_s],
+                    [np.conj(init.delta_s), 1.0 + init.delta_n]], dtype=complex)
+    nms = _midpoint_march(lambda a, d, nm: a @ nm + nm @ np.conj(a).T + d,
+                          (_mean_generator(coeffs), _diffusion(coeffs)), nm0,
+                          grid.dt, drift_monitor)
+    return SecondMomentSeries(
+        times=grid.times, delta_n=nms[:, 0, 0].real, delta_s=nms[:, 0, 1],
+        max_commutator_drift=float(np.max(_commutator_drift(nms))))
 
 
 def evolve_hpz_covariances(hpz, init: QuadratureCovariances, grid,
@@ -214,7 +217,6 @@ def evolve_hpz_covariances(hpz, init: QuadratureCovariances, grid,
     if mass <= 0.0 or omega_s <= 0.0:
         raise ValidationError("mass and omega_s must be > 0")
     n = grid.n_steps
-    dt = grid.dt
     if hpz.times.size != n + 1:
         raise ValidationError("coefficient series does not match the grid")
 
@@ -227,25 +229,12 @@ def evolve_hpz_covariances(hpz, init: QuadratureCovariances, grid,
     d_ser[:, 1, 0] = hpz.gamma_f
     d_ser[:, 1, 1] = 2.0 * mass * hpz.gamma_h
 
-    cov = np.array([[init.var_x, init.cov_xp],
-                    [init.cov_xp, init.var_p]], dtype=float)
-    var_x = np.empty(n + 1)
-    var_p = np.empty(n + 1)
-    cov_xp = np.empty(n + 1)
-    var_x[0], var_p[0], cov_xp[0] = cov[0, 0], cov[1, 1], cov[0, 1]
-
-    def rhs(f, d, mat):
-        return f @ mat + mat @ f.T + d
-
-    for m in range(n):
-        f0, d0 = f_ser[m], d_ser[m]
-        f_half = 0.5 * (f_ser[m] + f_ser[m + 1])
-        d_half = 0.5 * (d_ser[m] + d_ser[m + 1])
-        half = cov + 0.5 * dt * rhs(f0, d0, cov)
-        cov = cov + dt * rhs(f_half, d_half, half)
-        var_x[m + 1], var_p[m + 1] = cov[0, 0], cov[1, 1]
-        cov_xp[m + 1] = 0.5 * (cov[0, 1] + cov[1, 0])
-    return {"var_x": var_x, "var_p": var_p, "cov_xp": cov_xp}
+    cov0 = np.array([[init.var_x, init.cov_xp],
+                     [init.cov_xp, init.var_p]], dtype=float)
+    covs = _midpoint_march(lambda f, d, cov: f @ cov + cov @ f.T + d,
+                           (f_ser, d_ser), cov0, grid.dt)
+    return {"var_x": covs[:, 0, 0], "var_p": covs[:, 1, 1],
+            "cov_xp": 0.5 * (covs[:, 0, 1] + covs[:, 1, 0])}
 
 
 def _require_grid_match(coeffs, grid):

@@ -20,7 +20,10 @@ Everything is expressed in units of the cutoff (hbar = k_B = 1).
 2x2 kernel layout (basis a, a^dagger):
 
     G(dt)  = [[g_v - conj(g_w),  g_vw - conj(g_vw)], [same off-diag, -conj(G11)]]
-    Gt(dt) = thermal kernel built from gtilde_* plus vacuum pair terms.
+    Gt(dt) = thermal kernel built from gtilde_* plus vacuum pair terms,
+
+with g_w = alpha^2 g_v and g_vw = alpha g_v (likewise for gtilde), so one
+assembly path serves every Kernel.
 
 Both are stationary (depend on the time difference only) as long as the bath
 carries no anomalous pair correlations; per-mode occupations are allowed to
@@ -35,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.integrate import trapezoid
 
 from .errors import (
     ContractViolationError,
@@ -169,6 +173,19 @@ def _panel_edges(omega_max: float, inner_scale: float,
     return edges
 
 
+def _exp_sum(weights: np.ndarray, freqs: np.ndarray, dt) -> np.ndarray:
+    """sum_j weights[j] exp(-i freqs[j] dt), elementwise in dt."""
+    dt = np.asarray(dt, dtype=float)
+    flat = dt.ravel()
+    out = np.empty(flat.shape, dtype=complex)
+    # chunk the outer product so memory stays bounded for long grids
+    step = max(1, int(4e6 // max(freqs.size, 1)))
+    for k in range(0, flat.size, step):
+        block = flat[k:k + step]
+        out[k:k + step] = np.exp(-1j * np.outer(block, freqs)) @ weights
+    return out.reshape(dt.shape)
+
+
 class _FourierRule:
     """Composite Gauss-Legendre rule for integrals of f(w) exp(-i w dt).
 
@@ -199,16 +216,7 @@ class _FourierRule:
         self.dt_max = dt_max
 
     def transform(self, dt: np.ndarray) -> np.ndarray:
-        dt = np.asarray(dt, dtype=float)
-        flat = dt.ravel()
-        out = np.empty(flat.shape, dtype=complex)
-        # chunk the outer product so memory stays bounded for long grids
-        step = max(1, int(4e6 // max(self.n_nodes, 1)))
-        for k in range(0, flat.size, step):
-            block = flat[k:k + step]
-            phases = np.exp(-1j * np.outer(block, self.nodes))
-            out[k:k + step] = phases @ self.weights
-        return out.reshape(dt.shape)
+        return _exp_sum(self.weights, self.nodes, dt)
 
 
 class _TransformFamily:
@@ -242,7 +250,7 @@ class _TransformFamily:
         ref = fine.transform(probes)
         scale = max(np.max(np.abs(ref)), 1e-300)
         rel = np.max(np.abs(coarse - ref)) / scale
-        if rel > QUADRATURE_RTOL:
+        if not (rel <= QUADRATURE_RTOL):
             raise QuadratureConvergenceError(
                 f"{self.label} transform failed self-refinement: rel dev "
                 f"{rel:.3e} > {QUADRATURE_RTOL:.1e} with {rule.n_nodes} nodes "
@@ -260,7 +268,9 @@ class _TransformFamily:
 # ---------------------------------------------------------------------------
 
 
-def _assemble_g(gv, gw, gvw) -> np.ndarray:
+def _assemble_g(gv, alpha: float) -> np.ndarray:
+    gw = alpha**2 * gv
+    gvw = alpha * gv
     out = np.empty(np.shape(gv) + (2, 2), dtype=complex)
     out[..., 0, 0] = gv - np.conj(gw)
     out[..., 0, 1] = gvw - np.conj(gvw)
@@ -269,7 +279,9 @@ def _assemble_g(gv, gw, gvw) -> np.ndarray:
     return out
 
 
-def _assemble_gtilde(gv, gw, gvw, gtv, gtw, gtvw) -> np.ndarray:
+def _assemble_gtilde(gv, gtv, alpha: float) -> np.ndarray:
+    gw, gvw = alpha**2 * gv, alpha * gv
+    gtw, gtvw = alpha**2 * gtv, alpha * gtv
     out = np.empty(np.shape(gv) + (2, 2), dtype=complex)
     out[..., 0, 0] = gtv + np.conj(gw) + np.conj(gtw)
     out[..., 0, 1] = gtvw + np.conj(gvw) + np.conj(gtvw)
@@ -286,7 +298,7 @@ class Kernel:
     g / gtilde map an array of time offsets to (..., 2, 2) complex arrays.
     g_v / gtilde_v expose the scalar particle-exchange transforms that the
     short-time coefficient estimates need.  Metadata fields are None for
-    synthetic kernels assembled outside build_kernels.
+    synthetic kernels assembled outside build_kernels and kernels_from_bath.
     """
 
     g: Callable[[np.ndarray], np.ndarray]
@@ -296,7 +308,6 @@ class Kernel:
     alpha: float | None = None
     temperature: float | None = None
     cutoff: float | None = None
-    stationary: bool = True
     metadata: dict = field(default_factory=dict)
     _tables: dict = field(default_factory=dict, repr=False)
 
@@ -315,6 +326,26 @@ class Kernel:
             offsets = np.concatenate([-t[::-1], t[1:]])
             self._tables[key] = self.gtilde(offsets)
         return self._tables[key]
+
+    def zgtz_signed_table(self, grid) -> np.ndarray:
+        """Z Gt Z on the offsets of gtilde_signed_table (a fresh array)."""
+        out = self.gtilde_signed_table(grid).copy()
+        out[:, 0, 1] *= -1.0
+        out[:, 1, 0] *= -1.0
+        return out
+
+
+def _kernel(g_v, gtilde_v, alpha: float, **info) -> Kernel:
+    """Kernel whose 2x2 G and Gt are assembled from g_v, gtilde_v and alpha."""
+
+    def g(dt):
+        return _assemble_g(g_v(dt), alpha)
+
+    def gtilde(dt):
+        return _assemble_gtilde(g_v(dt), gtilde_v(dt), alpha)
+
+    return Kernel(g=g, gtilde=gtilde, g_v=g_v, gtilde_v=gtilde_v,
+                  alpha=alpha, **info)
 
 
 def _g_v_function(model: SpectralModel):
@@ -351,7 +382,6 @@ def build_kernels(model: SpectralModel) -> Kernel:
     geometrically refined toward omega = 0 to resolve the Bose factor, and
     every rule is validated against its own refinement before first use.
     """
-    alpha = model.alpha
     cut = model.cutoff
     temp = model.temperature
 
@@ -377,19 +407,8 @@ def build_kernels(model: SpectralModel) -> Kernel:
         def gtilde_v(dt):
             return np.zeros(np.shape(np.asarray(dt, dtype=float)), dtype=complex)
 
-    def g(dt):
-        gv = g_v(dt)
-        return _assemble_g(gv, alpha**2 * gv, alpha * gv)
-
-    def gtilde(dt):
-        gv = g_v(dt)
-        gtv = gtilde_v(dt)
-        return _assemble_gtilde(gv, alpha**2 * gv, alpha * gv,
-                                gtv, alpha**2 * gtv, alpha * gtv)
-
-    return Kernel(
-        g=g, gtilde=gtilde, g_v=g_v, gtilde_v=gtilde_v,
-        alpha=alpha, temperature=temp, cutoff=cut, stationary=True,
+    return _kernel(
+        g_v, gtilde_v, model.alpha, temperature=temp, cutoff=cut,
         metadata={"source": "continuum", "family": model.family,
                   "gamma0": model.gamma0,
                   "quadrature": "composite-gauss-legendre"},
@@ -409,15 +428,16 @@ class BathDiscretization:
     """Finite set of bath modes approximating the continuum couplings.
 
     2 pi sum_j v_couplings[j]^2 over a frequency bin approximates the
-    integral of J_V over that bin.  Occupations may be replaced by any
-    per-mode values (e.g. from a correlated total state); squeezes must stay
-    zero for the stationary kernel machinery to apply.
+    integral of J_V over that bin.  The model has one pairing fraction
+    alpha = W_k / V_k, so the pair-production couplings w_couplings are
+    derived from v_couplings, never stored beside them.  Occupations may be
+    replaced by any per-mode values (e.g. from a correlated total state);
+    squeezes must stay zero for the stationary kernel machinery to apply.
     """
 
     frequencies: np.ndarray
     weights: np.ndarray
     v_couplings: np.ndarray
-    w_couplings: np.ndarray
     occupations: np.ndarray
     squeezes: np.ndarray
     scheme: str
@@ -429,6 +449,10 @@ class BathDiscretization:
     @property
     def n_modes(self) -> int:
         return int(self.frequencies.size)
+
+    @property
+    def w_couplings(self) -> np.ndarray:
+        return self.alpha * self.v_couplings
 
 
 def discretize_bath(model: SpectralModel, n_modes: int, omega_max: float,
@@ -452,15 +476,14 @@ def discretize_bath(model: SpectralModel, n_modes: int, omega_max: float,
 
     jv = _j_v(model, freqs)
     v = np.sqrt(jv * weights / (2.0 * math.pi))
-    w_coup = model.alpha * v
 
     if model.family == "ohmic":
         x = omega_max / model.cutoff
         covered = 1.0 - math.exp(-x) * (1.0 + x)  # fraction of int_0^inf J_V
     else:
-        total = np.trapz(model.tab_j, model.tab_omega)
+        total = trapezoid(model.tab_j, model.tab_omega)
         mask = model.tab_omega <= omega_max
-        covered = (np.trapz(model.tab_j[mask], model.tab_omega[mask]) / total
+        covered = (trapezoid(model.tab_j[mask], model.tab_omega[mask]) / total
                    if total > 0.0 else 1.0)
     if covered < COVERAGE_MIN:
         warnings.warn(
@@ -469,7 +492,7 @@ def discretize_bath(model: SpectralModel, n_modes: int, omega_max: float,
             RuntimeWarning, stacklevel=2)
 
     return BathDiscretization(
-        frequencies=freqs, weights=weights, v_couplings=v, w_couplings=w_coup,
+        frequencies=freqs, weights=weights, v_couplings=v,
         occupations=n_bar(freqs, model.temperature),
         squeezes=np.zeros(n_modes, dtype=complex),
         scheme=scheme, coverage_fraction=covered,
@@ -477,23 +500,14 @@ def discretize_bath(model: SpectralModel, n_modes: int, omega_max: float,
     )
 
 
-def _mode_sum(coeffs: np.ndarray, freqs: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    dt = np.asarray(dt, dtype=float)
-    flat = dt.ravel()
-    out = np.empty(flat.shape, dtype=complex)
-    step = max(1, int(4e6 // max(freqs.size, 1)))
-    for k in range(0, flat.size, step):
-        block = flat[k:k + step]
-        out[k:k + step] = np.exp(-1j * np.outer(block, freqs)) @ coeffs
-    return out.reshape(dt.shape)
-
-
 def kernels_from_bath(bath: BathDiscretization) -> Kernel:
     """Exact kernels of a finite bath (discrete frequency sums).
 
-    Anomalous per-mode correlations would make the fluctuation kernel depend
-    on both time arguments, which the stationary Kernel interface cannot
-    represent, so nonzero squeezes are rejected.
+    With W_k = alpha V_k every channel sum is a multiple of one of the two
+    mode sums g_v = sum_k V_k^2 e^{-i w_k dt} and gtilde_v = sum_k V_k^2
+    nbar_k e^{-i w_k dt}.  Anomalous per-mode correlations would make the
+    fluctuation kernel depend on both time arguments, which the stationary
+    Kernel interface cannot represent, so nonzero squeezes are rejected.
     """
     if np.any(np.abs(bath.squeezes) > 0.0):
         raise ContractViolationError(
@@ -501,34 +515,18 @@ def kernels_from_bath(bath: BathDiscretization) -> Kernel:
             "(non-stationary fluctuation kernels are not representable)")
 
     v2 = bath.v_couplings**2
-    w2 = bath.w_couplings**2
-    vw = bath.v_couplings * bath.w_couplings
-    occ = bath.occupations
+    v2_occ = v2 * bath.occupations
     freqs = bath.frequencies
 
     def g_v(dt):
-        return _mode_sum(v2, freqs, dt)
+        return _exp_sum(v2, freqs, dt)
 
     def gtilde_v(dt):
-        return _mode_sum(v2 * occ, freqs, dt)
+        return _exp_sum(v2_occ, freqs, dt)
 
-    def g(dt):
-        return _assemble_g(_mode_sum(v2, freqs, dt),
-                           _mode_sum(w2, freqs, dt),
-                           _mode_sum(vw, freqs, dt))
-
-    def gtilde(dt):
-        return _assemble_gtilde(_mode_sum(v2, freqs, dt),
-                                _mode_sum(w2, freqs, dt),
-                                _mode_sum(vw, freqs, dt),
-                                _mode_sum(v2 * occ, freqs, dt),
-                                _mode_sum(w2 * occ, freqs, dt),
-                                _mode_sum(vw * occ, freqs, dt))
-
-    return Kernel(
-        g=g, gtilde=gtilde, g_v=g_v, gtilde_v=gtilde_v,
-        alpha=bath.alpha, temperature=bath.temperature, cutoff=bath.cutoff,
-        stationary=True,
+    return _kernel(
+        g_v, gtilde_v, bath.alpha, temperature=bath.temperature,
+        cutoff=bath.cutoff,
         metadata={"source": "discrete-bath", "n_modes": bath.n_modes,
                   "scheme": bath.scheme},
     )

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gqbm
 import gqbm.cli as cli
 from gqbm.errors import ContractViolationError, NumericalQualityError, ValidationError
 
@@ -133,6 +134,25 @@ def test_coeffs_writes_quadrature_form_at_full_pairing(tmp_path, monkeypatch):
     assert header[:5] == ["t", "delta_omega_sq", "gamma_damping", "gamma_h",
                           "gamma_f"]
     assert len(rows) == 201
+
+
+def test_manifest_states_the_tolerances_and_schemes_that_ran(tmp_path,
+                                                              monkeypatch):
+    out = tmp_path / "run"
+    code = _run_cli(["kernels", "--out", str(out), "--t-end", "2",
+                     "--steps", "200"], monkeypatch)
+    assert code == cli.EXIT_OK
+    manifest = out / "manifest.txt"
+    constants = {
+        "instability_max_abs": gqbm.greens.INSTABILITY_MAX_ABS,
+        "condition_max": gqbm.coeffs.CONDITION_MAX,
+        "commutator_drift": gqbm.moments.COMMUTATOR_DRIFT_TOL,
+        "quadrature_self_check_rtol": gqbm.spectral.QUADRATURE_RTOL,
+    }
+    for key, value in constants.items():
+        assert float(_manifest_value(manifest, "tolerances", key)) == value
+    assert "sparse CSR generator" in _manifest_value(manifest, "schemes",
+                                                     "oracle")
 
 
 def test_byte_identical_reruns(tmp_path, monkeypatch):

@@ -118,6 +118,46 @@ def test_free_rotation_of_covariances():
     assert np.max(np.abs(sm.delta_s - expected)) < 1e-6
 
 
+def test_covariances_follow_the_explicit_midpoint_rule():
+    # the scheme written out step by step: coefficients at t_m and at the
+    # linearly interpolated half step; the library must match it bit for bit
+    grid = gqbm.TimeGrid(t_end=2.0, n_steps=40, max_frequency=1.0)
+    rng = np.random.default_rng(5)
+    n = grid.n_steps + 1
+    me = CoefficientSeries(
+        times=grid.times, omega_s=0.6,
+        omega_s_prime=0.6 + 0.01 * rng.normal(size=n),
+        omega_bar_prime=0.01 * (rng.normal(size=n) + 1j * rng.normal(size=n)),
+        gamma=0.01 * rng.normal(size=n), gamma_tilde=0.01 * rng.normal(size=n),
+        gamma_bar=0.01 * (rng.normal(size=n) + 1j * rng.normal(size=n)),
+        omega_r=np.full(n, 0.6, dtype=complex),
+        radicand_negative=np.zeros(n, dtype=bool))
+    init = gqbm.GaussianMoments(delta_n=0.4, delta_s=0.3 + 0.1j)
+    sm = gqbm.evolve_covariances(me, init, grid)
+
+    a = np.empty((n, 2, 2), dtype=complex)
+    a[:, 0, 0] = -1j * me.omega_s_prime - 0.5 * me.gamma
+    a[:, 0, 1] = -1j * me.omega_bar_prime
+    a[:, 1, 0] = 1j * np.conj(me.omega_bar_prime)
+    a[:, 1, 1] = 1j * me.omega_s_prime - 0.5 * me.gamma
+    d = np.empty((n, 2, 2), dtype=complex)
+    d[:, 0, 0] = me.gamma_tilde
+    d[:, 0, 1] = me.gamma_bar
+    d[:, 1, 0] = np.conj(me.gamma_bar)
+    d[:, 1, 1] = me.gamma + me.gamma_tilde
+
+    def rhs(am, dm, nm):
+        return am @ nm + nm @ np.conj(am).T + dm
+
+    nm = np.array([[0.4, 0.3 + 0.1j], [0.3 - 0.1j, 1.4]])
+    for m in range(grid.n_steps):
+        half = nm + 0.5 * grid.dt * rhs(a[m], d[m], nm)
+        nm = nm + grid.dt * rhs(0.5 * (a[m] + a[m + 1]),
+                                0.5 * (d[m] + d[m + 1]), half)
+        assert sm.delta_n[m + 1] == nm[0, 0].real
+        assert sm.delta_s[m + 1] == nm[0, 1]
+
+
 def test_covariance_reconstruction_identity(pack_alpha05, coeffs_alpha05,
                                             grid10):
     # N(t) = U N(0) U^dag + V(t, t): the ODE route must land on the

@@ -1,0 +1,72 @@
+"""Every quality monitor trips on NaN, not only on large values."""
+
+import numpy as np
+import pytest
+
+import gqbm
+from gqbm.coeffs import CoefficientSeries, _invert_2x2
+from gqbm.errors import (
+    InstabilityError,
+    NumericalQualityError,
+    QuadratureConvergenceError,
+    SingularityError,
+)
+from gqbm.oracle import _require_commutator
+from gqbm.spectral import _TransformFamily
+
+GRID = gqbm.TimeGrid(t_end=2.0, n_steps=20, max_frequency=1.0)
+
+
+def _coeffs_with_nan_gamma():
+    n = GRID.n_steps + 1
+    gamma = np.zeros(n)
+    gamma[7] = np.nan
+    return CoefficientSeries(
+        times=GRID.times, omega_s=0.5, omega_s_prime=np.full(n, 0.5),
+        omega_bar_prime=np.zeros(n, dtype=complex), gamma=gamma,
+        gamma_tilde=np.zeros(n), gamma_bar=np.zeros(n, dtype=complex),
+        omega_r=np.full(n, 0.5, dtype=complex),
+        radicand_negative=np.zeros(n, dtype=bool))
+
+
+def _propagate_nan_coupling():
+    dyn = gqbm.LinearDynamics(omega_s=0.5, frequencies=np.array([0.4, 0.9]),
+                              v_couplings=np.array([0.1, np.nan]),
+                              w_couplings=np.array([0.05, 0.05]))
+    gqbm.propagate(dyn, GRID)
+
+
+def _nan_u():
+    u = np.tile(np.eye(2, dtype=complex), (4, 1, 1))
+    u[2, 0, 1] = np.nan
+    return u
+
+
+def _nan_weight(omega):
+    return np.where(omega > 1.0, np.nan, 1.0)
+
+
+CASES = {
+    "evolve_means": (lambda: gqbm.evolve_means(
+        _coeffs_with_nan_gamma(), gqbm.GaussianMoments(mean_a=1.0), GRID),
+        NumericalQualityError),
+    "evolve_covariances": (lambda: gqbm.evolve_covariances(
+        _coeffs_with_nan_gamma(), gqbm.GaussianMoments(delta_n=0.1), GRID),
+        NumericalQualityError),
+    "oracle_commutator": (lambda: _require_commutator(
+        np.array([0.0, np.nan]), np.array([1.0, 1.0]), np.array([0.0, 1.0])),
+        NumericalQualityError),
+    "propagate": (_propagate_nan_coupling, InstabilityError),
+    "invert_2x2": (lambda: _invert_2x2(_nan_u(), np.arange(4.0)),
+                   SingularityError),
+    "quadrature_self_check": (lambda: _TransformFamily(
+        _nan_weight, 2.0, 0.5, "probe")(np.array([1.0])),
+        QuadratureConvergenceError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_monitor_trips_on_nan(name):
+    call, error = CASES[name]
+    with pytest.raises(error):
+        call()

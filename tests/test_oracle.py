@@ -55,13 +55,37 @@ def test_sigma_times_generator_is_anti_hermitian():
     assert np.max(np.abs(m + np.conj(m).T)) == 0.0
 
 
-def test_matvec_matches_dense_generator():
+def _heisenberg_generator(dyn):
+    """Dense generator written entry by entry from dA/dt = i [H, A] with
+    H = w_s a^dag a + sum_k [w_k b_k^dag b_k + V_k (a^dag b_k + b_k^dag a)
+                             + W_k (a^dag b_k^dag + b_k a)]."""
+    g = np.zeros((dyn.dim, dyn.dim), dtype=complex)
+    g[0, 0], g[1, 1] = -1j * dyn.omega_s, 1j * dyn.omega_s
+    for k in range(dyn.n_modes):
+        b, bd = 2 * k + 2, 2 * k + 3
+        wk = dyn.frequencies[k]
+        vk, pk = dyn.v_couplings[k], dyn.w_couplings[k]
+        # da/dt = -i (w_s a + sum_k V_k b_k + W_k b_k^dag), and its adjoint
+        g[0, b], g[0, bd] = -1j * vk, -1j * pk
+        g[1, bd], g[1, b] = 1j * vk, 1j * pk
+        # db_k/dt = -i (w_k b_k + V_k a + W_k a^dag), and its adjoint
+        g[b, b], g[b, 0], g[b, 1] = -1j * wk, -1j * vk, -1j * pk
+        g[bd, bd], g[bd, 1], g[bd, 0] = 1j * wk, 1j * vk, 1j * pk
+    return g
+
+
+def test_sparse_generator_matches_heisenberg_equations():
     dyn = _random_dynamics(n_modes=7, seed=11)
-    g = dyn.as_matrix()
+    gen = dyn.generator()
+    ref = _heisenberg_generator(dyn)
+    assert gen.format == "csr"
+    assert gen.nnz == 10 * dyn.n_modes + 2   # arrowhead: O(N) entries
+    np.testing.assert_array_equal(gen.toarray(), ref)
+    np.testing.assert_array_equal(gen.T.toarray(), ref.T)
     rng = np.random.default_rng(12)
     x = rng.normal(size=(dyn.dim, 3)) + 1j * rng.normal(size=(dyn.dim, 3))
-    np.testing.assert_allclose(dyn.matvec(x), g @ x, atol=1e-13)
-    np.testing.assert_allclose(dyn.matvec_transpose(x), g.T @ x, atol=1e-13)
+    np.testing.assert_allclose(gen @ x, ref @ x, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(gen.T @ x, ref.T @ x, rtol=0.0, atol=1e-15)
 
 
 def test_energy_form_is_conserved_by_the_flow():

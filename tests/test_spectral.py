@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import quad, trapezoid
 
 import gqbm
 from gqbm.errors import ContractViolationError, ValidationError
@@ -306,6 +306,52 @@ def test_kernels_from_bath_rejects_squeezes():
         bath, squeezes=np.full(16, 0.1 + 0.0j, dtype=complex))
     with pytest.raises(ContractViolationError):
         gqbm.kernels_from_bath(bad)
+
+
+def test_kernels_from_bath_equals_the_six_channel_sums():
+    alpha = 0.6
+    bath = gqbm.discretize_bath(make_model(alpha, temperature=0.3), 300, 20.0,
+                                scheme="gauss")
+    kernel = gqbm.kernels_from_bath(bath)
+    dt = np.linspace(-6.0, 6.0, 41)
+    v = bath.v_couplings
+    w = alpha * v                      # pair couplings W_k = alpha V_k
+    occ = bath.occupations
+    phase = np.exp(-1j * np.outer(dt, bath.frequencies))
+    gv, gw, gvw = phase @ v**2, phase @ w**2, phase @ (v * w)
+    gtv, gtw, gtvw = (phase @ (v**2 * occ), phase @ (w**2 * occ),
+                      phase @ (v * w * occ))
+    g = np.empty((dt.size, 2, 2), dtype=complex)
+    g[:, 0, 0] = gv - np.conj(gw)
+    g[:, 0, 1] = gvw - np.conj(gvw)
+    g[:, 1, 0] = -np.conj(g[:, 0, 1])
+    g[:, 1, 1] = -np.conj(g[:, 0, 0])
+    gt = np.empty((dt.size, 2, 2), dtype=complex)
+    gt[:, 0, 0] = gtv + np.conj(gw) + np.conj(gtw)
+    gt[:, 0, 1] = gt[:, 1, 0] = gtvw + np.conj(gvw) + np.conj(gtvw)
+    gt[:, 1, 1] = gtw + np.conj(gv) + np.conj(gtv)
+    for got, want in ((kernel.g(dt), g), (kernel.gtilde(dt), gt)):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_tabulated_bath_coverage_and_kernels():
+    om = np.linspace(0.0, 20.0, 81)
+    jv = math.sqrt(math.pi * GAMMA0 / 2.0) * om * np.exp(-om)
+    model = gqbm.SpectralModel(family="tabulated", gamma0=GAMMA0, alpha=0.5,
+                               temperature=TEMPERATURE, tab_omega=om, tab_j=jv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        bath = gqbm.discretize_bath(model, 64, 15.0, scheme="gauss")
+    inside = om <= 15.0
+    assert bath.coverage_fraction == pytest.approx(
+        trapezoid(jv[inside], om[inside]) / trapezoid(jv, om), rel=1e-15)
+    kernel = gqbm.kernels_from_bath(bath)
+    g0 = kernel.g(np.array([0.0]))[0]
+    gv0 = np.sum(bath.v_couplings**2)
+    np.testing.assert_allclose(np.diag(g0), [0.75 * gv0, -0.75 * gv0],
+                               rtol=1e-14)
+    assert gv0 == pytest.approx(
+        trapezoid(jv[inside], om[inside]) / (2.0 * math.pi), rel=1e-3)
 
 
 def test_thermal_occupations_filled():
