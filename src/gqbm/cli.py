@@ -16,7 +16,8 @@ variables (prefix GQBM_, e.g. GQBM_ALPHA=0.5) < command-line flags.
 Identical configuration and build produce byte-identical CSV bodies; the
 manifest additionally records wall time and scheme identifiers.
 
-Exit codes: 0 success, 2 validation/config error, 3 instability or
+Exit codes: 0 success, 2 validation/config error (a non-finite or
+out-of-domain value is rejected before any solve), 3 instability or
 singular propagator, 4 numerical-quality failure.
 """
 
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import math
 import os
 import sys
 import time
@@ -45,7 +45,6 @@ from .coeffs import (
 )
 from .errors import (
     ContractViolationError,
-    GqbmError,
     InstabilityError,
     NumericalQualityError,
     QuadratureConvergenceError,
@@ -56,6 +55,8 @@ from .greens import (
     INSTABILITY_MAX_ABS,
     TimeGrid,
     correlated_correction,
+    require_finite_frequency,
+    second_moments,
     solve_u,
     solve_v_fdt,
     solve_v_volterra,
@@ -156,7 +157,14 @@ _CONFIG_SCHEMA = {
 
 def load_config(path: str | None = None, env: dict | None = None,
                 overrides: dict | None = None) -> RunConfig:
-    """Build a RunConfig from file, environment, and explicit overrides."""
+    """Build and validate a RunConfig from file, environment and overrides."""
+    cfg = _read_config(path, env, overrides)
+    _validate_config(cfg)
+    return cfg
+
+
+def _read_config(path: str | None, env: dict | None,
+                 overrides: dict | None) -> RunConfig:
     values: dict = {}
 
     if path is not None:
@@ -199,41 +207,29 @@ def load_config(path: str | None = None, env: dict | None = None,
                 values[name] = val
 
     try:
-        cfg = RunConfig(**values)
+        return RunConfig(**values)
     except TypeError as exc:
         raise ValidationError(str(exc)) from exc
-    _validate_config(cfg)
-    return cfg
 
 
 def _validate_config(cfg: RunConfig):
-    if cfg.gamma0 < 0.0:
-        raise ValidationError("gamma0 must be >= 0")
-    if cfg.cutoff <= 0.0:
-        raise ValidationError("cutoff must be > 0")
-    if not (0.0 <= cfg.alpha <= 1.0):
-        raise ValidationError("alpha must lie in [0, 1]")
-    if cfg.temperature < 0.0:
-        raise ValidationError("temperature must be >= 0")
-    if cfg.t_end <= 0.0:
-        raise ValidationError("t_end must be > 0")
-    if cfg.n_steps < 8:
-        raise ValidationError("n_steps must be >= 8")
-    if cfg.mass <= 0.0:
-        raise ValidationError("mass must be > 0")
-    if cfg.oracle_modes < 1:
-        raise ValidationError("oracle n_modes must be >= 1")
-    if cfg.oracle_omega_max <= 0.0:
-        raise ValidationError("oracle omega_max must be > 0")
-    if cfg.workers < 0:
-        raise ValidationError("workers must be >= 0")
+    """CLI-only keys, then the model and grid every pipeline builds first."""
+    if not cfg.workers >= 0:
+        raise ValidationError(f"workers must be >= 0, got {cfg.workers}")
+    _sweep_alphas(cfg)
+    _setup(cfg)
+
+
+def _sweep_alphas(cfg: RunConfig) -> list[float]:
+    """Distinct alpha_list entries in ascending order, checked by SpectralModel."""
+    alphas = set()
     for part in cfg.alpha_list.split(","):
         try:
-            a = float(part)
+            alphas.add(SpectralModel(alpha=float(part)).alpha)
         except ValueError as exc:
-            raise ValidationError(f"bad alpha_list entry {part!r}") from exc
-        if not (0.0 <= a <= 1.0):
-            raise ValidationError(f"alpha_list entry {a} outside [0, 1]")
+            raise ValidationError(
+                f"bad alpha_list entry {part!r}: {exc}") from exc
+    return sorted(alphas)
 
 
 @dataclass
@@ -318,6 +314,7 @@ def _setup(cfg: RunConfig):
     model = SpectralModel(family="ohmic", gamma0=cfg.gamma0, cutoff=cfg.cutoff,
                           alpha=cfg.alpha, temperature=cfg.temperature)
     omega_s = cfg.omega_s if cfg.omega_s is not None else default_omega_s(model)
+    require_finite_frequency("omega_s", omega_s)
     grid = TimeGrid(t_end=cfg.t_end, n_steps=cfg.n_steps,
                     max_frequency=max(abs(omega_s), cfg.cutoff))
     return model, omega_s, grid
@@ -416,28 +413,24 @@ def _run_coeffs(cfg: RunConfig, out: Path) -> ResultBundle:
 
 
 def _run_evolve(cfg: RunConfig, out: Path) -> ResultBundle:
-    model, omega_s, grid, kernel, sol, kl, me = _coeff_series(cfg)
+    _, omega_s, _ = _setup(cfg)
     init = GaussianMoments(
         mean_a=cfg.init_mean_re + 1j * cfg.init_mean_im,
         delta_n=cfg.init_delta_n,
         delta_s=cfg.init_delta_s_re + 1j * cfg.init_delta_s_im)
     init.require_physical()
+    to_quadratures(init, cfg.mass, omega_s)  # the t = 0 row, before the solve
+    model, omega_s, grid, kernel, sol, kl, me = _coeff_series(cfg)
     mean = evolve_means(me, init, grid)
     second = evolve_covariances(me, init, grid)
-    quads = [to_quadratures(GaussianMoments(mean_a=0.0,
-                                            delta_n=max(second.delta_n[m], 0.0),
-                                            delta_s=second.delta_s[m]),
-                            cfg.mass, omega_s)
-             for m in range(grid.n_steps + 1)]
+    quads = to_quadratures(second, cfg.mass, omega_s)
     path = out / "moments.csv"
     _write_csv(path,
                ["t", "re_mean_a", "im_mean_a", "delta_n", "re_delta_s",
                 "im_delta_s", "var_x", "var_p", "cov_xp"],
                [grid.times, mean.real, mean.imag, second.delta_n,
                 second.delta_s.real, second.delta_s.imag,
-                np.array([q.var_x for q in quads]),
-                np.array([q.var_p for q in quads]),
-                np.array([q.cov_xp for q in quads])])
+                quads.var_x, quads.var_p, quads.cov_xp])
     return ResultBundle(pipeline="evolve", out_dir=out,
                         csv_paths={"moments": path},
                         summaries={"omega_s": omega_s,
@@ -502,8 +495,7 @@ def _run_oracle_compare(cfg: RunConfig, out: Path) -> ResultBundle:
     bath = discretize_bath(model, cfg.oracle_modes, cfg.oracle_omega_max,
                            scheme=cfg.oracle_scheme)
     dyn = build_dynamics(bath, omega_s)
-    prop = propagate(dyn, grid)
-    horizon = prop.recurrence_horizon
+    horizon = dyn.recurrence_horizon
     if grid.t_end > horizon:
         raise ValidationError(
             f"t_end = {grid.t_end:g} exceeds the finite-bath recurrence "
@@ -514,60 +506,55 @@ def _run_oracle_compare(cfg: RunConfig, out: Path) -> ResultBundle:
     if cfg.quench_omega_s0 is not None:
         # correlated initial state: thermal state of the pre-quench Hamiltonian
         state = thermal_total_state(dyn, cfg.temperature, cfg.quench_omega_s0)
-        kbath = replace_occupations(bath, state.bath_occupations)
+        prop = propagate(dyn, grid)
+        kbath = replace(bath, occupations=state.bath_occupations)
         kernel = kernels_from_bath(kbath)
         sol = solve_u(kernel, omega_s, grid)
         sol.v_equal_time = solve_v_fdt(kernel, sol.u, grid)
         dv = correlated_correction(kbath, state.correlations, sol.u, grid)
-        n0 = np.array([[state.system.delta_n, state.system.delta_s],
-                       [np.conj(state.system.delta_s),
-                        1.0 + state.system.delta_n]])
-        n_me = (np.einsum("tab,bc,tdc->tad", sol.u, n0, np.conj(sol.u))
-                + sol.v_equal_time + dv)
+        n_me = second_moments(sol.u, state.system.n_matrix(),
+                              sol.v_equal_time) + dv
         orc = exact_moments(prop, state.product_table)
         n_or = orc.n_matrix()
         summaries["max_moment_deviation"] = float(np.max(np.abs(n_me - n_or)))
         summaries["correction_magnitude"] = float(np.max(np.abs(dv)))
-        path = out / "quench_compare.csv"
+        key, path = "quench_compare", out / "quench_compare.csv"
         _write_csv(path,
                    ["t", "delta_n_me", "delta_n_oracle", "re_delta_s_me",
                     "re_delta_s_oracle", "im_delta_s_me", "im_delta_s_oracle"],
                    [grid.times, n_me[:, 0, 0].real, orc.delta_n,
                     n_me[:, 0, 1].real, orc.delta_s.real,
                     n_me[:, 0, 1].imag, orc.delta_s.imag])
-        return ResultBundle(pipeline="oracle-compare", out_dir=out,
-                            csv_paths={"quench_compare": path},
-                            summaries=summaries)
+    else:
+        prop = propagate(dyn, grid)
+        kernel = build_kernels(model)
+        sol = solve_u(kernel, omega_s, grid)
+        sol.v_equal_time = solve_v_fdt(kernel, sol.u, grid)
+        u_dev = np.max(np.abs(sol.u - prop.u_series), axis=(1, 2))
 
-    kernel = build_kernels(model)
-    sol = solve_u(kernel, omega_s, grid)
-    sol.v_equal_time = solve_v_fdt(kernel, sol.u, grid)
-    u_dev = np.max(np.abs(sol.u - prop.u_series), axis=(1, 2))
+        vac = GaussianMoments()
+        orc = reduced_moments(prop, bath, vac)
+        v_oracle = orc.n_matrix() - second_moments(prop.u_series,
+                                                   vac.n_matrix())
+        v_dev = np.max(np.abs(sol.v_equal_time - v_oracle), axis=(1, 2))
 
-    vac = GaussianMoments()
-    orc = reduced_moments(prop, bath, vac)
-    n0 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-    v_oracle = orc.n_matrix() - np.einsum("tab,bc,tdc->tad", prop.u_series,
-                                          n0, np.conj(prop.u_series))
-    v_dev = np.max(np.abs(sol.v_equal_time - v_oracle), axis=(1, 2))
-
-    summaries["max_u_deviation"] = float(np.max(u_dev))
-    summaries["max_v_deviation"] = float(np.max(v_dev))
-    path = out / "oracle_compare.csv"
-    _write_csv(path, ["t", "u_deviation", "v_deviation"],
-               [grid.times, u_dev, v_dev])
+        summaries["max_u_deviation"] = float(np.max(u_dev))
+        summaries["max_v_deviation"] = float(np.max(v_dev))
+        key, path = "compare", out / "oracle_compare.csv"
+        _write_csv(path, ["t", "u_deviation", "v_deviation"],
+                   [grid.times, u_dev, v_dev])
     return ResultBundle(pipeline="oracle-compare", out_dir=out,
-                        csv_paths={"compare": path}, summaries=summaries)
-
-
-def replace_occupations(bath, occupations):
-    """Copy of a bath discretization with per-mode occupations replaced."""
-    return replace(bath, occupations=np.asarray(occupations, dtype=float))
+                        csv_paths={key: path}, summaries=summaries)
 
 
 def run(cfg: RunConfig, pipeline: str) -> ResultBundle:
     """Execute one pipeline; writes CSVs and a manifest under cfg.out_dir."""
     t0 = time.monotonic()
+    if pipeline == "reproduce-fig2":
+        cfg = replace(cfg, gamma0=3e-4, temperature=0.01, cutoff=1.0,
+                      omega_s=None,
+                      alpha_list=",".join(str(a) for a in FIG2_ALPHAS))
+    _validate_config(cfg)  # the configuration that runs, after any pinning
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -579,13 +566,10 @@ def run(cfg: RunConfig, pipeline: str) -> ResultBundle:
         bundle = _run_coeffs(cfg, out)
     elif pipeline == "evolve":
         bundle = _run_evolve(cfg, out)
-    elif pipeline == "jolt-sweep":
-        alphas = sorted({float(p) for p in cfg.alpha_list.split(",")})
-        bundle = _run_sweep(cfg, out, alphas, "jolt-sweep")
+    elif pipeline in ("jolt-sweep", "reproduce-fig2"):
+        bundle = _run_sweep(cfg, out, _sweep_alphas(cfg), pipeline)
     elif pipeline == "oracle-compare":
         bundle = _run_oracle_compare(cfg, out)
-    elif pipeline == "reproduce-fig2":
-        bundle = _run_sweep(cfg, out, list(FIG2_ALPHAS), "reproduce-fig2")
     else:
         raise ValidationError(f"unknown pipeline {pipeline!r}")
 
@@ -599,14 +583,10 @@ def run(cfg: RunConfig, pipeline: str) -> ResultBundle:
 def reproduce_fig2(cfg: RunConfig | None = None) -> ResultBundle:
     """Five-alpha transient study at the documented parameter set.
 
-    gamma0 = 3e-4 and T = 0.01 (cutoff units) are pinned; grid settings are
+    run() pins gamma0 = 3e-4 and T = 0.01 (cutoff units); grid settings are
     taken from cfg so reduced-resolution smoke runs remain possible.
     """
-    base = cfg if cfg is not None else RunConfig()
-    pinned = replace(base, gamma0=3e-4, temperature=0.01, cutoff=1.0,
-                     omega_s=None,
-                     alpha_list=",".join(str(a) for a in FIG2_ALPHAS))
-    return run(pinned, "reproduce-fig2")
+    return run(cfg if cfg is not None else RunConfig(), "reproduce-fig2")
 
 
 # ---------------------------------------------------------------------------
@@ -673,11 +653,7 @@ def main(argv: list[str] | None = None) -> int:
     pipeline = ns.pop("pipeline")
     config_path = ns.pop("config", None)
     try:
-        cfg = load_config(config_path, overrides=ns)
-        if pipeline == "reproduce-fig2":
-            bundle = reproduce_fig2(cfg)
-        else:
-            bundle = run(cfg, pipeline)
+        bundle = run(_read_config(config_path, None, ns), pipeline)
     except (ValidationError, ContractViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -34,6 +34,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from .errors import ContractViolationError, SingularityError
 from .greens import GreensSolution, v_first_derivative, _zmul
+from .moments import _diffusion
 from .spectral import Kernel, Z
 
 # Condition-number bound for inverting the 2x2 propagator.
@@ -296,11 +297,7 @@ def coeff_integral_crosscheck(kernel: Kernel, sol: GreensSolution) -> dict:
 
     kl = compute_k_lambda(sol, kernel)
     me = compute_me_coeffs(kl)
-    d_ref = np.empty((n + 1, 2, 2), dtype=complex)
-    d_ref[:, 0, 0] = me.gamma_tilde
-    d_ref[:, 0, 1] = me.gamma_bar
-    d_ref[:, 1, 0] = np.conj(me.gamma_bar)
-    d_ref[:, 1, 1] = me.gamma + me.gamma_tilde
+    d_ref = _diffusion(me)
 
     # boundary piece int_0^t ZGt(s)Z U(s)^dag ds, cumulative trapezoid
     integrand = np.einsum("kab,kbc->kac", zgtz[n:2 * n + 1], udag)

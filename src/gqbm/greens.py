@@ -54,8 +54,9 @@ class TimeGrid:
             raise ValidationError(f"t_end must be > 0, got {self.t_end}")
         if self.n_steps < 8:
             raise ValidationError(f"n_steps must be >= 8, got {self.n_steps}")
-        if not (self.max_frequency > 0.0):
-            raise ValidationError("max_frequency must be > 0")
+        if not (self.max_frequency > 0.0 and math.isfinite(self.max_frequency)):
+            raise ValidationError(
+                f"max_frequency must be finite and > 0, got {self.max_frequency}")
         if self.dt > MAX_DT_FACTOR / self.max_frequency:
             raise ValidationError(
                 f"dt = {self.dt:.3e} exceeds {MAX_DT_FACTOR} / max_frequency "
@@ -114,6 +115,12 @@ def _zmul(mats: np.ndarray) -> np.ndarray:
     return out
 
 
+def require_finite_frequency(name: str, value: float):
+    """A system frequency may take either sign but must be finite."""
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value}")
+
+
 def _check_finite(mat: np.ndarray, step: int, time: float, label: str):
     amax = np.max(np.abs(mat))
     if not np.isfinite(amax) or amax > INSTABILITY_MAX_ABS:
@@ -124,6 +131,7 @@ def _check_finite(mat: np.ndarray, step: int, time: float, label: str):
 
 def solve_u(kernel: Kernel, omega_s: float, grid: TimeGrid) -> GreensSolution:
     """March the retarded propagator U over the grid."""
+    require_finite_frequency("omega_s", omega_s)
     n = grid.n_steps
     dt = grid.dt
     times = grid.times
@@ -163,6 +171,11 @@ def solve_u(kernel: Kernel, omega_s: float, grid: TimeGrid) -> GreensSolution:
         grid=grid, omega_s=omega_s, u=u, u_dot=udot,
         metadata={"u_solver": "pc2(ab2+trapezoid, midpoint start)"},
     )
+
+
+def second_moments(u: np.ndarray, n0: np.ndarray, v=0.0) -> np.ndarray:
+    """N(t) = U(t) N(0) U(t)^dag + v, for U on a grid and a 2x2 N(0)."""
+    return np.einsum("tab,bc,tdc->tad", u, n0, np.conj(u)) + v
 
 
 def _fdt_double_integral(inner: np.ndarray, udag: np.ndarray,

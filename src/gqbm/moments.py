@@ -20,6 +20,7 @@ second-order accuracy of the coefficient series itself).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -37,9 +38,9 @@ CONJUGACY_TOL = 1e-8
 class GaussianMoments:
     """Mean and centered second moments of the open mode.
 
-    delta_n must be nonnegative; a physical Gaussian state additionally
-    satisfies delta_n (delta_n + 1) >= |delta_s|^2 (checked by
-    require_physical, which evolution entry points call on inputs).
+    All fields must be finite and delta_n nonnegative; a physical Gaussian
+    state additionally satisfies delta_n (delta_n + 1) >= |delta_s|^2
+    (checked by require_physical, which evolution entry points call).
     """
 
     mean_a: complex = 0.0 + 0.0j
@@ -49,6 +50,19 @@ class GaussianMoments:
     def __post_init__(self):
         if self.delta_n < 0.0 or not math.isfinite(self.delta_n):
             raise ValidationError(f"delta_n must be >= 0, got {self.delta_n}")
+        for name in ("mean_a", "delta_s"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValidationError(
+                    f"{name} must be finite, got {getattr(self, name)}")
+
+    def n_matrix(self) -> np.ndarray:
+        """[[delta_n, delta_s], [conj(delta_s), 1 + delta_n]], stacked."""
+        out = np.empty(np.shape(self.delta_n) + (2, 2), dtype=complex)
+        out[..., 0, 0] = self.delta_n
+        out[..., 0, 1] = self.delta_s
+        out[..., 1, 0] = np.conj(self.delta_s)
+        out[..., 1, 1] = 1.0 + self.delta_n
+        return out
 
     def heisenberg_defect(self) -> float:
         """delta_n (delta_n + 1) - |delta_s|^2; negative means unphysical."""
@@ -70,11 +84,20 @@ class QuadratureCovariances:
     cov_xp: float
 
 
-def to_quadratures(moments: GaussianMoments, mass: float = 1.0,
+def _require_scales(mass: float, omega_s: float):
+    """The quadrature scales M and omega_s must be finite and > 0."""
+    for name, val in (("mass", mass), ("omega_s", omega_s)):
+        if not (val > 0.0 and math.isfinite(val)):
+            raise ValidationError(f"{name} must be finite and > 0, got {val}")
+
+
+def to_quadratures(moments, mass: float = 1.0,
                    omega_s: float = 1.0) -> QuadratureCovariances:
-    """Map mode moments to quadrature covariances (vacuum: 1/(2 M w), M w/2, 0)."""
-    if mass <= 0.0 or omega_s <= 0.0:
-        raise ValidationError("mass and omega_s must be > 0")
+    """Map mode moments to quadrature covariances (vacuum: 1/(2 M w), M w/2, 0).
+
+    moments is a GaussianMoments, or a SecondMomentSeries mapped elementwise.
+    """
+    _require_scales(mass, omega_s)
     dn = moments.delta_n
     ds = moments.delta_s
     var_x = (1.0 + 2.0 * dn + 2.0 * ds.real) / (2.0 * mass * omega_s)
@@ -85,8 +108,7 @@ def to_quadratures(moments: GaussianMoments, mass: float = 1.0,
 def quadratures_to_moments(cov: QuadratureCovariances, mass: float = 1.0,
                            omega_s: float = 1.0) -> GaussianMoments:
     """Inverse of to_quadratures (mean left at zero)."""
-    if mass <= 0.0 or omega_s <= 0.0:
-        raise ValidationError("mass and omega_s must be > 0")
+    _require_scales(mass, omega_s)
     a = mass * omega_s * cov.var_x
     b = cov.var_p / (mass * omega_s)
     delta_n = 0.5 * (a + b - 1.0)
@@ -164,13 +186,7 @@ class SecondMomentSeries:
     delta_s: np.ndarray
     max_commutator_drift: float
 
-    def n_matrix(self) -> np.ndarray:
-        out = np.empty((self.times.size, 2, 2), dtype=complex)
-        out[:, 0, 0] = self.delta_n
-        out[:, 0, 1] = self.delta_s
-        out[:, 1, 0] = np.conj(self.delta_s)
-        out[:, 1, 1] = 1.0 + self.delta_n
-        return out
+    n_matrix = GaussianMoments.n_matrix
 
 
 def _commutator_drift(nm: np.ndarray):
@@ -195,11 +211,9 @@ def evolve_covariances(coeffs, init: GaussianMoments, grid) -> SecondMomentSerie
                 f"commutator drift {drift:.3e} at t = {grid.times[m]:.6g} "
                 f"exceeds {COMMUTATOR_DRIFT_TOL:.1e}")
 
-    nm0 = np.array([[init.delta_n, init.delta_s],
-                    [np.conj(init.delta_s), 1.0 + init.delta_n]], dtype=complex)
     nms = _midpoint_march(lambda a, d, nm: a @ nm + nm @ np.conj(a).T + d,
-                          (_mean_generator(coeffs), _diffusion(coeffs)), nm0,
-                          grid.dt, drift_monitor)
+                          (_mean_generator(coeffs), _diffusion(coeffs)),
+                          init.n_matrix(), grid.dt, drift_monitor)
     return SecondMomentSeries(
         times=grid.times, delta_n=nms[:, 0, 0].real, delta_s=nms[:, 0, 1],
         max_commutator_drift=float(np.max(_commutator_drift(nms))))
@@ -214,11 +228,9 @@ def evolve_hpz_covariances(hpz, init: QuadratureCovariances, grid,
     D_q = [[0, Gamma_f], [Gamma_f, 2 M Gamma_h]].
     Returns arrays var_x, var_p, cov_xp on the grid.
     """
-    if mass <= 0.0 or omega_s <= 0.0:
-        raise ValidationError("mass and omega_s must be > 0")
+    _require_scales(mass, omega_s)
+    _require_grid_match(hpz, grid)
     n = grid.n_steps
-    if hpz.times.size != n + 1:
-        raise ValidationError("coefficient series does not match the grid")
 
     f_ser = np.zeros((n + 1, 2, 2))
     f_ser[:, 0, 1] = 1.0 / mass

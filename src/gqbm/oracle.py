@@ -17,7 +17,7 @@ sparse CSR matrix with O(N) entries.  propagate() marches the system columns
 of S with it and the system rows with its transpose, by fixed-substep RK4
 tuned to keep the local error at the 1e-10 level.  A finite bath revives:
 results are trustworthy only below the recurrence horizon ~ 2 pi / min mode
-spacing, which propagate() reports.
+spacing, which LinearDynamics reports before anything is propagated.
 """
 
 from __future__ import annotations
@@ -34,7 +34,12 @@ from .errors import (
     NumericalQualityError,
     ValidationError,
 )
-from .greens import INSTABILITY_MAX_ABS, InitialCorrelations, TimeGrid
+from .greens import (
+    InitialCorrelations,
+    TimeGrid,
+    _check_finite,
+    require_finite_frequency,
+)
 from .moments import COMMUTATOR_DRIFT_TOL, GaussianMoments
 from .spectral import BathDiscretization, n_bar
 
@@ -65,6 +70,14 @@ class LinearDynamics:
     def dim(self) -> int:
         return 2 * self.n_modes + 2
 
+    @property
+    def recurrence_horizon(self) -> float:
+        """Earliest finite-bath revival estimate (inf for a single mode)."""
+        if self.n_modes < 2:
+            return math.inf
+        spacing = float(np.min(np.diff(np.sort(self.frequencies))))
+        return RECURRENCE_GUARD * 2.0 * math.pi / max(spacing, 1e-300)
+
     def generator(self) -> sparse.csr_matrix:
         """Sparse generator G with dA/dt = G A (entries from H, G = -i sigma H)."""
         b = np.arange(2, self.dim, 2)
@@ -94,8 +107,7 @@ class LinearDynamics:
 
 
 def build_dynamics(bath: BathDiscretization, omega_s: float) -> LinearDynamics:
-    if not math.isfinite(omega_s):
-        raise ValidationError("omega_s must be finite")
+    require_finite_frequency("omega_s", omega_s)
     return LinearDynamics(
         omega_s=float(omega_s),
         frequencies=np.asarray(bath.frequencies, dtype=float),
@@ -111,7 +123,7 @@ class BogoliubovPropagator:
     sys_cols[m] = S(t_m)[:, :2] (how initial system operators spread into
     the bath); sys_rows[m] = S(t_m)[:2, :] (what the evolved system
     operators are made of).  u_series is the 2x2 system block.
-    recurrence_horizon is the earliest finite-bath revival estimate.
+    recurrence_horizon is LinearDynamics.recurrence_horizon of the model.
     """
 
     grid: TimeGrid
@@ -155,12 +167,6 @@ def propagate(dyn: LinearDynamics, grid: TimeGrid) -> BogoliubovPropagator:
             f"{n_sub} substeps per step (cap {MAX_SUBSTEPS_PER_STEP})")
     h = dt / n_sub
 
-    if dyn.n_modes > 1:
-        spacing = float(np.min(np.diff(np.sort(dyn.frequencies))))
-        horizon = RECURRENCE_GUARD * 2.0 * math.pi / max(spacing, 1e-300)
-    else:
-        horizon = math.inf
-
     gen = dyn.generator()
     gen_t = gen.T.tocsr()
     cols = np.zeros((dyn.dim, 2), dtype=complex)
@@ -176,16 +182,14 @@ def propagate(dyn: LinearDynamics, grid: TimeGrid) -> BogoliubovPropagator:
     for m in range(1, n + 1):
         cols = _rk4_march(gen.dot, cols, h, n_sub)
         rows_t = _rk4_march(gen_t.dot, rows_t, h, n_sub)
-        amax = max(np.max(np.abs(cols)), np.max(np.abs(rows_t)))
-        if not (amax <= INSTABILITY_MAX_ABS):
-            raise InstabilityError(
-                f"|S| reached {amax:.3e} at step {m} (t = {grid.times[m]:.6g})")
+        _check_finite(cols, m, m * dt, "S")
+        _check_finite(rows_t, m, m * dt, "S")
         sys_cols[m] = cols
         sys_rows[m] = rows_t.T
 
     return BogoliubovPropagator(
         grid=grid, dim=dyn.dim, sys_cols=sys_cols, sys_rows=sys_rows,
-        recurrence_horizon=horizon,
+        recurrence_horizon=dyn.recurrence_horizon,
         metadata={"scheme": "rk4-fixed", "substeps_per_step": n_sub,
                   "substep": h},
     )
@@ -202,17 +206,17 @@ class OracleMoments:
     delta_h: np.ndarray
 
     def n_matrix(self) -> np.ndarray:
-        """Series of [[delta_n, delta_s], [conj(delta_s), delta_h]]."""
-        out = np.empty((self.times.size, 2, 2), dtype=complex)
-        out[:, 0, 0] = self.delta_n
-        out[:, 0, 1] = self.delta_s
-        out[:, 1, 0] = np.conj(self.delta_s)
+        """Series of [[delta_n, delta_s], [conj(delta_s), delta_h]]; the
+        propagated delta_h = <da da^dag> replaces 1 + delta_n."""
+        out = GaussianMoments.n_matrix(self)
         out[:, 1, 1] = self.delta_h
         return out
 
 
-def _moments_from_rows(rows: np.ndarray, apply_m0) -> tuple[np.ndarray, ...]:
-    """Second moments <A_i A_j> = r_i . M0 . r_j for i, j in the system pair."""
+def _moments_from_rows(prop: BogoliubovPropagator, apply_m0,
+                       mean_a: np.ndarray) -> OracleMoments:
+    """Moments <A_i A_j> = r_i . M0 . r_j of the system pair, drift-checked."""
+    rows = prop.sys_rows
     n_times = rows.shape[0]
     delta_s = np.empty(n_times, dtype=complex)
     delta_n = np.empty(n_times, dtype=complex)
@@ -225,7 +229,10 @@ def _moments_from_rows(rows: np.ndarray, apply_m0) -> tuple[np.ndarray, ...]:
         delta_s[m] = r1 @ m0_r1
         delta_n[m] = r2 @ m0_r1
         delta_h[m] = r1 @ m0_r2
-    return delta_n, delta_s, delta_h
+    times = prop.grid.times
+    _require_commutator(delta_n.real, delta_h.real, times)
+    return OracleMoments(times=times, mean_a=mean_a, delta_n=delta_n.real,
+                         delta_s=delta_s, delta_h=delta_h.real)
 
 
 def _require_commutator(delta_n, delta_h, times):
@@ -263,18 +270,10 @@ def reduced_moments(prop: BogoliubovPropagator, bath: BathDiscretization,
         out[3::2] = occ * r[2::2] + np.conj(sqz) * r[3::2]
         return out
 
-    delta_n, delta_s, delta_h = _moments_from_rows(prop.sys_rows, apply_m0)
-    times = prop.grid.times
-    _require_commutator(delta_n.real, delta_h.real, times)
-
     mu0 = np.zeros(prop.dim, dtype=complex)
     mu0[0] = init.mean_a
     mu0[1] = np.conj(init.mean_a)
-    mean_a = prop.sys_rows[:, 0, :] @ mu0
-
-    return OracleMoments(times=times, mean_a=mean_a,
-                         delta_n=delta_n.real, delta_s=delta_s,
-                         delta_h=delta_h.real)
+    return _moments_from_rows(prop, apply_m0, prop.sys_rows[:, 0, :] @ mu0)
 
 
 def exact_moments(prop: BogoliubovPropagator,
@@ -289,16 +288,8 @@ def exact_moments(prop: BogoliubovPropagator,
             f"product table shape {product_table.shape} does not match "
             f"dimension {prop.dim}")
 
-    def apply_m0(r: np.ndarray) -> np.ndarray:
-        return product_table @ r
-
-    delta_n, delta_s, delta_h = _moments_from_rows(prop.sys_rows, apply_m0)
-    times = prop.grid.times
-    _require_commutator(delta_n.real, delta_h.real, times)
-    return OracleMoments(times=times,
-                         mean_a=np.zeros(times.size, dtype=complex),
-                         delta_n=delta_n.real, delta_s=delta_s,
-                         delta_h=delta_h.real)
+    return _moments_from_rows(prop, lambda r: product_table @ r,
+                              np.zeros(prop.grid.times.size, dtype=complex))
 
 
 @dataclass
@@ -330,6 +321,7 @@ def thermal_total_state(dyn: LinearDynamics, temperature: float,
     """
     if temperature < 0.0 or not math.isfinite(temperature):
         raise ValidationError("temperature must be >= 0")
+    require_finite_frequency("omega_s0", omega_s0)
     n_m = dyn.n_modes
     nb = n_m + 1
 

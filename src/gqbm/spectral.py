@@ -173,9 +173,17 @@ def _panel_edges(omega_max: float, inner_scale: float,
     return edges
 
 
+def _offsets(dt) -> np.ndarray:
+    """Time offsets as a float array; NaN or infinite offsets are rejected."""
+    dt = np.asarray(dt, dtype=float)
+    if not np.all(np.isfinite(dt)):
+        raise ValidationError("kernel time offsets must be finite")
+    return dt
+
+
 def _exp_sum(weights: np.ndarray, freqs: np.ndarray, dt) -> np.ndarray:
     """sum_j weights[j] exp(-i freqs[j] dt), elementwise in dt."""
-    dt = np.asarray(dt, dtype=float)
+    dt = _offsets(dt)
     flat = dt.ravel()
     out = np.empty(flat.shape, dtype=complex)
     # chunk the outer product so memory stays bounded for long grids
@@ -258,9 +266,9 @@ class _TransformFamily:
                 f"|dt| <= {bucket:g}")
 
     def __call__(self, dt) -> np.ndarray:
-        dt = np.asarray(dt, dtype=float)
+        dt = _offsets(dt)
         dt_max = float(np.max(np.abs(dt))) if dt.size else 0.0
-        return self._rule_for(max(dt_max, 1e-3)).transform(dt)
+        return self._rule_for(dt_max).transform(dt)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +363,7 @@ def _g_v_function(model: SpectralModel):
         amp = math.sqrt(model.gamma0 / (8.0 * math.pi * cut))
 
         def g_v(dt):
-            dt = np.asarray(dt, dtype=float)
-            return amp / (1.0 / cut + 1j * dt) ** 2
+            return amp / (1.0 / cut + 1j * _offsets(dt)) ** 2
 
         return g_v
 
@@ -371,7 +378,7 @@ def _g_v_function(model: SpectralModel):
 
 def eval_g_v(model: SpectralModel, dt) -> np.ndarray:
     """Evaluate g_v(dt) = int J_V(w) exp(-i w dt) dw / (2 pi) elementwise."""
-    return _g_v_function(model)(np.asarray(dt, dtype=float))
+    return _g_v_function(model)(dt)
 
 
 def build_kernels(model: SpectralModel) -> Kernel:
@@ -405,7 +412,7 @@ def build_kernels(model: SpectralModel) -> Kernel:
             knots=model.tab_omega if model.family == "tabulated" else None)
     else:
         def gtilde_v(dt):
-            return np.zeros(np.shape(np.asarray(dt, dtype=float)), dtype=complex)
+            return np.zeros(_offsets(dt).shape, dtype=complex)
 
     return _kernel(
         g_v, gtilde_v, model.alpha, temperature=temp, cutoff=cut,
@@ -462,8 +469,8 @@ def discretize_bath(model: SpectralModel, n_modes: int, omega_max: float,
         raise ValidationError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
     if n_modes < 1:
         raise ValidationError(f"n_modes must be >= 1, got {n_modes}")
-    if not (omega_max > 0.0):
-        raise ValidationError(f"omega_max must be > 0, got {omega_max}")
+    if not (omega_max > 0.0 and math.isfinite(omega_max)):
+        raise ValidationError(f"omega_max must be finite and > 0, got {omega_max}")
 
     if scheme == "linear-midpoint":
         h = omega_max / n_modes

@@ -1,0 +1,185 @@
+"""Bad input is rejected where the library first receives it, before any solve."""
+
+import math
+import os
+from dataclasses import fields
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gqbm
+import gqbm.cli as cli
+from gqbm.errors import ValidationError
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+MODEL = gqbm.SpectralModel(temperature=0.01)
+GRID = gqbm.TimeGrid(t_end=2.0, n_steps=20)
+BATH = gqbm.discretize_bath(MODEL, 8, 12.0)
+DYN = gqbm.build_dynamics(BATH, 0.5)
+KERNELS = {"continuum": gqbm.build_kernels(MODEL),
+           "bath": gqbm.kernels_from_bath(BATH)}
+
+
+def _moments(**kw):
+    return gqbm.GaussianMoments(**kw)
+
+
+ENTRY_POINTS = {
+    "SpectralModel.gamma0": lambda x: gqbm.SpectralModel(gamma0=x),
+    "SpectralModel.cutoff": lambda x: gqbm.SpectralModel(cutoff=x),
+    "SpectralModel.alpha": lambda x: gqbm.SpectralModel(alpha=x),
+    "SpectralModel.temperature": lambda x: gqbm.SpectralModel(temperature=x),
+    "TimeGrid.t_end": lambda x: gqbm.TimeGrid(t_end=x, n_steps=8),
+    "TimeGrid.max_frequency": lambda x: gqbm.TimeGrid(
+        t_end=1.0, n_steps=8, max_frequency=x),
+    "GaussianMoments.mean_a.real": lambda x: _moments(mean_a=complex(x, 0.0)),
+    "GaussianMoments.mean_a.imag": lambda x: _moments(mean_a=complex(0.0, x)),
+    "GaussianMoments.delta_n": lambda x: _moments(delta_n=x),
+    "GaussianMoments.delta_s.real": lambda x: _moments(delta_s=complex(x, 0.0)),
+    "GaussianMoments.delta_s.imag": lambda x: _moments(delta_s=complex(0.0, x)),
+    "to_quadratures.mass": lambda x: gqbm.to_quadratures(_moments(), mass=x),
+    "to_quadratures.omega_s": lambda x: gqbm.to_quadratures(
+        _moments(), omega_s=x),
+    "quadratures_to_moments.mass": lambda x: gqbm.quadratures_to_moments(
+        gqbm.QuadratureCovariances(0.5, 0.5, 0.0), mass=x),
+    "quadratures_to_moments.omega_s": lambda x: gqbm.quadratures_to_moments(
+        gqbm.QuadratureCovariances(0.5, 0.5, 0.0), omega_s=x),
+    "quadratures_to_moments.var_x": lambda x: gqbm.quadratures_to_moments(
+        gqbm.QuadratureCovariances(x, 0.5, 0.0)),
+    "discretize_bath.omega_max": lambda x: gqbm.discretize_bath(MODEL, 8, x),
+    "build_dynamics.omega_s": lambda x: gqbm.build_dynamics(BATH, x),
+    "thermal_total_state.temperature": lambda x: gqbm.thermal_total_state(
+        DYN, x, 0.5),
+    "thermal_total_state.omega_s0": lambda x: gqbm.thermal_total_state(
+        DYN, 0.01, x),
+    "solve_u.omega_s": lambda x: gqbm.solve_u(KERNELS["continuum"], x, GRID),
+}
+for _label, _kernel in KERNELS.items():
+    ENTRY_POINTS[f"Kernel.g.{_label}"] = (
+        lambda x, k=_kernel: k.g(np.array([0.5, x])))
+    ENTRY_POINTS[f"Kernel.gtilde.{_label}"] = (
+        lambda x, k=_kernel: k.gtilde(np.array([x])))
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@settings(deadline=None)
+@given(value=NON_FINITE)
+def test_non_finite_input_is_a_validation_error(entry, value):
+    with pytest.raises(ValidationError):
+        ENTRY_POINTS[entry](value)
+
+
+def test_nan_offset_into_the_thermal_quadrature_is_a_validation_error():
+    kernel = gqbm.build_kernels(gqbm.SpectralModel(temperature=0.01))
+    with pytest.raises(ValidationError, match="offsets must be finite"):
+        kernel.gtilde(np.array([np.nan]))
+
+
+def test_recurrence_horizon_is_known_before_propagation():
+    grid = gqbm.TimeGrid(t_end=1.0, n_steps=20)
+    assert gqbm.propagate(DYN, grid).recurrence_horizon == DYN.recurrence_horizon
+    spacing = np.min(np.diff(np.sort(BATH.frequencies)))
+    assert DYN.recurrence_horizon == (
+        gqbm.oracle.RECURRENCE_GUARD * 2.0 * math.pi / spacing)
+    single = gqbm.discretize_bath(MODEL, 1, 12.0)
+    assert gqbm.build_dynamics(single, 0.5).recurrence_horizon == math.inf
+
+
+def test_second_moments_is_the_hand_built_reconstruction():
+    rng = np.random.default_rng(7)
+    u = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+    v = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+    init = gqbm.GaussianMoments(delta_n=0.3, delta_s=0.2 - 0.1j)
+    n0 = np.array([[init.delta_n, init.delta_s],
+                   [np.conj(init.delta_s), 1.0 + init.delta_n]])
+    assert np.array_equal(init.n_matrix(), n0)
+    by_hand = np.einsum("tab,bc,tdc->tad", u, n0, np.conj(u))
+    assert np.array_equal(gqbm.greens.second_moments(u, init.n_matrix(), v),
+                          by_hand + v)
+    assert np.array_equal(gqbm.greens.second_moments(u, init.n_matrix()),
+                          by_hand)
+
+
+def test_to_quadratures_maps_a_series_elementwise():
+    series = gqbm.SecondMomentSeries(
+        times=np.arange(3.0), delta_n=np.array([0.0, 0.2, 1.5]),
+        delta_s=np.array([0.0, 0.1 + 0.3j, -0.4j]), max_commutator_drift=0.0)
+    quads = gqbm.to_quadratures(series, mass=1.7, omega_s=0.45)
+    for m in range(3):
+        row = gqbm.to_quadratures(
+            gqbm.GaussianMoments(delta_n=series.delta_n[m],
+                                 delta_s=series.delta_s[m]), 1.7, 0.45)
+        assert (quads.var_x[m], quads.var_p[m], quads.cov_xp[m]) == (
+            row.var_x, row.var_p, row.cov_xp)
+    assert np.array_equal(series.n_matrix()[1], gqbm.GaussianMoments(
+        delta_n=0.2, delta_s=0.1 + 0.3j).n_matrix())
+
+
+# ---- the CLI rejects bad values before solve_u or propagate runs ----------
+
+
+FLOAT_KEYS = [f.name for f in fields(cli.RunConfig)
+              if f.type in ("float", "float | None")]
+QUANTITY = {"init_mean_re": "mean_a", "init_mean_im": "mean_a",
+            "init_delta_n": "delta_n", "init_delta_s_re": "delta_s",
+            "init_delta_s_im": "delta_s", "oracle_omega_max": "omega_max",
+            "quench_omega_s0": "omega_s0"}
+FLAG = {"quench_omega_s0": "--quench-from"}
+GRID_ARGS = ["--t-end=2", "--steps=200"]
+ORACLE_ARGS = ["--oracle-modes=60", "--oracle-omega-max=12"]
+
+
+def _pipeline_args(key: str) -> list[str]:
+    if key == "oracle_omega_max":
+        return ["oracle-compare"] + GRID_ARGS + ORACLE_ARGS
+    if key == "quench_omega_s0":
+        return ["oracle-compare", "--omega-s=0.3"] + GRID_ARGS + ORACLE_ARGS
+    return ["evolve"] + GRID_ARGS
+
+
+CASES = [(_pipeline_args(key)
+          + [f"{FLAG.get(key, '--' + key.replace('_', '-'))}={value}"],
+          QUANTITY.get(key, key))
+         for key in FLOAT_KEYS for value in ("nan", "inf", "-inf")]
+CASES += [
+    (["evolve", "--mass=0"] + GRID_ARGS, "mass"),
+    (["evolve", "--omega-s=-0.5"] + GRID_ARGS, "omega_s"),
+    (["oracle-compare", "--t-end=20", "--steps=2000", "--oracle-modes=60",
+      "--oracle-omega-max=12", "--oracle-scheme=linear-midpoint"],
+     "recurrence"),
+    (["jolt-sweep", "--alpha-list=0,nan"] + GRID_ARGS, "alpha_list"),
+    (["reproduce-fig2", "--workers=-1"] + GRID_ARGS, "workers"),
+]
+
+
+class _SolveReached(Exception):
+    pass
+
+
+def _sentinel(name):
+    def reached(*args, **kwargs):
+        raise _SolveReached(f"{name} ran before the input was rejected")
+    return reached
+
+
+@pytest.mark.parametrize("argv, quantity", CASES,
+                         ids=[" ".join(a) for a, _ in CASES])
+def test_cli_rejects_bad_values_before_any_solve(argv, quantity, tmp_path,
+                                                 monkeypatch, capsys):
+    monkeypatch.setattr(os, "environ", {})
+    monkeypatch.setattr(cli, "solve_u", _sentinel("solve_u"))
+    monkeypatch.setattr(cli, "propagate", _sentinel("propagate"))
+    code = cli.main(argv + ["--out", str(tmp_path / "x")])
+    assert code == cli.EXIT_VALIDATION
+    assert quantity in capsys.readouterr().err
+
+
+def test_fig2_validates_the_configuration_it_pins(tmp_path, monkeypatch):
+    """An omega_s the pinned model replaces does not have to fit the grid."""
+    monkeypatch.setattr(os, "environ", {})
+    code = cli.main(["reproduce-fig2", "--omega-s=10", "--workers=1",
+                     "--out", str(tmp_path / "x")] + GRID_ARGS)
+    assert code == cli.EXIT_OK
