@@ -56,6 +56,7 @@ from .greens import (
     TimeGrid,
     correlated_correction,
     require_finite_frequency,
+    require_volterra_budget,
     second_moments,
     solve_u,
     solve_v_fdt,
@@ -109,7 +110,7 @@ class RunConfig:
     oracle_scheme: str = "gauss"
     quench_omega_s0: float | None = None
     alpha_list: str = "0,0.25,0.5,0.75,1"
-    workers: int = 0                  # 0 -> one per sweep point, capped at cpu count
+    workers: int = 0                  # capped at #alphas and cpu count; 0 -> that cap
     crosscheck: bool = False
     out_dir: str = "gqbm-out"
 
@@ -213,11 +214,13 @@ def _read_config(path: str | None, env: dict | None,
 
 
 def _validate_config(cfg: RunConfig):
-    """CLI-only keys, then the model and grid every pipeline builds first."""
+    """CLI-only keys, then the model, grid and crosscheck memory, checked first."""
     if not cfg.workers >= 0:
         raise ValidationError(f"workers must be >= 0, got {cfg.workers}")
     _sweep_alphas(cfg)
     _setup(cfg)
+    if cfg.crosscheck:
+        require_volterra_budget(cfg.n_steps)
 
 
 def _sweep_alphas(cfg: RunConfig) -> list[float]:
@@ -291,7 +294,7 @@ def _write_manifest(path: Path, cfg: RunConfig, pipeline: str,
 
 _BASE_SCHEMES = {
     "u_solver": "pc2(ab2-predictor, trapezoid corrector, midpoint start)",
-    "v_solver": "product-trapezoid double quadrature (O(n^2) marching)",
+    "v_solver": "product-trapezoid double quadrature by FFT causal convolution",
     "v_crosscheck": "volterra pc2 marching over fixed-t columns",
     "quadrature": "composite-gauss-legendre with self-refinement check",
     "oracle": "rk4 fixed-substep, sparse CSR generator",
@@ -469,8 +472,7 @@ def _sweep_one(args) -> tuple[float, dict]:
 def _run_sweep(cfg: RunConfig, out: Path, alphas, pipeline: str) -> ResultBundle:
     cfg_dict = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
     jobs = [(cfg_dict, a, str(out)) for a in alphas]
-    workers = cfg.workers or min(len(alphas), os.cpu_count() or 1)
-    workers = min(workers, len(alphas))
+    workers = min(cfg.workers or len(alphas), len(alphas), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_one, jobs))

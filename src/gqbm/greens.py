@@ -11,9 +11,10 @@ matrix
 
 is the inhomogeneous part of the second moments: N(t) = U N(0) U^dag + V(t,t).
 Two independent routes to V are provided: direct double-quadrature of the
-closed form (solve_v_fdt, O(n^2)) and marching of the Volterra equation V
-itself satisfies in its first argument (solve_v_volterra, O(n^3), also
-yielding the two-time table needed by the coefficient crosscheck).
+closed form (solve_v_fdt, O(n log n) by FFT convolution) and marching of the
+Volterra equation V itself satisfies in its first argument (solve_v_volterra,
+O(n^3), also yielding the two-time table needed by the coefficient
+crosscheck).
 
 Numerics: uniform grid, second-order predictor-corrector marching
 (two-step Adams-Bashforth predictor, trapezoid corrector, trapezoid memory
@@ -26,6 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft as sp_fft
 
 from .errors import ContractViolationError, InstabilityError, ValidationError
 from .spectral import BathDiscretization, Kernel, Z
@@ -35,6 +37,9 @@ from .spectral import BathDiscretization, Kernel, Z
 INSTABILITY_MAX_ABS = 1e6
 # Resolution guard: dt must resolve the fastest retained scale.
 MAX_DT_FACTOR = 0.25
+# Memory budget of solve_v_volterra, which holds two (n+1)^2 x 2 x 2 complex
+# tables (128 (n+1)^2 bytes): 1 GiB admits n_steps up to 2895.
+VOLTERRA_TABLE_BUDGET_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -121,6 +126,16 @@ def require_finite_frequency(name: str, value: float):
         raise ValidationError(f"{name} must be finite, got {value}")
 
 
+def require_volterra_budget(n_steps: int):
+    """Reject a Volterra march whose two-time tables exceed the memory budget."""
+    need = 128 * (n_steps + 1) ** 2
+    if need > VOLTERRA_TABLE_BUDGET_BYTES:
+        raise ValidationError(
+            f"solve_v_volterra at n_steps = {n_steps} needs {need / 2**30:.2f} GiB "
+            f"of tables, above the {VOLTERRA_TABLE_BUDGET_BYTES / 2**30:.2f} GiB "
+            f"budget (VOLTERRA_TABLE_BUDGET_BYTES)")
+
+
 def _check_finite(mat: np.ndarray, step: int, time: float, label: str):
     amax = np.max(np.abs(mat))
     if not np.isfinite(amax) or amax > INSTABILITY_MAX_ABS:
@@ -178,30 +193,40 @@ def second_moments(u: np.ndarray, n0: np.ndarray, v=0.0) -> np.ndarray:
     return np.einsum("tab,bc,tdc->tad", u, n0, np.conj(u)) + v
 
 
+def _causal_matconv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """c[m] = sum_{j <= m} a[m - j] @ b[j] for two (n, 2, 2) stacks, by FFT."""
+    size = a.shape[0]
+    nfft = sp_fft.next_fast_len(2 * size - 1)
+    spec = np.einsum("fab,fbc->fac", sp_fft.fft(a, nfft, axis=0),
+                     sp_fft.fft(b, nfft, axis=0))
+    return sp_fft.ifft(spec, axis=0)[:size]
+
+
 def _fdt_double_integral(inner: np.ndarray, udag: np.ndarray,
                          zgtz: np.ndarray, n: int, dt: float) -> np.ndarray:
     """Product-trapezoid of int_0^t int_0^t inner(x) ZGtZ(y-x) udag(y) dx dy.
 
     inner is U (for V) or dU/dt (for the first-argument derivative of V);
-    zgtz is the signed-offset table with index n + k at offset k dt.
-    Runs in O(n^2) by accumulating B(y, t) = int_0^t inner(x) ZGtZ(y-x) dx
-    for every grid y as t advances.
+    zgtz is the signed-offset table with index n + k at offset k dt.  With
+    X = inner, K_d = zgtz[n + d], Y = udag and trapezoid weights w (1/2 at
+    0 and m), out[m] = dt^2 sum_{i,k <= m} w_i w_k X_i K_{k-i} Y_k.  The
+    unweighted sum grows by X_m E_m + (C_m - X_m K_0) Y_m from m - 1 to m,
+    with the causal convolutions C_m = sum_i X_i K_{m-i} and
+    E_m = sum_k K_{k-m} Y_k; the half weights subtract row and column 0
+    and m and add back the four corners.  O(n log n) in all.
     """
-    out = np.empty((n + 1, 2, 2), dtype=complex)
+    k_pos = zgtz[n:]                          # K_d, d = 0..n
+    k_neg = zgtz[n::-1]                       # K_{-d}, d = 0..n
+    xe = inner @ _causal_matconv(k_neg, udag)     # X_m E_m
+    cy = _causal_matconv(inner, k_pos) @ udag     # C_m Y_m
+    diag = inner @ zgtz[n] @ udag                 # X_m K_0 Y_m
+    row0 = inner[0] @ (k_pos @ udag)              # X_0 K_m Y_m
+    col0 = (inner @ k_neg) @ udag[0]              # X_m K_{-m} Y_0
+    unweighted = np.cumsum(xe + cy - diag, axis=0)
+    edges = np.cumsum(row0, axis=0) + np.cumsum(col0, axis=0) + xe + cy
+    corners = diag[0] + row0 + col0 + diag
+    out = dt * dt * (unweighted - 0.5 * edges + 0.25 * corners)
     out[0] = 0.0
-
-    # B[k] accumulates the inner integral for y = t_k; e_old caches the
-    # integrand at the previous x endpoint to avoid recomputing it.
-    e_old = np.einsum("ab,kbc->kac", inner[0], zgtz[n:2 * n + 1])
-    b = np.zeros_like(e_old)
-    for m in range(1, n + 1):
-        e_new = np.einsum("ab,kbc->kac", inner[m], zgtz[n - m:2 * n + 1 - m])
-        b += 0.5 * dt * (e_old + e_new)
-        e_old = e_new
-
-        acc = np.einsum("kab,kbc->ac", b[:m + 1], udag[:m + 1])
-        acc -= 0.5 * (b[0] @ udag[0] + b[m] @ udag[m])
-        out[m] = dt * acc
     return out
 
 
@@ -252,6 +277,7 @@ def solve_v_volterra(kernel: Kernel, sol: GreensSolution,
     """
     grid = sol.grid
     n = grid.n_steps
+    require_volterra_budget(n)
     dt = grid.dt
     u = sol.u
     omega_s = sol.omega_s
@@ -363,10 +389,8 @@ def correlated_correction(bath: BathDiscretization, corr: InitialCorrelations,
     e[:, 1, 1] = ph_m @ (wk * sp_k) + ph_p @ (vk * np.conj(np_k))
 
     ze = _zmul(e)
-    out = np.zeros((n + 1, 2, 2), dtype=complex)
-    for m in range(1, n + 1):
-        conv = np.einsum("jab,jbc->ac", u[m::-1], ze[:m + 1])
-        conv -= 0.5 * (u[m] @ ze[0] + u[0] @ ze[m])
-        term1 = -1j * dt * conv @ np.conj(u[m]).T
-        out[m] = term1 + np.conj(term1).T
+    conv = _causal_matconv(u, ze) - 0.5 * (u @ ze[0] + u[0] @ ze)
+    term1 = -1j * dt * conv @ np.conj(np.swapaxes(u, -1, -2))
+    out = term1 + np.conj(np.swapaxes(term1, -1, -2))
+    out[0] = 0.0
     return out

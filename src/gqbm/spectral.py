@@ -110,6 +110,8 @@ class SpectralModel:
             jj = np.asarray(self.tab_j, dtype=float)
             if om.ndim != 1 or om.shape != jj.shape or om.size < 2:
                 raise ValidationError("tab_omega and tab_j must be matching 1-d arrays")
+            if not (np.all(np.isfinite(om)) and np.all(np.isfinite(jj))):
+                raise ValidationError("tab_omega and tab_j must be finite")
             if om[0] < 0.0 or np.any(np.diff(om) <= 0.0):
                 raise ValidationError("tab_omega must be increasing and nonnegative")
             if np.any(jj < 0.0):

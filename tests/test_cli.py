@@ -153,6 +153,8 @@ def test_manifest_states_the_tolerances_and_schemes_that_ran(tmp_path,
         assert float(_manifest_value(manifest, "tolerances", key)) == value
     assert "sparse CSR generator" in _manifest_value(manifest, "schemes",
                                                      "oracle")
+    assert "FFT causal convolution" in _manifest_value(manifest, "schemes",
+                                                       "v_solver")
 
 
 def test_byte_identical_reruns(tmp_path, monkeypatch):
@@ -224,6 +226,33 @@ def test_jolt_sweep_parallel(tmp_path, monkeypatch):
     # without pairing only the small thermal diffusion remains; the
     # pair-production transient at alpha = 0.5 dwarfs it
     assert float(rows[0][2]) < 0.01 * float(rows[1][2])
+
+
+def test_sweep_workers_capped_at_cpu_count(tmp_path, monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Records max_workers and maps in this process; starts nothing."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code = _run_cli(["jolt-sweep", "--out", str(tmp_path / "sweep"),
+                     "--alpha-list", "0,0.25,0.5,1", "--workers", "64",
+                     "--t-end", "2", "--steps", "40"], monkeypatch)
+    assert code == cli.EXIT_OK
+    assert sizes == [2]
 
 
 def test_reproduce_fig2_smoke(tmp_path, monkeypatch):

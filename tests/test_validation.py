@@ -32,6 +32,10 @@ ENTRY_POINTS = {
     "SpectralModel.cutoff": lambda x: gqbm.SpectralModel(cutoff=x),
     "SpectralModel.alpha": lambda x: gqbm.SpectralModel(alpha=x),
     "SpectralModel.temperature": lambda x: gqbm.SpectralModel(temperature=x),
+    "SpectralModel.tab_omega": lambda x: gqbm.SpectralModel(
+        family="tabulated", tab_omega=[0.0, x, 2.0], tab_j=[0.0, 1.0, 0.0]),
+    "SpectralModel.tab_j": lambda x: gqbm.SpectralModel(
+        family="tabulated", tab_omega=[0.0, 1.0, 2.0], tab_j=[0.0, x, 0.0]),
     "TimeGrid.t_end": lambda x: gqbm.TimeGrid(t_end=x, n_steps=8),
     "TimeGrid.max_frequency": lambda x: gqbm.TimeGrid(
         t_end=1.0, n_steps=8, max_frequency=x),
@@ -76,6 +80,18 @@ def test_nan_offset_into_the_thermal_quadrature_is_a_validation_error():
     kernel = gqbm.build_kernels(gqbm.SpectralModel(temperature=0.01))
     with pytest.raises(ValidationError, match="offsets must be finite"):
         kernel.gtilde(np.array([np.nan]))
+
+
+def test_volterra_tables_are_bounded_before_allocation():
+    n = 6000
+    grid = gqbm.TimeGrid(t_end=10.0, n_steps=n)
+    u = np.zeros((n + 1, 2, 2), dtype=complex)
+    sol = gqbm.GreensSolution(grid=grid, omega_s=0.5, u=u, u_dot=u)
+    with pytest.raises(ValidationError, match="n_steps = 6000"):
+        gqbm.solve_v_volterra(KERNELS["continuum"], sol)
+    need = 128 * (n + 1) ** 2
+    assert need > gqbm.greens.VOLTERRA_TABLE_BUDGET_BYTES
+    gqbm.greens.require_volterra_budget(2000)   # the paper grid fits
 
 
 def test_recurrence_horizon_is_known_before_propagation():
@@ -152,6 +168,7 @@ CASES += [
      "recurrence"),
     (["jolt-sweep", "--alpha-list=0,nan"] + GRID_ARGS, "alpha_list"),
     (["reproduce-fig2", "--workers=-1"] + GRID_ARGS, "workers"),
+    (["coeffs", "--crosscheck", "--steps=6000"], "n_steps"),
 ]
 
 
