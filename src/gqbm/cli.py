@@ -297,7 +297,8 @@ _BASE_SCHEMES = {
     "v_solver": "product-trapezoid double quadrature by FFT causal convolution",
     "v_crosscheck": "volterra pc2 marching over fixed-t columns",
     "quadrature": "composite-gauss-legendre with self-refinement check",
-    "oracle": "rk4 fixed-substep, sparse CSR generator",
+    "oracle": "rk4 fixed-substep, fused block_diag(G, G^T) march on the "
+              "sparse CSR generator; thermal state by Colpa's Cholesky route",
 }
 
 _TOLERANCES = {
@@ -520,6 +521,8 @@ def _run_oracle_compare(cfg: RunConfig, out: Path) -> ResultBundle:
         n_or = orc.n_matrix()
         summaries["max_moment_deviation"] = float(np.max(np.abs(n_me - n_or)))
         summaries["correction_magnitude"] = float(np.max(np.abs(dv)))
+        for name in ("symplectic_residual", "min_normal_frequency"):
+            summaries[name] = float(state.metadata[name])
         key, path = "quench_compare", out / "quench_compare.csv"
         _write_csv(path,
                    ["t", "delta_n_me", "delta_n_oracle", "re_delta_s_me",

@@ -14,10 +14,13 @@ The generator is -i sigma H with H the real symmetric coupling table and
 sigma the commutation metric.  H has arrowhead structure (system rows and
 columns plus a diagonal), so LinearDynamics.generator() holds it as one
 sparse CSR matrix with O(N) entries.  propagate() marches the system columns
-of S with it and the system rows with its transpose, by fixed-substep RK4
-tuned to keep the local error at the 1e-10 level.  A finite bath revives:
-results are trustworthy only below the recurrence horizon ~ 2 pi / min mode
-spacing, which LinearDynamics reports before anything is propagated.
+of S and the system rows (columns of S^T) as one block with block_diag(G, G^T),
+by fixed-substep RK4 tuned to keep the local error at the 1e-10 level.  A
+finite bath revives: results are trustworthy only below the recurrence
+horizon ~ 2 pi / min mode spacing, which LinearDynamics reports before
+anything is propagated.  thermal_total_state() prepares the correlated
+initial state of a quench, the Gibbs state of the coupled Hamiltonian, by
+Colpa's Cholesky route.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import cholesky, eigh, solve_triangular
 
 from .errors import (
     ContractViolationError,
@@ -62,6 +66,22 @@ class LinearDynamics:
     v_couplings: np.ndarray
     w_couplings: np.ndarray
 
+    def __post_init__(self):
+        require_finite_frequency("omega_s", self.omega_s)
+        for name in ("frequencies", "v_couplings", "w_couplings"):
+            arr = np.asarray(getattr(self, name))
+            if (arr.ndim != 1 or arr.dtype.kind not in "iuf"
+                    or not np.all(np.isfinite(arr))):
+                raise ValidationError(
+                    f"{name} must be a 1-d array of finite reals")
+            setattr(self, name, arr.astype(float, copy=False))
+        sizes = {self.frequencies.size, self.v_couplings.size,
+                 self.w_couplings.size}
+        if len(sizes) != 1:
+            raise ValidationError(
+                f"frequencies, v_couplings and w_couplings must have one "
+                f"length, got {sorted(sizes)}")
+
     @property
     def n_modes(self) -> int:
         return int(self.frequencies.size)
@@ -72,10 +92,12 @@ class LinearDynamics:
 
     @property
     def recurrence_horizon(self) -> float:
-        """Earliest finite-bath revival estimate (inf for a single mode)."""
-        if self.n_modes < 2:
+        """Earliest finite-bath revival estimate (inf for a single frequency)."""
+        # modes sharing a frequency act as one bright mode plus dark modes
+        distinct = np.unique(self.frequencies)
+        if distinct.size < 2:
             return math.inf
-        spacing = float(np.min(np.diff(np.sort(self.frequencies))))
+        spacing = float(np.min(np.diff(distinct)))
         return RECURRENCE_GUARD * 2.0 * math.pi / max(spacing, 1e-300)
 
     def generator(self) -> sparse.csr_matrix:
@@ -107,13 +129,9 @@ class LinearDynamics:
 
 
 def build_dynamics(bath: BathDiscretization, omega_s: float) -> LinearDynamics:
-    require_finite_frequency("omega_s", omega_s)
-    return LinearDynamics(
-        omega_s=float(omega_s),
-        frequencies=np.asarray(bath.frequencies, dtype=float),
-        v_couplings=np.asarray(bath.v_couplings, dtype=float),
-        w_couplings=np.asarray(bath.w_couplings, dtype=float),
-    )
+    return LinearDynamics(omega_s=float(omega_s), frequencies=bath.frequencies,
+                          v_couplings=bath.v_couplings,
+                          w_couplings=bath.w_couplings)
 
 
 @dataclass
@@ -149,12 +167,12 @@ def _rk4_march(apply, x: np.ndarray, h: float, n_sub: int) -> np.ndarray:
 
 
 def propagate(dyn: LinearDynamics, grid: TimeGrid) -> BogoliubovPropagator:
-    """March the system columns and rows of S over the grid with RK4."""
+    """March the system columns and rows of S together over the grid with RK4."""
     n = grid.n_steps
     dt = grid.dt
 
     # |lambda| h <= (120 * tol)^(1/5) keeps one-substep error below tol
-    omega_ref = max(float(np.max(dyn.frequencies, initial=0.0)),
+    omega_ref = max(float(np.max(np.abs(dyn.frequencies), initial=0.0)),
                     abs(dyn.omega_s),
                     float(np.sum(np.abs(dyn.v_couplings))
                           + np.sum(np.abs(dyn.w_couplings))))
@@ -167,31 +185,31 @@ def propagate(dyn: LinearDynamics, grid: TimeGrid) -> BogoliubovPropagator:
             f"{n_sub} substeps per step (cap {MAX_SUBSTEPS_PER_STEP})")
     h = dt / n_sub
 
+    # columns of S stacked on columns of S^T (the rows of S): one sparse
+    # product per RK4 stage
     gen = dyn.generator()
-    gen_t = gen.T.tocsr()
-    cols = np.zeros((dyn.dim, 2), dtype=complex)
-    cols[0, 0] = 1.0
-    cols[1, 1] = 1.0
-    rows_t = cols.copy()  # columns of S^T, i.e. rows of S
+    fused = sparse.block_diag((gen, gen.T), format="csr")
+    dim = dyn.dim
+    block = np.zeros((2 * dim, 2), dtype=complex)
+    block[[0, dim], 0] = 1.0
+    block[[1, dim + 1], 1] = 1.0
 
-    sys_cols = np.empty((n + 1, dyn.dim, 2), dtype=complex)
-    sys_rows = np.empty((n + 1, 2, dyn.dim), dtype=complex)
-    sys_cols[0] = cols
-    sys_rows[0] = rows_t.T
+    sys_cols = np.empty((n + 1, dim, 2), dtype=complex)
+    sys_rows = np.empty((n + 1, 2, dim), dtype=complex)
+    sys_cols[0] = block[:dim]
+    sys_rows[0] = block[dim:].T
 
     for m in range(1, n + 1):
-        cols = _rk4_march(gen.dot, cols, h, n_sub)
-        rows_t = _rk4_march(gen_t.dot, rows_t, h, n_sub)
-        _check_finite(cols, m, m * dt, "S")
-        _check_finite(rows_t, m, m * dt, "S")
-        sys_cols[m] = cols
-        sys_rows[m] = rows_t.T
+        block = _rk4_march(fused.dot, block, h, n_sub)
+        _check_finite(block, m, m * dt, "S")
+        sys_cols[m] = block[:dim]
+        sys_rows[m] = block[dim:].T
 
     return BogoliubovPropagator(
         grid=grid, dim=dyn.dim, sys_cols=sys_cols, sys_rows=sys_rows,
         recurrence_horizon=dyn.recurrence_horizon,
-        metadata={"scheme": "rk4-fixed", "substeps_per_step": n_sub,
-                  "substep": h},
+        metadata={"scheme": "rk4-fixed, fused block_diag(G, G^T) march",
+                  "substeps_per_step": n_sub, "substep": h},
     )
 
 
@@ -298,7 +316,8 @@ class ThermalTotalState:
 
     Holds the reduced system moments, the system-bath cross correlations,
     the per-mode bath occupations/squeezes, and the full initial product
-    table for exact_moments.
+    table for exact_moments.  metadata holds the scheme, its symplectic
+    residual and the lowest normal-mode frequency.
     """
 
     system: GaussianMoments
@@ -307,6 +326,7 @@ class ThermalTotalState:
     bath_squeezes: np.ndarray
     normal_frequencies: np.ndarray
     product_table: np.ndarray
+    metadata: dict = field(default_factory=dict)
 
 
 def thermal_total_state(dyn: LinearDynamics, temperature: float,
@@ -317,63 +337,53 @@ def thermal_total_state(dyn: LinearDynamics, temperature: float,
     state is prepared (it may differ from dyn.omega_s, which governs the
     subsequent evolution -- a frequency quench).  The Hamiltonian must be
     positive definite, otherwise no thermal state exists and an
-    InstabilityError is raised.
+    InstabilityError is raised.  The normal modes follow Colpa (Physica A 93
+    (1978) 327): a Cholesky factor of the Hamiltonian matrix, then a
+    symmetric eigensolve; no non-Hermitian eigenproblem is solved.
     """
     if temperature < 0.0 or not math.isfinite(temperature):
         raise ValidationError("temperature must be >= 0")
     require_finite_frequency("omega_s0", omega_s0)
-    n_m = dyn.n_modes
-    nb = n_m + 1
+    nb = dyn.n_modes + 1
 
-    # single-particle blocks of H = Psi^dag [[h, p], [conj(p), conj(h)]] Psi / 2
-    # in the block ordering Psi = (a, b_1..b_N, a^dag, b_1^dag..b_N^dag)
-    h = np.zeros((nb, nb), dtype=complex)
-    h[0, 0] = omega_s0
-    h[np.arange(1, nb), np.arange(1, nb)] = dyn.frequencies
-    h[0, 1:] = dyn.v_couplings
-    h[1:, 0] = dyn.v_couplings
-    p = np.zeros((nb, nb), dtype=complex)
-    p[0, 1:] = dyn.w_couplings
-    p[1:, 0] = dyn.w_couplings
+    # single-particle blocks of H = Psi^dag [[h, p], [p, h]] Psi / 2 in the
+    # block ordering Psi = (a, b_1..b_N, a^dag, b_1^dag..b_N^dag); real
+    # frequencies and couplings make both blocks real symmetric
+    h = np.diag(np.concatenate([[omega_s0], dyn.frequencies]))
+    h[0, 1:] = h[1:, 0] = dyn.v_couplings
+    p = np.zeros((nb, nb))
+    p[0, 1:] = p[1:, 0] = dyn.w_couplings
+    sigma = np.concatenate([np.ones(nb), -np.ones(nb)])
 
-    m = np.block([[h, p], [np.conj(p), np.conj(h)]])
-    min_eig = float(np.linalg.eigvalsh(m).min())
-    if min_eig <= 0.0:
+    # Colpa: M = K^T K exists iff M is positive definite; K sigma K^T = U L U^T
+    # then gives T = K^-1 U |L|^(1/2) with T^T M T = |L| and T^T sigma T = sign L
+    try:
+        k_mat = cholesky(np.block([[h, p], [p, h]]))
+    except np.linalg.LinAlgError:
         raise InstabilityError(
-            f"coupled Hamiltonian is not positive definite (min eigenvalue "
-            f"{min_eig:.3e}); no thermal state exists at these couplings")
-
-    sigma_b = np.diag(np.concatenate([np.ones(nb), -np.ones(nb)]))
-    evals, evecs = np.linalg.eig(sigma_b @ m)
-    if np.max(np.abs(evals.imag)) > 1e-8 * np.max(np.abs(evals.real)):
-        raise NumericalQualityError(
-            "Bogoliubov spectrum acquired imaginary parts "
-            f"(max {np.max(np.abs(evals.imag)):.3e})")
-    order = np.argsort(evals.real)[::-1][:nb]  # the nb positive branches
-    eps = evals.real[order]
-    if eps.min() <= 0.0:
+            "coupled Hamiltonian is not positive definite (its Cholesky "
+            "factorisation fails); no thermal state exists at these "
+            "couplings") from None
+    lam, u_mat = eigh((k_mat * sigma) @ k_mat.T)
+    eps = lam[lam > 0.0]  # positive branch, ascending: the normal frequencies
+    n_neg = np.count_nonzero(lam < 0.0)
+    if eps.size != nb or n_neg != nb:
         raise InstabilityError(
-            f"nonpositive normal-mode frequency {eps.min():.3e}")
-    vpos = evecs[:, order]
+            f"Bogoliubov spectrum has {eps.size} positive and {n_neg} negative "
+            f"normal-mode frequencies; a thermal state needs {nb} of each")
+    t_mat = solve_triangular(k_mat, u_mat * np.sqrt(np.abs(lam)))
 
-    # symplectic normalization v^dag Sigma v = +1 on the positive branch
-    norms = np.einsum("ik,ij,jk->k", np.conj(vpos), sigma_b, vpos).real
-    if np.any(norms <= 0.0):
-        raise NumericalQualityError(
-            "positive-branch eigenvector with nonpositive symplectic norm")
-    vpos = vpos / np.sqrt(norms)
-    swap = np.vstack([np.conj(vpos[nb:]), np.conj(vpos[:nb])])  # particle-hole partner
-    t_mat = np.hstack([vpos, swap])
-
-    resid = np.max(np.abs(np.conj(t_mat.T) @ sigma_b @ t_mat - sigma_b))
+    resid = float(np.max(np.abs((t_mat.T * sigma) @ t_mat
+                                - np.diag(np.sign(lam)))))
     if resid > 1e-8:
         raise NumericalQualityError(
             f"Bogoliubov transform breaks the symplectic metric by {resid:.3e}")
 
-    occ_nm = n_bar(eps, temperature)
-    # <Psi Psi^dag> = T diag(1 + nbar, nbar) T^dag for the normal modes
-    diag = np.concatenate([1.0 + occ_nm, occ_nm])
-    cov = (t_mat * diag) @ np.conj(t_mat.T)
+    # <Psi Psi^dag> = T <Phi Phi^dag> T^T: a column of T with lambda > 0
+    # carries an annihilator (1 + nbar), one with lambda < 0 a creator (nbar)
+    occ_nm = n_bar(np.abs(lam), temperature)
+    diag = np.where(lam > 0.0, 1.0 + occ_nm, occ_nm)
+    cov = ((t_mat * diag) @ t_mat.T).astype(complex)
 
     delta_n = cov[nb, nb].real
     delta_s = cov[0, nb]
@@ -398,6 +408,8 @@ def thermal_total_state(dyn: LinearDynamics, temperature: float,
         correlations=InitialCorrelations(n_prime=n_prime, s_prime=s_prime),
         bath_occupations=bath_occ,
         bath_squeezes=bath_sqz,
-        normal_frequencies=np.sort(eps),
+        normal_frequencies=eps,
         product_table=table,
+        metadata={"scheme": "colpa-cholesky", "symplectic_residual": resid,
+                  "min_normal_frequency": float(eps[0])},
     )

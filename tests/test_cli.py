@@ -329,6 +329,22 @@ def test_quench_compare(tmp_path, monkeypatch):
     assert corr > 0.0  # the correlated correction actually contributes
 
 
+def test_quench_summary_reports_the_thermal_state_margins(tmp_path,
+                                                        monkeypatch):
+    out = tmp_path / "quench_tiny"
+    code = _run_cli(["oracle-compare", "--out", str(out), "--alpha", "0.5",
+                     "--omega-s", "0.3", "--quench-from", "0.6",
+                     "--t-end", "1", "--steps", "40",
+                     "--oracle-modes", "40", "--oracle-omega-max", "12"],
+                    monkeypatch)
+    assert code == cli.EXIT_OK
+    manifest = out / "manifest.txt"
+    assert 0.0 <= float(_manifest_value(manifest, "summary",
+                                        "symplectic_residual")) <= 1e-8
+    assert float(_manifest_value(manifest, "summary",
+                                 "min_normal_frequency")) > 0.0
+
+
 def test_quench_from_unstable_hamiltonian_exits_3(tmp_path, monkeypatch,
                                                   capsys):
     code = _run_cli(["oracle-compare", "--out", str(tmp_path / "x"),

@@ -31,8 +31,11 @@ def _coeffs_with_nan_gamma():
 
 def _propagate_nan_coupling():
     dyn = gqbm.LinearDynamics(omega_s=0.5, frequencies=np.array([0.4, 0.9]),
-                              v_couplings=np.array([0.1, np.nan]),
+                              v_couplings=np.array([0.1, 0.2]),
                               w_couplings=np.array([0.05, 0.05]))
+    # construction rejects NaN, so it enters afterwards, as a corrupted
+    # array would, to reach the march's own monitor
+    dyn.v_couplings[1] = np.nan
     gqbm.propagate(dyn, GRID)
 
 

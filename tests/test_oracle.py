@@ -188,6 +188,16 @@ def test_stiff_grid_rejected():
         gqbm.propagate(dyn, grid)
 
 
+def test_substeps_follow_the_fastest_frequency_of_either_sign():
+    grid = gqbm.TimeGrid(t_end=2.0, n_steps=20, max_frequency=1.0)
+    for freq in (50.0, -50.0):
+        dyn = gqbm.LinearDynamics(omega_s=0.3, frequencies=[freq],
+                                  v_couplings=[0.01], w_couplings=[0.0])
+        prop = gqbm.propagate(dyn, grid)
+        exact = expm(dyn.as_matrix() * grid.t_end)[:, :2]
+        assert np.max(np.abs(prop.sys_cols[-1] - exact)) < 1e-9
+
+
 def test_runaway_growth_raises():
     # pure pairing at zero frequency has eigenvalues +-|W|: exponential blowup
     dyn = gqbm.LinearDynamics(omega_s=0.0, frequencies=np.array([0.0]),

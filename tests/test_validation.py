@@ -2,7 +2,7 @@
 
 import math
 import os
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -25,6 +25,11 @@ KERNELS = {"continuum": gqbm.build_kernels(MODEL),
 
 def _moments(**kw):
     return gqbm.GaussianMoments(**kw)
+
+
+def _dynamics_with(name, x):
+    value = x if name == "omega_s" else np.append(getattr(DYN, name)[:-1], x)
+    return replace(DYN, **{name: value})
 
 
 ENTRY_POINTS = {
@@ -55,6 +60,10 @@ ENTRY_POINTS = {
         gqbm.QuadratureCovariances(x, 0.5, 0.0)),
     "discretize_bath.omega_max": lambda x: gqbm.discretize_bath(MODEL, 8, x),
     "build_dynamics.omega_s": lambda x: gqbm.build_dynamics(BATH, x),
+    "LinearDynamics.omega_s": lambda x: _dynamics_with("omega_s", x),
+    "LinearDynamics.frequencies": lambda x: _dynamics_with("frequencies", x),
+    "LinearDynamics.v_couplings": lambda x: _dynamics_with("v_couplings", x),
+    "LinearDynamics.w_couplings": lambda x: _dynamics_with("w_couplings", x),
     "thermal_total_state.temperature": lambda x: gqbm.thermal_total_state(
         DYN, x, 0.5),
     "thermal_total_state.omega_s0": lambda x: gqbm.thermal_total_state(
@@ -82,6 +91,13 @@ def test_nan_offset_into_the_thermal_quadrature_is_a_validation_error():
         kernel.gtilde(np.array([np.nan]))
 
 
+def test_linear_dynamics_needs_one_length():
+    with pytest.raises(ValidationError, match="one length"):
+        gqbm.LinearDynamics(omega_s=0.5, frequencies=DYN.frequencies,
+                            v_couplings=DYN.v_couplings[:-1],
+                            w_couplings=DYN.w_couplings)
+
+
 def test_volterra_tables_are_bounded_before_allocation():
     n = 6000
     grid = gqbm.TimeGrid(t_end=10.0, n_steps=n)
@@ -102,6 +118,19 @@ def test_recurrence_horizon_is_known_before_propagation():
         gqbm.oracle.RECURRENCE_GUARD * 2.0 * math.pi / spacing)
     single = gqbm.discretize_bath(MODEL, 1, 12.0)
     assert gqbm.build_dynamics(single, 0.5).recurrence_horizon == math.inf
+
+
+def test_repeated_frequencies_keep_the_recurrence_guard():
+    # degenerate modes are one bright mode plus dark modes: the spacing that
+    # sets the revival is the one between distinct frequencies
+    coupling = np.full(3, 0.1)
+    dyn = gqbm.LinearDynamics(omega_s=0.5, frequencies=[1.0, 1.0, 1.5],
+                              v_couplings=coupling, w_couplings=coupling)
+    assert dyn.recurrence_horizon == pytest.approx(
+        gqbm.oracle.RECURRENCE_GUARD * 2.0 * math.pi / 0.5)
+    flat = gqbm.LinearDynamics(omega_s=0.5, frequencies=[1.0, 1.0, 1.0],
+                               v_couplings=coupling, w_couplings=coupling)
+    assert flat.recurrence_horizon == math.inf
 
 
 def test_second_moments_is_the_hand_built_reconstruction():
