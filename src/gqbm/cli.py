@@ -1,4 +1,8 @@
-"""Command-line interface: reproducible runs with CSV + manifest output.
+"""Command-line interface: the shell around gqbm.pipelines.
+
+This module parses arguments, resolves the configuration, writes CSVs and
+the manifest and maps errors to exit codes; every solve and comparison runs
+in the library (gqbm.pipelines), so a library call reproduces a CLI run.
 
 Subcommands
 -----------
@@ -35,14 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .coeffs import (
-    CONDITION_MAX,
-    coeff_integral_crosscheck,
-    compute_k_lambda,
-    compute_me_coeffs,
-    hpz_reduce,
-    jolt_estimate,
-)
+from .coeffs import CONDITION_MAX
 from .errors import (
     ContractViolationError,
     InstabilityError,
@@ -54,13 +51,8 @@ from .errors import (
 from .greens import (
     INSTABILITY_MAX_ABS,
     TimeGrid,
-    correlated_correction,
     require_finite_frequency,
     require_volterra_budget,
-    second_moments,
-    solve_u,
-    solve_v_fdt,
-    solve_v_volterra,
 )
 from .moments import (
     COMMUTATOR_DRIFT_TOL,
@@ -69,14 +61,19 @@ from .moments import (
     evolve_means,
     to_quadratures,
 )
-from .oracle import build_dynamics, exact_moments, propagate, reduced_moments, thermal_total_state
+from .pipelines import (
+    PipelineResult,
+    coefficient_run,
+    jolt_study,
+    oracle_comparison,
+    quench_comparison,
+)
 from .spectral import (
     QUADRATURE_RTOL,
     SpectralModel,
     build_kernels,
     default_omega_s,
     discretize_bath,
-    kernels_from_bath,
 )
 
 EXIT_OK = 0
@@ -166,46 +163,34 @@ def load_config(path: str | None = None, env: dict | None = None,
 
 def _read_config(path: str | None, env: dict | None,
                  overrides: dict | None) -> RunConfig:
-    values: dict = {}
-
+    texts = []   # (field name, text, where it was set), file before environment
     if path is not None:
         parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
+        if not parser.read(path):
             raise ValidationError(f"config file not found: {path}")
-        by_location = {(sec, key): (name, conv)
-                       for name, (sec, key, conv) in _CONFIG_SCHEMA.items()}
+        by_location = {(sec, key): name
+                       for name, (sec, key, _) in _CONFIG_SCHEMA.items()}
         for sec in parser.sections():
             for key, raw in parser.items(sec):
-                loc = (sec, key)
-                if loc not in by_location:
+                if (sec, key) not in by_location:
                     raise ValidationError(
                         f"unknown config entry [{sec}] {key} in {path}")
-                name, conv = by_location[loc]
-                try:
-                    values[name] = conv(raw)
-                except ValueError as exc:
-                    raise ValidationError(
-                        f"bad value for [{sec}] {key}: {raw!r}") from exc
+                texts.append((by_location[sec, key], raw, f"[{sec}] {key}"))
 
-    env = os.environ if env is None else env
     known_env = {ENV_PREFIX + name.upper(): name for name in _CONFIG_SCHEMA}
-    for var, raw in env.items():
-        if not var.startswith(ENV_PREFIX):
-            continue
-        if var not in known_env:
-            raise ValidationError(f"unknown environment override {var}")
-        name = known_env[var]
-        conv = _CONFIG_SCHEMA[name][2]
-        try:
-            values[name] = conv(raw)
-        except ValueError as exc:
-            raise ValidationError(f"bad value for {var}: {raw!r}") from exc
+    for var, raw in (os.environ if env is None else env).items():
+        if var.startswith(ENV_PREFIX):
+            if var not in known_env:
+                raise ValidationError(f"unknown environment override {var}")
+            texts.append((known_env[var], raw, var))
 
-    if overrides:
-        for name, val in overrides.items():
-            if val is not None:
-                values[name] = val
+    values = {}
+    for name, raw, where in texts:
+        try:
+            values[name] = _CONFIG_SCHEMA[name][2](raw)
+        except ValueError as exc:
+            raise ValidationError(f"bad value for {where}: {raw!r}") from exc
+    values.update({k: v for k, v in (overrides or {}).items() if v is not None})
 
     try:
         return RunConfig(**values)
@@ -214,13 +199,14 @@ def _read_config(path: str | None, env: dict | None,
 
 
 def _validate_config(cfg: RunConfig):
-    """CLI-only keys, then the model, grid and crosscheck memory, checked first."""
+    """CLI-only keys, then the model, grid and crosscheck memory; returns _setup."""
     if not cfg.workers >= 0:
         raise ValidationError(f"workers must be >= 0, got {cfg.workers}")
     _sweep_alphas(cfg)
-    _setup(cfg)
+    setup = _setup(cfg)
     if cfg.crosscheck:
         require_volterra_budget(cfg.n_steps)
+    return setup
 
 
 def _sweep_alphas(cfg: RunConfig) -> list[float]:
@@ -237,9 +223,8 @@ def _sweep_alphas(cfg: RunConfig) -> list[float]:
 
 @dataclass
 class ResultBundle:
-    """Paths and scalar summaries of one pipeline run."""
+    """Output directory, CSV paths, manifest and summaries of one CLI run."""
 
-    pipeline: str
     out_dir: Path
     csv_paths: dict = field(default_factory=dict)
     manifest_path: Path | None = None
@@ -262,37 +247,24 @@ def _write_csv(path: Path, names: list[str], columns: list[np.ndarray]):
             fh.write(",".join(f"{x:.16e}" for x in row) + "\n")
 
 
-def _resolved_items(cfg: RunConfig) -> list[tuple[str, str]]:
-    out = []
-    for f in fields(cfg):
-        val = getattr(cfg, f.name)
-        out.append((f.name, "" if val is None else str(val)))
-    return out
-
-
 def _write_manifest(path: Path, cfg: RunConfig, pipeline: str,
                     schemes: dict, summaries: dict, wall_time: float):
+    manifest = configparser.ConfigParser(interpolation=None)
+    manifest.read_dict({
+        "run": {"version": __version__, "pipeline": pipeline,
+                "wall_time_s": f"{wall_time:.3f}"},
+        "config": {f.name: "" if getattr(cfg, f.name) is None
+                   else str(getattr(cfg, f.name)) for f in fields(cfg)},
+        "schemes": dict(sorted(schemes.items())),
+        "tolerances": {key: repr(val) for key, val in _TOLERANCES.items()},
+        "summary": dict(sorted(summaries.items())),
+    })
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("[run]\n")
-        fh.write(f"version = {__version__}\n")
-        fh.write(f"pipeline = {pipeline}\n")
-        fh.write(f"wall_time_s = {wall_time:.3f}\n\n")
-        fh.write("[config]\n")
-        for name, val in _resolved_items(cfg):
-            fh.write(f"{name} = {val}\n")
-        fh.write("\n[schemes]\n")
-        for key in sorted(schemes):
-            fh.write(f"{key} = {schemes[key]}\n")
-        fh.write("\n[tolerances]\n")
-        for key, val in _TOLERANCES.items():
-            fh.write(f"{key} = {val!r}\n")
-        if summaries:
-            fh.write("\n[summary]\n")
-            for key in sorted(summaries):
-                fh.write(f"{key} = {summaries[key]}\n")
+        manifest.write(fh)
 
 
-_BASE_SCHEMES = {
+# scheme of each stage a pipeline can run; the manifest names those that ran
+_SCHEMES = {
     "u_solver": "pc2(ab2-predictor, trapezoid corrector, midpoint start)",
     "v_solver": "product-trapezoid double quadrature by FFT causal convolution",
     "v_crosscheck": "volterra pc2 marching over fixed-t columns",
@@ -310,7 +282,7 @@ _TOLERANCES = {
 
 
 # ---------------------------------------------------------------------------
-# pipeline pieces
+# pipelines: each runs a library pipeline and lays out its CSV tables
 # ---------------------------------------------------------------------------
 
 
@@ -324,155 +296,94 @@ def _setup(cfg: RunConfig):
     return model, omega_s, grid
 
 
-def _matrix_columns(label: str, tab: np.ndarray):
-    names, cols = [], []
-    for i in range(2):
-        for j in range(2):
-            names += [f"re_{label}{i + 1}{j + 1}", f"im_{label}{i + 1}{j + 1}"]
-            cols += [tab[:, i, j].real, tab[:, i, j].imag]
+def _matrix_table(times: np.ndarray, *labelled):
+    """Columns t, then re/im of each entry of each (label, (n, 2, 2) table)."""
+    names, cols = ["t"], [times]
+    for label, tab in labelled:
+        for i in range(2):
+            for j in range(2):
+                names += [f"re_{label}{i + 1}{j + 1}", f"im_{label}{i + 1}{j + 1}"]
+                cols += [tab[:, i, j].real, tab[:, i, j].imag]
     return names, cols
 
 
-def _run_kernels(cfg: RunConfig, out: Path) -> ResultBundle:
-    model, omega_s, grid = _setup(cfg)
+def _run_kernels(cfg: RunConfig, model, omega_s: float, grid: TimeGrid):
     kernel = build_kernels(model)
-    g_names, g_cols = _matrix_columns("g", kernel.g(grid.times))
-    gt_names, gt_cols = _matrix_columns("gt", kernel.gtilde(grid.times))
-    path = out / "kernels.csv"
-    _write_csv(path, ["t"] + g_names + gt_names, [grid.times] + g_cols + gt_cols)
-    return ResultBundle(pipeline="kernels", out_dir=out,
-                        csv_paths={"kernels": path},
-                        summaries={"omega_s": omega_s})
+    return (PipelineResult(summaries={"omega_s": omega_s}, stages=["quadrature"]),
+            {"kernels": _matrix_table(grid.times, ("g", kernel.g(grid.times)),
+                                      ("gt", kernel.gtilde(grid.times)))})
 
 
-def _greens_run(cfg: RunConfig):
-    model, omega_s, grid = _setup(cfg)
-    kernel = build_kernels(model)
-    sol = solve_u(kernel, omega_s, grid)
-    sol.v_equal_time = solve_v_fdt(kernel, sol.u, grid)
-    return model, omega_s, grid, kernel, sol
+def _run_greens(cfg: RunConfig, model, omega_s: float, grid: TimeGrid):
+    res = coefficient_run(model, omega_s, grid, coefficients=False,
+                          crosscheck=cfg.crosscheck)
+    sol = res.outputs["sol"]
+    return res, {key: _matrix_table(grid.times, (key, tab))
+                 for key, tab in (("u", sol.u), ("v", sol.v_equal_time))}
 
 
-def _run_greens(cfg: RunConfig, out: Path) -> ResultBundle:
-    model, omega_s, grid, kernel, sol = _greens_run(cfg)
-    summaries = {"omega_s": omega_s}
-    u_names, u_cols = _matrix_columns("u", sol.u)
-    v_names, v_cols = _matrix_columns("v", sol.v_equal_time)
-    paths = {}
-    paths["u"] = out / "u.csv"
-    _write_csv(paths["u"], ["t"] + u_names, [grid.times] + u_cols)
-    paths["v"] = out / "v.csv"
-    _write_csv(paths["v"], ["t"] + v_names, [grid.times] + v_cols)
-    if cfg.crosscheck:
-        v_diag = solve_v_volterra(kernel, sol)
-        summaries["v_route_max_deviation"] = float(
-            np.max(np.abs(v_diag - sol.v_equal_time)))
-    return ResultBundle(pipeline="greens", out_dir=out, csv_paths=paths,
-                        summaries=summaries)
+def _coeffs_table(me):
+    return (["t", "gamma", "gamma_tilde", "re_gamma_bar", "im_gamma_bar",
+             "omega_s_prime", "re_omega_bar_prime", "im_omega_bar_prime"],
+            [me.times, me.gamma, me.gamma_tilde, me.gamma_bar.real,
+             me.gamma_bar.imag, me.omega_s_prime,
+             me.omega_bar_prime.real, me.omega_bar_prime.imag])
 
 
-def _coeff_series(cfg: RunConfig):
-    model, omega_s, grid, kernel, sol = _greens_run(cfg)
-    kl = compute_k_lambda(sol, kernel)
-    me = compute_me_coeffs(kl)
-    return model, omega_s, grid, kernel, sol, kl, me
+def _run_coeffs(cfg: RunConfig, model, omega_s: float, grid: TimeGrid):
+    res = coefficient_run(model, omega_s, grid, crosscheck=cfg.crosscheck)
+    tables = {"coeffs": _coeffs_table(res.outputs["me"])}
+    if "hpz" in res.outputs:   # columns: t, then the HpzCoefficients fields
+        names = [f.name for f in fields(res.outputs["hpz"])]
+        tables["hpz"] = (["t"] + names[1:],
+                         [getattr(res.outputs["hpz"], n) for n in names])
+    return res, tables
 
 
-def _write_coeffs_csv(path: Path, me) -> None:
-    _write_csv(path,
-               ["t", "gamma", "gamma_tilde", "re_gamma_bar", "im_gamma_bar",
-                "omega_s_prime", "re_omega_bar_prime", "im_omega_bar_prime"],
-               [me.times, me.gamma, me.gamma_tilde, me.gamma_bar.real,
-                me.gamma_bar.imag, me.omega_s_prime,
-                me.omega_bar_prime.real, me.omega_bar_prime.imag])
-
-
-def _run_coeffs(cfg: RunConfig, out: Path) -> ResultBundle:
-    model, omega_s, grid, kernel, sol, kl, me = _coeff_series(cfg)
-    paths = {"coeffs": out / "coeffs.csv"}
-    _write_coeffs_csv(paths["coeffs"], me)
-    summaries = {"omega_s": omega_s,
-                 "gamma_final": float(me.gamma[-1]),
-                 "structure_residual": me.structure_residual}
-    if cfg.alpha == 1.0:
-        hpz = hpz_reduce(me, omega_s)
-        paths["hpz"] = out / "hpz.csv"
-        _write_csv(paths["hpz"],
-                   ["t", "delta_omega_sq", "gamma_damping", "gamma_h",
-                    "gamma_f", "omega_p_sq", "residual_freq",
-                    "residual_damping", "residual_diffusion"],
-                   [hpz.times, hpz.delta_omega_sq, hpz.gamma_damping,
-                    hpz.gamma_h, hpz.gamma_f, hpz.omega_p_sq,
-                    hpz.residual_freq, hpz.residual_damping,
-                    hpz.residual_diffusion])
-    if cfg.crosscheck:
-        v_diag, v_two = solve_v_volterra(kernel, sol, return_two_time=True)
-        sol.v_two_time = v_two
-        check = coeff_integral_crosscheck(kernel, sol)
-        summaries["coeff_integral_max_deviation"] = check["max_deviation"]
-        summaries["v_route_max_deviation"] = float(
-            np.max(np.abs(v_diag - sol.v_equal_time)))
-    return ResultBundle(pipeline="coeffs", out_dir=out, csv_paths=paths,
-                        summaries=summaries)
-
-
-def _run_evolve(cfg: RunConfig, out: Path) -> ResultBundle:
-    _, omega_s, _ = _setup(cfg)
+def _run_evolve(cfg: RunConfig, model, omega_s: float, grid: TimeGrid):
     init = GaussianMoments(
         mean_a=cfg.init_mean_re + 1j * cfg.init_mean_im,
         delta_n=cfg.init_delta_n,
         delta_s=cfg.init_delta_s_re + 1j * cfg.init_delta_s_im)
     init.require_physical()
     to_quadratures(init, cfg.mass, omega_s)  # the t = 0 row, before the solve
-    model, omega_s, grid, kernel, sol, kl, me = _coeff_series(cfg)
-    mean = evolve_means(me, init, grid)
-    second = evolve_covariances(me, init, grid)
+    res = coefficient_run(model, omega_s, grid)
+    mean = evolve_means(res.outputs["me"], init, grid)
+    second = evolve_covariances(res.outputs["me"], init, grid)
     quads = to_quadratures(second, cfg.mass, omega_s)
-    path = out / "moments.csv"
-    _write_csv(path,
-               ["t", "re_mean_a", "im_mean_a", "delta_n", "re_delta_s",
-                "im_delta_s", "var_x", "var_p", "cov_xp"],
-               [grid.times, mean.real, mean.imag, second.delta_n,
-                second.delta_s.real, second.delta_s.imag,
-                quads.var_x, quads.var_p, quads.cov_xp])
-    return ResultBundle(pipeline="evolve", out_dir=out,
-                        csv_paths={"moments": path},
-                        summaries={"omega_s": omega_s,
-                                   "final_delta_n": float(second.delta_n[-1]),
-                                   "max_commutator_drift":
-                                       second.max_commutator_drift})
+    res.summaries = {"omega_s": omega_s,
+                     "final_delta_n": float(second.delta_n[-1]),
+                     "max_commutator_drift": second.max_commutator_drift}
+    return res, {"moments": (
+        ["t", "re_mean_a", "im_mean_a", "delta_n", "re_delta_s",
+         "im_delta_s", "var_x", "var_p", "cov_xp"],
+        [grid.times, mean.real, mean.imag, second.delta_n,
+         second.delta_s.real, second.delta_s.imag,
+         quads.var_x, quads.var_p, quads.cov_xp])}
 
 
 def _alpha_tag(alpha: float) -> str:
     return f"{alpha:.2f}".replace(".", "p")
 
 
-def _sweep_one(args) -> tuple[float, dict]:
+def _sweep_one(args) -> tuple[float, PipelineResult]:
     cfg_dict, alpha, out_dir = args
     cfg = replace(RunConfig(**cfg_dict), alpha=alpha)
     sub = Path(out_dir) / f"alpha_{_alpha_tag(alpha)}"
     sub.mkdir(parents=True, exist_ok=True)
-    model, omega_s, grid, kernel, sol, kl, me = _coeff_series(cfg)
-    _write_coeffs_csv(sub / "coeffs.csv", me)
-    est = jolt_estimate(kernel, sol)
+    res = jolt_study(*_setup(cfg))
+    est = res.outputs["estimate"]
+    _write_csv(sub / "coeffs.csv", *_coeffs_table(res.outputs["me"]))
     _write_csv(sub / "estimates.csv",
                ["t", "gamma_est", "gamma_tilde_est"],
                [est.times, est.gamma_est, est.gamma_tilde_est])
-    peak_g = float(np.max(np.abs(me.gamma)))
-    peak_gt = float(np.max(np.abs(me.gamma_tilde)))
-    dev_g = float(np.max(np.abs(est.gamma_est - me.gamma)))
-    dev_gt = float(np.max(np.abs(est.gamma_tilde_est - me.gamma_tilde)))
-    return alpha, {
-        "peak_gamma": peak_g,
-        "peak_gamma_tilde": peak_gt,
-        "est_dev_gamma_frac": dev_g / peak_g if peak_g > 0 else 0.0,
-        "est_dev_gamma_tilde_frac": dev_gt / peak_gt if peak_gt > 0 else 0.0,
-    }
+    return alpha, replace(res, outputs={})   # the arrays stay in the worker
 
 
-def _run_sweep(cfg: RunConfig, out: Path, alphas, pipeline: str) -> ResultBundle:
+def _run_sweep(cfg: RunConfig, *_):
+    alphas = _sweep_alphas(cfg)
     cfg_dict = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-    jobs = [(cfg_dict, a, str(out)) for a in alphas]
+    jobs = [(cfg_dict, a, cfg.out_dir) for a in alphas]
     workers = min(cfg.workers or len(alphas), len(alphas), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -483,135 +394,91 @@ def _run_sweep(cfg: RunConfig, out: Path, alphas, pipeline: str) -> ResultBundle
     results.sort(key=lambda r: r[0])
     names = ["alpha", "peak_gamma", "peak_gamma_tilde",
              "est_dev_gamma_frac", "est_dev_gamma_tilde_frac"]
-    cols = [np.array([r[0] for r in results])]
-    cols += [np.array([r[1][k] for r in results]) for k in names[1:]]
-    path = out / "sweep.csv"
-    _write_csv(path, names, cols)
+    cols = [np.array([a for a, _ in results])]
+    cols += [np.array([r.summaries[k] for _, r in results]) for k in names[1:]]
     summaries = {f"alpha_{_alpha_tag(a)}_{k}": v
-                 for a, d in results for k, v in d.items()}
-    return ResultBundle(pipeline=pipeline, out_dir=out,
-                        csv_paths={"sweep": path}, summaries=summaries)
+                 for a, r in results for k, v in r.summaries.items()}
+    return (PipelineResult(summaries=summaries, stages=results[0][1].stages),
+            {"sweep": (names, cols)})
 
 
-def _run_oracle_compare(cfg: RunConfig, out: Path) -> ResultBundle:
-    model, omega_s, grid = _setup(cfg)
+def _run_oracle_compare(cfg: RunConfig, model, omega_s: float,
+                        grid: TimeGrid):
     bath = discretize_bath(model, cfg.oracle_modes, cfg.oracle_omega_max,
                            scheme=cfg.oracle_scheme)
-    dyn = build_dynamics(bath, omega_s)
-    horizon = dyn.recurrence_horizon
-    if grid.t_end > horizon:
-        raise ValidationError(
-            f"t_end = {grid.t_end:g} exceeds the finite-bath recurrence "
-            f"horizon {horizon:g}; increase oracle_modes")
+    if cfg.quench_omega_s0 is None:
+        res = oracle_comparison(model, bath, omega_s, grid)
+        return res, {"oracle_compare": (
+            ["t", "u_deviation", "v_deviation"],
+            [grid.times, res.outputs["u_deviation"], res.outputs["v_deviation"]])}
+    res = quench_comparison(bath, omega_s, cfg.quench_omega_s0, grid)
+    n_me, orc = res.outputs["n_me"], res.outputs["oracle"]
+    return res, {"quench_compare": (
+        ["t", "delta_n_me", "delta_n_oracle", "re_delta_s_me",
+         "re_delta_s_oracle", "im_delta_s_me", "im_delta_s_oracle"],
+        [grid.times, n_me[:, 0, 0].real, orc.delta_n, n_me[:, 0, 1].real,
+         orc.delta_s.real, n_me[:, 0, 1].imag, orc.delta_s.imag])}
 
-    summaries = {"omega_s": omega_s, "recurrence_horizon": horizon}
 
-    if cfg.quench_omega_s0 is not None:
-        # correlated initial state: thermal state of the pre-quench Hamiltonian
-        state = thermal_total_state(dyn, cfg.temperature, cfg.quench_omega_s0)
-        prop = propagate(dyn, grid)
-        kbath = replace(bath, occupations=state.bath_occupations)
-        kernel = kernels_from_bath(kbath)
-        sol = solve_u(kernel, omega_s, grid)
-        sol.v_equal_time = solve_v_fdt(kernel, sol.u, grid)
-        dv = correlated_correction(kbath, state.correlations, sol.u, grid)
-        n_me = second_moments(sol.u, state.system.n_matrix(),
-                              sol.v_equal_time) + dv
-        orc = exact_moments(prop, state.product_table)
-        n_or = orc.n_matrix()
-        summaries["max_moment_deviation"] = float(np.max(np.abs(n_me - n_or)))
-        summaries["correction_magnitude"] = float(np.max(np.abs(dv)))
-        for name in ("symplectic_residual", "min_normal_frequency"):
-            summaries[name] = float(state.metadata[name])
-        key, path = "quench_compare", out / "quench_compare.csv"
-        _write_csv(path,
-                   ["t", "delta_n_me", "delta_n_oracle", "re_delta_s_me",
-                    "re_delta_s_oracle", "im_delta_s_me", "im_delta_s_oracle"],
-                   [grid.times, n_me[:, 0, 0].real, orc.delta_n,
-                    n_me[:, 0, 1].real, orc.delta_s.real,
-                    n_me[:, 0, 1].imag, orc.delta_s.imag])
-    else:
-        prop = propagate(dyn, grid)
-        kernel = build_kernels(model)
-        sol = solve_u(kernel, omega_s, grid)
-        sol.v_equal_time = solve_v_fdt(kernel, sol.u, grid)
-        u_dev = np.max(np.abs(sol.u - prop.u_series), axis=(1, 2))
-
-        vac = GaussianMoments()
-        orc = reduced_moments(prop, bath, vac)
-        v_oracle = orc.n_matrix() - second_moments(prop.u_series,
-                                                   vac.n_matrix())
-        v_dev = np.max(np.abs(sol.v_equal_time - v_oracle), axis=(1, 2))
-
-        summaries["max_u_deviation"] = float(np.max(u_dev))
-        summaries["max_v_deviation"] = float(np.max(v_dev))
-        key, path = "compare", out / "oracle_compare.csv"
-        _write_csv(path, ["t", "u_deviation", "v_deviation"],
-                   [grid.times, u_dev, v_dev])
-    return ResultBundle(pipeline="oracle-compare", out_dir=out,
-                        csv_paths={key: path}, summaries=summaries)
+# subcommand -> run(cfg, model, omega_s, grid) -> (result, {CSV: (names, columns)})
+_PIPELINES = {
+    "kernels": _run_kernels,
+    "greens": _run_greens,
+    "coeffs": _run_coeffs,
+    "evolve": _run_evolve,
+    "jolt-sweep": _run_sweep,
+    "oracle-compare": _run_oracle_compare,
+    "reproduce-fig2": _run_sweep,
+}
 
 
 def run(cfg: RunConfig, pipeline: str) -> ResultBundle:
-    """Execute one pipeline; writes CSVs and a manifest under cfg.out_dir."""
+    """Execute one pipeline; writes CSVs and a manifest under cfg.out_dir.
+
+    reproduce-fig2 pins the documented model (gamma0 = 3e-4, T = 0.01) and
+    takes its grid from cfg, so reduced-resolution smoke runs stay possible.
+    """
     t0 = time.monotonic()
+    if pipeline not in _PIPELINES:
+        raise ValidationError(f"unknown pipeline {pipeline!r}")
     if pipeline == "reproduce-fig2":
         cfg = replace(cfg, gamma0=3e-4, temperature=0.01, cutoff=1.0,
                       omega_s=None,
                       alpha_list=",".join(str(a) for a in FIG2_ALPHAS))
-    _validate_config(cfg)  # the configuration that runs, after any pinning
+    setup = _validate_config(cfg)  # the configuration that runs, after pinning
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    if pipeline == "kernels":
-        bundle = _run_kernels(cfg, out)
-    elif pipeline == "greens":
-        bundle = _run_greens(cfg, out)
-    elif pipeline == "coeffs":
-        bundle = _run_coeffs(cfg, out)
-    elif pipeline == "evolve":
-        bundle = _run_evolve(cfg, out)
-    elif pipeline in ("jolt-sweep", "reproduce-fig2"):
-        bundle = _run_sweep(cfg, out, _sweep_alphas(cfg), pipeline)
-    elif pipeline == "oracle-compare":
-        bundle = _run_oracle_compare(cfg, out)
-    else:
-        raise ValidationError(f"unknown pipeline {pipeline!r}")
-
-    manifest = out / "manifest.txt"
-    _write_manifest(manifest, cfg, pipeline, _BASE_SCHEMES, bundle.summaries,
+    res, tables = _PIPELINES[pipeline](cfg, *setup)
+    bundle = ResultBundle(out_dir=out, summaries=res.summaries,
+                          manifest_path=out / "manifest.txt")
+    for name, (names, columns) in tables.items():
+        bundle.csv_paths[name] = out / f"{name}.csv"
+        _write_csv(bundle.csv_paths[name], names, columns)
+    _write_manifest(bundle.manifest_path, cfg, pipeline,
+                    {k: _SCHEMES[k] for k in res.stages}, res.summaries,
                     time.monotonic() - t0)
-    bundle.manifest_path = manifest
     return bundle
-
-
-def reproduce_fig2(cfg: RunConfig | None = None) -> ResultBundle:
-    """Five-alpha transient study at the documented parameter set.
-
-    run() pins gamma0 = 3e-4 and T = 0.01 (cutoff units); grid settings are
-    taken from cfg so reduced-resolution smoke runs remain possible.
-    """
-    return run(cfg if cfg is not None else RunConfig(), "reproduce-fig2")
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
 
-
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", help="INI configuration file")
-    parser.add_argument("--out", dest="out_dir", help="output directory")
-    parser.add_argument("--gamma0", type=float)
-    parser.add_argument("--cutoff", type=float)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--temperature", type=float)
-    parser.add_argument("--omega-s", dest="omega_s", type=float)
-    parser.add_argument("--t-end", dest="t_end", type=float)
-    parser.add_argument("--steps", dest="n_steps", type=int)
-    parser.add_argument("--mass", type=float)
-    parser.add_argument("--crosscheck", action="store_const", const=True,
-                        default=None)
+# RunConfig fields each subcommand takes as flags besides --config and --out;
+# a flag is the field name with dashes unless _FLAG_NAMES says otherwise
+_COMMON_FLAGS = ("gamma0", "cutoff", "alpha", "temperature", "omega_s", "t_end",
+                 "n_steps", "mass", "crosscheck")
+_EXTRA_FLAGS = {
+    "evolve": ("init_mean_re", "init_mean_im", "init_delta_n",
+               "init_delta_s_re", "init_delta_s_im"),
+    "jolt-sweep": ("alpha_list", "workers"),
+    "oracle-compare": ("oracle_modes", "oracle_omega_max", "oracle_scheme",
+                       "quench_omega_s0"),
+    "reproduce-fig2": ("workers",),
+}
+_FLAG_NAMES = {"n_steps": "--steps", "quench_omega_s0": "--quench-from"}
+_FLAG_TYPES = {"float": float, "float | None": float, "int": int, "str": str}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -620,35 +487,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Non-Markovian dissipation and fluctuation dynamics of "
                     "a damped mode with pair-production bath couplings")
     sub = parser.add_subparsers(dest="pipeline", required=True)
-
-    for name in ("kernels", "greens", "coeffs"):
-        p = sub.add_parser(name)
-        _add_common(p)
-
-    p = sub.add_parser("evolve")
-    _add_common(p)
-    p.add_argument("--init-mean-re", dest="init_mean_re", type=float)
-    p.add_argument("--init-mean-im", dest="init_mean_im", type=float)
-    p.add_argument("--init-delta-n", dest="init_delta_n", type=float)
-    p.add_argument("--init-delta-s-re", dest="init_delta_s_re", type=float)
-    p.add_argument("--init-delta-s-im", dest="init_delta_s_im", type=float)
-
-    p = sub.add_parser("jolt-sweep")
-    _add_common(p)
-    p.add_argument("--alpha-list", dest="alpha_list")
-    p.add_argument("--workers", type=int)
-
-    p = sub.add_parser("oracle-compare")
-    _add_common(p)
-    p.add_argument("--oracle-modes", dest="oracle_modes", type=int)
-    p.add_argument("--oracle-omega-max", dest="oracle_omega_max", type=float)
-    p.add_argument("--oracle-scheme", dest="oracle_scheme")
-    p.add_argument("--quench-from", dest="quench_omega_s0", type=float)
-
-    p = sub.add_parser("reproduce-fig2")
-    _add_common(p)
-    p.add_argument("--workers", type=int)
-
+    types = {f.name: f.type for f in fields(RunConfig)}
+    for pipeline in _PIPELINES:
+        p = sub.add_parser(pipeline)
+        p.add_argument("--config", help="INI configuration file")
+        p.add_argument("--out", dest="out_dir", help="output directory")
+        for name in _COMMON_FLAGS + _EXTRA_FLAGS.get(pipeline, ()):
+            flag = _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
+            if types[name] == "bool":
+                p.add_argument(flag, dest=name, action="store_const",
+                               const=True, default=None)
+            else:
+                p.add_argument(flag, dest=name, type=_FLAG_TYPES[types[name]])
     return parser
 
 

@@ -30,7 +30,7 @@ import numpy as np
 import scipy.fft as sp_fft
 
 from .errors import ContractViolationError, InstabilityError, ValidationError
-from .spectral import BathDiscretization, Kernel, Z
+from .spectral import BathDiscretization, Kernel, Z, require_count
 
 # Marching guards: a propagator entry beyond this magnitude means runaway
 # pair production (or an unstable discretization), not physics we can trust.
@@ -57,8 +57,7 @@ class TimeGrid:
     def __post_init__(self):
         if not (self.t_end > 0.0 and math.isfinite(self.t_end)):
             raise ValidationError(f"t_end must be > 0, got {self.t_end}")
-        if self.n_steps < 8:
-            raise ValidationError(f"n_steps must be >= 8, got {self.n_steps}")
+        object.__setattr__(self, "n_steps", require_count("n_steps", self.n_steps, 8))
         if not (self.max_frequency > 0.0 and math.isfinite(self.max_frequency)):
             raise ValidationError(
                 f"max_frequency must be finite and > 0, got {self.max_frequency}")

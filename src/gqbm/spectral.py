@@ -33,6 +33,7 @@ be non-thermal.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -72,6 +73,17 @@ def n_bar(omega, temperature: float):
     out[mid] = 1.0 / np.expm1(x[mid])
     out[x < 1e-12] = np.inf  # divergent occupation; J*nbar stays finite
     return out
+
+
+def require_count(name: str, value, minimum: int) -> int:
+    """value as an int: an integer (Python or numpy) of at least minimum."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if count < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {count}")
+    return count
 
 
 @dataclass(frozen=True)
@@ -469,8 +481,7 @@ def discretize_bath(model: SpectralModel, n_modes: int, omega_max: float,
     """Sample the continuum into n_modes discrete modes on [0, omega_max]."""
     if scheme not in _SCHEMES:
         raise ValidationError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
-    if n_modes < 1:
-        raise ValidationError(f"n_modes must be >= 1, got {n_modes}")
+    n_modes = require_count("n_modes", n_modes, 1)
     if not (omega_max > 0.0 and math.isfinite(omega_max)):
         raise ValidationError(f"omega_max must be finite and > 0, got {omega_max}")
 

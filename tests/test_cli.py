@@ -1,5 +1,6 @@
 """CLI: configuration precedence, CSV contracts, exit codes, pipelines."""
 
+import configparser
 import os
 import re
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 import gqbm
 import gqbm.cli as cli
+import gqbm.pipelines as pipelines
 from gqbm.errors import ContractViolationError, NumericalQualityError, ValidationError
 
 # every numeric CSV cell: 17 significant digits, scientific notation
@@ -136,6 +138,12 @@ def test_coeffs_writes_quadrature_form_at_full_pairing(tmp_path, monkeypatch):
     assert len(rows) == 201
 
 
+def _manifest_keys(path: Path, section: str) -> set:
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(path)
+    return set(parser[section])
+
+
 def test_manifest_states_the_tolerances_and_schemes_that_ran(tmp_path,
                                                               monkeypatch):
     out = tmp_path / "run"
@@ -151,8 +159,20 @@ def test_manifest_states_the_tolerances_and_schemes_that_ran(tmp_path,
     }
     for key, value in constants.items():
         assert float(_manifest_value(manifest, "tolerances", key)) == value
-    assert "sparse CSR generator" in _manifest_value(manifest, "schemes",
-                                                     "oracle")
+    # kernels runs no oracle march and no Volterra crosscheck
+    schemes = _manifest_keys(manifest, "schemes")
+    assert "oracle" not in schemes and "v_crosscheck" not in schemes
+
+    oracle = tmp_path / "oracle"
+    code = _run_cli(["oracle-compare", "--out", str(oracle), "--alpha", "0.5",
+                     "--t-end", "1", "--steps", "40", "--oracle-modes", "40",
+                     "--oracle-omega-max", "12"], monkeypatch)
+    assert code == cli.EXIT_OK
+    manifest = oracle / "manifest.txt"
+    assert _manifest_keys(manifest, "schemes") == {
+        "oracle", "quadrature", "u_solver", "v_solver"}
+    assert "fused block_diag(G, G^T) march on the sparse CSR generator" in (
+        _manifest_value(manifest, "schemes", "oracle"))
     assert "FFT causal convolution" in _manifest_value(manifest, "schemes",
                                                        "v_solver")
 
@@ -200,7 +220,7 @@ def test_quality_failure_exits_4(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise NumericalQualityError("synthetic quality failure")
 
-    monkeypatch.setattr(cli, "solve_v_fdt", boom)
+    monkeypatch.setattr(pipelines.greens, "solve_v_fdt", boom)
     monkeypatch.setattr(os, "environ", {})
     code = cli.main(["coeffs", "--out", str(tmp_path / "x"),
                      "--t-end", "2", "--steps", "200"])

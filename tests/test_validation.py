@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import gqbm
 import gqbm.cli as cli
+import gqbm.pipelines as pipelines
 from gqbm.errors import ValidationError
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -42,6 +43,7 @@ ENTRY_POINTS = {
     "SpectralModel.tab_j": lambda x: gqbm.SpectralModel(
         family="tabulated", tab_omega=[0.0, 1.0, 2.0], tab_j=[0.0, x, 0.0]),
     "TimeGrid.t_end": lambda x: gqbm.TimeGrid(t_end=x, n_steps=8),
+    "TimeGrid.n_steps": lambda x: gqbm.TimeGrid(t_end=1.0, n_steps=x),
     "TimeGrid.max_frequency": lambda x: gqbm.TimeGrid(
         t_end=1.0, n_steps=8, max_frequency=x),
     "GaussianMoments.mean_a.real": lambda x: _moments(mean_a=complex(x, 0.0)),
@@ -59,6 +61,7 @@ ENTRY_POINTS = {
     "quadratures_to_moments.var_x": lambda x: gqbm.quadratures_to_moments(
         gqbm.QuadratureCovariances(x, 0.5, 0.0)),
     "discretize_bath.omega_max": lambda x: gqbm.discretize_bath(MODEL, 8, x),
+    "discretize_bath.n_modes": lambda x: gqbm.discretize_bath(MODEL, x, 12.0),
     "build_dynamics.omega_s": lambda x: gqbm.build_dynamics(BATH, x),
     "LinearDynamics.omega_s": lambda x: _dynamics_with("omega_s", x),
     "LinearDynamics.frequencies": lambda x: _dynamics_with("frequencies", x),
@@ -83,6 +86,19 @@ for _label, _kernel in KERNELS.items():
 def test_non_finite_input_is_a_validation_error(entry, value):
     with pytest.raises(ValidationError):
         ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize("entry", ["TimeGrid.n_steps", "discretize_bath.n_modes"])
+def test_fractional_count_is_a_validation_error(entry):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        ENTRY_POINTS[entry](100.5)
+
+
+def test_numpy_integer_counts_are_accepted():
+    grid = gqbm.TimeGrid(t_end=1.0, n_steps=np.int64(100))
+    assert grid.n_steps == 100 and type(grid.n_steps) is int
+    assert grid.dt == 0.01
+    assert gqbm.discretize_bath(MODEL, np.int32(8), 12.0).n_modes == 8
 
 
 def test_nan_offset_into_the_thermal_quadrature_is_a_validation_error():
@@ -164,6 +180,8 @@ def test_to_quadratures_maps_a_series_elementwise():
 
 
 # ---- the CLI rejects bad values before solve_u or propagate runs ----------
+# The sentinels replace solve_u and propagate where gqbm.pipelines resolves
+# them; a positive control shows that every solving pipeline reaches them.
 
 
 FLOAT_KEYS = [f.name for f in fields(cli.RunConfig)
@@ -211,16 +229,39 @@ def _sentinel(name):
     return reached
 
 
+def _install_sentinels(monkeypatch):
+    monkeypatch.setattr(os, "environ", {})
+    monkeypatch.setattr(pipelines.greens, "solve_u", _sentinel("solve_u"))
+    monkeypatch.setattr(pipelines.oracle, "propagate", _sentinel("propagate"))
+
+
 @pytest.mark.parametrize("argv, quantity", CASES,
                          ids=[" ".join(a) for a, _ in CASES])
 def test_cli_rejects_bad_values_before_any_solve(argv, quantity, tmp_path,
                                                  monkeypatch, capsys):
-    monkeypatch.setattr(os, "environ", {})
-    monkeypatch.setattr(cli, "solve_u", _sentinel("solve_u"))
-    monkeypatch.setattr(cli, "propagate", _sentinel("propagate"))
+    _install_sentinels(monkeypatch)
     code = cli.main(argv + ["--out", str(tmp_path / "x")])
     assert code == cli.EXIT_VALIDATION
     assert quantity in capsys.readouterr().err
+
+
+VALID = [
+    ["greens"] + GRID_ARGS,
+    ["coeffs"] + GRID_ARGS,
+    ["evolve"] + GRID_ARGS,
+    ["jolt-sweep", "--workers=1"] + GRID_ARGS,
+    ["reproduce-fig2", "--workers=1"] + GRID_ARGS,
+    ["oracle-compare"] + GRID_ARGS + ORACLE_ARGS,
+    ["oracle-compare", "--alpha=0.5", "--omega-s=0.3", "--quench-from=0.6"]
+    + GRID_ARGS + ORACLE_ARGS,
+]
+
+
+@pytest.mark.parametrize("argv", VALID, ids=[" ".join(a) for a in VALID])
+def test_a_valid_run_reaches_the_sentinels(argv, tmp_path, monkeypatch):
+    _install_sentinels(monkeypatch)
+    with pytest.raises(_SolveReached):
+        cli.main(argv + ["--out", str(tmp_path / "x")])
 
 
 def test_fig2_validates_the_configuration_it_pins(tmp_path, monkeypatch):
