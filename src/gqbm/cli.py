@@ -52,7 +52,6 @@ from .greens import (
     INSTABILITY_MAX_ABS,
     TimeGrid,
     require_finite_frequency,
-    require_volterra_budget,
 )
 from .moments import (
     COMMUTATOR_DRIFT_TOL,
@@ -199,14 +198,11 @@ def _read_config(path: str | None, env: dict | None,
 
 
 def _validate_config(cfg: RunConfig):
-    """CLI-only keys, then the model, grid and crosscheck memory; returns _setup."""
+    """CLI-only keys, then the model and grid; returns _setup."""
     if not cfg.workers >= 0:
         raise ValidationError(f"workers must be >= 0, got {cfg.workers}")
     _sweep_alphas(cfg)
-    setup = _setup(cfg)
-    if cfg.crosscheck:
-        require_volterra_budget(cfg.n_steps)
-    return setup
+    return _setup(cfg)
 
 
 def _sweep_alphas(cfg: RunConfig) -> list[float]:
@@ -269,7 +265,7 @@ _SCHEMES = {
     "v_solver": "product-trapezoid double quadrature by FFT causal convolution",
     "v_crosscheck": "volterra pc2 marching over fixed-t columns",
     "quadrature": "composite-gauss-legendre with self-refinement check",
-    "oracle": "rk4 fixed-substep, fused block_diag(G, G^T) march on the "
+    "oracle": "rk4 fixed-substep, row march (S^T columns under G^T) on the "
               "sparse CSR generator; thermal state by Colpa's Cholesky route",
 }
 
@@ -468,8 +464,10 @@ def run(cfg: RunConfig, pipeline: str) -> ResultBundle:
 # RunConfig fields each subcommand takes as flags besides --config and --out;
 # a flag is the field name with dashes unless _FLAG_NAMES says otherwise
 _COMMON_FLAGS = ("gamma0", "cutoff", "alpha", "temperature", "omega_s", "t_end",
-                 "n_steps", "mass", "crosscheck")
+                 "n_steps", "mass")
 _EXTRA_FLAGS = {
+    "greens": ("crosscheck",),
+    "coeffs": ("crosscheck",),
     "evolve": ("init_mean_re", "init_mean_im", "init_delta_n",
                "init_delta_s_re", "init_delta_s_im"),
     "jolt-sweep": ("alpha_list", "workers"),

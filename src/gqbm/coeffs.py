@@ -30,12 +30,11 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import ContractViolationError, SingularityError
 from .greens import GreensSolution, v_first_derivative, _zmul
 from .moments import _diffusion
-from .spectral import Kernel, Z
+from .spectral import Kernel, Z, _trapezoid_panels
 
 # Condition-number bound for inverting the 2x2 propagator.
 CONDITION_MAX = 1e12
@@ -258,9 +257,11 @@ def jolt_estimate(kernel: Kernel, sol: GreensSolution) -> JoltEstimate:
     u11 = sol.u[:, 0, 0]
     alpha2 = kernel.alpha**2
 
-    gt_int = cumulative_trapezoid(gv * u11, times, initial=0.0)
-    g_int = cumulative_trapezoid((np.conj(gv) - alpha2 * gv) * u11, times,
-                                 initial=0.0)
+    def cumulative(y):
+        return np.concatenate([[0.0], np.cumsum(_trapezoid_panels(y, times))])
+
+    gt_int = cumulative(gv * u11)
+    g_int = cumulative((np.conj(gv) - alpha2 * gv) * u11)
     return JoltEstimate(
         times=times,
         gamma_est=2.0 * g_int.real,

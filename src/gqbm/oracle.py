@@ -13,9 +13,10 @@ routes is therefore a genuine cross-validation.
 The generator is -i sigma H with H the real symmetric coupling table and
 sigma the commutation metric.  H has arrowhead structure (system rows and
 columns plus a diagonal), so LinearDynamics.generator() holds it as one
-sparse CSR matrix with O(N) entries.  propagate() marches the system columns
-of S and the system rows (columns of S^T) as one block with block_diag(G, G^T),
-by fixed-substep RK4 tuned to keep the local error at the 1e-10 level.  A
+sparse CSR matrix with O(N) entries.  Every reduced quantity reads only the
+system rows S[:2, :], so propagate() marches those alone, as the system
+columns of S^T under G^T, by fixed-substep RK4 tuned to keep the local error
+at the 1e-10 level; the system columns S[:, :2] are not computed.  A
 finite bath revives: results are trustworthy only below the recurrence
 horizon ~ 2 pi / min mode spacing, which LinearDynamics reports before
 anything is propagated.  thermal_total_state() prepares the correlated
@@ -136,24 +137,23 @@ def build_dynamics(bath: BathDiscretization, omega_s: float) -> LinearDynamics:
 
 @dataclass
 class BogoliubovPropagator:
-    """System rows and columns of S(t) = exp(generator t) on a grid.
+    """System rows of S(t) = exp(generator t) on a grid.
 
-    sys_cols[m] = S(t_m)[:, :2] (how initial system operators spread into
-    the bath); sys_rows[m] = S(t_m)[:2, :] (what the evolved system
-    operators are made of).  u_series is the 2x2 system block.
-    recurrence_horizon is LinearDynamics.recurrence_horizon of the model.
+    sys_rows[m] = S(t_m)[:2, :] (what the evolved system operators are made
+    of); u_series is its 2x2 system block.  The columns S[:, :2] are not
+    computed.  recurrence_horizon is LinearDynamics.recurrence_horizon of
+    the model.
     """
 
     grid: TimeGrid
     dim: int
-    sys_cols: np.ndarray
     sys_rows: np.ndarray
     recurrence_horizon: float
     metadata: dict = field(default_factory=dict)
 
     @property
     def u_series(self) -> np.ndarray:
-        return self.sys_cols[:, :2, :]
+        return self.sys_rows[:, :, :2]
 
 
 def _rk4_march(apply, x: np.ndarray, h: float, n_sub: int) -> np.ndarray:
@@ -167,7 +167,7 @@ def _rk4_march(apply, x: np.ndarray, h: float, n_sub: int) -> np.ndarray:
 
 
 def propagate(dyn: LinearDynamics, grid: TimeGrid) -> BogoliubovPropagator:
-    """March the system columns and rows of S together over the grid with RK4."""
+    """March the system rows of S (columns of S^T under G^T) with RK4."""
     n = grid.n_steps
     dt = grid.dt
 
@@ -185,30 +185,20 @@ def propagate(dyn: LinearDynamics, grid: TimeGrid) -> BogoliubovPropagator:
             f"{n_sub} substeps per step (cap {MAX_SUBSTEPS_PER_STEP})")
     h = dt / n_sub
 
-    # columns of S stacked on columns of S^T (the rows of S): one sparse
-    # product per RK4 stage
-    gen = dyn.generator()
-    fused = sparse.block_diag((gen, gen.T), format="csr")
-    dim = dyn.dim
-    block = np.zeros((2 * dim, 2), dtype=complex)
-    block[[0, dim], 0] = 1.0
-    block[[1, dim + 1], 1] = 1.0
-
-    sys_cols = np.empty((n + 1, dim, 2), dtype=complex)
-    sys_rows = np.empty((n + 1, 2, dim), dtype=complex)
-    sys_cols[0] = block[:dim]
-    sys_rows[0] = block[dim:].T
-
+    gen_t = dyn.generator().T.tocsr()
+    rows_t = np.zeros((dyn.dim, 2), dtype=complex)
+    rows_t[0, 0] = rows_t[1, 1] = 1.0
+    sys_rows = np.empty((n + 1, 2, dyn.dim), dtype=complex)
+    sys_rows[0] = rows_t.T
     for m in range(1, n + 1):
-        block = _rk4_march(fused.dot, block, h, n_sub)
-        _check_finite(block, m, m * dt, "S")
-        sys_cols[m] = block[:dim]
-        sys_rows[m] = block[dim:].T
+        rows_t = _rk4_march(gen_t.dot, rows_t, h, n_sub)
+        _check_finite(rows_t, m, m * dt, "S")
+        sys_rows[m] = rows_t.T
 
     return BogoliubovPropagator(
-        grid=grid, dim=dyn.dim, sys_cols=sys_cols, sys_rows=sys_rows,
+        grid=grid, dim=dyn.dim, sys_rows=sys_rows,
         recurrence_horizon=dyn.recurrence_horizon,
-        metadata={"scheme": "rk4-fixed, fused block_diag(G, G^T) march",
+        metadata={"scheme": "rk4-fixed, row march (S^T columns under G^T)",
                   "substeps_per_step": n_sub, "substep": h},
     )
 
@@ -270,6 +260,7 @@ def reduced_moments(prop: BogoliubovPropagator, bath: BathDiscretization,
     cross correlations with the system are zero by assumption (use
     exact_moments with a full initial table otherwise).
     """
+    init.require_physical()
     if 2 * bath.n_modes + 2 != prop.dim:
         raise ContractViolationError(
             f"bath has {bath.n_modes} modes, propagator dimension {prop.dim}")

@@ -44,8 +44,11 @@ def coefficient_run(model: spectral.SpectralModel, omega_s: float,
     outputs holds kernel, sol (U and V), me and, at alpha = 1, hpz (the
     quadrature form).  coefficients=False stops after U and V.  crosscheck
     adds the Volterra route to V and, with the coefficients, the integral
-    route to the diffusion matrix, each as a max deviation.
+    route to the diffusion matrix, each as a max deviation; its memory
+    budget is checked before anything is solved.
     """
+    if crosscheck:
+        greens.require_volterra_budget(grid.n_steps)
     res = _u_and_v(spectral.build_kernels(model), omega_s, grid, ["quadrature"])
     kernel, sol = res.outputs["kernel"], res.outputs["sol"]
     if coefficients:

@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .errors import (
     ContractViolationError,
@@ -73,6 +72,11 @@ def n_bar(omega, temperature: float):
     out[mid] = 1.0 / np.expm1(x[mid])
     out[x < 1e-12] = np.inf  # divergent occupation; J*nbar stays finite
     return out
+
+
+def _trapezoid_panels(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Trapezoid area of y over each interval of x; summed, the rule."""
+    return np.diff(x) * (y[1:] + y[:-1]) / 2.0
 
 
 def require_count(name: str, value, minimum: int) -> int:
@@ -501,9 +505,10 @@ def discretize_bath(model: SpectralModel, n_modes: int, omega_max: float,
         x = omega_max / model.cutoff
         covered = 1.0 - math.exp(-x) * (1.0 + x)  # fraction of int_0^inf J_V
     else:
-        total = trapezoid(model.tab_j, model.tab_omega)
+        total = np.sum(_trapezoid_panels(model.tab_j, model.tab_omega))
         mask = model.tab_omega <= omega_max
-        covered = (trapezoid(model.tab_j[mask], model.tab_omega[mask]) / total
+        covered = (np.sum(_trapezoid_panels(model.tab_j[mask],
+                                            model.tab_omega[mask])) / total
                    if total > 0.0 else 1.0)
     if covered < COVERAGE_MIN:
         warnings.warn(

@@ -3,6 +3,8 @@
 import configparser
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -171,10 +173,22 @@ def test_manifest_states_the_tolerances_and_schemes_that_ran(tmp_path,
     manifest = oracle / "manifest.txt"
     assert _manifest_keys(manifest, "schemes") == {
         "oracle", "quadrature", "u_solver", "v_solver"}
-    assert "fused block_diag(G, G^T) march on the sparse CSR generator" in (
+    assert "row march (S^T columns under G^T) on the sparse CSR generator" in (
         _manifest_value(manifest, "schemes", "oracle"))
     assert "FFT causal convolution" in _manifest_value(manifest, "schemes",
                                                        "v_solver")
+
+
+def test_import_loads_no_scipy_integrate():
+    # scipy.integrate also loads scipy.optimize, a cost paid at every start
+    src = str(Path(gqbm.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, gqbm, gqbm.cli; "
+            "print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "False"
 
 
 def test_byte_identical_reruns(tmp_path, monkeypatch):

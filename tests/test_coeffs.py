@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from scipy.integrate import cumulative_trapezoid, simpson
 
 import gqbm
 from gqbm.errors import ContractViolationError, SingularityError
@@ -177,6 +177,21 @@ def test_jolt_requires_transform_metadata(pack_alpha05):
     bare = gqbm.Kernel(g=lambda dt: None, gtilde=lambda dt: None)
     with pytest.raises(ContractViolationError):
         gqbm.jolt_estimate(bare, sol)
+
+
+def test_jolt_estimate_is_scipys_cumulative_trapezoid(pack_alpha05):
+    # the numpy rule in jolt_estimate must reproduce scipy's bit for bit
+    _, kernel, sol = pack_alpha05
+    est = gqbm.jolt_estimate(kernel, sol)
+    times = sol.grid.times
+    gv = kernel.g_v(times)
+    u11 = sol.u[:, 0, 0]
+    alpha2 = kernel.alpha**2
+    g_int = cumulative_trapezoid((np.conj(gv) - alpha2 * gv) * u11, times,
+                                 initial=0.0)
+    gt_int = cumulative_trapezoid(gv * u11, times, initial=0.0)
+    assert np.array_equal(est.gamma_est, 2.0 * g_int.real)
+    assert np.array_equal(est.gamma_tilde_est, 2.0 * alpha2 * gt_int.real)
 
 
 def _phase_integrals(t: float, omega_s: float) -> tuple[complex, complex]:

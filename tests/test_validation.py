@@ -149,6 +149,14 @@ def test_repeated_frequencies_keep_the_recurrence_guard():
     assert flat.recurrence_horizon == math.inf
 
 
+def test_reduced_moments_rejects_an_unphysical_initial_state():
+    # delta_n (delta_n + 1) - |delta_s|^2 = -0.25
+    prop = gqbm.propagate(DYN, gqbm.TimeGrid(t_end=1.0, n_steps=20))
+    with pytest.raises(ValidationError, match="uncertainty bound"):
+        gqbm.reduced_moments(prop, BATH,
+                             gqbm.GaussianMoments(delta_n=0.0, delta_s=0.5))
+
+
 def test_second_moments_is_the_hand_built_reconstruction():
     rng = np.random.default_rng(7)
     u = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
@@ -262,6 +270,23 @@ def test_a_valid_run_reaches_the_sentinels(argv, tmp_path, monkeypatch):
     _install_sentinels(monkeypatch)
     with pytest.raises(_SolveReached):
         cli.main(argv + ["--out", str(tmp_path / "x")])
+
+
+def test_crosscheck_is_a_flag_of_greens_and_coeffs_only(monkeypatch, capsys):
+    _install_sentinels(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["evolve", "--crosscheck"] + GRID_ARGS)
+    assert exc.value.code == cli.EXIT_VALIDATION
+    assert "--crosscheck" in capsys.readouterr().err
+
+
+def test_crosscheck_budget_is_checked_before_the_library_solves(monkeypatch):
+    _install_sentinels(monkeypatch)
+    grid = gqbm.TimeGrid(t_end=30.0, n_steps=6000)
+    with pytest.raises(ValidationError, match="n_steps = 6000"):
+        pipelines.coefficient_run(MODEL, 0.5, grid, crosscheck=True)
+    with pytest.raises(_SolveReached):
+        pipelines.coefficient_run(MODEL, 0.5, grid)
 
 
 def test_fig2_validates_the_configuration_it_pins(tmp_path, monkeypatch):
