@@ -433,10 +433,16 @@ def run(cfg: RunConfig, pipeline: str) -> ResultBundle:
 
     reproduce-fig2 pins the documented model (gamma0 = 3e-4, T = 0.01) and
     takes its grid from cfg, so reduced-resolution smoke runs stay possible.
+    crosscheck, from whatever source, is rejected by the pipelines without
+    a --crosscheck flag, before the output directory is made.
     """
     t0 = time.monotonic()
     if pipeline not in _PIPELINES:
         raise ValidationError(f"unknown pipeline {pipeline!r}")
+    readers = [p for p, extra in _EXTRA_FLAGS.items() if "crosscheck" in extra]
+    if cfg.crosscheck and pipeline not in readers:
+        raise ValidationError(f"crosscheck is read by {' and '.join(readers)} "
+                              f"only, not by {pipeline}")
     if pipeline == "reproduce-fig2":
         cfg = replace(cfg, gamma0=3e-4, temperature=0.01, cutoff=1.0,
                       omega_s=None,

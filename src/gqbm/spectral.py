@@ -32,6 +32,7 @@ be non-thermal.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import warnings
@@ -200,9 +201,30 @@ def _offsets(dt) -> np.ndarray:
 
 
 def _exp_sum(weights: np.ndarray, freqs: np.ndarray, dt) -> np.ndarray:
-    """sum_j weights[j] exp(-i freqs[j] dt), elementwise in dt."""
+    """sum_j weights[j] exp(-i freqs[j] dt), elementwise in dt.
+
+    Lattice offsets dt = k h, k = 0..n-1 (a TimeGrid's times) are split as
+    k = q B + r with B = ceil(sqrt(n)), so the sum is one GEMM,
+    sum_j [w_j e^{-i w_j q B h}] [e^{-i w_j r h}], that costs
+    (ceil(n / B) + B) N exponentials for N frequencies instead of n N.
+    Other offsets take the direct n N route.  Either way no temporary holds
+    more than 4e6 elements: the lattice route chunks the frequency axis,
+    the direct route the offsets.
+    """
     dt = _offsets(dt)
     flat = dt.ravel()
+    n = flat.size
+    if dt.ndim == 1 and n > 1 and np.array_equal(flat, np.arange(n) * flat[1]):
+        rows = math.isqrt(n - 1) + 1
+        coarse = np.arange(-(-n // rows)) * (rows * flat[1])
+        fine = np.arange(rows) * flat[1]
+        out = np.zeros((coarse.size, rows), dtype=complex)
+        step = max(1, int(4e6 // (coarse.size + rows)))
+        for j in range(0, freqs.size, step):
+            f = freqs[j:j + step]
+            left = np.exp(-1j * np.outer(coarse, f)) * weights[j:j + step]
+            out += left @ np.exp(-1j * np.outer(fine, f)).T
+        return out.ravel()[:n]
     out = np.empty(flat.shape, dtype=complex)
     # chunk the outer product so memory stays bounded for long grids
     step = max(1, int(4e6 // max(freqs.size, 1)))
@@ -210,6 +232,18 @@ def _exp_sum(weights: np.ndarray, freqs: np.ndarray, dt) -> np.ndarray:
         block = flat[k:k + step]
         out[k:k + step] = np.exp(-1j * np.outer(block, freqs)) @ weights
     return out.reshape(dt.shape)
+
+
+# Gauss-Legendre nodes and weights on [-1, 1], read-only, cached by order.  A
+# sub-panel's phase is at most _MAX_PANEL_PHASE, so an order never exceeds
+# 2 (24 + floor(0.55 * 350)) = 432: the cache holds at most 432 entries,
+# under 1.5 MB.
+@functools.lru_cache(maxsize=None)
+def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 class _FourierRule:
@@ -233,7 +267,7 @@ class _FourierRule:
             for a, b in zip(sub[:-1], sub[1:]):
                 n_p = refine * (_BASE_PANEL_NODES
                                 + int(_NODES_PER_PHASE * (b - a) * dt_max))
-                x, w = np.polynomial.legendre.leggauss(n_p)
+                x, w = _leggauss(n_p)
                 nodes.append(0.5 * (b - a) * x + 0.5 * (b + a))
                 weights.append(0.5 * (b - a) * w)
         self.nodes = np.concatenate(nodes)
@@ -345,12 +379,16 @@ class Kernel:
         return self._tables[key]
 
     def gtilde_signed_table(self, grid) -> np.ndarray:
-        """Gt on signed offsets -t_end..t_end; index n + k holds offset k*dt."""
+        """Gt on signed offsets -t_end..t_end; index n + k holds offset k*dt.
+
+        Only t >= 0 is evaluated: the negative half is the Hermitian mirror
+        Gt(-t) = Gt(t)^dagger.
+        """
         key = ("gtilde_signed", grid.n_steps, grid.t_end)
         if key not in self._tables:
-            t = grid.times
-            offsets = np.concatenate([-t[::-1], t[1:]])
-            self._tables[key] = self.gtilde(offsets)
+            half = self.gtilde(grid.times)
+            mirror = np.conj(np.swapaxes(half[:0:-1], -1, -2))
+            self._tables[key] = np.concatenate([mirror, half])
         return self._tables[key]
 
     def zgtz_signed_table(self, grid) -> np.ndarray:
@@ -406,6 +444,7 @@ def build_kernels(model: SpectralModel) -> Kernel:
     rule on [0, omega_max] with omega_max = max(20 cutoff, 50 T); panels are
     geometrically refined toward omega = 0 to resolve the Bose factor, and
     every rule is validated against its own refinement before first use.
+    The rules' Gauss-Legendre nodes are cached by order across rules.
     """
     cut = model.cutoff
     temp = model.temperature

@@ -179,6 +179,14 @@ def test_manifest_states_the_tolerances_and_schemes_that_ran(tmp_path,
                                                        "v_solver")
 
 
+def test_crosscheck_from_the_environment_runs_on_greens(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    code = _run_cli(["greens", "--out", str(out), "--t-end", "2",
+                     "--steps", "200"], monkeypatch, {"GQBM_CROSSCHECK": "1"})
+    assert code == cli.EXIT_OK
+    assert "v_crosscheck" in _manifest_keys(out / "manifest.txt", "schemes")
+
+
 def test_import_loads_no_scipy_integrate():
     # scipy.integrate also loads scipy.optimize, a cost paid at every start
     src = str(Path(gqbm.__file__).resolve().parents[1])

@@ -1,0 +1,210 @@
+"""The kernel tables against the routes they replaced.
+
+Two of the reference routes are kept verbatim below: the chunked n x N
+exponential loop of `_exp_sum`, and the signed-offset evaluation of
+`Kernel.gtilde_signed_table`.  The lattice GEMM sums the same terms in
+another order, so on TimeGrid offsets it may differ by roundoff (1e-13 of
+the largest entry); every other offset array still takes the loop and must
+give the same bits.  The mirror Gt(-t) = Gt(t)^dagger is exact, so with the
+sums pinned to the loop the mirrored table is the old table bit for bit.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import gqbm
+from gqbm import spectral
+from gqbm.spectral import _offsets
+
+from conftest import CUTOFF, GAMMA0, TEMPERATURE, make_model
+
+RTOL = 1e-13
+# TimeGrid(t_end=2.0, n_steps=49): linspace puts one time off the lattice
+# k * times[1], found by searching t_end in {1, 2, 3, 5, 10, 20} and
+# n_steps in 20..299.
+OFF_LATTICE_GRID = (2.0, 49)
+
+
+def _loop_exp_sum(weights, freqs, dt):
+    """sum_j weights[j] exp(-i freqs[j] dt), elementwise in dt."""
+    dt = _offsets(dt)
+    flat = dt.ravel()
+    out = np.empty(flat.shape, dtype=complex)
+    # chunk the outer product so memory stays bounded for long grids
+    step = max(1, int(4e6 // max(freqs.size, 1)))
+    for k in range(0, flat.size, step):
+        block = flat[k:k + step]
+        out[k:k + step] = np.exp(-1j * np.outer(block, freqs)) @ weights
+    return out.reshape(dt.shape)
+
+
+def _old_gtilde_signed_table(kernel, grid):
+    t = grid.times
+    offsets = np.concatenate([-t[::-1], t[1:]])
+    return kernel.gtilde(offsets)
+
+
+def _tabulated_model():
+    """The bench tabulated model: perfbench.workloads.tabulated_table(1, 300)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tab_omega, tab_j = module.tabulated_table(1, 300)
+    return gqbm.SpectralModel(family="tabulated", gamma0=GAMMA0, cutoff=CUTOFF,
+                              alpha=0.5, temperature=TEMPERATURE,
+                              tab_omega=tab_omega, tab_j=tab_j)
+
+
+def _bath(n_modes=300):
+    return gqbm.discretize_bath(make_model(0.5), n_modes, 12.0, scheme="gauss")
+
+
+def _max_rel_dev(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+# ---- the Hermitian mirror ---------------------------------------------------
+
+_MIRROR_KERNELS = {
+    "ohmic-T0.01": lambda: gqbm.build_kernels(make_model(0.5)),
+    "ohmic-T0.3": lambda: gqbm.build_kernels(make_model(0.7, temperature=0.3)),
+    "ohmic-T0": lambda: gqbm.build_kernels(make_model(0.5, temperature=0.0)),
+    "tabulated": lambda: gqbm.build_kernels(_tabulated_model()),
+    "bath": lambda: gqbm.kernels_from_bath(_bath()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MIRROR_KERNELS))
+def test_mirrored_gtilde_table_is_the_signed_evaluation(name, monkeypatch):
+    # the sums themselves are pinned to the loop: this isolates the mirror
+    monkeypatch.setattr(spectral, "_exp_sum", _loop_exp_sum)
+    grid = gqbm.TimeGrid(t_end=10.0, n_steps=600, max_frequency=CUTOFF)
+    kernel = _MIRROR_KERNELS[name]()
+    table = kernel.gtilde_signed_table(grid)
+    assert np.array_equal(table, _old_gtilde_signed_table(kernel, grid))
+
+
+def test_mirrored_gtilde_table_with_lattice_sums_matches_to_roundoff():
+    grid = gqbm.TimeGrid(t_end=10.0, n_steps=600, max_frequency=CUTOFF)
+    kernel = gqbm.build_kernels(_tabulated_model())
+    ref = _old_gtilde_signed_table(kernel, grid)
+    assert _max_rel_dev(kernel.gtilde_signed_table(grid), ref) <= RTOL
+
+
+# ---- lattice offsets as one GEMM --------------------------------------------
+
+
+def _tabulated_rules():
+    kernel = gqbm.build_kernels(_tabulated_model())
+    # the rules the bench tables use: |dt| <= 10 falls in the 16 bucket
+    return {"plain": kernel.g_v._rule_for(10.0),
+            "thermal": kernel.gtilde_v._rule_for(10.0)}
+
+
+@pytest.mark.parametrize("n_steps", [600, 20000])
+def test_lattice_sum_matches_the_loop_on_tabulated_rules(n_steps):
+    times = gqbm.TimeGrid(t_end=10.0, n_steps=n_steps,
+                          max_frequency=CUTOFF).times
+    rules = _tabulated_rules()
+    # the loop at n = 20 001 costs seconds per rule: check the thermal one
+    names = ("plain", "thermal") if n_steps == 600 else ("thermal",)
+    for name in names:
+        rule = rules[name]
+        got = spectral._exp_sum(rule.weights, rule.nodes, times)
+        assert _max_rel_dev(got, _loop_exp_sum(rule.weights, rule.nodes,
+                                               times)) <= RTOL, name
+
+
+def test_lattice_sum_matches_the_loop_on_a_finite_bath():
+    bath = _bath()
+    times = gqbm.TimeGrid(t_end=10.0, n_steps=600, max_frequency=CUTOFF).times
+    v2 = bath.v_couplings**2
+    for weights in (v2, v2 * bath.occupations):
+        got = spectral._exp_sum(weights, bath.frequencies, times)
+        ref = _loop_exp_sum(weights, bath.frequencies, times)
+        assert _max_rel_dev(got, ref) <= RTOL
+
+
+def test_lattice_sum_of_short_grids():
+    # n = 2 and 3 and a perfect square exercise the edge of the q, r split
+    bath = _bath(40)
+    for n in (2, 3, 16, 17):
+        times = np.arange(n) * 0.3
+        got = spectral._exp_sum(bath.weights, bath.frequencies, times)
+        ref = _loop_exp_sum(bath.weights, bath.frequencies, times)
+        assert got.shape == (n,)
+        assert _max_rel_dev(got, ref) <= RTOL
+
+
+def test_off_lattice_offsets_take_the_loop_bit_for_bit():
+    rule = _tabulated_rules()["thermal"]
+    times = gqbm.TimeGrid(t_end=10.0, n_steps=600, max_frequency=CUTOFF).times
+    rng = np.random.default_rng(7)
+    jittered = times + rng.uniform(-1e-3, 1e-3, times.size)
+    jittered[0] = 0.0
+    t_end, n_steps = OFF_LATTICE_GRID
+    off_grid = gqbm.TimeGrid(t_end=t_end, n_steps=n_steps,
+                             max_frequency=CUTOFF).times
+    assert not np.array_equal(off_grid, np.arange(off_grid.size) * off_grid[1])
+    for offsets in (jittered, times[:600].reshape(20, 30), off_grid):
+        got = spectral._exp_sum(rule.weights, rule.nodes, offsets)
+        assert np.array_equal(got, _loop_exp_sum(rule.weights, rule.nodes,
+                                                 offsets))
+
+
+def test_exp_sum_temporaries_stay_within_the_bound(monkeypatch):
+    sizes = []
+    real_exp = np.exp
+
+    def recording_exp(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return real_exp(x, *args, **kwargs)
+
+    # a lattice long enough that (Q + B) N > 4e6 with N = 6000 frequencies
+    rng = np.random.default_rng(3)
+    freqs = np.sort(rng.uniform(0.0, 20.0, 6000))
+    weights = rng.uniform(0.0, 1.0, freqs.size)
+    times = np.arange(250001) * 4e-5
+    jittered = times[:2000] + rng.uniform(-1e-6, 1e-6, 2000)
+    monkeypatch.setattr(np, "exp", recording_exp)
+    lattice = spectral._exp_sum(weights, freqs, times)
+    n_lattice_calls = len(sizes)
+    direct = spectral._exp_sum(weights, freqs, jittered)
+    monkeypatch.undo()
+    assert n_lattice_calls > 2  # the frequency axis was chunked
+    assert len(sizes) > n_lattice_calls + 1  # so were the direct offsets
+    assert max(sizes) <= 4e6
+    sample = slice(None, None, 997)  # the loop over all 250 001 takes seconds
+    assert _max_rel_dev(lattice[sample],
+                        _loop_exp_sum(weights, freqs, times[sample])) <= RTOL
+    assert np.array_equal(direct, _loop_exp_sum(weights, freqs, jittered))
+
+
+# ---- Gauss-Legendre nodes cached by order -----------------------------------
+
+
+def test_bench_tables_call_leggauss_once_per_order(monkeypatch):
+    orders = []
+    real_leggauss = np.polynomial.legendre.leggauss
+
+    def counting_leggauss(order):
+        orders.append(order)
+        return real_leggauss(order)
+
+    spectral._leggauss.cache_clear()
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting_leggauss)
+    try:
+        kernel = gqbm.build_kernels(_tabulated_model())
+        grid = gqbm.TimeGrid(t_end=10.0, n_steps=600, max_frequency=CUTOFF)
+        kernel.g_table(grid)
+        kernel.gtilde_signed_table(grid)
+        cached = [spectral._leggauss(order) for order in orders]
+    finally:
+        spectral._leggauss.cache_clear()
+    assert len(orders) == len(set(orders)) == 2
+    for x, w in cached:
+        assert not x.flags.writeable and not w.flags.writeable

@@ -280,6 +280,23 @@ def test_crosscheck_is_a_flag_of_greens_and_coeffs_only(monkeypatch, capsys):
     assert "--crosscheck" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pipeline, source", [("evolve", "environment"),
+                                              ("kernels", "config file")])
+def test_crosscheck_is_rejected_where_none_runs(pipeline, source, tmp_path,
+                                                monkeypatch, capsys):
+    _install_sentinels(monkeypatch)
+    argv = [pipeline, "--out", str(tmp_path / "x")] + GRID_ARGS
+    if source == "environment":
+        monkeypatch.setattr(os, "environ", {"GQBM_CROSSCHECK": "1"})
+    else:
+        ini = tmp_path / "run.ini"
+        ini.write_text("[run]\ncrosscheck = true\n")
+        argv += ["--config", str(ini)]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert "crosscheck" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_crosscheck_budget_is_checked_before_the_library_solves(monkeypatch):
     _install_sentinels(monkeypatch)
     grid = gqbm.TimeGrid(t_end=30.0, n_steps=6000)
