@@ -50,6 +50,7 @@ from .errors import (
 )
 from .greens import (
     INSTABILITY_MAX_ABS,
+    U_SOLVER_SCHEME,
     TimeGrid,
     require_finite_frequency,
 )
@@ -261,7 +262,7 @@ def _write_manifest(path: Path, cfg: RunConfig, pipeline: str,
 
 # scheme of each stage a pipeline can run; the manifest names those that ran
 _SCHEMES = {
-    "u_solver": "pc2(ab2-predictor, trapezoid corrector, midpoint start)",
+    "u_solver": U_SOLVER_SCHEME,
     "v_solver": "product-trapezoid double quadrature by FFT causal convolution",
     "v_crosscheck": "volterra pc2 marching over fixed-t columns",
     "quadrature": "composite-gauss-legendre with self-refinement check",

@@ -18,7 +18,10 @@ crosscheck).
 
 Numerics: uniform grid, second-order predictor-corrector marching
 (two-step Adams-Bashforth predictor, trapezoid corrector, trapezoid memory
-integrals, one midpoint step to start).
+integrals, one midpoint step to start).  solve_u adds the memory history of
+the steps already taken by divide-and-conquer FFT convolution (Hairer,
+Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532), O(n log^2 n)
+over the march.
 """
 
 from __future__ import annotations
@@ -40,6 +43,11 @@ MAX_DT_FACTOR = 0.25
 # Memory budget of solve_v_volterra, which holds two (n+1)^2 x 2 x 2 complex
 # tables (128 (n+1)^2 bytes): 1 GiB admits n_steps up to 2895.
 VOLTERRA_TABLE_BUDGET_BYTES = 1 << 30
+# solve_u sums the history of blocks of at most this many steps directly.
+_HISTORY_BLOCK = 32
+
+U_SOLVER_SCHEME = ("pc2(ab2 predictor, trapezoid corrector, midpoint start), "
+                   "history by divide-and-conquer FFT convolution")
 
 
 @dataclass(frozen=True)
@@ -144,7 +152,15 @@ def _check_finite(mat: np.ndarray, step: int, time: float, label: str):
 
 
 def solve_u(kernel: Kernel, omega_s: float, grid: TimeGrid) -> GreensSolution:
-    """March the retarded propagator U over the grid."""
+    """March the retarded propagator U over the grid.
+
+    Steps are taken in order, each a pc2 step checked by the instability
+    guard.  The history part of the trapezoid memory at step m,
+    sum_{j < m} w_j Z G(t_m - t_j) U_j, accumulates in a lag table: once
+    the first half of a block of steps is solved, one causal FFT
+    convolution adds its terms to every step of the second half, and
+    blocks of at most _HISTORY_BLOCK steps sum directly.  O(n log^2 n).
+    """
     require_finite_frequency("omega_s", omega_s)
     n = grid.n_steps
     dt = grid.dt
@@ -168,23 +184,34 @@ def solve_u(kernel: Kernel, omega_s: float, grid: TimeGrid) -> GreensSolution:
     udot[1] = mws @ u[1] - mem1
     _check_finite(u[1], 1, times[1], "U")
 
+    # lag[m] = sum_{1 <= j < m} Z G(t_m - t_j) U_j, the interior of the
+    # trapezoid history.  A non-finite kernel entry is zeroed here so the
+    # FFTs cannot spread it to earlier steps; the j = 0 term below still
+    # reads it and trips the guard at the loop's step.
+    zg_lag = np.where(np.isfinite(zg), zg, 0.0)
+    lag = np.zeros_like(u)
     half_zg0 = 0.5 * dt * zg[0]
-    for m in range(2, n + 1):
-        # history part of the trapezoid memory (everything except the new point)
-        hist = np.einsum("jab,jbc->ac", zg[m - 1:0:-1], u[1:m])
-        hist += 0.5 * zg[m] @ u[0]
-        hist *= dt
 
-        pred = u[m - 1] + dt * (1.5 * udot[m - 1] - 0.5 * udot[m - 2])
-        f_pred = mws @ pred - (hist + half_zg0 @ pred)
-        u[m] = u[m - 1] + 0.5 * dt * (udot[m - 1] + f_pred)
-        udot[m] = mws @ u[m] - (hist + half_zg0 @ u[m])
-        _check_finite(u[m], m, times[m], "U")
+    def march(lo: int, hi: int):
+        """Take steps lo..hi-1, given lag[lo:hi] summed over j < lo."""
+        if hi - lo <= _HISTORY_BLOCK:
+            for m in range(max(lo, 2), hi):
+                lag[m] += np.einsum("jab,jbc->ac", zg_lag[m - lo:0:-1], u[lo:m])
+                hist = dt * (lag[m] + 0.5 * zg[m] @ u[0])
+                pred = u[m - 1] + dt * (1.5 * udot[m - 1] - 0.5 * udot[m - 2])
+                f_pred = mws @ pred - (hist + half_zg0 @ pred)
+                u[m] = u[m - 1] + 0.5 * dt * (udot[m - 1] + f_pred)
+                udot[m] = mws @ u[m] - (hist + half_zg0 @ u[m])
+                _check_finite(u[m], m, times[m], "U")
+            return
+        mid = (lo + hi) // 2
+        march(lo, mid)
+        lag[mid:hi] += _causal_matconv(zg_lag[:hi - lo], u[lo:mid])[mid - lo:]
+        march(mid, hi)
 
-    return GreensSolution(
-        grid=grid, omega_s=omega_s, u=u, u_dot=udot,
-        metadata={"u_solver": "pc2(ab2+trapezoid, midpoint start)"},
-    )
+    march(1, n + 1)
+    return GreensSolution(grid=grid, omega_s=omega_s, u=u, u_dot=udot,
+                          metadata={"u_solver": U_SOLVER_SCHEME})
 
 
 def second_moments(u: np.ndarray, n0: np.ndarray, v=0.0) -> np.ndarray:

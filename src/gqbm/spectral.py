@@ -234,16 +234,23 @@ def _exp_sum(weights: np.ndarray, freqs: np.ndarray, dt) -> np.ndarray:
     return out.reshape(dt.shape)
 
 
-# Gauss-Legendre nodes and weights on [-1, 1], read-only, cached by order.  A
-# sub-panel's phase is at most _MAX_PANEL_PHASE, so an order never exceeds
-# 2 (24 + floor(0.55 * 350)) = 432: the cache holds at most 432 entries,
-# under 1.5 MB.
-@functools.lru_cache(maxsize=None)
-def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+def _read_only_leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], as read-only arrays."""
     x, w = np.polynomial.legendre.leggauss(order)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
+
+
+# The panel rules' nodes, cached by order.  A sub-panel's phase is at most
+# _MAX_PANEL_PHASE, so an order never exceeds 2 (24 + floor(0.55 * 350)) =
+# 432: the cache holds at most 432 entries, under 1.5 MB.
+_leggauss = functools.lru_cache(maxsize=None)(_read_only_leggauss)
+
+# The gauss bath's nodes, cached by mode count.  Bath sizes are not bounded
+# by the panel phase, and leggauss at 2000 modes is a dense eigvalsh of the
+# companion matrix (0.6 s); a run reuses a handful of sizes.
+_bath_leggauss = functools.lru_cache(maxsize=8)(_read_only_leggauss)
 
 
 class _FourierRule:
@@ -533,7 +540,7 @@ def discretize_bath(model: SpectralModel, n_modes: int, omega_max: float,
         freqs = (np.arange(n_modes) + 0.5) * h
         weights = np.full(n_modes, h)
     else:
-        x, w = np.polynomial.legendre.leggauss(n_modes)
+        x, w = _bath_leggauss(n_modes)
         freqs = 0.5 * omega_max * (x + 1.0)
         weights = 0.5 * omega_max * w
 

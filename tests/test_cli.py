@@ -129,6 +129,19 @@ def test_coeffs_csv_schema(tmp_path, monkeypatch):
     assert _manifest_value(out / "manifest.txt", "run", "pipeline") == "coeffs"
 
 
+def test_manifest_u_solver_is_the_solver_metadata(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    code = _run_cli(["coeffs", "--out", str(out), "--t-end", "2",
+                     "--steps", "200"], monkeypatch)
+    assert code == cli.EXIT_OK
+    model = gqbm.SpectralModel(family="ohmic", gamma0=3e-4, cutoff=1.0,
+                               alpha=0.5, temperature=0.01)
+    sol = gqbm.solve_u(gqbm.build_kernels(model), 0.01,
+                       gqbm.TimeGrid(t_end=2.0, n_steps=200))
+    assert _manifest_value(out / "manifest.txt", "schemes", "u_solver") == (
+        sol.metadata["u_solver"])
+
+
 def test_coeffs_writes_quadrature_form_at_full_pairing(tmp_path, monkeypatch):
     out = tmp_path / "run"
     code = _run_cli(["coeffs", "--out", str(out), "--alpha", "1",

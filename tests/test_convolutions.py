@@ -1,5 +1,5 @@
-"""The FFT convolutions behind V, dV/dtau and the correlated correction
-against the strip loops they replaced.
+"""The FFT convolutions behind V, dV/dtau, the correlated correction and the
+history of solve_u against the loops they replaced.
 
 The loops below are the earlier implementations, kept verbatim as the
 reference.  The convolutions sum the same products in another order, so the
@@ -15,7 +15,15 @@ import pytest
 
 import gqbm
 from gqbm import greens
-from gqbm.greens import _zmul
+from gqbm.errors import InstabilityError
+from gqbm.greens import (
+    GreensSolution,
+    Z,
+    _check_finite,
+    _zmul,
+    require_finite_frequency,
+)
+from gqbm.spectral import Kernel
 
 from conftest import TEMPERATURE, make_model
 
@@ -62,6 +70,50 @@ def _loop_v_and_vdot(kernel, sol):
     integrand = np.einsum("kab,kbc->kac", zgtz[n:2 * n + 1], udag)
     vdot[1:] += np.cumsum(0.5 * dt * (integrand[:-1] + integrand[1:]), axis=0)
     return v, vdot
+
+
+def _loop_solve_u(kernel, omega_s, grid):
+    """March the retarded propagator U over the grid."""
+    require_finite_frequency("omega_s", omega_s)
+    n = grid.n_steps
+    dt = grid.dt
+    times = grid.times
+
+    zg = _zmul(kernel.g_table(grid))          # Z G(t_m) for m = 0..n
+    eye = np.eye(2, dtype=complex)
+    mws = -1j * omega_s * Z
+
+    u = np.empty((n + 1, 2, 2), dtype=complex)
+    udot = np.empty_like(u)
+    u[0] = eye
+    udot[0] = mws.copy()                      # memory integral vanishes at t = 0
+
+    # midpoint bootstrap; the memory over [0, dt/2] uses the kernel at dt/2
+    zg_half = _zmul(kernel.g(np.array([0.5 * dt])))[0]
+    u_half = u[0] + 0.5 * dt * udot[0]
+    mem_half = 0.25 * dt * (zg_half @ u[0] + zg[0] @ u_half)
+    u[1] = u[0] + dt * (mws @ u_half - mem_half)
+    mem1 = 0.5 * dt * (zg[1] @ u[0] + zg[0] @ u[1])
+    udot[1] = mws @ u[1] - mem1
+    _check_finite(u[1], 1, times[1], "U")
+
+    half_zg0 = 0.5 * dt * zg[0]
+    for m in range(2, n + 1):
+        # history part of the trapezoid memory (everything except the new point)
+        hist = np.einsum("jab,jbc->ac", zg[m - 1:0:-1], u[1:m])
+        hist += 0.5 * zg[m] @ u[0]
+        hist *= dt
+
+        pred = u[m - 1] + dt * (1.5 * udot[m - 1] - 0.5 * udot[m - 2])
+        f_pred = mws @ pred - (hist + half_zg0 @ pred)
+        u[m] = u[m - 1] + 0.5 * dt * (udot[m - 1] + f_pred)
+        udot[m] = mws @ u[m] - (hist + half_zg0 @ u[m])
+        _check_finite(u[m], m, times[m], "U")
+
+    return GreensSolution(
+        grid=grid, omega_s=omega_s, u=u, u_dot=udot,
+        metadata={"u_solver": "pc2(ab2+trapezoid, midpoint start)"},
+    )
 
 
 def _fft_v_and_vdot(kernel, sol):
@@ -144,3 +196,98 @@ def test_correlated_correction_matches_the_loop_at_the_quench_point():
 
     assert np.max(np.abs(loop)) > 0.0
     _assert_matches_loop(fast, loop)
+
+
+# ---- solve_u: divide-and-conquer history against the per-step sum -----------
+
+
+def _assert_u_matches_loop(kernel, omega_s, grid, fast=None):
+    if fast is None:
+        fast = gqbm.solve_u(kernel, omega_s, grid)
+    loop = _loop_solve_u(kernel, omega_s, grid)
+    for a, b in ((fast.u, loop.u), (fast.u_dot, loop.u_dot)):
+        assert np.max(np.abs(a - b)) <= RTOL * np.max(np.abs(b))
+    return fast, loop
+
+
+@pytest.mark.parametrize("pack", ["pack_alpha0", "pack_alpha05", "pack_alpha1"])
+def test_solve_u_matches_the_loop_at_paper_resolution(pack, request):
+    # the n = 2000 grid of the paper point, solved once by gqbm.solve_u
+    _, kernel, sol = request.getfixturevalue(pack)
+    fast, loop = _assert_u_matches_loop(kernel, sol.omega_s, sol.grid, sol)
+    if pack == "pack_alpha0":
+        # no pairing: the off-diagonals are exact zeros on both routes
+        for a, b in ((fast.u, loop.u), (fast.u_dot, loop.u_dot)):
+            assert np.array_equal(a == 0, b == 0)
+            assert np.all(a[:, 0, 1] == 0.0)
+
+
+def test_solve_u_zeros_at_zero_temperature_without_pairing(omega_s):
+    kernel = gqbm.build_kernels(make_model(0.0, temperature=0.0))
+    grid = gqbm.TimeGrid(t_end=10.0, n_steps=2000, max_frequency=1.0)
+    fast, loop = _assert_u_matches_loop(kernel, omega_s, grid)
+    assert np.array_equal(fast.u == 0, loop.u == 0)
+    assert np.array_equal(fast.u_dot == 0, loop.u_dot == 0)
+
+
+def test_solve_u_matches_the_loop_on_the_quench_bath():
+    # the quench benchmark point: 300 gauss modes, omega_s = 0.3
+    grid = gqbm.TimeGrid(t_end=2.0, n_steps=200, max_frequency=1.0)
+    bath = gqbm.discretize_bath(make_model(0.5), 300, 12.0, scheme="gauss")
+    _assert_u_matches_loop(gqbm.kernels_from_bath(bath), 0.3, grid)
+
+
+@pytest.mark.parametrize("n_steps", [8, 9, 31, 32, 33, 64, 65, 601])
+def test_solve_u_matches_the_loop_across_block_boundaries(n_steps, omega_s):
+    # the history sums blocks of up to 32 steps directly; these straddle them
+    kernel = gqbm.build_kernels(make_model(0.5))
+    grid = gqbm.TimeGrid(t_end=0.25 * n_steps, n_steps=n_steps,
+                         max_frequency=1.0)
+    _assert_u_matches_loop(kernel, omega_s, grid)
+
+
+def _instability_message(solver, kernel, grid):
+    with pytest.raises(InstabilityError) as err:
+        solver(kernel, 0.1, grid)
+    return str(err.value)
+
+
+def test_runaway_reported_at_the_same_step_on_both_routes():
+    # the synthetic attractive kernel of test_instability_reported_with_step
+    def g(dt):
+        dt = np.asarray(dt, dtype=float)
+        out = np.zeros(dt.shape + (2, 2), dtype=complex)
+        out[..., 0, 0] = -60.0
+        out[..., 1, 1] = 60.0
+        return out
+
+    def gtilde(dt):
+        return np.zeros(np.shape(dt) + (2, 2), dtype=complex)
+
+    kernel = Kernel(g=g, gtilde=gtilde)
+    grid = gqbm.TimeGrid(t_end=8.0, n_steps=800, max_frequency=1.0)
+    fast = _instability_message(gqbm.solve_u, kernel, grid)
+    assert fast == _instability_message(_loop_solve_u, kernel, grid)
+    assert "at step" in fast
+
+
+# G(t_0) enters the start step; G(t_1) only dU/dt at t_1, read by step 2
+@pytest.mark.parametrize("bad_step, trip_step",
+                         [(0, 1), (1, 2), (2, 2), (40, 40), (500, 500),
+                          (800, 800)])
+def test_nan_kernel_entry_trips_at_the_same_step_on_both_routes(bad_step,
+                                                                trip_step):
+    # one NaN entry of G(t_k): the FFTs must not carry it to steps before k
+    base = gqbm.build_kernels(make_model(0.5))
+    grid = gqbm.TimeGrid(t_end=8.0, n_steps=800, max_frequency=1.0)
+    bad_time = grid.times[bad_step]
+
+    def g(dt):
+        out = base.g(dt)
+        out[np.asarray(dt) == bad_time, 1, 0] = np.nan
+        return out
+
+    kernel = Kernel(g=g, gtilde=base.gtilde)
+    fast = _instability_message(gqbm.solve_u, kernel, grid)
+    assert fast == _instability_message(_loop_solve_u, kernel, grid)
+    assert f"reached nan at step {trip_step} " in fast

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, trapezoid
 
 import gqbm
+from gqbm import spectral
 from gqbm.errors import ContractViolationError, ValidationError
 from gqbm.spectral import SIGMA_X
 
@@ -285,6 +286,32 @@ def test_midpoint_convergence_order():
         errs.append(abs(gqbm.kernels_from_bath(bath).g_v(dt)[0] - exact))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(3)]
     assert min(orders) >= 1.8
+
+
+def test_gauss_bath_calls_leggauss_once_per_mode_count(monkeypatch):
+    orders = []
+    real_leggauss = np.polynomial.legendre.leggauss
+
+    def counting_leggauss(order):
+        orders.append(order)
+        return real_leggauss(order)
+
+    spectral._bath_leggauss.cache_clear()
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting_leggauss)
+    try:
+        baths = [gqbm.discretize_bath(make_model(alpha), n, 20.0,
+                                      scheme="gauss")
+                 for alpha in (0.0, 0.5, 1.0) for n in (64, 65)]
+        x, w = spectral._bath_leggauss(64)
+    finally:
+        spectral._bath_leggauss.cache_clear()
+    assert orders == [64, 65]
+    assert not x.flags.writeable and not w.flags.writeable
+    # the cached nodes give the arrays of an uncached leggauss bit for bit
+    x_ref, w_ref = real_leggauss(64)
+    assert np.array_equal(baths[0].frequencies, 10.0 * (x_ref + 1.0))
+    assert np.array_equal(baths[0].weights, 10.0 * w_ref)
+    assert baths[0].frequencies.flags.writeable
 
 
 def test_gauss_scheme_nodes_and_validation():
