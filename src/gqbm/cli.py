@@ -61,6 +61,7 @@ from .moments import (
     evolve_means,
     to_quadratures,
 )
+from .oracle import CHEBYSHEV_TAIL_TOL, PROPAGATE_SCHEME
 from .pipelines import (
     PipelineResult,
     coefficient_run,
@@ -266,8 +267,7 @@ _SCHEMES = {
     "v_solver": "product-trapezoid double quadrature by FFT causal convolution",
     "v_crosscheck": "volterra pc2 marching over fixed-t columns",
     "quadrature": "composite-gauss-legendre with self-refinement check",
-    "oracle": "rk4 fixed-substep, row march (S^T columns under G^T) on the "
-              "sparse CSR generator; thermal state by Colpa's Cholesky route",
+    "oracle": f"{PROPAGATE_SCHEME}; thermal state by Colpa's Cholesky route",
 }
 
 _TOLERANCES = {
@@ -275,6 +275,7 @@ _TOLERANCES = {
     "condition_max": CONDITION_MAX,
     "commutator_drift": COMMUTATOR_DRIFT_TOL,
     "quadrature_self_check_rtol": QUADRATURE_RTOL,
+    "chebyshev_tail": CHEBYSHEV_TAIL_TOL,
 }
 
 

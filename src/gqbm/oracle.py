@@ -15,8 +15,10 @@ sigma the commutation metric.  H has arrowhead structure (system rows and
 columns plus a diagonal), so LinearDynamics.generator() holds it as one
 sparse CSR matrix with O(N) entries.  Every reduced quantity reads only the
 system rows S[:2, :], so propagate() marches those alone, as the system
-columns of S^T under G^T, by fixed-substep RK4 tuned to keep the local error
-at the 1e-10 level; the system columns S[:, :2] are not computed.  A
+columns of S^T under G^T; the system columns S[:, :2] are not computed.
+G is constant, so the march is a Chebyshev expansion of exp(G^T t)
+(Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967) over windows of output
+steps, its degree fixed in advance by a bound that holds for any H.  A
 finite bath revives: results are trustworthy only below the recurrence
 horizon ~ 2 pi / min mode spacing, which LinearDynamics reports before
 anything is propagated.  thermal_total_state() prepares the correlated
@@ -32,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.linalg import cholesky, eigh, solve_triangular
+from scipy.special import jv
 
 from .errors import (
     ContractViolationError,
@@ -48,11 +51,20 @@ from .greens import (
 from .moments import COMMUTATOR_DRIFT_TOL, GaussianMoments
 from .spectral import BathDiscretization, n_bar
 
-# Target local truncation error of one RK4 substep, |lambda h|^5 / 120.
-RK4_LOCAL_ERROR = 1e-10
 RECURRENCE_GUARD = 0.5
-# Fixed-substep RK4 is the wrong tool past this many substeps per output step.
-MAX_SUBSTEPS_PER_STEP = 1_000_000
+# Bound on the truncated tail of propagate's Chebyshev expansion, relative
+# (max norm) to the block that starts each window.
+CHEBYSHEV_TAIL_TOL = 1e-15
+PROPAGATE_SCHEME = ("windowed chebyshev expansion of exp(G^T t), row march "
+                    "(S^T columns under G^T) on the sparse CSR generator")
+# A window spans at most this phase R t of the scaled generator (rad).
+_WINDOW_PHASE = 8.0
+# ||T_k(B)||_inf <= (1 + sqrt 2)^k whenever ||B||_inf <= 1.
+_CHEBYSHEV_GROWTH = 1.0 + math.sqrt(2.0)
+# A degree past this means a grid too stiff for its generator.
+_MAX_DEGREE = 100_000
+# Memory for the T_0..T_K blocks of one window.
+_CHEBYSHEV_STORE_BUDGET_BYTES = 1 << 30
 
 
 @dataclass
@@ -142,7 +154,8 @@ class BogoliubovPropagator:
     sys_rows[m] = S(t_m)[:2, :] (what the evolved system operators are made
     of); u_series is its 2x2 system block.  The columns S[:, :2] are not
     computed.  recurrence_horizon is LinearDynamics.recurrence_horizon of
-    the model.
+    the model.  metadata holds the scheme, the Chebyshev degree, the window
+    in output steps and the norm bound R of the generator.
     """
 
     grid: TimeGrid
@@ -156,50 +169,97 @@ class BogoliubovPropagator:
         return self.sys_rows[:, :, :2]
 
 
-def _rk4_march(apply, x: np.ndarray, h: float, n_sub: int) -> np.ndarray:
-    for _ in range(n_sub):
-        k1 = apply(x)
-        k2 = apply(x + 0.5 * h * k1)
-        k3 = apply(x + 0.5 * h * k2)
-        k4 = apply(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return x
+def _chebyshev_degree(phase: float) -> int:
+    """Smallest K with sum_{k>K} 2 |J_k(phase)| (1 + sqrt 2)^k <= tol."""
+    # the terms fall like (e (1 + sqrt 2) phase / 2k)^k, so those past
+    # e (1 + sqrt 2) phase / 2 + 64 are below 1e-26 of the sum
+    k_end = 0.5 * math.e * _CHEBYSHEV_GROWTH * phase + 64.0
+    if not k_end <= _MAX_DEGREE:
+        raise ValidationError(
+            f"grid is too stiff for the Chebyshev propagator: one output "
+            f"step spans a phase R dt = {phase:.3e} rad, which needs a "
+            f"degree near {k_end:.3e} (cap {_MAX_DEGREE})")
+    k = np.arange(int(k_end) + 1, dtype=float)
+    j_abs = np.abs(jv(k, phase))
+    # past k = phase jv underflows while the weights still count; there
+    # Watson's bound |J_k(k sech a)| <= exp(k (tanh a - a)) / sqrt(2 pi k
+    # tanh a) (Theory of Bessel Functions, 8.5) stands in for it
+    far = (j_abs < 1e-290) & (k > phase)
+    with np.errstate(divide="ignore", over="ignore"):
+        log_j = np.log(j_abs)
+        sech = phase / k[far]
+        tanh = np.sqrt(1.0 - sech ** 2)
+        log_j[far] = (k[far] * (tanh - np.arccosh(1.0 / sech))
+                      - 0.5 * np.log(2.0 * math.pi * k[far] * tanh))
+        terms = 2.0 * np.exp(log_j + k * math.log(_CHEBYSHEV_GROWTH))
+        tail = np.cumsum(terms[::-1])[::-1]  # tail[k] = terms k, k+1, ...
+    return int(np.argmax(tail <= CHEBYSHEV_TAIL_TOL)) - 1
 
 
 def propagate(dyn: LinearDynamics, grid: TimeGrid) -> BogoliubovPropagator:
-    """March the system rows of S (columns of S^T under G^T) with RK4."""
+    """March the system rows of S (columns of S^T under G^T) by Chebyshev.
+
+    With R = ||G^T||_inf, the max absolute row sum of H, B = G^T i/R has
+    ||B||_inf <= 1 and exp(G^T t) = sum_k (2 - delta_k0) (-i)^k J_k(R t)
+    T_k(B).  A window covers W output steps, the most with R W dt <= 8 rad
+    and at least one; its start block x gives T_k(B) x by the three-term
+    recurrence (K sparse matvecs), and one GEMM with the coefficient table,
+    shared by every window of the uniform grid, gives its W rows.  K is the
+    least degree whose tail bound sum_{k>K} 2 |J_k(R W dt)| (1 + sqrt 2)^k
+    is at most CHEBYSHEV_TAIL_TOL, so W and K depend on (H, dt) alone.  The
+    instability guard checks every output step.
+    """
     n = grid.n_steps
     dt = grid.dt
-
-    # |lambda| h <= (120 * tol)^(1/5) keeps one-substep error below tol
-    omega_ref = max(float(np.max(np.abs(dyn.frequencies), initial=0.0)),
-                    abs(dyn.omega_s),
-                    float(np.sum(np.abs(dyn.v_couplings))
-                          + np.sum(np.abs(dyn.w_couplings))))
-    h_target = (120.0 * RK4_LOCAL_ERROR) ** 0.2 / max(omega_ref, 1e-12)
-    n_sub = max(1, int(math.ceil(dt / h_target)))
-    if n_sub > MAX_SUBSTEPS_PER_STEP:
-        raise ValidationError(
-            f"grid is too stiff for the fixed-substep integrator: "
-            f"dt = {dt:.3e} against fastest scale {omega_ref:.3e} needs "
-            f"{n_sub} substeps per step (cap {MAX_SUBSTEPS_PER_STEP})")
-    h = dt / n_sub
+    dim = dyn.dim
 
     gen_t = dyn.generator().T.tocsr()
-    rows_t = np.zeros((dyn.dim, 2), dtype=complex)
-    rows_t[0, 0] = rows_t[1, 1] = 1.0
-    sys_rows = np.empty((n + 1, 2, dyn.dim), dtype=complex)
-    sys_rows[0] = rows_t.T
-    for m in range(1, n + 1):
-        rows_t = _rk4_march(gen_t.dot, rows_t, h, n_sub)
-        _check_finite(rows_t, m, m * dt, "S")
-        sys_rows[m] = rows_t.T
+    norm = float(abs(gen_t).sum(axis=1).max())
+    if not math.isfinite(norm):
+        # a NaN or inf entry of H: the step-1 guard reports it, as a march would
+        _check_finite(np.array([norm]), 1, dt, "S")
+    if norm * dt * n <= _WINDOW_PHASE:
+        window = n
+    else:
+        window = max(1, int(_WINDOW_PHASE / (norm * dt)))
+    degree = _chebyshev_degree(norm * window * dt)
+    need = (degree + 1) * dim * 32
+    if need > _CHEBYSHEV_STORE_BUDGET_BYTES:
+        raise ValidationError(
+            f"propagate at degree {degree} and dimension {dim} needs "
+            f"{need / 2**30:.2f} GiB of Chebyshev vectors, above the "
+            f"{_CHEBYSHEV_STORE_BUDGET_BYTES / 2**30:.2f} GiB budget")
+
+    k = np.arange(degree + 1)
+    coef = (np.where(k == 0, 1.0, 2.0) * np.array([1, -1j, -1, 1j])[k % 4]
+            * jv(k, norm * dt * np.arange(1, window + 1)[:, None]))
+    # B acts on the two system rows of S at once, flattened to one vector
+    b_mat = sparse.block_diag((gen_t, gen_t), format="csr")
+    if norm > 0.0:
+        b_mat *= 1j / norm
+    store = np.empty((degree + 1, 2 * dim), dtype=complex)  # T_k(B) x
+    sys_rows = np.empty((n + 1, 2, dim), dtype=complex)
+    flat_rows = sys_rows.reshape(n + 1, 2 * dim)
+    flat_rows[0] = store[0] = np.eye(2, dim).ravel()
+    for m0 in range(0, n, window):
+        if degree > 0:
+            store[1] = b_mat.dot(store[0])
+        for j in range(2, degree + 1):
+            np.subtract(2.0 * b_mat.dot(store[j - 1]), store[j - 2],
+                        out=store[j])
+        steps = min(window, n - m0)
+        rows = flat_rows[m0 + 1:m0 + steps + 1]
+        np.matmul(coef[:steps], store, out=rows)
+        for j in range(steps):
+            m = m0 + j + 1
+            _check_finite(rows[j], m, m * dt, "S")
+        store[0] = rows[-1]
 
     return BogoliubovPropagator(
-        grid=grid, dim=dyn.dim, sys_rows=sys_rows,
+        grid=grid, dim=dim, sys_rows=sys_rows,
         recurrence_horizon=dyn.recurrence_horizon,
-        metadata={"scheme": "rk4-fixed, row march (S^T columns under G^T)",
-                  "substeps_per_step": n_sub, "substep": h},
+        metadata={"scheme": PROPAGATE_SCHEME, "degree": degree,
+                  "window": window, "norm_bound": norm},
     )
 
 

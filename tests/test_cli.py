@@ -142,6 +142,25 @@ def test_manifest_u_solver_is_the_solver_metadata(tmp_path, monkeypatch):
         sol.metadata["u_solver"])
 
 
+def test_manifest_oracle_is_the_propagator_metadata(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    code = _run_cli(["oracle-compare", "--out", str(out), "--alpha", "0.5",
+                     "--t-end", "1", "--steps", "40", "--oracle-modes", "40",
+                     "--oracle-omega-max", "12"], monkeypatch)
+    assert code == cli.EXIT_OK
+    model = gqbm.SpectralModel(family="ohmic", gamma0=3e-4, cutoff=1.0,
+                               alpha=0.5, temperature=0.01)
+    bath = gqbm.discretize_bath(model, 40, 12.0)
+    prop = gqbm.propagate(
+        gqbm.build_dynamics(bath, gqbm.default_omega_s(model)),
+        gqbm.TimeGrid(t_end=1.0, n_steps=40))
+    manifest = out / "manifest.txt"
+    assert _manifest_value(manifest, "schemes", "oracle").startswith(
+        prop.metadata["scheme"] + "; ")
+    assert float(_manifest_value(manifest, "tolerances", "chebyshev_tail")) == (
+        gqbm.oracle.CHEBYSHEV_TAIL_TOL)
+
+
 def test_coeffs_writes_quadrature_form_at_full_pairing(tmp_path, monkeypatch):
     out = tmp_path / "run"
     code = _run_cli(["coeffs", "--out", str(out), "--alpha", "1",

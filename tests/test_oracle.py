@@ -1,12 +1,15 @@
 """Finite-bath oracle: generator structure, propagation, thermal states."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import jv
 
 import gqbm
+from gqbm import oracle
 from gqbm.errors import (
     ContractViolationError,
     InstabilityError,
@@ -205,6 +208,105 @@ def test_runaway_growth_raises():
     grid = gqbm.TimeGrid(t_end=10.0, n_steps=100, max_frequency=2.0)
     with pytest.raises(InstabilityError, match="step"):
         gqbm.propagate(dyn, grid)
+
+
+# ---- the Chebyshev march against expm ----------------------------------------
+
+EXPM_RTOL = 1e-12
+
+
+def _small_dynamics(case):
+    rng = np.random.default_rng(11)
+    freqs = rng.uniform(0.2, 2.0, 6)
+    v = rng.normal(0.0, 0.2, 6)
+    w = rng.normal(0.0, 0.05, 6)
+    omega_s = 0.7
+    if case == "negative-frequencies":
+        freqs[::2] *= -1.0
+    elif case == "pairing-dominated":
+        freqs = rng.uniform(0.1, 0.5, 6)
+        w = np.abs(v) + 0.2
+    elif case == "marginal-default":
+        omega_s = gqbm.default_omega_s(make_model(1.0))
+    return gqbm.LinearDynamics(omega_s=omega_s, frequencies=freqs,
+                               v_couplings=v, w_couplings=w)
+
+
+def _assert_matches_expm(dyn, grid):
+    prop = gqbm.propagate(dyn, grid)
+    g = dyn.as_matrix()
+    for m, t in enumerate(grid.times):
+        exact = expm(g * t)[:2, :]
+        dev = np.max(np.abs(prop.sys_rows[m] - exact))
+        assert dev <= EXPM_RTOL * np.max(np.abs(exact)), (m, dev)
+    return prop
+
+
+@pytest.mark.parametrize("case", ["stable", "negative-frequencies",
+                                  "pairing-dominated", "marginal-default"])
+def test_chebyshev_march_matches_expm_at_small_n(case):
+    dyn = _small_dynamics(case)
+    growth = np.max(np.linalg.eigvals(dyn.as_matrix()).real)
+    if case == "pairing-dominated":
+        assert np.all(dyn.w_couplings > np.abs(dyn.v_couplings))
+        assert growth > 0.3
+    # several windows, and |S| stays below the instability bound
+    grid = gqbm.TimeGrid(t_end=16.0, n_steps=200, max_frequency=1.0)
+    prop = _assert_matches_expm(dyn, grid)
+    assert prop.metadata["window"] <= grid.n_steps // 3
+
+
+def test_chebyshev_windows_cover_every_step_count():
+    dyn = _small_dynamics("stable")
+    dt = 0.19
+    norm = gqbm.propagate(dyn, gqbm.TimeGrid(t_end=8 * dt, n_steps=8)).metadata[
+        "norm_bound"]
+    window = int(oracle._WINDOW_PHASE / (norm * dt))
+    # keep the float steps n dt / n away from a window boundary
+    assert 0.05 < oracle._WINDOW_PHASE / (norm * dt) - window < 0.95
+    # a TimeGrid has at least 8 steps, which is a single window here
+    for n in (8, window - 1, window, window + 1, 2 * window + 3):
+        prop = _assert_matches_expm(dyn, gqbm.TimeGrid(t_end=n * dt,
+                                                       n_steps=n))
+        assert prop.metadata["window"] == min(n, window)
+    # one output step past the window phase: windows of one step
+    dt = 1.5 * oracle._WINDOW_PHASE / norm
+    prop = _assert_matches_expm(dyn, gqbm.TimeGrid(
+        t_end=8 * dt, n_steps=8, max_frequency=0.25 / dt))
+    assert prop.metadata["window"] == 1
+
+
+def test_chebyshev_degree_is_the_least_within_the_tail_bound():
+    k = np.arange(300)
+    for phase in (0.4, 8.0, 50.0):
+        terms = 2.0 * np.abs(jv(k, phase)) * (1.0 + math.sqrt(2.0)) ** k
+        degree = oracle._chebyshev_degree(phase)
+        assert (np.sum(terms[degree + 1:]) <= oracle.CHEBYSHEV_TAIL_TOL
+                < np.sum(terms[degree:]))
+    # the weighted terms fall below the tolerance only near k = 3.2 phase;
+    # far past k = phase, J_k underflows to zero long before that (from
+    # about k = 1.1 phase at phase 2e4)
+    for phase in (300.0, 2e4):
+        assert 3.0 * phase < oracle._chebyshev_degree(phase) < 3.5 * phase + 64
+
+
+def test_chebyshev_store_over_budget_rejected_before_allocation():
+    # 400 modes up to 2e6: degree ~ 64 000, so T_0..T_K of dimension 802
+    # would take about 1.5 GiB
+    n_modes = 400
+    dyn = gqbm.LinearDynamics(omega_s=0.3,
+                              frequencies=np.linspace(1.0, 2e6, n_modes),
+                              v_couplings=np.full(n_modes, 1e-3),
+                              w_couplings=np.zeros(n_modes))
+    grid = gqbm.TimeGrid(t_end=0.1, n_steps=10, max_frequency=1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="GiB of Chebyshev vectors"):
+            gqbm.propagate(dyn, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 # ---- reduced moments --------------------------------------------------------

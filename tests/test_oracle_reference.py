@@ -1,15 +1,19 @@
-"""The Colpa thermal state and the row march against the routes they replaced.
+"""The Colpa thermal state and the Chebyshev march against the routes they
+replaced.
 
-The two functions below are the earlier implementations, kept verbatim as
-the reference: the thermal state from a non-Hermitian eigensolve of
-sigma M with symplectic normalisation, and the propagation that marched the
-columns of S with G and the columns of S^T with G^T separately.  The Colpa
-route reaches the same state through other arithmetic, so it must agree to
-roundoff amplified by the eigenproblem's conditioning (1e-8 of the largest
-table entry; normal-mode frequencies to 1e-12 of the largest).  The row
-march is the second of the two marches alone, so its rows must be equal;
-its 2x2 block U = S[:2, :2] is read off the rows instead of the columns,
-which agrees to roundoff.
+The functions below are the earlier implementations, kept verbatim as the
+reference: the thermal state from a non-Hermitian eigensolve of sigma M
+with symplectic normalisation, the propagation that marched the columns of
+S with G and the columns of S^T with G^T separately, and the fixed-substep
+RK4 row march that followed it.  The Colpa route reaches the same state
+through other arithmetic, so it must agree to roundoff amplified by the
+eigenproblem's conditioning (1e-8 of the largest table entry; normal-mode
+frequencies to 1e-12 of the largest).  The RK4 row march is the second of
+the two marches alone, so its rows must be equal; its 2x2 block
+U = S[:2, :2] is read off the rows instead of the columns, which agrees to
+roundoff.  The Chebyshev march must agree with the RK4 one to RK4's own
+error, 1e-10 of max|S|, and trip its instability guard at the same step
+with the same message.
 """
 
 import math
@@ -29,7 +33,7 @@ from gqbm.greens import (
     require_finite_frequency,
 )
 from gqbm.moments import GaussianMoments
-from gqbm.oracle import ThermalTotalState, _rk4_march
+from gqbm.oracle import BogoliubovPropagator, ThermalTotalState
 from gqbm.spectral import n_bar
 
 from conftest import make_model
@@ -37,6 +41,12 @@ from conftest import make_model
 TABLE_RTOL = 1e-8
 FREQ_RTOL = 1e-12
 STATIONARY_RTOL = 1e-12
+RK4_AGREEMENT_RTOL = 1e-10
+
+# Target local truncation error of one RK4 substep, |lambda h|^5 / 120.
+RK4_LOCAL_ERROR = 1e-10
+# Fixed-substep RK4 is the wrong tool past this many substeps per output step.
+MAX_SUBSTEPS_PER_STEP = 1_000_000
 
 # the quench benchmark point: 300 gauss modes on omega <= 12, prepared at
 # omega_s0 = 0.6 and evolved at omega_s = 0.3
@@ -128,6 +138,53 @@ def _eig_thermal_total_state(dyn, temperature, omega_s0):
     )
 
 
+def _rk4_march(apply, x: np.ndarray, h: float, n_sub: int) -> np.ndarray:
+    for _ in range(n_sub):
+        k1 = apply(x)
+        k2 = apply(x + 0.5 * h * k1)
+        k3 = apply(x + 0.5 * h * k2)
+        k4 = apply(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x
+
+
+def _rk4_propagate(dyn, grid):
+    """March the system rows of S (columns of S^T under G^T) with RK4."""
+    n = grid.n_steps
+    dt = grid.dt
+
+    # |lambda| h <= (120 * tol)^(1/5) keeps one-substep error below tol
+    omega_ref = max(float(np.max(np.abs(dyn.frequencies), initial=0.0)),
+                    abs(dyn.omega_s),
+                    float(np.sum(np.abs(dyn.v_couplings))
+                          + np.sum(np.abs(dyn.w_couplings))))
+    h_target = (120.0 * RK4_LOCAL_ERROR) ** 0.2 / max(omega_ref, 1e-12)
+    n_sub = max(1, int(math.ceil(dt / h_target)))
+    if n_sub > MAX_SUBSTEPS_PER_STEP:
+        raise ValidationError(
+            f"grid is too stiff for the fixed-substep integrator: "
+            f"dt = {dt:.3e} against fastest scale {omega_ref:.3e} needs "
+            f"{n_sub} substeps per step (cap {MAX_SUBSTEPS_PER_STEP})")
+    h = dt / n_sub
+
+    gen_t = dyn.generator().T.tocsr()
+    rows_t = np.zeros((dyn.dim, 2), dtype=complex)
+    rows_t[0, 0] = rows_t[1, 1] = 1.0
+    sys_rows = np.empty((n + 1, 2, dyn.dim), dtype=complex)
+    sys_rows[0] = rows_t.T
+    for m in range(1, n + 1):
+        rows_t = _rk4_march(gen_t.dot, rows_t, h, n_sub)
+        _check_finite(rows_t, m, m * dt, "S")
+        sys_rows[m] = rows_t.T
+
+    return BogoliubovPropagator(
+        grid=grid, dim=dyn.dim, sys_rows=sys_rows,
+        recurrence_horizon=dyn.recurrence_horizon,
+        metadata={"scheme": "rk4-fixed, row march (S^T columns under G^T)",
+                  "substeps_per_step": n_sub, "substep": h},
+    )
+
+
 def _two_march_propagate(dyn, grid, n_sub, h):
     n = grid.n_steps
     dt = grid.dt
@@ -209,10 +266,48 @@ def test_colpa_state_reports_its_margins(both_states):
 def test_row_march_is_the_row_half_of_the_two_marches():
     dyn = _dynamics(0.5, OMEGA_S, modes=80)
     grid = gqbm.TimeGrid(t_end=2.0, n_steps=40, max_frequency=1.0)
-    prop = gqbm.propagate(dyn, grid)
+    prop = _rk4_propagate(dyn, grid)
     cols, rows = _two_march_propagate(dyn, grid,
                                       prop.metadata["substeps_per_step"],
                                       prop.metadata["substep"])
     assert np.array_equal(prop.sys_rows, rows)
     assert np.max(np.abs(prop.u_series - cols[:, :2, :])) <= 1e-15
     assert "row march" in prop.metadata["scheme"]
+
+
+def test_chebyshev_rows_match_the_rk4_march_on_the_oracle_point():
+    # the oracle benchmark point: 400 gauss modes on omega <= 20 at alpha 0.5
+    # and the marginal default omega_s, t_end = 3 in 300 steps
+    model = make_model(0.5)
+    bath = gqbm.discretize_bath(model, 400, 20.0, scheme="gauss")
+    dyn = gqbm.build_dynamics(bath, gqbm.default_omega_s(model))
+    grid = gqbm.TimeGrid(t_end=3.0, n_steps=300, max_frequency=1.0)
+    ref = _rk4_propagate(dyn, grid).sys_rows
+    rows = gqbm.propagate(dyn, grid).sys_rows
+    assert (np.max(np.abs(rows - ref))
+            <= RK4_AGREEMENT_RTOL * np.max(np.abs(ref)))
+
+
+def _runaway():
+    # the runaway case of test_oracle.py: eigenvalues +-2, |S| passes the
+    # instability bound mid-grid, well inside a Chebyshev window
+    return gqbm.LinearDynamics(omega_s=0.0, frequencies=np.array([0.0]),
+                               v_couplings=np.array([0.0]),
+                               w_couplings=np.array([2.0]))
+
+
+def _nan_coupling():
+    dyn = _runaway()
+    dyn.v_couplings[0] = np.nan  # set after construction, which rejects it
+    return dyn
+
+
+@pytest.mark.parametrize("make", [_runaway, _nan_coupling],
+                         ids=["runaway", "nan-coupling"])
+def test_instability_trips_at_the_rk4_step_with_its_message(make):
+    grid = gqbm.TimeGrid(t_end=10.0, n_steps=100, max_frequency=2.0)
+    with pytest.raises(InstabilityError) as ref:
+        _rk4_propagate(make(), grid)
+    with pytest.raises(InstabilityError) as cheb:
+        gqbm.propagate(make(), grid)
+    assert str(cheb.value) == str(ref.value)
