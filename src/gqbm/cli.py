@@ -61,16 +61,18 @@ from .moments import (
     evolve_means,
     to_quadratures,
 )
-from .oracle import CHEBYSHEV_TAIL_TOL, PROPAGATE_SCHEME
+from .oracle import CHEBYSHEV_TAIL_TOL, PROPAGATE_SCHEME, THERMAL_STATE_SCHEME
 from .pipelines import (
     PipelineResult,
     coefficient_run,
     jolt_study,
+    kernel_stages,
     oracle_comparison,
     quench_comparison,
 )
 from .spectral import (
     QUADRATURE_RTOL,
+    QUADRATURE_SCHEME,
     SpectralModel,
     build_kernels,
     default_omega_s,
@@ -266,8 +268,9 @@ _SCHEMES = {
     "u_solver": U_SOLVER_SCHEME,
     "v_solver": "product-trapezoid double quadrature by FFT causal convolution",
     "v_crosscheck": "volterra pc2 marching over fixed-t columns",
-    "quadrature": "composite-gauss-legendre with self-refinement check",
-    "oracle": f"{PROPAGATE_SCHEME}; thermal state by Colpa's Cholesky route",
+    "quadrature": QUADRATURE_SCHEME,
+    "oracle": PROPAGATE_SCHEME,
+    "thermal_state": THERMAL_STATE_SCHEME,
 }
 
 _TOLERANCES = {
@@ -307,7 +310,8 @@ def _matrix_table(times: np.ndarray, *labelled):
 
 def _run_kernels(cfg: RunConfig, model, omega_s: float, grid: TimeGrid):
     kernel = build_kernels(model)
-    return (PipelineResult(summaries={"omega_s": omega_s}, stages=["quadrature"]),
+    return (PipelineResult(summaries={"omega_s": omega_s},
+                           stages=kernel_stages(kernel)),
             {"kernels": _matrix_table(grid.times, ("g", kernel.g(grid.times)),
                                       ("gt", kernel.gtilde(grid.times)))})
 

@@ -44,14 +44,13 @@ LOW_T_FRACTION = 0.1
 
 @dataclass
 class KLambdaSeries:
-    """K(t) and Lambda(t) on the grid, plus optional derivative check."""
+    """K(t) and Lambda(t) on the grid."""
 
     times: np.ndarray
     k: np.ndarray
     lam: np.ndarray
     omega_s: float
     alpha: float | None = None
-    fd_deviation: float | None = None
     metadata: dict = field(default_factory=dict)
 
 
@@ -74,20 +73,16 @@ def _invert_2x2(u: np.ndarray, times: np.ndarray) -> np.ndarray:
     return inv / det[:, None, None]
 
 
-def compute_k_lambda(sol: GreensSolution, kernel: Kernel,
-                     fd_check: bool = False) -> KLambdaSeries:
+def compute_k_lambda(sol: GreensSolution, kernel: Kernel) -> KLambdaSeries:
     """Assemble K and Lambda from a Green-function solution.
 
     The first-argument derivative of V is evaluated analytically from the
-    differentiated closed form, never by finite differences; fd_check
-    additionally compares d/dt V(t, t) against a central difference of the
-    equal-time series and records the worst deviation.
+    differentiated closed form, never by finite differences.
     """
     if sol.v_equal_time is None:
         raise ContractViolationError(
             "solution carries no equal-time V; run solve_v_fdt first")
-    grid = sol.grid
-    times = grid.times
+    times = sol.grid.times
     uinv = _invert_2x2(sol.u, times)
     a_ser = np.einsum("tab,tbc->tac", sol.u_dot, uinv)
     mws = -1j * sol.omega_s * Z
@@ -96,17 +91,9 @@ def compute_k_lambda(sol: GreensSolution, kernel: Kernel,
     vdot1 = v_first_derivative(kernel, sol)
     lam = vdot1 - np.einsum("tab,tbc->tac", a_ser, sol.v_equal_time)
 
-    fd_dev = None
-    if fd_check:
-        v = sol.v_equal_time
-        dt = grid.dt
-        total = vdot1 + np.conj(np.swapaxes(vdot1, -1, -2))
-        fd = (v[2:] - v[:-2]) / (2.0 * dt)
-        fd_dev = float(np.max(np.abs(fd - total[1:-1])))
-
     return KLambdaSeries(
         times=times, k=k, lam=lam, omega_s=sol.omega_s,
-        alpha=kernel.alpha, fd_deviation=fd_dev,
+        alpha=kernel.alpha,
         metadata={"vdot_route": "analytic-differentiated-closed-form"},
     )
 
@@ -240,12 +227,7 @@ def jolt_estimate(kernel: Kernel, sol: GreensSolution) -> JoltEstimate:
 
     with g_w = alpha^2 g_v.  Issues a RuntimeWarning outside the regime.
     """
-    if kernel.g_v is None or kernel.alpha is None:
-        raise ContractViolationError(
-            "kernel carries no scalar transform metadata; build it with "
-            "build_kernels or kernels_from_bath")
-    low_t = (kernel.temperature is not None and kernel.cutoff is not None
-             and kernel.temperature <= LOW_T_FRACTION * kernel.cutoff)
+    low_t = kernel.temperature <= LOW_T_FRACTION * kernel.cutoff
     if not low_t:
         warnings.warn(
             "short-time estimates drop thermal transforms; outside the "

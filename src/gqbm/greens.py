@@ -33,7 +33,7 @@ import numpy as np
 import scipy.fft as sp_fft
 
 from .errors import ContractViolationError, InstabilityError, ValidationError
-from .spectral import BathDiscretization, Kernel, Z, require_count
+from .spectral import BathDiscretization, Kernel, Z, _exp_sum, require_count
 
 # Marching guards: a propagator entry beyond this magnitude means runaway
 # pair production (or an unstable discretization), not physics we can trust.
@@ -386,7 +386,9 @@ def correlated_correction(bath: BathDiscretization, corr: InitialCorrelations,
         E(s)  = sum_k C_k(s) Q'_k,
 
     where C_k carries the coupling phases of mode k and Q'_k the initial
-    cross moments <a^dag b_k>, <a b_k>.
+    cross moments <a^dag b_k>, <a b_k>.  Each entry of E is one phase sum
+    by spectral._exp_sum over the frequencies +-w_k, so no temporary grows
+    with (n + 1) N.
     """
     if corr.n_prime.size != bath.n_modes:
         raise ContractViolationError(
@@ -397,22 +399,24 @@ def correlated_correction(bath: BathDiscretization, corr: InitialCorrelations,
         raise ContractViolationError(
             f"u has shape {u.shape}, expected {(n + 1, 2, 2)} for this grid")
 
-    times = grid.times
     vk = bath.v_couplings
     wk = bath.w_couplings
     np_k = corr.n_prime
     sp_k = corr.s_prime
+    freqs = np.concatenate([bath.frequencies, -bath.frequencies])
+
+    def phase_sum(minus, plus):
+        # sum_k minus_k e^{-i w_k s} + plus_k e^{+i w_k s} on the grid times
+        return _exp_sum(np.concatenate([minus, plus]), freqs, grid.times)
 
     # E(s) = sum_k C_k(s) Q'_k with
     # C_k(s) = [[V_k e^{-i w s}, W_k e^{+i w s}], [W_k e^{-i w s}, V_k e^{+i w s}]]
     # Q'_k   = [[n'_k, s'_k], [conj(s'_k), conj(n'_k)]]
-    ph_m = np.exp(-1j * np.outer(times, bath.frequencies))
-    ph_p = np.conj(ph_m)
     e = np.empty((n + 1, 2, 2), dtype=complex)
-    e[:, 0, 0] = ph_m @ (vk * np_k) + ph_p @ (wk * np.conj(sp_k))
-    e[:, 0, 1] = ph_m @ (vk * sp_k) + ph_p @ (wk * np.conj(np_k))
-    e[:, 1, 0] = ph_m @ (wk * np_k) + ph_p @ (vk * np.conj(sp_k))
-    e[:, 1, 1] = ph_m @ (wk * sp_k) + ph_p @ (vk * np.conj(np_k))
+    e[:, 0, 0] = phase_sum(vk * np_k, wk * np.conj(sp_k))
+    e[:, 0, 1] = phase_sum(vk * sp_k, wk * np.conj(np_k))
+    e[:, 1, 0] = phase_sum(wk * np_k, vk * np.conj(sp_k))
+    e[:, 1, 1] = phase_sum(wk * sp_k, vk * np.conj(np_k))
 
     ze = _zmul(e)
     conv = _causal_matconv(u, ze) - 0.5 * (u @ ze[0] + u[0] @ ze)

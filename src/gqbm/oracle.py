@@ -12,24 +12,25 @@ routes is therefore a genuine cross-validation.
 
 The generator is -i sigma H with H the real symmetric coupling table and
 sigma the commutation metric.  H has arrowhead structure (system rows and
-columns plus a diagonal), so LinearDynamics.generator() holds it as one
-sparse CSR matrix with O(N) entries.  Every reduced quantity reads only the
-system rows S[:2, :], so propagate() marches those alone, as the system
-columns of S^T under G^T; the system columns S[:, :2] are not computed.
-G is constant, so the march is a Chebyshev expansion of exp(G^T t)
-(Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967) over windows of output
-steps, its degree fixed in advance by a bound that holds for any H.  A
-finite bath revives: results are trustworthy only below the recurrence
-horizon ~ 2 pi / min mode spacing, which LinearDynamics reports before
-anything is propagated.  thermal_total_state() prepares the correlated
-initial state of a quench, the Gibbs state of the coupled Hamiltonian, by
-Colpa's Cholesky route.
+columns plus a diagonal) and is held once, as the O(N) entries from which
+LinearDynamics.generator() builds one sparse CSR matrix.  Every reduced
+quantity reads only the system rows S[:2, :], so propagate() marches those
+alone, as the system columns of S^T under G^T; the system columns S[:, :2]
+are not computed.  G is constant, so the march is a Chebyshev expansion of
+exp(G^T t) (Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967) over windows
+of output steps, its degree fixed in advance by a bound that holds for any
+H.  A finite bath revives: results are trustworthy only below the
+recurrence horizon ~ 2 pi / min mode spacing, which LinearDynamics reports
+before anything is propagated.  thermal_total_state() prepares the
+correlated initial state of a quench, the Gibbs state of the coupled
+Hamiltonian, by Colpa's Cholesky route on a dense H filled from the same
+entries, in the same operator ordering.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
@@ -52,6 +53,8 @@ from .moments import COMMUTATOR_DRIFT_TOL, GaussianMoments
 from .spectral import BathDiscretization, n_bar
 
 RECURRENCE_GUARD = 0.5
+# thermal_total_state: Colpa's Cholesky factor of H, then a symmetric eigh
+THERMAL_STATE_SCHEME = "colpa-cholesky"
 # Bound on the truncated tail of propagate's Chebyshev expansion, relative
 # (max norm) to the block that starts each window.
 CHEBYSHEV_TAIL_TOL = 1e-15
@@ -113,8 +116,8 @@ class LinearDynamics:
         spacing = float(np.min(np.diff(distinct)))
         return RECURRENCE_GUARD * 2.0 * math.pi / max(spacing, 1e-300)
 
-    def generator(self) -> sparse.csr_matrix:
-        """Sparse generator G with dA/dt = G A (entries from H, G = -i sigma H)."""
+    def _h_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, values) of the nonzero pattern of H, each entry once."""
         b = np.arange(2, self.dim, 2)
         a_idx = np.zeros_like(b)
         # couplings a-b_k and a^dag-b_k^dag carry V_k, a-b_k^dag and a^dag-b_k W_k
@@ -127,6 +130,11 @@ class LinearDynamics:
         cols = np.concatenate([diag, bath_idx, sys_idx])
         h = np.concatenate([[self.omega_s, self.omega_s],
                             np.repeat(self.frequencies, 2), coupling, coupling])
+        return rows, cols, h
+
+    def generator(self) -> sparse.csr_matrix:
+        """Sparse generator G with dA/dt = G A (entries from H, G = -i sigma H)."""
+        rows, cols, h = self._h_entries()
         return sparse.csr_matrix((-1j * self.sigma()[rows] * h, (rows, cols)),
                                  shape=(self.dim, self.dim))
 
@@ -389,32 +397,31 @@ def thermal_total_state(dyn: LinearDynamics, temperature: float,
     subsequent evolution -- a frequency quench).  The Hamiltonian must be
     positive definite, otherwise no thermal state exists and an
     InstabilityError is raised.  The normal modes follow Colpa (Physica A 93
-    (1978) 327): a Cholesky factor of the Hamiltonian matrix, then a
-    symmetric eigensolve; no non-Hermitian eigenproblem is solved.
+    (1978) 327): a Cholesky factor of the real H of generator(), then a
+    symmetric eigensolve; no non-Hermitian eigenproblem is solved.  Every
+    field is read off the product table <A_p A_q>.
     """
     if temperature < 0.0 or not math.isfinite(temperature):
         raise ValidationError("temperature must be >= 0")
     require_finite_frequency("omega_s0", omega_s0)
     nb = dyn.n_modes + 1
 
-    # single-particle blocks of H = Psi^dag [[h, p], [p, h]] Psi / 2 in the
-    # block ordering Psi = (a, b_1..b_N, a^dag, b_1^dag..b_N^dag); real
-    # frequencies and couplings make both blocks real symmetric
-    h = np.diag(np.concatenate([[omega_s0], dyn.frequencies]))
-    h[0, 1:] = h[1:, 0] = dyn.v_couplings
-    p = np.zeros((nb, nb))
-    p[0, 1:] = p[1:, 0] = dyn.w_couplings
-    sigma = np.concatenate([np.ones(nb), -np.ones(nb)])
+    # the real symmetric H of generator() at omega_s0: dA/dt = -i sigma H A
+    rows, cols, vals = replace(dyn, omega_s=omega_s0)._h_entries()
+    h_mat = np.zeros((dyn.dim, dyn.dim))
+    h_mat[rows, cols] = vals
+    sigma = dyn.sigma()
 
-    # Colpa: M = K^T K exists iff M is positive definite; K sigma K^T = U L U^T
-    # then gives T = K^-1 U |L|^(1/2) with T^T M T = |L| and T^T sigma T = sign L
+    # Colpa: H = K^T K exists iff H is positive definite; K sigma K^T = U L U^T
+    # then gives T = K^-1 U |L|^(1/2) with T^T H T = |L| and T^T sigma T = sign L
     try:
-        k_mat = cholesky(np.block([[h, p], [p, h]]))
+        k_mat = cholesky(h_mat)
     except np.linalg.LinAlgError:
         raise InstabilityError(
             "coupled Hamiltonian is not positive definite (its Cholesky "
             "factorisation fails); no thermal state exists at these "
             "couplings") from None
+    del h_mat  # the factor carries H from here on
     lam, u_mat = eigh((k_mat * sigma) @ k_mat.T)
     eps = lam[lam > 0.0]  # positive branch, ascending: the normal frequencies
     n_neg = np.count_nonzero(lam < 0.0)
@@ -430,37 +437,24 @@ def thermal_total_state(dyn: LinearDynamics, temperature: float,
         raise NumericalQualityError(
             f"Bogoliubov transform breaks the symplectic metric by {resid:.3e}")
 
-    # <Psi Psi^dag> = T <Phi Phi^dag> T^T: a column of T with lambda > 0
+    # <A A^dag> = T <Phi Phi^dag> T^T: a column of T with lambda > 0
     # carries an annihilator (1 + nbar), one with lambda < 0 a creator (nbar)
     occ_nm = n_bar(np.abs(lam), temperature)
     diag = np.where(lam > 0.0, 1.0 + occ_nm, occ_nm)
-    cov = ((t_mat * diag) @ t_mat.T).astype(complex)
+    cov = (t_mat * diag) @ t_mat.T
+    # A_q^dag = A_(q xor 1), so <A_p A_q> = <A_p A_(q xor 1)^dag>
+    table = cov[:, np.arange(dyn.dim) ^ 1].astype(complex)
 
-    delta_n = cov[nb, nb].real
-    delta_s = cov[0, nb]
-    n_prime = cov[nb, nb + 1:]
-    s_prime = cov[0, nb + 1:]
-    bath_occ = np.real(np.diag(cov)[nb + 1:])
-    bath_sqz = cov[np.arange(1, nb), np.arange(nb + 1, 2 * nb)]
-
-    # product table <A_p A_q> in interleaved ordering: <Psi_i Psi_j> with
-    # the second factor mapped through its particle-hole partner
-    inter = np.empty(2 * nb, dtype=int)   # interleaved index -> Psi index
-    inter[0], inter[1] = 0, nb
-    inter[2::2] = np.arange(1, nb)
-    inter[3::2] = np.arange(nb + 1, 2 * nb)
-    partner = np.concatenate([np.arange(nb, 2 * nb), np.arange(0, nb)])
-    table = cov[np.ix_(inter, partner[inter])]
-
-    system = GaussianMoments(mean_a=0.0 + 0.0j, delta_n=delta_n,
-                             delta_s=delta_s)
+    system = GaussianMoments(mean_a=0.0 + 0.0j, delta_n=table[1, 0].real,
+                             delta_s=table[0, 0])
     return ThermalTotalState(
         system=system,
-        correlations=InitialCorrelations(n_prime=n_prime, s_prime=s_prime),
-        bath_occupations=bath_occ,
-        bath_squeezes=bath_sqz,
+        correlations=InitialCorrelations(n_prime=table[1, 2::2],
+                                         s_prime=table[0, 2::2]),
+        bath_occupations=np.real(np.diag(table[3::2, 2::2])),
+        bath_squeezes=np.diag(table[2::2, 2::2]),
         normal_frequencies=eps,
         product_table=table,
-        metadata={"scheme": "colpa-cholesky", "symplectic_residual": resid,
+        metadata={"scheme": THERMAL_STATE_SCHEME, "symplectic_residual": resid,
                   "min_normal_frequency": float(eps[0])},
     )

@@ -21,19 +21,25 @@ from .errors import ValidationError
 @dataclass
 class PipelineResult:
     """Named arrays and the library objects holding them (kernel, sol, me,
-    ...), scalar summaries, and the schemes that ran, in order (quadrature,
-    u_solver, v_solver, v_crosscheck, oracle)."""
+    ...), scalar summaries, and the schemes that ran, in order (thermal_state,
+    oracle, quadrature, u_solver, v_solver, v_crosscheck)."""
 
     outputs: dict = field(default_factory=dict)
     summaries: dict = field(default_factory=dict)
     stages: list = field(default_factory=list)
 
 
+def kernel_stages(kernel: spectral.Kernel) -> list:
+    """["quadrature"] when a transform of kernel runs on a quadrature rule."""
+    return ["quadrature"] if "quadrature" in kernel.metadata else []
+
+
 def _u_and_v(kernel, omega_s: float, grid, stages: list) -> PipelineResult:
     sol = greens.solve_u(kernel, omega_s, grid)
     sol.v_equal_time = greens.solve_v_fdt(kernel, sol.u, grid)
     return PipelineResult({"kernel": kernel, "sol": sol}, {"omega_s": omega_s},
-                          stages + ["u_solver", "v_solver"])
+                          stages + kernel_stages(kernel)
+                          + ["u_solver", "v_solver"])
 
 
 def coefficient_run(model: spectral.SpectralModel, omega_s: float,
@@ -49,7 +55,7 @@ def coefficient_run(model: spectral.SpectralModel, omega_s: float,
     """
     if crosscheck:
         greens.require_volterra_budget(grid.n_steps)
-    res = _u_and_v(spectral.build_kernels(model), omega_s, grid, ["quadrature"])
+    res = _u_and_v(spectral.build_kernels(model), omega_s, grid, [])
     kernel, sol = res.outputs["kernel"], res.outputs["sol"]
     if coefficients:
         me = coeffs.compute_me_coeffs(coeffs.compute_k_lambda(sol, kernel))
@@ -113,8 +119,7 @@ def oracle_comparison(model: spectral.SpectralModel,
     """
     dyn, horizon = _oracle_dynamics(bath, omega_s, grid)
     prop = oracle.propagate(dyn, grid)
-    res = _u_and_v(spectral.build_kernels(model), omega_s, grid,
-                  ["oracle", "quadrature"])
+    res = _u_and_v(spectral.build_kernels(model), omega_s, grid, ["oracle"])
     sol = res.outputs["sol"]
     u_dev = np.max(np.abs(sol.u - prop.u_series), axis=(1, 2))
     vac = moments.GaussianMoments()
@@ -144,7 +149,8 @@ def quench_comparison(bath: spectral.BathDiscretization, omega_s: float,
     state = oracle.thermal_total_state(dyn, bath.temperature, omega_s0)
     prop = oracle.propagate(dyn, grid)
     kbath = replace(bath, occupations=state.bath_occupations)
-    res = _u_and_v(spectral.kernels_from_bath(kbath), omega_s, grid, ["oracle"])
+    res = _u_and_v(spectral.kernels_from_bath(kbath), omega_s, grid,
+                   ["thermal_state", "oracle"])
     u, v = res.outputs["sol"].u, res.outputs["sol"].v_equal_time
     dv = greens.correlated_correction(kbath, state.correlations, u, grid)
     n_me = greens.second_moments(u, state.system.n_matrix(), v) + dv

@@ -56,6 +56,8 @@ _CHANNELS = ("v", "w", "vw")
 
 # Self-check tolerance of the frequency quadrature (relative, on probe offsets).
 QUADRATURE_RTOL = 1e-8
+# Kernel.metadata["quadrature"] of a kernel with a transform on such a rule.
+QUADRATURE_SCHEME = "composite-gauss-legendre with self-refinement check"
 # Largest oscillation phase handled by a single Gauss-Legendre panel.
 _MAX_PANEL_PHASE = 350.0
 _BASE_PANEL_NODES = 24
@@ -335,48 +337,47 @@ class _TransformFamily:
 # ---------------------------------------------------------------------------
 
 
-def _assemble_g(gv, alpha: float) -> np.ndarray:
-    gw = alpha**2 * gv
-    gvw = alpha * gv
-    out = np.empty(np.shape(gv) + (2, 2), dtype=complex)
-    out[..., 0, 0] = gv - np.conj(gw)
-    out[..., 0, 1] = gvw - np.conj(gvw)
-    out[..., 1, 0] = -np.conj(out[..., 0, 1])
-    out[..., 1, 1] = -np.conj(out[..., 0, 0])
-    return out
-
-
-def _assemble_gtilde(gv, gtv, alpha: float) -> np.ndarray:
-    gw, gvw = alpha**2 * gv, alpha * gv
-    gtw, gtvw = alpha**2 * gtv, alpha * gtv
-    out = np.empty(np.shape(gv) + (2, 2), dtype=complex)
-    out[..., 0, 0] = gtv + np.conj(gw) + np.conj(gtw)
-    out[..., 0, 1] = gtvw + np.conj(gvw) + np.conj(gtvw)
-    # real couplings make the two off-diagonal entries coincide
-    out[..., 1, 0] = out[..., 0, 1]
-    out[..., 1, 1] = gtw + np.conj(gv) + np.conj(gtv)
-    return out
-
-
 @dataclass
 class Kernel:
     """Stationary dissipation kernel G and fluctuation kernel Gt.
 
-    g / gtilde map an array of time offsets to (..., 2, 2) complex arrays.
-    g_v / gtilde_v expose the scalar particle-exchange transforms that the
-    short-time coefficient estimates need.  Metadata fields are None for
-    synthetic kernels assembled outside build_kernels and kernels_from_bath.
+    A kernel is its two scalar particle-exchange transforms g_v and
+    gtilde_v (callables of time offsets), the pairing ratio alpha, and the
+    bath temperature and cutoff; g and gtilde assemble the (..., 2, 2)
+    complex G and Gt from them.  metadata records the source and, when a
+    transform is evaluated by quadrature, its scheme under "quadrature".
     """
 
-    g: Callable[[np.ndarray], np.ndarray]
-    gtilde: Callable[[np.ndarray], np.ndarray]
-    g_v: Callable[[np.ndarray], np.ndarray] | None = None
-    gtilde_v: Callable[[np.ndarray], np.ndarray] | None = None
-    alpha: float | None = None
-    temperature: float | None = None
-    cutoff: float | None = None
+    g_v: Callable[[np.ndarray], np.ndarray]
+    gtilde_v: Callable[[np.ndarray], np.ndarray]
+    alpha: float
+    temperature: float
+    cutoff: float
     metadata: dict = field(default_factory=dict)
     _tables: dict = field(default_factory=dict, repr=False)
+
+    def g(self, dt) -> np.ndarray:
+        gv = self.g_v(dt)
+        gw = self.alpha**2 * gv
+        gvw = self.alpha * gv
+        out = np.empty(np.shape(gv) + (2, 2), dtype=complex)
+        out[..., 0, 0] = gv - np.conj(gw)
+        out[..., 0, 1] = gvw - np.conj(gvw)
+        out[..., 1, 0] = -np.conj(out[..., 0, 1])
+        out[..., 1, 1] = -np.conj(out[..., 0, 0])
+        return out
+
+    def gtilde(self, dt) -> np.ndarray:
+        gv, gtv = self.g_v(dt), self.gtilde_v(dt)
+        gw, gvw = self.alpha**2 * gv, self.alpha * gv
+        gtw, gtvw = self.alpha**2 * gtv, self.alpha * gtv
+        out = np.empty(np.shape(gv) + (2, 2), dtype=complex)
+        out[..., 0, 0] = gtv + np.conj(gw) + np.conj(gtw)
+        out[..., 0, 1] = gtvw + np.conj(gvw) + np.conj(gtvw)
+        # real couplings make the two off-diagonal entries coincide
+        out[..., 1, 0] = out[..., 0, 1]
+        out[..., 1, 1] = gtw + np.conj(gv) + np.conj(gtv)
+        return out
 
     def g_table(self, grid) -> np.ndarray:
         """G sampled on the grid times [0, t_end]; cached per grid shape."""
@@ -404,19 +405,6 @@ class Kernel:
         out[:, 0, 1] *= -1.0
         out[:, 1, 0] *= -1.0
         return out
-
-
-def _kernel(g_v, gtilde_v, alpha: float, **info) -> Kernel:
-    """Kernel whose 2x2 G and Gt are assembled from g_v, gtilde_v and alpha."""
-
-    def g(dt):
-        return _assemble_g(g_v(dt), alpha)
-
-    def gtilde(dt):
-        return _assemble_gtilde(g_v(dt), gtilde_v(dt), alpha)
-
-    return Kernel(g=g, gtilde=gtilde, g_v=g_v, gtilde_v=gtilde_v,
-                  alpha=alpha, **info)
 
 
 def _g_v_function(model: SpectralModel):
@@ -452,6 +440,8 @@ def build_kernels(model: SpectralModel) -> Kernel:
     geometrically refined toward omega = 0 to resolve the Bose factor, and
     every rule is validated against its own refinement before first use.
     The rules' Gauss-Legendre nodes are cached by order across rules.
+    metadata["quadrature"] names the scheme whenever a transform runs on
+    such a rule: at T > 0, and for g_v of a tabulated family.
     """
     cut = model.cutoff
     temp = model.temperature
@@ -478,12 +468,11 @@ def build_kernels(model: SpectralModel) -> Kernel:
         def gtilde_v(dt):
             return np.zeros(_offsets(dt).shape, dtype=complex)
 
-    return _kernel(
-        g_v, gtilde_v, model.alpha, temperature=temp, cutoff=cut,
-        metadata={"source": "continuum", "family": model.family,
-                  "gamma0": model.gamma0,
-                  "quadrature": "composite-gauss-legendre"},
-    )
+    metadata = {"source": "continuum", "family": model.family,
+                "gamma0": model.gamma0}
+    if any(isinstance(f, _TransformFamily) for f in (g_v, gtilde_v)):
+        metadata["quadrature"] = QUADRATURE_SCHEME
+    return Kernel(g_v, gtilde_v, model.alpha, temp, cut, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -595,9 +584,6 @@ def kernels_from_bath(bath: BathDiscretization) -> Kernel:
     def gtilde_v(dt):
         return _exp_sum(v2_occ, freqs, dt)
 
-    return _kernel(
-        g_v, gtilde_v, bath.alpha, temperature=bath.temperature,
-        cutoff=bath.cutoff,
-        metadata={"source": "discrete-bath", "n_modes": bath.n_modes,
-                  "scheme": bath.scheme},
-    )
+    return Kernel(g_v, gtilde_v, bath.alpha, bath.temperature, bath.cutoff,
+                  {"source": "discrete-bath", "n_modes": bath.n_modes,
+                   "scheme": bath.scheme})

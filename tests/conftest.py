@@ -75,5 +75,21 @@ def coeffs_alpha1(pack_alpha1):
     return coeffs_of(pack_alpha1)
 
 
+def _no_transform(dt):
+    raise AssertionError("a synthetic kernel has no scalar transforms")
+
+
+def kernel_with(g, gtilde):
+    """A Kernel whose G and Gt are the callables g and gtilde.
+
+    They override the methods on this instance only; its scalar transforms
+    raise if anything reads them.
+    """
+    kernel = gqbm.Kernel(_no_transform, _no_transform, alpha=0.0,
+                         temperature=TEMPERATURE, cutoff=CUTOFF)
+    kernel.g, kernel.gtilde = g, gtilde
+    return kernel
+
+
 def max_abs(x) -> float:
     return float(np.max(np.abs(x)))

@@ -155,8 +155,8 @@ def test_manifest_oracle_is_the_propagator_metadata(tmp_path, monkeypatch):
         gqbm.build_dynamics(bath, gqbm.default_omega_s(model)),
         gqbm.TimeGrid(t_end=1.0, n_steps=40))
     manifest = out / "manifest.txt"
-    assert _manifest_value(manifest, "schemes", "oracle").startswith(
-        prop.metadata["scheme"] + "; ")
+    assert _manifest_value(manifest, "schemes", "oracle") == (
+        prop.metadata["scheme"])
     assert float(_manifest_value(manifest, "tolerances", "chebyshev_tail")) == (
         gqbm.oracle.CHEBYSHEV_TAIL_TOL)
 
@@ -209,6 +209,45 @@ def test_manifest_states_the_tolerances_and_schemes_that_ran(tmp_path,
         _manifest_value(manifest, "schemes", "oracle"))
     assert "FFT causal convolution" in _manifest_value(manifest, "schemes",
                                                        "v_solver")
+
+
+_SMALL_ORACLE = ["--t-end", "1", "--steps", "40", "--oracle-modes", "40",
+                 "--oracle-omega-max", "12"]
+
+
+# (subcommand and flags, the [schemes] keys of the stages that ran)
+@pytest.mark.parametrize("argv, keys", [
+    (["kernels", "--t-end", "2", "--steps", "200"], {"quadrature"}),
+    (["coeffs", "--t-end", "2", "--steps", "200"],
+     {"quadrature", "u_solver", "v_solver"}),
+    # ohmic at T = 0: g_v is closed form, gtilde_v zero, no quadrature rule
+    (["coeffs", "--temperature", "0", "--t-end", "2", "--steps", "200"],
+     {"u_solver", "v_solver"}),
+    (["oracle-compare", "--alpha", "0.5"] + _SMALL_ORACLE,
+     {"oracle", "quadrature", "u_solver", "v_solver"}),
+    # the discrete-bath kernels are exact sums, again no quadrature rule
+    (["oracle-compare", "--alpha", "0.5", "--omega-s", "0.3",
+      "--quench-from", "0.6"] + _SMALL_ORACLE,
+     {"thermal_state", "oracle", "u_solver", "v_solver"}),
+], ids=["kernels", "coeffs", "coeffs-zero-temperature", "oracle-compare",
+        "oracle-compare-quench"])
+def test_manifest_names_exactly_the_schemes_that_ran(argv, keys, tmp_path,
+                                                      monkeypatch):
+    out = tmp_path / "run"
+    assert _run_cli(argv + ["--out", str(out)], monkeypatch) == cli.EXIT_OK
+    manifest = out / "manifest.txt"
+    assert _manifest_keys(manifest, "schemes") == keys
+    if "quadrature" in keys:
+        kernel = gqbm.build_kernels(gqbm.SpectralModel(temperature=0.01))
+        assert _manifest_value(manifest, "schemes", "quadrature") == (
+            kernel.metadata["quadrature"])
+    if "thermal_state" in keys:
+        model = gqbm.SpectralModel(alpha=0.5, temperature=0.01)
+        dyn = gqbm.build_dynamics(gqbm.discretize_bath(model, 40, 12.0,
+                                                       scheme="gauss"), 0.3)
+        state = gqbm.thermal_total_state(dyn, 0.01, 0.6)
+        assert _manifest_value(manifest, "schemes", "thermal_state") == (
+            state.metadata["scheme"])
 
 
 def test_crosscheck_from_the_environment_runs_on_greens(tmp_path, monkeypatch):

@@ -23,9 +23,7 @@ from gqbm.greens import (
     _zmul,
     require_finite_frequency,
 )
-from gqbm.spectral import Kernel
-
-from conftest import TEMPERATURE, make_model
+from conftest import TEMPERATURE, kernel_with, make_model
 
 RTOL = 1e-13
 
@@ -56,6 +54,30 @@ def _loop_correlated_convolution(u, ze, n, dt):
         conv -= 0.5 * (u[m] @ ze[0] + u[0] @ ze[m])
         term1 = -1j * dt * conv @ np.conj(u[m]).T
         out[m] = term1 + np.conj(term1).T
+    return out
+
+
+def _outer_product_e(bath, corr, times):
+    """E(s) of correlated_correction from dense (n + 1) x N phase matrices."""
+    ph_m = np.exp(-1j * np.outer(times, bath.frequencies))
+    ph_p = np.conj(ph_m)
+    vk, wk = bath.v_couplings, bath.w_couplings
+    np_k, sp_k = corr.n_prime, corr.s_prime
+    e = np.empty((times.size, 2, 2), dtype=complex)
+    e[:, 0, 0] = ph_m @ (vk * np_k) + ph_p @ (wk * np.conj(sp_k))
+    e[:, 0, 1] = ph_m @ (vk * sp_k) + ph_p @ (wk * np.conj(np_k))
+    e[:, 1, 0] = ph_m @ (wk * np_k) + ph_p @ (vk * np.conj(sp_k))
+    e[:, 1, 1] = ph_m @ (wk * sp_k) + ph_p @ (vk * np.conj(np_k))
+    return e
+
+
+def _outer_product_correlated_correction(bath, corr, u, grid):
+    """correlated_correction as it was, with E from _outer_product_e."""
+    ze = _zmul(_outer_product_e(bath, corr, grid.times))
+    conv = greens._causal_matconv(u, ze) - 0.5 * (u @ ze[0] + u[0] @ ze)
+    term1 = -1j * grid.dt * conv @ np.conj(np.swapaxes(u, -1, -2))
+    out = term1 + np.conj(np.swapaxes(term1, -1, -2))
+    out[0] = 0.0
     return out
 
 
@@ -169,8 +191,9 @@ def test_zero_temperature_fano_zeros_survive_the_fft(omega_s):
         assert np.array_equal(fast == 0, loop == 0)
 
 
-def test_correlated_correction_matches_the_loop_at_the_quench_point():
-    # the quench benchmark point: omega_s = 0.3 quenched from 0.6
+def _quench_point():
+    """(grid, bath, correlations, U) at the quench benchmark point:
+    omega_s = 0.3 quenched from 0.6 on 300 gauss modes."""
     omega, omega_s0 = 0.3, 0.6
     grid = gqbm.TimeGrid(t_end=2.0, n_steps=200, max_frequency=1.0)
     bath = gqbm.discretize_bath(make_model(0.5), 300, 12.0, scheme="gauss")
@@ -178,24 +201,52 @@ def test_correlated_correction_matches_the_loop_at_the_quench_point():
     state = gqbm.thermal_total_state(dyn, TEMPERATURE, omega_s0)
     kbath = replace(bath, occupations=state.bath_occupations)
     sol = gqbm.solve_u(gqbm.kernels_from_bath(kbath), omega, grid)
+    return grid, kbath, state.correlations, sol.u
 
-    fast = gqbm.correlated_correction(kbath, state.correlations, sol.u, grid)
 
-    # E(s) exactly as correlated_correction builds it
-    corr = state.correlations
-    ph_m = np.exp(-1j * np.outer(grid.times, kbath.frequencies))
-    ph_p = np.conj(ph_m)
-    vk, wk = kbath.v_couplings, kbath.w_couplings
-    np_k, sp_k = corr.n_prime, corr.s_prime
-    e = np.empty((grid.n_steps + 1, 2, 2), dtype=complex)
-    e[:, 0, 0] = ph_m @ (vk * np_k) + ph_p @ (wk * np.conj(sp_k))
-    e[:, 0, 1] = ph_m @ (vk * sp_k) + ph_p @ (wk * np.conj(np_k))
-    e[:, 1, 0] = ph_m @ (wk * np_k) + ph_p @ (vk * np.conj(sp_k))
-    e[:, 1, 1] = ph_m @ (wk * sp_k) + ph_p @ (vk * np.conj(np_k))
-    loop = _loop_correlated_convolution(sol.u, _zmul(e), grid.n_steps, grid.dt)
+def test_correlated_correction_matches_the_loop_at_the_quench_point():
+    grid, kbath, corr, u = _quench_point()
+    fast = gqbm.correlated_correction(kbath, corr, u, grid)
+
+    e = _outer_product_e(kbath, corr, grid.times)
+    loop = _loop_correlated_convolution(u, _zmul(e), grid.n_steps, grid.dt)
 
     assert np.max(np.abs(loop)) > 0.0
     _assert_matches_loop(fast, loop)
+
+
+def test_correlated_correction_phase_sums_match_the_outer_products():
+    grid, kbath, corr, u = _quench_point()
+    fast = gqbm.correlated_correction(kbath, corr, u, grid)
+    dense = _outer_product_correlated_correction(kbath, corr, u, grid)
+    assert np.max(np.abs(dense)) > 0.0
+    _assert_matches_loop(fast, dense)
+
+
+def test_correlated_correction_temporaries_stay_within_the_bound(monkeypatch):
+    # 2 001 times x 2 001 modes: the dense phase matrices held 4.004e6
+    # elements each; the phase sums stay within _exp_sum's 4e6 bound
+    sizes = []
+    real_exp = np.exp
+
+    def recording_exp(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return real_exp(x, *args, **kwargs)
+
+    grid = gqbm.TimeGrid(t_end=4.0, n_steps=2000, max_frequency=1.0)
+    bath = gqbm.discretize_bath(make_model(0.5), 2001, 12.0, scheme="gauss")
+    rng = np.random.default_rng(5)
+    corr = greens.InitialCorrelations(
+        n_prime=rng.normal(size=2001) + 1j * rng.normal(size=2001),
+        s_prime=rng.normal(size=2001) + 1j * rng.normal(size=2001))
+    u = np.tile(np.eye(2, dtype=complex), (grid.n_steps + 1, 1, 1))
+    assert grid.times.size * bath.n_modes > 4e6
+    monkeypatch.setattr(np, "exp", recording_exp)
+    fast = gqbm.correlated_correction(bath, corr, u, grid)
+    monkeypatch.undo()
+    assert sizes and max(sizes) <= 4e6
+    _assert_matches_loop(
+        fast, _outer_product_correlated_correction(bath, corr, u, grid))
 
 
 # ---- solve_u: divide-and-conquer history against the per-step sum -----------
@@ -264,7 +315,7 @@ def test_runaway_reported_at_the_same_step_on_both_routes():
     def gtilde(dt):
         return np.zeros(np.shape(dt) + (2, 2), dtype=complex)
 
-    kernel = Kernel(g=g, gtilde=gtilde)
+    kernel = kernel_with(g, gtilde)
     grid = gqbm.TimeGrid(t_end=8.0, n_steps=800, max_frequency=1.0)
     fast = _instability_message(gqbm.solve_u, kernel, grid)
     assert fast == _instability_message(_loop_solve_u, kernel, grid)
@@ -287,7 +338,7 @@ def test_nan_kernel_entry_trips_at_the_same_step_on_both_routes(bad_step,
         out[np.asarray(dt) == bad_time, 1, 0] = np.nan
         return out
 
-    kernel = Kernel(g=g, gtilde=base.gtilde)
+    kernel = kernel_with(g, base.gtilde)
     fast = _instability_message(gqbm.solve_u, kernel, grid)
     assert fast == _instability_message(_loop_solve_u, kernel, grid)
     assert f"reached nan at step {trip_step} " in fast

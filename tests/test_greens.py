@@ -12,9 +12,9 @@ from gqbm.errors import (
     InstabilityError,
     ValidationError,
 )
-from gqbm.spectral import SIGMA_X, Kernel
+from gqbm.spectral import SIGMA_X
 
-from conftest import make_model
+from conftest import kernel_with, make_model
 
 # ---- grid -------------------------------------------------------------------
 
@@ -149,7 +149,7 @@ def test_instability_reported_with_step():
         dt = np.asarray(dt, dtype=float)
         return np.zeros(dt.shape + (2, 2), dtype=complex)
 
-    kernel = Kernel(g=g, gtilde=gtilde)
+    kernel = kernel_with(g, gtilde)
     grid = gqbm.TimeGrid(t_end=8.0, n_steps=800, max_frequency=1.0)
     with pytest.raises(InstabilityError, match="step"):
         gqbm.solve_u(kernel, 0.1, grid)

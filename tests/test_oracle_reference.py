@@ -3,12 +3,16 @@ replaced.
 
 The functions below are the earlier implementations, kept verbatim as the
 reference: the thermal state from a non-Hermitian eigensolve of sigma M
-with symplectic normalisation, the propagation that marched the columns of
+with symplectic normalisation, the Colpa route on H in the block ordering
+(a, b_1..b_N, a^dag, b_1^dag..b_N^dag) with index maps back to the
+interleaved table, the propagation that marched the columns of
 S with G and the columns of S^T with G^T separately, and the fixed-substep
 RK4 row march that followed it.  The Colpa route reaches the same state
 through other arithmetic, so it must agree to roundoff amplified by the
 eigenproblem's conditioning (1e-8 of the largest table entry; normal-mode
-frequencies to 1e-12 of the largest).  The RK4 row march is the second of
+frequencies to 1e-12 of the largest).  The interleaved Colpa route factors
+a permutation of the block-ordered H, so it must agree with that route to
+1e-10 of the largest table entry.  The RK4 row march is the second of
 the two marches alone, so its rows must be equal; its 2x2 block
 U = S[:2, :2] is read off the rows instead of the columns, which agrees to
 roundoff.  The Chebyshev march must agree with the RK4 one to RK4's own
@@ -20,6 +24,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cholesky, eigh, solve_triangular
 
 import gqbm
 from gqbm.errors import (
@@ -39,6 +44,7 @@ from gqbm.spectral import n_bar
 from conftest import make_model
 
 TABLE_RTOL = 1e-8
+BLOCK_ORDER_RTOL = 1e-10
 FREQ_RTOL = 1e-12
 STATIONARY_RTOL = 1e-12
 RK4_AGREEMENT_RTOL = 1e-10
@@ -138,6 +144,81 @@ def _eig_thermal_total_state(dyn, temperature, omega_s0):
     )
 
 
+def _block_colpa_thermal_total_state(dyn, temperature, omega_s0):
+    if temperature < 0.0 or not math.isfinite(temperature):
+        raise ValidationError("temperature must be >= 0")
+    require_finite_frequency("omega_s0", omega_s0)
+    nb = dyn.n_modes + 1
+
+    # single-particle blocks of H = Psi^dag [[h, p], [p, h]] Psi / 2 in the
+    # block ordering Psi = (a, b_1..b_N, a^dag, b_1^dag..b_N^dag); real
+    # frequencies and couplings make both blocks real symmetric
+    h = np.diag(np.concatenate([[omega_s0], dyn.frequencies]))
+    h[0, 1:] = h[1:, 0] = dyn.v_couplings
+    p = np.zeros((nb, nb))
+    p[0, 1:] = p[1:, 0] = dyn.w_couplings
+    sigma = np.concatenate([np.ones(nb), -np.ones(nb)])
+
+    # Colpa: M = K^T K exists iff M is positive definite; K sigma K^T = U L U^T
+    # then gives T = K^-1 U |L|^(1/2) with T^T M T = |L| and T^T sigma T = sign L
+    try:
+        k_mat = cholesky(np.block([[h, p], [p, h]]))
+    except np.linalg.LinAlgError:
+        raise InstabilityError(
+            "coupled Hamiltonian is not positive definite (its Cholesky "
+            "factorisation fails); no thermal state exists at these "
+            "couplings") from None
+    lam, u_mat = eigh((k_mat * sigma) @ k_mat.T)
+    eps = lam[lam > 0.0]  # positive branch, ascending: the normal frequencies
+    n_neg = np.count_nonzero(lam < 0.0)
+    if eps.size != nb or n_neg != nb:
+        raise InstabilityError(
+            f"Bogoliubov spectrum has {eps.size} positive and {n_neg} negative "
+            f"normal-mode frequencies; a thermal state needs {nb} of each")
+    t_mat = solve_triangular(k_mat, u_mat * np.sqrt(np.abs(lam)))
+
+    resid = float(np.max(np.abs((t_mat.T * sigma) @ t_mat
+                                - np.diag(np.sign(lam)))))
+    if resid > 1e-8:
+        raise NumericalQualityError(
+            f"Bogoliubov transform breaks the symplectic metric by {resid:.3e}")
+
+    # <Psi Psi^dag> = T <Phi Phi^dag> T^T: a column of T with lambda > 0
+    # carries an annihilator (1 + nbar), one with lambda < 0 a creator (nbar)
+    occ_nm = n_bar(np.abs(lam), temperature)
+    diag = np.where(lam > 0.0, 1.0 + occ_nm, occ_nm)
+    cov = ((t_mat * diag) @ t_mat.T).astype(complex)
+
+    delta_n = cov[nb, nb].real
+    delta_s = cov[0, nb]
+    n_prime = cov[nb, nb + 1:]
+    s_prime = cov[0, nb + 1:]
+    bath_occ = np.real(np.diag(cov)[nb + 1:])
+    bath_sqz = cov[np.arange(1, nb), np.arange(nb + 1, 2 * nb)]
+
+    # product table <A_p A_q> in interleaved ordering: <Psi_i Psi_j> with
+    # the second factor mapped through its particle-hole partner
+    inter = np.empty(2 * nb, dtype=int)   # interleaved index -> Psi index
+    inter[0], inter[1] = 0, nb
+    inter[2::2] = np.arange(1, nb)
+    inter[3::2] = np.arange(nb + 1, 2 * nb)
+    partner = np.concatenate([np.arange(nb, 2 * nb), np.arange(0, nb)])
+    table = cov[np.ix_(inter, partner[inter])]
+
+    system = GaussianMoments(mean_a=0.0 + 0.0j, delta_n=delta_n,
+                             delta_s=delta_s)
+    return ThermalTotalState(
+        system=system,
+        correlations=InitialCorrelations(n_prime=n_prime, s_prime=s_prime),
+        bath_occupations=bath_occ,
+        bath_squeezes=bath_sqz,
+        normal_frequencies=eps,
+        product_table=table,
+        metadata={"scheme": "colpa-cholesky", "symplectic_residual": resid,
+                  "min_normal_frequency": float(eps[0])},
+    )
+
+
 def _rk4_march(apply, x: np.ndarray, h: float, n_sub: int) -> np.ndarray:
     for _ in range(n_sub):
         k1 = apply(x)
@@ -217,8 +298,11 @@ def _dynamics(alpha, omega_s, modes=MODES):
     return gqbm.build_dynamics(bath, omega_s)
 
 
-@pytest.fixture(scope="module", params=[(0.5, 0.01), (0.5, 0.0), (0.0, 0.01)],
-                ids=["quench-point", "zero-temperature", "no-pairing"])
+STATE_POINTS = [(0.5, 0.01), (0.5, 0.0), (0.0, 0.01)]  # (alpha, temperature)
+STATE_IDS = ["quench-point", "zero-temperature", "no-pairing"]
+
+
+@pytest.fixture(scope="module", params=STATE_POINTS, ids=STATE_IDS)
 def both_states(request):
     alpha, temperature = request.param
     dyn = _dynamics(alpha, OMEGA_S)
@@ -243,6 +327,25 @@ def test_colpa_state_matches_the_eig_route(both_states):
     eps = eig.normal_frequencies
     assert (np.max(np.abs(colpa.normal_frequencies - eps))
             <= FREQ_RTOL * np.max(eps))
+
+
+@pytest.mark.parametrize("alpha, temperature", STATE_POINTS, ids=STATE_IDS)
+def test_colpa_state_matches_the_block_ordered_route(alpha, temperature):
+    dyn = _dynamics(alpha, OMEGA_S)
+    state = gqbm.thermal_total_state(dyn, temperature, OMEGA_S0)
+    ref = _block_colpa_thermal_total_state(dyn, temperature, OMEGA_S0)
+    bound = BLOCK_ORDER_RTOL * np.max(np.abs(ref.product_table))
+    pairs = [(state.product_table, ref.product_table),
+             (state.bath_occupations, ref.bath_occupations),
+             (state.bath_squeezes, ref.bath_squeezes),
+             (state.correlations.n_prime, ref.correlations.n_prime),
+             (state.correlations.s_prime, ref.correlations.s_prime),
+             (state.system.delta_n, ref.system.delta_n),
+             (state.system.delta_s, ref.system.delta_s)]
+    for got, want in pairs:
+        assert np.max(np.abs(got - want)) <= bound
+    assert (np.max(np.abs(state.normal_frequencies - ref.normal_frequencies))
+            <= FREQ_RTOL * np.max(ref.normal_frequencies))
 
 
 def test_colpa_state_is_stationary_under_its_hamiltonian(both_states):

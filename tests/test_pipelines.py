@@ -154,7 +154,7 @@ def test_quench_comparison_is_the_hand_built_chain():
     assert res.summaries["correction_magnitude"] > 0.0
     assert res.summaries["symplectic_residual"] == state.metadata[
         "symplectic_residual"]
-    assert res.stages == ["oracle", "u_solver", "v_solver"]
+    assert res.stages == ["thermal_state", "oracle", "u_solver", "v_solver"]
 
 
 class _Propagated(Exception):
