@@ -26,11 +26,13 @@ over the march.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft as sp_fft
+import numpy.fft
 
 from .errors import ContractViolationError, InstabilityError, ValidationError
 from .spectral import BathDiscretization, Kernel, Z, _exp_sum, require_count
@@ -219,13 +221,33 @@ def second_moments(u: np.ndarray, n0: np.ndarray, v=0.0) -> np.ndarray:
     return np.einsum("tab,bc,tdc->tad", u, n0, np.conj(u)) + v
 
 
+@functools.lru_cache(maxsize=64)
+def _fast_lengths(bits: int) -> tuple[int, ...]:
+    """The 11-smooth integers up to 2^bits, ascending."""
+    top = 1 << bits
+    lengths = [1]
+    for p in (2, 3, 5, 7, 11):
+        lengths = [m * p**e for m in lengths for e in range(bits + 1)
+                   if m * p**e <= top]
+    return tuple(sorted(lengths))
+
+
+def _next_fast_len(n: int) -> int:
+    """Least 11-smooth integer >= n: a length made of pocketfft's fast
+    radices, the one scipy.fft.next_fast_len picks for complex input."""
+    lengths = _fast_lengths((n - 1).bit_length())  # ends at 2^bits >= n
+    return lengths[bisect.bisect_left(lengths, n)]
+
+
 def _causal_matconv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """c[m] = sum_{j <= m} a[m - j] @ b[j] for two (n, 2, 2) stacks, by FFT."""
     size = a.shape[0]
-    nfft = sp_fft.next_fast_len(2 * size - 1)
-    spec = np.einsum("fab,fbc->fac", sp_fft.fft(a, nfft, axis=0),
-                     sp_fft.fft(b, nfft, axis=0))
-    return sp_fft.ifft(spec, axis=0)[:size]
+    nfft = _next_fast_len(2 * size - 1)
+    # numpy's FFT is fastest along a contiguous last axis
+    fa, fb = (np.fft.fft(np.ascontiguousarray(np.moveaxis(x, 0, -1)), nfft)
+              for x in (a, b))
+    spec = np.einsum("abf,bcf->acf", fa, fb)
+    return np.moveaxis(np.fft.ifft(spec)[..., :size], -1, 0)
 
 
 def _fdt_double_integral(inner: np.ndarray, udag: np.ndarray,

@@ -11,9 +11,10 @@ This module never touches the kernel machinery; agreement between the two
 routes is therefore a genuine cross-validation.
 
 The generator is -i sigma H with H the real symmetric coupling table and
-sigma the commutation metric.  H has arrowhead structure (system rows and
-columns plus a diagonal) and is held once, as the O(N) entries from which
-LinearDynamics.generator() builds one sparse CSR matrix.  Every reduced
+sigma the commutation metric.  H is an arrowhead matrix (a diagonal plus the
+two system rows and columns) and is held once, as the O(N) entries of
+LinearDynamics._h_entries; LinearDynamics.arrowhead() reads off its diagonal
+and system rows, on which propagate() acts in O(N) per step.  Every reduced
 quantity reads only the system rows S[:2, :], so propagate() marches those
 alone, as the system columns of S^T under G^T; the system columns S[:, :2]
 are not computed.  G is constant, so the march is a Chebyshev expansion of
@@ -33,9 +34,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import cholesky, eigh, solve_triangular
-from scipy.special import jv
 
 from .errors import (
     ContractViolationError,
@@ -59,7 +57,7 @@ THERMAL_STATE_SCHEME = "colpa-cholesky"
 # (max norm) to the block that starts each window.
 CHEBYSHEV_TAIL_TOL = 1e-15
 PROPAGATE_SCHEME = ("windowed chebyshev expansion of exp(G^T t), row march "
-                    "(S^T columns under G^T) on the sparse CSR generator")
+                    "(S^T columns under G^T) on the arrowhead generator")
 # A window spans at most this phase R t of the scaled generator (rad).
 _WINDOW_PHASE = 8.0
 # ||T_k(B)||_inf <= (1 + sqrt 2)^k whenever ||B||_inf <= 1.
@@ -68,6 +66,8 @@ _CHEBYSHEV_GROWTH = 1.0 + math.sqrt(2.0)
 _MAX_DEGREE = 100_000
 # Memory for the T_0..T_K blocks of one window.
 _CHEBYSHEV_STORE_BUDGET_BYTES = 1 << 30
+# Miller's recurrence keeps its unnormalised values below this magnitude.
+_MILLER_RESCALE = 1e250
 
 
 @dataclass
@@ -110,10 +110,11 @@ class LinearDynamics:
     def recurrence_horizon(self) -> float:
         """Earliest finite-bath revival estimate (inf for a single frequency)."""
         # modes sharing a frequency act as one bright mode plus dark modes
-        distinct = np.unique(self.frequencies)
-        if distinct.size < 2:
+        gaps = np.diff(np.sort(self.frequencies))
+        gaps = gaps[gaps > 0.0]
+        if gaps.size == 0:
             return math.inf
-        spacing = float(np.min(np.diff(distinct)))
+        spacing = float(np.min(gaps))
         return RECURRENCE_GUARD * 2.0 * math.pi / max(spacing, 1e-300)
 
     def _h_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -132,15 +133,25 @@ class LinearDynamics:
                             np.repeat(self.frequencies, 2), coupling, coupling])
         return rows, cols, h
 
-    def generator(self) -> sparse.csr_matrix:
-        """Sparse generator G with dA/dt = G A (entries from H, G = -i sigma H)."""
+    def arrowhead(self) -> tuple[np.ndarray, np.ndarray]:
+        """H as (diag, coupling): its diagonal, and coupling[s, j] =
+        H[s, j + 2] = H[j + 2, s] for the system rows s = 0, 1."""
         rows, cols, h = self._h_entries()
-        return sparse.csr_matrix((-1j * self.sigma()[rows] * h, (rows, cols)),
-                                 shape=(self.dim, self.dim))
+        on_diag = rows == cols
+        diag = np.zeros(self.dim)
+        diag[rows[on_diag]] = h[on_diag]
+        sys_row = (rows < 2) & ~on_diag
+        coupling = np.zeros((2, self.dim))
+        coupling[rows[sys_row], cols[sys_row]] = h[sys_row]
+        return diag, coupling[:, 2:]
 
     def as_matrix(self) -> np.ndarray:
-        """Dense generator; intended for small N (tests, spectra)."""
-        return self.generator().toarray()
+        """Dense generator G with dA/dt = G A (G = -i sigma H); intended for
+        small N (tests, spectra)."""
+        rows, cols, h = self._h_entries()
+        gen = np.zeros((self.dim, self.dim), dtype=complex)
+        gen[rows, cols] = -1j * self.sigma()[rows] * h
+        return gen
 
     def sigma(self) -> np.ndarray:
         """Commutation metric diag(+1, -1, ...) in the interleaved ordering."""
@@ -177,6 +188,41 @@ class BogoliubovPropagator:
         return self.sys_rows[:, :, :2]
 
 
+def _bessel_j(k_max: int, x: np.ndarray) -> np.ndarray:
+    """J_k(x) for k = 0..k_max (rows) at each x >= 0 of a 1-d x (columns).
+
+    Miller's backward recurrence J_(k-1) = (2k/x) J_k - J_(k+1), started from
+    0 and 1 at orders top + 1 and top, normalised by J_0 + 2 sum_j J_2j = 1.
+    The start leaves a relative error of about (J_top / J_k)^2 in each J_k;
+    top = max(k_max, x) + 20 + 8 x^(1/3) puts J_top 1e-8 or more below every
+    J_k asked for.  Each column is scaled down before a step could take it
+    past _MILLER_RESCALE, so an order whose J_k underflows comes out as zero
+    or subnormal.
+    """
+    x = np.asarray(x, dtype=float)
+    x_max = float(np.max(x, initial=0.0))
+    top = max(k_max, math.ceil(x_max)) + 20 + math.ceil(8.0 * x_max ** (1 / 3))
+    two_over_x = 2.0 / np.where(x > 0.0, x, 1.0)  # x = 0 is set below
+    growth = float(np.max(two_over_x, initial=0.0))
+    j = np.zeros((top + 2, x.size))  # unnormalised J_0..J_(top+1)
+    j[top] = 1.0
+    bound = 1.0  # >= |J_k| and |J_(k+1)| in every column
+    for k in range(top, 0, -1):
+        factor = k * growth + 1.0  # |J_(k-1)| <= factor max(|J_k|, |J_(k+1)|)
+        if bound * factor > _MILLER_RESCALE:
+            peak = np.max(np.abs(j[k:k + 2]), axis=0)
+            j[k:] /= np.where(peak > 0.0, peak, 1.0)
+            bound = 1.0
+        below = j[k - 1]
+        np.multiply(two_over_x, j[k], out=below)
+        below *= k
+        below -= j[k + 1]
+        bound *= factor
+    out = j[:k_max + 1] / (j[0] + 2.0 * j[2::2].sum(axis=0))
+    out[:, x == 0.0] = np.eye(k_max + 1, 1)
+    return out
+
+
 def _chebyshev_degree(phase: float) -> int:
     """Smallest K with sum_{k>K} 2 |J_k(phase)| (1 + sqrt 2)^k <= tol."""
     # the terms fall like (e (1 + sqrt 2) phase / 2k)^k, so those past
@@ -188,8 +234,8 @@ def _chebyshev_degree(phase: float) -> int:
             f"step spans a phase R dt = {phase:.3e} rad, which needs a "
             f"degree near {k_end:.3e} (cap {_MAX_DEGREE})")
     k = np.arange(int(k_end) + 1, dtype=float)
-    j_abs = np.abs(jv(k, phase))
-    # past k = phase jv underflows while the weights still count; there
+    j_abs = np.abs(_bessel_j(k.size - 1, np.array([phase]))[:, 0])
+    # past k = phase J_k underflows while the weights still count; there
     # Watson's bound |J_k(k sech a)| <= exp(k (tanh a - a)) / sqrt(2 pi k
     # tanh a) (Theory of Bessel Functions, 8.5) stands in for it
     far = (j_abs < 1e-290) & (k > phase)
@@ -204,6 +250,32 @@ def _chebyshev_degree(phase: float) -> int:
     return int(np.argmax(tail <= CHEBYSHEV_TAIL_TOL)) - 1
 
 
+def _chebyshev_operator(dyn: LinearDynamics):
+    """(R, twice_b) for B = G^T i/R = H sigma/R with R = ||G^T||_inf.
+
+    R is the max absolute row sum of H.  B is real, so twice_b(p, out)
+    writes out = 2 B p for the real views (dim, 4) of two (dim, 2) complex
+    blocks, in O(dim) on the arrowhead: the diagonal, then the system rows'
+    couplings into the bath rows and the bath rows' into the system rows.
+    """
+    diag, coupling = dyn.arrowhead()
+    sigma = dyn.sigma()
+    abs_c = np.abs(coupling)
+    norm = float(np.max(np.abs(diag) + np.concatenate(
+        [abs_c.sum(axis=1), abs_c.sum(axis=0)])))
+    scale = 2.0 / norm if norm > 0.0 else 0.0
+    diag2 = np.repeat(scale * sigma * diag, 4).reshape(dyn.dim, 4)
+    to_bath = (scale * sigma[:2, None] * coupling).T.copy()   # (dim - 2, 2)
+    to_sys = scale * coupling * sigma[2:]                     # (2, dim - 2)
+
+    def twice_b(p: np.ndarray, out: np.ndarray) -> None:
+        np.multiply(diag2, p, out=out)
+        out[2:] += to_bath @ p[:2]
+        out[:2] += to_sys @ p[2:]
+
+    return norm, twice_b
+
+
 def propagate(dyn: LinearDynamics, grid: TimeGrid) -> BogoliubovPropagator:
     """March the system rows of S (columns of S^T under G^T) by Chebyshev.
 
@@ -211,18 +283,18 @@ def propagate(dyn: LinearDynamics, grid: TimeGrid) -> BogoliubovPropagator:
     ||B||_inf <= 1 and exp(G^T t) = sum_k (2 - delta_k0) (-i)^k J_k(R t)
     T_k(B).  A window covers W output steps, the most with R W dt <= 8 rad
     and at least one; its start block x gives T_k(B) x by the three-term
-    recurrence (K sparse matvecs), and one GEMM with the coefficient table,
-    shared by every window of the uniform grid, gives its W rows.  K is the
-    least degree whose tail bound sum_{k>K} 2 |J_k(R W dt)| (1 + sqrt 2)^k
-    is at most CHEBYSHEV_TAIL_TOL, so W and K depend on (H, dt) alone.  The
-    instability guard checks every output step.
+    recurrence (K products with the arrowhead), and one GEMM with the
+    coefficient table, shared by every window of the uniform grid, gives
+    its W rows.  K is the least degree whose tail bound
+    sum_{k>K} 2 |J_k(R W dt)| (1 + sqrt 2)^k is at most CHEBYSHEV_TAIL_TOL,
+    so W and K depend on (H, dt) alone.  The instability guard checks every
+    output step.
     """
     n = grid.n_steps
     dt = grid.dt
     dim = dyn.dim
 
-    gen_t = dyn.generator().T.tocsr()
-    norm = float(abs(gen_t).sum(axis=1).max())
+    norm, twice_b = _chebyshev_operator(dyn)
     if not math.isfinite(norm):
         # a NaN or inf entry of H: the step-1 guard reports it, as a march would
         _check_finite(np.array([norm]), 1, dt, "S")
@@ -240,28 +312,29 @@ def propagate(dyn: LinearDynamics, grid: TimeGrid) -> BogoliubovPropagator:
 
     k = np.arange(degree + 1)
     coef = (np.where(k == 0, 1.0, 2.0) * np.array([1, -1j, -1, 1j])[k % 4]
-            * jv(k, norm * dt * np.arange(1, window + 1)[:, None]))
-    # B acts on the two system rows of S at once, flattened to one vector
-    b_mat = sparse.block_diag((gen_t, gen_t), format="csr")
-    if norm > 0.0:
-        b_mat *= 1j / norm
-    store = np.empty((degree + 1, 2 * dim), dtype=complex)  # T_k(B) x
+            * _bessel_j(degree, norm * dt * np.arange(1, window + 1)).T)
+    # T_k(B) x for the (dim, 2) block x of the system columns of S^T
+    store = np.empty((degree + 1, dim, 2), dtype=complex)
+    real = store.view(float)
     sys_rows = np.empty((n + 1, 2, dim), dtype=complex)
-    flat_rows = sys_rows.reshape(n + 1, 2 * dim)
-    flat_rows[0] = store[0] = np.eye(2, dim).ravel()
+    sys_rows[0] = np.eye(2, dim)
+    store[0] = np.eye(dim, 2)
     for m0 in range(0, n, window):
         if degree > 0:
-            store[1] = b_mat.dot(store[0])
+            twice_b(real[0], real[1])
+            real[1] *= 0.5
         for j in range(2, degree + 1):
-            np.subtract(2.0 * b_mat.dot(store[j - 1]), store[j - 2],
-                        out=store[j])
+            twice_b(real[j - 1], real[j])
+            real[j] -= real[j - 2]
         steps = min(window, n - m0)
-        rows = flat_rows[m0 + 1:m0 + steps + 1]
-        np.matmul(coef[:steps], store, out=rows)
+        cols = (coef[:steps] @ store.reshape(degree + 1, 2 * dim)).reshape(
+            steps, dim, 2)
+        rows = sys_rows[m0 + 1:m0 + steps + 1]
+        rows[...] = cols.transpose(0, 2, 1)
         for j in range(steps):
             m = m0 + j + 1
             _check_finite(rows[j], m, m * dt, "S")
-        store[0] = rows[-1]
+        store[0] = cols[-1]
 
     return BogoliubovPropagator(
         grid=grid, dim=dim, sys_rows=sys_rows,
@@ -397,7 +470,7 @@ def thermal_total_state(dyn: LinearDynamics, temperature: float,
     subsequent evolution -- a frequency quench).  The Hamiltonian must be
     positive definite, otherwise no thermal state exists and an
     InstabilityError is raised.  The normal modes follow Colpa (Physica A 93
-    (1978) 327): a Cholesky factor of the real H of generator(), then a
+    (1978) 327): a Cholesky factor of the real H of G = -i sigma H, then a
     symmetric eigensolve; no non-Hermitian eigenproblem is solved.  Every
     field is read off the product table <A_p A_q>.
     """
@@ -406,7 +479,7 @@ def thermal_total_state(dyn: LinearDynamics, temperature: float,
     require_finite_frequency("omega_s0", omega_s0)
     nb = dyn.n_modes + 1
 
-    # the real symmetric H of generator() at omega_s0: dA/dt = -i sigma H A
+    # the real symmetric H at omega_s0: dA/dt = -i sigma H A
     rows, cols, vals = replace(dyn, omega_s=omega_s0)._h_entries()
     h_mat = np.zeros((dyn.dim, dyn.dim))
     h_mat[rows, cols] = vals
@@ -415,21 +488,21 @@ def thermal_total_state(dyn: LinearDynamics, temperature: float,
     # Colpa: H = K^T K exists iff H is positive definite; K sigma K^T = U L U^T
     # then gives T = K^-1 U |L|^(1/2) with T^T H T = |L| and T^T sigma T = sign L
     try:
-        k_mat = cholesky(h_mat)
+        k_mat = np.linalg.cholesky(h_mat).T
     except np.linalg.LinAlgError:
         raise InstabilityError(
             "coupled Hamiltonian is not positive definite (its Cholesky "
             "factorisation fails); no thermal state exists at these "
             "couplings") from None
     del h_mat  # the factor carries H from here on
-    lam, u_mat = eigh((k_mat * sigma) @ k_mat.T)
+    lam, u_mat = np.linalg.eigh((k_mat * sigma) @ k_mat.T)
     eps = lam[lam > 0.0]  # positive branch, ascending: the normal frequencies
     n_neg = np.count_nonzero(lam < 0.0)
     if eps.size != nb or n_neg != nb:
         raise InstabilityError(
             f"Bogoliubov spectrum has {eps.size} positive and {n_neg} negative "
             f"normal-mode frequencies; a thermal state needs {nb} of each")
-    t_mat = solve_triangular(k_mat, u_mat * np.sqrt(np.abs(lam)))
+    t_mat = np.linalg.solve(k_mat, u_mat * np.sqrt(np.abs(lam)))
 
     resid = float(np.max(np.abs((t_mat.T * sigma) @ t_mat
                                 - np.diag(np.sign(lam)))))

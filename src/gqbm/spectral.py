@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import numpy.polynomial.legendre
 
 from .errors import (
     ContractViolationError,

@@ -205,7 +205,7 @@ def test_manifest_states_the_tolerances_and_schemes_that_ran(tmp_path,
     manifest = oracle / "manifest.txt"
     assert _manifest_keys(manifest, "schemes") == {
         "oracle", "quadrature", "u_solver", "v_solver"}
-    assert "row march (S^T columns under G^T) on the sparse CSR generator" in (
+    assert "row march (S^T columns under G^T) on the arrowhead generator" in (
         _manifest_value(manifest, "schemes", "oracle"))
     assert "FFT causal convolution" in _manifest_value(manifest, "schemes",
                                                        "v_solver")
@@ -258,16 +258,35 @@ def test_crosscheck_from_the_environment_runs_on_greens(tmp_path, monkeypatch):
     assert "v_crosscheck" in _manifest_keys(out / "manifest.txt", "schemes")
 
 
-def test_import_loads_no_scipy_integrate():
-    # scipy.integrate also loads scipy.optimize, a cost paid at every start
+def _fresh_interpreter(code: str) -> str:
+    """stdout of code run in a new interpreter that imports this gqbm."""
     src = str(Path(gqbm.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import sys, gqbm, gqbm.cli; "
-            "print('scipy.integrate' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
                          capture_output=True,
                          env={**os.environ, "PYTHONPATH": path})
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip().splitlines()[-1]
+
+
+_LOADED_SCIPY = ("sorted(m for m in sys.modules "
+                 "if m.partition('.')[0] == 'scipy')")
+
+
+def test_import_loads_no_scipy():
+    # the scipy base layer costs more than numpy, paid at every start
+    code = f"import sys, gqbm, gqbm.cli; print({_LOADED_SCIPY})"
+    assert _fresh_interpreter(code) == "[]"
+
+
+def test_quench_oracle_run_loads_no_scipy_or_numpy_ma(tmp_path):
+    # nothing is deferred to a lazy import inside the run: the oracle, the
+    # thermal state and the kernel route all stay on numpy
+    argv = (["oracle-compare", "--alpha", "0.5", "--omega-s", "0.3",
+             "--quench-from", "0.6", "--out", str(tmp_path / "run")]
+            + _SMALL_ORACLE)
+    code = (f"import sys, gqbm.cli; code = gqbm.cli.main({argv!r}); "
+            f"print(code, {_LOADED_SCIPY}, 'numpy.ma' in sys.modules)")
+    assert _fresh_interpreter(code) == f"{cli.EXIT_OK} [] False"
 
 
 def test_byte_identical_reruns(tmp_path, monkeypatch):

@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import gqbm
 from gqbm import greens
@@ -156,6 +157,26 @@ def test_causal_matconv_is_the_direct_sum():
                        for m in range(7)])
     conv = greens._causal_matconv(a, b)
     assert np.max(np.abs(conv - direct)) <= RTOL * np.max(np.abs(direct))
+
+
+def test_fft_length_is_scipys_next_fast_len():
+    lengths = range(1, 100_001)
+    assert ([greens._next_fast_len(n) for n in lengths]
+            == [scipy.fft.next_fast_len(n) for n in lengths])
+
+
+@pytest.mark.parametrize("size", [7, 601, 2001])
+def test_causal_matconv_is_the_scipy_fft_route_bit_for_bit(size):
+    # numpy's FFT gives scipy's bits at scipy's length, so the CSVs of the V
+    # route stay byte-identical
+    rng = np.random.default_rng(size)
+    a = rng.normal(size=(size, 2, 2)) + 1j * rng.normal(size=(size, 2, 2))
+    b = rng.normal(size=(size, 2, 2)) + 1j * rng.normal(size=(size, 2, 2))
+    nfft = scipy.fft.next_fast_len(2 * size - 1)
+    spec = np.einsum("fab,fbc->fac", scipy.fft.fft(a, nfft, axis=0),
+                     scipy.fft.fft(b, nfft, axis=0))
+    ref = scipy.fft.ifft(spec, axis=0)[:size]
+    assert np.array_equal(greens._causal_matconv(a, b), ref)
 
 
 def test_v_and_vdot_match_the_loop_at_paper_resolution(pack_alpha05):

@@ -77,18 +77,25 @@ def _heisenberg_generator(dyn):
     return g
 
 
-def test_sparse_generator_matches_heisenberg_equations():
+def test_arrowhead_generator_matches_heisenberg_equations():
     dyn = _random_dynamics(n_modes=7, seed=11)
-    gen = dyn.generator()
     ref = _heisenberg_generator(dyn)
-    assert gen.format == "csr"
-    assert gen.nnz == 10 * dyn.n_modes + 2   # arrowhead: O(N) entries
-    np.testing.assert_array_equal(gen.toarray(), ref)
-    np.testing.assert_array_equal(gen.T.toarray(), ref.T)
+    np.testing.assert_array_equal(dyn.as_matrix(), ref)
+    # H = i sigma G: its diagonal and system rows are the arrowhead
+    h = 1j * dyn.sigma()[:, None] * ref
+    diag, coupling = dyn.arrowhead()
+    np.testing.assert_array_equal(diag, np.diag(h).real)
+    np.testing.assert_array_equal(coupling, h[:2, 2:].real)
+    # propagate's step 2 B x with B = G^T i/R against the dense product
+    norm, twice_b = oracle._chebyshev_operator(dyn)
+    assert norm == pytest.approx(np.max(np.sum(np.abs(ref), axis=1)),
+                                 rel=1e-15)
     rng = np.random.default_rng(12)
-    x = rng.normal(size=(dyn.dim, 3)) + 1j * rng.normal(size=(dyn.dim, 3))
-    np.testing.assert_allclose(gen @ x, ref @ x, rtol=0.0, atol=1e-15)
-    np.testing.assert_allclose(gen.T @ x, ref.T @ x, rtol=0.0, atol=1e-15)
+    x = rng.normal(size=(dyn.dim, 2)) + 1j * rng.normal(size=(dyn.dim, 2))
+    out = np.empty_like(x)
+    twice_b(x.view(float), out.view(float))
+    np.testing.assert_allclose(0.5 * out, ref.T @ x * (1j / norm), rtol=0.0,
+                               atol=1e-15)
 
 
 def test_energy_form_is_conserved_by_the_flow():
@@ -179,6 +186,28 @@ def test_recurrence_horizon_scaling():
         single = gqbm.discretize_bath(model, 1, 2.0)
     prop1 = gqbm.propagate(gqbm.build_dynamics(single, 0.3), grid)
     assert prop1.recurrence_horizon == math.inf
+
+
+def _unique_horizon(freqs):
+    """The horizon read off np.unique, as LinearDynamics computed it before."""
+    distinct = np.unique(freqs)
+    if distinct.size < 2:
+        return math.inf
+    spacing = float(np.min(np.diff(distinct)))
+    return oracle.RECURRENCE_GUARD * 2.0 * math.pi / max(spacing, 1e-300)
+
+
+@pytest.mark.parametrize("freqs", [
+    [0.7], [0.7, 0.7, 0.7], [1.1, 0.3, 2.0, 0.3, 1.1, 1.1],
+    [-0.5, 0.0, -0.0, 0.5, 0.5 + 1e-12],
+    np.random.default_rng(5).uniform(0.0, 20.0, 400)],
+    ids=["single", "repeated", "repeated-and-distinct", "signed", "distinct"])
+def test_recurrence_horizon_equals_the_unique_route(freqs):
+    freqs = np.asarray(freqs, dtype=float)
+    dyn = gqbm.LinearDynamics(omega_s=0.3, frequencies=freqs,
+                              v_couplings=np.zeros(freqs.size),
+                              w_couplings=np.zeros(freqs.size))
+    assert dyn.recurrence_horizon == _unique_horizon(freqs)
 
 
 def test_stiff_grid_rejected():
@@ -288,6 +317,45 @@ def test_chebyshev_degree_is_the_least_within_the_tail_bound():
     # about k = 1.1 phase at phase 2e4)
     for phase in (300.0, 2e4):
         assert 3.0 * phase < oracle._chebyshev_degree(phase) < 3.5 * phase + 64
+
+
+def _scipy_chebyshev_degree(phase):
+    """_chebyshev_degree as it was written on scipy's jv."""
+    k_end = 0.5 * math.e * (1.0 + math.sqrt(2.0)) * phase + 64.0
+    k = np.arange(int(k_end) + 1, dtype=float)
+    j_abs = np.abs(jv(k, phase))
+    far = (j_abs < 1e-290) & (k > phase)
+    with np.errstate(divide="ignore", over="ignore"):
+        log_j = np.log(j_abs)
+        sech = phase / k[far]
+        tanh = np.sqrt(1.0 - sech ** 2)
+        log_j[far] = (k[far] * (tanh - np.arccosh(1.0 / sech))
+                      - 0.5 * np.log(2.0 * math.pi * k[far] * tanh))
+        terms = 2.0 * np.exp(log_j + k * math.log(1.0 + math.sqrt(2.0)))
+        tail = np.cumsum(terms[::-1])[::-1]
+    return int(np.argmax(tail <= oracle.CHEBYSHEV_TAIL_TOL)) - 1
+
+
+def test_chebyshev_degree_matches_the_scipy_jv_route():
+    # past phase ~ 200 the degree is set where J_k underflows and Watson's
+    # bound stands in for it
+    phases = np.concatenate([[0.0], np.geomspace(1e-3, 3e3, 101), [2e4]])
+    for phase in phases:
+        assert (oracle._chebyshev_degree(phase)
+                == _scipy_chebyshev_degree(phase)), phase
+
+
+def test_miller_bessel_matches_scipy_jv():
+    for x in (0.0, 1e-3, 0.4, 8.0, 50.0, 150.0, 300.0):
+        k_max = int(3.3 * x) + 64
+        got = oracle._bessel_j(k_max, np.array([x]))[:, 0]
+        np.testing.assert_allclose(got, jv(np.arange(k_max + 1), x),
+                                   rtol=0.0, atol=1e-14)
+    # a window's arguments at once, as propagate asks for them
+    xs = np.linspace(0.0, 8.0, 41)
+    np.testing.assert_allclose(oracle._bessel_j(60, xs),
+                               jv(np.arange(61)[:, None], xs),
+                               rtol=0.0, atol=1e-14)
 
 
 def test_chebyshev_store_over_budget_rejected_before_allocation():

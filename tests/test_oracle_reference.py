@@ -5,26 +5,34 @@ The functions below are the earlier implementations, kept verbatim as the
 reference: the thermal state from a non-Hermitian eigensolve of sigma M
 with symplectic normalisation, the Colpa route on H in the block ordering
 (a, b_1..b_N, a^dag, b_1^dag..b_N^dag) with index maps back to the
-interleaved table, the propagation that marched the columns of
-S with G and the columns of S^T with G^T separately, and the fixed-substep
-RK4 row march that followed it.  The Colpa route reaches the same state
+interleaved table, the interleaved Colpa route on scipy's cholesky, eigh and
+solve_triangular, the propagation that marched the columns of S with G and
+the columns of S^T with G^T separately, the fixed-substep RK4 row march
+that followed it, and the Chebyshev row march on a sparse CSR generator
+with scipy's jv.  Their generators are CSR matrices of LinearDynamics's
+dense generator.  The Colpa route reaches the same state
 through other arithmetic, so it must agree to roundoff amplified by the
 eigenproblem's conditioning (1e-8 of the largest table entry; normal-mode
 frequencies to 1e-12 of the largest).  The interleaved Colpa route factors
 a permutation of the block-ordered H, so it must agree with that route to
-1e-10 of the largest table entry.  The RK4 row march is the second of
+1e-10 of the largest table entry.  On numpy's factorisations it must agree
+with the scipy ones to 1e-11 of the largest entry, the spread of scipy's
+own evr and evd eigensolvers.  The RK4 row march is the second of
 the two marches alone, so its rows must be equal; its 2x2 block
 U = S[:2, :2] is read off the rows instead of the columns, which agrees to
 roundoff.  The Chebyshev march must agree with the RK4 one to RK4's own
 error, 1e-10 of max|S|, and trip its instability guard at the same step
-with the same message.
+with the same message.  On the arrowhead it sums the same expansion in
+another order, so it must agree with the CSR march to 1e-13 of max|S|.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import cholesky, eigh, solve_triangular
+from scipy.special import jv
 
 import gqbm
 from gqbm.errors import (
@@ -38,6 +46,7 @@ from gqbm.greens import (
     require_finite_frequency,
 )
 from gqbm.moments import GaussianMoments
+from gqbm import oracle
 from gqbm.oracle import BogoliubovPropagator, ThermalTotalState
 from gqbm.spectral import n_bar
 
@@ -48,6 +57,8 @@ BLOCK_ORDER_RTOL = 1e-10
 FREQ_RTOL = 1e-12
 STATIONARY_RTOL = 1e-12
 RK4_AGREEMENT_RTOL = 1e-10
+SCIPY_ROUTE_RTOL = 1e-11
+CSR_AGREEMENT_RTOL = 1e-13
 
 # Target local truncation error of one RK4 substep, |lambda h|^5 / 120.
 RK4_LOCAL_ERROR = 1e-10
@@ -57,6 +68,10 @@ MAX_SUBSTEPS_PER_STEP = 1_000_000
 # the quench benchmark point: 300 gauss modes on omega <= 12, prepared at
 # omega_s0 = 0.6 and evolved at omega_s = 0.3
 MODES, OMEGA_MAX, OMEGA_S0, OMEGA_S = 300, 12.0, 0.6, 0.3
+
+
+def _csr_generator(dyn):
+    return sparse.csr_matrix(dyn.as_matrix())
 
 
 def _eig_thermal_total_state(dyn, temperature, omega_s0):
@@ -248,7 +263,7 @@ def _rk4_propagate(dyn, grid):
             f"{n_sub} substeps per step (cap {MAX_SUBSTEPS_PER_STEP})")
     h = dt / n_sub
 
-    gen_t = dyn.generator().T.tocsr()
+    gen_t = _csr_generator(dyn).T.tocsr()
     rows_t = np.zeros((dyn.dim, 2), dtype=complex)
     rows_t[0, 0] = rows_t[1, 1] = 1.0
     sys_rows = np.empty((n + 1, 2, dyn.dim), dtype=complex)
@@ -270,7 +285,7 @@ def _two_march_propagate(dyn, grid, n_sub, h):
     n = grid.n_steps
     dt = grid.dt
 
-    gen = dyn.generator()
+    gen = _csr_generator(dyn)
     gen_t = gen.T.tocsr()
     cols = np.zeros((dyn.dim, 2), dtype=complex)
     cols[0, 0] = 1.0
@@ -290,6 +305,114 @@ def _two_march_propagate(dyn, grid, n_sub, h):
         sys_cols[m] = cols
         sys_rows[m] = rows_t.T
     return sys_cols, sys_rows
+
+
+def _scipy_colpa_thermal_total_state(dyn, temperature, omega_s0):
+    if temperature < 0.0 or not math.isfinite(temperature):
+        raise ValidationError("temperature must be >= 0")
+    require_finite_frequency("omega_s0", omega_s0)
+    nb = dyn.n_modes + 1
+
+    # the real symmetric H of generator() at omega_s0: dA/dt = -i sigma H A
+    rows, cols, vals = gqbm.LinearDynamics(
+        omega_s0, dyn.frequencies, dyn.v_couplings,
+        dyn.w_couplings)._h_entries()
+    h_mat = np.zeros((dyn.dim, dyn.dim))
+    h_mat[rows, cols] = vals
+    sigma = dyn.sigma()
+
+    # Colpa: H = K^T K exists iff H is positive definite; K sigma K^T = U L U^T
+    # then gives T = K^-1 U |L|^(1/2) with T^T H T = |L| and T^T sigma T = sign L
+    try:
+        k_mat = cholesky(h_mat)
+    except np.linalg.LinAlgError:
+        raise InstabilityError(
+            "coupled Hamiltonian is not positive definite (its Cholesky "
+            "factorisation fails); no thermal state exists at these "
+            "couplings") from None
+    del h_mat  # the factor carries H from here on
+    lam, u_mat = eigh((k_mat * sigma) @ k_mat.T)
+    eps = lam[lam > 0.0]  # positive branch, ascending: the normal frequencies
+    n_neg = np.count_nonzero(lam < 0.0)
+    if eps.size != nb or n_neg != nb:
+        raise InstabilityError(
+            f"Bogoliubov spectrum has {eps.size} positive and {n_neg} negative "
+            f"normal-mode frequencies; a thermal state needs {nb} of each")
+    t_mat = solve_triangular(k_mat, u_mat * np.sqrt(np.abs(lam)))
+
+    resid = float(np.max(np.abs((t_mat.T * sigma) @ t_mat
+                                - np.diag(np.sign(lam)))))
+    if resid > 1e-8:
+        raise NumericalQualityError(
+            f"Bogoliubov transform breaks the symplectic metric by {resid:.3e}")
+
+    # <A A^dag> = T <Phi Phi^dag> T^T: a column of T with lambda > 0
+    # carries an annihilator (1 + nbar), one with lambda < 0 a creator (nbar)
+    occ_nm = n_bar(np.abs(lam), temperature)
+    diag = np.where(lam > 0.0, 1.0 + occ_nm, occ_nm)
+    cov = (t_mat * diag) @ t_mat.T
+    # A_q^dag = A_(q xor 1), so <A_p A_q> = <A_p A_(q xor 1)^dag>
+    table = cov[:, np.arange(dyn.dim) ^ 1].astype(complex)
+
+    system = GaussianMoments(mean_a=0.0 + 0.0j, delta_n=table[1, 0].real,
+                             delta_s=table[0, 0])
+    return ThermalTotalState(
+        system=system,
+        correlations=InitialCorrelations(n_prime=table[1, 2::2],
+                                         s_prime=table[0, 2::2]),
+        bath_occupations=np.real(np.diag(table[3::2, 2::2])),
+        bath_squeezes=np.diag(table[2::2, 2::2]),
+        normal_frequencies=eps,
+        product_table=table,
+        metadata={"scheme": "colpa-cholesky", "symplectic_residual": resid,
+                  "min_normal_frequency": float(eps[0])},
+    )
+
+
+def _csr_chebyshev_propagate(dyn, grid):
+    """The Chebyshev row march on the CSR generator with scipy's jv."""
+    n = grid.n_steps
+    dt = grid.dt
+    dim = dyn.dim
+
+    gen_t = _csr_generator(dyn).T.tocsr()
+    norm = float(abs(gen_t).sum(axis=1).max())
+    if norm * dt * n <= oracle._WINDOW_PHASE:
+        window = n
+    else:
+        window = max(1, int(oracle._WINDOW_PHASE / (norm * dt)))
+    degree = oracle._chebyshev_degree(norm * window * dt)
+
+    k = np.arange(degree + 1)
+    coef = (np.where(k == 0, 1.0, 2.0) * np.array([1, -1j, -1, 1j])[k % 4]
+            * jv(k, norm * dt * np.arange(1, window + 1)[:, None]))
+    # B acts on the two system rows of S at once, flattened to one vector
+    b_mat = sparse.block_diag((gen_t, gen_t), format="csr")
+    if norm > 0.0:
+        b_mat *= 1j / norm
+    store = np.empty((degree + 1, 2 * dim), dtype=complex)  # T_k(B) x
+    sys_rows = np.empty((n + 1, 2, dim), dtype=complex)
+    flat_rows = sys_rows.reshape(n + 1, 2 * dim)
+    flat_rows[0] = store[0] = np.eye(2, dim).ravel()
+    for m0 in range(0, n, window):
+        if degree > 0:
+            store[1] = b_mat.dot(store[0])
+        for j in range(2, degree + 1):
+            np.subtract(2.0 * b_mat.dot(store[j - 1]), store[j - 2],
+                        out=store[j])
+        steps = min(window, n - m0)
+        rows = flat_rows[m0 + 1:m0 + steps + 1]
+        np.matmul(coef[:steps], store, out=rows)
+        for j in range(steps):
+            m = m0 + j + 1
+            _check_finite(rows[j], m, m * dt, "S")
+        store[0] = rows[-1]
+
+    return BogoliubovPropagator(
+        grid=grid, dim=dim, sys_rows=sys_rows,
+        recurrence_horizon=dyn.recurrence_horizon,
+        metadata={"degree": degree, "window": window, "norm_bound": norm},
+    )
 
 
 def _dynamics(alpha, omega_s, modes=MODES):
@@ -348,10 +471,26 @@ def test_colpa_state_matches_the_block_ordered_route(alpha, temperature):
             <= FREQ_RTOL * np.max(ref.normal_frequencies))
 
 
+# at zero temperature max|table| is about 1 instead of 50, and the same
+# absolute spread of about 5e-11 in the lowest mode's entries is 9e-11 of it,
+# for scipy's own evr and evd eigensolvers as for numpy's route; there
+# test_colpa_state_matches_the_block_ordered_route bounds it
+@pytest.mark.parametrize("alpha, temperature", [(0.5, 0.01), (0.0, 0.01)],
+                         ids=["quench-point", "no-pairing"])
+def test_colpa_state_matches_the_scipy_route(alpha, temperature):
+    dyn = _dynamics(alpha, OMEGA_S)
+    state = gqbm.thermal_total_state(dyn, temperature, OMEGA_S0)
+    ref = _scipy_colpa_thermal_total_state(dyn, temperature, OMEGA_S0)
+    bound = SCIPY_ROUTE_RTOL * np.max(np.abs(ref.product_table))
+    assert np.max(np.abs(state.product_table - ref.product_table)) <= bound
+    assert (np.max(np.abs(state.normal_frequencies - ref.normal_frequencies))
+            <= FREQ_RTOL * np.max(ref.normal_frequencies))
+
+
 def test_colpa_state_is_stationary_under_its_hamiltonian(both_states):
     dyn, colpa, _ = both_states
-    gen = gqbm.LinearDynamics(OMEGA_S0, dyn.frequencies, dyn.v_couplings,
-                              dyn.w_couplings).generator()
+    gen = _csr_generator(gqbm.LinearDynamics(OMEGA_S0, dyn.frequencies,
+                                             dyn.v_couplings, dyn.w_couplings))
     table = colpa.product_table
     # d<A_p A_q>/dt = (G P + P G^T)_pq vanishes for a Gibbs state
     resid = np.max(np.abs(gen @ table + (gen @ table.T).T))
@@ -389,6 +528,30 @@ def test_chebyshev_rows_match_the_rk4_march_on_the_oracle_point():
     rows = gqbm.propagate(dyn, grid).sys_rows
     assert (np.max(np.abs(rows - ref))
             <= RK4_AGREEMENT_RTOL * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("modes, omega_max, omega_s, t_end, n_steps", [
+    (400, 20.0, None, 3.0, 300), (MODES, OMEGA_MAX, OMEGA_S, 2.0, 200),
+    (20, 20.0, 0.7, 8.0, 16)], ids=["oracle-point", "quench-point",
+                                     "one-step-windows"])
+def test_arrowhead_march_matches_the_csr_march(modes, omega_max, omega_s,
+                                               t_end, n_steps):
+    model = make_model(0.5)
+    bath = gqbm.discretize_bath(model, modes, omega_max, scheme="gauss")
+    dyn = gqbm.build_dynamics(
+        bath, gqbm.default_omega_s(model) if omega_s is None else omega_s)
+    grid = gqbm.TimeGrid(t_end=t_end, n_steps=n_steps,
+                         max_frequency=0.25 * n_steps / t_end)
+    ref = _csr_chebyshev_propagate(dyn, grid)
+    prop = gqbm.propagate(dyn, grid)
+    if n_steps == 16:
+        assert prop.metadata["window"] == 1
+    for key in ("degree", "window"):
+        assert prop.metadata[key] == ref.metadata[key]
+    assert prop.metadata["norm_bound"] == pytest.approx(
+        ref.metadata["norm_bound"], rel=1e-15)
+    assert (np.max(np.abs(prop.sys_rows - ref.sys_rows))
+            <= CSR_AGREEMENT_RTOL * np.max(np.abs(ref.sys_rows)))
 
 
 def _runaway():
