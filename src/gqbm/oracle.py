@@ -234,17 +234,22 @@ def _chebyshev_degree(phase: float) -> int:
             f"step spans a phase R dt = {phase:.3e} rad, which needs a "
             f"degree near {k_end:.3e} (cap {_MAX_DEGREE})")
     k = np.arange(int(k_end) + 1, dtype=float)
-    j_abs = np.abs(_bessel_j(k.size - 1, np.array([phase]))[:, 0])
     # past k = phase J_k underflows while the weights still count; there
     # Watson's bound |J_k(k sech a)| <= exp(k (tanh a - a)) / sqrt(2 pi k
     # tanh a) (Theory of Bessel Functions, 8.5) stands in for it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sech = np.minimum(phase / k, 1.0)  # +inf bound up to k = phase
+        tanh = np.sqrt(1.0 - sech ** 2)
+        log_watson = (k * (tanh - np.arccosh(1.0 / sech))
+                      - 0.5 * np.log(2.0 * math.pi * k * tanh))
+    # the bound falls with k, and orders below 1e-300 need no recurrence
+    n_j = k.size - int(np.count_nonzero(log_watson < math.log(1e-300)))
+    j_abs = np.zeros(k.size)
+    j_abs[:n_j] = np.abs(_bessel_j(n_j - 1, np.array([phase]))[:, 0])
     far = (j_abs < 1e-290) & (k > phase)
     with np.errstate(divide="ignore", over="ignore"):
         log_j = np.log(j_abs)
-        sech = phase / k[far]
-        tanh = np.sqrt(1.0 - sech ** 2)
-        log_j[far] = (k[far] * (tanh - np.arccosh(1.0 / sech))
-                      - 0.5 * np.log(2.0 * math.pi * k[far] * tanh))
+        log_j[far] = log_watson[far]
         terms = 2.0 * np.exp(log_j + k * math.log(_CHEBYSHEV_GROWTH))
         tail = np.cumsum(terms[::-1])[::-1]  # tail[k] = terms k, k+1, ...
     return int(np.argmax(tail <= CHEBYSHEV_TAIL_TOL)) - 1
