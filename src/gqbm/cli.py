@@ -1,8 +1,12 @@
 """Command-line interface: the shell around gqbm.pipelines.
 
 This module parses arguments, resolves the configuration, writes CSVs and
-the manifest and maps errors to exit codes; every solve and comparison runs
-in the library (gqbm.pipelines), so a library call reproduces a CLI run.
+the manifest and maps errors to exit codes.  greens, coeffs, jolt-sweep,
+reproduce-fig2 and oracle-compare each run one gqbm.pipelines function, so
+a library call reproduces their runs.  Two subcommands do work here:
+kernels samples the tables of spectral.build_kernels, and evolve runs
+coefficient_run and then the moment ODEs (evolve_means, evolve_covariances,
+to_quadratures) in _run_evolve.
 
 Subcommands
 -----------
@@ -48,12 +52,7 @@ from .errors import (
     SingularityError,
     ValidationError,
 )
-from .greens import (
-    INSTABILITY_MAX_ABS,
-    U_SOLVER_SCHEME,
-    TimeGrid,
-    require_finite_frequency,
-)
+from .greens import INSTABILITY_MAX_ABS, TimeGrid, require_finite_frequency
 from .moments import (
     COMMUTATOR_DRIFT_TOL,
     GaussianMoments,
@@ -61,18 +60,16 @@ from .moments import (
     evolve_means,
     to_quadratures,
 )
-from .oracle import CHEBYSHEV_TAIL_TOL, PROPAGATE_SCHEME, THERMAL_STATE_SCHEME
+from .oracle import CHEBYSHEV_TAIL_TOL
 from .pipelines import (
     PipelineResult,
     coefficient_run,
     jolt_study,
-    kernel_stages,
     oracle_comparison,
     quench_comparison,
 )
 from .spectral import (
     QUADRATURE_RTOL,
-    QUADRATURE_SCHEME,
     SpectralModel,
     build_kernels,
     default_omega_s,
@@ -263,16 +260,6 @@ def _write_manifest(path: Path, cfg: RunConfig, pipeline: str,
         manifest.write(fh)
 
 
-# scheme of each stage a pipeline can run; the manifest names those that ran
-_SCHEMES = {
-    "u_solver": U_SOLVER_SCHEME,
-    "v_solver": "product-trapezoid double quadrature by FFT causal convolution",
-    "v_crosscheck": "volterra pc2 marching over fixed-t columns",
-    "quadrature": QUADRATURE_SCHEME,
-    "oracle": PROPAGATE_SCHEME,
-    "thermal_state": THERMAL_STATE_SCHEME,
-}
-
 _TOLERANCES = {
     "instability_max_abs": INSTABILITY_MAX_ABS,
     "condition_max": CONDITION_MAX,
@@ -283,7 +270,7 @@ _TOLERANCES = {
 
 
 # ---------------------------------------------------------------------------
-# pipelines: each runs a library pipeline and lays out its CSV tables
+# subcommands: each runs its chain and lays out its CSV tables
 # ---------------------------------------------------------------------------
 
 
@@ -310,8 +297,9 @@ def _matrix_table(times: np.ndarray, *labelled):
 
 def _run_kernels(cfg: RunConfig, model, omega_s: float, grid: TimeGrid):
     kernel = build_kernels(model)
-    return (PipelineResult(summaries={"omega_s": omega_s},
-                           stages=kernel_stages(kernel)),
+    stages = ({"quadrature": kernel.metadata["quadrature"]}
+              if "quadrature" in kernel.metadata else {})
+    return (PipelineResult(summaries={"omega_s": omega_s}, stages=stages),
             {"kernels": _matrix_table(grid.times, ("g", kernel.g(grid.times)),
                                       ("gt", kernel.gtilde(grid.times)))})
 
@@ -422,15 +410,18 @@ def _run_oracle_compare(cfg: RunConfig, model, omega_s: float,
          orc.delta_s.real, n_me[:, 0, 1].imag, orc.delta_s.imag])}
 
 
-# subcommand -> run(cfg, model, omega_s, grid) -> (result, {CSV: (names, columns)})
-_PIPELINES = {
-    "kernels": _run_kernels,
-    "greens": _run_greens,
-    "coeffs": _run_coeffs,
-    "evolve": _run_evolve,
-    "jolt-sweep": _run_sweep,
-    "oracle-compare": _run_oracle_compare,
-    "reproduce-fig2": _run_sweep,
+# subcommand -> (run(cfg, model, omega_s, grid) -> (result, {CSV: (names,
+# columns)}), the RunConfig fields it takes as flags besides _COMMON_FLAGS)
+_SUBCOMMANDS = {
+    "kernels": (_run_kernels, ()),
+    "greens": (_run_greens, ("crosscheck",)),
+    "coeffs": (_run_coeffs, ("crosscheck",)),
+    "evolve": (_run_evolve, ("init_mean_re", "init_mean_im", "init_delta_n",
+                             "init_delta_s_re", "init_delta_s_im")),
+    "jolt-sweep": (_run_sweep, ("alpha_list", "workers")),
+    "oracle-compare": (_run_oracle_compare, ("oracle_modes", "oracle_omega_max",
+                                             "oracle_scheme", "quench_omega_s0")),
+    "reproduce-fig2": (_run_sweep, ("workers",)),
 }
 
 
@@ -443,9 +434,10 @@ def run(cfg: RunConfig, pipeline: str) -> ResultBundle:
     a --crosscheck flag, before the output directory is made.
     """
     t0 = time.monotonic()
-    if pipeline not in _PIPELINES:
+    if pipeline not in _SUBCOMMANDS:
         raise ValidationError(f"unknown pipeline {pipeline!r}")
-    readers = [p for p, extra in _EXTRA_FLAGS.items() if "crosscheck" in extra]
+    readers = [p for p, (_, extra) in _SUBCOMMANDS.items()
+               if "crosscheck" in extra]
     if cfg.crosscheck and pipeline not in readers:
         raise ValidationError(f"crosscheck is read by {' and '.join(readers)} "
                               f"only, not by {pipeline}")
@@ -457,15 +449,14 @@ def run(cfg: RunConfig, pipeline: str) -> ResultBundle:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    res, tables = _PIPELINES[pipeline](cfg, *setup)
+    res, tables = _SUBCOMMANDS[pipeline][0](cfg, *setup)
     bundle = ResultBundle(out_dir=out, summaries=res.summaries,
                           manifest_path=out / "manifest.txt")
     for name, (names, columns) in tables.items():
         bundle.csv_paths[name] = out / f"{name}.csv"
         _write_csv(bundle.csv_paths[name], names, columns)
-    _write_manifest(bundle.manifest_path, cfg, pipeline,
-                    {k: _SCHEMES[k] for k in res.stages}, res.summaries,
-                    time.monotonic() - t0)
+    _write_manifest(bundle.manifest_path, cfg, pipeline, res.stages,
+                    res.summaries, time.monotonic() - t0)
     return bundle
 
 
@@ -473,20 +464,10 @@ def run(cfg: RunConfig, pipeline: str) -> ResultBundle:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-# RunConfig fields each subcommand takes as flags besides --config and --out;
+# RunConfig fields every subcommand takes as flags besides --config and --out;
 # a flag is the field name with dashes unless _FLAG_NAMES says otherwise
 _COMMON_FLAGS = ("gamma0", "cutoff", "alpha", "temperature", "omega_s", "t_end",
                  "n_steps", "mass")
-_EXTRA_FLAGS = {
-    "greens": ("crosscheck",),
-    "coeffs": ("crosscheck",),
-    "evolve": ("init_mean_re", "init_mean_im", "init_delta_n",
-               "init_delta_s_re", "init_delta_s_im"),
-    "jolt-sweep": ("alpha_list", "workers"),
-    "oracle-compare": ("oracle_modes", "oracle_omega_max", "oracle_scheme",
-                       "quench_omega_s0"),
-    "reproduce-fig2": ("workers",),
-}
 _FLAG_NAMES = {"n_steps": "--steps", "quench_omega_s0": "--quench-from"}
 _FLAG_TYPES = {"float": float, "float | None": float, "int": int, "str": str}
 
@@ -498,11 +479,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "a damped mode with pair-production bath couplings")
     sub = parser.add_subparsers(dest="pipeline", required=True)
     types = {f.name: f.type for f in fields(RunConfig)}
-    for pipeline in _PIPELINES:
+    for pipeline, (_, extra) in _SUBCOMMANDS.items():
         p = sub.add_parser(pipeline)
         p.add_argument("--config", help="INI configuration file")
         p.add_argument("--out", dest="out_dir", help="output directory")
-        for name in _COMMON_FLAGS + _EXTRA_FLAGS.get(pipeline, ()):
+        for name in _COMMON_FLAGS + extra:
             flag = _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
             if types[name] == "bool":
                 p.add_argument(flag, dest=name, action="store_const",

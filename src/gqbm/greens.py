@@ -50,6 +50,9 @@ _HISTORY_BLOCK = 32
 
 U_SOLVER_SCHEME = ("pc2(ab2 predictor, trapezoid corrector, midpoint start), "
                    "history by divide-and-conquer FFT convolution")
+# solve_v_fdt, and the Volterra march that crosschecks it
+V_SOLVER_SCHEME = "product-trapezoid double quadrature by FFT causal convolution"
+V_CROSSCHECK_SCHEME = "volterra pc2 marching over fixed-t columns"
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,9 @@ routes is therefore a genuine cross-validation.
 
 The generator is -i sigma H with H the real symmetric coupling table and
 sigma the commutation metric.  H is an arrowhead matrix (a diagonal plus the
-two system rows and columns) and is held once, as the O(N) entries of
-LinearDynamics._h_entries; LinearDynamics.arrowhead() reads off its diagonal
-and system rows, on which propagate() acts in O(N) per step.  Every reduced
+two system rows and columns) and is held once, as the diagonal and system
+rows that LinearDynamics.arrowhead() builds from the frequencies and
+couplings; propagate() acts on them in O(N) per step.  Every reduced
 quantity reads only the system rows S[:2, :], so propagate() marches those
 alone, as the system columns of S^T under G^T; the system columns S[:, :2]
 are not computed.  G is constant, so the march is a Chebyshev expansion of
@@ -25,7 +25,7 @@ recurrence horizon ~ 2 pi / min mode spacing, which LinearDynamics reports
 before anything is propagated.  thermal_total_state() prepares the
 correlated initial state of a quench, the Gibbs state of the coupled
 Hamiltonian, by Colpa's Cholesky route on a dense H filled from the same
-entries, in the same operator ordering.
+arrowhead, in the same operator ordering.
 """
 
 from __future__ import annotations
@@ -117,41 +117,29 @@ class LinearDynamics:
         spacing = float(np.min(gaps))
         return RECURRENCE_GUARD * 2.0 * math.pi / max(spacing, 1e-300)
 
-    def _h_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, values) of the nonzero pattern of H, each entry once."""
-        b = np.arange(2, self.dim, 2)
-        a_idx = np.zeros_like(b)
-        # couplings a-b_k and a^dag-b_k^dag carry V_k, a-b_k^dag and a^dag-b_k W_k
-        sys_idx = np.concatenate([a_idx, a_idx, a_idx + 1, a_idx + 1])
-        bath_idx = np.concatenate([b, b + 1, b + 1, b])
-        coupling = np.concatenate([self.v_couplings, self.w_couplings,
-                                   self.v_couplings, self.w_couplings])
-        diag = np.arange(self.dim)
-        rows = np.concatenate([diag, sys_idx, bath_idx])
-        cols = np.concatenate([diag, bath_idx, sys_idx])
-        h = np.concatenate([[self.omega_s, self.omega_s],
-                            np.repeat(self.frequencies, 2), coupling, coupling])
-        return rows, cols, h
-
     def arrowhead(self) -> tuple[np.ndarray, np.ndarray]:
         """H as (diag, coupling): its diagonal, and coupling[s, j] =
         H[s, j + 2] = H[j + 2, s] for the system rows s = 0, 1."""
-        rows, cols, h = self._h_entries()
-        on_diag = rows == cols
-        diag = np.zeros(self.dim)
-        diag[rows[on_diag]] = h[on_diag]
-        sys_row = (rows < 2) & ~on_diag
-        coupling = np.zeros((2, self.dim))
-        coupling[rows[sys_row], cols[sys_row]] = h[sys_row]
-        return diag, coupling[:, 2:]
+        diag = np.concatenate([[self.omega_s, self.omega_s],
+                               np.repeat(self.frequencies, 2)])
+        # a-b_k and a^dag-b_k^dag carry V_k, a-b_k^dag and a^dag-b_k W_k
+        coupling = np.empty((2, self.dim - 2))
+        coupling[0, 0::2] = coupling[1, 1::2] = self.v_couplings
+        coupling[0, 1::2] = coupling[1, 0::2] = self.w_couplings
+        return diag, coupling
+
+    def _dense_h(self) -> np.ndarray:
+        """The real symmetric H, filled from the arrowhead."""
+        diag, coupling = self.arrowhead()
+        h = np.diag(diag)
+        h[:2, 2:] = coupling
+        h[2:, :2] = coupling.T
+        return h
 
     def as_matrix(self) -> np.ndarray:
         """Dense generator G with dA/dt = G A (G = -i sigma H); intended for
         small N (tests, spectra)."""
-        rows, cols, h = self._h_entries()
-        gen = np.zeros((self.dim, self.dim), dtype=complex)
-        gen[rows, cols] = -1j * self.sigma()[rows] * h
-        return gen
+        return -1j * self.sigma()[:, None] * self._dense_h()
 
     def sigma(self) -> np.ndarray:
         """Commutation metric diag(+1, -1, ...) in the interleaved ordering."""
@@ -485,9 +473,7 @@ def thermal_total_state(dyn: LinearDynamics, temperature: float,
     nb = dyn.n_modes + 1
 
     # the real symmetric H at omega_s0: dA/dt = -i sigma H A
-    rows, cols, vals = replace(dyn, omega_s=omega_s0)._h_entries()
-    h_mat = np.zeros((dyn.dim, dyn.dim))
-    h_mat[rows, cols] = vals
+    h_mat = replace(dyn, omega_s=omega_s0)._dense_h()
     sigma = dyn.sigma()
 
     # Colpa: H = K^T K exists iff H is positive definite; K sigma K^T = U L U^T

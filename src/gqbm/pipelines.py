@@ -21,25 +21,26 @@ from .errors import ValidationError
 @dataclass
 class PipelineResult:
     """Named arrays and the library objects holding them (kernel, sol, me,
-    ...), scalar summaries, and the schemes that ran, in order (thermal_state,
-    oracle, quadrature, u_solver, v_solver, v_crosscheck)."""
+    ...), scalar summaries, and the stages that ran, in run order, each
+    mapped to its scheme id: thermal_state and oracle from the metadata of
+    the ThermalTotalState and BogoliubovPropagator, quadrature and u_solver
+    from the Kernel and GreensSolution, v_solver and v_crosscheck from the
+    constants beside their solvers."""
 
     outputs: dict = field(default_factory=dict)
     summaries: dict = field(default_factory=dict)
-    stages: list = field(default_factory=list)
+    stages: dict = field(default_factory=dict)
 
 
-def kernel_stages(kernel: spectral.Kernel) -> list:
-    """["quadrature"] when a transform of kernel runs on a quadrature rule."""
-    return ["quadrature"] if "quadrature" in kernel.metadata else []
-
-
-def _u_and_v(kernel, omega_s: float, grid, stages: list) -> PipelineResult:
+def _u_and_v(kernel, omega_s: float, grid, stages: dict) -> PipelineResult:
     sol = greens.solve_u(kernel, omega_s, grid)
     sol.v_equal_time = greens.solve_v_fdt(kernel, sol.u, grid)
+    if "quadrature" in kernel.metadata:
+        stages["quadrature"] = kernel.metadata["quadrature"]
+    stages.update(u_solver=sol.metadata["u_solver"],
+                  v_solver=greens.V_SOLVER_SCHEME)
     return PipelineResult({"kernel": kernel, "sol": sol}, {"omega_s": omega_s},
-                          stages + kernel_stages(kernel)
-                          + ["u_solver", "v_solver"])
+                          stages)
 
 
 def coefficient_run(model: spectral.SpectralModel, omega_s: float,
@@ -55,7 +56,7 @@ def coefficient_run(model: spectral.SpectralModel, omega_s: float,
     """
     if crosscheck:
         greens.require_volterra_budget(grid.n_steps)
-    res = _u_and_v(spectral.build_kernels(model), omega_s, grid, [])
+    res = _u_and_v(spectral.build_kernels(model), omega_s, grid, {})
     kernel, sol = res.outputs["kernel"], res.outputs["sol"]
     if coefficients:
         me = coeffs.compute_me_coeffs(coeffs.compute_k_lambda(sol, kernel))
@@ -67,7 +68,7 @@ def coefficient_run(model: spectral.SpectralModel, omega_s: float,
     if crosscheck:
         v_diag, sol.v_two_time = greens.solve_v_volterra(kernel, sol,
                                                          return_two_time=True)
-        res.stages.append("v_crosscheck")
+        res.stages["v_crosscheck"] = greens.V_CROSSCHECK_SCHEME
         if coefficients:
             res.summaries["coeff_integral_max_deviation"] = (
                 coeffs.coeff_integral_crosscheck(kernel, sol)["max_deviation"])
@@ -119,7 +120,8 @@ def oracle_comparison(model: spectral.SpectralModel,
     """
     dyn, horizon = _oracle_dynamics(bath, omega_s, grid)
     prop = oracle.propagate(dyn, grid)
-    res = _u_and_v(spectral.build_kernels(model), omega_s, grid, ["oracle"])
+    res = _u_and_v(spectral.build_kernels(model), omega_s, grid,
+                   {"oracle": prop.metadata["scheme"]})
     sol = res.outputs["sol"]
     u_dev = np.max(np.abs(sol.u - prop.u_series), axis=(1, 2))
     vac = moments.GaussianMoments()
@@ -150,7 +152,8 @@ def quench_comparison(bath: spectral.BathDiscretization, omega_s: float,
     prop = oracle.propagate(dyn, grid)
     kbath = replace(bath, occupations=state.bath_occupations)
     res = _u_and_v(spectral.kernels_from_bath(kbath), omega_s, grid,
-                   ["thermal_state", "oracle"])
+                   {"thermal_state": state.metadata["scheme"],
+                    "oracle": prop.metadata["scheme"]})
     u, v = res.outputs["sol"].u, res.outputs["sol"].v_equal_time
     dv = greens.correlated_correction(kbath, state.correlations, u, grid)
     n_me = greens.second_moments(u, state.system.n_matrix(), v) + dv

@@ -15,6 +15,8 @@ import gqbm.cli as cli
 import gqbm.pipelines as pipelines
 from gqbm.errors import ContractViolationError, NumericalQualityError, ValidationError
 
+from conftest import SCHEMES
+
 # every numeric CSV cell: 17 significant digits, scientific notation
 CELL_RE = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
 
@@ -61,6 +63,8 @@ def test_config_unknown_file_key(tmp_path):
 def test_config_unknown_env_var():
     with pytest.raises(ValidationError, match="unknown environment override"):
         cli.load_config(env={"GQBM_FROBNICATE": "1"})
+    with pytest.raises(ValidationError, match="bogus"):
+        cli.load_config(env={}, overrides={"bogus": 1})
 
 
 def test_config_bad_values(tmp_path):
@@ -75,6 +79,13 @@ def test_config_bad_values(tmp_path):
 def test_config_missing_file():
     with pytest.raises(ValidationError, match="not found"):
         cli.load_config("/nonexistent/run.ini", env={})
+
+
+def test_unknown_pipeline_is_rejected_before_any_output(tmp_path):
+    cfg = cli.load_config(env={}, overrides={"out_dir": str(tmp_path / "x")})
+    with pytest.raises(ValidationError, match="unknown pipeline"):
+        cli.run(cfg, "bogus")
+    assert not (tmp_path / "x").exists()
 
 
 def test_config_bounds():
@@ -161,6 +172,35 @@ def test_manifest_oracle_is_the_propagator_metadata(tmp_path, monkeypatch):
         gqbm.oracle.CHEBYSHEV_TAIL_TOL)
 
 
+def test_evolve_writes_the_library_moments(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    code = _run_cli(["evolve", "--out", str(out), "--alpha", "0.5",
+                     "--init-mean-re", "2", "--init-delta-n", "0.1",
+                     "--init-delta-s-re", "0.3", "--t-end", "2",
+                     "--steps", "200"], monkeypatch)
+    assert code == cli.EXIT_OK
+    model = gqbm.SpectralModel(family="ohmic", gamma0=3e-4, cutoff=1.0,
+                               alpha=0.5, temperature=0.01)
+    omega_s = gqbm.default_omega_s(model)
+    grid = gqbm.TimeGrid(t_end=2.0, n_steps=200)
+    me = pipelines.coefficient_run(model, omega_s, grid).outputs["me"]
+    init = gqbm.GaussianMoments(mean_a=2.0 + 0.0j, delta_n=0.1, delta_s=0.3)
+    mean = gqbm.evolve_means(me, init, grid)
+    second = gqbm.evolve_covariances(me, init, grid)
+    quads = gqbm.to_quadratures(second, 1.0, omega_s)
+    columns = [grid.times, mean.real, mean.imag, second.delta_n,
+               second.delta_s.real, second.delta_s.imag, quads.var_x,
+               quads.var_p, quads.cov_xp]
+
+    header, rows = _read_csv(out / "moments.csv")
+    assert header == ["t", "re_mean_a", "im_mean_a", "delta_n", "re_delta_s",
+                      "im_delta_s", "var_x", "var_p", "cov_xp"]
+    assert rows == [[f"{x:.16e}" for x in row] for row in zip(*columns)]
+    assert _manifest_value(out / "manifest.txt", "summary",
+                           "max_commutator_drift") == (
+        str(second.max_commutator_drift))
+
+
 def test_coeffs_writes_quadrature_form_at_full_pairing(tmp_path, monkeypatch):
     out = tmp_path / "run"
     code = _run_cli(["coeffs", "--out", str(out), "--alpha", "1",
@@ -213,12 +253,18 @@ def test_manifest_states_the_tolerances_and_schemes_that_ran(tmp_path,
 
 _SMALL_ORACLE = ["--t-end", "1", "--steps", "40", "--oracle-modes", "40",
                  "--oracle-omega-max", "12"]
+_SMALL_GRID = ["--t-end", "2", "--steps", "200"]
 
 
 # (subcommand and flags, the [schemes] keys of the stages that ran)
 @pytest.mark.parametrize("argv, keys", [
-    (["kernels", "--t-end", "2", "--steps", "200"], {"quadrature"}),
-    (["coeffs", "--t-end", "2", "--steps", "200"],
+    (["kernels"] + _SMALL_GRID, {"quadrature"}),
+    (["greens"] + _SMALL_GRID, {"quadrature", "u_solver", "v_solver"}),
+    (["greens", "--crosscheck"] + _SMALL_GRID,
+     {"quadrature", "u_solver", "v_solver", "v_crosscheck"}),
+    (["coeffs"] + _SMALL_GRID, {"quadrature", "u_solver", "v_solver"}),
+    (["evolve"] + _SMALL_GRID, {"quadrature", "u_solver", "v_solver"}),
+    (["jolt-sweep", "--workers", "1"] + _SMALL_GRID,
      {"quadrature", "u_solver", "v_solver"}),
     # ohmic at T = 0: g_v is closed form, gtilde_v zero, no quadrature rule
     (["coeffs", "--temperature", "0", "--t-end", "2", "--steps", "200"],
@@ -229,7 +275,8 @@ _SMALL_ORACLE = ["--t-end", "1", "--steps", "40", "--oracle-modes", "40",
     (["oracle-compare", "--alpha", "0.5", "--omega-s", "0.3",
       "--quench-from", "0.6"] + _SMALL_ORACLE,
      {"thermal_state", "oracle", "u_solver", "v_solver"}),
-], ids=["kernels", "coeffs", "coeffs-zero-temperature", "oracle-compare",
+], ids=["kernels", "greens", "greens-crosscheck", "coeffs", "evolve",
+        "jolt-sweep", "coeffs-zero-temperature", "oracle-compare",
         "oracle-compare-quench"])
 def test_manifest_names_exactly_the_schemes_that_ran(argv, keys, tmp_path,
                                                       monkeypatch):
@@ -237,17 +284,8 @@ def test_manifest_names_exactly_the_schemes_that_ran(argv, keys, tmp_path,
     assert _run_cli(argv + ["--out", str(out)], monkeypatch) == cli.EXIT_OK
     manifest = out / "manifest.txt"
     assert _manifest_keys(manifest, "schemes") == keys
-    if "quadrature" in keys:
-        kernel = gqbm.build_kernels(gqbm.SpectralModel(temperature=0.01))
-        assert _manifest_value(manifest, "schemes", "quadrature") == (
-            kernel.metadata["quadrature"])
-    if "thermal_state" in keys:
-        model = gqbm.SpectralModel(alpha=0.5, temperature=0.01)
-        dyn = gqbm.build_dynamics(gqbm.discretize_bath(model, 40, 12.0,
-                                                       scheme="gauss"), 0.3)
-        state = gqbm.thermal_total_state(dyn, 0.01, 0.6)
-        assert _manifest_value(manifest, "schemes", "thermal_state") == (
-            state.metadata["scheme"])
+    for key in keys:
+        assert _manifest_value(manifest, "schemes", key) == SCHEMES[key]
 
 
 def test_crosscheck_from_the_environment_runs_on_greens(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Master-equation coefficients, quadrature reduction, jolt estimates."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -236,6 +237,11 @@ def test_crosscheck_requires_two_time_table(pack_alpha05):
     _, kernel, sol = pack_alpha05
     with pytest.raises(ContractViolationError):
         gqbm.coeff_integral_crosscheck(kernel, sol)
+    # a two-time table alone is not enough: the equal-time V is read too
+    table = np.zeros((1, 1, 2, 2), dtype=complex)
+    with pytest.raises(ContractViolationError, match="equal-time"):
+        gqbm.coeff_integral_crosscheck(
+            kernel, replace(sol, v_equal_time=None, v_two_time=table))
 
 
 def test_crosscheck_agreement(omega_s):

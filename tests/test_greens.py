@@ -262,3 +262,5 @@ def test_correlated_correction_mode_mismatch(omega_s):
                                     s_prime=np.zeros(8, dtype=complex))
     with pytest.raises(ContractViolationError):
         gqbm.correlated_correction(bath, corr, sol.u, grid)
+    with pytest.raises(ValidationError, match="matching"):
+        gqbm.InitialCorrelations(n_prime=np.zeros(16), s_prime=np.zeros(8))

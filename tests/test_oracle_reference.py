@@ -313,12 +313,9 @@ def _scipy_colpa_thermal_total_state(dyn, temperature, omega_s0):
     require_finite_frequency("omega_s0", omega_s0)
     nb = dyn.n_modes + 1
 
-    # the real symmetric H of generator() at omega_s0: dA/dt = -i sigma H A
-    rows, cols, vals = gqbm.LinearDynamics(
-        omega_s0, dyn.frequencies, dyn.v_couplings,
-        dyn.w_couplings)._h_entries()
-    h_mat = np.zeros((dyn.dim, dyn.dim))
-    h_mat[rows, cols] = vals
+    # the real symmetric H at omega_s0: dA/dt = -i sigma H A
+    h_mat = gqbm.LinearDynamics(omega_s0, dyn.frequencies, dyn.v_couplings,
+                                dyn.w_couplings)._dense_h()
     sigma = dyn.sigma()
 
     # Colpa: H = K^T K exists iff H is positive definite; K sigma K^T = U L U^T

@@ -14,7 +14,7 @@ import gqbm
 import gqbm.pipelines as pipelines
 from gqbm.errors import ValidationError
 
-from conftest import make_model
+from conftest import SCHEMES, make_model
 
 
 def _grid(omega_s, t_end=2.0, n_steps=200):
@@ -35,6 +35,12 @@ def _assert_same_series(got, want, names):
 
 COEFF_FIELDS = ("gamma", "gamma_tilde", "gamma_bar", "omega_s_prime",
                 "omega_bar_prime")
+
+
+def _assert_stages(res, names):
+    """res.stages names exactly these stages, in run order, each with the
+    scheme constant beside its solver."""
+    assert list(res.stages.items()) == [(n, SCHEMES[n]) for n in names]
 
 
 def test_coefficient_run_is_the_hand_built_chain():
@@ -64,7 +70,7 @@ def test_coefficient_run_is_the_hand_built_chain():
         "v_route_max_deviation": float(
             np.max(np.abs(v_diag - sol.v_equal_time))),
     }
-    assert res.stages == ["quadrature", "u_solver", "v_solver", "v_crosscheck"]
+    _assert_stages(res, ["quadrature", "u_solver", "v_solver", "v_crosscheck"])
 
 
 def test_coefficient_run_can_stop_after_u_and_v():
@@ -74,7 +80,7 @@ def test_coefficient_run_can_stop_after_u_and_v():
                                     coefficients=False)
     assert set(res.outputs) == {"kernel", "sol"}
     assert res.summaries == {"omega_s": omega_s}
-    assert res.stages == ["quadrature", "u_solver", "v_solver"]
+    _assert_stages(res, ["quadrature", "u_solver", "v_solver"])
 
 
 def test_jolt_study_is_the_hand_built_chain():
@@ -125,7 +131,7 @@ def test_oracle_comparison_is_the_hand_built_chain():
         "max_u_deviation": float(np.max(u_dev)),
         "max_v_deviation": float(np.max(v_dev))}
     assert res.summaries["max_u_deviation"] < 1e-4
-    assert res.stages == ["oracle", "quadrature", "u_solver", "v_solver"]
+    _assert_stages(res, ["oracle", "quadrature", "u_solver", "v_solver"])
 
 
 def test_quench_comparison_is_the_hand_built_chain():
@@ -154,7 +160,7 @@ def test_quench_comparison_is_the_hand_built_chain():
     assert res.summaries["correction_magnitude"] > 0.0
     assert res.summaries["symplectic_residual"] == state.metadata[
         "symplectic_residual"]
-    assert res.stages == ["thermal_state", "oracle", "u_solver", "v_solver"]
+    _assert_stages(res, ["thermal_state", "oracle", "u_solver", "v_solver"])
 
 
 class _Propagated(Exception):

@@ -75,6 +75,9 @@ def test_tabulated_validation():
     with pytest.raises(ValidationError):
         gqbm.SpectralModel(family="tabulated", tab_omega=om,
                            tab_j=-np.ones(50))
+    with pytest.raises(ValidationError, match="matching"):
+        gqbm.SpectralModel(family="tabulated", tab_omega=om,
+                           tab_j=np.ones(49))
 
 
 def test_default_omega_s_value():
