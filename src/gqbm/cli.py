@@ -237,11 +237,9 @@ def _write_csv(path: Path, names: list[str], columns: list[np.ndarray]):
     lengths = {len(c) for c in columns}
     if len(lengths) != 1:
         raise ContractViolationError("CSV columns have mismatched lengths")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(names) + "\n")
-        cols = [np.asarray(c, dtype=float) for c in columns]
-        for row in zip(*cols):
-            fh.write(",".join(f"{x:.16e}" for x in row) + "\n")
+    np.savetxt(path, np.column_stack(columns).astype(float), fmt="%.16e",
+               delimiter=",", header=",".join(names), comments="",
+               encoding="ascii")
 
 
 def _write_manifest(path: Path, cfg: RunConfig, pipeline: str,

@@ -148,19 +148,25 @@ def require_volterra_budget(n_steps: int):
             f"budget (VOLTERRA_TABLE_BUDGET_BYTES)")
 
 
-def _check_finite(mat: np.ndarray, step: int, time: float, label: str):
-    amax = np.max(np.abs(mat))
-    if not np.isfinite(amax) or amax > INSTABILITY_MAX_ABS:
+def _check_finite(block: np.ndarray, first: int, times, label: str):
+    """Instability guard over a block of steps first, first + 1, ... on
+    axis 0, at times[0], times[1], ...: raises at the first step with a
+    non-finite entry or one past INSTABILITY_MAX_ABS."""
+    amax = np.max(np.abs(block).reshape(len(block), -1), axis=1)
+    bad = ~(amax <= INSTABILITY_MAX_ABS)
+    if bad.any():
+        j = int(np.argmax(bad))
         raise InstabilityError(
-            f"|{label}| reached {amax:.3e} at step {step} (t = {time:.6g}); "
-            f"bound is {INSTABILITY_MAX_ABS:.1e}")
+            f"|{label}| reached {amax[j]:.3e} at step {first + j} "
+            f"(t = {times[j]:.6g}); bound is {INSTABILITY_MAX_ABS:.1e}")
 
 
 def solve_u(kernel: Kernel, omega_s: float, grid: TimeGrid) -> GreensSolution:
     """March the retarded propagator U over the grid.
 
-    Steps are taken in order, each a pc2 step checked by the instability
-    guard.  The history part of the trapezoid memory at step m,
+    Steps are taken in order, each a pc2 step; the instability guard
+    checks each leaf block of steps once solved, before any convolution
+    reads it.  The history part of the trapezoid memory at step m,
     sum_{j < m} w_j Z G(t_m - t_j) U_j, accumulates in a lag table: once
     the first half of a block of steps is solved, one causal FFT
     convolution adds its terms to every step of the second half, and
@@ -186,8 +192,7 @@ def solve_u(kernel: Kernel, omega_s: float, grid: TimeGrid) -> GreensSolution:
     mem_half = 0.25 * dt * (zg_half @ u[0] + zg[0] @ u_half)
     u[1] = u[0] + dt * (mws @ u_half - mem_half)
     mem1 = 0.5 * dt * (zg[1] @ u[0] + zg[0] @ u[1])
-    udot[1] = mws @ u[1] - mem1
-    _check_finite(u[1], 1, times[1], "U")
+    udot[1] = mws @ u[1] - mem1             # checked with the first leaf
 
     # lag[m] = sum_{1 <= j < m} Z G(t_m - t_j) U_j, the interior of the
     # trapezoid history.  A non-finite kernel entry is zeroed here so the
@@ -207,14 +212,17 @@ def solve_u(kernel: Kernel, omega_s: float, grid: TimeGrid) -> GreensSolution:
                 f_pred = mws @ pred - (hist + half_zg0 @ pred)
                 u[m] = u[m - 1] + 0.5 * dt * (udot[m - 1] + f_pred)
                 udot[m] = mws @ u[m] - (hist + half_zg0 @ u[m])
-                _check_finite(u[m], m, times[m], "U")
+            _check_finite(u[lo:hi], lo, times[lo:hi], "U")
             return
         mid = (lo + hi) // 2
         march(lo, mid)
         lag[mid:hi] += _causal_matconv(zg_lag[:hi - lo], u[lo:mid])[mid - lo:]
         march(mid, hi)
 
-    march(1, n + 1)
+    # a leaf may run past its first bad step into overflow or NaN; the
+    # guard reports that step, so the warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        march(1, n + 1)
     return GreensSolution(grid=grid, omega_s=omega_s, u=u, u_dot=udot,
                           metadata={"u_solver": U_SOLVER_SCHEME})
 
@@ -391,7 +399,7 @@ def solve_v_volterra(kernel: Kernel, sol: GreensSolution,
         f_curr[act] = (np.einsum("ab,jbc->jac", mws, v[i, act])
                        - (hist + np.einsum("ab,jbc->jac", half_zg0, v[i, act]))
                        + ri)
-        _check_finite(v[i, act], i, grid.times[i], "V")
+        _check_finite(v[i:i + 1, act], i, grid.times[i:i + 1], "V")
 
     diag = np.einsum("iiab->iab", v).copy()
     if return_two_time:

@@ -137,43 +137,43 @@ def _diffusion(coeffs) -> np.ndarray:
     return d
 
 
-def _midpoint_march(rhs, series: tuple, y0: np.ndarray, dt: float,
-                    monitor=lambda m, y: None) -> np.ndarray:
+def _midpoint_march(rhs, series: tuple, y0: np.ndarray, dt: float) -> np.ndarray:
     """States of the linear ODE dy/dt = rhs(*coeffs(t), y) on the grid.
 
     series holds the coefficient arrays on the grid points; the explicit
-    midpoint rule interpolates them linearly at half steps.  monitor(m, y)
-    sees every state, the initial one included, and raises to stop.
+    midpoint rule interpolates them linearly at half steps.  The march
+    checks nothing: callers monitor the finished series, so a non-finite
+    coefficient carries on as NaN to the end.
     """
     n = series[0].shape[0] - 1
     out = np.empty((n + 1,) + y0.shape, dtype=y0.dtype)
     out[0] = y = y0
-    monitor(0, y)
     for m in range(n):
         now = [c[m] for c in series]
         mid = [0.5 * (c[m] + c[m + 1]) for c in series]
         half = y + 0.5 * dt * rhs(*now, y)
         y = y + dt * rhs(*mid, half)
-        monitor(m + 1, y)
         out[m + 1] = y
     return out
 
 
 def evolve_means(coeffs, init: GaussianMoments, grid) -> np.ndarray:
-    """<a>(t) on the grid; the conjugate component is monitored, not trusted."""
+    """<a>(t) on the grid.  The pair (<a>, <a^dag>) is propagated, and the
+    conjugate component is monitored, not trusted: the first time in the
+    finished series that it leaves conj(<a>) by more than CONJUGACY_TOL
+    (relative, floor 1) raises NumericalQualityError."""
     init.require_physical()
     _require_grid_match(coeffs, grid)
-
-    def conjugacy(m, y):
-        dev = abs(y[1] - np.conj(y[0]))
-        if not (dev <= CONJUGACY_TOL * max(1.0, abs(y[0]))):
-            raise NumericalQualityError(
-                f"mean conjugacy violated by {dev:.3e} at t = "
-                f"{grid.times[m]:.6g}")
-
     y0 = np.array([init.mean_a, np.conj(init.mean_a)], dtype=complex)
     ys = _midpoint_march(lambda a, y: a @ y, (_mean_generator(coeffs),), y0,
-                         grid.dt, conjugacy)
+                         grid.dt)
+    dev = np.abs(ys[:, 1] - np.conj(ys[:, 0]))
+    bad = ~(dev <= CONJUGACY_TOL * np.maximum(1.0, np.abs(ys[:, 0])))
+    if bad.any():
+        m = int(np.argmax(bad))
+        raise NumericalQualityError(
+            f"mean conjugacy violated by {dev[m]:.3e} at t = "
+            f"{grid.times[m]:.6g}")
     return ys[:, 0]
 
 
@@ -189,8 +189,18 @@ class SecondMomentSeries:
     n_matrix = GaussianMoments.n_matrix
 
 
-def _commutator_drift(nm: np.ndarray):
-    return np.abs(nm[..., 1, 1] - nm[..., 0, 0] - 1.0)
+def _require_commutator(delta_n, delta_h, times) -> float:
+    """The max commutator drift |delta_h - delta_n - 1| of a series, with
+    delta_h = <da da^dag>; raises NumericalQualityError at the first time
+    it passes COMMUTATOR_DRIFT_TOL or turns non-finite."""
+    drift = np.abs(delta_h - delta_n - 1.0)
+    bad = ~(drift <= COMMUTATOR_DRIFT_TOL)
+    if bad.any():
+        m = int(np.argmax(bad))
+        raise NumericalQualityError(
+            f"commutator drift {drift[m]:.3e} at t = {times[m]:.6g} "
+            f"exceeds {COMMUTATOR_DRIFT_TOL:.1e}")
+    return float(np.max(drift))
 
 
 def evolve_covariances(coeffs, init: GaussianMoments, grid) -> SecondMomentSeries:
@@ -203,20 +213,13 @@ def evolve_covariances(coeffs, init: GaussianMoments, grid) -> SecondMomentSerie
     """
     init.require_physical()
     _require_grid_match(coeffs, grid)
-
-    def drift_monitor(m, nm):
-        drift = _commutator_drift(nm)
-        if not (drift <= COMMUTATOR_DRIFT_TOL):
-            raise NumericalQualityError(
-                f"commutator drift {drift:.3e} at t = {grid.times[m]:.6g} "
-                f"exceeds {COMMUTATOR_DRIFT_TOL:.1e}")
-
     nms = _midpoint_march(lambda a, d, nm: a @ nm + nm @ np.conj(a).T + d,
                           (_mean_generator(coeffs), _diffusion(coeffs)),
-                          init.n_matrix(), grid.dt, drift_monitor)
+                          init.n_matrix(), grid.dt)
+    drift = _require_commutator(nms[:, 0, 0], nms[:, 1, 1], grid.times)
     return SecondMomentSeries(
         times=grid.times, delta_n=nms[:, 0, 0].real, delta_s=nms[:, 0, 1],
-        max_commutator_drift=float(np.max(_commutator_drift(nms))))
+        max_commutator_drift=drift)
 
 
 def evolve_hpz_covariances(hpz, init: QuadratureCovariances, grid,

@@ -118,7 +118,7 @@ def _loop_solve_u(kernel, omega_s, grid):
     u[1] = u[0] + dt * (mws @ u_half - mem_half)
     mem1 = 0.5 * dt * (zg[1] @ u[0] + zg[0] @ u[1])
     udot[1] = mws @ u[1] - mem1
-    _check_finite(u[1], 1, times[1], "U")
+    _check_finite(u[1:2], 1, times[1:2], "U")
 
     half_zg0 = 0.5 * dt * zg[0]
     for m in range(2, n + 1):
@@ -131,7 +131,7 @@ def _loop_solve_u(kernel, omega_s, grid):
         f_pred = mws @ pred - (hist + half_zg0 @ pred)
         u[m] = u[m - 1] + 0.5 * dt * (udot[m - 1] + f_pred)
         udot[m] = mws @ u[m] - (hist + half_zg0 @ u[m])
-        _check_finite(u[m], m, times[m], "U")
+        _check_finite(u[m:m + 1], m, times[m:m + 1], "U")
 
     return GreensSolution(
         grid=grid, omega_s=omega_s, u=u, u_dot=udot,
@@ -324,29 +324,44 @@ def _instability_message(solver, kernel, grid):
     return str(err.value)
 
 
-def test_runaway_reported_at_the_same_step_on_both_routes():
+def _attractive_kernel(strength):
     # the synthetic attractive kernel of test_instability_reported_with_step
     def g(dt):
         dt = np.asarray(dt, dtype=float)
         out = np.zeros(dt.shape + (2, 2), dtype=complex)
-        out[..., 0, 0] = -60.0
-        out[..., 1, 1] = 60.0
+        out[..., 0, 0] = -strength
+        out[..., 1, 1] = strength
         return out
 
     def gtilde(dt):
         return np.zeros(np.shape(dt) + (2, 2), dtype=complex)
 
-    kernel = kernel_with(g, gtilde)
+    return kernel_with(g, gtilde)
+
+
+def test_runaway_reported_at_the_same_step_on_both_routes():
+    kernel = _attractive_kernel(60.0)
     grid = gqbm.TimeGrid(t_end=8.0, n_steps=800, max_frequency=1.0)
     fast = _instability_message(gqbm.solve_u, kernel, grid)
     assert fast == _instability_message(_loop_solve_u, kernel, grid)
     assert "at step" in fast
 
 
-# G(t_0) enters the start step; G(t_1) only dU/dt at t_1, read by step 2
+def test_leaf_run_past_its_bad_step_into_overflow_reports_that_step():
+    # the first leaf overflows after step 1 trips; no RuntimeWarning may
+    # escape before the guard reports step 1, as the step loop does
+    kernel = _attractive_kernel(1e14)
+    grid = gqbm.TimeGrid(t_end=8.0, n_steps=800, max_frequency=1.0)
+    fast = _instability_message(gqbm.solve_u, kernel, grid)
+    assert fast == _instability_message(_loop_solve_u, kernel, grid)
+    assert "at step 1 " in fast
+
+
+# G(t_0) enters the start step; G(t_1) only dU/dt at t_1, read by step 2.
+# At n = 800 solve_u's first two leaf blocks are steps 1-25 and 26-50.
 @pytest.mark.parametrize("bad_step, trip_step",
-                         [(0, 1), (1, 2), (2, 2), (40, 40), (500, 500),
-                          (800, 800)])
+                         [(0, 1), (1, 2), (2, 2), (25, 25), (26, 26),
+                          (40, 40), (500, 500), (800, 800)])
 def test_nan_kernel_entry_trips_at_the_same_step_on_both_routes(bad_step,
                                                                 trip_step):
     # one NaN entry of G(t_k): the FFTs must not carry it to steps before k

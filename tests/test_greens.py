@@ -260,7 +260,11 @@ def test_correlated_correction_mode_mismatch(omega_s):
     sol = gqbm.solve_u(kernel, omega_s, grid)
     corr = gqbm.InitialCorrelations(n_prime=np.zeros(8, dtype=complex),
                                     s_prime=np.zeros(8, dtype=complex))
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="modes"):
         gqbm.correlated_correction(bath, corr, sol.u, grid)
+    corr = gqbm.InitialCorrelations(n_prime=np.zeros(16, dtype=complex),
+                                    s_prime=np.zeros(16, dtype=complex))
+    with pytest.raises(ContractViolationError, match="for this grid"):
+        gqbm.correlated_correction(bath, corr, sol.u[:-1], grid)
     with pytest.raises(ValidationError, match="matching"):
         gqbm.InitialCorrelations(n_prime=np.zeros(16), s_prime=np.zeros(8))

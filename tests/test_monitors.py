@@ -1,5 +1,7 @@
 """Every quality monitor trips on NaN, not only on large values."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -73,3 +75,22 @@ def test_monitor_trips_on_nan(name):
     call, error = CASES[name]
     with pytest.raises(error):
         call()
+
+
+# gamma[7] enters the half-step coefficients of the step from t_6 to t_7,
+# so the state at t_7 is the first non-finite one
+@pytest.mark.parametrize("name", ["evolve_means", "evolve_covariances"])
+def test_moment_monitors_name_the_first_non_finite_time(name):
+    call, error = CASES[name]
+    with pytest.raises(error) as err:
+        call()
+    assert re.search(r"at t = (\S+)", str(err.value)).group(1) == (
+        f"{GRID.times[7]:.6g}")
+
+
+def test_commutator_rule_names_the_first_time_past_the_bound():
+    times = np.array([0.0, 0.5, 1.0, 1.5])
+    delta_n = np.array([0.0, 1e-3, 0.0, 1.0])  # the later drift is larger
+    with pytest.raises(NumericalQualityError, match="at t = 0.5 "):
+        _require_commutator(delta_n, np.ones(4), times)
+    assert _require_commutator(np.zeros(4), np.ones(4), times) == 0.0

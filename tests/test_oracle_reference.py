@@ -27,6 +27,7 @@ another order, so it must agree with the CSR march to 1e-13 of max|S|.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -270,7 +271,7 @@ def _rk4_propagate(dyn, grid):
     sys_rows[0] = rows_t.T
     for m in range(1, n + 1):
         rows_t = _rk4_march(gen_t.dot, rows_t, h, n_sub)
-        _check_finite(rows_t, m, m * dt, "S")
+        _check_finite(rows_t[None], m, [m * dt], "S")
         sys_rows[m] = rows_t.T
 
     return BogoliubovPropagator(
@@ -300,8 +301,8 @@ def _two_march_propagate(dyn, grid, n_sub, h):
     for m in range(1, n + 1):
         cols = _rk4_march(gen.dot, cols, h, n_sub)
         rows_t = _rk4_march(gen_t.dot, rows_t, h, n_sub)
-        _check_finite(cols, m, m * dt, "S")
-        _check_finite(rows_t, m, m * dt, "S")
+        _check_finite(cols[None], m, [m * dt], "S")
+        _check_finite(rows_t[None], m, [m * dt], "S")
         sys_cols[m] = cols
         sys_rows[m] = rows_t.T
     return sys_cols, sys_rows
@@ -402,7 +403,7 @@ def _csr_chebyshev_propagate(dyn, grid):
         np.matmul(coef[:steps], store, out=rows)
         for j in range(steps):
             m = m0 + j + 1
-            _check_finite(rows[j], m, m * dt, "S")
+            _check_finite(rows[j:j + 1], m, [m * dt], "S")
         store[0] = rows[-1]
 
     return BogoliubovPropagator(
@@ -565,12 +566,37 @@ def _nan_coupling():
     return dyn
 
 
-@pytest.mark.parametrize("make", [_runaway, _nan_coupling],
-                         ids=["runaway", "nan-coupling"])
-def test_instability_trips_at_the_rk4_step_with_its_message(make):
-    grid = gqbm.TimeGrid(t_end=10.0, n_steps=100, max_frequency=2.0)
+def _beam_splitter():
+    # the runaway's norm bound R = 2 from exchange alone: stable, so its
+    # march runs to the end and reports the window of (R, dt)
+    return gqbm.LinearDynamics(omega_s=0.0, frequencies=np.array([0.0]),
+                               v_couplings=np.array([2.0]),
+                               w_couplings=np.array([0.0]))
+
+
+# the runaway passes the bound near t = 7.2; on the coarse grids that step
+# is the last of a Chebyshev window, or the first of the next
+@pytest.mark.parametrize("make, t_end, n_steps, max_frequency, where", [
+    pytest.param(_runaway, 10.0, 100, 2.0, "inside", id="runaway"),
+    pytest.param(_nan_coupling, 10.0, 100, 2.0, None, id="nan-coupling"),
+    pytest.param(_runaway, 10.0, 16, 0.25, "last", id="runaway-16-last"),
+    pytest.param(_runaway, 9.0, 19, 0.25, "last", id="runaway-19-last"),
+    pytest.param(_runaway, 10.0, 17, 0.25, "first", id="runaway-17-first"),
+    pytest.param(_runaway, 9.0, 20, 0.25, "first", id="runaway-20-first"),
+])
+def test_instability_trips_at_the_rk4_step_with_its_message(
+        make, t_end, n_steps, max_frequency, where):
+    grid = gqbm.TimeGrid(t_end=t_end, n_steps=n_steps,
+                         max_frequency=max_frequency)
     with pytest.raises(InstabilityError) as ref:
         _rk4_propagate(make(), grid)
     with pytest.raises(InstabilityError) as cheb:
         gqbm.propagate(make(), grid)
     assert str(cheb.value) == str(ref.value)
+    if where is not None:
+        twin = gqbm.propagate(_beam_splitter(), grid).metadata
+        assert twin["norm_bound"] == oracle._chebyshev_operator(make())[0]
+        window = twin["window"]
+        step = int(re.search(r"at step (\d+) ", str(cheb.value)).group(1))
+        assert 1 < window < step
+        assert {0: "last", 1: "first"}.get(step % window, "inside") == where
