@@ -21,7 +21,11 @@ Numerics: uniform grid, second-order predictor-corrector marching
 integrals, one midpoint step to start).  solve_u adds the memory history of
 the steps already taken by divide-and-conquer FFT convolution (Hairer,
 Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532), O(n log^2 n)
-over the march.
+over the march.  Its pc2 step is linear with constant coefficients, so each
+step is one fused matrix product on the stacked [U; dU/dt] of the steps in
+its block, taken in increment form: the product yields U_m - U_(m-1), and
+U_(m-1) is added last rather than multiplied through I + dt A / 2, whose
+rounding would repeat at every step.
 """
 
 from __future__ import annotations
@@ -171,6 +175,16 @@ def solve_u(kernel: Kernel, omega_s: float, grid: TimeGrid) -> GreensSolution:
     the first half of a block of steps is solved, one causal FFT
     convolution adds its terms to every step of the second half, and
     blocks of at most _HISTORY_BLOCK steps sum directly.  O(n log^2 n).
+
+    The pc2 step is linear with constant coefficients, so each step is one
+    fused update of the stacked state s_m = [U_m; dU/dt_m] (4 x 2): a
+    constant weight matrix times the states of its block, s_lo .. s_(m-1)
+    (the predictor, the corrector and the in-block history at once), plus
+    the lag term, gives the increment U_m - U_(m-1) and dU/dt_m.  U_(m-1)
+    is added to the increment last.  The product form (I + dt A / 2) U_(m-1)
+    rounds I + dt A / 2 once and repeats that error at every step: 7e-14 of
+    max|U| from the per-step reference loop at n = 2000, against 1e-16 in
+    increment form.
     """
     require_finite_frequency("omega_s", omega_s)
     n = grid.n_steps
@@ -181,49 +195,74 @@ def solve_u(kernel: Kernel, omega_s: float, grid: TimeGrid) -> GreensSolution:
     eye = np.eye(2, dtype=complex)
     mws = -1j * omega_s * Z
 
-    u = np.empty((n + 1, 2, 2), dtype=complex)
-    udot = np.empty_like(u)
-    u[0] = eye
-    udot[0] = mws.copy()                      # memory integral vanishes at t = 0
+    # s[m] = [U_m; dU/dt_m]; dU/dt at t = 0 has no memory integral
+    s = np.empty((n + 1, 4, 2), dtype=complex)
+    s[0, :2] = eye
+    s[0, 2:] = mws
 
     # midpoint bootstrap; the memory over [0, dt/2] uses the kernel at dt/2
     zg_half = _zmul(kernel.g(np.array([0.5 * dt])))[0]
-    u_half = u[0] + 0.5 * dt * udot[0]
-    mem_half = 0.25 * dt * (zg_half @ u[0] + zg[0] @ u_half)
-    u[1] = u[0] + dt * (mws @ u_half - mem_half)
-    mem1 = 0.5 * dt * (zg[1] @ u[0] + zg[0] @ u[1])
-    udot[1] = mws @ u[1] - mem1             # checked with the first leaf
+    u_half = s[0, :2] + 0.5 * dt * s[0, 2:]
+    mem_half = 0.25 * dt * (zg_half @ s[0, :2] + zg[0] @ u_half)
+    s[1, :2] = s[0, :2] + dt * (mws @ u_half - mem_half)
+    mem1 = 0.5 * dt * (zg[1] @ s[0, :2] + zg[0] @ s[1, :2])
+    s[1, 2:] = mws @ s[1, :2] - mem1         # checked with the first leaf
 
-    # lag[m] = sum_{1 <= j < m} Z G(t_m - t_j) U_j, the interior of the
-    # trapezoid history.  A non-finite kernel entry is zeroed here so the
-    # FFTs cannot spread it to earlier steps; the j = 0 term below still
-    # reads it and trips the guard at the loop's step.
+    # With U' = dU/dt, A = -i omega_s Z - dt Z G(0) / 2 and h the memory
+    # history at t_m, dt (lag[m] + in-block sum), a step is
+    #   U_m - U_(m-1) = dt/2 (A U_(m-1) + (1 + 3 dt A / 2) U'_(m-1)
+    #                         - dt A U'_(m-2) / 2 - h),
+    #   U'_m          = A U_m - h.
+    a = mws - 0.5 * dt * zg[0]
+    k_top = np.hstack([np.zeros((2, 2)), -0.25 * dt * dt * a,
+                       0.5 * dt * a, 0.5 * dt * eye + 0.75 * dt * dt * a])
+    k_low = a @ k_top
+    k_low[:, 4:6] += a
+    step = np.vstack([k_top, k_low])          # on s_(m-2), s_(m-1)
+    drive = -dt * np.vstack([0.5 * dt * eye, eye + 0.5 * dt * a])  # on lag
+
+    # lag[m] = zg[m] / 2 + sum_{1 <= j < m} Z G(t_m - t_j) U_j, the history
+    # before the step's block.  The j = 0 term reads the raw kernel, so a
+    # non-finite entry trips the guard at its own step; the interior terms
+    # read zg_lag, where it is zeroed so the FFTs cannot spread it to
+    # earlier steps.
     zg_lag = np.where(np.isfinite(zg), zg, 0.0)
-    lag = np.zeros_like(u)
-    half_zg0 = 0.5 * dt * zg[0]
+    lag = 0.5 * zg
+
+    # weights[k] acts on s[m - max(k, 2):m] at step m = lo + k of a block
+    # starting at lo: the step matrix, and the in-block history
+    # drive @ zg_lag[m - j] on U_j for lo <= j < m
+    top = min(_HISTORY_BLOCK, n) - 1
+    hist = np.zeros((top, 4, 4), dtype=complex)   # offsets top, ..., 1
+    hist[:, :, :2] = drive @ zg_lag[top:0:-1]
+    wide = np.moveaxis(hist, 0, 1).reshape(4, 4 * top)
+    wide[:, -8:] += step
+    weights = ([step, step + np.hstack([np.zeros((4, 4)), hist[-1]])]
+               + [wide[:, 4 * (top - k):] for k in range(2, top + 1)])
 
     def march(lo: int, hi: int):
         """Take steps lo..hi-1, given lag[lo:hi] summed over j < lo."""
         if hi - lo <= _HISTORY_BLOCK:
+            lag_terms = drive @ lag[lo:hi]
             for m in range(max(lo, 2), hi):
-                lag[m] += np.einsum("jab,jbc->ac", zg_lag[m - lo:0:-1], u[lo:m])
-                hist = dt * (lag[m] + 0.5 * zg[m] @ u[0])
-                pred = u[m - 1] + dt * (1.5 * udot[m - 1] - 0.5 * udot[m - 2])
-                f_pred = mws @ pred - (hist + half_zg0 @ pred)
-                u[m] = u[m - 1] + 0.5 * dt * (udot[m - 1] + f_pred)
-                udot[m] = mws @ u[m] - (hist + half_zg0 @ u[m])
-            _check_finite(u[lo:hi], lo, times[lo:hi], "U")
+                k = m - lo
+                s[m] = (weights[k] @ s[m - max(k, 2):m].reshape(-1, 2)
+                        + lag_terms[k])
+                s[m, :2] += s[m - 1, :2]
+            _check_finite(s[lo:hi, :2], lo, times[lo:hi], "U")
             return
         mid = (lo + hi) // 2
         march(lo, mid)
-        lag[mid:hi] += _causal_matconv(zg_lag[:hi - lo], u[lo:mid])[mid - lo:]
+        lag[mid:hi] += _causal_matconv(zg_lag[:hi - lo], s[lo:mid, :2])[mid - lo:]
         march(mid, hi)
 
     # a leaf may run past its first bad step into overflow or NaN; the
     # guard reports that step, so the warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         march(1, n + 1)
-    return GreensSolution(grid=grid, omega_s=omega_s, u=u, u_dot=udot,
+    return GreensSolution(grid=grid, omega_s=omega_s,
+                          u=np.ascontiguousarray(s[:, :2]),
+                          u_dot=np.ascontiguousarray(s[:, 2:]),
                           metadata={"u_solver": U_SOLVER_SCHEME})
 
 
@@ -389,7 +428,9 @@ def solve_v_volterra(kernel: Kernel, sol: GreensSolution,
         act = slice(i, n + 1)
         ri = source_row(i)
 
-        hist = dt * np.einsum("sab,sjbc->jac", zg[i - 1:0:-1], v[1:i, act])
+        # sum_s zg[i - s] @ v[s, j] as one GEMM over (s, b)
+        hist = dt * np.tensordot(zg[i - 1:0:-1], v[1:i, act],
+                                 axes=([0, 2], [0, 2])).transpose(1, 0, 2)
         pred = v[i - 1, act] + dt * (1.5 * f_curr[act] - 0.5 * f_prev[act])
         f_pred = (np.einsum("ab,jbc->jac", mws, pred)
                   - (hist + np.einsum("ab,jbc->jac", half_zg0, pred)) + ri)

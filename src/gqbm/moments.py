@@ -229,7 +229,9 @@ def evolve_hpz_covariances(hpz, init: QuadratureCovariances, grid,
     d/dt Cov = F Cov + Cov F^T + D_q with
     F = [[0, 1/M], [-M (omega_s^2 + d_omega^2), -2 Gamma]],
     D_q = [[0, Gamma_f], [Gamma_f, 2 M Gamma_h]].
-    Returns arrays var_x, var_p, cov_xp on the grid.
+    Returns arrays var_x, var_p, cov_xp on the grid.  The finished series
+    is monitored: the first time with a non-finite covariance raises
+    NumericalQualityError.
     """
     _require_scales(mass, omega_s)
     _require_grid_match(hpz, grid)
@@ -248,6 +250,11 @@ def evolve_hpz_covariances(hpz, init: QuadratureCovariances, grid,
                      [init.cov_xp, init.var_p]], dtype=float)
     covs = _midpoint_march(lambda f, d, cov: f @ cov + cov @ f.T + d,
                            (f_ser, d_ser), cov0, grid.dt)
+    bad = ~np.isfinite(covs).all(axis=(1, 2))
+    if bad.any():
+        m = int(np.argmax(bad))
+        raise NumericalQualityError(
+            f"non-finite quadrature covariance at t = {grid.times[m]:.6g}")
     return {"var_x": covs[:, 0, 0], "var_p": covs[:, 1, 1],
             "cov_xp": 0.5 * (covs[:, 0, 1] + covs[:, 1, 0])}
 

@@ -318,6 +318,14 @@ def test_solve_u_matches_the_loop_across_block_boundaries(n_steps, omega_s):
     _assert_u_matches_loop(kernel, omega_s, grid)
 
 
+def test_solve_u_returns_separate_contiguous_arrays(pack_alpha05):
+    # the march holds U and dU/dt in one stacked store; callers get neither
+    # a strided view of it nor two views sharing its memory
+    sol = pack_alpha05[2]
+    assert sol.u.flags.c_contiguous and sol.u_dot.flags.c_contiguous
+    assert not np.shares_memory(sol.u, sol.u_dot)
+
+
 def _instability_message(solver, kernel, grid):
     with pytest.raises(InstabilityError) as err:
         solver(kernel, 0.1, grid)

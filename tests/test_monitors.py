@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import gqbm
-from gqbm.coeffs import CoefficientSeries, _invert_2x2
+from gqbm.coeffs import CoefficientSeries, HpzCoefficients, _invert_2x2
 from gqbm.errors import (
     InstabilityError,
     NumericalQualityError,
@@ -29,6 +29,18 @@ def _coeffs_with_nan_gamma():
         gamma_tilde=np.zeros(n), gamma_bar=np.zeros(n, dtype=complex),
         omega_r=np.full(n, 0.5, dtype=complex),
         radicand_negative=np.zeros(n, dtype=bool))
+
+
+def _hpz_with_nan_damping():
+    n = GRID.n_steps + 1
+    damping = np.zeros(n)
+    damping[7] = np.nan
+    zeros = np.zeros(n)
+    return HpzCoefficients(
+        times=GRID.times, delta_omega_sq=zeros, gamma_damping=damping,
+        gamma_h=zeros, gamma_f=zeros, omega_p_sq=np.full(n, 0.25),
+        residual_freq=zeros, residual_damping=zeros,
+        residual_diffusion=zeros)
 
 
 def _propagate_nan_coupling():
@@ -58,6 +70,9 @@ CASES = {
     "evolve_covariances": (lambda: gqbm.evolve_covariances(
         _coeffs_with_nan_gamma(), gqbm.GaussianMoments(delta_n=0.1), GRID),
         NumericalQualityError),
+    "evolve_hpz_covariances": (lambda: gqbm.evolve_hpz_covariances(
+        _hpz_with_nan_damping(), gqbm.QuadratureCovariances(1.0, 1.0, 0.0),
+        GRID, omega_s=0.5), NumericalQualityError),
     "oracle_commutator": (lambda: _require_commutator(
         np.array([0.0, np.nan]), np.array([1.0, 1.0]), np.array([0.0, 1.0])),
         NumericalQualityError),
@@ -78,8 +93,10 @@ def test_monitor_trips_on_nan(name):
 
 
 # gamma[7] enters the half-step coefficients of the step from t_6 to t_7,
-# so the state at t_7 is the first non-finite one
-@pytest.mark.parametrize("name", ["evolve_means", "evolve_covariances"])
+# so the state at t_7 is the first non-finite one (for the quadrature
+# march, var_p and cov_xp; var_x follows a step later)
+@pytest.mark.parametrize("name", ["evolve_means", "evolve_covariances",
+                                  "evolve_hpz_covariances"])
 def test_moment_monitors_name_the_first_non_finite_time(name):
     call, error = CASES[name]
     with pytest.raises(error) as err:
