@@ -69,7 +69,6 @@ from .pipelines import (
     quench_comparison,
 )
 from .spectral import (
-    QUADRATURE_RTOL,
     SpectralModel,
     build_kernels,
     default_omega_s,
@@ -262,7 +261,6 @@ _TOLERANCES = {
     "instability_max_abs": INSTABILITY_MAX_ABS,
     "condition_max": CONDITION_MAX,
     "commutator_drift": COMMUTATOR_DRIFT_TOL,
-    "quadrature_self_check_rtol": QUADRATURE_RTOL,
     "chebyshev_tail": CHEBYSHEV_TAIL_TOL,
 }
 
@@ -295,8 +293,7 @@ def _matrix_table(times: np.ndarray, *labelled):
 
 def _run_kernels(cfg: RunConfig, model, omega_s: float, grid: TimeGrid):
     kernel = build_kernels(model)
-    stages = ({"quadrature": kernel.metadata["quadrature"]}
-              if "quadrature" in kernel.metadata else {})
+    stages = {"transforms": kernel.metadata["transforms"]}
     return (PipelineResult(summaries={"omega_s": omega_s}, stages=stages),
             {"kernels": _matrix_table(grid.times, ("g", kernel.g(grid.times)),
                                       ("gt", kernel.gtilde(grid.times)))})

@@ -23,7 +23,7 @@ class PipelineResult:
     """Named arrays and the library objects holding them (kernel, sol, me,
     ...), scalar summaries, and the stages that ran, in run order, each
     mapped to its scheme id: thermal_state and oracle from the metadata of
-    the ThermalTotalState and BogoliubovPropagator, quadrature and u_solver
+    the ThermalTotalState and BogoliubovPropagator, transforms and u_solver
     from the Kernel and GreensSolution, v_solver and v_crosscheck from the
     constants beside their solvers."""
 
@@ -35,8 +35,8 @@ class PipelineResult:
 def _u_and_v(kernel, omega_s: float, grid, stages: dict) -> PipelineResult:
     sol = greens.solve_u(kernel, omega_s, grid)
     sol.v_equal_time = greens.solve_v_fdt(kernel, sol.u, grid)
-    if "quadrature" in kernel.metadata:
-        stages["quadrature"] = kernel.metadata["quadrature"]
+    if "transforms" in kernel.metadata:
+        stages["transforms"] = kernel.metadata["transforms"]
     stages.update(u_solver=sol.metadata["u_solver"],
                   v_solver=greens.V_SOLVER_SCHEME)
     return PipelineResult({"kernel": kernel, "sol": sol}, {"omega_s": omega_s},

@@ -14,8 +14,12 @@ is an ohmic profile with exponential cutoff,
 
     J_V(w) = sqrt(pi gamma0 / (2 cutoff)) * w * exp(-w / cutoff)
 
-for which g_v has the closed form sqrt(gamma0/(8 pi cutoff)) (i dt + 1/cutoff)^-2.
-Everything is expressed in units of the cutoff (hbar = k_B = 1).
+for which both transforms are closed forms at every temperature: g_v is
+amp (1/cutoff + i dt)^-2 and gtilde_v, the Bose series summed term by term,
+is amp T^2 zeta(2, 1 + T/cutoff + i T dt), with amp = sqrt(gamma0/(8 pi cutoff))
+and zeta the Hurwitz zeta function.  Only the tabulated family evaluates its
+transforms by frequency quadrature.  Everything is expressed in units of the
+cutoff (hbar = k_B = 1).
 
 2x2 kernel layout (basis a, a^dagger):
 
@@ -57,7 +61,7 @@ _CHANNELS = ("v", "w", "vw")
 
 # Self-check tolerance of the frequency quadrature (relative, on probe offsets).
 QUADRATURE_RTOL = 1e-8
-# Kernel.metadata["quadrature"] of a kernel with a transform on such a rule.
+# Kernel.metadata["transforms"] of a tabulated kernel: both transforms on such a rule.
 QUADRATURE_SCHEME = "composite-gauss-legendre with self-refinement check"
 # Largest oscillation phase handled by a single Gauss-Legendre panel.
 _MAX_PANEL_PHASE = 350.0
@@ -66,8 +70,16 @@ _NODES_PER_PHASE = 0.55
 
 
 def n_bar(omega, temperature: float):
-    """Bose occupation 1/(exp(omega/T) - 1), elementwise, with T=0 -> 0."""
+    """Bose occupation 1/(exp(omega/T) - 1), elementwise, with T=0 -> 0.
+
+    omega must be finite and temperature finite and >= 0; omega = 0 at T > 0
+    gives the divergent occupation inf.
+    """
     omega = np.asarray(omega, dtype=float)
+    if not np.all(np.isfinite(omega)):
+        raise ValidationError("occupation frequencies must be finite")
+    if not (temperature >= 0.0 and math.isfinite(temperature)):
+        raise ValidationError(f"temperature must be >= 0, got {temperature}")
     if temperature == 0.0:
         return np.zeros_like(omega)
     x = omega / temperature
@@ -163,8 +175,9 @@ def eval_spectral_density(model: SpectralModel, omega, channel: str = "v") -> np
     if channel not in _CHANNELS:
         raise ValidationError(f"channel must be one of {_CHANNELS}, got {channel!r}")
     omega = np.asarray(omega, dtype=float)
-    if np.any(omega < 0.0):
-        raise ValidationError("spectral densities are defined for omega >= 0 only")
+    if not np.all(np.isfinite(omega) & (omega >= 0.0)):
+        raise ValidationError(
+            "spectral densities are defined for finite omega >= 0 only")
     jv = _j_v(model, omega)
     if channel == "v":
         return jv
@@ -179,7 +192,7 @@ def eval_spectral_density(model: SpectralModel, omega, channel: str = "v") -> np
 
 
 def _panel_edges(omega_max: float, inner_scale: float,
-                 knots: np.ndarray | None = None) -> list[float]:
+                 knots: np.ndarray) -> list[float]:
     # Geometric refinement toward omega = 0 resolves the Bose factor, whose
     # structure lives on the temperature scale, without wasting nodes at the
     # cutoff scale.
@@ -187,12 +200,10 @@ def _panel_edges(omega_max: float, inner_scale: float,
     edges = [0.0, first]
     while edges[-1] < omega_max:
         edges.append(min(edges[-1] * 5.0, omega_max))
-    if knots is not None:
-        # Tabulated profiles are only piecewise smooth; panels must break at
-        # the table nodes or Gauss-Legendre loses its convergence order.
-        interior = knots[(knots > 0.0) & (knots < omega_max)]
-        edges = sorted(set(edges).union(float(k) for k in interior))
-    return edges
+    # Tabulated profiles are only piecewise smooth; panels must break at the
+    # table nodes or Gauss-Legendre loses its convergence order.
+    interior = knots[(knots > 0.0) & (knots < omega_max)]
+    return sorted(set(edges).union(float(k) for k in interior))
 
 
 def _offsets(dt) -> np.ndarray:
@@ -265,7 +276,7 @@ class _FourierRule:
 
     def __init__(self, weight_fn: Callable[[np.ndarray], np.ndarray],
                  omega_max: float, inner_scale: float, dt_max: float,
-                 refine: int = 1, knots: np.ndarray | None = None):
+                 knots: np.ndarray, refine: int = 1):
         nodes = []
         weights = []
         edges = _panel_edges(omega_max, inner_scale, knots)
@@ -283,7 +294,6 @@ class _FourierRule:
         self.nodes = np.concatenate(nodes)
         self.weights = np.concatenate(weights) * weight_fn(self.nodes)
         self.n_nodes = self.nodes.size
-        self.dt_max = dt_max
 
     def transform(self, dt: np.ndarray) -> np.ndarray:
         return _exp_sum(self.weights, self.nodes, dt)
@@ -293,7 +303,7 @@ class _TransformFamily:
     """Caches _FourierRule instances per |dt| range and self-checks them."""
 
     def __init__(self, weight_fn, omega_max: float, inner_scale: float,
-                 label: str, knots: np.ndarray | None = None):
+                 label: str, knots: np.ndarray):
         self.weight_fn = weight_fn
         self.omega_max = omega_max
         self.inner_scale = inner_scale
@@ -306,15 +316,14 @@ class _TransformFamily:
         rule = self._rules.get(bucket)
         if rule is None:
             rule = _FourierRule(self.weight_fn, self.omega_max,
-                                self.inner_scale, bucket, knots=self.knots)
+                                self.inner_scale, bucket, self.knots)
             self._self_check(rule, bucket)
             self._rules[bucket] = rule
         return rule
 
     def _self_check(self, rule: _FourierRule, bucket: float):
         fine = _FourierRule(self.weight_fn, self.omega_max,
-                            self.inner_scale, bucket, refine=2,
-                            knots=self.knots)
+                            self.inner_scale, bucket, self.knots, refine=2)
         probes = np.array([0.0, 0.25 * bucket, 0.5 * bucket, bucket])
         coarse = rule.transform(probes)
         ref = fine.transform(probes)
@@ -345,8 +354,10 @@ class Kernel:
     A kernel is its two scalar particle-exchange transforms g_v and
     gtilde_v (callables of time offsets), the pairing ratio alpha, and the
     bath temperature and cutoff; g and gtilde assemble the (..., 2, 2)
-    complex G and Gt from them.  metadata records the source and, when a
-    transform is evaluated by quadrature, its scheme under "quadrature".
+    complex G and Gt from them.  metadata records the source and, for a
+    continuum kernel, the route of both transforms under "transforms": closed
+    form for the ohmic family at every temperature, quadrature for a
+    tabulated one.  Discrete-bath kernels are exact mode sums and name none.
     """
 
     g_v: Callable[[np.ndarray], np.ndarray]
@@ -408,49 +419,70 @@ class Kernel:
         return out
 
 
-def _g_v_function(model: SpectralModel):
-    """Particle-exchange transform g_v as a callable of time offsets."""
-    cut = model.cutoff
+# Kernel.metadata["transforms"] of an ohmic kernel.
+OHMIC_TRANSFORM_SCHEME = ("closed form: rational g_v, Hurwitz zeta(2, a) gtilde_v "
+                          "(12 direct terms + Euler-Maclaurin to B16)")
+# Bernoulli numbers B2, B4, ..., B16 of the Euler-Maclaurin tail.
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+              -3617 / 510)
+
+
+def _hurwitz_zeta2(a: np.ndarray, direct: int = 12) -> np.ndarray:
+    """zeta(2, a) = sum_{k >= 0} (a + k)^-2, elementwise, for complex Re a >= 1.
+
+    The first terms are summed directly; the tail from b = a + direct is
+    1/b + 1/(2 b^2) + sum_j B_2j / b^(2j+1) (Euler-Maclaurin, DLMF 25.11),
+    whose first omitted term is below 1e-19 relative for |b| >= 13.
+    """
+    b = a + direct
+    w = 1.0 / b**2
+    series = 0.0
+    for bern in reversed(_BERNOULLI):
+        series = (series + bern) * w
+    out = (1.0 + series) / b + 0.5 * w
+    for k in range(direct - 1, -1, -1):  # smallest terms first
+        out = out + 1.0 / (a + k) ** 2
+    return out
+
+
+def _zero_transform(dt) -> np.ndarray:
+    """gtilde_v at T = 0, where the Bose occupation vanishes identically."""
+    return np.zeros(_offsets(dt).shape, dtype=complex)
+
+
+def eval_g_v(model: SpectralModel, dt) -> np.ndarray:
+    """Evaluate g_v(dt) = int J_V(w) exp(-i w dt) dw / (2 pi) elementwise."""
+    return build_kernels(model).g_v(dt)
+
+
+def build_kernels(model: SpectralModel) -> Kernel:
+    """Continuum kernels of the model, one route per spectral family.
+
+    The ohmic family takes both transforms in closed form at every
+    temperature (module docstring; gtilde_v through _hurwitz_zeta2).  A
+    tabulated family evaluates them by a composite Gauss-Legendre rule on
+    [0, omega_max] that breaks at the table nodes, with omega_max the last
+    node for g_v and max(20 cutoff, 50 T) for gtilde_v; panels are
+    geometrically refined toward omega = 0 to resolve the Bose factor, and
+    every rule is validated against its own refinement before first use.
+    At T = 0 gtilde_v is exactly zero.  metadata["transforms"] names the route.
+    """
+    cut, temp = model.cutoff, model.temperature
     if model.family == "ohmic":
+        scheme = OHMIC_TRANSFORM_SCHEME
         amp = math.sqrt(model.gamma0 / (8.0 * math.pi * cut))
 
         def g_v(dt):
             return amp / (1.0 / cut + 1j * _offsets(dt)) ** 2
 
-        return g_v
-
-    omega_max_v = float(model.tab_omega[-1])
-
-    def _w_plain(om):
-        return _j_v(model, om) / (2.0 * math.pi)
-
-    return _TransformFamily(_w_plain, omega_max_v, cut, "spectral",
-                            knots=model.tab_omega)
-
-
-def eval_g_v(model: SpectralModel, dt) -> np.ndarray:
-    """Evaluate g_v(dt) = int J_V(w) exp(-i w dt) dw / (2 pi) elementwise."""
-    return _g_v_function(model)(dt)
-
-
-def build_kernels(model: SpectralModel) -> Kernel:
-    """Continuum kernels of the model, with closed-form transforms where known.
-
-    The thermal transform gtilde_v is evaluated by a composite Gauss-Legendre
-    rule on [0, omega_max] with omega_max = max(20 cutoff, 50 T); panels are
-    geometrically refined toward omega = 0 to resolve the Bose factor, and
-    every rule is validated against its own refinement before first use.
-    The rules' Gauss-Legendre nodes are cached by order across rules.
-    metadata["quadrature"] names the scheme whenever a transform runs on
-    such a rule: at T > 0, and for g_v of a tabulated family.
-    """
-    cut = model.cutoff
-    temp = model.temperature
-
-    g_v = _g_v_function(model)
-
-    if temp > 0.0:
-        omega_max_t = max(20.0 * cut, 50.0 * temp)
+        def gtilde_v(dt):
+            return amp * temp**2 * _hurwitz_zeta2(
+                1.0 + temp / cut + 1j * temp * _offsets(dt))
+    else:
+        scheme = QUADRATURE_SCHEME
+        g_v = _TransformFamily(lambda om: _j_v(model, om) / (2.0 * math.pi),
+                               float(model.tab_omega[-1]), cut, "spectral",
+                               model.tab_omega)
         # J_V * nbar stays finite at the origin: its omega -> 0 limit is
         # slope(J_V) * T, evaluated here once from a probe near zero.
         eps = 1e-8 * cut
@@ -463,17 +495,13 @@ def build_kernels(model: SpectralModel) -> Kernel:
             return np.where(np.isfinite(val), val, origin_limit)
 
         gtilde_v = _TransformFamily(
-            _w_thermal, omega_max_t, min(temp, cut) * 0.5, "thermal",
-            knots=model.tab_omega if model.family == "tabulated" else None)
-    else:
-        def gtilde_v(dt):
-            return np.zeros(_offsets(dt).shape, dtype=complex)
-
-    metadata = {"source": "continuum", "family": model.family,
-                "gamma0": model.gamma0}
-    if any(isinstance(f, _TransformFamily) for f in (g_v, gtilde_v)):
-        metadata["quadrature"] = QUADRATURE_SCHEME
-    return Kernel(g_v, gtilde_v, model.alpha, temp, cut, metadata)
+            _w_thermal, max(20.0 * cut, 50.0 * temp), min(temp, cut) * 0.5,
+            "thermal", model.tab_omega)
+    if temp == 0.0:
+        gtilde_v = _zero_transform
+    return Kernel(g_v, gtilde_v, model.alpha, temp, cut,
+                  {"source": "continuum", "family": model.family,
+                   "gamma0": model.gamma0, "transforms": scheme})
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,12 @@ GAMMA0 = 3e-4
 CUTOFF = 1.0
 TEMPERATURE = 0.01
 
-# the scheme id of each stage a pipeline can run: the constant beside its solver
+# the scheme id of each stage an ohmic pipeline can run: the constant beside
+# its solver
 SCHEMES = {
     "thermal_state": gqbm.oracle.THERMAL_STATE_SCHEME,
     "oracle": gqbm.oracle.PROPAGATE_SCHEME,
-    "quadrature": gqbm.spectral.QUADRATURE_SCHEME,
+    "transforms": gqbm.spectral.OHMIC_TRANSFORM_SCHEME,
     "u_solver": gqbm.greens.U_SOLVER_SCHEME,
     "v_solver": gqbm.greens.V_SOLVER_SCHEME,
     "v_crosscheck": gqbm.greens.V_CROSSCHECK_SCHEME,

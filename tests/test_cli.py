@@ -229,7 +229,6 @@ def test_manifest_states_the_tolerances_and_schemes_that_ran(tmp_path,
         "instability_max_abs": gqbm.greens.INSTABILITY_MAX_ABS,
         "condition_max": gqbm.coeffs.CONDITION_MAX,
         "commutator_drift": gqbm.moments.COMMUTATOR_DRIFT_TOL,
-        "quadrature_self_check_rtol": gqbm.spectral.QUADRATURE_RTOL,
     }
     for key, value in constants.items():
         assert float(_manifest_value(manifest, "tolerances", key)) == value
@@ -244,7 +243,7 @@ def test_manifest_states_the_tolerances_and_schemes_that_ran(tmp_path,
     assert code == cli.EXIT_OK
     manifest = oracle / "manifest.txt"
     assert _manifest_keys(manifest, "schemes") == {
-        "oracle", "quadrature", "u_solver", "v_solver"}
+        "oracle", "transforms", "u_solver", "v_solver"}
     assert "row march (S^T columns under G^T) on the arrowhead generator" in (
         _manifest_value(manifest, "schemes", "oracle"))
     assert "FFT causal convolution" in _manifest_value(manifest, "schemes",
@@ -258,20 +257,20 @@ _SMALL_GRID = ["--t-end", "2", "--steps", "200"]
 
 # (subcommand and flags, the [schemes] keys of the stages that ran)
 @pytest.mark.parametrize("argv, keys", [
-    (["kernels"] + _SMALL_GRID, {"quadrature"}),
-    (["greens"] + _SMALL_GRID, {"quadrature", "u_solver", "v_solver"}),
+    (["kernels"] + _SMALL_GRID, {"transforms"}),
+    (["greens"] + _SMALL_GRID, {"transforms", "u_solver", "v_solver"}),
     (["greens", "--crosscheck"] + _SMALL_GRID,
-     {"quadrature", "u_solver", "v_solver", "v_crosscheck"}),
-    (["coeffs"] + _SMALL_GRID, {"quadrature", "u_solver", "v_solver"}),
-    (["evolve"] + _SMALL_GRID, {"quadrature", "u_solver", "v_solver"}),
+     {"transforms", "u_solver", "v_solver", "v_crosscheck"}),
+    (["coeffs"] + _SMALL_GRID, {"transforms", "u_solver", "v_solver"}),
+    (["evolve"] + _SMALL_GRID, {"transforms", "u_solver", "v_solver"}),
     (["jolt-sweep", "--workers", "1"] + _SMALL_GRID,
-     {"quadrature", "u_solver", "v_solver"}),
-    # ohmic at T = 0: g_v is closed form, gtilde_v zero, no quadrature rule
+     {"transforms", "u_solver", "v_solver"}),
+    # ohmic at T = 0: still the closed form, with gtilde_v zero
     (["coeffs", "--temperature", "0", "--t-end", "2", "--steps", "200"],
-     {"u_solver", "v_solver"}),
+     {"transforms", "u_solver", "v_solver"}),
     (["oracle-compare", "--alpha", "0.5"] + _SMALL_ORACLE,
-     {"oracle", "quadrature", "u_solver", "v_solver"}),
-    # the discrete-bath kernels are exact sums, again no quadrature rule
+     {"oracle", "transforms", "u_solver", "v_solver"}),
+    # the discrete-bath kernels are exact mode sums and name no transforms
     (["oracle-compare", "--alpha", "0.5", "--omega-s", "0.3",
       "--quench-from", "0.6"] + _SMALL_ORACLE,
      {"thermal_state", "oracle", "u_solver", "v_solver"}),
@@ -286,6 +285,22 @@ def test_manifest_names_exactly_the_schemes_that_ran(argv, keys, tmp_path,
     assert _manifest_keys(manifest, "schemes") == keys
     for key in keys:
         assert _manifest_value(manifest, "schemes", key) == SCHEMES[key]
+
+
+def _no_quadrature_rule(*args, **kwargs):
+    raise AssertionError("an ohmic run built a quadrature rule")
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce-fig2", "--workers", "1"] + _SMALL_GRID,
+    ["evolve"] + _SMALL_GRID,
+    ["oracle-compare", "--alpha", "0.5"] + _SMALL_ORACLE,
+], ids=["reproduce-fig2", "evolve", "oracle-compare"])
+def test_no_cli_run_builds_a_quadrature_rule(argv, tmp_path, monkeypatch):
+    # the CLI is ohmic-only, and ohmic kernels are closed form at every T
+    monkeypatch.setattr(gqbm.spectral, "_FourierRule", _no_quadrature_rule)
+    out = tmp_path / "run"
+    assert _run_cli(argv + ["--out", str(out)], monkeypatch) == cli.EXIT_OK
 
 
 def test_crosscheck_from_the_environment_runs_on_greens(tmp_path, monkeypatch):

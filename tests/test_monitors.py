@@ -80,7 +80,7 @@ CASES = {
     "invert_2x2": (lambda: _invert_2x2(_nan_u(), np.arange(4.0)),
                    SingularityError),
     "quadrature_self_check": (lambda: _TransformFamily(
-        _nan_weight, 2.0, 0.5, "probe")(np.array([1.0])),
+        _nan_weight, 2.0, 0.5, "probe", np.array([0.0, 2.0]))(np.array([1.0])),
         QuadratureConvergenceError),
 }
 

@@ -70,7 +70,7 @@ def test_coefficient_run_is_the_hand_built_chain():
         "v_route_max_deviation": float(
             np.max(np.abs(v_diag - sol.v_equal_time))),
     }
-    _assert_stages(res, ["quadrature", "u_solver", "v_solver", "v_crosscheck"])
+    _assert_stages(res, ["transforms", "u_solver", "v_solver", "v_crosscheck"])
 
 
 def test_coefficient_run_can_stop_after_u_and_v():
@@ -80,7 +80,7 @@ def test_coefficient_run_can_stop_after_u_and_v():
                                     coefficients=False)
     assert set(res.outputs) == {"kernel", "sol"}
     assert res.summaries == {"omega_s": omega_s}
-    _assert_stages(res, ["quadrature", "u_solver", "v_solver"])
+    _assert_stages(res, ["transforms", "u_solver", "v_solver"])
 
 
 def test_jolt_study_is_the_hand_built_chain():
@@ -131,7 +131,7 @@ def test_oracle_comparison_is_the_hand_built_chain():
         "max_u_deviation": float(np.max(u_dev)),
         "max_v_deviation": float(np.max(v_dev))}
     assert res.summaries["max_u_deviation"] < 1e-4
-    _assert_stages(res, ["oracle", "quadrature", "u_solver", "v_solver"])
+    _assert_stages(res, ["oracle", "transforms", "u_solver", "v_solver"])
 
 
 def test_quench_comparison_is_the_hand_built_chain():

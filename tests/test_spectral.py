@@ -188,6 +188,65 @@ def test_gtilde_against_discrete_sum():
     assert np.max(np.abs(cont - disc)) / scale < 1e-6
 
 
+def _ohmic_thermal_quadrature(model):
+    """The ohmic gtilde_v by the tabulated family's frequency quadrature.
+
+    Its thermal weight J_V nbar / 2 pi, with the origin limit from a probe
+    near zero, on omega <= max(20 cutoff, 50 T) with inner scale
+    min(T, cutoff) / 2: the ohmic route before the closed form.
+    """
+    cut, temp = model.cutoff, model.temperature
+    eps = 1e-8 * cut
+    origin_limit = float(gqbm.eval_spectral_density(model, eps) / eps
+                         * temp / (2.0 * math.pi))
+
+    def weight(om):
+        with np.errstate(invalid="ignore", over="ignore"):
+            val = (gqbm.eval_spectral_density(model, om) * gqbm.n_bar(om, temp)
+                   / (2.0 * math.pi))
+        return np.where(np.isfinite(val), val, origin_limit)
+
+    return spectral._TransformFamily(weight, max(20.0 * cut, 50.0 * temp),
+                                     min(temp, cut) * 0.5, "reference",
+                                     np.empty(0))
+
+
+@pytest.mark.parametrize("temperature", [0.01, 0.3, 1.0])
+def test_ohmic_gtilde_closed_form_against_quadrature(temperature):
+    model = make_model(0.5, temperature=temperature)
+    t = gqbm.TimeGrid(t_end=100.0, n_steps=20000).times
+    ref = _ohmic_thermal_quadrature(model)(t)
+    got = gqbm.build_kernels(model).gtilde_v(t)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_hurwitz_zeta2_converged_in_its_direct_terms():
+    rng = np.random.default_rng(7)
+    a = (1.0 + rng.uniform(0.0, 100.0, 200)
+         + 1j * rng.uniform(-2000.0, 2000.0, 200))
+    a[:3] = [1.0, 1.0 + 0.01j, 1.3 - 5.0j]
+    z = spectral._hurwitz_zeta2(a)
+    assert np.max(np.abs(z - spectral._hurwitz_zeta2(a, direct=40))
+                  / np.abs(z)) <= 2e-15
+    # zeta(2, 1) = pi^2 / 6, and zeta(2, a) - zeta(2, a + 1) = a^-2
+    assert abs(z[0] - math.pi**2 / 6.0) <= 1e-15
+    np.testing.assert_allclose(z - spectral._hurwitz_zeta2(a + 1.0),
+                               1.0 / a**2, rtol=1e-12)
+
+
+def test_kernels_name_their_transform_route():
+    om = np.linspace(0.0, 5.0, 50)
+    tab = gqbm.SpectralModel(family="tabulated", temperature=0.01,
+                             tab_omega=om, tab_j=om * np.exp(-om))
+    for model, scheme in ((make_model(0.5), spectral.OHMIC_TRANSFORM_SCHEME),
+                          (make_model(0.5, temperature=0.0),
+                           spectral.OHMIC_TRANSFORM_SCHEME),
+                          (tab, spectral.QUADRATURE_SCHEME)):
+        assert gqbm.build_kernels(model).metadata["transforms"] == scheme
+    bath = gqbm.discretize_bath(make_model(0.5), 16, 20.0)
+    assert "transforms" not in gqbm.kernels_from_bath(bath).metadata
+
+
 _KERNELS_FOR_PROPS = [
     gqbm.build_kernels(make_model(a, temperature=t))
     for a, t in ((0.0, 0.0), (0.7, 0.01), (1.0, 0.05))

@@ -60,6 +60,10 @@ ENTRY_POINTS = {
         gqbm.QuadratureCovariances(0.5, 0.5, 0.0), omega_s=x),
     "quadratures_to_moments.var_x": lambda x: gqbm.quadratures_to_moments(
         gqbm.QuadratureCovariances(x, 0.5, 0.0)),
+    "n_bar.omega": lambda x: gqbm.n_bar(np.array([0.5, x]), 0.01),
+    "n_bar.temperature": lambda x: gqbm.n_bar(np.array([0.5]), x),
+    "eval_spectral_density.omega": lambda x: gqbm.eval_spectral_density(
+        MODEL, np.array([0.5, x])),
     "discretize_bath.omega_max": lambda x: gqbm.discretize_bath(MODEL, 8, x),
     "discretize_bath.n_modes": lambda x: gqbm.discretize_bath(MODEL, x, 12.0),
     "build_dynamics.omega_s": lambda x: gqbm.build_dynamics(BATH, x),
@@ -101,8 +105,17 @@ def test_numpy_integer_counts_are_accepted():
     assert gqbm.discretize_bath(MODEL, np.int32(8), 12.0).n_modes == 8
 
 
+def test_negative_temperature_into_n_bar_is_a_validation_error():
+    with pytest.raises(ValidationError, match="temperature must be >= 0"):
+        gqbm.n_bar(np.array([0.5]), -0.1)
+
+
 def test_nan_offset_into_the_thermal_quadrature_is_a_validation_error():
-    kernel = gqbm.build_kernels(gqbm.SpectralModel(temperature=0.01))
+    # only a tabulated density runs the quadrature; ohmic kernels are closed
+    # form, covered by ENTRY_POINTS["Kernel.gtilde.continuum"]
+    kernel = gqbm.build_kernels(gqbm.SpectralModel(
+        family="tabulated", temperature=0.01, tab_omega=[0.0, 1.0, 2.0],
+        tab_j=[0.0, 1.0, 0.0]))
     with pytest.raises(ValidationError, match="offsets must be finite"):
         kernel.gtilde(np.array([np.nan]))
 
