@@ -22,7 +22,10 @@ exp(G^T t) (Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967) over windows
 of output steps, its degree fixed in advance by a bound that holds for any
 H.  A finite bath revives: results are trustworthy only below the
 recurrence horizon ~ 2 pi / min mode spacing, which LinearDynamics reports
-before anything is propagated.  thermal_total_state() prepares the
+before anything is propagated.  reduced_moments() and exact_moments()
+read the rows in blocks of a fixed number of output steps, applying the
+initial product table once per block (one pair-wise rule, or one GEMM with
+a dense table).  thermal_total_state() prepares the
 correlated initial state of a quench, the Gibbs state of the coupled
 Hamiltonian, by Colpa's Cholesky route on a dense H filled from the same
 arrowhead, in the same operator ordering.
@@ -68,6 +71,8 @@ _MAX_DEGREE = 100_000
 _CHEBYSHEV_STORE_BUDGET_BYTES = 1 << 30
 # Miller's recurrence keeps its unnormalised values below this magnitude.
 _MILLER_RESCALE = 1e250
+# _moments_from_rows reads the rows in blocks of this many output steps.
+_MOMENT_BLOCK = 32
 
 
 @dataclass
@@ -355,20 +360,25 @@ class OracleMoments:
 
 def _moments_from_rows(prop: BogoliubovPropagator, apply_m0,
                        mean_a: np.ndarray) -> OracleMoments:
-    """Moments <A_i A_j> = r_i . M0 . r_j of the system pair, drift-checked."""
+    """Moments <A_i A_j> = r_i . M0 . r_j of the system pair, drift-checked.
+
+    Reads sys_rows in blocks of _MOMENT_BLOCK output steps: apply_m0 maps a
+    (k, 2, dim) block of rows r to M0 r once per block (one GEMM or one
+    pair-wise rule), and each of delta_s, delta_n and delta_h is one einsum
+    over the block.  The transient is O(_MOMENT_BLOCK dim), whatever n.
+    """
     rows = prop.sys_rows
     n_times = rows.shape[0]
     delta_s = np.empty(n_times, dtype=complex)
     delta_n = np.empty(n_times, dtype=complex)
     delta_h = np.empty(n_times, dtype=complex)
-    for m in range(n_times):
-        r1 = rows[m, 0]
-        r2 = rows[m, 1]
-        m0_r1 = apply_m0(r1)
-        m0_r2 = apply_m0(r2)
-        delta_s[m] = r1 @ m0_r1
-        delta_n[m] = r2 @ m0_r1
-        delta_h[m] = r1 @ m0_r2
+    for lo in range(0, n_times, _MOMENT_BLOCK):
+        steps = slice(lo, lo + _MOMENT_BLOCK)
+        r1, r2 = rows[steps, 0], rows[steps, 1]
+        m0_block = apply_m0(rows[steps])
+        delta_s[steps] = np.einsum("kd,kd->k", r1, m0_block[:, 0])
+        delta_n[steps] = np.einsum("kd,kd->k", r2, m0_block[:, 0])
+        delta_h[steps] = np.einsum("kd,kd->k", r1, m0_block[:, 1])
     times = prop.grid.times
     _require_commutator(delta_n.real, delta_h.real, times)
     return OracleMoments(times=times, mean_a=mean_a, delta_n=delta_n.real,
@@ -388,19 +398,23 @@ def reduced_moments(prop: BogoliubovPropagator, bath: BathDiscretization,
         raise ContractViolationError(
             f"bath has {bath.n_modes} modes, propagator dimension {prop.dim}")
 
-    occ = bath.occupations
-    sqz = bath.squeezes
-    dn0, ds0 = init.delta_n, init.delta_s
+    # the block-diagonal product table <A_p A_q>(0), per pair (x, x^dag)
+    # [[<xx>, <x x^dag>], [<x^dag x>, <x^dag x^dag>]] = [[s, 1 + n], [n, s*]]
+    occ = np.concatenate([[init.delta_n], bath.occupations])
+    sqz = np.concatenate([[init.delta_s], bath.squeezes])
+    one_occ, conj_sqz = 1.0 + occ, np.conj(sqz)
 
-    def apply_m0(r: np.ndarray) -> np.ndarray:
-        # block-diagonal product table <A_p A_q>(0): per pair (x, x^dag)
-        # [[<xx>, <x x^dag>], [<x^dag x>, <x^dag x^dag>]]
-        out = np.empty_like(r)
-        out[0] = ds0 * r[0] + (1.0 + dn0) * r[1]
-        out[1] = dn0 * r[0] + np.conj(ds0) * r[1]
-        out[2::2] = sqz * r[2::2] + (1.0 + occ) * r[3::2]
-        out[3::2] = occ * r[2::2] + np.conj(sqz) * r[3::2]
-        return out
+    def apply_m0(block: np.ndarray) -> np.ndarray:
+        pairs = block.reshape(block.shape[0], 2, occ.size, 2)
+        x, x_dag = pairs[..., 0], pairs[..., 1]
+        # written into out: the transient is one block and a half-block
+        # temporary
+        out = np.empty_like(pairs)
+        np.multiply(sqz, x, out=out[..., 0])
+        out[..., 0] += one_occ * x_dag
+        np.multiply(occ, x, out=out[..., 1])
+        out[..., 1] += conj_sqz * x_dag
+        return out.reshape(block.shape)
 
     mu0 = np.zeros(prop.dim, dtype=complex)
     mu0[0] = init.mean_a
@@ -413,14 +427,21 @@ def exact_moments(prop: BogoliubovPropagator,
     """Open-mode moments for an arbitrary Gaussian initial total state.
 
     product_table[p, q] = <A_p A_q>(0) in the interleaved operator ordering
-    (means assumed zero, as for any thermal total state).
+    (means assumed zero, as for any thermal total state); its entries must
+    be finite.
     """
     if product_table.shape != (prop.dim, prop.dim):
         raise ContractViolationError(
             f"product table shape {product_table.shape} does not match "
             f"dimension {prop.dim}")
+    if not np.all(np.isfinite(product_table)):
+        raise ValidationError("product_table entries must be finite")
 
-    return _moments_from_rows(prop, lambda r: product_table @ r,
+    def apply_m0(block: np.ndarray) -> np.ndarray:
+        return (block.reshape(-1, prop.dim) @ product_table.T).reshape(
+            block.shape)
+
+    return _moments_from_rows(prop, apply_m0,
                               np.zeros(prop.grid.times.size, dtype=complex))
 
 

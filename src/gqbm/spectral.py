@@ -72,8 +72,9 @@ _NODES_PER_PHASE = 0.55
 def n_bar(omega, temperature: float):
     """Bose occupation 1/(exp(omega/T) - 1), elementwise, with T=0 -> 0.
 
-    omega must be finite and temperature finite and >= 0; omega = 0 at T > 0
-    gives the divergent occupation inf.
+    omega must be finite and temperature finite and >= 0.  At T > 0,
+    |omega/T| < 1e-12 gives the divergent occupation inf, and a negative
+    omega gives -1 - n_bar(|omega|), which is -1 below omega/T = -700.
     """
     omega = np.asarray(omega, dtype=float)
     if not np.all(np.isfinite(omega)):
@@ -83,10 +84,12 @@ def n_bar(omega, temperature: float):
     if temperature == 0.0:
         return np.zeros_like(omega)
     x = omega / temperature
-    out = np.zeros_like(omega)  # x > 700 underflows to exactly 0
-    mid = (x >= 1e-12) & (x <= 700.0)
+    # |x| < 1e-12: divergent occupation; J*nbar stays finite
+    out = np.full_like(omega, np.inf)
+    mid = (np.abs(x) >= 1e-12) & (np.abs(x) <= 700.0)
     out[mid] = 1.0 / np.expm1(x[mid])
-    out[x < 1e-12] = np.inf  # divergent occupation; J*nbar stays finite
+    out[x > 700.0] = 0.0  # underflows to exactly 0
+    out[x < -700.0] = -1.0
     return out
 
 

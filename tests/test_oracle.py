@@ -9,7 +9,7 @@ from scipy.linalg import expm
 from scipy.special import jv
 
 import gqbm
-from gqbm import oracle
+from gqbm import moments, oracle
 from gqbm.errors import (
     ContractViolationError,
     InstabilityError,
@@ -423,6 +423,38 @@ def test_commutator_drift_guard():
         bath = gqbm.discretize_bath(make_model(0.5), 1, 2.0)
     with pytest.raises(NumericalQualityError, match="commutator"):
         gqbm.reduced_moments(junk, bath, gqbm.GaussianMoments())
+
+
+@pytest.mark.parametrize("first", [oracle._MOMENT_BLOCK - 1,
+                                   oracle._MOMENT_BLOCK],
+                         ids=["last-of-block", "first-of-next"])
+def test_commutator_drift_guard_names_the_first_bad_time_across_a_block(
+        first):
+    # free rows (no coupling) keep [a, a^dag] = 1; scaling the rows of one
+    # step by c moves delta_h - delta_n to c^2.  A worse break follows in
+    # the next block, so the guard must name the first, not the worst
+    n = 2 * oracle._MOMENT_BLOCK + 3
+    grid = gqbm.TimeGrid(t_end=0.1 * n, n_steps=n, max_frequency=1.0)
+    phase = np.exp(-0.3j * grid.times)
+    rows = np.zeros((n + 1, 2, 4), dtype=complex)
+    rows[:, 0, 0] = phase
+    rows[:, 1, 1] = np.conj(phase)
+    scale = np.ones(n + 1)
+    scale[first] = 1.001
+    scale[first + oracle._MOMENT_BLOCK] = 1.1
+    rows *= scale[:, None, None]
+    prop = BogoliubovPropagator(grid=grid, dim=4, sys_rows=rows,
+                                recurrence_horizon=math.inf)
+    with pytest.warns(RuntimeWarning, match="covers only"):
+        bath = gqbm.discretize_bath(make_model(0.5), 1, 2.0)
+    init = gqbm.GaussianMoments(delta_n=0.2)
+    with pytest.raises(NumericalQualityError) as want:
+        moments._require_commutator(scale ** 2 * 0.2, scale ** 2 * 1.2,
+                                    grid.times)
+    assert f"at t = {grid.times[first]:.6g} " in str(want.value)
+    with pytest.raises(NumericalQualityError) as got:
+        gqbm.reduced_moments(prop, bath, init)
+    assert str(got.value) == str(want.value)
 
 
 def test_exact_moments_table_shape_contract():

@@ -24,10 +24,17 @@ roundoff.  The Chebyshev march must agree with the RK4 one to RK4's own
 error, 1e-10 of max|S|, and trip its instability guard at the same step
 with the same message.  On the arrowhead it sums the same expansion in
 another order, so it must agree with the CSR march to 1e-13 of max|S|.
+
+The moment readers are kept as well: the loop that applied the initial
+product table to one row at a time, with reduced_moments' elementwise rule
+and exact_moments' dense matvec.  The block reader sums the same products
+in another order, so it must agree with the loop to 1e-14 of each series'
+largest entry.
 """
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,9 +53,9 @@ from gqbm.greens import (
     _check_finite,
     require_finite_frequency,
 )
-from gqbm.moments import GaussianMoments
+from gqbm.moments import GaussianMoments, _require_commutator
 from gqbm import oracle
-from gqbm.oracle import BogoliubovPropagator, ThermalTotalState
+from gqbm.oracle import BogoliubovPropagator, OracleMoments, ThermalTotalState
 from gqbm.spectral import n_bar
 
 from conftest import make_model
@@ -60,6 +67,7 @@ STATIONARY_RTOL = 1e-12
 RK4_AGREEMENT_RTOL = 1e-10
 SCIPY_ROUTE_RTOL = 1e-11
 CSR_AGREEMENT_RTOL = 1e-13
+LOOP_READER_RTOL = 1e-14
 
 # Target local truncation error of one RK4 substep, |lambda h|^5 / 120.
 RK4_LOCAL_ERROR = 1e-10
@@ -413,6 +421,57 @@ def _csr_chebyshev_propagate(dyn, grid):
     )
 
 
+def _loop_moments_from_rows(prop: BogoliubovPropagator, apply_m0,
+                            mean_a: np.ndarray) -> OracleMoments:
+    """Moments <A_i A_j> = r_i . M0 . r_j of the system pair, drift-checked."""
+    rows = prop.sys_rows
+    n_times = rows.shape[0]
+    delta_s = np.empty(n_times, dtype=complex)
+    delta_n = np.empty(n_times, dtype=complex)
+    delta_h = np.empty(n_times, dtype=complex)
+    for m in range(n_times):
+        r1 = rows[m, 0]
+        r2 = rows[m, 1]
+        m0_r1 = apply_m0(r1)
+        m0_r2 = apply_m0(r2)
+        delta_s[m] = r1 @ m0_r1
+        delta_n[m] = r2 @ m0_r1
+        delta_h[m] = r1 @ m0_r2
+    times = prop.grid.times
+    _require_commutator(delta_n.real, delta_h.real, times)
+    return OracleMoments(times=times, mean_a=mean_a, delta_n=delta_n.real,
+                         delta_s=delta_s, delta_h=delta_h.real)
+
+
+def _loop_reduced_moments(prop, bath, init):
+    init.require_physical()
+    occ = bath.occupations
+    sqz = bath.squeezes
+    dn0, ds0 = init.delta_n, init.delta_s
+
+    def apply_m0(r: np.ndarray) -> np.ndarray:
+        # block-diagonal product table <A_p A_q>(0): per pair (x, x^dag)
+        # [[<xx>, <x x^dag>], [<x^dag x>, <x^dag x^dag>]]
+        out = np.empty_like(r)
+        out[0] = ds0 * r[0] + (1.0 + dn0) * r[1]
+        out[1] = dn0 * r[0] + np.conj(ds0) * r[1]
+        out[2::2] = sqz * r[2::2] + (1.0 + occ) * r[3::2]
+        out[3::2] = occ * r[2::2] + np.conj(sqz) * r[3::2]
+        return out
+
+    mu0 = np.zeros(prop.dim, dtype=complex)
+    mu0[0] = init.mean_a
+    mu0[1] = np.conj(init.mean_a)
+    return _loop_moments_from_rows(prop, apply_m0,
+                                   prop.sys_rows[:, 0, :] @ mu0)
+
+
+def _loop_exact_moments(prop, product_table):
+    return _loop_moments_from_rows(prop, lambda r: product_table @ r,
+                                   np.zeros(prop.grid.times.size,
+                                            dtype=complex))
+
+
 def _dynamics(alpha, omega_s, modes=MODES):
     bath = gqbm.discretize_bath(make_model(alpha), modes, OMEGA_MAX,
                                 scheme="gauss")
@@ -600,3 +659,46 @@ def test_instability_trips_at_the_rk4_step_with_its_message(
         step = int(re.search(r"at step (\d+) ", str(cheb.value)).group(1))
         assert 1 < window < step
         assert {0: "last", 1: "first"}.get(step % window, "inside") == where
+
+
+# 40 gauss modes at the quench point, out to n + 1 = b - 1, b, b + 1 and
+# 2b + 3 output steps for the reader's block of b steps
+READER_MODES = 40
+BLOCK = oracle._MOMENT_BLOCK
+
+
+@pytest.fixture(scope="module")
+def reader_point():
+    model = make_model(0.5, temperature=0.3)
+    bath = gqbm.discretize_bath(model, READER_MODES, OMEGA_MAX,
+                                scheme="gauss")
+    rng = np.random.default_rng(11)
+    squeezes = 0.1 * np.sqrt(bath.occupations * (1.0 + bath.occupations)) \
+        * np.exp(2j * math.pi * rng.uniform(size=bath.n_modes))
+    bath = replace(bath, squeezes=squeezes)
+    dyn = gqbm.build_dynamics(bath, OMEGA_S)
+    table = gqbm.thermal_total_state(dyn, 0.01, OMEGA_S0).product_table
+    return bath, dyn, table
+
+
+@pytest.mark.parametrize("n_times", [BLOCK - 1, BLOCK, BLOCK + 1,
+                                     2 * BLOCK + 3])
+def test_block_reader_matches_the_loop(reader_point, n_times):
+    bath, dyn, table = reader_point
+    assert np.max(np.abs(bath.squeezes)) > 0.0
+    grid = gqbm.TimeGrid(t_end=0.02 * (n_times - 1), n_steps=n_times - 1,
+                         max_frequency=1.0)
+    prop = gqbm.propagate(dyn, grid)
+    init = GaussianMoments(mean_a=0.4 - 0.2j, delta_n=0.3,
+                           delta_s=0.1 + 0.2j)
+    pairs = [(gqbm.reduced_moments(prop, bath, init),
+              _loop_reduced_moments(prop, bath, init)),
+             (gqbm.exact_moments(prop, table),
+              _loop_exact_moments(prop, table))]
+    for got, want in pairs:
+        assert got.times.size == n_times
+        for name in ("mean_a", "delta_n", "delta_s", "delta_h"):
+            ref = getattr(want, name)
+            dev = np.max(np.abs(getattr(got, name) - ref))
+            assert dev <= LOOP_READER_RTOL * np.max(np.abs(ref)), name
+        assert np.max(np.abs(got.delta_s)) > 0.0

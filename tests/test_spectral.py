@@ -283,6 +283,15 @@ def test_n_bar_behavior():
     assert hot == pytest.approx(1e6, rel=1e-5)
 
 
+def test_n_bar_at_negative_frequencies_is_minus_one_minus_n_bar():
+    omega = np.array([1e-3, 0.05, 1.0, 30.0, 80.0])
+    temp = 0.1
+    np.testing.assert_allclose(gqbm.n_bar(-omega, temp),
+                               -1.0 - gqbm.n_bar(omega, temp), rtol=1e-12)
+    assert gqbm.n_bar(np.array([-80.0]), temp)[0] == -1.0  # omega/T = -800
+    assert np.all(gqbm.n_bar(np.array([-1e-14, 0.0, 1e-14]), temp) == np.inf)
+
+
 # ---- bath discretization ----------------------------------------------------
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import gqbm
 import gqbm.cli as cli
 import gqbm.pipelines as pipelines
-from gqbm.errors import ValidationError
+from gqbm.errors import ContractViolationError, ValidationError
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
@@ -20,12 +20,19 @@ MODEL = gqbm.SpectralModel(temperature=0.01)
 GRID = gqbm.TimeGrid(t_end=2.0, n_steps=20)
 BATH = gqbm.discretize_bath(MODEL, 8, 12.0)
 DYN = gqbm.build_dynamics(BATH, 0.5)
+PROP = gqbm.propagate(DYN, GRID)
 KERNELS = {"continuum": gqbm.build_kernels(MODEL),
            "bath": gqbm.kernels_from_bath(BATH)}
 
 
 def _moments(**kw):
     return gqbm.GaussianMoments(**kw)
+
+
+def _table_with(x):
+    table = np.zeros((PROP.dim, PROP.dim), dtype=complex)
+    table[3, 1] = x
+    return table
 
 
 def _dynamics_with(name, x):
@@ -76,6 +83,10 @@ ENTRY_POINTS = {
     "thermal_total_state.omega_s0": lambda x: gqbm.thermal_total_state(
         DYN, 0.01, x),
     "solve_u.omega_s": lambda x: gqbm.solve_u(KERNELS["continuum"], x, GRID),
+    "exact_moments.product_table.real": lambda x: gqbm.exact_moments(
+        PROP, _table_with(complex(x, 0.0))),
+    "exact_moments.product_table.imag": lambda x: gqbm.exact_moments(
+        PROP, _table_with(complex(0.0, x))),
 }
 for _label, _kernel in KERNELS.items():
     ENTRY_POINTS[f"Kernel.g.{_label}"] = (
@@ -168,6 +179,16 @@ def test_reduced_moments_rejects_an_unphysical_initial_state():
     with pytest.raises(ValidationError, match="uncertainty bound"):
         gqbm.reduced_moments(prop, BATH,
                              gqbm.GaussianMoments(delta_n=0.0, delta_s=0.5))
+
+
+def test_exact_moments_checks_its_table_before_reading_rows(monkeypatch):
+    monkeypatch.setattr(gqbm.oracle, "_moments_from_rows",
+                        _sentinel("_moments_from_rows"))
+    with pytest.raises(ValidationError, match="product_table entries"):
+        gqbm.exact_moments(PROP, _table_with(math.nan))
+    # a shape mismatch stays a contract violation, NaN or not
+    with pytest.raises(ContractViolationError):
+        gqbm.exact_moments(PROP, np.full((4, 4), math.nan, dtype=complex))
 
 
 def test_second_moments_is_the_hand_built_reconstruction():
