@@ -20,7 +20,9 @@ reproduce-fig2  the documented five-alpha transient study at the standard
                 parameter set (gamma0 = 3e-4, T = 0.01, cutoff units)
 
 Configuration precedence: defaults < config file (INI) < environment
-variables (prefix GQBM_, e.g. GQBM_ALPHA=0.5) < command-line flags.
+variables (prefix GQBM_, e.g. GQBM_ALPHA=0.5) < command-line flags.  File
+and environment take every RunConfig key; a subcommand's flags are the keys
+it reads, so reproduce-fig2, which pins its model, takes none of the model's.
 Identical configuration and build produce byte-identical CSV bodies; the
 manifest additionally records wall time and scheme identifiers.
 
@@ -84,33 +86,6 @@ ENV_PREFIX = "GQBM_"
 FIG2_ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
-@dataclass
-class RunConfig:
-    """Resolved run configuration (flat; see _CONFIG_SCHEMA for file keys)."""
-
-    gamma0: float = 3e-4
-    cutoff: float = 1.0
-    alpha: float = 1.0
-    temperature: float = 0.01
-    omega_s: float | None = None      # None -> zero-renormalized default
-    t_end: float = 10.0
-    n_steps: int = 2000
-    mass: float = 1.0
-    init_mean_re: float = 0.0
-    init_mean_im: float = 0.0
-    init_delta_n: float = 0.0
-    init_delta_s_re: float = 0.0
-    init_delta_s_im: float = 0.0
-    oracle_modes: int = 2000
-    oracle_omega_max: float = 20.0
-    oracle_scheme: str = "gauss"
-    quench_omega_s0: float | None = None
-    alpha_list: str = "0,0.25,0.5,0.75,1"
-    workers: int = 0                  # capped at #alphas and cpu count; 0 -> that cap
-    crosscheck: bool = False
-    out_dir: str = "gqbm-out"
-
-
 def _parse_bool(text: str) -> bool:
     val = text.strip().lower()
     if val in ("1", "true", "yes", "on"):
@@ -126,30 +101,44 @@ def _parse_optional_float(text: str) -> float | None:
     return float(text)
 
 
-# field name -> (config section, file key, parser)
-_CONFIG_SCHEMA = {
-    "gamma0": ("model", "gamma0", float),
-    "cutoff": ("model", "cutoff", float),
-    "alpha": ("model", "alpha", float),
-    "temperature": ("model", "temperature", float),
-    "omega_s": ("model", "omega_s", _parse_optional_float),
-    "t_end": ("grid", "t_end", float),
-    "n_steps": ("grid", "n_steps", int),
-    "mass": ("init", "mass", float),
-    "init_mean_re": ("init", "mean_re", float),
-    "init_mean_im": ("init", "mean_im", float),
-    "init_delta_n": ("init", "delta_n", float),
-    "init_delta_s_re": ("init", "delta_s_re", float),
-    "init_delta_s_im": ("init", "delta_s_im", float),
-    "oracle_modes": ("oracle", "n_modes", int),
-    "oracle_omega_max": ("oracle", "omega_max", float),
-    "oracle_scheme": ("oracle", "scheme", str),
-    "quench_omega_s0": ("oracle", "quench_omega_s0", _parse_optional_float),
-    "alpha_list": ("run", "alpha_list", str),
-    "workers": ("run", "workers", int),
-    "crosscheck": ("run", "crosscheck", _parse_bool),
-    "out_dir": ("run", "out_dir", str),
-}
+_parse_optional_float.__name__ = "float"  # argparse: "invalid float value: 'x'"
+
+
+# RunConfig field annotation -> parser of a file key's, variable's or flag's text
+_PARSERS = {"float": float, "float | None": _parse_optional_float, "int": int,
+            "str": str, "bool": _parse_bool}
+
+
+def _at(section: str, default, key: str | None = None):
+    """A RunConfig field at `key` (default: its name) of the file's [section]."""
+    return field(default=default, metadata={"section": section, "key": key})
+
+
+@dataclass
+class RunConfig:
+    """Resolved run configuration, one field per key: [section] key, GQBM_<FIELD>."""
+
+    gamma0: float = _at("model", 3e-4)
+    cutoff: float = _at("model", 1.0)
+    alpha: float = _at("model", 1.0)
+    temperature: float = _at("model", 0.01)
+    omega_s: float | None = _at("model", None)  # None -> zero-renormalized default
+    t_end: float = _at("grid", 10.0)
+    n_steps: int = _at("grid", 2000)
+    mass: float = _at("init", 1.0)
+    init_mean_re: float = _at("init", 0.0, "mean_re")
+    init_mean_im: float = _at("init", 0.0, "mean_im")
+    init_delta_n: float = _at("init", 0.0, "delta_n")
+    init_delta_s_re: float = _at("init", 0.0, "delta_s_re")
+    init_delta_s_im: float = _at("init", 0.0, "delta_s_im")
+    oracle_modes: int = _at("oracle", 2000, "n_modes")
+    oracle_omega_max: float = _at("oracle", 20.0, "omega_max")
+    oracle_scheme: str = _at("oracle", "gauss", "scheme")
+    quench_omega_s0: float | None = _at("oracle", None)
+    alpha_list: str = _at("run", "0,0.25,0.5,0.75,1")
+    workers: int = _at("run", 0)  # capped at #alphas and cpu count; 0 -> that cap
+    crosscheck: bool = _at("run", False)
+    out_dir: str = _at("run", "gqbm-out")
 
 
 def load_config(path: str | None = None, env: dict | None = None,
@@ -162,13 +151,13 @@ def load_config(path: str | None = None, env: dict | None = None,
 
 def _read_config(path: str | None, env: dict | None,
                  overrides: dict | None) -> RunConfig:
-    texts = []   # (field name, text, where it was set), file before environment
+    texts = []   # (field, text, where it was set), file before environment
     if path is not None:
         parser = configparser.ConfigParser()
         if not parser.read(path):
             raise ValidationError(f"config file not found: {path}")
-        by_location = {(sec, key): name
-                       for name, (sec, key, _) in _CONFIG_SCHEMA.items()}
+        by_location = {(f.metadata["section"], f.metadata["key"] or f.name): f
+                       for f in fields(RunConfig)}
         for sec in parser.sections():
             for key, raw in parser.items(sec):
                 if (sec, key) not in by_location:
@@ -176,20 +165,20 @@ def _read_config(path: str | None, env: dict | None,
                         f"unknown config entry [{sec}] {key} in {path}")
                 texts.append((by_location[sec, key], raw, f"[{sec}] {key}"))
 
-    known_env = {ENV_PREFIX + name.upper(): name for name in _CONFIG_SCHEMA}
+    by_var = {ENV_PREFIX + f.name.upper(): f for f in fields(RunConfig)}
     for var, raw in (os.environ if env is None else env).items():
         if var.startswith(ENV_PREFIX):
-            if var not in known_env:
+            if var not in by_var:
                 raise ValidationError(f"unknown environment override {var}")
-            texts.append((known_env[var], raw, var))
+            texts.append((by_var[var], raw, var))
 
     values = {}
-    for name, raw, where in texts:
+    for f, raw, where in texts:
         try:
-            values[name] = _CONFIG_SCHEMA[name][2](raw)
+            values[f.name] = _PARSERS[f.type](raw)
         except ValueError as exc:
             raise ValidationError(f"bad value for {where}: {raw!r}") from exc
-    values.update({k: v for k, v in (overrides or {}).items() if v is not None})
+    values.update(overrides or {})
 
     try:
         return RunConfig(**values)
@@ -351,12 +340,11 @@ def _alpha_tag(alpha: float) -> str:
     return f"{alpha:.2f}".replace(".", "p")
 
 
-def _sweep_one(args) -> tuple[float, PipelineResult]:
-    cfg_dict, alpha, out_dir = args
-    cfg = replace(RunConfig(**cfg_dict), alpha=alpha)
-    sub = Path(out_dir) / f"alpha_{_alpha_tag(alpha)}"
+def _sweep_one(job) -> tuple[float, PipelineResult]:
+    cfg, alpha = job
+    sub = Path(cfg.out_dir) / f"alpha_{_alpha_tag(alpha)}"
     sub.mkdir(parents=True, exist_ok=True)
-    res = jolt_study(*_setup(cfg))
+    res = jolt_study(*_setup(replace(cfg, alpha=alpha)))
     est = res.outputs["estimate"]
     _write_csv(sub / "coeffs.csv", *_coeffs_table(res.outputs["me"]))
     _write_csv(sub / "estimates.csv",
@@ -367,8 +355,7 @@ def _sweep_one(args) -> tuple[float, PipelineResult]:
 
 def _run_sweep(cfg: RunConfig, *_):
     alphas = _sweep_alphas(cfg)
-    cfg_dict = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-    jobs = [(cfg_dict, a, cfg.out_dir) for a in alphas]
+    jobs = [(cfg, a) for a in alphas]
     workers = min(cfg.workers or len(alphas), len(alphas), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -405,18 +392,23 @@ def _run_oracle_compare(cfg: RunConfig, model, omega_s: float,
          orc.delta_s.real, n_me[:, 0, 1].imag, orc.delta_s.imag])}
 
 
+_MODEL = ("gamma0", "cutoff", "alpha", "temperature", "omega_s")
+_GRID = ("t_end", "n_steps")
 # subcommand -> (run(cfg, model, omega_s, grid) -> (result, {CSV: (names,
-# columns)}), the RunConfig fields it takes as flags besides _COMMON_FLAGS)
+# columns)}), every RunConfig field it reads, each taken as a flag).  A sweep
+# replaces alpha per job, and reproduce-fig2 pins the whole model in run().
 _SUBCOMMANDS = {
-    "kernels": (_run_kernels, ()),
-    "greens": (_run_greens, ("crosscheck",)),
-    "coeffs": (_run_coeffs, ("crosscheck",)),
-    "evolve": (_run_evolve, ("init_mean_re", "init_mean_im", "init_delta_n",
-                             "init_delta_s_re", "init_delta_s_im")),
-    "jolt-sweep": (_run_sweep, ("alpha_list", "workers")),
-    "oracle-compare": (_run_oracle_compare, ("oracle_modes", "oracle_omega_max",
-                                             "oracle_scheme", "quench_omega_s0")),
-    "reproduce-fig2": (_run_sweep, ("workers",)),
+    "kernels": (_run_kernels, _MODEL + _GRID),
+    "greens": (_run_greens, _MODEL + _GRID + ("crosscheck",)),
+    "coeffs": (_run_coeffs, _MODEL + _GRID + ("crosscheck",)),
+    "evolve": (_run_evolve, _MODEL + _GRID + (
+        "mass", "init_mean_re", "init_mean_im", "init_delta_n",
+        "init_delta_s_re", "init_delta_s_im")),
+    "jolt-sweep": (_run_sweep, ("gamma0", "cutoff", "temperature", "omega_s")
+                   + _GRID + ("alpha_list", "workers")),
+    "oracle-compare": (_run_oracle_compare, _MODEL + _GRID + (
+        "oracle_modes", "oracle_omega_max", "oracle_scheme", "quench_omega_s0")),
+    "reproduce-fig2": (_run_sweep, _GRID + ("workers",)),
 }
 
 
@@ -431,8 +423,8 @@ def run(cfg: RunConfig, pipeline: str) -> ResultBundle:
     t0 = time.monotonic()
     if pipeline not in _SUBCOMMANDS:
         raise ValidationError(f"unknown pipeline {pipeline!r}")
-    readers = [p for p, (_, extra) in _SUBCOMMANDS.items()
-               if "crosscheck" in extra]
+    readers = [p for p, (_, names) in _SUBCOMMANDS.items()
+               if "crosscheck" in names]
     if cfg.crosscheck and pipeline not in readers:
         raise ValidationError(f"crosscheck is read by {' and '.join(readers)} "
                               f"only, not by {pipeline}")
@@ -459,12 +451,8 @@ def run(cfg: RunConfig, pipeline: str) -> ResultBundle:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-# RunConfig fields every subcommand takes as flags besides --config and --out;
 # a flag is the field name with dashes unless _FLAG_NAMES says otherwise
-_COMMON_FLAGS = ("gamma0", "cutoff", "alpha", "temperature", "omega_s", "t_end",
-                 "n_steps", "mass")
 _FLAG_NAMES = {"n_steps": "--steps", "quench_omega_s0": "--quench-from"}
-_FLAG_TYPES = {"float": float, "float | None": float, "int": int, "str": str}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -474,17 +462,19 @@ def _build_parser() -> argparse.ArgumentParser:
                     "a damped mode with pair-production bath couplings")
     sub = parser.add_subparsers(dest="pipeline", required=True)
     types = {f.name: f.type for f in fields(RunConfig)}
-    for pipeline, (_, extra) in _SUBCOMMANDS.items():
-        p = sub.add_parser(pipeline)
+    for pipeline, (_, names) in _SUBCOMMANDS.items():
+        # an absent flag leaves no entry, so `--omega-s none` can override;
+        # no prefix matching, or jolt-sweep would read --alpha as --alpha-list
+        p = sub.add_parser(pipeline, allow_abbrev=False,
+                           argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help="INI configuration file")
         p.add_argument("--out", dest="out_dir", help="output directory")
-        for name in _COMMON_FLAGS + extra:
+        for name in names:
             flag = _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
             if types[name] == "bool":
-                p.add_argument(flag, dest=name, action="store_const",
-                               const=True, default=None)
+                p.add_argument(flag, dest=name, action="store_const", const=True)
             else:
-                p.add_argument(flag, dest=name, type=_FLAG_TYPES[types[name]])
+                p.add_argument(flag, dest=name, type=_PARSERS[types[name]])
     return parser
 
 

@@ -217,35 +217,24 @@ def _bessel_j(k_max: int, x: np.ndarray) -> np.ndarray:
 
 
 def _chebyshev_degree(phase: float) -> int:
-    """Smallest K with sum_{k>K} 2 |J_k(phase)| (1 + sqrt 2)^k <= tol."""
-    # the terms fall like (e (1 + sqrt 2) phase / 2k)^k, so those past
-    # e (1 + sqrt 2) phase / 2 + 64 are below 1e-26 of the sum
+    """Smallest K with sum_{k>K} 2 z^k / k! <= tol, z = (1 + sqrt 2) phase / 2.
+
+    |J_k(phase)| <= (phase / 2)^k / k!, so the sum bounds the weighted tail
+    sum_{k>K} 2 |J_k(phase)| (1 + sqrt 2)^k; it is summed in log space.
+    """
+    # the terms fall like (e z / k)^k, so those past e z + 64 are below 1e-27
     k_end = 0.5 * math.e * _CHEBYSHEV_GROWTH * phase + 64.0
     if not k_end <= _MAX_DEGREE:
         raise ValidationError(
             f"grid is too stiff for the Chebyshev propagator: one output "
             f"step spans a phase R dt = {phase:.3e} rad, which needs a "
             f"degree near {k_end:.3e} (cap {_MAX_DEGREE})")
-    k = np.arange(int(k_end) + 1, dtype=float)
-    # past k = phase J_k underflows while the weights still count; there
-    # Watson's bound |J_k(k sech a)| <= exp(k (tanh a - a)) / sqrt(2 pi k
-    # tanh a) (Theory of Bessel Functions, 8.5) stands in for it
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sech = np.minimum(phase / k, 1.0)  # +inf bound up to k = phase
-        tanh = np.sqrt(1.0 - sech ** 2)
-        log_watson = (k * (tanh - np.arccosh(1.0 / sech))
-                      - 0.5 * np.log(2.0 * math.pi * k * tanh))
-    # the bound falls with k, and orders below 1e-300 need no recurrence
-    n_j = k.size - int(np.count_nonzero(log_watson < math.log(1e-300)))
-    j_abs = np.zeros(k.size)
-    j_abs[:n_j] = np.abs(_bessel_j(n_j - 1, np.array([phase]))[:, 0])
-    far = (j_abs < 1e-290) & (k > phase)
-    with np.errstate(divide="ignore", over="ignore"):
-        log_j = np.log(j_abs)
-        log_j[far] = log_watson[far]
-        terms = 2.0 * np.exp(log_j + k * math.log(_CHEBYSHEV_GROWTH))
-        tail = np.cumsum(terms[::-1])[::-1]  # tail[k] = terms k, k+1, ...
-    return int(np.argmax(tail <= CHEBYSHEV_TAIL_TOL)) - 1
+    k = np.arange(1, int(k_end) + 2)
+    with np.errstate(divide="ignore"):  # phase 0: every term is zero
+        log_terms = (math.log(2.0) + k * np.log(0.5 * _CHEBYSHEV_GROWTH * phase)
+                     - np.cumsum(np.log(k)))
+    log_tail = np.logaddexp.accumulate(log_terms[::-1])[::-1]  # k, k+1, ...
+    return int(np.argmax(log_tail <= math.log(CHEBYSHEV_TAIL_TOL)))
 
 
 def _chebyshev_operator(dyn: LinearDynamics):
@@ -283,8 +272,8 @@ def propagate(dyn: LinearDynamics, grid: TimeGrid) -> BogoliubovPropagator:
     and at least one; its start block x gives T_k(B) x by the three-term
     recurrence (K products with the arrowhead), and one GEMM with the
     coefficient table, shared by every window of the uniform grid, gives
-    its W rows.  K is the least degree whose tail bound
-    sum_{k>K} 2 |J_k(R W dt)| (1 + sqrt 2)^k is at most CHEBYSHEV_TAIL_TOL,
+    its W rows.  K is the least degree whose bound (_chebyshev_degree) on the
+    tail sum_{k>K} 2 |J_k(R W dt)| (1 + sqrt 2)^k is at most CHEBYSHEV_TAIL_TOL,
     so W and K depend on (H, dt) alone.  The instability guard checks each
     window's rows, every output step.
     """

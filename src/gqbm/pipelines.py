@@ -119,9 +119,9 @@ def oracle_comparison(model: spectral.SpectralModel,
     the worst entry at each time, u_deviation and v_deviation.
     """
     dyn, horizon = _oracle_dynamics(bath, omega_s, grid)
+    kernel = spectral.build_kernels(model)  # rejects its model before the march
     prop = oracle.propagate(dyn, grid)
-    res = _u_and_v(spectral.build_kernels(model), omega_s, grid,
-                   {"oracle": prop.metadata["scheme"]})
+    res = _u_and_v(kernel, omega_s, grid, {"oracle": prop.metadata["scheme"]})
     sol = res.outputs["sol"]
     u_dev = np.max(np.abs(sol.u - prop.u_series), axis=(1, 2))
     vac = moments.GaussianMoments()

@@ -67,6 +67,8 @@ QUADRATURE_SCHEME = "composite-gauss-legendre with self-refinement check"
 _MAX_PANEL_PHASE = 350.0
 _BASE_PANEL_NODES = 24
 _NODES_PER_PHASE = 0.55
+# Memory for building one frequency quadrature rule.
+_RULE_BUDGET_BYTES = 1 << 30
 
 
 def n_bar(omega, temperature: float):
@@ -280,13 +282,22 @@ class _FourierRule:
     def __init__(self, weight_fn: Callable[[np.ndarray], np.ndarray],
                  omega_max: float, inner_scale: float, dt_max: float,
                  knots: np.ndarray, refine: int = 1):
+        edges = np.array(_panel_edges(omega_max, inner_scale, knots))
+        widths = np.diff(edges)
+        n_subs = np.maximum(1, np.ceil(widths * dt_max / _MAX_PANEL_PHASE))
+        # the sub-panel orders below sum to at most bound; building takes
+        # about 80 bytes a node (74 measured with the thermal weight)
+        bound = refine * float(np.sum(n_subs * _BASE_PANEL_NODES
+                                      + _NODES_PER_PHASE * widths * dt_max))
+        need = 80.0 * bound
+        if need > _RULE_BUDGET_BYTES:
+            raise ValidationError(
+                f"a quadrature rule on omega <= {omega_max:g} for |dt| <= "
+                f"{dt_max:g} needs up to {bound:.3e} nodes, {need / 2**30:.2f} "
+                f"GiB, above the {_RULE_BUDGET_BYTES / 2**30:.2f} GiB budget")
         nodes = []
         weights = []
-        edges = _panel_edges(omega_max, inner_scale, knots)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            width = hi - lo
-            phase = width * dt_max
-            n_sub = max(1, int(math.ceil(phase / _MAX_PANEL_PHASE)))
+        for lo, hi, n_sub in zip(edges[:-1], edges[1:], n_subs.astype(int)):
             sub = np.linspace(lo, hi, n_sub + 1)
             for a, b in zip(sub[:-1], sub[1:]):
                 n_p = refine * (_BASE_PANEL_NODES
@@ -474,12 +485,20 @@ def build_kernels(model: SpectralModel) -> Kernel:
     if model.family == "ohmic":
         scheme = OHMIC_TRANSFORM_SCHEME
         amp = math.sqrt(model.gamma0 / (8.0 * math.pi * cut))
+        try:
+            thermal_amp = amp * temp**2
+        except OverflowError:  # temp**2 past the float range
+            thermal_amp = math.inf
+        if not math.isfinite(thermal_amp):
+            raise ValidationError(
+                f"temperature = {temp:g} overflows the thermal kernel's "
+                f"amplitude sqrt(gamma0 / (8 pi cutoff)) T^2")
 
         def g_v(dt):
             return amp / (1.0 / cut + 1j * _offsets(dt)) ** 2
 
         def gtilde_v(dt):
-            return amp * temp**2 * _hurwitz_zeta2(
+            return thermal_amp * _hurwitz_zeta2(
                 1.0 + temp / cut + 1j * temp * _offsets(dt))
     else:
         scheme = QUADRATURE_SCHEME

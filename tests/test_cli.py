@@ -1,10 +1,13 @@
 """CLI: configuration precedence, CSV contracts, exit codes, pipelines."""
 
+import argparse
 import configparser
 import os
 import re
+import shlex
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +100,122 @@ def test_config_bounds():
         cli.load_config(env={}, overrides={"alpha_list": "0.2,2.0"})
     with pytest.raises(ValidationError, match="n_steps"):
         cli.load_config(env={}, overrides={"n_steps": 4})
+
+
+# every configuration key: its config file location and GQBM_ variable
+LOCATIONS = {
+    "gamma0": ("model", "gamma0"), "cutoff": ("model", "cutoff"),
+    "alpha": ("model", "alpha"), "temperature": ("model", "temperature"),
+    "omega_s": ("model", "omega_s"), "t_end": ("grid", "t_end"),
+    "n_steps": ("grid", "n_steps"), "mass": ("init", "mass"),
+    "init_mean_re": ("init", "mean_re"), "init_mean_im": ("init", "mean_im"),
+    "init_delta_n": ("init", "delta_n"),
+    "init_delta_s_re": ("init", "delta_s_re"),
+    "init_delta_s_im": ("init", "delta_s_im"),
+    "oracle_modes": ("oracle", "n_modes"),
+    "oracle_omega_max": ("oracle", "omega_max"),
+    "oracle_scheme": ("oracle", "scheme"),
+    "quench_omega_s0": ("oracle", "quench_omega_s0"),
+    "alpha_list": ("run", "alpha_list"), "workers": ("run", "workers"),
+    "crosscheck": ("run", "crosscheck"), "out_dir": ("run", "out_dir"),
+}
+# a text for each field annotation, and the value it parses to
+SAMPLES = {"float": ("0.375", 0.375), "float | None": ("0.5", 0.5),
+           "int": ("7", 7), "str": ("x7", "x7"), "bool": ("yes", True)}
+
+
+def test_every_key_has_one_location():
+    assert set(LOCATIONS) == {f.name for f in fields(cli.RunConfig)}
+
+
+@pytest.mark.parametrize("f", fields(cli.RunConfig), ids=lambda f: f.name)
+def test_every_key_round_trips_from_file_and_environment(f, tmp_path):
+    text, value = SAMPLES[f.type]
+    want = replace(cli.RunConfig(), **{f.name: value})
+    assert want != cli.RunConfig()
+    section, key = LOCATIONS[f.name]
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[{section}]\n{key} = {text}\n")
+    assert cli._read_config(str(ini), {}, None) == want
+    env = {f"GQBM_{f.name.upper()}": text}
+    assert cli._read_config(None, env, None) == want
+
+
+def _subparsers() -> dict:
+    parser = cli._build_parser()
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_each_subcommand_takes_exactly_the_flags_it_reads():
+    parsers = _subparsers()
+    assert set(parsers) == set(cli._SUBCOMMANDS)
+    for pipeline, (_, names) in cli._SUBCOMMANDS.items():
+        dests = {a.dest for a in parsers[pipeline]._actions} - {"help"}
+        assert dests == set(names) | {"config", "out_dir"}, pipeline
+
+
+def test_a_flag_parses_its_text_as_file_and_environment_do(tmp_path):
+    types = {f.name: f.type for f in fields(cli.RunConfig)}
+    for pipeline, sub in _subparsers().items():
+        for action in sub._actions:
+            if action.dest not in types or action.nargs == 0:
+                continue
+            text, value = SAMPLES[types[action.dest]]
+            ns = sub.parse_args([action.option_strings[0], text])
+            assert getattr(ns, action.dest) == value, (pipeline, action.dest)
+    # "none" means the default from every source, so a flag can undo a file
+    ns = _subparsers()["coeffs"].parse_args(["--omega-s", "none"])
+    assert vars(ns) == {"omega_s": None}
+    ini = tmp_path / "run.ini"
+    ini.write_text("[model]\nomega_s = 0.3\n")
+    assert cli._read_config(str(ini), {}, vars(ns)).omega_s is None
+    assert cli._read_config(str(ini), {"GQBM_OMEGA_S": "none"},
+                            None).omega_s is None
+
+
+def test_a_bad_flag_value_names_the_type_it_wants(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["coeffs", "--omega-s", "abc"])
+    assert exc.value.code == cli.EXIT_VALIDATION
+    assert "argument --omega-s: invalid float value: 'abc'" in (
+        capsys.readouterr().err)
+
+
+# the model flags of subcommands that pin or replace the model are gone
+REMOVED_FLAGS = (
+    [(p, "--mass") for p in ("kernels", "greens", "coeffs", "jolt-sweep",
+                             "oracle-compare", "reproduce-fig2")]
+    + [(p, "--alpha") for p in ("jolt-sweep", "reproduce-fig2")]
+    + [("reproduce-fig2", flag) for flag in ("--gamma0", "--cutoff",
+                                             "--temperature", "--omega-s")])
+
+
+@pytest.mark.parametrize("pipeline, flag", REMOVED_FLAGS,
+                         ids=[" ".join(c) for c in REMOVED_FLAGS])
+def test_a_flag_the_subcommand_does_not_read_is_rejected(pipeline, flag,
+                                                         tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([pipeline, flag, "0.05", "--out", str(tmp_path / "x")])
+    assert exc.value.code == cli.EXIT_VALIDATION
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def _readme_commands() -> list[list[str]]:
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8").replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in text.splitlines()
+            if line.startswith("gqbm ")]
+
+
+def test_every_readme_command_parses():
+    commands = _readme_commands()
+    assert len(commands) >= 8
+    parser = cli._build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 def test_optional_float_and_bool_parsers():
@@ -460,8 +579,10 @@ def test_reproduce_fig2_smoke(tmp_path, monkeypatch):
 
 
 def test_fig2_pins_model_even_from_config(tmp_path, monkeypatch):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[model]\ngamma0 = 0.05\n")
     out = tmp_path / "fig2b"
-    code = _run_cli(["reproduce-fig2", "--out", str(out), "--gamma0", "0.05",
+    code = _run_cli(["reproduce-fig2", "--config", str(ini), "--out", str(out),
                      "--t-end", "2", "--steps", "200", "--workers", "1"],
                     monkeypatch)
     assert code == cli.EXIT_OK

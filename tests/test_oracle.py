@@ -305,44 +305,58 @@ def test_chebyshev_windows_cover_every_step_count():
     assert prop.metadata["window"] == 1
 
 
-def test_chebyshev_degree_is_the_least_within_the_tail_bound():
-    k = np.arange(300)
+def _weighted_jv(phase, k):
+    return 2.0 * np.abs(jv(k, phase)) * (1.0 + math.sqrt(2.0)) ** k
+
+
+def _jv_tail_degree(phase):
+    """Least K whose weighted tail sum_{k>K} 2 |J_k| (1 + sqrt 2)^k on
+    scipy's jv is at most the tolerance (phase <= 12: no J_k underflows)."""
+    tail = np.cumsum(_weighted_jv(phase, np.arange(200))[::-1])[::-1]
+    return int(np.argmax(tail <= oracle.CHEBYSHEV_TAIL_TOL)) - 1
+
+
+def test_chebyshev_degree_bounds_the_jv_tail():
+    for phase in np.concatenate([[0.0], np.geomspace(1e-3, 200.0, 61)]):
+        degree = oracle._chebyshev_degree(phase)
+        k = np.arange(degree + 1, int(3.5 * phase) + 64)
+        assert np.sum(_weighted_jv(phase, k)) <= oracle.CHEBYSHEV_TAIL_TOL, phase
+
+
+def test_chebyshev_degree_is_the_least_for_its_bound():
+    k = np.arange(400)
     for phase in (0.4, 8.0, 50.0):
-        terms = 2.0 * np.abs(jv(k, phase)) * (1.0 + math.sqrt(2.0)) ** k
+        z = 0.5 * (1.0 + math.sqrt(2.0)) * phase
+        terms = np.array([2.0 * math.exp(j * math.log(z) - math.lgamma(j + 1))
+                          for j in k])
         degree = oracle._chebyshev_degree(phase)
         assert (np.sum(terms[degree + 1:]) <= oracle.CHEBYSHEV_TAIL_TOL
                 < np.sum(terms[degree:]))
-    # the weighted terms fall below the tolerance only near k = 3.2 phase;
-    # far past k = phase, J_k underflows to zero long before that (from
-    # about k = 1.1 phase at phase 2e4)
+    assert oracle._chebyshev_degree(0.0) == 0
+    # the bound's terms fall below the tolerance near k = 3.3 phase
     for phase in (300.0, 2e4):
         assert 3.0 * phase < oracle._chebyshev_degree(phase) < 3.5 * phase + 64
 
 
-def _scipy_chebyshev_degree(phase):
-    """_chebyshev_degree as it was written on scipy's jv."""
-    k_end = 0.5 * math.e * (1.0 + math.sqrt(2.0)) * phase + 64.0
-    k = np.arange(int(k_end) + 1, dtype=float)
-    j_abs = np.abs(jv(k, phase))
-    far = (j_abs < 1e-290) & (k > phase)
-    with np.errstate(divide="ignore", over="ignore"):
-        log_j = np.log(j_abs)
-        sech = phase / k[far]
-        tanh = np.sqrt(1.0 - sech ** 2)
-        log_j[far] = (k[far] * (tanh - np.arccosh(1.0 / sech))
-                      - 0.5 * np.log(2.0 * math.pi * k[far] * tanh))
-        terms = 2.0 * np.exp(log_j + k * math.log(1.0 + math.sqrt(2.0)))
-        tail = np.cumsum(terms[::-1])[::-1]
-    return int(np.argmax(tail <= oracle.CHEBYSHEV_TAIL_TOL)) - 1
+def test_chebyshev_degree_at_most_one_above_the_jv_tail():
+    for phase in np.geomspace(1e-3, 12.0, 101):
+        jv_degree = _jv_tail_degree(phase)
+        assert jv_degree <= oracle._chebyshev_degree(phase) <= jv_degree + 1
 
 
-def test_chebyshev_degree_matches_the_scipy_jv_route():
-    # past phase ~ 200 the degree is set where J_k underflows and Watson's
-    # bound stands in for it
-    phases = np.concatenate([[0.0], np.geomspace(1e-3, 3e3, 101), [2e4]])
-    for phase in phases:
-        assert (oracle._chebyshev_degree(phase)
-                == _scipy_chebyshev_degree(phase)), phase
+@pytest.mark.parametrize("n_modes, omega_max, omega_s, t_end, n_steps, degree", [
+    (400, 20.0, None, 3.0, 300, 50),   # the oracle benchmark
+    (300, 12.0, 0.3, 2.0, 200, 49),    # the quench benchmark
+], ids=["oracle", "quench"])
+def test_chebyshev_degree_unchanged_at_the_benchmark_windows(
+        n_modes, omega_max, omega_s, t_end, n_steps, degree):
+    model = make_model(0.5)
+    bath = gqbm.discretize_bath(model, n_modes, omega_max, scheme="gauss")
+    omega_s = gqbm.default_omega_s(model) if omega_s is None else omega_s
+    grid = gqbm.TimeGrid(t_end=t_end, n_steps=n_steps)
+    meta = gqbm.propagate(gqbm.build_dynamics(bath, omega_s), grid).metadata
+    phase = meta["norm_bound"] * meta["window"] * grid.dt
+    assert meta["degree"] == _jv_tail_degree(phase) == degree
 
 
 def test_miller_bessel_matches_scipy_jv():

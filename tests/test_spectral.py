@@ -1,6 +1,7 @@
 """Spectral densities, scalar transforms, kernel assembly, discretization."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -290,6 +291,23 @@ def test_n_bar_at_negative_frequencies_is_minus_one_minus_n_bar():
                                -1.0 - gqbm.n_bar(omega, temp), rtol=1e-12)
     assert gqbm.n_bar(np.array([-80.0]), temp)[0] == -1.0  # omega/T = -800
     assert np.all(gqbm.n_bar(np.array([-1e-14, 0.0, 1e-14]), temp) == np.inf)
+
+
+def test_quadrature_rule_over_budget_rejected_before_allocation():
+    # the thermal rule spans omega <= 50 T: at T = 1e6 and |dt| <= 16 it
+    # would take about 4.9e8 nodes, tens of GB with its self-check
+    tab = gqbm.SpectralModel(family="tabulated", temperature=1e6,
+                             tab_omega=np.array([0.0, 1.0, 2.0]),
+                             tab_j=np.array([0.0, 1.0, 0.0]))
+    gtilde_v = gqbm.build_kernels(tab).gtilde_v
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="GiB budget"):
+            gtilde_v(np.array([0.0, 16.0]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 # ---- bath discretization ----------------------------------------------------

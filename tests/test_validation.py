@@ -258,6 +258,7 @@ CASES += [
     (["jolt-sweep", "--alpha-list=0,nan"] + GRID_ARGS, "alpha_list"),
     (["reproduce-fig2", "--workers=-1"] + GRID_ARGS, "workers"),
     (["coeffs", "--crosscheck", "--steps=6000"], "n_steps"),
+    (["coeffs", "--temperature=1e200"] + GRID_ARGS, "temperature"),
 ]
 
 
@@ -342,7 +343,7 @@ def test_crosscheck_budget_is_checked_before_the_library_solves(monkeypatch):
 
 def test_fig2_validates_the_configuration_it_pins(tmp_path, monkeypatch):
     """An omega_s the pinned model replaces does not have to fit the grid."""
-    monkeypatch.setattr(os, "environ", {})
-    code = cli.main(["reproduce-fig2", "--omega-s=10", "--workers=1",
+    monkeypatch.setattr(os, "environ", {"GQBM_OMEGA_S": "10"})
+    code = cli.main(["reproduce-fig2", "--workers=1",
                      "--out", str(tmp_path / "x")] + GRID_ARGS)
     assert code == cli.EXIT_OK
