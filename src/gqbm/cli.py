@@ -23,6 +23,7 @@ Configuration precedence: defaults < config file (INI) < environment
 variables (prefix GQBM_, e.g. GQBM_ALPHA=0.5) < command-line flags.  File
 and environment take every RunConfig key; a subcommand's flags are the keys
 it reads, so reproduce-fig2, which pins its model, takes none of the model's.
+A run checks, and records in the manifest, only the keys it reads.
 Identical configuration and build produce byte-identical CSV bodies; the
 manifest additionally records wall time and scheme identifiers.
 
@@ -84,6 +85,11 @@ EXIT_QUALITY = 4
 
 ENV_PREFIX = "GQBM_"
 FIG2_ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
+# reproduce-fig2 runs the documented study at these keys, whatever the file,
+# environment or flags say
+_FIG2_PINS = {"gamma0": 3e-4, "temperature": 0.01, "cutoff": 1.0,
+              "omega_s": None,
+              "alpha_list": ",".join(str(a) for a in FIG2_ALPHAS)}
 
 
 def _parse_bool(text: str) -> bool:
@@ -186,12 +192,20 @@ def _read_config(path: str | None, env: dict | None,
         raise ValidationError(str(exc)) from exc
 
 
-def _validate_config(cfg: RunConfig):
-    """CLI-only keys, then the model and grid; returns _setup."""
-    if not cfg.workers >= 0:
+def _validate_config(cfg: RunConfig, reads: set | None = None) -> list:
+    """Checks the keys in reads (default: every key) before any solve.
+
+    Returns _setup at each alpha that runs: cfg.alpha if read, then each
+    alpha_list entry if read.
+    """
+    if reads is None:
+        reads = {f.name for f in fields(RunConfig)}
+    if "workers" in reads and not cfg.workers >= 0:
         raise ValidationError(f"workers must be >= 0, got {cfg.workers}")
-    _sweep_alphas(cfg)
-    return _setup(cfg)
+    alphas = [cfg.alpha] if "alpha" in reads else []
+    if "alpha_list" in reads:
+        alphas += _sweep_alphas(cfg)
+    return [_setup(replace(cfg, alpha=a)) for a in alphas]
 
 
 def _sweep_alphas(cfg: RunConfig) -> list[float]:
@@ -230,14 +244,15 @@ def _write_csv(path: Path, names: list[str], columns: list[np.ndarray]):
                encoding="ascii")
 
 
-def _write_manifest(path: Path, cfg: RunConfig, pipeline: str,
+def _write_manifest(path: Path, cfg: RunConfig, reads: set, pipeline: str,
                     schemes: dict, summaries: dict, wall_time: float):
     manifest = configparser.ConfigParser(interpolation=None)
     manifest.read_dict({
         "run": {"version": __version__, "pipeline": pipeline,
                 "wall_time_s": f"{wall_time:.3f}"},
         "config": {f.name: "" if getattr(cfg, f.name) is None
-                   else str(getattr(cfg, f.name)) for f in fields(cfg)},
+                   else str(getattr(cfg, f.name))
+                   for f in fields(cfg) if f.name in reads},
         "schemes": dict(sorted(schemes.items())),
         "tolerances": {key: repr(val) for key, val in _TOLERANCES.items()},
         "summary": dict(sorted(summaries.items())),
@@ -397,6 +412,7 @@ _GRID = ("t_end", "n_steps")
 # subcommand -> (run(cfg, model, omega_s, grid) -> (result, {CSV: (names,
 # columns)}), every RunConfig field it reads, each taken as a flag).  A sweep
 # replaces alpha per job, and reproduce-fig2 pins the whole model in run().
+# run() checks and records only these keys, the pinned ones and out_dir.
 _SUBCOMMANDS = {
     "kernels": (_run_kernels, _MODEL + _GRID),
     "greens": (_run_greens, _MODEL + _GRID + ("crosscheck",)),
@@ -418,7 +434,9 @@ def run(cfg: RunConfig, pipeline: str) -> ResultBundle:
     reproduce-fig2 pins the documented model (gamma0 = 3e-4, T = 0.01) and
     takes its grid from cfg, so reduced-resolution smoke runs stay possible.
     crosscheck, from whatever source, is rejected by the pipelines without
-    a --crosscheck flag, before the output directory is made.
+    a --crosscheck flag, before the output directory is made.  Only the
+    keys the pipeline reads are checked and written to the manifest's
+    [config]; a sweep reads each alpha_list entry instead of alpha.
     """
     t0 = time.monotonic()
     if pipeline not in _SUBCOMMANDS:
@@ -428,21 +446,21 @@ def run(cfg: RunConfig, pipeline: str) -> ResultBundle:
     if cfg.crosscheck and pipeline not in readers:
         raise ValidationError(f"crosscheck is read by {' and '.join(readers)} "
                               f"only, not by {pipeline}")
-    if pipeline == "reproduce-fig2":
-        cfg = replace(cfg, gamma0=3e-4, temperature=0.01, cutoff=1.0,
-                      omega_s=None,
-                      alpha_list=",".join(str(a) for a in FIG2_ALPHAS))
-    setup = _validate_config(cfg)  # the configuration that runs, after pinning
+    runner, keys = _SUBCOMMANDS[pipeline]
+    pins = _FIG2_PINS if pipeline == "reproduce-fig2" else {}
+    cfg = replace(cfg, **pins)
+    reads = {"out_dir", *keys, *pins}
+    setups = _validate_config(cfg, reads)  # what runs, after pinning
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    res, tables = _SUBCOMMANDS[pipeline][0](cfg, *setup)
+    res, tables = runner(cfg, *setups[0])
     bundle = ResultBundle(out_dir=out, summaries=res.summaries,
                           manifest_path=out / "manifest.txt")
     for name, (names, columns) in tables.items():
         bundle.csv_paths[name] = out / f"{name}.csv"
         _write_csv(bundle.csv_paths[name], names, columns)
-    _write_manifest(bundle.manifest_path, cfg, pipeline, res.stages,
+    _write_manifest(bundle.manifest_path, cfg, reads, pipeline, res.stages,
                     res.summaries, time.monotonic() - t0)
     return bundle
 

@@ -27,8 +27,10 @@ read the rows in blocks of a fixed number of output steps, applying the
 initial product table once per block (one pair-wise rule, or one GEMM with
 a dense table).  thermal_total_state() prepares the
 correlated initial state of a quench, the Gibbs state of the coupled
-Hamiltonian, by Colpa's Cholesky route on a dense H filled from the same
-arrowhead, in the same operator ordering.
+Hamiltonian.  The couplings are real, so the same arrowhead splits into an
+x block and a p block of size N + 1 in the quadratures; a Cholesky factor
+of each and one SVD of their product give the normal modes, and the
+product table is assembled in the interleaved operator ordering.
 """
 
 from __future__ import annotations
@@ -54,8 +56,9 @@ from .moments import GaussianMoments, _require_commutator
 from .spectral import BathDiscretization, n_bar
 
 RECURRENCE_GUARD = 0.5
-# thermal_total_state: Colpa's Cholesky factor of H, then a symmetric eigh
-THERMAL_STATE_SCHEME = "colpa-cholesky"
+# thermal_total_state: Cholesky factors of the x and p blocks of H, then
+# one SVD of their product (the normal frequencies and both transforms)
+THERMAL_STATE_SCHEME = "quadrature-cholesky-svd"
 # Bound on the truncated tail of propagate's Chebyshev expansion, relative
 # (max norm) to the block that starts each window.
 CHEBYSHEV_TAIL_TOL = 1e-15
@@ -439,9 +442,12 @@ class ThermalTotalState:
     """Gaussian thermal state of the coupled system + bath Hamiltonian.
 
     Holds the reduced system moments, the system-bath cross correlations,
-    the per-mode bath occupations/squeezes, and the full initial product
-    table for exact_moments.  metadata holds the scheme, its symplectic
-    residual and the lowest normal-mode frequency.
+    the per-mode bath occupations/squeezes, the normal-mode frequencies in
+    ascending order, and the full initial product table for exact_moments.
+    metadata holds the scheme, its symplectic residual and the lowest
+    normal-mode frequency.  The residual is max|Omega^-1/2 X^T Y Omega^-1/2
+    - I| for the quadrature transforms X, Y (see _quadrature_modes): how
+    far the normal coordinates are from canonical pairs.
     """
 
     system: GaussianMoments
@@ -453,6 +459,48 @@ class ThermalTotalState:
     metadata: dict = field(default_factory=dict)
 
 
+def _quadrature_modes(dyn: LinearDynamics, omega_s0: float):
+    """Normal frequencies Omega (descending) of H at omega_s0, with
+    X Omega^-1/2 and Y Omega^-1/2, their rows in the operator ordering.
+
+    The couplings are real, so in the quadratures x = (a + a^dag)/sqrt 2,
+    p = (a - a^dag)/(i sqrt 2) of the system and each mode the Hamiltonian
+    is 1/2 x^T P x + 1/2 p^T Q p + const, with (N+1)x(N+1) arrowheads
+    P = h + w and Q = h - w: h holds omega_s0 and the mode frequencies on
+    the diagonal and V on the system row, w holds W there.  H is positive
+    definite exactly when P and Q are.  With Cholesky factors P = L_P L_P^T
+    and Q = L_Q L_Q^T, one SVD L_P^T L_Q = U Omega V^T gives the normal
+    frequencies Omega and the transforms X = L_Q V, Y = L_P U, which make
+    x = X Omega^-1/2 xi, p = Y Omega^-1/2 pi canonical normal coordinates
+    (the Williamson normal form; Simon, Chaturvedi & Srinivasan, J. Math.
+    Phys. 40 (1999) 3632).  The bath is factored in descending frequency,
+    after the system, which lets the SVD resolve the lowest normal mode to
+    high relative accuracy.
+    """
+    nb = dyn.n_modes + 1
+    # P and Q share the diagonal, with V + W and V - W on the system row
+    # and column of the arrowhead H
+    diag, coupling = replace(dyn, omega_s=omega_s0).arrowhead()
+    exchange, pair = coupling[0, 0::2], coupling[0, 1::2]
+    order = np.concatenate([[0], 1 + np.argsort(-dyn.frequencies,
+                                                 kind="stable")])
+    blocks = np.zeros((2, nb, nb))
+    blocks[:, np.arange(nb), np.arange(nb)] = diag[0::2][order]
+    blocks[:, 0, 1:] = blocks[:, 1:, 0] = np.stack(
+        [exchange + pair, exchange - pair])[:, order[1:] - 1]
+    try:
+        l_p, l_q = np.linalg.cholesky(blocks)
+    except np.linalg.LinAlgError:
+        raise InstabilityError(
+            "coupled Hamiltonian is not positive definite (its Cholesky "
+            "factorisation fails); no thermal state exists at these "
+            "couplings") from None
+    u_svd, eps, v_svd_t = np.linalg.svd(l_p.T @ l_q)
+    root = 1.0 / np.sqrt(eps)
+    back = np.argsort(order)
+    return eps, (l_q @ v_svd_t.T)[back] * root, (l_p @ u_svd)[back] * root
+
+
 def thermal_total_state(dyn: LinearDynamics, temperature: float,
                         omega_s0: float) -> ThermalTotalState:
     """Thermal (or ground) state of the COUPLED quadratic Hamiltonian.
@@ -461,52 +509,40 @@ def thermal_total_state(dyn: LinearDynamics, temperature: float,
     state is prepared (it may differ from dyn.omega_s, which governs the
     subsequent evolution -- a frequency quench).  The Hamiltonian must be
     positive definite, otherwise no thermal state exists and an
-    InstabilityError is raised.  The normal modes follow Colpa (Physica A 93
-    (1978) 327): a Cholesky factor of the real H of G = -i sigma H, then a
-    symmetric eigensolve; no non-Hermitian eigenproblem is solved.  Every
-    field is read off the product table <A_p A_q>.
+    InstabilityError is raised.  The normal modes come from the x and p
+    blocks of H (_quadrature_modes): two Cholesky factors and one SVD of
+    size N + 1.  Every field is read off the product table <A_p A_q>.
     """
     if temperature < 0.0 or not math.isfinite(temperature):
         raise ValidationError("temperature must be >= 0")
     require_finite_frequency("omega_s0", omega_s0)
-    nb = dyn.n_modes + 1
+    eps, x_mat, y_mat = _quadrature_modes(dyn, omega_s0)
+    nb = eps.size
 
-    # the real symmetric H at omega_s0: dA/dt = -i sigma H A
-    h_mat = replace(dyn, omega_s=omega_s0)._dense_h()
-    sigma = dyn.sigma()
-
-    # Colpa: H = K^T K exists iff H is positive definite; K sigma K^T = U L U^T
-    # then gives T = K^-1 U |L|^(1/2) with T^T H T = |L| and T^T sigma T = sign L
-    try:
-        k_mat = np.linalg.cholesky(h_mat).T
-    except np.linalg.LinAlgError:
-        raise InstabilityError(
-            "coupled Hamiltonian is not positive definite (its Cholesky "
-            "factorisation fails); no thermal state exists at these "
-            "couplings") from None
-    del h_mat  # the factor carries H from here on
-    lam, u_mat = np.linalg.eigh((k_mat * sigma) @ k_mat.T)
-    eps = lam[lam > 0.0]  # positive branch, ascending: the normal frequencies
-    n_neg = np.count_nonzero(lam < 0.0)
-    if eps.size != nb or n_neg != nb:
-        raise InstabilityError(
-            f"Bogoliubov spectrum has {eps.size} positive and {n_neg} negative "
-            f"normal-mode frequencies; a thermal state needs {nb} of each")
-    t_mat = np.linalg.solve(k_mat, u_mat * np.sqrt(np.abs(lam)))
-
-    resid = float(np.max(np.abs((t_mat.T * sigma) @ t_mat
-                                - np.diag(np.sign(lam)))))
-    if resid > 1e-8:
+    resid = float(np.max(np.abs(x_mat.T @ y_mat - np.eye(nb))))
+    if not resid <= 1e-8:  # a NaN residual fails too
         raise NumericalQualityError(
             f"Bogoliubov transform breaks the symplectic metric by {resid:.3e}")
 
-    # <A A^dag> = T <Phi Phi^dag> T^T: a column of T with lambda > 0
-    # carries an annihilator (1 + nbar), one with lambda < 0 a creator (nbar)
-    occ_nm = n_bar(np.abs(lam), temperature)
-    diag = np.where(lam > 0.0, 1.0 + occ_nm, occ_nm)
-    cov = (t_mat * diag) @ t_mat.T
-    # A_q^dag = A_(q xor 1), so <A_p A_q> = <A_p A_(q xor 1)^dag>
-    table = cov[:, np.arange(dyn.dim) ^ 1].astype(complex)
+    # a = u c + v c^dag over the normal-mode annihilators c, with
+    # u = (X + Y) Omega^-1/2 / 2 and v = (X - Y) Omega^-1/2 / 2, so with
+    # <c^dag c> = nbar: <a^dag a> = u nbar u^T + v (1 + nbar) v^T and
+    # <a a> = u (1 + nbar) v^T + v nbar u^T; <a a^dag> = 1 + <a^dag a>^T
+    # each factor is freed once read: the table below sets the peak memory
+    uv = 0.5 * np.hstack([x_mat + y_mat, x_mat - y_mat])  # [u, v]
+    del x_mat, y_mat
+    occ_nm = n_bar(eps, temperature)
+    gram = uv * np.sqrt(np.concatenate([occ_nm, 1.0 + occ_nm]))
+    dag_ann = gram @ gram.T
+    del gram
+    ann_ann = (uv * np.concatenate([1.0 + occ_nm, occ_nm])) @ np.roll(
+        uv, nb, axis=1).T  # [u, v] diag(1 + nbar, nbar) [v, u]^T
+    del uv
+    table = np.empty((dyn.dim, dyn.dim), dtype=complex)
+    table[0::2, 0::2] = ann_ann
+    table[0::2, 1::2] = dag_ann.T + np.eye(nb)
+    table[1::2, 0::2] = dag_ann
+    table[1::2, 1::2] = ann_ann.T
 
     system = GaussianMoments(mean_a=0.0 + 0.0j, delta_n=table[1, 0].real,
                              delta_s=table[0, 0])
@@ -516,8 +552,8 @@ def thermal_total_state(dyn: LinearDynamics, temperature: float,
                                          s_prime=table[0, 2::2]),
         bath_occupations=np.real(np.diag(table[3::2, 2::2])),
         bath_squeezes=np.diag(table[2::2, 2::2]),
-        normal_frequencies=eps,
+        normal_frequencies=eps[::-1],
         product_table=table,
         metadata={"scheme": THERMAL_STATE_SCHEME, "symplectic_residual": resid,
-                  "min_normal_frequency": float(eps[0])},
+                  "min_normal_frequency": float(eps[-1])},
     )

@@ -41,6 +41,13 @@ def _manifest_value(path: Path, section: str, key: str) -> str:
     raise KeyError(f"{section}/{key} not in {path}")
 
 
+def _recorded(path: Path, key: str) -> bool:
+    """Whether the manifest's [config] records key."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(path)
+    return key in parser["config"]
+
+
 # ---- configuration loading ---------------------------------------------------
 
 
@@ -587,6 +594,47 @@ def test_fig2_pins_model_even_from_config(tmp_path, monkeypatch):
                     monkeypatch)
     assert code == cli.EXIT_OK
     assert _manifest_value(out / "manifest.txt", "config", "gamma0") == "0.0003"
+
+
+@pytest.mark.parametrize("argv, env, key", [
+    (["kernels", "--t-end", "2", "--steps", "200"], {"GQBM_WORKERS": "-1"},
+     "workers"),
+    (["coeffs", "--alpha", "0.5", "--t-end", "2", "--steps", "200"],
+     {"GQBM_ALPHA_LIST": "0,9"}, "alpha_list"),
+], ids=["kernels-workers", "coeffs-alpha-list"])
+def test_a_key_the_subcommand_does_not_read_is_neither_checked_nor_recorded(
+        argv, env, key, tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    assert _run_cli(argv + ["--out", str(out)], monkeypatch, env) == cli.EXIT_OK
+    assert not _recorded(out / "manifest.txt", key)
+    # the sweeps read both keys
+    code = _run_cli(["jolt-sweep", "--out", str(tmp_path / "sweep"), "--t-end",
+                     "2", "--steps", "200"], monkeypatch, env)
+    assert code == cli.EXIT_VALIDATION
+    code = _run_cli(["reproduce-fig2", "--out", str(tmp_path / "fig2"),
+                     "--t-end", "2", "--steps", "200"], monkeypatch,
+                    {"GQBM_WORKERS": "-1"})
+    assert code == cli.EXIT_VALIDATION
+
+
+def test_jolt_sweep_neither_checks_nor_records_alpha(tmp_path, monkeypatch):
+    argv = ["jolt-sweep", "--alpha-list", "0,1", "--workers", "1",
+            "--t-end", "2", "--steps", "200"]
+    outs = {}
+    for alpha in (None, "7", "0.3"):
+        out = outs[alpha] = tmp_path / f"alpha-{alpha}"
+        env = {} if alpha is None else {"GQBM_ALPHA": alpha}
+        assert _run_cli(argv + ["--out", str(out)], monkeypatch,
+                        env) == cli.EXIT_OK
+        assert not _recorded(out / "manifest.txt", "alpha")
+        assert _manifest_value(out / "manifest.txt", "config",
+                               "alpha_list") == "0,1"
+    names = ["sweep.csv"] + [f"alpha_{tag}/{csv}" for tag in ("0p00", "1p00")
+                             for csv in ("coeffs.csv", "estimates.csv")]
+    for alpha in ("7", "0.3"):
+        for name in names:
+            assert ((outs[alpha] / name).read_bytes()
+                    == (outs[None] / name).read_bytes()), name
 
 
 # ---- oracle pipelines ----------------------------------------------------------

@@ -1,29 +1,34 @@
-"""The Colpa thermal state and the Chebyshev march against the routes they
-replaced.
+"""The quadrature thermal state and the Chebyshev march against the routes
+they replaced.
 
 The functions below are the earlier implementations, kept verbatim as the
 reference: the thermal state from a non-Hermitian eigensolve of sigma M
 with symplectic normalisation, the Colpa route on H in the block ordering
 (a, b_1..b_N, a^dag, b_1^dag..b_N^dag) with index maps back to the
 interleaved table, the interleaved Colpa route on scipy's cholesky, eigh and
-solve_triangular, the propagation that marched the columns of S with G and
+solve_triangular, the same route on numpy's cholesky, eigh and solve, the
+propagation that marched the columns of S with G and
 the columns of S^T with G^T separately, the fixed-substep RK4 row march
 that followed it, and the Chebyshev row march on a sparse CSR generator
 with scipy's jv.  Their generators are CSR matrices of LinearDynamics's
-dense generator.  The Colpa route reaches the same state
-through other arithmetic, so it must agree to roundoff amplified by the
-eigenproblem's conditioning (1e-8 of the largest table entry; normal-mode
-frequencies to 1e-12 of the largest).  The interleaved Colpa route factors
-a permutation of the block-ordered H, so it must agree with that route to
-1e-10 of the largest table entry.  On numpy's factorisations it must agree
-with the scipy ones to 1e-11 of the largest entry, the spread of scipy's
-own evr and evd eigensolvers.  The RK4 row march is the second of
-the two marches alone, so its rows must be equal; its 2x2 block
-U = S[:2, :2] is read off the rows instead of the columns, which agrees to
-roundoff.  The Chebyshev march must agree with the RK4 one to RK4's own
-error, 1e-10 of max|S|, and trip its instability guard at the same step
-with the same message.  On the arrowhead it sums the same expansion in
-another order, so it must agree with the CSR march to 1e-13 of max|S|.
+dense generator.  The quadrature route (one SVD of the product of the
+Cholesky factors of the x and p blocks) reaches the same state through
+other arithmetic, so it must agree with the eig route to roundoff amplified
+by the eigenproblem's conditioning (1e-8 of the largest table entry;
+normal-mode frequencies to 1e-12 of the largest), with the block-ordered
+Colpa route to 1e-10 of the largest table entry, and with the interleaved
+Colpa routes, on numpy's or on scipy's factorisations, to 1e-11 of the
+largest entry, the spread of scipy's own evr and evd eigensolvers.  Its
+lowest normal frequency at alpha = 0 must match a bisection of the
+arrowhead's secular equation to 1e-14 relative, and a permuted bath must
+give the permuted table to 1e-15 of the largest entry.  The RK4 row march
+is the second of the two marches alone, so its rows must be equal; its 2x2
+block U = S[:2, :2] is read off the rows instead of the columns, which
+agrees to roundoff.  The Chebyshev march must agree with the RK4 one to
+RK4's own error, 1e-10 of max|S|, and trip its instability guard at the
+same step with the same message.  On the arrowhead it sums the same
+expansion in another order, so it must agree with the CSR march to 1e-13
+of max|S|.
 
 The moment readers are kept as well: the loop that applied the initial
 product table to one row at a time, with reduced_moments' elementwise rule
@@ -66,6 +71,9 @@ FREQ_RTOL = 1e-12
 STATIONARY_RTOL = 1e-12
 RK4_AGREEMENT_RTOL = 1e-10
 SCIPY_ROUTE_RTOL = 1e-11
+COLPA_ROUTE_RTOL = 1e-11
+SECULAR_ROOT_RTOL = 1e-14
+PERMUTED_BATH_RTOL = 1e-15
 CSR_AGREEMENT_RTOL = 1e-13
 LOOP_READER_RTOL = 1e-14
 
@@ -375,6 +383,64 @@ def _scipy_colpa_thermal_total_state(dyn, temperature, omega_s0):
     )
 
 
+def _colpa_thermal_total_state(dyn, temperature, omega_s0):
+    if temperature < 0.0 or not math.isfinite(temperature):
+        raise ValidationError("temperature must be >= 0")
+    require_finite_frequency("omega_s0", omega_s0)
+    nb = dyn.n_modes + 1
+
+    # the real symmetric H at omega_s0: dA/dt = -i sigma H A
+    h_mat = replace(dyn, omega_s=omega_s0)._dense_h()
+    sigma = dyn.sigma()
+
+    # Colpa: H = K^T K exists iff H is positive definite; K sigma K^T = U L U^T
+    # then gives T = K^-1 U |L|^(1/2) with T^T H T = |L| and T^T sigma T = sign L
+    try:
+        k_mat = np.linalg.cholesky(h_mat).T
+    except np.linalg.LinAlgError:
+        raise InstabilityError(
+            "coupled Hamiltonian is not positive definite (its Cholesky "
+            "factorisation fails); no thermal state exists at these "
+            "couplings") from None
+    del h_mat  # the factor carries H from here on
+    lam, u_mat = np.linalg.eigh((k_mat * sigma) @ k_mat.T)
+    eps = lam[lam > 0.0]  # positive branch, ascending: the normal frequencies
+    n_neg = np.count_nonzero(lam < 0.0)
+    if eps.size != nb or n_neg != nb:
+        raise InstabilityError(
+            f"Bogoliubov spectrum has {eps.size} positive and {n_neg} negative "
+            f"normal-mode frequencies; a thermal state needs {nb} of each")
+    t_mat = np.linalg.solve(k_mat, u_mat * np.sqrt(np.abs(lam)))
+
+    resid = float(np.max(np.abs((t_mat.T * sigma) @ t_mat
+                                - np.diag(np.sign(lam)))))
+    if resid > 1e-8:
+        raise NumericalQualityError(
+            f"Bogoliubov transform breaks the symplectic metric by {resid:.3e}")
+
+    # <A A^dag> = T <Phi Phi^dag> T^T: a column of T with lambda > 0
+    # carries an annihilator (1 + nbar), one with lambda < 0 a creator (nbar)
+    occ_nm = n_bar(np.abs(lam), temperature)
+    diag = np.where(lam > 0.0, 1.0 + occ_nm, occ_nm)
+    cov = (t_mat * diag) @ t_mat.T
+    # A_q^dag = A_(q xor 1), so <A_p A_q> = <A_p A_(q xor 1)^dag>
+    table = cov[:, np.arange(dyn.dim) ^ 1].astype(complex)
+
+    system = GaussianMoments(mean_a=0.0 + 0.0j, delta_n=table[1, 0].real,
+                             delta_s=table[0, 0])
+    return ThermalTotalState(
+        system=system,
+        correlations=InitialCorrelations(n_prime=table[1, 2::2],
+                                         s_prime=table[0, 2::2]),
+        bath_occupations=np.real(np.diag(table[3::2, 2::2])),
+        bath_squeezes=np.diag(table[2::2, 2::2]),
+        normal_frequencies=eps,
+        product_table=table,
+        metadata={"scheme": "colpa-cholesky", "symplectic_residual": resid,
+                  "min_normal_frequency": float(eps[0])},
+    )
+
+
 def _csr_chebyshev_propagate(dyn, grid):
     """The Chebyshev row march on the CSR generator with scipy's jv."""
     n = grid.n_steps
@@ -528,9 +594,9 @@ def test_colpa_state_matches_the_block_ordered_route(alpha, temperature):
             <= FREQ_RTOL * np.max(ref.normal_frequencies))
 
 
-# at zero temperature max|table| is about 1 instead of 50, and the same
-# absolute spread of about 5e-11 in the lowest mode's entries is 9e-11 of it,
-# for scipy's own evr and evd eigensolvers as for numpy's route; there
+# at zero temperature max|table| is about 1 instead of 50, and the Colpa
+# routes' absolute spread of about 5e-11 in the lowest mode's entries is
+# 9e-11 of it, for scipy's own evr and evd eigensolvers as for numpy's; there
 # test_colpa_state_matches_the_block_ordered_route bounds it
 @pytest.mark.parametrize("alpha, temperature", [(0.5, 0.01), (0.0, 0.01)],
                          ids=["quench-point", "no-pairing"])
@@ -542,6 +608,66 @@ def test_colpa_state_matches_the_scipy_route(alpha, temperature):
     assert np.max(np.abs(state.product_table - ref.product_table)) <= bound
     assert (np.max(np.abs(state.normal_frequencies - ref.normal_frequencies))
             <= FREQ_RTOL * np.max(ref.normal_frequencies))
+
+
+@pytest.mark.parametrize("alpha, temperature", STATE_POINTS, ids=STATE_IDS)
+def test_quadrature_state_matches_the_colpa_route(alpha, temperature):
+    dyn = _dynamics(alpha, OMEGA_S)
+    state = gqbm.thermal_total_state(dyn, temperature, OMEGA_S0)
+    ref = _colpa_thermal_total_state(dyn, temperature, OMEGA_S0)
+    bound = COLPA_ROUTE_RTOL * np.max(np.abs(ref.product_table))
+    assert np.max(np.abs(state.product_table - ref.product_table)) <= bound
+    assert (np.max(np.abs(state.normal_frequencies - ref.normal_frequencies))
+            <= FREQ_RTOL * np.max(ref.normal_frequencies))
+
+
+def _lowest_secular_root(omega_s0, frequencies, couplings):
+    """Lowest root of omega_s0 - lam - sum V_k^2 / (omega_k - lam) = 0.
+
+    The root lies below the lowest pole omega_1, so the bisection runs on
+    the shift d = omega_1 - lam, with omega_k - lam = (omega_k - omega_1) + d,
+    from d = 0 (the pole) to d = omega_1 (lam = 0), until the bracket stops
+    shrinking.
+    """
+    pole = float(np.min(frequencies))
+    gaps = frequencies - pole
+    lo, hi = 0.0, pole
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return pole - hi
+        if omega_s0 - pole + mid - np.sum(couplings**2 / (gaps + mid)) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def test_lowest_normal_frequency_matches_the_secular_root():
+    # alpha = 0: no pairing, so the normal frequencies are the eigenvalues
+    # of the exchange arrowhead, the roots of its secular equation
+    dyn = _dynamics(0.0, OMEGA_S)
+    lowest = _lowest_secular_root(OMEGA_S0, dyn.frequencies, dyn.v_couplings)
+    state = gqbm.thermal_total_state(dyn, 0.01, OMEGA_S0)
+    assert 0.0 < lowest < np.min(dyn.frequencies)
+    assert (abs(state.metadata["min_normal_frequency"] - lowest)
+            <= SECULAR_ROOT_RTOL * lowest)
+
+
+@pytest.mark.parametrize("alpha, temperature", STATE_POINTS, ids=STATE_IDS)
+def test_permuted_bath_gives_the_permuted_table(alpha, temperature):
+    dyn = _dynamics(alpha, OMEGA_S)
+    perm = np.random.default_rng(23).permutation(dyn.n_modes)
+    shuffled = gqbm.LinearDynamics(OMEGA_S, dyn.frequencies[perm],
+                                   dyn.v_couplings[perm], dyn.w_couplings[perm])
+    # mode k of the shuffled bath is mode perm[k]: b_k at 2k + 2, b_k^dag at
+    # 2k + 3
+    index = np.concatenate([[0, 1], np.stack([2 * perm + 2, 2 * perm + 3],
+                                             axis=1).ravel()])
+    table = gqbm.thermal_total_state(dyn, temperature, OMEGA_S0).product_table
+    got = gqbm.thermal_total_state(shuffled, temperature,
+                                   OMEGA_S0).product_table
+    assert (np.max(np.abs(got - table[np.ix_(index, index)]))
+            <= PERMUTED_BATH_RTOL * np.max(np.abs(table)))
 
 
 def test_colpa_state_is_stationary_under_its_hamiltonian(both_states):
@@ -557,7 +683,7 @@ def test_colpa_state_is_stationary_under_its_hamiltonian(both_states):
 def test_colpa_state_reports_its_margins(both_states):
     _, colpa, _ = both_states
     meta = colpa.metadata
-    assert meta["scheme"] == "colpa-cholesky"
+    assert meta["scheme"] == oracle.THERMAL_STATE_SCHEME
     assert 0.0 <= meta["symplectic_residual"] <= 1e-8
     assert meta["min_normal_frequency"] == colpa.normal_frequencies[0] > 0.0
 
