@@ -17,9 +17,9 @@ is an ohmic profile with exponential cutoff,
 for which both transforms are closed forms at every temperature: g_v is
 amp (1/cutoff + i dt)^-2 and gtilde_v, the Bose series summed term by term,
 is amp T^2 zeta(2, 1 + T/cutoff + i T dt), with amp = sqrt(gamma0/(8 pi cutoff))
-and zeta the Hurwitz zeta function.  Only the tabulated family evaluates its
-transforms by frequency quadrature.  Everything is expressed in units of the
-cutoff (hbar = k_B = 1).
+and zeta the Hurwitz zeta function.  A tabulated J_V is piecewise linear, so
+its g_v is a closed form too; only its gtilde_v runs a frequency quadrature.
+Everything is expressed in units of the cutoff (hbar = k_B = 1).
 
 2x2 kernel layout (basis a, a^dagger):
 
@@ -61,8 +61,17 @@ _CHANNELS = ("v", "w", "vw")
 
 # Self-check tolerance of the frequency quadrature (relative, on probe offsets).
 QUADRATURE_RTOL = 1e-8
-# Kernel.metadata["transforms"] of a tabulated kernel: both transforms on such a rule.
-QUADRATURE_SCHEME = "composite-gauss-legendre with self-refinement check"
+# Below |dt| w_M = _TAYLOR_PHASE the knot sum of _LinearTableTransform loses
+# digits to cancellation, as (dt w_M)^-2; there g_v is its Taylor series,
+# whose roundoff grows with its largest term instead, and whose first
+# omitted term is below 4^40 / 40! < 1e-24 of g_v(0).
+_TAYLOR_PHASE = 4.0
+_TAYLOR_TERMS = 40
+# Kernel.metadata["transforms"] of a tabulated kernel.
+TABULATED_TRANSFORM_SCHEME = (
+    f"closed form g_v of the piecewise-linear table (Filon; Taylor below "
+    f"|dt| w_M = {_TAYLOR_PHASE:g}), composite-gauss-legendre gtilde_v on "
+    f"[0, min(w_M, 50 T)] with self-refinement check")
 # Largest oscillation phase handled by a single Gauss-Legendre panel.
 _MAX_PANEL_PHASE = 350.0
 _BASE_PANEL_NODES = 24
@@ -356,6 +365,63 @@ class _TransformFamily:
         return self._rule_for(dt_max).transform(dt)
 
 
+class _LinearTableTransform:
+    """g_v of a tabulated J_V, exact for its piecewise-linear interpolant.
+
+    J_V is f_k at the knots w_0 < ... < w_M, linear with slope s_k on
+    [w_k, w_k+1] and zero outside, so integrating by parts twice (Filon's
+    method) gives
+
+        2 pi g_v(t) = (i/t) (f_M e^{-i w_M t} - f_0 e^{-i w_0 t})
+                      + t^-2 sum_k (s_k-1 - s_k) e^{-i w_k t}
+
+    with s_-1 = s_M = 0: one _exp_sum over the knots, which keeps its
+    lattice GEMM.  Where |t| w_M < _TAYLOR_PHASE, g_v is the series
+    sum_n (-i t)^n mu_n / (2 pi n!) in the exact moments mu_n of J_V, taken
+    in x = w / w_M so that no power overflows.
+    """
+
+    def __init__(self, omega: np.ndarray, j: np.ndarray):
+        j = j / (2.0 * math.pi)
+        self.knots = omega
+        self.knot_weights = -np.diff(np.diff(j) / np.diff(omega),
+                                     prepend=0.0, append=0.0)
+        self.f_first, self.f_last = j[0], j[-1]
+        # With L linear from f_a at a to f_b at b = a + h,
+        # int_a^b x^n L dx = h (f_a G_n + f_b F_n) / ((n+1)(n+2)), where
+        # F_n = sum_k (k+1) a^(n-k) b^k and G_n swaps a and b: sums of
+        # nonnegative terms, so the moments carry no cancellation.  taylor[n]
+        # is the x-moment over n!, hence the (n+2)! = (n+1)(n+2) n!.
+        x = omega / omega[-1]
+        a, b = x[:-1], x[1:]
+        f = g = a_n = b_n = np.ones_like(a)
+        taylor = np.empty(_TAYLOR_TERMS)
+        for n in range(_TAYLOR_TERMS):
+            if n:
+                a_n, b_n = a_n * a, b_n * b
+                f, g = a * f + (n + 1) * b_n, b * g + (n + 1) * a_n
+            taylor[n] = (np.diff(x) @ (j[:-1] * g + j[1:] * f)
+                         / math.factorial(n + 2))
+        self.taylor = taylor * omega[-1]
+
+    def __call__(self, dt) -> np.ndarray:
+        dt = _offsets(dt)
+        top = self.knots[-1]
+        out = _exp_sum(self.knot_weights, self.knots, dt).ravel()
+        t = dt.ravel()
+        far = np.abs(t) * top >= _TAYLOR_PHASE
+        inv = 1.0 / t[far]
+        ends = (self.f_last * np.exp(-1j * top * t[far])
+                - self.f_first * np.exp(-1j * self.knots[0] * t[far]))
+        out[far] = (1j * ends + out[far] * inv) * inv
+        tau = -1j * top * t[~far]
+        near = np.zeros(tau.shape, dtype=complex)
+        for coeff in self.taylor[::-1]:
+            near = near * tau + coeff
+        out[~far] = near
+        return out.reshape(dt.shape)
+
+
 # ---------------------------------------------------------------------------
 # kernel assembly
 # ---------------------------------------------------------------------------
@@ -370,8 +436,9 @@ class Kernel:
     bath temperature and cutoff; g and gtilde assemble the (..., 2, 2)
     complex G and Gt from them.  metadata records the source and, for a
     continuum kernel, the route of both transforms under "transforms": closed
-    form for the ohmic family at every temperature, quadrature for a
-    tabulated one.  Discrete-bath kernels are exact mode sums and name none.
+    form for the ohmic family at every temperature; for a tabulated one, a
+    closed-form g_v and a quadrature gtilde_v.  Discrete-bath kernels are
+    exact mode sums and name none.
     """
 
     g_v: Callable[[np.ndarray], np.ndarray]
@@ -474,12 +541,13 @@ def build_kernels(model: SpectralModel) -> Kernel:
 
     The ohmic family takes both transforms in closed form at every
     temperature (module docstring; gtilde_v through _hurwitz_zeta2).  A
-    tabulated family evaluates them by a composite Gauss-Legendre rule on
-    [0, omega_max] that breaks at the table nodes, with omega_max the last
-    node for g_v and max(20 cutoff, 50 T) for gtilde_v; panels are
-    geometrically refined toward omega = 0 to resolve the Bose factor, and
-    every rule is validated against its own refinement before first use.
-    At T = 0 gtilde_v is exactly zero.  metadata["transforms"] names the route.
+    tabulated family takes g_v in closed form from the table
+    (_LinearTableTransform) and gtilde_v by a composite Gauss-Legendre rule
+    on [0, min(last node, 50 T)]: J_V vanishes past the last node and
+    nbar < 1e-21 past 50 T.  That rule breaks at the table nodes, its panels
+    are geometrically refined toward omega = 0 to resolve the Bose factor,
+    and it is validated against its own refinement before first use.  At
+    T = 0 gtilde_v is exactly zero.  metadata["transforms"] names the route.
     """
     cut, temp = model.cutoff, model.temperature
     if model.family == "ohmic":
@@ -501,10 +569,8 @@ def build_kernels(model: SpectralModel) -> Kernel:
             return thermal_amp * _hurwitz_zeta2(
                 1.0 + temp / cut + 1j * temp * _offsets(dt))
     else:
-        scheme = QUADRATURE_SCHEME
-        g_v = _TransformFamily(lambda om: _j_v(model, om) / (2.0 * math.pi),
-                               float(model.tab_omega[-1]), cut, "spectral",
-                               model.tab_omega)
+        scheme = TABULATED_TRANSFORM_SCHEME
+        g_v = _LinearTableTransform(model.tab_omega, model.tab_j)
         # J_V * nbar stays finite at the origin: its omega -> 0 limit is
         # slope(J_V) * T, evaluated here once from a probe near zero.
         eps = 1e-8 * cut
@@ -517,8 +583,8 @@ def build_kernels(model: SpectralModel) -> Kernel:
             return np.where(np.isfinite(val), val, origin_limit)
 
         gtilde_v = _TransformFamily(
-            _w_thermal, max(20.0 * cut, 50.0 * temp), min(temp, cut) * 0.5,
-            "thermal", model.tab_omega)
+            _w_thermal, min(float(model.tab_omega[-1]), 50.0 * temp),
+            min(temp, cut) * 0.5, "thermal", model.tab_omega)
     if temp == 0.0:
         gtilde_v = _zero_transform
     return Kernel(g_v, gtilde_v, model.alpha, temp, cut,

@@ -6,6 +6,9 @@ The n = 2000 grid solves are expensive enough to share; fixtures are
 session-scoped and treated as read-only by every consumer.
 """
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -30,6 +33,18 @@ SCHEMES = {
 def make_model(alpha, temperature=TEMPERATURE, gamma0=GAMMA0, cutoff=CUTOFF):
     return gqbm.SpectralModel(family="ohmic", gamma0=gamma0, cutoff=cutoff,
                               alpha=alpha, temperature=temperature)
+
+
+def tabulated_model(temperature=TEMPERATURE):
+    """The bench tabulated model: perfbench.workloads.tabulated_table(1, 300)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tab_omega, tab_j = module.tabulated_table(1, 300)
+    return gqbm.SpectralModel(family="tabulated", gamma0=GAMMA0, cutoff=CUTOFF,
+                              alpha=0.5, temperature=temperature,
+                              tab_omega=tab_omega, tab_j=tab_j)
 
 
 @pytest.fixture(scope="session")

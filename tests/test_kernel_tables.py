@@ -9,9 +9,6 @@ give the same bits.  The mirror Gt(-t) = Gt(t)^dagger is exact, so with the
 sums pinned to the loop the mirrored table is the old table bit for bit.
 """
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -19,7 +16,7 @@ import gqbm
 from gqbm import spectral
 from gqbm.spectral import _offsets
 
-from conftest import CUTOFF, GAMMA0, TEMPERATURE, make_model
+from conftest import CUTOFF, make_model, tabulated_model
 
 RTOL = 1e-13
 # TimeGrid(t_end=2.0, n_steps=49): linspace puts one time off the lattice
@@ -47,18 +44,6 @@ def _old_gtilde_signed_table(kernel, grid):
     return kernel.gtilde(offsets)
 
 
-def _tabulated_model():
-    """The bench tabulated model: perfbench.workloads.tabulated_table(1, 300)."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    tab_omega, tab_j = module.tabulated_table(1, 300)
-    return gqbm.SpectralModel(family="tabulated", gamma0=GAMMA0, cutoff=CUTOFF,
-                              alpha=0.5, temperature=TEMPERATURE,
-                              tab_omega=tab_omega, tab_j=tab_j)
-
-
 def _bath(n_modes=300):
     return gqbm.discretize_bath(make_model(0.5), n_modes, 12.0, scheme="gauss")
 
@@ -73,7 +58,7 @@ _MIRROR_KERNELS = {
     "ohmic-T0.01": lambda: gqbm.build_kernels(make_model(0.5)),
     "ohmic-T0.3": lambda: gqbm.build_kernels(make_model(0.7, temperature=0.3)),
     "ohmic-T0": lambda: gqbm.build_kernels(make_model(0.5, temperature=0.0)),
-    "tabulated": lambda: gqbm.build_kernels(_tabulated_model()),
+    "tabulated": lambda: gqbm.build_kernels(tabulated_model()),
     "bath": lambda: gqbm.kernels_from_bath(_bath()),
 }
 
@@ -90,7 +75,7 @@ def test_mirrored_gtilde_table_is_the_signed_evaluation(name, monkeypatch):
 
 def test_mirrored_gtilde_table_with_lattice_sums_matches_to_roundoff():
     grid = gqbm.TimeGrid(t_end=10.0, n_steps=600, max_frequency=CUTOFF)
-    kernel = gqbm.build_kernels(_tabulated_model())
+    kernel = gqbm.build_kernels(tabulated_model())
     ref = _old_gtilde_signed_table(kernel, grid)
     assert _max_rel_dev(kernel.gtilde_signed_table(grid), ref) <= RTOL
 
@@ -99,10 +84,14 @@ def test_mirrored_gtilde_table_with_lattice_sums_matches_to_roundoff():
 
 
 def _tabulated_rules():
-    kernel = gqbm.build_kernels(_tabulated_model())
-    # the rules the bench tables use: |dt| <= 10 falls in the 16 bucket
-    return {"plain": kernel.g_v._rule_for(10.0),
-            "thermal": kernel.gtilde_v._rule_for(10.0)}
+    """(weights, frequencies) of the sums the bench tables run."""
+    kernel = gqbm.build_kernels(tabulated_model())
+    # "plain" is the closed-form g_v's sum over the table's knots on
+    # [0, 20]; "thermal" is the gtilde_v rule on [0, 50 T] = [0, 0.5] that
+    # |dt| <= 10 picks, its 16 bucket
+    thermal = kernel.gtilde_v._rule_for(10.0)
+    return {"plain": (kernel.g_v.knot_weights, kernel.g_v.knots),
+            "thermal": (thermal.weights, thermal.nodes)}
 
 
 @pytest.mark.parametrize("n_steps", [600, 20000])
@@ -110,12 +99,13 @@ def test_lattice_sum_matches_the_loop_on_tabulated_rules(n_steps):
     times = gqbm.TimeGrid(t_end=10.0, n_steps=n_steps,
                           max_frequency=CUTOFF).times
     rules = _tabulated_rules()
-    # the loop at n = 20 001 costs seconds per rule: check the thermal one
-    names = ("plain", "thermal") if n_steps == 600 else ("thermal",)
+    # at n = 20 001 check the knots: their phases reach 200 rad, the
+    # thermal rule's only 5
+    names = ("plain", "thermal") if n_steps == 600 else ("plain",)
     for name in names:
-        rule = rules[name]
-        got = spectral._exp_sum(rule.weights, rule.nodes, times)
-        assert _max_rel_dev(got, _loop_exp_sum(rule.weights, rule.nodes,
+        weights, freqs = rules[name]
+        got = spectral._exp_sum(weights, freqs, times)
+        assert _max_rel_dev(got, _loop_exp_sum(weights, freqs,
                                                times)) <= RTOL, name
 
 
@@ -141,7 +131,7 @@ def test_lattice_sum_of_short_grids():
 
 
 def test_off_lattice_offsets_take_the_loop_bit_for_bit():
-    rule = _tabulated_rules()["thermal"]
+    weights, freqs = _tabulated_rules()["thermal"]
     times = gqbm.TimeGrid(t_end=10.0, n_steps=600, max_frequency=CUTOFF).times
     rng = np.random.default_rng(7)
     jittered = times + rng.uniform(-1e-3, 1e-3, times.size)
@@ -151,9 +141,8 @@ def test_off_lattice_offsets_take_the_loop_bit_for_bit():
                              max_frequency=CUTOFF).times
     assert not np.array_equal(off_grid, np.arange(off_grid.size) * off_grid[1])
     for offsets in (jittered, times[:600].reshape(20, 30), off_grid):
-        got = spectral._exp_sum(rule.weights, rule.nodes, offsets)
-        assert np.array_equal(got, _loop_exp_sum(rule.weights, rule.nodes,
-                                                 offsets))
+        got = spectral._exp_sum(weights, freqs, offsets)
+        assert np.array_equal(got, _loop_exp_sum(weights, freqs, offsets))
 
 
 def test_exp_sum_temporaries_stay_within_the_bound(monkeypatch):
@@ -198,7 +187,7 @@ def test_bench_tables_call_leggauss_once_per_order(monkeypatch):
     spectral._leggauss.cache_clear()
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting_leggauss)
     try:
-        kernel = gqbm.build_kernels(_tabulated_model())
+        kernel = gqbm.build_kernels(tabulated_model())
         grid = gqbm.TimeGrid(t_end=10.0, n_steps=600, max_frequency=CUTOFF)
         kernel.g_table(grid)
         kernel.gtilde_signed_table(grid)

@@ -15,7 +15,7 @@ from gqbm import spectral
 from gqbm.errors import ContractViolationError, ValidationError
 from gqbm.spectral import SIGMA_X
 
-from conftest import GAMMA0, TEMPERATURE, make_model
+from conftest import GAMMA0, TEMPERATURE, make_model, tabulated_model
 
 # ---- spectral density -------------------------------------------------------
 
@@ -146,6 +146,90 @@ def test_g_v_tabulated_family_matches_ohmic_shape():
         assert abs(a - b) / abs(b) < 5e-5  # limited by table linearization
 
 
+def _table_quadrature(model):
+    """g_v of a tabulated model by the frequency quadrature it replaced.
+
+    J_V / 2 pi on omega <= the last node, with panels breaking at the nodes
+    and the cutoff as inner scale, self-checked against its refinement.
+    """
+    return spectral._TransformFamily(
+        lambda om: gqbm.eval_spectral_density(model, om) / (2.0 * math.pi),
+        float(model.tab_omega[-1]), model.cutoff, "reference", model.tab_omega)
+
+
+def _table_model(tab_omega, tab_j):
+    return gqbm.SpectralModel(family="tabulated", temperature=0.0,
+                              tab_omega=np.asarray(tab_omega, dtype=float),
+                              tab_j=np.asarray(tab_j, dtype=float))
+
+
+def _straddling_the_taylor_switch(model):
+    """Negative offsets from half to 1.5 times the Taylor branch's end."""
+    switch = spectral._TAYLOR_PHASE / model.tab_omega[-1]
+    return -np.linspace(0.5 * switch, 1.5 * switch, 101)
+
+
+def _rough_table():
+    """300 jittered knots on [0, 20] with i.i.d. uniform J."""
+    rng = np.random.default_rng(4)
+    omega = np.linspace(0.0, 20.0, 300)
+    omega[1:-1] += rng.uniform(-0.3, 0.3, 298) * omega[1]
+    return omega, rng.uniform(0.0, 1.0, 300)
+
+
+_G_V_TABLES = {
+    "bench": tabulated_model,
+    "rough": lambda: _table_model(*_rough_table()),
+    "edge-jumps": lambda: _table_model(np.linspace(0.5, 6.0, 80),
+                                       1.0 + np.sin(np.linspace(0.5, 6.0, 80))),
+    "two-knots": lambda: _table_model([0.3, 2.0], [1.0, 0.4]),
+}
+
+
+@pytest.mark.parametrize("name, bound", [
+    ("bench", 1e-13), ("rough", 2e-12), ("edge-jumps", 1e-14),
+    ("two-knots", 1e-14)])
+def test_tabulated_g_v_closed_form_against_quadrature(name, bound):
+    model = _G_V_TABLES[name]()
+    times = gqbm.TimeGrid(t_end=10.0, n_steps=600).times
+    ref = _table_quadrature(model)
+    g_v = gqbm.build_kernels(model).g_v
+    for offsets in (times, 1.0137 * times + 3e-3,
+                    _straddling_the_taylor_switch(model)):
+        want = ref(offsets)
+        assert (np.max(np.abs(g_v(offsets) - want))
+                <= bound * np.max(np.abs(want)))
+
+
+def test_tabulated_g_v_at_zero_is_the_trapezoid_sum():
+    for make in _G_V_TABLES.values():
+        model = make()
+        area = np.sum(spectral._trapezoid_panels(model.tab_j, model.tab_omega))
+        assert complex(gqbm.eval_g_v(model, 0.0)) == pytest.approx(
+            area / (2.0 * math.pi), rel=1e-15, abs=0)
+
+
+def test_tabulated_g_v_of_a_table_ending_at_1e6():
+    # the suite turns an overflow's RuntimeWarning into an error
+    omega = np.linspace(0.0, 1e6, 50)
+    model = _table_model(omega, omega * np.exp(-omega / 2e5))
+    offsets = np.concatenate([np.linspace(-2e-5, 2e-5, 41), [1e-4, 1e-3]])
+    want = _table_quadrature(model)(offsets)
+    got = gqbm.build_kernels(model).g_v(offsets)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_tabulated_g_v_builds_no_quadrature_rule(monkeypatch):
+    def no_rule(*args, **kwargs):
+        raise AssertionError("g_v built a quadrature rule")
+
+    monkeypatch.setattr(spectral, "_FourierRule", no_rule)
+    g_v = gqbm.build_kernels(tabulated_model()).g_v
+    grid = gqbm.TimeGrid(t_end=10.0, n_steps=600)
+    assert np.all(np.isfinite(g_v(grid.times)))
+    assert np.all(np.isfinite(g_v(-0.37 * grid.times)))
+
+
 # ---- kernel assembly --------------------------------------------------------
 
 
@@ -189,12 +273,13 @@ def test_gtilde_against_discrete_sum():
     assert np.max(np.abs(cont - disc)) / scale < 1e-6
 
 
-def _ohmic_thermal_quadrature(model):
-    """The ohmic gtilde_v by the tabulated family's frequency quadrature.
+def _thermal_quadrature(model):
+    """gtilde_v by the frequency quadrature on its widest range.
 
     Its thermal weight J_V nbar / 2 pi, with the origin limit from a probe
     near zero, on omega <= max(20 cutoff, 50 T) with inner scale
-    min(T, cutoff) / 2: the ohmic route before the closed form.
+    min(T, cutoff) / 2, breaking at a table's nodes: the ohmic route before
+    the closed form, and the tabulated one before its range ended at 50 T.
     """
     cut, temp = model.cutoff, model.temperature
     eps = 1e-8 * cut
@@ -207,18 +292,30 @@ def _ohmic_thermal_quadrature(model):
                    / (2.0 * math.pi))
         return np.where(np.isfinite(val), val, origin_limit)
 
+    knots = model.tab_omega if model.family == "tabulated" else np.empty(0)
     return spectral._TransformFamily(weight, max(20.0 * cut, 50.0 * temp),
-                                     min(temp, cut) * 0.5, "reference",
-                                     np.empty(0))
+                                     min(temp, cut) * 0.5, "reference", knots)
 
 
 @pytest.mark.parametrize("temperature", [0.01, 0.3, 1.0])
 def test_ohmic_gtilde_closed_form_against_quadrature(temperature):
     model = make_model(0.5, temperature=temperature)
     t = gqbm.TimeGrid(t_end=100.0, n_steps=20000).times
-    ref = _ohmic_thermal_quadrature(model)(t)
+    ref = _thermal_quadrature(model)(t)
     got = gqbm.build_kernels(model).gtilde_v(t)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("temperature", [0.01, 0.3])
+def test_tabulated_gtilde_on_its_thermal_range_against_the_widest(temperature):
+    model = tabulated_model(temperature)
+    times = gqbm.TimeGrid(t_end=10.0, n_steps=600).times
+    ref = _thermal_quadrature(model)
+    gtilde_v = gqbm.build_kernels(model).gtilde_v
+    for offsets in (times, -times[::-1]):
+        want = ref(offsets)
+        assert (np.max(np.abs(gtilde_v(offsets) - want))
+                <= 2e-15 * np.max(np.abs(want)))
 
 
 def test_hurwitz_zeta2_converged_in_its_direct_terms():
@@ -242,7 +339,7 @@ def test_kernels_name_their_transform_route():
     for model, scheme in ((make_model(0.5), spectral.OHMIC_TRANSFORM_SCHEME),
                           (make_model(0.5, temperature=0.0),
                            spectral.OHMIC_TRANSFORM_SCHEME),
-                          (tab, spectral.QUADRATURE_SCHEME)):
+                          (tab, spectral.TABULATED_TRANSFORM_SCHEME)):
         assert gqbm.build_kernels(model).metadata["transforms"] == scheme
     bath = gqbm.discretize_bath(make_model(0.5), 16, 20.0)
     assert "transforms" not in gqbm.kernels_from_bath(bath).metadata
@@ -251,7 +348,7 @@ def test_kernels_name_their_transform_route():
 _KERNELS_FOR_PROPS = [
     gqbm.build_kernels(make_model(a, temperature=t))
     for a, t in ((0.0, 0.0), (0.7, 0.01), (1.0, 0.05))
-]
+] + [gqbm.build_kernels(tabulated_model())]
 
 
 @settings(max_examples=60, deadline=None)
@@ -294,10 +391,11 @@ def test_n_bar_at_negative_frequencies_is_minus_one_minus_n_bar():
 
 
 def test_quadrature_rule_over_budget_rejected_before_allocation():
-    # the thermal rule spans omega <= 50 T: at T = 1e6 and |dt| <= 16 it
-    # would take about 4.9e8 nodes, tens of GB with its self-check
+    # the thermal rule spans omega <= min(last node, 50 T) = 50 T: at T = 1e6
+    # and |dt| <= 16 it would take about 4.9e8 nodes, tens of GB with its
+    # self-check
     tab = gqbm.SpectralModel(family="tabulated", temperature=1e6,
-                             tab_omega=np.array([0.0, 1.0, 2.0]),
+                             tab_omega=np.array([0.0, 1e8, 2e8]),
                              tab_j=np.array([0.0, 1.0, 0.0]))
     gtilde_v = gqbm.build_kernels(tab).gtilde_v
     tracemalloc.start()
