@@ -355,17 +355,20 @@ def _alpha_tag(alpha: float) -> str:
     return f"{alpha:.2f}".replace(".", "p")
 
 
-def _sweep_one(job) -> tuple[float, PipelineResult]:
+def _sweep_one(job) -> tuple[float, PipelineResult, dict]:
     cfg, alpha = job
-    sub = Path(cfg.out_dir) / f"alpha_{_alpha_tag(alpha)}"
+    tag = f"alpha_{_alpha_tag(alpha)}"
+    sub = Path(cfg.out_dir) / tag
     sub.mkdir(parents=True, exist_ok=True)
     res = jolt_study(*_setup(replace(cfg, alpha=alpha)))
     est = res.outputs["estimate"]
-    _write_csv(sub / "coeffs.csv", *_coeffs_table(res.outputs["me"]))
-    _write_csv(sub / "estimates.csv",
-               ["t", "gamma_est", "gamma_tilde_est"],
+    coeffs, estimates = sub / "coeffs.csv", sub / "estimates.csv"
+    _write_csv(coeffs, *_coeffs_table(res.outputs["me"]))
+    _write_csv(estimates, ["t", "gamma_est", "gamma_tilde_est"],
                [est.times, est.gamma_est, est.gamma_tilde_est])
-    return alpha, replace(res, outputs={})   # the arrays stay in the worker
+    # the arrays stay in the worker; run() lists the paths in its bundle
+    return (alpha, replace(res, outputs={}),
+            {f"{tag}/coeffs": coeffs, f"{tag}/estimates": estimates})
 
 
 def _run_sweep(cfg: RunConfig, *_):
@@ -379,6 +382,8 @@ def _run_sweep(cfg: RunConfig, *_):
         results = [_sweep_one(j) for j in jobs]
 
     results.sort(key=lambda r: r[0])
+    written = {k: p for *_, paths in results for k, p in paths.items()}
+    results = [(a, r) for a, r, _ in results]
     names = ["alpha", "peak_gamma", "peak_gamma_tilde",
              "est_dev_gamma_frac", "est_dev_gamma_tilde_frac"]
     cols = [np.array([a for a, _ in results])]
@@ -386,7 +391,7 @@ def _run_sweep(cfg: RunConfig, *_):
     summaries = {f"alpha_{_alpha_tag(a)}_{k}": v
                  for a, r in results for k, v in r.summaries.items()}
     return (PipelineResult(summaries=summaries, stages=results[0][1].stages),
-            {"sweep": (names, cols)})
+            {**written, "sweep": (names, cols)})
 
 
 def _run_oracle_compare(cfg: RunConfig, model, omega_s: float,
@@ -410,9 +415,10 @@ def _run_oracle_compare(cfg: RunConfig, model, omega_s: float,
 _MODEL = ("gamma0", "cutoff", "alpha", "temperature", "omega_s")
 _GRID = ("t_end", "n_steps")
 # subcommand -> (run(cfg, model, omega_s, grid) -> (result, {CSV: (names,
-# columns)}), every RunConfig field it reads, each taken as a flag).  A sweep
-# replaces alpha per job, and reproduce-fig2 pins the whole model in run().
-# run() checks and records only these keys, the pinned ones and out_dir.
+# columns), or the path a sweep job wrote it to}), every RunConfig field it
+# reads, each taken as a flag).  A sweep replaces alpha per job, and
+# reproduce-fig2 pins the whole model in run().  run() checks and records
+# only these keys, the pinned ones and out_dir.
 _SUBCOMMANDS = {
     "kernels": (_run_kernels, _MODEL + _GRID),
     "greens": (_run_greens, _MODEL + _GRID + ("crosscheck",)),
@@ -457,9 +463,12 @@ def run(cfg: RunConfig, pipeline: str) -> ResultBundle:
     res, tables = runner(cfg, *setups[0])
     bundle = ResultBundle(out_dir=out, summaries=res.summaries,
                           manifest_path=out / "manifest.txt")
-    for name, (names, columns) in tables.items():
+    for name, table in tables.items():
+        if isinstance(table, Path):           # written by a sweep job
+            bundle.csv_paths[name] = table
+            continue
         bundle.csv_paths[name] = out / f"{name}.csv"
-        _write_csv(bundle.csv_paths[name], names, columns)
+        _write_csv(bundle.csv_paths[name], *table)
     _write_manifest(bundle.manifest_path, cfg, reads, pipeline, res.stages,
                     res.summaries, time.monotonic() - t0)
     return bundle

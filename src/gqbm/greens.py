@@ -21,11 +21,15 @@ Numerics: uniform grid, second-order predictor-corrector marching
 integrals, one midpoint step to start).  solve_u adds the memory history of
 the steps already taken by divide-and-conquer FFT convolution (Hairer,
 Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532), O(n log^2 n)
-over the march.  Its pc2 step is linear with constant coefficients, so each
-step is one fused matrix product on the stacked [U; dU/dt] of the steps in
-its block, taken in increment form: the product yields U_m - U_(m-1), and
-U_(m-1) is added last rather than multiplied through I + dt A / 2, whose
-rounding would repeat at every step.
+over the march.  Each convolution is read only on its upper half, a middle
+product (Hanrot, Quercia & Zimmermann, AAECC 14 (2004) 415) that needs half
+the FFT length.  The pc2 step is linear with constant coefficients, so a
+leaf block of steps is one linear map, built once per leaf length, from the
+two states before the leaf and its history terms to its increments
+U_m - U_(m-1) and dU/dt_m.  U is summed from the increments rather than
+multiplied through I + dt A / 2, whose rounding would repeat at every step.
+The first leaf, and a leaf whose history holds a non-finite entry, take
+their steps one at a time.
 """
 
 from __future__ import annotations
@@ -49,7 +53,9 @@ MAX_DT_FACTOR = 0.25
 # Memory budget of solve_v_volterra, which holds two (n+1)^2 x 2 x 2 complex
 # tables (128 (n+1)^2 bytes): 1 GiB admits n_steps up to 2895.
 VOLTERRA_TABLE_BUDGET_BYTES = 1 << 30
-# solve_u sums the history of blocks of at most this many steps directly.
+# solve_u takes each block of at most this many steps, a leaf, as one
+# precomputed linear map; its build costs O(B^3) once per leaf length, and
+# leaves of 64 or 128 steps were no steadily faster.
 _HISTORY_BLOCK = 32
 
 U_SOLVER_SCHEME = ("pc2(ab2 predictor, trapezoid corrector, midpoint start), "
@@ -172,19 +178,24 @@ def solve_u(kernel: Kernel, omega_s: float, grid: TimeGrid) -> GreensSolution:
     checks each leaf block of steps once solved, before any convolution
     reads it.  The history part of the trapezoid memory at step m,
     sum_{j < m} w_j Z G(t_m - t_j) U_j, accumulates in a lag table: once
-    the first half of a block of steps is solved, one causal FFT
-    convolution adds its terms to every step of the second half, and
-    blocks of at most _HISTORY_BLOCK steps sum directly.  O(n log^2 n).
+    the first half of a block of steps is solved, one FFT middle product
+    adds its terms to every step of the second half, down to leaves of at
+    most _HISTORY_BLOCK steps.  O(n log^2 n).
 
-    The pc2 step is linear with constant coefficients, so each step is one
-    fused update of the stacked state s_m = [U_m; dU/dt_m] (4 x 2): a
-    constant weight matrix times the states of its block, s_lo .. s_(m-1)
-    (the predictor, the corrector and the in-block history at once), plus
-    the lag term, gives the increment U_m - U_(m-1) and dU/dt_m.  U_(m-1)
-    is added to the increment last.  The product form (I + dt A / 2) U_(m-1)
-    rounds I + dt A / 2 once and repeats that error at every step: 7e-14 of
-    max|U| from the per-step reference loop at n = 2000, against 1e-16 in
-    increment form.
+    The pc2 step is linear with constant coefficients.  On the stacked
+    state s_m = [U_m; dU/dt_m] (4 x 2), a constant weight matrix times the
+    states of its leaf, s_lo .. s_(m-1) (the predictor, the corrector and
+    the in-leaf history at once), plus the lag term, gives the increment
+    U_m - U_(m-1) and dU/dt_m.  So a leaf [lo, hi) is one map from
+    (s_(lo-2), s_(lo-1), lag[lo:hi]) to its increments and dU/dt, built
+    once per leaf length by taking the steps on unit columns, and U is
+    U_(lo-1) plus the running sum of the increments.  The product form
+    (I + dt A / 2) U_(m-1) rounds I + dt A / 2 once and repeats that error
+    at every step: 7e-14 of max|U| from the per-step reference loop at
+    n = 2000, against 1e-16 in increment form.  The first leaf starts from
+    the midpoint step, and the map would carry a non-finite lag entry to
+    its leaf's earlier steps (0 * nan = nan); both take their steps one at
+    a time, so the guard reports the first bad step.
     """
     require_finite_frequency("omega_s", omega_s)
     n = grid.n_steps
@@ -209,7 +220,7 @@ def solve_u(kernel: Kernel, omega_s: float, grid: TimeGrid) -> GreensSolution:
     s[1, 2:] = mws @ s[1, :2] - mem1         # checked with the first leaf
 
     # With U' = dU/dt, A = -i omega_s Z - dt Z G(0) / 2 and h the memory
-    # history at t_m, dt (lag[m] + in-block sum), a step is
+    # history at t_m, dt (lag[m] + in-leaf sum), a step is
     #   U_m - U_(m-1) = dt/2 (A U_(m-1) + (1 + 3 dt A / 2) U'_(m-1)
     #                         - dt A U'_(m-2) / 2 - h),
     #   U'_m          = A U_m - h.
@@ -222,15 +233,15 @@ def solve_u(kernel: Kernel, omega_s: float, grid: TimeGrid) -> GreensSolution:
     drive = -dt * np.vstack([0.5 * dt * eye, eye + 0.5 * dt * a])  # on lag
 
     # lag[m] = zg[m] / 2 + sum_{1 <= j < m} Z G(t_m - t_j) U_j, the history
-    # before the step's block.  The j = 0 term reads the raw kernel, so a
+    # before the step's leaf.  The j = 0 term reads the raw kernel, so a
     # non-finite entry trips the guard at its own step; the interior terms
     # read zg_lag, where it is zeroed so the FFTs cannot spread it to
     # earlier steps.
     zg_lag = np.where(np.isfinite(zg), zg, 0.0)
     lag = 0.5 * zg
 
-    # weights[k] acts on s[m - max(k, 2):m] at step m = lo + k of a block
-    # starting at lo: the step matrix, and the in-block history
+    # weights[k] acts on st[m - max(k, 2):m] at step m = lo + k of a leaf
+    # starting at lo: the step matrix, and the in-leaf history
     # drive @ zg_lag[m - j] on U_j for lo <= j < m
     top = min(_HISTORY_BLOCK, n) - 1
     hist = np.zeros((top, 4, 4), dtype=complex)   # offsets top, ..., 1
@@ -240,26 +251,62 @@ def solve_u(kernel: Kernel, omega_s: float, grid: TimeGrid) -> GreensSolution:
     weights = ([step, step + np.hstack([np.zeros((4, 4)), hist[-1]])]
                + [wide[:, 4 * (top - k):] for k in range(2, top + 1)])
 
+    def take_steps(st, lo: int, lag_leaf, first: int):
+        """Steps lo + first .. lo + len(lag_leaf) - 1 of the store st, on
+        any number of columns; returns each step's [U_m - U_(m-1); U'_m]
+        as taken, before U_(m-1) is added."""
+        out = drive @ lag_leaf
+        cols = st.shape[-1]
+        for k in range(first, len(lag_leaf)):
+            m = lo + k
+            out[k] += weights[k] @ st[m - max(k, 2):m].reshape(-1, cols)
+            st[m] = out[k]
+            st[m, :2] += st[m - 1, :2]
+        return out
+
+    @functools.cache
+    def leaf_map(size: int) -> np.ndarray:
+        # the steps of a leaf on unit columns: the rows of (s_(lo-2),
+        # s_(lo-1), lag[lo:lo+size]) map to those of its increments and U'
+        cols = 8 + 2 * size
+        unit = np.eye(cols, dtype=complex)
+        st = np.zeros((size + 2, 4, cols), dtype=complex)
+        st[:2] = unit[:8].reshape(2, 4, cols)
+        out = take_steps(st, 2, unit[8:].reshape(size, 2, cols), 0)
+        return out.reshape(4 * size, cols)
+
+    @functools.cache
+    def kernel_spectrum(size: int) -> np.ndarray:
+        return _spectrum(zg_lag[:size], _next_fast_len(size))
+
     def march(lo: int, hi: int):
         """Take steps lo..hi-1, given lag[lo:hi] summed over j < lo."""
         if hi - lo <= _HISTORY_BLOCK:
-            lag_terms = drive @ lag[lo:hi]
-            for m in range(max(lo, 2), hi):
-                k = m - lo
-                s[m] = (weights[k] @ s[m - max(k, 2):m].reshape(-1, 2)
-                        + lag_terms[k])
-                s[m, :2] += s[m - 1, :2]
+            # the first leaf starts from the midpoint step, and through the
+            # map a non-finite lag entry would reach the leaf's earlier
+            # steps (0 * nan = nan)
+            if lo > 1 and np.isfinite(lag[lo:hi]).all():
+                x = np.concatenate([s[lo - 2:lo].reshape(8, 2),
+                                    lag[lo:hi].reshape(-1, 2)])
+                s[lo:hi] = (leaf_map(hi - lo) @ x).reshape(-1, 4, 2)
+                np.cumsum(s[lo - 1:hi, :2], axis=0, out=s[lo - 1:hi, :2])
+            else:
+                take_steps(s, lo, lag[lo:hi], max(2 - lo, 0))
             _check_finite(s[lo:hi, :2], lo, times[lo:hi], "U")
             return
         mid = (lo + hi) // 2
         march(lo, mid)
-        lag[mid:hi] += _causal_matconv(zg_lag[:hi - lo], s[lo:mid, :2])[mid - lo:]
+        lag[mid:hi] += _middle_matconv(kernel_spectrum(hi - lo), s[lo:mid, :2],
+                                       hi - lo)
         march(mid, hi)
 
     # a leaf may run past its first bad step into overflow or NaN; the
     # guard reports that step, so the warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         march(1, n + 1)
+    # march refers to itself: dropping it frees the store, the lag table
+    # and the caches now rather than at the next cyclic collection
+    del march
     return GreensSolution(grid=grid, omega_s=omega_s,
                           u=np.ascontiguousarray(s[:, :2]),
                           u_dot=np.ascontiguousarray(s[:, 2:]),
@@ -289,15 +336,31 @@ def _next_fast_len(n: int) -> int:
     return lengths[bisect.bisect_left(lengths, n)]
 
 
+def _spectrum(x: np.ndarray, nfft: int) -> np.ndarray:
+    """The (2, 2, nfft) DFT of an (n, 2, 2) stack along its first axis."""
+    # numpy's FFT is fastest along a contiguous last axis
+    return np.fft.fft(np.ascontiguousarray(x.transpose(1, 2, 0)), nfft)
+
+
 def _causal_matconv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """c[m] = sum_{j <= m} a[m - j] @ b[j] for two (n, 2, 2) stacks, by FFT."""
     size = a.shape[0]
     nfft = _next_fast_len(2 * size - 1)
-    # numpy's FFT is fastest along a contiguous last axis
-    fa, fb = (np.fft.fft(np.ascontiguousarray(np.moveaxis(x, 0, -1)), nfft)
-              for x in (a, b))
-    spec = np.einsum("abf,bcf->acf", fa, fb)
+    spec = np.einsum("abf,bcf->acf", _spectrum(a, nfft), _spectrum(b, nfft))
     return np.moveaxis(np.fft.ifft(spec)[..., :size], -1, 0)
+
+
+def _middle_matconv(spec_a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
+    """c[m] = sum_{j < h} a[m - j] @ b[j] for h = len(b) <= m < size, given
+    spec_a = _spectrum(a[:size], _next_fast_len(size)).
+
+    Every such term has 1 <= m - j < size, so a cyclic convolution of any
+    length >= size has no wrap-around on these outputs: the middle product
+    (Hanrot, Quercia & Zimmermann, AAECC 14 (2004) 415), at half the FFT
+    length of the full causal convolution.
+    """
+    spec = np.einsum("abf,bcf->acf", spec_a, _spectrum(b, spec_a.shape[-1]))
+    return np.fft.ifft(spec)[..., len(b):size].transpose(2, 0, 1)
 
 
 def _fdt_double_integral(inner: np.ndarray, udag: np.ndarray,

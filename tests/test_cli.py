@@ -566,11 +566,19 @@ def test_sweep_workers_capped_at_cpu_count(tmp_path, monkeypatch):
     assert sizes == [2]
 
 
-def test_reproduce_fig2_smoke(tmp_path, monkeypatch):
+def test_reproduce_fig2_smoke(tmp_path, monkeypatch, capsys):
     out = tmp_path / "fig2"
+    bundles = []
+    run = cli.run
+    monkeypatch.setattr(cli, "run",
+                        lambda *args: bundles.append(run(*args)) or bundles[0])
     code = _run_cli(["reproduce-fig2", "--out", str(out), "--t-end", "2",
                      "--steps", "400", "--workers", "2"], monkeypatch)
     assert code == cli.EXIT_OK
+    # sweep.csv and each alpha's coeffs.csv and estimates.csv, all counted
+    paths = set(bundles[0].csv_paths.values())
+    assert len(paths) == 11 and all(p.exists() for p in paths)
+    assert "wrote 11 CSV file(s)" in capsys.readouterr().out
     header, rows = _read_csv(out / "sweep.csv")
     assert [float(r[0]) for r in rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
     for a in ("0p00", "0p25", "0p50", "0p75", "1p00"):

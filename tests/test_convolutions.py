@@ -159,6 +159,23 @@ def test_causal_matconv_is_the_direct_sum():
     assert np.max(np.abs(conv - direct)) <= RTOL * np.max(np.abs(direct))
 
 
+# 32 and 600 are their own fast lengths; 37, 67 and 101 pad to 40, 70 and 105
+@pytest.mark.parametrize("size", [32, 37, 67, 101, 600])
+@pytest.mark.parametrize("shift", [0, 1])
+def test_middle_matconv_is_the_direct_sum_on_the_upper_outputs(size, shift):
+    # the solve_u history: outputs m in [h, size) of the convolution with
+    # b[:h], for h of either parity
+    half = size // 2 + shift
+    rng = np.random.default_rng(size + shift)
+    a = rng.normal(size=(size, 2, 2)) + 1j * rng.normal(size=(size, 2, 2))
+    b = rng.normal(size=(half, 2, 2)) + 1j * rng.normal(size=(half, 2, 2))
+    direct = np.array([np.einsum("jab,jbc->ac", a[m:m - half:-1], b)
+                       for m in range(half, size)])
+    spec_a = greens._spectrum(a, greens._next_fast_len(size))
+    conv = greens._middle_matconv(spec_a, b, size)
+    assert np.max(np.abs(conv - direct)) <= RTOL * np.max(np.abs(direct))
+
+
 def test_fft_length_is_scipys_next_fast_len():
     lengths = range(1, 100_001)
     assert ([greens._next_fast_len(n) for n in lengths]
@@ -309,9 +326,12 @@ def test_solve_u_matches_the_loop_on_the_quench_bath():
     _assert_u_matches_loop(gqbm.kernels_from_bath(bath), 0.3, grid)
 
 
-@pytest.mark.parametrize("n_steps", [8, 9, 31, 32, 33, 64, 65, 601])
+@pytest.mark.parametrize("n_steps", [8, 9, 31, 32, 33, 64, 65, 97, 250, 601,
+                                     1000])
 def test_solve_u_matches_the_loop_across_block_boundaries(n_steps, omega_s):
-    # the history sums blocks of up to 32 steps directly; these straddle them
+    # the history sums blocks of up to 32 steps directly; these straddle them,
+    # and 97, 250 and 1000 halve into map leaves of two lengths (24 and 25,
+    # 31 and 32), each map built once and reused
     kernel = gqbm.build_kernels(make_model(0.5))
     grid = gqbm.TimeGrid(t_end=0.25 * n_steps, n_steps=n_steps,
                          max_frequency=1.0)
@@ -366,10 +386,12 @@ def test_leaf_run_past_its_bad_step_into_overflow_reports_that_step():
 
 
 # G(t_0) enters the start step; G(t_1) only dU/dt at t_1, read by step 2.
-# At n = 800 solve_u's first two leaf blocks are steps 1-25 and 26-50.
+# At n = 800 solve_u's first leaf blocks are steps 1-25, 26-50 and 51-75;
+# the first is stepped from the midpoint start, the others each by one map.
 @pytest.mark.parametrize("bad_step, trip_step",
                          [(0, 1), (1, 2), (2, 2), (25, 25), (26, 26),
-                          (40, 40), (500, 500), (800, 800)])
+                          (40, 40), (50, 50), (51, 51), (500, 500),
+                          (800, 800)])
 def test_nan_kernel_entry_trips_at_the_same_step_on_both_routes(bad_step,
                                                                 trip_step):
     # one NaN entry of G(t_k): the FFTs must not carry it to steps before k
