@@ -27,9 +27,9 @@ A run checks, and records in the manifest, only the keys it reads.
 Identical configuration and build produce byte-identical CSV bodies; the
 manifest additionally records wall time and scheme identifiers.
 
-Exit codes: 0 success, 2 validation/config error (a non-finite or
-out-of-domain value is rejected before any solve), 3 instability or
-singular propagator, 4 numerical-quality failure.
+Exit codes: 0 success, else the exit_code of the gqbm.errors class raised:
+2 validation/config error (a non-finite or out-of-domain value is rejected
+before any solve), 3 instability or singular propagator, 4 numerical quality.
 """
 
 from __future__ import annotations
@@ -49,21 +49,22 @@ from . import __version__
 from .coeffs import CONDITION_MAX
 from .errors import (
     ContractViolationError,
+    GqbmError,
     InstabilityError,
     NumericalQualityError,
-    QuadratureConvergenceError,
-    SingularityError,
     ValidationError,
 )
 from .greens import INSTABILITY_MAX_ABS, TimeGrid, require_finite_frequency
 from .moments import (
     COMMUTATOR_DRIFT_TOL,
+    CONJUGACY_TOL,
+    UNCERTAINTY_TOL,
     GaussianMoments,
     evolve_covariances,
     evolve_means,
     to_quadratures,
 )
-from .oracle import CHEBYSHEV_TAIL_TOL
+from .oracle import CHEBYSHEV_TAIL_TOL, SYMPLECTIC_RESIDUAL_TOL
 from .pipelines import (
     PipelineResult,
     coefficient_run,
@@ -72,6 +73,7 @@ from .pipelines import (
     quench_comparison,
 )
 from .spectral import (
+    QUADRATURE_RTOL,
     SpectralModel,
     build_kernels,
     default_omega_s,
@@ -79,9 +81,9 @@ from .spectral import (
 )
 
 EXIT_OK = 0
-EXIT_VALIDATION = 2
-EXIT_INSTABILITY = 3
-EXIT_QUALITY = 4
+EXIT_VALIDATION = ValidationError.exit_code
+EXIT_INSTABILITY = InstabilityError.exit_code
+EXIT_QUALITY = NumericalQualityError.exit_code
 
 ENV_PREFIX = "GQBM_"
 FIG2_ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -265,7 +267,11 @@ _TOLERANCES = {
     "instability_max_abs": INSTABILITY_MAX_ABS,
     "condition_max": CONDITION_MAX,
     "commutator_drift": COMMUTATOR_DRIFT_TOL,
+    "conjugacy": CONJUGACY_TOL,
+    "uncertainty": UNCERTAINTY_TOL,
+    "symplectic_residual": SYMPLECTIC_RESIDUAL_TOL,
     "chebyshev_tail": CHEBYSHEV_TAIL_TOL,
+    "quadrature_rtol": QUADRATURE_RTOL,
 }
 
 
@@ -512,15 +518,9 @@ def main(argv: list[str] | None = None) -> int:
     config_path = ns.pop("config", None)
     try:
         bundle = run(_read_config(config_path, None, ns), pipeline)
-    except (ValidationError, ContractViolationError) as exc:
+    except GqbmError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (InstabilityError, SingularityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INSTABILITY
-    except (NumericalQualityError, QuadratureConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_QUALITY
+        return exc.exit_code
     print(f"{pipeline}: wrote {len(bundle.csv_paths)} CSV file(s) and "
           f"manifest to {bundle.out_dir}")
     for key in sorted(bundle.summaries):

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolationError, SingularityError
+from .errors import ContractViolationError, SingularityError, guard
 from .greens import GreensSolution, v_first_derivative, _zmul
 from .moments import _diffusion
 from .spectral import Kernel, Z, _trapezoid_panels
@@ -59,12 +59,8 @@ def _invert_2x2(u: np.ndarray, times: np.ndarray) -> np.ndarray:
     det = u[:, 0, 0] * u[:, 1, 1] - u[:, 0, 1] * u[:, 1, 0]
     fro2 = np.sum(np.abs(u) ** 2, axis=(1, 2))
     # ||U||_F ||U^-1||_F = ||U||_F^2 / |det| for 2x2 matrices
-    cond = fro2 / np.maximum(np.abs(det), 1e-300)
-    bad = np.nonzero(~(cond <= CONDITION_MAX))[0]
-    if bad.size:
-        raise SingularityError(
-            f"propagator inversion ill conditioned (estimate "
-            f"{cond[bad[0]]:.3e}) at t = {times[bad[0]]:.6g}")
+    guard(fro2 / np.maximum(np.abs(det), 1e-300), CONDITION_MAX,
+          SingularityError, "propagator condition estimate", times)
     inv = np.empty_like(u)
     inv[:, 0, 0] = u[:, 1, 1]
     inv[:, 1, 1] = u[:, 0, 0]

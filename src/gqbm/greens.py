@@ -42,7 +42,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.fft
 
-from .errors import ContractViolationError, InstabilityError, ValidationError
+from .errors import (
+    ContractViolationError,
+    InstabilityError,
+    ValidationError,
+    guard,
+)
 from .spectral import BathDiscretization, Kernel, Z, _exp_sum, require_count
 
 # Marching guards: a propagator entry beyond this magnitude means runaway
@@ -158,17 +163,13 @@ def require_volterra_budget(n_steps: int):
             f"budget (VOLTERRA_TABLE_BUDGET_BYTES)")
 
 
-def _check_finite(block: np.ndarray, first: int, times, label: str):
+def _check_finite(block: np.ndarray, first: int, times, label: str) -> float:
     """Instability guard over a block of steps first, first + 1, ... on
-    axis 0, at times[0], times[1], ...: raises at the first step with a
-    non-finite entry or one past INSTABILITY_MAX_ABS."""
+    axis 0, at times[0], times[1], ...: the largest |entry|, raising at the
+    first step with a non-finite entry or one past INSTABILITY_MAX_ABS."""
     amax = np.max(np.abs(block).reshape(len(block), -1), axis=1)
-    bad = ~(amax <= INSTABILITY_MAX_ABS)
-    if bad.any():
-        j = int(np.argmax(bad))
-        raise InstabilityError(
-            f"|{label}| reached {amax[j]:.3e} at step {first + j} "
-            f"(t = {times[j]:.6g}); bound is {INSTABILITY_MAX_ABS:.1e}")
+    return guard(amax, INSTABILITY_MAX_ABS, InstabilityError, f"|{label}|",
+                 times, first)
 
 
 def solve_u(kernel: Kernel, omega_s: float, grid: TimeGrid) -> GreensSolution:

@@ -26,12 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalQualityError, ValidationError
+from .errors import NumericalQualityError, ValidationError, guard
 
 # Commutator drift bound for the second-moment integration.
 COMMUTATOR_DRIFT_TOL = 1e-6
 # Conjugacy bound for the mean-equation pair (<a>, <a^dag>).
 CONJUGACY_TOL = 1e-8
+# Uncertainty-bound violation that require_physical forgives as rounding.
+UNCERTAINTY_TOL = 1e-12
 
 
 @dataclass
@@ -68,11 +70,9 @@ class GaussianMoments:
         """delta_n (delta_n + 1) - |delta_s|^2; negative means unphysical."""
         return self.delta_n * (self.delta_n + 1.0) - abs(self.delta_s) ** 2
 
-    def require_physical(self, tol: float = 1e-12):
-        defect = self.heisenberg_defect()
-        if defect < -tol:
-            raise ValidationError(
-                f"moments violate the uncertainty bound by {-defect:.3e}")
+    def require_physical(self):
+        guard(-self.heisenberg_defect(), UNCERTAINTY_TOL, ValidationError,
+              "violation of the uncertainty bound")
 
 
 @dataclass
@@ -168,12 +168,9 @@ def evolve_means(coeffs, init: GaussianMoments, grid) -> np.ndarray:
     ys = _midpoint_march(lambda a, y: a @ y, (_mean_generator(coeffs),), y0,
                          grid.dt)
     dev = np.abs(ys[:, 1] - np.conj(ys[:, 0]))
-    bad = ~(dev <= CONJUGACY_TOL * np.maximum(1.0, np.abs(ys[:, 0])))
-    if bad.any():
-        m = int(np.argmax(bad))
-        raise NumericalQualityError(
-            f"mean conjugacy violated by {dev[m]:.3e} at t = "
-            f"{grid.times[m]:.6g}")
+    guard(dev / np.maximum(1.0, np.abs(ys[:, 0])), CONJUGACY_TOL,
+          NumericalQualityError, "mean conjugacy deviation (relative)",
+          grid.times)
     return ys[:, 0]
 
 
@@ -193,14 +190,8 @@ def _require_commutator(delta_n, delta_h, times) -> float:
     """The max commutator drift |delta_h - delta_n - 1| of a series, with
     delta_h = <da da^dag>; raises NumericalQualityError at the first time
     it passes COMMUTATOR_DRIFT_TOL or turns non-finite."""
-    drift = np.abs(delta_h - delta_n - 1.0)
-    bad = ~(drift <= COMMUTATOR_DRIFT_TOL)
-    if bad.any():
-        m = int(np.argmax(bad))
-        raise NumericalQualityError(
-            f"commutator drift {drift[m]:.3e} at t = {times[m]:.6g} "
-            f"exceeds {COMMUTATOR_DRIFT_TOL:.1e}")
-    return float(np.max(drift))
+    return guard(np.abs(delta_h - delta_n - 1.0), COMMUTATOR_DRIFT_TOL,
+                 NumericalQualityError, "commutator drift", times)
 
 
 def evolve_covariances(coeffs, init: GaussianMoments, grid) -> SecondMomentSeries:
@@ -250,11 +241,8 @@ def evolve_hpz_covariances(hpz, init: QuadratureCovariances, grid,
                      [init.cov_xp, init.var_p]], dtype=float)
     covs = _midpoint_march(lambda f, d, cov: f @ cov + cov @ f.T + d,
                            (f_ser, d_ser), cov0, grid.dt)
-    bad = ~np.isfinite(covs).all(axis=(1, 2))
-    if bad.any():
-        m = int(np.argmax(bad))
-        raise NumericalQualityError(
-            f"non-finite quadrature covariance at t = {grid.times[m]:.6g}")
+    guard(np.max(np.abs(covs), axis=(1, 2)), math.inf, NumericalQualityError,
+          "largest quadrature covariance", grid.times)
     return {"var_x": covs[:, 0, 0], "var_p": covs[:, 1, 1],
             "cov_xp": 0.5 * (covs[:, 0, 1] + covs[:, 1, 0])}
 

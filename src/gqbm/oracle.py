@@ -45,8 +45,10 @@ from .errors import (
     InstabilityError,
     NumericalQualityError,
     ValidationError,
+    guard,
 )
 from .greens import (
+    INSTABILITY_MAX_ABS,
     InitialCorrelations,
     TimeGrid,
     _check_finite,
@@ -59,6 +61,8 @@ RECURRENCE_GUARD = 0.5
 # thermal_total_state: Cholesky factors of the x and p blocks of H, then
 # one SVD of their product (the normal frequencies and both transforms)
 THERMAL_STATE_SCHEME = "quadrature-cholesky-svd"
+# Bound on max|X^T Y - 1| of the thermal state's Bogoliubov transform.
+SYMPLECTIC_RESIDUAL_TOL = 1e-8
 # Bound on the truncated tail of propagate's Chebyshev expansion, relative
 # (max norm) to the block that starts each window.
 CHEBYSHEV_TAIL_TOL = 1e-15
@@ -287,7 +291,7 @@ def propagate(dyn: LinearDynamics, grid: TimeGrid) -> BogoliubovPropagator:
     norm, twice_b = _chebyshev_operator(dyn)
     if not math.isfinite(norm):
         # a NaN or inf entry of H: the step-1 guard reports it, as a march would
-        _check_finite(np.array([norm]), 1, [dt], "S")
+        guard(norm, INSTABILITY_MAX_ABS, InstabilityError, "|S|", dt, 1)
     if norm * dt * n <= _WINDOW_PHASE:
         window = n
     else:
@@ -519,10 +523,9 @@ def thermal_total_state(dyn: LinearDynamics, temperature: float,
     eps, x_mat, y_mat = _quadrature_modes(dyn, omega_s0)
     nb = eps.size
 
-    resid = float(np.max(np.abs(x_mat.T @ y_mat - np.eye(nb))))
-    if not resid <= 1e-8:  # a NaN residual fails too
-        raise NumericalQualityError(
-            f"Bogoliubov transform breaks the symplectic metric by {resid:.3e}")
+    resid = guard(np.max(np.abs(x_mat.T @ y_mat - np.eye(nb))),
+                  SYMPLECTIC_RESIDUAL_TOL, NumericalQualityError,
+                  "symplectic residual of the Bogoliubov transform")
 
     # a = u c + v c^dag over the normal-mode annihilators c, with
     # u = (X + Y) Omega^-1/2 / 2 and v = (X - Y) Omega^-1/2 / 2, so with

@@ -50,6 +50,7 @@ from .errors import (
     ContractViolationError,
     QuadratureConvergenceError,
     ValidationError,
+    guard,
 )
 
 # Conjugation / particle-hole structure matrices used across modules.
@@ -351,13 +352,11 @@ class _TransformFamily:
         coarse = rule.transform(probes)
         ref = fine.transform(probes)
         scale = max(np.max(np.abs(ref)), 1e-300)
-        rel = np.max(np.abs(coarse - ref)) / scale
-        if not (rel <= QUADRATURE_RTOL):
-            raise QuadratureConvergenceError(
-                f"{self.label} transform failed self-refinement: rel dev "
-                f"{rel:.3e} > {QUADRATURE_RTOL:.1e} with {rule.n_nodes} nodes "
-                f"(refined {fine.n_nodes}) on omega <= {self.omega_max:g}, "
-                f"|dt| <= {bucket:g}")
+        guard(np.max(np.abs(coarse - ref)) / scale, QUADRATURE_RTOL,
+              QuadratureConvergenceError,
+              f"{self.label} transform's relative deviation from its "
+              f"refinement ({rule.n_nodes} nodes, refined {fine.n_nodes}, on "
+              f"omega <= {self.omega_max:g}, |dt| <= {bucket:g})")
 
     def __call__(self, dt) -> np.ndarray:
         dt = _offsets(dt)
@@ -403,6 +402,14 @@ class _LinearTableTransform:
             taylor[n] = (np.diff(x) @ (j[:-1] * g + j[1:] * f)
                          / math.factorial(n + 2))
         self.taylor = taylor * omega[-1]
+        # the knot sum's rounding, eps sum |knot_weights|, is divided by
+        # t^2 >= (_TAYLOR_PHASE / w_M)^2 and must stay within QUADRATURE_RTOL
+        # of g_v(0) = taylor[0] = max |g_v|; J = 0 has nothing to lose
+        if j.any():
+            guard(np.finfo(float).eps * np.sum(np.abs(self.knot_weights))
+                  * (omega[-1] / _TAYLOR_PHASE) ** 2 / self.taylor[0],
+                  QUADRATURE_RTOL, QuadratureConvergenceError,
+                  "a-priori roundoff of the tabulated g_v's knot sum")
 
     def __call__(self, dt) -> np.ndarray:
         dt = _offsets(dt)
@@ -547,7 +554,9 @@ def build_kernels(model: SpectralModel) -> Kernel:
     nbar < 1e-21 past 50 T.  That rule breaks at the table nodes, its panels
     are geometrically refined toward omega = 0 to resolve the Bose factor,
     and it is validated against its own refinement before first use.  At
-    T = 0 gtilde_v is exactly zero.  metadata["transforms"] names the route.
+    T = 0 gtilde_v is exactly zero; at T > 0 a table with J_V > 0 at
+    omega = 0 is rejected, since J_V nbar ~ J_V(0) T / omega there.
+    metadata["transforms"] names the route.
     """
     cut, temp = model.cutoff, model.temperature
     if model.family == "ohmic":
@@ -569,6 +578,11 @@ def build_kernels(model: SpectralModel) -> Kernel:
             return thermal_amp * _hurwitz_zeta2(
                 1.0 + temp / cut + 1j * temp * _offsets(dt))
     else:
+        if temp > 0.0 and model.tab_omega[0] == 0.0 and model.tab_j[0] > 0.0:
+            raise ValidationError(
+                f"tab_j = {model.tab_j[0]:g} > 0 at omega = 0 makes the "
+                f"thermal transform, the integral of J_V nbar, diverge at "
+                f"T > 0")
         scheme = TABULATED_TRANSFORM_SCHEME
         g_v = _LinearTableTransform(model.tab_omega, model.tab_j)
         # J_V * nbar stays finite at the origin: its omega -> 0 limit is

@@ -355,6 +355,10 @@ def test_manifest_states_the_tolerances_and_schemes_that_ran(tmp_path,
         "instability_max_abs": gqbm.greens.INSTABILITY_MAX_ABS,
         "condition_max": gqbm.coeffs.CONDITION_MAX,
         "commutator_drift": gqbm.moments.COMMUTATOR_DRIFT_TOL,
+        "conjugacy": gqbm.moments.CONJUGACY_TOL,
+        "uncertainty": gqbm.moments.UNCERTAINTY_TOL,
+        "symplectic_residual": gqbm.oracle.SYMPLECTIC_RESIDUAL_TOL,
+        "quadrature_rtol": gqbm.spectral.QUADRATURE_RTOL,
     }
     for key, value in constants.items():
         assert float(_manifest_value(manifest, "tolerances", key)) == value
@@ -516,6 +520,24 @@ def test_quality_failure_exits_4(tmp_path, monkeypatch):
     code = cli.main(["coeffs", "--out", str(tmp_path / "x"),
                      "--t-end", "2", "--steps", "200"])
     assert code == cli.EXIT_QUALITY
+
+
+@pytest.mark.parametrize("name, exit_code", [
+    ("ValidationError", 2), ("ContractViolationError", 2),
+    ("InstabilityError", 3), ("SingularityError", 3),
+    ("NumericalQualityError", 4), ("QuadratureConvergenceError", 4),
+])
+def test_each_error_class_exits_with_its_code(name, exit_code, tmp_path,
+                                              monkeypatch, capsys):
+    error = getattr(gqbm.errors, name)
+
+    def boom(*args, **kwargs):
+        raise error("synthetic failure")
+
+    monkeypatch.setattr(cli, "run", boom)
+    code = _run_cli(["kernels", "--out", str(tmp_path / "x")], monkeypatch)
+    assert code == error.exit_code == exit_code
+    assert capsys.readouterr().err == "error: synthetic failure\n"
 
 
 # ---- sweep pipelines ----------------------------------------------------------
@@ -702,7 +724,8 @@ def test_quench_summary_reports_the_thermal_state_margins(tmp_path,
     assert code == cli.EXIT_OK
     manifest = out / "manifest.txt"
     assert 0.0 <= float(_manifest_value(manifest, "summary",
-                                        "symplectic_residual")) <= 1e-8
+                                        "symplectic_residual")) <= (
+        gqbm.oracle.SYMPLECTIC_RESIDUAL_TOL)
     assert float(_manifest_value(manifest, "summary",
                                  "min_normal_frequency")) > 0.0
 

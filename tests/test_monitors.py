@@ -12,9 +12,13 @@ from gqbm.errors import (
     NumericalQualityError,
     QuadratureConvergenceError,
     SingularityError,
+    ValidationError,
+    guard,
 )
+from gqbm.greens import INSTABILITY_MAX_ABS, _check_finite
+from gqbm.moments import COMMUTATOR_DRIFT_TOL
 from gqbm.oracle import _require_commutator
-from gqbm.spectral import _TransformFamily
+from gqbm.spectral import _LinearTableTransform, _TransformFamily
 
 GRID = gqbm.TimeGrid(t_end=2.0, n_steps=20, max_frequency=1.0)
 
@@ -63,6 +67,13 @@ def _nan_weight(omega):
     return np.where(omega > 1.0, np.nan, 1.0)
 
 
+def _require_physical_nan():
+    moments = gqbm.GaussianMoments(delta_n=0.1)
+    # construction rejects NaN, so it enters afterwards, by mutation
+    moments.delta_n = np.nan
+    moments.require_physical()
+
+
 CASES = {
     "evolve_means": (lambda: gqbm.evolve_means(
         _coeffs_with_nan_gamma(), gqbm.GaussianMoments(mean_a=1.0), GRID),
@@ -81,6 +92,10 @@ CASES = {
                    SingularityError),
     "quadrature_self_check": (lambda: _TransformFamily(
         _nan_weight, 2.0, 0.5, "probe", np.array([0.0, 2.0]))(np.array([1.0])),
+        QuadratureConvergenceError),
+    "require_physical": (_require_physical_nan, ValidationError),
+    "knot_sum": (lambda: _LinearTableTransform(
+        np.array([0.0, 1.0, 2.0]), np.array([0.0, np.nan, 1.0])),
         QuadratureConvergenceError),
 }
 
@@ -111,3 +126,36 @@ def test_commutator_rule_names_the_first_time_past_the_bound():
     with pytest.raises(NumericalQualityError, match="at t = 0.5 "):
         _require_commutator(delta_n, np.ones(4), times)
     assert _require_commutator(np.zeros(4), np.ones(4), times) == 0.0
+
+
+# each series guard as a call on a nonnegative series x over TIMES, which
+# its monitor checks against bound; check_finite's block starts at step 5
+TIMES = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+SERIES_GUARDS = {
+    "check_finite": (lambda x: _check_finite(
+        x[:, None, None] * np.ones((2, 2)), 5, TIMES, "U"),
+        INSTABILITY_MAX_ABS, InstabilityError, 5),
+    "require_commutator": (lambda x: _require_commutator(
+        np.zeros_like(x), 1.0 + x, TIMES),
+        COMMUTATOR_DRIFT_TOL, NumericalQualityError, None),
+    "guard": (lambda x: guard(x, 1.0, SingularityError, "x", TIMES),
+              1.0, SingularityError, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_GUARDS))
+@pytest.mark.parametrize("fail", [np.nan, np.inf, 2.0])
+def test_series_guard_returns_the_worst_or_names_the_first_failure(name,
+                                                                    fail):
+    call, bound, error, first = SERIES_GUARDS[name]
+    passing = bound * np.array([0.1, 0.5, 0.9, 0.3, 0.0])
+    assert call(passing) == pytest.approx(0.9 * bound, rel=1e-9)
+    failing = passing.copy()
+    failing[2] = fail * bound
+    failing[3] = 3.0 * bound  # a later, larger failure is not the one named
+    with pytest.raises(error) as err:
+        call(failing)
+    message = str(err.value)
+    assert f" at t = {TIMES[2]:.6g} " in message
+    if first is not None:
+        assert f" at step {first + 2} " in message

@@ -684,7 +684,8 @@ def test_colpa_state_reports_its_margins(both_states):
     _, colpa, _ = both_states
     meta = colpa.metadata
     assert meta["scheme"] == oracle.THERMAL_STATE_SCHEME
-    assert 0.0 <= meta["symplectic_residual"] <= 1e-8
+    assert (0.0 <= meta["symplectic_residual"]
+            <= oracle.SYMPLECTIC_RESIDUAL_TOL)
     assert meta["min_normal_frequency"] == colpa.normal_frequencies[0] > 0.0
 
 

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,11 @@ from scipy.integrate import quad, trapezoid
 
 import gqbm
 from gqbm import spectral
-from gqbm.errors import ContractViolationError, ValidationError
+from gqbm.errors import (
+    ContractViolationError,
+    QuadratureConvergenceError,
+    ValidationError,
+)
 from gqbm.spectral import SIGMA_X
 
 from conftest import GAMMA0, TEMPERATURE, make_model, tabulated_model
@@ -79,6 +84,14 @@ def test_tabulated_validation():
     with pytest.raises(ValidationError, match="matching"):
         gqbm.SpectralModel(family="tabulated", tab_omega=om,
                            tab_j=np.ones(49))
+    # J_V(0) > 0 at omega = 0: J_V nbar ~ J_V(0) T / omega, so at T > 0 the
+    # thermal transform diverges; T = 0 and a bath (no omega = 0 mode) stand
+    flat = gqbm.SpectralModel(family="tabulated", temperature=0.1,
+                              tab_omega=om, tab_j=np.ones(50))
+    with pytest.raises(ValidationError, match="diverge"):
+        gqbm.build_kernels(flat)
+    gqbm.build_kernels(replace(flat, temperature=0.0))
+    gqbm.discretize_bath(flat, 10, 5.0)
 
 
 def test_default_omega_s_value():
@@ -217,6 +230,23 @@ def test_tabulated_g_v_of_a_table_ending_at_1e6():
     want = _table_quadrature(model)(offsets)
     got = gqbm.build_kernels(model).g_v(offsets)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_knot_sum_roundoff_bound_rejects_nearly_coincident_knots():
+    # a jump in J over a short interval: the knot sum's two large weights
+    # cancel, losing digits as gap^-1; its a-priori bound reads 1.1e-9 at
+    # gap = 1e-7 and 1.1e-7, past QUADRATURE_RTOL, at gap = 1e-9
+    def table(gap):
+        return _table_model([0.0, 1.0, 1.0 + gap, 2.0], [0.0, 0.0, 1.0, 1.0])
+
+    with pytest.raises(QuadratureConvergenceError, match="knot sum"):
+        gqbm.build_kernels(table(1e-9))
+    model = table(1e-7)
+    offsets = np.linspace(2.0, 10.0, 81)
+    want = _table_quadrature(model)(offsets)
+    got = gqbm.build_kernels(model).g_v(offsets)
+    assert (np.max(np.abs(got - want))
+            <= spectral.QUADRATURE_RTOL * np.max(np.abs(want)))
 
 
 def test_tabulated_g_v_builds_no_quadrature_rule(monkeypatch):
