@@ -39,7 +39,6 @@ import configparser
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -53,8 +52,10 @@ from .errors import (
     InstabilityError,
     NumericalQualityError,
     ValidationError,
+    require,
+    require_count,
 )
-from .greens import INSTABILITY_MAX_ABS, TimeGrid, require_finite_frequency
+from .greens import INSTABILITY_MAX_ABS, TimeGrid
 from .moments import (
     COMMUTATOR_DRIFT_TOL,
     CONJUGACY_TOL,
@@ -202,8 +203,8 @@ def _validate_config(cfg: RunConfig, reads: set | None = None) -> list:
     """
     if reads is None:
         reads = {f.name for f in fields(RunConfig)}
-    if "workers" in reads and not cfg.workers >= 0:
-        raise ValidationError(f"workers must be >= 0, got {cfg.workers}")
+    if "workers" in reads:
+        require_count("workers", cfg.workers, 0)
     alphas = [cfg.alpha] if "alpha" in reads else []
     if "alpha_list" in reads:
         alphas += _sweep_alphas(cfg)
@@ -284,7 +285,7 @@ def _setup(cfg: RunConfig):
     model = SpectralModel(family="ohmic", gamma0=cfg.gamma0, cutoff=cfg.cutoff,
                           alpha=cfg.alpha, temperature=cfg.temperature)
     omega_s = cfg.omega_s if cfg.omega_s is not None else default_omega_s(model)
-    require_finite_frequency("omega_s", omega_s)
+    require("omega_s", omega_s)
     grid = TimeGrid(t_end=cfg.t_end, n_steps=cfg.n_steps,
                     max_frequency=max(abs(omega_s), cfg.cutoff))
     return model, omega_s, grid
@@ -382,6 +383,8 @@ def _run_sweep(cfg: RunConfig, *_):
     jobs = [(cfg, a) for a in alphas]
     workers = min(cfg.workers or len(alphas), len(alphas), os.cpu_count() or 1)
     if workers > 1:
+        # imported here, so that a run without a pool skips its import
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_one, jobs))
     else:

@@ -58,9 +58,12 @@ def _invert_2x2(u: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Closed-form inverse of a (n, 2, 2) stack with a condition guard."""
     det = u[:, 0, 0] * u[:, 1, 1] - u[:, 0, 1] * u[:, 1, 0]
     fro2 = np.sum(np.abs(u) ** 2, axis=(1, 2))
-    # ||U||_F ||U^-1||_F = ||U||_F^2 / |det| for 2x2 matrices
-    guard(fro2 / np.maximum(np.abs(det), 1e-300), CONDITION_MAX,
-          SingularityError, "propagator condition estimate", times)
+    # ||U||_F ||U^-1||_F = ||U||_F^2 / |det| for 2x2 matrices: inf where
+    # det = 0, NaN where U = 0, and the guard trips on both
+    with np.errstate(divide="ignore", invalid="ignore"):
+        estimate = fro2 / np.abs(det)
+    guard(estimate, CONDITION_MAX, SingularityError,
+          "propagator condition estimate", times)
     inv = np.empty_like(u)
     inv[:, 0, 0] = u[:, 1, 1]
     inv[:, 1, 1] = u[:, 0, 0]

@@ -1,12 +1,32 @@
-"""Exception hierarchy and the one failure rule shared by all gqbm modules.
+"""Exception hierarchy and the rules every gqbm check goes through.
 
 Each failure class carries its CLI exit code as exit_code: one code for bad
 input or misuse, one for dynamics that blew up, one for a tripped quality
-monitor.  Every monitor checks its values through guard(), which names the
-first failing step and time, so a failure is reported where it starts.
+monitor.  An input is checked at the library boundary, before any work
+starts, by require (finite and in its domain), require_count (an integer of
+at least its minimum) or require_budget (the memory it needs fits
+MEMORY_BUDGET_BYTES).  A monitor checks a computed series through guard(),
+which names the first failing step and time, so a failure is reported where
+it starts.
 """
 
+import cmath
+import math
+import operator
+
 import numpy as np
+
+# The one memory budget: no table or store may need more.
+MEMORY_BUDGET_BYTES = 1 << 30
+
+# The domains of require, each tested elementwise on an array (NaN fails
+# every comparison).  Each implies finite; the ordered ones take reals.
+_DOMAINS = {
+    "finite": np.isfinite,
+    "> 0": lambda x: (x > 0.0) & (x < math.inf),
+    ">= 0": lambda x: (x >= 0.0) & (x < math.inf),
+    "in [0, 1]": lambda x: (x >= 0.0) & (x <= 1.0),
+}
 
 
 class GqbmError(Exception):
@@ -63,3 +83,41 @@ def guard(values, bound: float, error: type, label: str, times=None,
         raise error(f"{label} reached {vals.flat[j]:.3e}{where} against the "
                     f"bound {bound:.1e}")
     return float(vals.max(initial=-np.inf))
+
+
+def require(name: str, value, domain: str = "finite"):
+    """value, a scalar or an array, real or complex, if it lies in domain;
+    else a ValidationError naming the quantity and its first entry outside.
+    A Python scalar skips numpy, which costs about twenty times as much."""
+    if isinstance(value, (int, float, complex)):
+        if cmath.isfinite(value) if domain == "finite" else _DOMAINS[domain](value):
+            return value
+        where = ""
+    else:
+        inside = _DOMAINS[domain](value)
+        if np.all(inside):
+            return value
+        j = int(np.argmin(inside))
+        value = np.ravel(value)[j]
+        where = f" at entry {j}" if np.ndim(inside) else ""
+    also = "" if domain == "finite" else " and finite"
+    raise ValidationError(f"{name} must be {domain}{also}, got {value}{where}")
+
+
+def require_count(name: str, value, minimum: int) -> int:
+    """value as an int: an integer (Python or numpy) of at least minimum."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if count < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {count}")
+    return count
+
+
+def require_budget(who: str, need_bytes: float, what: str):
+    """Reject, before allocation, work that needs more than the budget."""
+    if need_bytes > MEMORY_BUDGET_BYTES:
+        raise ValidationError(
+            f"{who} needs {need_bytes / 2**30:.2f} GiB of {what}, above the "
+            f"{MEMORY_BUDGET_BYTES / 2**30:.2f} GiB budget (MEMORY_BUDGET_BYTES)")

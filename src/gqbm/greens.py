@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,17 +46,17 @@ from .errors import (
     InstabilityError,
     ValidationError,
     guard,
+    require,
+    require_budget,
+    require_count,
 )
-from .spectral import BathDiscretization, Kernel, Z, _exp_sum, require_count
+from .spectral import BathDiscretization, Kernel, Z, _exp_sum
 
 # Marching guards: a propagator entry beyond this magnitude means runaway
 # pair production (or an unstable discretization), not physics we can trust.
 INSTABILITY_MAX_ABS = 1e6
 # Resolution guard: dt must resolve the fastest retained scale.
 MAX_DT_FACTOR = 0.25
-# Memory budget of solve_v_volterra, which holds two (n+1)^2 x 2 x 2 complex
-# tables (128 (n+1)^2 bytes): 1 GiB admits n_steps up to 2895.
-VOLTERRA_TABLE_BUDGET_BYTES = 1 << 30
 # solve_u takes each block of at most this many steps, a leaf, as one
 # precomputed linear map; its build costs O(B^3) once per leaf length, and
 # leaves of 64 or 128 steps were no steadily faster.
@@ -76,6 +75,8 @@ class TimeGrid:
 
     max_frequency is the fastest scale the grid must resolve (typically
     max(omega_s, cutoff)); construction enforces dt <= 0.25 / max_frequency.
+    times is the lattice k dt, k = 0..n_steps, exactly, so its last entry
+    may sit an ulp off t_end.
     """
 
     t_end: float
@@ -83,12 +84,9 @@ class TimeGrid:
     max_frequency: float = 1.0
 
     def __post_init__(self):
-        if not (self.t_end > 0.0 and math.isfinite(self.t_end)):
-            raise ValidationError(f"t_end must be > 0, got {self.t_end}")
+        require("t_end", self.t_end, "> 0")
         object.__setattr__(self, "n_steps", require_count("n_steps", self.n_steps, 8))
-        if not (self.max_frequency > 0.0 and math.isfinite(self.max_frequency)):
-            raise ValidationError(
-                f"max_frequency must be finite and > 0, got {self.max_frequency}")
+        require("max_frequency", self.max_frequency, "> 0")
         if self.dt > MAX_DT_FACTOR / self.max_frequency:
             raise ValidationError(
                 f"dt = {self.dt:.3e} exceeds {MAX_DT_FACTOR} / max_frequency "
@@ -100,7 +98,7 @@ class TimeGrid:
 
     @property
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_end, self.n_steps + 1)
+        return np.arange(self.n_steps + 1) * self.dt
 
 
 @dataclass
@@ -125,7 +123,8 @@ class GreensSolution:
 class InitialCorrelations:
     """System-bath cross correlations of the initial total state.
 
-    n_prime[k] = <a^dag b_k>(0), s_prime[k] = <a b_k>(0).
+    n_prime[k] = <a^dag b_k>(0), s_prime[k] = <a b_k>(0); both must be
+    finite, checked at construction.
     """
 
     n_prime: np.ndarray
@@ -136,6 +135,8 @@ class InitialCorrelations:
         s = np.atleast_1d(np.asarray(self.s_prime, dtype=complex))
         if n.shape != s.shape or n.ndim != 1:
             raise ValidationError("n_prime and s_prime must be matching 1-d arrays")
+        require("n_prime", n)
+        require("s_prime", s)
         object.__setattr__(self, "n_prime", n)
         object.__setattr__(self, "s_prime", s)
 
@@ -147,20 +148,12 @@ def _zmul(mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def require_finite_frequency(name: str, value: float):
-    """A system frequency may take either sign but must be finite."""
-    if not math.isfinite(value):
-        raise ValidationError(f"{name} must be finite, got {value}")
-
-
 def require_volterra_budget(n_steps: int):
-    """Reject a Volterra march whose two-time tables exceed the memory budget."""
-    need = 128 * (n_steps + 1) ** 2
-    if need > VOLTERRA_TABLE_BUDGET_BYTES:
-        raise ValidationError(
-            f"solve_v_volterra at n_steps = {n_steps} needs {need / 2**30:.2f} GiB "
-            f"of tables, above the {VOLTERRA_TABLE_BUDGET_BYTES / 2**30:.2f} GiB "
-            f"budget (VOLTERRA_TABLE_BUDGET_BYTES)")
+    """Reject a Volterra march whose two (n+1)^2 x 2 x 2 complex tables,
+    128 (n+1)^2 bytes, exceed the memory budget: 1 GiB admits n_steps up
+    to 2895."""
+    require_budget(f"solve_v_volterra at n_steps = {n_steps}",
+                   128 * (n_steps + 1) ** 2, "two-time tables")
 
 
 def _check_finite(block: np.ndarray, first: int, times, label: str) -> float:
@@ -198,7 +191,7 @@ def solve_u(kernel: Kernel, omega_s: float, grid: TimeGrid) -> GreensSolution:
     its leaf's earlier steps (0 * nan = nan); both take their steps one at
     a time, so the guard reports the first bad step.
     """
-    require_finite_frequency("omega_s", omega_s)
+    require("omega_s", omega_s)
     n = grid.n_steps
     dt = grid.dt
     times = grid.times

@@ -20,13 +20,12 @@ second-order accuracy of the coefficient series itself).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalQualityError, ValidationError, guard
+from .errors import NumericalQualityError, ValidationError, guard, require
 
 # Commutator drift bound for the second-moment integration.
 COMMUTATOR_DRIFT_TOL = 1e-6
@@ -50,12 +49,9 @@ class GaussianMoments:
     delta_s: complex = 0.0 + 0.0j
 
     def __post_init__(self):
-        if self.delta_n < 0.0 or not math.isfinite(self.delta_n):
-            raise ValidationError(f"delta_n must be >= 0, got {self.delta_n}")
-        for name in ("mean_a", "delta_s"):
-            if not cmath.isfinite(getattr(self, name)):
-                raise ValidationError(
-                    f"{name} must be finite, got {getattr(self, name)}")
+        require("delta_n", self.delta_n, ">= 0")
+        require("mean_a", self.mean_a)
+        require("delta_s", self.delta_s)
 
     def n_matrix(self) -> np.ndarray:
         """[[delta_n, delta_s], [conj(delta_s), 1 + delta_n]], stacked."""
@@ -86,9 +82,8 @@ class QuadratureCovariances:
 
 def _require_scales(mass: float, omega_s: float):
     """The quadrature scales M and omega_s must be finite and > 0."""
-    for name, val in (("mass", mass), ("omega_s", omega_s)):
-        if not (val > 0.0 and math.isfinite(val)):
-            raise ValidationError(f"{name} must be finite and > 0, got {val}")
+    require("mass", mass, "> 0")
+    require("omega_s", omega_s, "> 0")
 
 
 def to_quadratures(moments, mass: float = 1.0,
@@ -220,12 +215,15 @@ def evolve_hpz_covariances(hpz, init: QuadratureCovariances, grid,
     d/dt Cov = F Cov + Cov F^T + D_q with
     F = [[0, 1/M], [-M (omega_s^2 + d_omega^2), -2 Gamma]],
     D_q = [[0, Gamma_f], [Gamma_f, 2 M Gamma_h]].
-    Returns arrays var_x, var_p, cov_xp on the grid.  The finished series
-    is monitored: the first time with a non-finite covariance raises
-    NumericalQualityError.
+    Returns arrays var_x, var_p, cov_xp on the grid.  init must be finite;
+    the finished series is monitored: the first time with a non-finite
+    covariance raises NumericalQualityError.
     """
     _require_scales(mass, omega_s)
     _require_grid_match(hpz, grid)
+    cov0 = require("init [[var_x, cov_xp], [cov_xp, var_p]]",
+                   np.array([[init.var_x, init.cov_xp],
+                             [init.cov_xp, init.var_p]], dtype=float))
     n = grid.n_steps
 
     f_ser = np.zeros((n + 1, 2, 2))
@@ -237,8 +235,6 @@ def evolve_hpz_covariances(hpz, init: QuadratureCovariances, grid,
     d_ser[:, 1, 0] = hpz.gamma_f
     d_ser[:, 1, 1] = 2.0 * mass * hpz.gamma_h
 
-    cov0 = np.array([[init.var_x, init.cov_xp],
-                     [init.cov_xp, init.var_p]], dtype=float)
     covs = _midpoint_march(lambda f, d, cov: f @ cov + cov @ f.T + d,
                            (f_ser, d_ser), cov0, grid.dt)
     guard(np.max(np.abs(covs), axis=(1, 2)), math.inf, NumericalQualityError,

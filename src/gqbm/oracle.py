@@ -46,14 +46,10 @@ from .errors import (
     NumericalQualityError,
     ValidationError,
     guard,
+    require,
+    require_budget,
 )
-from .greens import (
-    INSTABILITY_MAX_ABS,
-    InitialCorrelations,
-    TimeGrid,
-    _check_finite,
-    require_finite_frequency,
-)
+from .greens import INSTABILITY_MAX_ABS, InitialCorrelations, TimeGrid, _check_finite
 from .moments import GaussianMoments, _require_commutator
 from .spectral import BathDiscretization, n_bar
 
@@ -74,8 +70,6 @@ _WINDOW_PHASE = 8.0
 _CHEBYSHEV_GROWTH = 1.0 + math.sqrt(2.0)
 # A degree past this means a grid too stiff for its generator.
 _MAX_DEGREE = 100_000
-# Memory for the T_0..T_K blocks of one window.
-_CHEBYSHEV_STORE_BUDGET_BYTES = 1 << 30
 # Miller's recurrence keeps its unnormalised values below this magnitude.
 _MILLER_RESCALE = 1e250
 # _moments_from_rows reads the rows in blocks of this many output steps.
@@ -95,14 +89,12 @@ class LinearDynamics:
     w_couplings: np.ndarray
 
     def __post_init__(self):
-        require_finite_frequency("omega_s", self.omega_s)
+        require("omega_s", self.omega_s)
         for name in ("frequencies", "v_couplings", "w_couplings"):
             arr = np.asarray(getattr(self, name))
-            if (arr.ndim != 1 or arr.dtype.kind not in "iuf"
-                    or not np.all(np.isfinite(arr))):
-                raise ValidationError(
-                    f"{name} must be a 1-d array of finite reals")
-            setattr(self, name, arr.astype(float, copy=False))
+            if arr.ndim != 1 or arr.dtype.kind not in "iuf":
+                raise ValidationError(f"{name} must be a 1-d array of reals")
+            setattr(self, name, require(name, arr).astype(float, copy=False))
         sizes = {self.frequencies.size, self.v_couplings.size,
                  self.w_couplings.size}
         if len(sizes) != 1:
@@ -297,12 +289,9 @@ def propagate(dyn: LinearDynamics, grid: TimeGrid) -> BogoliubovPropagator:
     else:
         window = max(1, int(_WINDOW_PHASE / (norm * dt)))
     degree = _chebyshev_degree(norm * window * dt)
-    need = (degree + 1) * dim * 32
-    if need > _CHEBYSHEV_STORE_BUDGET_BYTES:
-        raise ValidationError(
-            f"propagate at degree {degree} and dimension {dim} needs "
-            f"{need / 2**30:.2f} GiB of Chebyshev vectors, above the "
-            f"{_CHEBYSHEV_STORE_BUDGET_BYTES / 2**30:.2f} GiB budget")
+    # the T_0..T_K blocks of one window
+    require_budget(f"propagate at degree {degree} and dimension {dim}",
+                   (degree + 1) * dim * 32, "Chebyshev vectors")
 
     k = np.arange(degree + 1)
     coef = (np.where(k == 0, 1.0, 2.0) * np.array([1, -1j, -1, 1j])[k % 4]
@@ -430,8 +419,7 @@ def exact_moments(prop: BogoliubovPropagator,
         raise ContractViolationError(
             f"product table shape {product_table.shape} does not match "
             f"dimension {prop.dim}")
-    if not np.all(np.isfinite(product_table)):
-        raise ValidationError("product_table entries must be finite")
+    require("product_table entries", product_table)
 
     def apply_m0(block: np.ndarray) -> np.ndarray:
         return (block.reshape(-1, prop.dim) @ product_table.T).reshape(
@@ -517,9 +505,8 @@ def thermal_total_state(dyn: LinearDynamics, temperature: float,
     blocks of H (_quadrature_modes): two Cholesky factors and one SVD of
     size N + 1.  Every field is read off the product table <A_p A_q>.
     """
-    if temperature < 0.0 or not math.isfinite(temperature):
-        raise ValidationError("temperature must be >= 0")
-    require_finite_frequency("omega_s0", omega_s0)
+    require("temperature", temperature, ">= 0")
+    require("omega_s0", omega_s0)
     eps, x_mat, y_mat = _quadrature_modes(dyn, omega_s0)
     nb = eps.size
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -51,6 +50,9 @@ from .errors import (
     QuadratureConvergenceError,
     ValidationError,
     guard,
+    require,
+    require_budget,
+    require_count,
 )
 
 # Conjugation / particle-hole structure matrices used across modules.
@@ -77,8 +79,6 @@ TABULATED_TRANSFORM_SCHEME = (
 _MAX_PANEL_PHASE = 350.0
 _BASE_PANEL_NODES = 24
 _NODES_PER_PHASE = 0.55
-# Memory for building one frequency quadrature rule.
-_RULE_BUDGET_BYTES = 1 << 30
 
 
 def n_bar(omega, temperature: float):
@@ -88,11 +88,8 @@ def n_bar(omega, temperature: float):
     |omega/T| < 1e-12 gives the divergent occupation inf, and a negative
     omega gives -1 - n_bar(|omega|), which is -1 below omega/T = -700.
     """
-    omega = np.asarray(omega, dtype=float)
-    if not np.all(np.isfinite(omega)):
-        raise ValidationError("occupation frequencies must be finite")
-    if not (temperature >= 0.0 and math.isfinite(temperature)):
-        raise ValidationError(f"temperature must be >= 0, got {temperature}")
+    omega = require("occupation frequencies", np.asarray(omega, dtype=float))
+    require("temperature", temperature, ">= 0")
     if temperature == 0.0:
         return np.zeros_like(omega)
     x = omega / temperature
@@ -108,17 +105,6 @@ def n_bar(omega, temperature: float):
 def _trapezoid_panels(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Trapezoid area of y over each interval of x; summed, the rule."""
     return np.diff(x) * (y[1:] + y[:-1]) / 2.0
-
-
-def require_count(name: str, value, minimum: int) -> int:
-    """value as an int: an integer (Python or numpy) of at least minimum."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
-    if count < minimum:
-        raise ValidationError(f"{name} must be >= {minimum}, got {count}")
-    return count
 
 
 @dataclass(frozen=True)
@@ -142,27 +128,19 @@ class SpectralModel:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValidationError(f"unknown spectral family {self.family!r}")
-        if not (self.gamma0 >= 0.0 and math.isfinite(self.gamma0)):
-            raise ValidationError(f"gamma0 must be >= 0, got {self.gamma0}")
-        if not (self.cutoff > 0.0 and math.isfinite(self.cutoff)):
-            raise ValidationError(f"cutoff must be > 0, got {self.cutoff}")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ValidationError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not (self.temperature >= 0.0 and math.isfinite(self.temperature)):
-            raise ValidationError(f"temperature must be >= 0, got {self.temperature}")
+        require("gamma0", self.gamma0, ">= 0")
+        require("cutoff", self.cutoff, "> 0")
+        require("alpha", self.alpha, "in [0, 1]")
+        require("temperature", self.temperature, ">= 0")
         if self.family == "tabulated":
             if self.tab_omega is None or self.tab_j is None:
                 raise ValidationError("tabulated family requires tab_omega and tab_j")
-            om = np.asarray(self.tab_omega, dtype=float)
-            jj = np.asarray(self.tab_j, dtype=float)
+            om = require("tab_omega", np.asarray(self.tab_omega, dtype=float), ">= 0")
+            jj = require("tab_j", np.asarray(self.tab_j, dtype=float), ">= 0")
             if om.ndim != 1 or om.shape != jj.shape or om.size < 2:
                 raise ValidationError("tab_omega and tab_j must be matching 1-d arrays")
-            if not (np.all(np.isfinite(om)) and np.all(np.isfinite(jj))):
-                raise ValidationError("tab_omega and tab_j must be finite")
-            if om[0] < 0.0 or np.any(np.diff(om) <= 0.0):
-                raise ValidationError("tab_omega must be increasing and nonnegative")
-            if np.any(jj < 0.0):
-                raise ValidationError("tab_j must be nonnegative")
+            if np.any(np.diff(om) <= 0.0):
+                raise ValidationError("tab_omega must be increasing")
             object.__setattr__(self, "tab_omega", om)
             object.__setattr__(self, "tab_j", jj)
 
@@ -189,10 +167,7 @@ def eval_spectral_density(model: SpectralModel, omega, channel: str = "v") -> np
     """
     if channel not in _CHANNELS:
         raise ValidationError(f"channel must be one of {_CHANNELS}, got {channel!r}")
-    omega = np.asarray(omega, dtype=float)
-    if not np.all(np.isfinite(omega) & (omega >= 0.0)):
-        raise ValidationError(
-            "spectral densities are defined for finite omega >= 0 only")
+    omega = require("omega", np.asarray(omega, dtype=float), ">= 0")
     jv = _j_v(model, omega)
     if channel == "v":
         return jv
@@ -223,10 +198,7 @@ def _panel_edges(omega_max: float, inner_scale: float,
 
 def _offsets(dt) -> np.ndarray:
     """Time offsets as a float array; NaN or infinite offsets are rejected."""
-    dt = np.asarray(dt, dtype=float)
-    if not np.all(np.isfinite(dt)):
-        raise ValidationError("kernel time offsets must be finite")
-    return dt
+    return require("kernel time offsets", np.asarray(dt, dtype=float))
 
 
 def _exp_sum(weights: np.ndarray, freqs: np.ndarray, dt) -> np.ndarray:
@@ -299,12 +271,9 @@ class _FourierRule:
         # about 80 bytes a node (74 measured with the thermal weight)
         bound = refine * float(np.sum(n_subs * _BASE_PANEL_NODES
                                       + _NODES_PER_PHASE * widths * dt_max))
-        need = 80.0 * bound
-        if need > _RULE_BUDGET_BYTES:
-            raise ValidationError(
-                f"a quadrature rule on omega <= {omega_max:g} for |dt| <= "
-                f"{dt_max:g} needs up to {bound:.3e} nodes, {need / 2**30:.2f} "
-                f"GiB, above the {_RULE_BUDGET_BYTES / 2**30:.2f} GiB budget")
+        require_budget(f"a quadrature rule of up to {bound:.3e} nodes on "
+                       f"omega <= {omega_max:g} for |dt| <= {dt_max:g}",
+                       80.0 * bound, "nodes")
         nodes = []
         weights = []
         for lo, hi, n_sub in zip(edges[:-1], edges[1:], n_subs.astype(int)):
@@ -566,10 +535,8 @@ def build_kernels(model: SpectralModel) -> Kernel:
             thermal_amp = amp * temp**2
         except OverflowError:  # temp**2 past the float range
             thermal_amp = math.inf
-        if not math.isfinite(thermal_amp):
-            raise ValidationError(
-                f"temperature = {temp:g} overflows the thermal kernel's "
-                f"amplitude sqrt(gamma0 / (8 pi cutoff)) T^2")
+        require(f"the thermal kernel amplitude sqrt(gamma0 / (8 pi cutoff)) "
+                f"T^2 at temperature = {temp:g}", thermal_amp)
 
         def g_v(dt):
             return amp / (1.0 / cut + 1j * _offsets(dt)) ** 2
@@ -624,6 +591,8 @@ class BathDiscretization:
     derived from v_couplings, never stored beside them.  Occupations may be
     replaced by any per-mode values (e.g. from a correlated total state);
     squeezes must stay zero for the stationary kernel machinery to apply.
+    Every array must be finite, checked at construction (so also on a
+    dataclasses.replace copy).
     """
 
     frequencies: np.ndarray
@@ -636,6 +605,11 @@ class BathDiscretization:
     alpha: float
     temperature: float
     cutoff: float
+
+    def __post_init__(self):
+        for name in ("frequencies", "weights", "v_couplings", "occupations",
+                     "squeezes"):
+            require(name, getattr(self, name))
 
     @property
     def n_modes(self) -> int:
@@ -652,8 +626,7 @@ def discretize_bath(model: SpectralModel, n_modes: int, omega_max: float,
     if scheme not in _SCHEMES:
         raise ValidationError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
     n_modes = require_count("n_modes", n_modes, 1)
-    if not (omega_max > 0.0 and math.isfinite(omega_max)):
-        raise ValidationError(f"omega_max must be finite and > 0, got {omega_max}")
+    require("omega_max", omega_max, "> 0")
 
     if scheme == "linear-midpoint":
         h = omega_max / n_modes

@@ -1,6 +1,7 @@
 """CLI: configuration precedence, CSV contracts, exit codes, pipelines."""
 
 import argparse
+import concurrent.futures
 import configparser
 import os
 import re
@@ -461,6 +462,13 @@ def test_import_loads_no_scipy():
     assert _fresh_interpreter(code) == "[]"
 
 
+def test_import_leaves_the_process_pool_unloaded():
+    # only a sweep with more than one worker imports it
+    code = ("import sys, gqbm, gqbm.cli; "
+            "print('concurrent.futures.process' in sys.modules)")
+    assert _fresh_interpreter(code) == "False"
+
+
 def test_quench_oracle_run_loads_no_scipy_or_numpy_ma(tmp_path):
     # nothing is deferred to a lazy import inside the run: the oracle, the
     # thermal state and the kernel route all stay on numpy
@@ -579,7 +587,7 @@ def test_sweep_workers_capped_at_cpu_count(tmp_path, monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     code = _run_cli(["jolt-sweep", "--out", str(tmp_path / "sweep"),
                      "--alpha-list", "0,0.25,0.5,1", "--workers", "64",

@@ -16,13 +16,12 @@ import scipy.fft
 
 import gqbm
 from gqbm import greens
-from gqbm.errors import InstabilityError
+from gqbm.errors import InstabilityError, require
 from gqbm.greens import (
     GreensSolution,
     Z,
     _check_finite,
     _zmul,
-    require_finite_frequency,
 )
 from conftest import TEMPERATURE, kernel_with, make_model
 
@@ -97,7 +96,7 @@ def _loop_v_and_vdot(kernel, sol):
 
 def _loop_solve_u(kernel, omega_s, grid):
     """March the retarded propagator U over the grid."""
-    require_finite_frequency("omega_s", omega_s)
+    require("omega_s", omega_s)
     n = grid.n_steps
     dt = grid.dt
     times = grid.times

@@ -19,9 +19,9 @@ from gqbm.spectral import _offsets
 from conftest import CUTOFF, make_model, tabulated_model
 
 RTOL = 1e-13
-# TimeGrid(t_end=2.0, n_steps=49): linspace puts one time off the lattice
-# k * times[1], found by searching t_end in {1, 2, 3, 5, 10, 20} and
-# n_steps in 20..299.
+# linspace(0, 2.0, 49 + 1) puts one time off the lattice k * times[1], found
+# by searching t_end in {1, 2, 3, 5, 10, 20} and n_steps in 20..299; a
+# TimeGrid's times are the lattice by construction.
 OFF_LATTICE_GRID = (2.0, 49)
 
 
@@ -137,8 +137,7 @@ def test_off_lattice_offsets_take_the_loop_bit_for_bit():
     jittered = times + rng.uniform(-1e-3, 1e-3, times.size)
     jittered[0] = 0.0
     t_end, n_steps = OFF_LATTICE_GRID
-    off_grid = gqbm.TimeGrid(t_end=t_end, n_steps=n_steps,
-                             max_frequency=CUTOFF).times
+    off_grid = np.linspace(0.0, t_end, n_steps + 1)
     assert not np.array_equal(off_grid, np.arange(off_grid.size) * off_grid[1])
     for offsets in (jittered, times[:600].reshape(20, 30), off_grid):
         got = spectral._exp_sum(weights, freqs, offsets)

@@ -1,6 +1,7 @@
 """Every quality monitor trips on NaN, not only on large values."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,21 @@ CASES = {
         np.array([0.0, 1.0, 2.0]), np.array([0.0, np.nan, 1.0])),
         QuadratureConvergenceError),
 }
+
+
+@pytest.mark.parametrize("singular, reads", [(np.zeros((2, 2)), "nan"),
+                                             (np.ones((2, 2)), "inf")])
+def test_singular_propagator_trips_the_condition_guard_at_its_step(
+        singular, reads):
+    # det = 0 reads an infinite estimate, and U = 0 the NaN of 0 / 0; either
+    # trips at its own step, with no warning from the division
+    u = np.tile(np.eye(2, dtype=complex), (4, 1, 1))
+    u[2] = singular
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularityError,
+                           match=f"reached {reads} at t = 2 against"):
+            _invert_2x2(u, np.arange(4.0))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -52,11 +52,11 @@ from gqbm.errors import (
     InstabilityError,
     NumericalQualityError,
     ValidationError,
+    require,
 )
 from gqbm.greens import (
     InitialCorrelations,
     _check_finite,
-    require_finite_frequency,
 )
 from gqbm.moments import GaussianMoments, _require_commutator
 from gqbm import oracle
@@ -94,7 +94,7 @@ def _csr_generator(dyn):
 def _eig_thermal_total_state(dyn, temperature, omega_s0):
     if temperature < 0.0 or not math.isfinite(temperature):
         raise ValidationError("temperature must be >= 0")
-    require_finite_frequency("omega_s0", omega_s0)
+    require("omega_s0", omega_s0)
     n_m = dyn.n_modes
     nb = n_m + 1
 
@@ -179,7 +179,7 @@ def _eig_thermal_total_state(dyn, temperature, omega_s0):
 def _block_colpa_thermal_total_state(dyn, temperature, omega_s0):
     if temperature < 0.0 or not math.isfinite(temperature):
         raise ValidationError("temperature must be >= 0")
-    require_finite_frequency("omega_s0", omega_s0)
+    require("omega_s0", omega_s0)
     nb = dyn.n_modes + 1
 
     # single-particle blocks of H = Psi^dag [[h, p], [p, h]] Psi / 2 in the
@@ -327,7 +327,7 @@ def _two_march_propagate(dyn, grid, n_sub, h):
 def _scipy_colpa_thermal_total_state(dyn, temperature, omega_s0):
     if temperature < 0.0 or not math.isfinite(temperature):
         raise ValidationError("temperature must be >= 0")
-    require_finite_frequency("omega_s0", omega_s0)
+    require("omega_s0", omega_s0)
     nb = dyn.n_modes + 1
 
     # the real symmetric H at omega_s0: dA/dt = -i sigma H A
@@ -386,7 +386,7 @@ def _scipy_colpa_thermal_total_state(dyn, temperature, omega_s0):
 def _colpa_thermal_total_state(dyn, temperature, omega_s0):
     if temperature < 0.0 or not math.isfinite(temperature):
         raise ValidationError("temperature must be >= 0")
-    require_finite_frequency("omega_s0", omega_s0)
+    require("omega_s0", omega_s0)
     nb = dyn.n_modes + 1
 
     # the real symmetric H at omega_s0: dA/dt = -i sigma H A

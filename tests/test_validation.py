@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 import gqbm
 import gqbm.cli as cli
 import gqbm.pipelines as pipelines
-from gqbm.errors import ContractViolationError, ValidationError
+from gqbm.errors import (
+    MEMORY_BUDGET_BYTES,
+    ContractViolationError,
+    ValidationError,
+    require,
+    require_budget,
+)
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
@@ -38,6 +44,21 @@ def _table_with(x):
 def _dynamics_with(name, x):
     value = x if name == "omega_s" else np.append(getattr(DYN, name)[:-1], x)
     return replace(DYN, **{name: value})
+
+
+def _bath_with(name, x):
+    return replace(BATH, **{name: np.append(getattr(BATH, name)[:-1], x)})
+
+
+def _hpz_covariances_from(**init):
+    zeros = np.zeros(GRID.n_steps + 1)
+    hpz = gqbm.HpzCoefficients(
+        times=GRID.times, delta_omega_sq=zeros, gamma_damping=zeros,
+        gamma_h=zeros, gamma_f=zeros, omega_p_sq=zeros + 0.25,
+        residual_freq=zeros, residual_damping=zeros, residual_diffusion=zeros)
+    cov = dict(var_x=0.5, var_p=0.5, cov_xp=0.0) | init
+    return gqbm.evolve_hpz_covariances(
+        hpz, gqbm.QuadratureCovariances(**cov), GRID, omega_s=0.5)
 
 
 ENTRY_POINTS = {
@@ -87,7 +108,18 @@ ENTRY_POINTS = {
         PROP, _table_with(complex(x, 0.0))),
     "exact_moments.product_table.imag": lambda x: gqbm.exact_moments(
         PROP, _table_with(complex(0.0, x))),
+    "InitialCorrelations.n_prime": lambda x: gqbm.InitialCorrelations(
+        n_prime=[0.1, complex(x, 0.0)], s_prime=[0.0, 0.0]),
+    "InitialCorrelations.s_prime": lambda x: gqbm.InitialCorrelations(
+        n_prime=[0.1, 0.0], s_prime=[0.0, complex(0.0, x)]),
+    "evolve_hpz_covariances.var_x": lambda x: _hpz_covariances_from(var_x=x),
+    "evolve_hpz_covariances.var_p": lambda x: _hpz_covariances_from(var_p=x),
+    "evolve_hpz_covariances.cov_xp": lambda x: _hpz_covariances_from(cov_xp=x),
 }
+for _name in ("frequencies", "weights", "v_couplings", "occupations",
+              "squeezes"):
+    ENTRY_POINTS[f"BathDiscretization.{_name}"] = (
+        lambda x, name=_name: _bath_with(name, x))
 for _label, _kernel in KERNELS.items():
     ENTRY_POINTS[f"Kernel.g.{_label}"] = (
         lambda x, k=_kernel: k.g(np.array([0.5, x])))
@@ -146,8 +178,61 @@ def test_volterra_tables_are_bounded_before_allocation():
     with pytest.raises(ValidationError, match="n_steps = 6000"):
         gqbm.solve_v_volterra(KERNELS["continuum"], sol)
     need = 128 * (n + 1) ** 2
-    assert need > gqbm.greens.VOLTERRA_TABLE_BUDGET_BYTES
+    assert need > gqbm.errors.MEMORY_BUDGET_BYTES
     gqbm.greens.require_volterra_budget(2000)   # the paper grid fits
+
+
+REQUIRE_CASES = {
+    # domain: (values inside, values outside); every domain implies finite,
+    # and each array outside first leaves the domain at entry 1
+    "finite": ([0.0, -1e300, 2 - 3j, np.float32(1.5), np.array([1.0, -2.0]),
+              np.array([[1j, 0.0]])],
+             [math.nan, math.inf, -math.inf, complex(math.nan, 0.0),
+              complex(0.0, math.inf), np.float64(math.nan),
+              np.array([0.0, math.nan, math.inf]),
+              np.array([[1.0, complex(0.0, -math.inf)]])]),
+    "> 0": ([1e-300, 2.0, 3, np.float32(0.5), np.array([0.5, 3.0])],
+               [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf,
+                np.array([1.0, 0.0, -1.0]), np.array([1.0, math.nan])]),
+    ">= 0": ([0.0, -0.0, 2.0, 0, np.array([0.0, 3.0])],
+                  [-1e-300, -1, math.nan, math.inf, -math.inf,
+                   np.array([1.0, -1.0]), np.array([[0.0, math.inf]])]),
+    "in [0, 1]": ([0.0, 0.5, 1.0, 1, np.array([0.0, 1.0])],
+           [-1e-300, 1.0 + 2**-52, math.nan, math.inf, -math.inf,
+            np.array([0.5, 2.0, -1.0])]),
+}
+
+
+@pytest.mark.parametrize("domain", REQUIRE_CASES)
+def test_require_accepts_its_domain_and_names_the_first_entry_outside(domain):
+    inside, outside = REQUIRE_CASES[domain]
+    for value in inside:
+        assert require("q", value, domain) is value
+    for value in outside:
+        with pytest.raises(ValidationError) as exc:
+            require("q", value, domain)
+        message = str(exc.value)
+        assert message.startswith(f"q must be {domain}")
+        assert message.endswith(" at entry 1") == bool(np.ndim(value))
+
+
+def test_require_budget_names_the_need_and_the_one_budget():
+    require_budget("a store", MEMORY_BUDGET_BYTES, "vectors")   # fits exactly
+    with pytest.raises(ValidationError) as exc:
+        require_budget("a store at n = 9", 1.5 * 2**30, "vectors")
+    assert str(exc.value) == ("a store at n = 9 needs 1.50 GiB of vectors, "
+                              "above the 1.00 GiB budget (MEMORY_BUDGET_BYTES)")
+
+
+@pytest.mark.parametrize("t_end, n_steps", [(3.0, 20000), (2.0, 49),
+                                            (0.7, 311), (10.0, 2000)])
+def test_grid_times_are_the_lattice(t_end, n_steps):
+    # linspace missed k * dt by an ulp at (3, 20000) and (2, 49), which sent
+    # every kernel transform on the grid to the direct O(n N) sum
+    times = gqbm.TimeGrid(t_end=t_end, n_steps=n_steps).times
+    assert times.size == n_steps + 1 and times[0] == 0.0
+    assert np.array_equal(times, np.arange(n_steps + 1) * times[1])
+    assert times[-1] == pytest.approx(t_end, rel=4 * np.finfo(float).eps)
 
 
 def test_recurrence_horizon_is_known_before_propagation():
