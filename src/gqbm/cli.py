@@ -59,6 +59,7 @@ from .greens import INSTABILITY_MAX_ABS, TimeGrid
 from .moments import (
     COMMUTATOR_DRIFT_TOL,
     CONJUGACY_TOL,
+    MOMENT_MARCH_SCHEME,
     UNCERTAINTY_TOL,
     GaussianMoments,
     evolve_covariances,
@@ -346,6 +347,7 @@ def _run_evolve(cfg: RunConfig, model, omega_s: float, grid: TimeGrid):
     res = coefficient_run(model, omega_s, grid)
     mean = evolve_means(res.outputs["me"], init, grid)
     second = evolve_covariances(res.outputs["me"], init, grid)
+    res.stages["moments"] = MOMENT_MARCH_SCHEME
     quads = to_quadratures(second, cfg.mass, omega_s)
     res.summaries = {"omega_s": omega_s,
                      "final_delta_n": float(second.delta_n[-1]),

@@ -24,8 +24,8 @@ class PipelineResult:
     ...), scalar summaries, and the stages that ran, in run order, each
     mapped to its scheme id: thermal_state and oracle from the metadata of
     the ThermalTotalState and BogoliubovPropagator, transforms and u_solver
-    from the Kernel and GreensSolution, v_solver and v_crosscheck from the
-    constants beside their solvers."""
+    from the Kernel and GreensSolution, v_solver, v_crosscheck and moments
+    from the constants beside their solvers."""
 
     outputs: dict = field(default_factory=dict)
     summaries: dict = field(default_factory=dict)

@@ -27,6 +27,7 @@ SCHEMES = {
     "u_solver": gqbm.greens.U_SOLVER_SCHEME,
     "v_solver": gqbm.greens.V_SOLVER_SCHEME,
     "v_crosscheck": gqbm.greens.V_CROSSCHECK_SCHEME,
+    "moments": gqbm.moments.MOMENT_MARCH_SCHEME,
 }
 
 

@@ -393,7 +393,8 @@ _SMALL_GRID = ["--t-end", "2", "--steps", "200"]
     (["greens", "--crosscheck"] + _SMALL_GRID,
      {"transforms", "u_solver", "v_solver", "v_crosscheck"}),
     (["coeffs"] + _SMALL_GRID, {"transforms", "u_solver", "v_solver"}),
-    (["evolve"] + _SMALL_GRID, {"transforms", "u_solver", "v_solver"}),
+    (["evolve"] + _SMALL_GRID,
+     {"transforms", "u_solver", "v_solver", "moments"}),
     (["jolt-sweep", "--workers", "1"] + _SMALL_GRID,
      {"transforms", "u_solver", "v_solver"}),
     # ohmic at T = 0: still the closed form, with gtilde_v zero

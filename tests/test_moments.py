@@ -1,16 +1,19 @@
 """Gaussian moment evolution: means, covariances, quadrature routes."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import gqbm
-from gqbm.coeffs import CoefficientSeries
+from gqbm import moments
+from gqbm.coeffs import CoefficientSeries, HpzCoefficients
 from gqbm.errors import ValidationError
 
 from conftest import make_model
+from test_convolutions import RTOL
 
 
 # ---- quadrature maps ---------------------------------------------------------
@@ -118,23 +121,32 @@ def test_free_rotation_of_covariances():
     assert np.max(np.abs(sm.delta_s - expected)) < 1e-6
 
 
-def test_covariances_follow_the_explicit_midpoint_rule():
-    # the scheme written out step by step: coefficients at t_m and at the
-    # linearly interpolated half step; the library must match it bit for bit
-    grid = gqbm.TimeGrid(t_end=2.0, n_steps=40, max_frequency=1.0)
-    rng = np.random.default_rng(5)
-    n = grid.n_steps + 1
+def _random_coefficients(times, seed=5):
+    """A CoefficientSeries and an HpzCoefficients of small random drift
+    on times, both near a free mode of frequency 0.6."""
+    rng = np.random.default_rng(seed)
+    n = times.size
+    zeros = np.zeros(n)
     me = CoefficientSeries(
-        times=grid.times, omega_s=0.6,
+        times=times, omega_s=0.6,
         omega_s_prime=0.6 + 0.01 * rng.normal(size=n),
         omega_bar_prime=0.01 * (rng.normal(size=n) + 1j * rng.normal(size=n)),
         gamma=0.01 * rng.normal(size=n), gamma_tilde=0.01 * rng.normal(size=n),
         gamma_bar=0.01 * (rng.normal(size=n) + 1j * rng.normal(size=n)),
         omega_r=np.full(n, 0.6, dtype=complex),
         radicand_negative=np.zeros(n, dtype=bool))
-    init = gqbm.GaussianMoments(delta_n=0.4, delta_s=0.3 + 0.1j)
-    sm = gqbm.evolve_covariances(me, init, grid)
+    hpz = HpzCoefficients(
+        times=times, delta_omega_sq=0.01 * rng.normal(size=n),
+        gamma_damping=0.01 * rng.normal(size=n),
+        gamma_h=0.01 * rng.normal(size=n), gamma_f=0.01 * rng.normal(size=n),
+        omega_p_sq=np.full(n, 0.36), residual_freq=zeros,
+        residual_damping=zeros, residual_diffusion=zeros)
+    return me, hpz
 
+
+def _mode_series(me):
+    """The generator A and diffusion D of the mode-basis ODEs, written out."""
+    n = me.times.size
     a = np.empty((n, 2, 2), dtype=complex)
     a[:, 0, 0] = -1j * me.omega_s_prime - 0.5 * me.gamma
     a[:, 0, 1] = -1j * me.omega_bar_prime
@@ -145,17 +157,163 @@ def test_covariances_follow_the_explicit_midpoint_rule():
     d[:, 0, 1] = me.gamma_bar
     d[:, 1, 0] = np.conj(me.gamma_bar)
     d[:, 1, 1] = me.gamma + me.gamma_tilde
+    return a, d
+
+
+def _quadrature_series(hpz, mass, omega_s):
+    """F and D_q of the quadrature ODE, written out."""
+    n = hpz.times.size
+    f = np.zeros((n, 2, 2))
+    f[:, 0, 1] = 1.0 / mass
+    f[:, 1, 0] = -mass * (omega_s**2 + hpz.delta_omega_sq)
+    f[:, 1, 1] = -2.0 * hpz.gamma_damping
+    d = np.zeros((n, 2, 2))
+    d[:, 0, 1] = d[:, 1, 0] = hpz.gamma_f
+    d[:, 1, 1] = 2.0 * mass * hpz.gamma_h
+    return f, d
+
+
+def _loop_midpoint_march(rhs, series: tuple, y0: np.ndarray, dt: float) -> np.ndarray:
+    """States of the linear ODE dy/dt = rhs(*coeffs(t), y) on the grid.
+
+    series holds the coefficient arrays on the grid points; the explicit
+    midpoint rule interpolates them linearly at half steps.  The march
+    checks nothing: callers monitor the finished series, so a non-finite
+    coefficient carries on as NaN to the end.
+    """
+    n = series[0].shape[0] - 1
+    out = np.empty((n + 1,) + y0.shape, dtype=y0.dtype)
+    out[0] = y = y0
+    for m in range(n):
+        now = [c[m] for c in series]
+        mid = [0.5 * (c[m] + c[m + 1]) for c in series]
+        half = y + 0.5 * dt * rhs(*now, y)
+        y = y + dt * rhs(*mid, half)
+        out[m + 1] = y
+    return out
+
+
+# the step loop's right-hand side of each march
+RHS = {
+    "evolve_means": lambda a, y: a @ y,
+    "evolve_covariances": lambda a, d, nm: a @ nm + nm @ np.conj(a).T + d,
+    "evolve_hpz_covariances": lambda f, d, cov: f @ cov + cov @ f.T + d,
+}
+
+
+def run_march(name, coeffs, init, grid, mass=1.0, omega_s=1.0):
+    """The library's march name: init a GaussianMoments, or for the
+    quadrature march a QuadratureCovariances."""
+    if name == "evolve_hpz_covariances":
+        return gqbm.evolve_hpz_covariances(coeffs, init, grid, mass, omega_s)
+    return getattr(gqbm, name)(coeffs, init, grid)
+
+
+def loop_states(name, coeffs, init, grid, mass=1.0, omega_s=1.0):
+    """The step loop's states of march name, one flattened row per time."""
+    if name == "evolve_hpz_covariances":
+        series = _quadrature_series(coeffs, mass, omega_s)
+        y0 = np.array([[init.var_x, init.cov_xp], [init.cov_xp, init.var_p]])
+    elif name == "evolve_covariances":
+        series, y0 = _mode_series(coeffs), init.n_matrix()
+    else:
+        series = _mode_series(coeffs)[:1]
+        y0 = np.array([init.mean_a, np.conj(init.mean_a)], dtype=complex)
+    ys = _loop_midpoint_march(RHS[name], series, y0, grid.dt)
+    return ys.reshape(ys.shape[0], -1)
+
+
+def recording_march(monkeypatch) -> list:
+    """A list that receives the states of every library march run after
+    this call, so they can be read even when the caller's monitor raises."""
+    seen, march = [], moments._midpoint_march
+
+    def record(*args):
+        seen.append(march(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(moments, "_midpoint_march", record)
+    return seen
+
+
+@dataclass
+class _Lattice:
+    """The grid lattice k dt of a TimeGrid, without its n_steps >= 8 rule."""
+
+    n_steps: int
+    dt: float = 0.01
+
+    @property
+    def t_end(self) -> float:
+        return self.n_steps * self.dt
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.arange(self.n_steps + 1) * self.dt
+
+
+SQUEEZED = gqbm.GaussianMoments(mean_a=0.7 - 0.4j, delta_n=0.4,
+                                delta_s=0.3 + 0.1j)
+BLOCK = moments._march_block(601)
+
+
+@pytest.mark.parametrize("name", sorted(RHS))
+@pytest.mark.parametrize("n", [1, 2, BLOCK**2 - 1, BLOCK**2, BLOCK**2 + 1, 601])
+def test_blocked_march_matches_the_step_loop(name, n, monkeypatch):
+    # whole and partial last blocks, one-step blocks, and a squeezed,
+    # displaced start; every state to roundoff of the step loop
+    grid = _Lattice(n)
+    me, hpz = _random_coefficients(grid.times)
+    coeffs, init = me, SQUEEZED
+    if name == "evolve_hpz_covariances":
+        coeffs, init = hpz, gqbm.to_quadratures(SQUEEZED, 1.3, 0.6)
+    seen = recording_march(monkeypatch)
+    run_march(name, coeffs, init, grid, 1.3, 0.6)
+    ref = loop_states(name, coeffs, init, grid, 1.3, 0.6)
+    assert np.max(np.abs(seen[0] - ref)) <= RTOL * np.max(np.abs(ref))
+
+
+def test_covariances_follow_the_explicit_midpoint_rule():
+    # the scheme written out step by step: coefficients at t_m and at the
+    # linearly interpolated half step; the library's blocked composition
+    # must match it to roundoff
+    grid = gqbm.TimeGrid(t_end=2.0, n_steps=40, max_frequency=1.0)
+    me, _ = _random_coefficients(grid.times)
+    init = gqbm.GaussianMoments(delta_n=0.4, delta_s=0.3 + 0.1j)
+    sm = gqbm.evolve_covariances(me, init, grid)
+    a, d = _mode_series(me)
 
     def rhs(am, dm, nm):
         return am @ nm + nm @ np.conj(am).T + dm
 
     nm = np.array([[0.4, 0.3 + 0.1j], [0.3 - 0.1j, 1.4]])
+    states = [nm]
     for m in range(grid.n_steps):
         half = nm + 0.5 * grid.dt * rhs(a[m], d[m], nm)
         nm = nm + grid.dt * rhs(0.5 * (a[m] + a[m + 1]),
                                 0.5 * (d[m] + d[m + 1]), half)
-        assert sm.delta_n[m + 1] == nm[0, 0].real
-        assert sm.delta_s[m + 1] == nm[0, 1]
+        states.append(nm)
+    states = np.array(states)
+    bound = RTOL * np.max(np.abs(states))
+    assert np.max(np.abs(sm.delta_n - states[:, 0, 0].real)) <= bound
+    assert np.max(np.abs(sm.delta_s - states[:, 0, 1])) <= bound
+
+
+@pytest.mark.parametrize("name", sorted(RHS))
+def test_march_tables_are_bounded_before_allocation(name, monkeypatch):
+    def never(*args):
+        raise AssertionError("a march table was built")
+
+    grid = gqbm.TimeGrid(t_end=2.0, n_steps=40, max_frequency=1.0)
+    me, hpz = _random_coefficients(grid.times)
+    coeffs, init = me, SQUEEZED
+    if name == "evolve_hpz_covariances":
+        coeffs, init = hpz, gqbm.to_quadratures(SQUEEZED)
+    for builder in ("_mean_generator", "_sylvester", "_midpoint_march"):
+        monkeypatch.setattr(moments, builder, never)
+    monkeypatch.setattr(gqbm.errors, "MEMORY_BUDGET_BYTES", 1 << 10)
+    with pytest.raises(ValidationError, match="the moment march needs .* budget"):
+        run_march(name, coeffs, init, grid)
 
 
 def test_covariance_reconstruction_identity(pack_alpha05, coeffs_alpha05,

@@ -17,17 +17,20 @@ from gqbm.errors import (
     guard,
 )
 from gqbm.greens import INSTABILITY_MAX_ABS, _check_finite
-from gqbm.moments import COMMUTATOR_DRIFT_TOL
+from gqbm.moments import COMMUTATOR_DRIFT_TOL, _march_block
 from gqbm.oracle import _require_commutator
 from gqbm.spectral import _LinearTableTransform, _TransformFamily
+
+from test_convolutions import RTOL
+from test_moments import loop_states, recording_march, run_march
 
 GRID = gqbm.TimeGrid(t_end=2.0, n_steps=20, max_frequency=1.0)
 
 
-def _coeffs_with_nan_gamma():
+def _coeffs_with_nan_gamma(at=7):
     n = GRID.n_steps + 1
     gamma = np.zeros(n)
-    gamma[7] = np.nan
+    gamma[at] = np.nan
     return CoefficientSeries(
         times=GRID.times, omega_s=0.5, omega_s_prime=np.full(n, 0.5),
         omega_bar_prime=np.zeros(n, dtype=complex), gamma=gamma,
@@ -36,10 +39,10 @@ def _coeffs_with_nan_gamma():
         radicand_negative=np.zeros(n, dtype=bool))
 
 
-def _hpz_with_nan_damping():
+def _hpz_with_nan_damping(at=7):
     n = GRID.n_steps + 1
     damping = np.zeros(n)
-    damping[7] = np.nan
+    damping[at] = np.nan
     zeros = np.zeros(n)
     return HpzCoefficients(
         times=GRID.times, delta_omega_sq=zeros, gamma_damping=damping,
@@ -123,17 +126,41 @@ def test_monitor_trips_on_nan(name):
         call()
 
 
-# gamma[7] enters the half-step coefficients of the step from t_6 to t_7,
-# so the state at t_7 is the first non-finite one (for the quadrature
-# march, var_p and cov_xp; var_x follows a step later)
-@pytest.mark.parametrize("name", ["evolve_means", "evolve_covariances",
-                                  "evolve_hpz_covariances"])
-def test_moment_monitors_name_the_first_non_finite_time(name):
-    call, error = CASES[name]
-    with pytest.raises(error) as err:
-        call()
+# a NaN coefficient at t_at, with a mean, an occupation or a covariance to
+# carry it, for each moment march
+MARCH_STARTS = {
+    "evolve_means": (_coeffs_with_nan_gamma, gqbm.GaussianMoments(mean_a=1.0)),
+    "evolve_covariances": (_coeffs_with_nan_gamma,
+                           gqbm.GaussianMoments(delta_n=0.1)),
+    "evolve_hpz_covariances": (_hpz_with_nan_damping,
+                               gqbm.QuadratureCovariances(1.0, 1.0, 0.0)),
+}
+BLOCK = _march_block(GRID.n_steps)
+
+
+# the coefficient at t_at enters the half-step coefficients of the step from
+# t_{at-1} to t_at, so the state at t_at is the first non-finite one (for the
+# quadrature march, var_p and cov_xp; var_x follows a step later).  That
+# step lies inside a block, is the last step of a block, or is the first
+# step of a block; either way no earlier state may see the NaN
+@pytest.mark.parametrize("name, at", [
+    pytest.param(name, at, id=name + edge) for name in sorted(MARCH_STARTS)
+    for at, edge in ((2 * BLOCK - 1, ""), (2 * BLOCK, "-block-end"),
+                     (2 * BLOCK + 1, "-block-start"))])
+def test_moment_monitors_name_the_first_non_finite_time(name, at, monkeypatch):
+    make, init = MARCH_STARTS[name]
+    coeffs = make(at)
+    seen = recording_march(monkeypatch)
+    with pytest.raises(NumericalQualityError) as err:
+        run_march(name, coeffs, init, GRID, omega_s=0.5)
+    ref = loop_states(name, coeffs, init, GRID, omega_s=0.5)
+    first = int(np.argmax(~np.all(np.isfinite(ref), axis=1)))
+    assert first == at
     assert re.search(r"at t = (\S+)", str(err.value)).group(1) == (
-        f"{GRID.times[7]:.6g}")
+        f"{GRID.times[first]:.6g}")
+    assert np.all(np.isfinite(seen[0][:first]))
+    assert np.max(np.abs(seen[0][:first] - ref[:first])) <= (
+        RTOL * np.max(np.abs(ref[:first])))
 
 
 def test_commutator_rule_names_the_first_time_past_the_bound():
