@@ -66,7 +66,6 @@ from .spectral import (
     build_kernels,
     default_omega_s,
     discretize_bath,
-    eval_g_v,
     eval_spectral_density,
     kernels_from_bath,
     n_bar,
@@ -78,7 +77,7 @@ __all__ = [
     "__version__",
     # spectral
     "SpectralModel", "Kernel", "BathDiscretization", "build_kernels",
-    "default_omega_s", "discretize_bath", "eval_g_v", "eval_spectral_density",
+    "default_omega_s", "discretize_bath", "eval_spectral_density",
     "kernels_from_bath", "n_bar",
     # greens
     "TimeGrid", "GreensSolution", "InitialCorrelations", "solve_u",

@@ -470,15 +470,24 @@ def test_import_leaves_the_process_pool_unloaded():
     assert _fresh_interpreter(code) == "False"
 
 
+def test_import_leaves_numpy_polynomial_unloaded():
+    # the Gauss-Legendre rule runs its own recurrence, not leggauss
+    code = ("import sys, gqbm, gqbm.cli; "
+            "print('numpy.polynomial' in sys.modules)")
+    assert _fresh_interpreter(code) == "False"
+
+
 def test_quench_oracle_run_loads_no_scipy_or_numpy_ma(tmp_path):
     # nothing is deferred to a lazy import inside the run: the oracle, the
-    # thermal state and the kernel route all stay on numpy
+    # thermal state, the gauss bath and the kernel route all stay on
+    # numpy's core
     argv = (["oracle-compare", "--alpha", "0.5", "--omega-s", "0.3",
              "--quench-from", "0.6", "--out", str(tmp_path / "run")]
             + _SMALL_ORACLE)
     code = (f"import sys, gqbm.cli; code = gqbm.cli.main({argv!r}); "
-            f"print(code, {_LOADED_SCIPY}, 'numpy.ma' in sys.modules)")
-    assert _fresh_interpreter(code) == f"{cli.EXIT_OK} [] False"
+            f"print(code, {_LOADED_SCIPY}, 'numpy.ma' in sys.modules, "
+            f"'numpy.polynomial' in sys.modules)")
+    assert _fresh_interpreter(code) == f"{cli.EXIT_OK} [] False False"
 
 
 def test_byte_identical_reruns(tmp_path, monkeypatch):

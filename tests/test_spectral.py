@@ -5,6 +5,7 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,15 +109,20 @@ def test_default_omega_s_value():
 # ---- scalar transform g_v ---------------------------------------------------
 
 
+def eval_g_v(model, dt):
+    """g_v(dt) = int J_V(w) exp(-i w dt) dw / (2 pi) of the continuum model."""
+    return gqbm.build_kernels(model).g_v(dt)
+
+
 def test_g_v_closed_form_at_zero():
     # sqrt(gamma0 / (8 pi)) with cutoff = 1
-    val = gqbm.eval_g_v(make_model(1.0), 0.0)
+    val = eval_g_v(make_model(1.0), 0.0)
     assert complex(val) == pytest.approx(3.454941494713355e-3, rel=1e-15)
 
 
 def test_g_v_closed_form_at_one():
     # (1 + i t)^-2 at t = 1 is -i/2, so g_v(1) is purely imaginary
-    val = complex(gqbm.eval_g_v(make_model(1.0), 1.0))
+    val = complex(eval_g_v(make_model(1.0), 1.0))
     assert val == pytest.approx(-1.7274707473566775e-3j, rel=1e-15, abs=0)
 
 
@@ -131,14 +137,14 @@ def test_g_v_against_adaptive_quadrature():
                   * math.exp(-w) * math.sin(w * dt) / (2 * math.pi),
                   0.0, np.inf, limit=200)[0]
         ref = re + 1j * im
-        val = complex(gqbm.eval_g_v(model, dt))
+        val = complex(eval_g_v(model, dt))
         assert abs(val - ref) / abs(ref) < 1e-8
 
 
 def test_g_v_long_time_decay():
     model = make_model(1.0)
     t = np.array([10.0, 20.0, 40.0, 80.0])
-    mags = np.abs(gqbm.eval_g_v(model, t))
+    mags = np.abs(eval_g_v(model, t))
     # 1/t^2 asymptotics: magnitude * t^2 approaches a constant
     plateau = mags * t**2
     assert np.all(np.abs(plateau / plateau[-1] - 1.0) < 0.02)
@@ -154,8 +160,8 @@ def test_g_v_tabulated_family_matches_ohmic_shape():
                              tab_omega=om, tab_j=jv)
     ohmic = make_model(1.0, temperature=0.0)
     for dt in (0.0, 1.0, 3.0):
-        a = complex(gqbm.eval_g_v(tab, dt))
-        b = complex(gqbm.eval_g_v(ohmic, dt))
+        a = complex(eval_g_v(tab, dt))
+        b = complex(eval_g_v(ohmic, dt))
         assert abs(a - b) / abs(b) < 5e-5  # limited by table linearization
 
 
@@ -218,7 +224,7 @@ def test_tabulated_g_v_at_zero_is_the_trapezoid_sum():
     for make in _G_V_TABLES.values():
         model = make()
         area = np.sum(spectral._trapezoid_panels(model.tab_j, model.tab_omega))
-        assert complex(gqbm.eval_g_v(model, 0.0)) == pytest.approx(
+        assert complex(eval_g_v(model, 0.0)) == pytest.approx(
             area / (2.0 * math.pi), rel=1e-15, abs=0)
 
 
@@ -485,7 +491,7 @@ def test_discrete_sum_reproduces_g_v():
     bath = gqbm.discretize_bath(model, 2000, 20.0)
     dkernel = gqbm.kernels_from_bath(bath)
     dt = np.linspace(0.0, 10.0, 101)
-    cont = gqbm.eval_g_v(model, dt)
+    cont = eval_g_v(model, dt)
     disc = dkernel.g_v(dt)
     assert np.max(np.abs(cont - disc)) < 1e-4
 
@@ -494,7 +500,7 @@ def test_midpoint_convergence_order():
     # kernel error at fixed dt should drop ~ N^-2 for the midpoint rule
     model = make_model(1.0, temperature=0.0)
     dt = np.array([2.0])
-    exact = gqbm.eval_g_v(model, dt)[0]
+    exact = eval_g_v(model, dt)[0]
     errs = []
     for n in (250, 500, 1000, 2000):
         with warnings.catch_warnings():
@@ -507,14 +513,14 @@ def test_midpoint_convergence_order():
 
 def test_gauss_bath_calls_leggauss_once_per_mode_count(monkeypatch):
     orders = []
-    real_leggauss = np.polynomial.legendre.leggauss
+    real_rule = spectral._gauss_legendre
 
-    def counting_leggauss(order):
+    def counting_rule(order):
         orders.append(order)
-        return real_leggauss(order)
+        return real_rule(order)
 
     spectral._bath_leggauss.cache_clear()
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting_leggauss)
+    monkeypatch.setattr(spectral, "_gauss_legendre", counting_rule)
     try:
         baths = [gqbm.discretize_bath(make_model(alpha), n, 20.0,
                                       scheme="gauss")
@@ -524,11 +530,65 @@ def test_gauss_bath_calls_leggauss_once_per_mode_count(monkeypatch):
         spectral._bath_leggauss.cache_clear()
     assert orders == [64, 65]
     assert not x.flags.writeable and not w.flags.writeable
-    # the cached nodes give the arrays of an uncached leggauss bit for bit
-    x_ref, w_ref = real_leggauss(64)
+    # the cached nodes give the arrays of an uncached rule bit for bit
+    x_ref, w_ref = real_rule(64)
     assert np.array_equal(baths[0].frequencies, 10.0 * (x_ref + 1.0))
     assert np.array_equal(baths[0].weights, 10.0 * w_ref)
     assert baths[0].frequencies.flags.writeable
+
+
+def _mpmath_gauss_legendre(n, start):
+    """40-digit nodes and weights of order n, by Newton on mpmath's own
+    Legendre functions from the float nodes start (quadratic from 1e-16)."""
+    def derivative(x):
+        return n * (mpmath.legendre(n - 1, x)
+                    - x * mpmath.legendre(n, x)) / (1 - x * x)
+
+    nodes, weights = [], []
+    with mpmath.workdps(40):
+        for x0 in start:
+            x = mpmath.mpf(float(x0))
+            for _ in range(3):
+                x -= mpmath.legendre(n, x) / derivative(x)
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * derivative(x) ** 2))
+    return nodes, weights
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 24, 48, 64])
+def test_gauss_legendre_rule_against_mpmath(n):
+    x, w = spectral._gauss_legendre(n)
+    assert x.shape == w.shape == (n,)
+    assert not x.flags.writeable and not w.flags.writeable
+    x_ref, w_ref = _mpmath_gauss_legendre(n, x)
+    assert max(abs(float(a - b)) for a, b in zip(x, x_ref)) <= 2.2e-16
+    assert max(abs(float((a - b) / b)) for a, b in zip(w, w_ref)) <= 2e-13
+    assert abs(w.sum() - 2.0) <= 4e-15
+    assert np.all(np.diff(x) > 0.0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    if n % 2:
+        assert x[n // 2] == 0.0 and not np.signbit(x[n // 2])
+
+
+def test_gauss_legendre_rule_rejects_a_march_cut_short(monkeypatch):
+    # order 64 needs three Newton sweeps; past the cap the rule raises
+    monkeypatch.setattr(spectral, "_NEWTON_SWEEPS", 2)
+    with pytest.raises(QuadratureConvergenceError, match="order 64"):
+        spectral._gauss_legendre(64)
+
+
+@pytest.mark.parametrize("n, weight_rtol", [(300, 1e-10), (400, 1e-9)])
+def test_gauss_legendre_rule_against_numpy_leggauss(n, weight_rtol):
+    # leggauss's own weights are up to 6.3e-11 (n = 300) and 5.7e-10
+    # (n = 400) relative from 40-digit ones, at the nodes next to +-1; the
+    # rule's are within 2.1e-12 there
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = spectral._gauss_legendre(n)
+    x_ref, w_ref = leggauss(n)
+    assert np.max(np.abs(x - x_ref)) <= 2.2e-16
+    assert np.max(np.abs(w / w_ref - 1.0)) <= weight_rtol
+    assert abs(w.sum() - 2.0) <= 4e-15
 
 
 def test_gauss_scheme_nodes_and_validation():
