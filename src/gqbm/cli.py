@@ -239,13 +239,26 @@ class ResultBundle:
 # ---------------------------------------------------------------------------
 
 
+# rows per formatted chunk of a CSV body: bounds the tuple and the string one
+# % builds (one % over a 10^5 x 12 table held 80 MB of them)
+_CSV_CHUNK_ROWS = 1024
+
+
 def _write_csv(path: Path, names: list[str], columns: list[np.ndarray]):
+    """A header line, then one row of "%.16e" fields per index: the bytes of
+    np.savetxt(fmt="%.16e", delimiter=",", comments="").  savetxt formats
+    and writes each row on its own; here one % over the row format repeated
+    formats a chunk of _CSV_CHUNK_ROWS rows, and one write writes it."""
     lengths = {len(c) for c in columns}
     if len(lengths) != 1:
         raise ContractViolationError("CSV columns have mismatched lengths")
-    np.savetxt(path, np.column_stack(columns).astype(float), fmt="%.16e",
-               delimiter=",", header=",".join(names), comments="",
-               encoding="ascii")
+    table = np.column_stack(columns).astype(float, copy=False)
+    row = ",".join(["%.16e"] * table.shape[1]) + "\n"
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(",".join(names) + "\n")
+        for lo in range(0, len(table), _CSV_CHUNK_ROWS):
+            chunk = table[lo:lo + _CSV_CHUNK_ROWS]
+            fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def _write_manifest(path: Path, cfg: RunConfig, reads: set, pipeline: str,
@@ -493,14 +506,22 @@ def run(cfg: RunConfig, pipeline: str) -> ResultBundle:
 _FLAG_NAMES = {"n_steps": "--steps", "quench_omega_s0": "--quench-from"}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The gqbm parser with every subcommand, or with the subcommand `only`
+    alone; the usage line names all of them either way."""
     parser = argparse.ArgumentParser(
         prog="gqbm",
         description="Non-Markovian dissipation and fluctuation dynamics of "
                     "a damped mode with pair-production bath couplings")
-    sub = parser.add_subparsers(dest="pipeline", required=True)
+    # with one subparser built, the metavar keeps all of them in the usage
+    # line; with all built it stays unset, as argparse's errors about a
+    # missing or unknown subcommand name the argument "pipeline" without it
+    every = None if only is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="pipeline", required=True, metavar=every)
     types = {f.name: f.type for f in fields(RunConfig)}
     for pipeline, (_, names) in _SUBCOMMANDS.items():
+        if only not in (None, pipeline):
+            continue
         # an absent flag leaves no entry, so `--omega-s none` can override;
         # no prefix matching, or jolt-sweep would read --alpha as --alpha-list
         p = sub.add_parser(pipeline, allow_abbrev=False,
@@ -517,7 +538,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a command line parses only its own subcommand's flags, so only that
+    # subparser is built; anything else meets the full parser and its errors
+    only = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = _build_parser(only).parse_args(argv)
     ns = vars(args)
     pipeline = ns.pop("pipeline")
     config_path = ns.pop("config", None)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolationError, SingularityError, guard
-from .greens import GreensSolution, v_first_derivative, _zmul
+from .greens import GreensSolution, v_first_derivative, _mul2, _zmul
 from .moments import _diffusion
 from .spectral import Kernel, Z, _trapezoid_panels
 
@@ -83,12 +83,12 @@ def compute_k_lambda(sol: GreensSolution, kernel: Kernel) -> KLambdaSeries:
             "solution carries no equal-time V; run solve_v_fdt first")
     times = sol.grid.times
     uinv = _invert_2x2(sol.u, times)
-    a_ser = np.einsum("tab,tbc->tac", sol.u_dot, uinv)
+    a_ser = _mul2(sol.u_dot, uinv)
     mws = -1j * sol.omega_s * Z
     k = mws[None, :, :] - a_ser
 
-    vdot1 = v_first_derivative(kernel, sol)
-    lam = vdot1 - np.einsum("tab,tbc->tac", a_ser, sol.v_equal_time)
+    lam = v_first_derivative(kernel, sol)
+    lam -= _mul2(a_ser, sol.v_equal_time)
 
     return KLambdaSeries(
         times=times, k=k, lam=lam, omega_s=sol.omega_s,

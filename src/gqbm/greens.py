@@ -148,6 +148,16 @@ def _zmul(mats: np.ndarray) -> np.ndarray:
     return out
 
 
+def _mul2(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None):
+    """a @ b for (..., 2, 2) stacks that broadcast, written out elementwise:
+    np.matmul makes one BLAS call per 2x2 matrix of a stack, several times
+    the cost of these three whole-stack operations.  out, if given, must not
+    overlap a or b."""
+    out = np.multiply(a[..., :, :1], b[..., :1, :], out=out)
+    out += a[..., :, 1:] * b[..., 1:, :]
+    return out
+
+
 def require_volterra_budget(n_steps: int):
     """Reject a Volterra march whose two (n+1)^2 x 2 x 2 complex tables,
     128 (n+1)^2 bytes, exceed the memory budget: 1 GiB admits n_steps up
@@ -318,8 +328,12 @@ def _fast_lengths(bits: int) -> tuple[int, ...]:
     top = 1 << bits
     lengths = [1]
     for p in (2, 3, 5, 7, 11):
-        lengths = [m * p**e for m in lengths for e in range(bits + 1)
-                   if m * p**e <= top]
+        grown = []
+        for m in lengths:        # m, m p, m p^2, ... up to the bound
+            while m <= top:
+                grown.append(m)
+                m *= p
+        lengths = grown
     return tuple(sorted(lengths))
 
 
@@ -369,16 +383,22 @@ def _fdt_double_integral(inner: np.ndarray, udag: np.ndarray,
     with the causal convolutions C_m = sum_i X_i K_{m-i} and
     E_m = sum_k K_{k-m} Y_k; the half weights subtract row and column 0
     and m and add back the four corners.  O(n log n) in all.
+
+    The 2x2 products go through _mul2, not np.matmul: matmul makes one BLAS
+    call per matrix of a stack, and at n = 600 each product cost five times
+    as much as the elementwise form.  xe and cy enter only as their sum, so
+    one array holds it, and the inner products share one scratch array.
     """
     k_pos = zgtz[n:]                          # K_d, d = 0..n
     k_neg = zgtz[n::-1]                       # K_{-d}, d = 0..n
-    xe = inner @ _causal_matconv(k_neg, udag)     # X_m E_m
-    cy = _causal_matconv(inner, k_pos) @ udag     # C_m Y_m
-    diag = inner @ zgtz[n] @ udag                 # X_m K_0 Y_m
-    row0 = inner[0] @ (k_pos @ udag)              # X_0 K_m Y_m
-    col0 = (inner @ k_neg) @ udag[0]              # X_m K_{-m} Y_0
-    unweighted = np.cumsum(xe + cy - diag, axis=0)
-    edges = np.cumsum(row0, axis=0) + np.cumsum(col0, axis=0) + xe + cy
+    xe_cy = _mul2(inner, _causal_matconv(k_neg, udag))      # X_m E_m
+    xe_cy += _mul2(_causal_matconv(inner, k_pos), udag)     # + C_m Y_m
+    tmp = np.empty_like(xe_cy)
+    diag = _mul2(_mul2(inner, zgtz[n], tmp), udag)          # X_m K_0 Y_m
+    row0 = _mul2(inner[0], _mul2(k_pos, udag, tmp))         # X_0 K_m Y_m
+    col0 = _mul2(_mul2(inner, k_neg, tmp), udag[0])         # X_m K_{-m} Y_0
+    unweighted = np.cumsum(xe_cy - diag, axis=0)
+    edges = np.cumsum(row0, axis=0) + np.cumsum(col0, axis=0) + xe_cy
     corners = diag[0] + row0 + col0 + diag
     out = dt * dt * (unweighted - 0.5 * edges + 0.25 * corners)
     out[0] = 0.0
@@ -411,7 +431,7 @@ def v_first_derivative(kernel: Kernel, sol: GreensSolution) -> np.ndarray:
     vdot = _fdt_double_integral(sol.u_dot, udag, zgtz, n, dt)
 
     # cumulative trapezoid of the boundary integrand ZGt(s)Z U(s)^dag
-    integrand = np.einsum("kab,kbc->kac", zgtz[n:2 * n + 1], udag)
+    integrand = _mul2(zgtz[n:2 * n + 1], udag)
     increments = 0.5 * dt * (integrand[:-1] + integrand[1:])
     vdot[1:] += np.cumsum(increments, axis=0)
     return vdot
@@ -550,8 +570,8 @@ def correlated_correction(bath: BathDiscretization, corr: InitialCorrelations,
     e[:, 1, 1] = phase_sum(wk * sp_k, vk * np.conj(np_k))
 
     ze = _zmul(e)
-    conv = _causal_matconv(u, ze) - 0.5 * (u @ ze[0] + u[0] @ ze)
-    term1 = -1j * dt * conv @ np.conj(np.swapaxes(u, -1, -2))
+    conv = _causal_matconv(u, ze) - 0.5 * (_mul2(u, ze[0]) + _mul2(u[0], ze))
+    term1 = -1j * dt * _mul2(conv, np.conj(np.swapaxes(u, -1, -2)))
     out = term1 + np.conj(np.swapaxes(term1, -1, -2))
     out[0] = 0.0
     return out

@@ -149,11 +149,14 @@ def test_every_key_round_trips_from_file_and_environment(f, tmp_path):
     assert cli._read_config(None, env, None) == want
 
 
-def _subparsers() -> dict:
-    parser = cli._build_parser()
+def _subparsers_of(parser) -> dict:
     action = next(a for a in parser._actions
                   if isinstance(a, argparse._SubParsersAction))
     return action.choices
+
+
+def _subparsers() -> dict:
+    return _subparsers_of(cli._build_parser())
 
 
 def test_each_subcommand_takes_exactly_the_flags_it_reads():
@@ -181,6 +184,36 @@ def test_a_flag_parses_its_text_as_file_and_environment_do(tmp_path):
     assert cli._read_config(str(ini), {}, vars(ns)).omega_s is None
     assert cli._read_config(str(ini), {"GQBM_OMEGA_S": "none"},
                             None).omega_s is None
+
+
+def _parse_error(parse, argv, capsys) -> tuple[int, str]:
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code, capsys.readouterr().err
+
+
+def test_main_builds_only_the_named_subcommand(monkeypatch, tmp_path,
+                                              capsys):
+    full = cli._build_parser
+    built = []
+
+    def recording(only=None):
+        parser = full(only)
+        built.append(list(_subparsers_of(parser)))
+        return parser
+
+    monkeypatch.setattr(cli, "_build_parser", recording)
+    monkeypatch.setattr(os, "environ", {})
+    assert cli.main(["kernels", "--t-end", "2", "--steps", "40",
+                     "--out", str(tmp_path)]) == cli.EXIT_OK
+    assert built == [["kernels"]]
+    # an unrecognized flag, an unknown and a missing subcommand read as
+    # they do on the parser with every subcommand
+    for argv in (["coeffs", "--mass", "1"], ["coef"], []):
+        got = _parse_error(cli.main, argv, capsys)
+        assert got == _parse_error(full().parse_args, argv, capsys), argv
+    assert built[1:] == [["coeffs"], list(cli._SUBCOMMANDS),
+                         list(cli._SUBCOMMANDS)]
 
 
 def test_a_bad_flag_value_names_the_type_it_wants(capsys):
@@ -233,6 +266,36 @@ def test_optional_float_and_bool_parsers():
     assert cli._parse_bool("off") is False
     with pytest.raises(ValidationError):
         cli._parse_bool("maybe")
+
+
+def _savetxt_csv(path, names, columns):
+    """The writer as it was: np.savetxt, which formats and writes row by row."""
+    np.savetxt(path, np.column_stack(columns).astype(float), fmt="%.16e",
+               delimiter=",", header=",".join(names), comments="",
+               encoding="ascii")
+
+
+CSV_SPECIALS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf,
+                np.nan, 1.0, -2.5e-7, np.pi]
+
+
+# a single column, a table within one chunk, one of exactly one chunk, and
+# one longer than two chunks
+@pytest.mark.parametrize("rows, cols", [
+    (len(CSV_SPECIALS), 1), (len(CSV_SPECIALS), 5),
+    (cli._CSV_CHUNK_ROWS, 2), (2 * cli._CSV_CHUNK_ROWS + 7, 8)])
+def test_write_csv_is_savetxt_byte_for_byte(rows, cols, tmp_path):
+    rng = np.random.default_rng(rows + cols)
+    table = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(
+        -320, 307, size=(rows, cols))
+    for j in range(cols):                 # each column holds every special
+        table[(np.arange(len(CSV_SPECIALS)) + j) % rows, j] = CSV_SPECIALS
+    names = [f"c{j}" for j in range(cols)]
+    columns = list(table.T)
+    _savetxt_csv(tmp_path / "ref.csv", names, columns)
+    cli._write_csv(tmp_path / "new.csv", names, columns)
+    assert ((tmp_path / "new.csv").read_bytes()
+            == (tmp_path / "ref.csv").read_bytes())
 
 
 def test_write_csv_rejects_ragged_columns(tmp_path):

@@ -16,6 +16,7 @@ import scipy.fft
 
 import gqbm
 from gqbm import greens
+from gqbm.coeffs import _invert_2x2
 from gqbm.errors import InstabilityError, require
 from gqbm.greens import (
     GreensSolution,
@@ -284,6 +285,98 @@ def test_correlated_correction_temporaries_stay_within_the_bound(monkeypatch):
     assert sizes and max(sizes) <= 4e6
     _assert_matches_loop(
         fast, _outer_product_correlated_correction(bath, corr, u, grid))
+
+
+# ---- 2x2 stack products: elementwise against the matmul forms they replaced --
+
+MUL2_RTOL = 1e-14
+
+
+def _matmul_fdt_double_integral(inner, udag, zgtz, n, dt):
+    """_fdt_double_integral with its products through np.matmul, as it was."""
+    k_pos = zgtz[n:]                          # K_d, d = 0..n
+    k_neg = zgtz[n::-1]                       # K_{-d}, d = 0..n
+    xe = inner @ greens._causal_matconv(k_neg, udag)     # X_m E_m
+    cy = greens._causal_matconv(inner, k_pos) @ udag     # C_m Y_m
+    diag = inner @ zgtz[n] @ udag                 # X_m K_0 Y_m
+    row0 = inner[0] @ (k_pos @ udag)              # X_0 K_m Y_m
+    col0 = (inner @ k_neg) @ udag[0]              # X_m K_{-m} Y_0
+    unweighted = np.cumsum(xe + cy - diag, axis=0)
+    edges = np.cumsum(row0, axis=0) + np.cumsum(col0, axis=0) + xe + cy
+    corners = diag[0] + row0 + col0 + diag
+    out = dt * dt * (unweighted - 0.5 * edges + 0.25 * corners)
+    out[0] = 0.0
+    return out
+
+
+def _matmul_chain(kernel, sol):
+    """V, dV/dtau, K and Lambda as solve_v_fdt, v_first_derivative and
+    compute_k_lambda computed them through np.matmul and einsum."""
+    grid = sol.grid
+    n, dt = grid.n_steps, grid.dt
+    zgtz = kernel.zgtz_signed_table(grid)
+    udag = np.conj(np.swapaxes(sol.u, -1, -2))
+    v = _matmul_fdt_double_integral(sol.u, udag, zgtz, n, dt)
+    vdot = _matmul_fdt_double_integral(sol.u_dot, udag, zgtz, n, dt)
+    integrand = np.einsum("kab,kbc->kac", zgtz[n:2 * n + 1], udag)
+    vdot[1:] += np.cumsum(0.5 * dt * (integrand[:-1] + integrand[1:]), axis=0)
+    uinv = _invert_2x2(sol.u, grid.times)
+    a_ser = np.einsum("tab,tbc->tac", sol.u_dot, uinv)
+    k = (-1j * sol.omega_s * Z)[None, :, :] - a_ser
+    lam = vdot - np.einsum("tab,tbc->tac", a_ser, v)
+    return {"v": v, "vdot": vdot, "k": k, "lam": lam}
+
+
+def _assert_matches_matmul(fast, ref):
+    assert np.max(np.abs(fast - ref)) <= MUL2_RTOL * np.max(np.abs(ref))
+    # exact zeros (no pairing, the t = 0 rows) stay exact zeros
+    assert np.array_equal(fast == 0, ref == 0)
+
+
+def _stack(rng, *shape):
+    return rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
+
+
+def test_mul2_is_matmul_on_every_broadcast_form_it_is_used_with():
+    rng = np.random.default_rng(11)
+    n = 601
+    a, b, zgtz = _stack(rng, n), _stack(rng, n), _stack(rng, 2 * n - 1)
+    k_neg = zgtz[n - 1::-1]                   # the negative-stride K_{-d} view
+    forms = {"stack @ stack": (a, b), "stack @ single": (a, b[0]),
+             "single @ stack": (a[0], b), "view @ stack": (k_neg, b),
+             "stack @ view": (a, k_neg)}
+    for form, (x, y) in forms.items():
+        ref = np.matmul(x, y)
+        out = greens._mul2(x, y)
+        assert out.shape == ref.shape, form
+        assert np.max(np.abs(out - ref)) <= MUL2_RTOL * np.max(np.abs(ref)), form
+        into = np.empty_like(ref)
+        assert greens._mul2(x, y, into) is into
+        assert np.array_equal(into, out), form
+
+
+@pytest.mark.parametrize("pack", ["pack_alpha0", "pack_alpha05", "pack_alpha1"])
+def test_v_route_and_k_lambda_match_the_matmul_forms(pack, request):
+    # the n = 2000 grid of the paper point
+    _, kernel, sol = request.getfixturevalue(pack)
+    ref = _matmul_chain(kernel, sol)
+    kl = gqbm.compute_k_lambda(sol, kernel)
+    fast = {"v": gqbm.solve_v_fdt(kernel, sol.u, sol.grid),
+            "vdot": greens.v_first_derivative(kernel, sol),
+            "k": kl.k, "lam": kl.lam}
+    for key in ref:
+        _assert_matches_matmul(fast[key], ref[key])
+
+
+def test_correlated_correction_matches_the_matmul_form(monkeypatch):
+    # the matmul form is the library's own code with np.matmul for _mul2
+    grid, kbath, corr, u = _quench_point()
+    fast = gqbm.correlated_correction(kbath, corr, u, grid)
+    monkeypatch.setattr(greens, "_mul2",
+                        lambda a, b, out=None: np.matmul(a, b, out=out))
+    ref = gqbm.correlated_correction(kbath, corr, u, grid)
+    assert np.max(np.abs(ref)) > 0.0
+    _assert_matches_matmul(fast, ref)
 
 
 # ---- solve_u: divide-and-conquer history against the per-step sum -----------
