@@ -18,7 +18,9 @@ for which both transforms are closed forms at every temperature: g_v is
 amp (1/cutoff + i dt)^-2 and gtilde_v, the Bose series summed term by term,
 is amp T^2 zeta(2, 1 + T/cutoff + i T dt), with amp = sqrt(gamma0/(8 pi cutoff))
 and zeta the Hurwitz zeta function.  A tabulated J_V is piecewise linear, so
-its g_v is a closed form too; only its gtilde_v runs a frequency quadrature.
+its g_v is a closed form too, and its gtilde_v is the same Bose series: g_v
+summed at the complex times dt - i k/T, each knot's terms past at most 256
+closed by Euler-Maclaurin.  No transform runs a frequency quadrature.
 Everything is expressed in units of the cutoff (hbar = k_B = 1).
 
 2x2 kernel layout (basis a, a^dagger):
@@ -50,7 +52,6 @@ from .errors import (
     ValidationError,
     guard,
     require,
-    require_budget,
     require_count,
 )
 
@@ -61,7 +62,8 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _FAMILIES = ("ohmic", "tabulated")
 _CHANNELS = ("v", "w", "vw")
 
-# Self-check tolerance of the frequency quadrature (relative, on probe offsets).
+# Most a-priori roundoff a tabulated transform's knot sum may carry, relative
+# to the transform at dt = 0.
 QUADRATURE_RTOL = 1e-8
 # Below |dt| w_M = _TAYLOR_PHASE the knot sum of _LinearTableTransform loses
 # digits to cancellation, as (dt w_M)^-2; there g_v is its Taylor series,
@@ -69,15 +71,28 @@ QUADRATURE_RTOL = 1e-8
 # omitted term is below 4^40 / 40! < 1e-24 of g_v(0).
 _TAYLOR_PHASE = 4.0
 _TAYLOR_TERMS = 40
+# A knot leaves the Bose sum of a tabulated gtilde_v once the bound on its
+# remaining terms is below _BOSE_TAIL of all the terms' magnitudes at t = 0.
+_BOSE_TAIL = 1e-18
+# Most terms a Bose sum runs: a knot still live past them has w/T < 0.17,
+# and its later terms are summed per offset by _fraction_tails, in chunks of
+# at most _TAIL_ELEMENTS knot-offset pairs.
+_BOSE_TERMS = 256
+_TAIL_ELEMENTS = 250_000
+# Euler-Maclaurin closes a knot's Bose sum from its term _EM_START on (or
+# from the end of the Taylor branch's terms, if later), by a power series of
+# _SERIES_TERMS terms, if w/T |_EM_START + i T t| <= _SERIES_RADIUS.
+_EM_START = 13
+_SERIES_RADIUS = 2.0
+_SERIES_TERMS = 30
+_EULER_GAMMA = 0.5772156649015329
 # Kernel.metadata["transforms"] of a tabulated kernel.
 TABULATED_TRANSFORM_SCHEME = (
     f"closed form g_v of the piecewise-linear table (Filon; Taylor below "
-    f"|dt| w_M = {_TAYLOR_PHASE:g}), composite-gauss-legendre gtilde_v on "
-    f"[0, min(w_M, 50 T)] with self-refinement check")
-# Largest oscillation phase handled by a single Gauss-Legendre panel.
-_MAX_PANEL_PHASE = 350.0
-_BASE_PANEL_NODES = 24
-_NODES_PER_PHASE = 0.55
+    f"|dt| w_M = {_TAYLOR_PHASE:g}), gtilde_v as its Bose sum over "
+    f"g_v(dt - i k/T), knots dropped below {_BOSE_TAIL:g} of its scale, at "
+    f"most {_BOSE_TERMS} terms, later ones by Euler-Maclaurin (power series "
+    f"or continued fraction of E_s), the zero knot's by Hurwitz zeta(2, a)")
 # Newton sweeps of _gauss_legendre: at most three are needed up to order
 # 2001, and they stop once the estimated error left in a node is below tol.
 _NEWTON_SWEEPS = 8
@@ -180,28 +195,24 @@ def eval_spectral_density(model: SpectralModel, omega, channel: str = "v") -> np
 
 
 # ---------------------------------------------------------------------------
-# frequency quadrature for the oscillatory transforms
+# oscillatory transforms and Gauss-Legendre nodes
 # ---------------------------------------------------------------------------
-
-
-def _panel_edges(omega_max: float, inner_scale: float,
-                 knots: np.ndarray) -> list[float]:
-    # Geometric refinement toward omega = 0 resolves the Bose factor, whose
-    # structure lives on the temperature scale, without wasting nodes at the
-    # cutoff scale.
-    first = min(max(inner_scale, omega_max * 1e-8), omega_max)
-    edges = [0.0, first]
-    while edges[-1] < omega_max:
-        edges.append(min(edges[-1] * 5.0, omega_max))
-    # Tabulated profiles are only piecewise smooth; panels must break at the
-    # table nodes or Gauss-Legendre loses its convergence order.
-    interior = knots[(knots > 0.0) & (knots < omega_max)]
-    return sorted(set(edges).union(float(k) for k in interior))
 
 
 def _offsets(dt) -> np.ndarray:
     """Time offsets as a float array; NaN or infinite offsets are rejected."""
     return require("kernel time offsets", np.asarray(dt, dtype=float))
+
+
+def _lattice(dt: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(coarse, fine) with dt = (coarse[:, None] + fine).ravel()[:n] if
+    dt is the 1-d lattice k h, k = 0..n-1 (a TimeGrid's times), else None;
+    fine has ceil(sqrt(n)) entries."""
+    n = dt.size
+    if dt.ndim != 1 or n < 2 or not np.array_equal(dt, np.arange(n) * dt[1]):
+        return None
+    rows = math.isqrt(n - 1) + 1
+    return np.arange(-(-n // rows)) * (rows * dt[1]), np.arange(rows) * dt[1]
 
 
 def _exp_sum(weights: np.ndarray, freqs: np.ndarray, dt) -> np.ndarray:
@@ -218,10 +229,10 @@ def _exp_sum(weights: np.ndarray, freqs: np.ndarray, dt) -> np.ndarray:
     dt = _offsets(dt)
     flat = dt.ravel()
     n = flat.size
-    if dt.ndim == 1 and n > 1 and np.array_equal(flat, np.arange(n) * flat[1]):
-        rows = math.isqrt(n - 1) + 1
-        coarse = np.arange(-(-n // rows)) * (rows * flat[1])
-        fine = np.arange(rows) * flat[1]
+    split = _lattice(dt)
+    if split is not None:
+        coarse, fine = split
+        rows = fine.size
         out = np.zeros((coarse.size, rows), dtype=complex)
         step = max(1, int(4e6 // (coarse.size + rows)))
         for j in range(0, freqs.size, step):
@@ -287,99 +298,11 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-@functools.lru_cache(maxsize=None)
-def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """The panel rules' nodes, cached by order.  A sub-panel's phase is at
-    most _MAX_PANEL_PHASE, so an order never exceeds 2 (24 + floor(0.55 *
-    350)) = 432: the cache holds at most 432 entries, under 1.5 MB."""
-    return _gauss_legendre(order)
-
-
 @functools.lru_cache(maxsize=8)
 def _bath_leggauss(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
-    """The gauss bath's nodes, cached by mode count.  Bath sizes are not
-    bounded by the panel phase; the rule takes about 15 ms at 2000 modes,
-    and a run reuses a handful of sizes."""
+    """The gauss bath's nodes, cached by mode count: the rule takes about
+    15 ms at 2000 modes, and a run reuses a handful of sizes."""
     return _gauss_legendre(n_modes)
-
-
-class _FourierRule:
-    """Composite Gauss-Legendre rule for integrals of f(w) exp(-i w dt).
-
-    Panel node counts scale with the largest oscillation phase the rule has
-    to resolve, so accuracy is uniform over |dt| <= dt_max.
-    """
-
-    def __init__(self, weight_fn: Callable[[np.ndarray], np.ndarray],
-                 omega_max: float, inner_scale: float, dt_max: float,
-                 knots: np.ndarray, refine: int = 1):
-        edges = np.array(_panel_edges(omega_max, inner_scale, knots))
-        widths = np.diff(edges)
-        n_subs = np.maximum(1, np.ceil(widths * dt_max / _MAX_PANEL_PHASE))
-        # the sub-panel orders below sum to at most bound; building takes
-        # about 80 bytes a node (74 measured with the thermal weight)
-        bound = refine * float(np.sum(n_subs * _BASE_PANEL_NODES
-                                      + _NODES_PER_PHASE * widths * dt_max))
-        require_budget(f"a quadrature rule of up to {bound:.3e} nodes on "
-                       f"omega <= {omega_max:g} for |dt| <= {dt_max:g}",
-                       80.0 * bound, "nodes")
-        nodes = []
-        weights = []
-        for lo, hi, n_sub in zip(edges[:-1], edges[1:], n_subs.astype(int)):
-            sub = np.linspace(lo, hi, n_sub + 1)
-            for a, b in zip(sub[:-1], sub[1:]):
-                n_p = refine * (_BASE_PANEL_NODES
-                                + int(_NODES_PER_PHASE * (b - a) * dt_max))
-                x, w = _leggauss(n_p)
-                nodes.append(0.5 * (b - a) * x + 0.5 * (b + a))
-                weights.append(0.5 * (b - a) * w)
-        self.nodes = np.concatenate(nodes)
-        self.weights = np.concatenate(weights) * weight_fn(self.nodes)
-        self.n_nodes = self.nodes.size
-
-    def transform(self, dt: np.ndarray) -> np.ndarray:
-        return _exp_sum(self.weights, self.nodes, dt)
-
-
-class _TransformFamily:
-    """Caches _FourierRule instances per |dt| range and self-checks them."""
-
-    def __init__(self, weight_fn, omega_max: float, inner_scale: float,
-                 label: str, knots: np.ndarray):
-        self.weight_fn = weight_fn
-        self.omega_max = omega_max
-        self.inner_scale = inner_scale
-        self.label = label
-        self.knots = knots
-        self._rules: dict[float, _FourierRule] = {}
-
-    def _rule_for(self, dt_max: float) -> _FourierRule:
-        bucket = 2.0 ** math.ceil(math.log2(max(dt_max, 1e-3)))
-        rule = self._rules.get(bucket)
-        if rule is None:
-            rule = _FourierRule(self.weight_fn, self.omega_max,
-                                self.inner_scale, bucket, self.knots)
-            self._self_check(rule, bucket)
-            self._rules[bucket] = rule
-        return rule
-
-    def _self_check(self, rule: _FourierRule, bucket: float):
-        fine = _FourierRule(self.weight_fn, self.omega_max,
-                            self.inner_scale, bucket, self.knots, refine=2)
-        probes = np.array([0.0, 0.25 * bucket, 0.5 * bucket, bucket])
-        coarse = rule.transform(probes)
-        ref = fine.transform(probes)
-        scale = max(np.max(np.abs(ref)), 1e-300)
-        guard(np.max(np.abs(coarse - ref)) / scale, QUADRATURE_RTOL,
-              QuadratureConvergenceError,
-              f"{self.label} transform's relative deviation from its "
-              f"refinement ({rule.n_nodes} nodes, refined {fine.n_nodes}, on "
-              f"omega <= {self.omega_max:g}, |dt| <= {bucket:g})")
-
-    def __call__(self, dt) -> np.ndarray:
-        dt = _offsets(dt)
-        dt_max = float(np.max(np.abs(dt))) if dt.size else 0.0
-        return self._rule_for(dt_max).transform(dt)
 
 
 class _LinearTableTransform:
@@ -431,20 +354,300 @@ class _LinearTableTransform:
 
     def __call__(self, dt) -> np.ndarray:
         dt = _offsets(dt)
-        top = self.knots[-1]
-        out = _exp_sum(self.knot_weights, self.knots, dt).ravel()
         t = dt.ravel()
-        far = np.abs(t) * top >= _TAYLOR_PHASE
-        inv = 1.0 / t[far]
-        ends = (self.f_last * np.exp(-1j * top * t[far])
-                - self.f_first * np.exp(-1j * self.knots[0] * t[far]))
-        out[far] = (1j * ends + out[far] * inv) * inv
-        tau = -1j * top * t[~far]
-        near = np.zeros(tau.shape, dtype=complex)
-        for coeff in self.taylor[::-1]:
-            near = near * tau + coeff
-        out[~far] = near
+        ends = (self.f_last * np.exp(-1j * self.knots[-1] * t)
+                - self.f_first * np.exp(-1j * self.knots[0] * t))
+        sums = _exp_sum(self.knot_weights, self.knots, dt).ravel()
+        return self.assemble(t, sums, ends).reshape(dt.shape)
+
+    def assemble(self, tau: np.ndarray, sums: np.ndarray, ends: np.ndarray,
+                 taylor: bool = True) -> np.ndarray:
+        """g_v at the real or complex times tau, given there the knot sum
+        and the end terms of the Filon form (each possibly damped); a caller
+        that knows every |tau| w_M >= _TAYLOR_PHASE passes taylor=False."""
+        if not taylor:
+            inv = 1.0 / tau
+            return (1j * ends + sums * inv) * inv
+        near = np.abs(tau) * self.knots[-1] < _TAYLOR_PHASE
+        inv = 1.0 / np.where(near, 1.0, tau)
+        out = (1j * ends + sums * inv) * inv
+        if near.any():
+            x = -1j * self.knots[-1] * tau[near]
+            series = np.zeros(x.shape, dtype=complex)
+            for coeff in self.taylor[::-1]:
+                series = series * x + coeff
+            out[near] = series
+        return out
+
+
+def _dilog_exp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Li_2(e^-x) and Li_2(e^-x) - pi^2/6, Li_2(q) = sum_{k >= 1} q^k / k^2,
+    elementwise for x >= 0.
+
+    Below x = ln 2, Euler's reflection Li_2(q) = pi^2/6 - ln q ln(1 - q)
+    - Li_2(1 - q) takes the series to 1 - q <= 1/2, where its 50 terms
+    leave less than 2^-51 / 51^2 < 1e-18; there the difference from pi^2/6
+    comes without the constant, so it keeps its digits as x -> 0, and above
+    the sum itself keeps them as it vanishes.
+    """
+    one_minus_q = -np.expm1(-x)
+    mirror = x < math.log(2.0)
+    y = np.where(mirror, one_minus_q, np.exp(-x))
+    series = np.zeros_like(y)
+    for k in range(50, 0, -1):
+        series = (series + 1.0 / k**2) * y
+    reflected = x * np.log(np.where(x > 0.0, one_minus_q, 1.0)) - series
+    return (np.where(mirror, reflected + math.pi**2 / 6.0, series),
+            np.where(mirror, reflected, series - math.pi**2 / 6.0))
+
+
+class _BoseSumTransform:
+    """gtilde_v of a tabulated J_V at T > 0, as the Bose sum of its g_v.
+
+    For w > 0, nbar(w) = sum_{k >= 1} e^{-k w/T}, so gtilde_v(t) is
+    sum_k g_v(tau_k) at the complex times tau_k = t - i k/T, each in the
+    closed form of _LinearTableTransform: the knot weights c_j and the end
+    terms are damped by e^{-k w_j/T}, so each k is one _exp_sum (which
+    keeps its lattice GEMM), and |tau_k| w_M < _TAYLOR_PHASE takes the
+    Taylor branch at complex tau_k.  Knot j is needed up to the last k at
+    which the bound T^2 |c_j| e^{-k w_j/T} / (1 - e^{-w_j/T}) on its terms
+    from k on is at least _BOSE_TAIL of the sum over all knots of the
+    magnitudes of their terms at t = 0 (the end terms alike, with T for
+    T^2), and the knot at w = 0 (J = 0 there is required), undamped, in
+    every term.
+
+    In 1/tau_k = i T / (k + i T t), a knot's terms are -T^2 c_j
+    e^{-r_j (k + a)} (k + a)^-2 and an end term's -T f e^{-r_j (k + a)}
+    (k + a)^-1, with r_j = w_j/T and a = i T t, so the terms of one knot
+    past any k are a sum that Euler-Maclaurin closes (_euler_maclaurin).
+    Each call splits the knots by the largest |t| it is given (plan): with
+    N the later of term 13 and the first past the Taylor branch, one whose
+    r_j |N + a| <= _SERIES_RADIUS everywhere runs N - 1 terms and then the
+    power series of that closed form, summed over all such knots at once
+    (_series_tails); one that needs more than _BOSE_TERMS terms runs
+    _BOSE_TERMS and then the continued fraction of E_s per knot and offset
+    (_fraction_tails); the rest run their own number of terms.  Ordered by
+    that number, the knots and end terms of each term are a prefix.
+    """
+
+    def __init__(self, g_v: _LinearTableTransform, temperature: float):
+        self.g_v, self.temperature = g_v, temperature
+        ends = np.array([g_v.f_last, -g_v.f_first])
+        weights = np.concatenate([g_v.knot_weights, ends[ends != 0.0]])
+        freqs = np.concatenate([g_v.knots, np.array(
+            [g_v.knots[-1], g_v.knots[0]])[ends != 0.0]])
+        knot = np.arange(freqs.size) < g_v.knots.size
+        rates, mags = freqs / temperature, np.abs(weights)
+        power = np.where(knot, temperature**2, temperature)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            log_rest = np.log(-np.expm1(-rates))  # ln(1 - q), q = e^{-w/T}
+            # each term's sum over k is largest at t = 0, where i/tau_k =
+            # -T/k turns it into T ln(1 - q) for an end term and -T^2 Li_2(q)
+            # for a knot; the signed sums give gtilde_v(0) = max |gtilde_v|,
+            # and their magnitudes the a-priori roundoff.  The knot weights
+            # sum to 0, so Li_2(q) - pi^2/6 serves as well as Li_2(q); of
+            # the two, the sum with the smaller terms keeps more digits
+            li2, shifted = _dilog_exp(rates)
+            at_knot = (shifted if mags[knot] @ np.abs(shifted[knot])
+                       < mags[knot] @ li2[knot] else li2)
+            self.at_zero = -float(weights @ (power * np.where(
+                knot, at_knot, -log_rest)))
+            share = power * np.where(knot, li2, -log_rest)
+            scale = mags @ share
+            guard(np.finfo(float).eps * scale / abs(self.at_zero) if scale
+                  else 0.0, QUADRATURE_RTOL, QuadratureConvergenceError,
+                  "a-priori roundoff of the tabulated gtilde_v's Bose sum")
+            # the last k of each term by the tail rule, |tau_k| >= 1/T
+            # bounding its share past k by |w| T^s q^k / (1 - q); the zero
+            # knot's terms never shrink
+            decaying = rates > 0.0
+            last = np.where(decaying, np.floor((np.log(
+                mags * power / (_BOSE_TAIL * (scale or 1.0))) - log_rest)
+                / rates), math.inf)
+        live = (last >= 1.0) & (weights != 0.0)
+        self.knot, self.rates, self.last = knot[live], rates[live], last[live]
+        self.freqs, self.weights = freqs[live], weights[live]
+        self.zero_weight = 0.0 if decaying[0] else weights[0]
+        # the prefactor of each term past the loop: -T^2 per knot, -T per end
+        self.scaled = -np.where(self.knot, temperature, 1.0) * (
+            temperature * self.weights)
+
+    def plan(self, t_max: float) -> tuple[np.ndarray, np.ndarray, int]:
+        """For offsets up to |t| = t_max: the number of loop terms of each
+        live knot and end term, which of them continue as the series, and
+        its first term.  Every live term is in the loop while the Taylor
+        branch can run, k w_M < _TAYLOR_PHASE T, up to _BOSE_TERMS."""
+        near = _TAYLOR_PHASE * self.temperature / self.g_v.knots[-1]
+        start = int(min(max(_EM_START, math.ceil(near)), _BOSE_TERMS + 1))
+        terms = np.minimum(self.last, _BOSE_TERMS)
+        radius = _SERIES_RADIUS / abs(complex(start, self.temperature
+                                              * t_max))
+        zero = self.rates == 0.0  # in every term, then zeta(2, a)
+        series = (self.rates <= radius) & (self.last >= start) & ~zero
+        terms[series] = start - 1
+        terms[zero] = terms[~zero].max(initial=0.0)
+        return terms, series, start
+
+    def __call__(self, dt) -> np.ndarray:
+        dt = _offsets(dt)
+        t = dt.ravel()
+        temp = self.temperature
+        terms, series, start = self.plan(np.max(np.abs(t), initial=0.0))
+        loop = int(terms.max(initial=0.0))
+        out = (-self.zero_weight * temp) * temp * _hurwitz_zeta2(
+            loop + 1.0 + 1j * temp * t)
+        fraction = (self.last > terms) & (self.rates > 0.0) & ~series
+        for knot in (True, False):
+            cols = self.knot == knot
+            order = 2 if knot else 1
+            if (series & cols).any():
+                out += _series_tails(start + 1j * temp * t,
+                                     self.rates[series & cols],
+                                     self.scaled[series & cols], order)
+            if (fraction & cols).any():
+                out += _fraction_tails(_BOSE_TERMS + 1.0 + 1j * temp * t,
+                                       self.rates[fraction & cols],
+                                       self.scaled[fraction & cols], order)
+        # the loop: each term's knots and end terms are a prefix of these
+        rank = np.argsort(-terms, kind="stable")
+        knots, ends = rank[self.knot[rank]], rank[~self.knot[rank]]
+        counts = [np.searchsorted(-terms[cols], -np.arange(1, loop + 1),
+                                  "right") for cols in (knots, ends)]
+        freqs, weights = self.freqs[knots], self.weights[knots]
+        end_freqs, end_weights = self.freqs[ends], self.weights[ends]
+        phases = np.exp(-1j * np.outer(end_freqs, t))
+        # on a lattice, every term's knot sum is _exp_sum's GEMM over the
+        # same two factors; they are built once if they fit its bound
+        split = _lattice(dt)
+        if split is not None and sum(map(np.size, split)) * freqs.size > 4e6:
+            split = None
+        if split is not None:
+            left = np.exp(-1j * np.outer(split[0], freqs))
+            right = np.exp(-1j * np.outer(freqs, split[1]))
+        # |tau_k| >= k/T, so from k w_M >= _TAYLOR_PHASE T on no tau_k is near
+        near = _TAYLOR_PHASE * temp / self.g_v.knots[-1]
+        for k, (n, m) in enumerate(zip(*counts), 1):
+            damped = weights[:n] * np.exp(-k / temp * freqs[:n])
+            sums = (_exp_sum(damped, freqs[:n], t) if split is None else
+                    ((left[:, :n] * damped) @ right[:n]).ravel()[:t.size])
+            end = (end_weights[:m] * np.exp(-k / temp * end_freqs[:m])
+                   ) @ phases[:m]
+            out += self.g_v.assemble(t - 1j * k / temp, sums, end,
+                                     taylor=k < near)
         return out.reshape(dt.shape)
+
+
+def _euler_maclaurin(z: np.ndarray, moments: np.ndarray, s: int) -> np.ndarray:
+    """F(z)/2 - sum_m B_2m/(2m)! F^(2m-1)(z) for F = sum_j W_j F_j,
+    F_j(u) = e^{-r_j u} u^-s, given the moments[:, n] = sum_j W_j
+    e^{-r_j z} (-r_j)^n, n < 16.
+
+    F_j^(p)(z) = e^{-r_j z} sum_i C(p, i) (-r_j)^(p-i) (-1)^i (s)_i
+    z^-(s+i), so the Bernoulli terms are a polynomial in 1/z whose
+    coefficients are moments.
+    """
+    coeffs = moments @ _em_coefficients(s)
+    inv = 1.0 / z
+    acc = coeffs[:, -1]
+    for i in range(coeffs.shape[1] - 2, -1, -1):
+        acc = acc * inv + coeffs[:, i]
+    return (0.5 * moments[:, 0] - acc) * inv**s
+
+
+@functools.lru_cache(maxsize=2)
+def _em_coefficients(s: int) -> np.ndarray:
+    """[n, i]: the factor of moments[:, n] z^-(s+i) in the Bernoulli terms
+    of _euler_maclaurin, (-1)^i (s)_i C(2m-1, i) B_2m/(2m)!, n + i = 2m - 1."""
+    size = 2 * len(_BERNOULLI)
+    out = np.zeros((size, size))
+    for m, bern in enumerate(_BERNOULLI, 1):
+        for i in range(2 * m):
+            out[2 * m - 1 - i, i] = ((-1) ** i * math.prod(range(s, s + i))
+                                     * math.comb(2 * m - 1, i) * bern
+                                     / math.factorial(2 * m))
+    return out
+
+
+def _series_tails(z: np.ndarray, rates: np.ndarray, weights: np.ndarray,
+                  s: int) -> np.ndarray:
+    """sum_j weights_j sum_{k >= 0} e^{-r_j (z + k)} (z + k)^-s for each z,
+    by Euler-Maclaurin, where every |r_j z| <= _SERIES_RADIUS and |z| >= 13.
+
+    The integral of F_j from z is E_1(r z) for s = 1 and e^{-r z}/z -
+    r E_1(r z) for s = 2, and E_1(w) = -gamma - ln w - sum_n (-w)^n /
+    (n n!); with e^{-r z} as its power series too, every piece is a power
+    of z times a moment sum_j weights_j r_j^n, so the cost is independent
+    of the number of knots.
+    """
+    powers = np.arange(_SERIES_TERMS + 2 * len(_BERNOULLI) + 1)
+    moment = weights @ rates[:, None] ** powers  # sum_j w_j r_j^n
+    zq = np.empty((_SERIES_TERMS + 1, z.size), dtype=complex)  # (-z)^q / q!
+    zq[0] = 1.0
+    for q in range(1, _SERIES_TERMS + 1):
+        zq[q] = zq[q - 1] * (-z / q)
+    zq = zq.T
+    m = np.arange(2 * len(_BERNOULLI))
+    moments = zq @ (moment[m + np.arange(_SERIES_TERMS + 1)[:, None]] * (-1.0) ** m)
+    # sum_j v_j E_1(r_j z) with v_j = w_j for s = 1 and -w_j r_j for s = 2
+    sign = 1.0 if s == 1 else -1.0
+    with np.errstate(divide="ignore"):
+        logs = np.where(rates > 0.0, _EULER_GAMMA + np.log(rates), 0.0)
+    v = sign * weights * rates ** (s - 1)
+    out = -(v @ logs) - np.log(z) * (sign * moment[s - 1]) - zq[:, 1:] @ (
+        sign * moment[s:_SERIES_TERMS + s] / np.arange(1, _SERIES_TERMS + 1))
+    if s == 2:
+        out += moments[:, 0] / z
+    return out + _euler_maclaurin(z, moments, s)
+
+
+def _fraction_tails(z: np.ndarray, rates: np.ndarray, weights: np.ndarray,
+                    s: int) -> np.ndarray:
+    """As _series_tails for any rates r_j <= 0.2 and Re z >= 13, one knot and
+    offset at a time: the integral of F_j from z is e^{-r z} z^(1-s)
+    e^{r z} E_s(r z), by _exp_en, in chunks of _TAIL_ELEMENTS."""
+    out = np.empty(z.shape, dtype=complex)
+    step = max(1, _TAIL_ELEMENTS // rates.size)
+    powers = (-rates[:, None]) ** np.arange(2 * len(_BERNOULLI))
+    for lo in range(0, z.size, step):
+        part = z[lo:lo + step]
+        w = np.outer(part, rates)
+        damped = np.exp(-w) * weights
+        out[lo:lo + step] = (np.sum(damped * _exp_en(w, s), axis=1)
+                             * part ** (1 - s)
+                             + _euler_maclaurin(part, damped @ powers, s))
+    return out
+
+
+def _exp_en(w: np.ndarray, s: int) -> np.ndarray:
+    """e^w E_s(w), s = 1 or 2, elementwise for Re w >= 0, w != 0.
+
+    Below |w| = 1, E_1 = -gamma - ln w - sum_{n >= 1} (-w)^n / (n n!)
+    (20 terms leave below 1e-19) and E_2 = e^-w - w E_1.  From |w| = 1 on,
+    the continued fraction e^w E_s(w) = 1/(w + s - 1 s/(w + s + 2 -
+    2 (s + 1)/(w + s + 4 - ...))), evaluated upward from depth
+    8 + 200 / 2^b on |w| in [2^b, 2^(b+1)), b < 5, and 14 beyond.  Against
+    30-digit mpmath on rays of Re w >= 0 the fraction is within 4e-16
+    relative, and the series within 2e-15, its worst just below |w| = 1 on
+    the real axis, where E_1 cancels against ln w.
+    """
+    out = np.empty_like(w)
+    size = np.abs(w)
+    small = size < 1.0
+    x = w[small]
+    term, series = np.ones_like(x), np.zeros_like(x)
+    for n in range(1, 21):
+        term *= -x / n
+        series -= term / n
+    e1 = np.exp(x) * (series - _EULER_GAMMA - np.log(x))
+    out[small] = e1 if s == 1 else 1.0 - x * e1
+    for b in range(6):
+        band = (size >= 2.0**b) & (size < (2.0**(b + 1) if b < 5 else math.inf))
+        x = w[band]
+        tail = np.zeros_like(x)
+        for m in range(8 + (200 >> b), 0, -1):
+            tail = m * (m + s - 1) / (x + (s + 2 * m) - tail)
+        out[band] = 1.0 / (x + s - tail)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +665,7 @@ class Kernel:
     complex G and Gt from them.  metadata records the source and, for a
     continuum kernel, the route of both transforms under "transforms": closed
     form for the ohmic family at every temperature; for a tabulated one, a
-    closed-form g_v and a quadrature gtilde_v.  Discrete-bath kernels are
+    closed-form g_v and gtilde_v as its Bose sum.  Discrete-bath kernels are
     exact mode sums and name none.
     """
 
@@ -562,13 +765,12 @@ def build_kernels(model: SpectralModel) -> Kernel:
     The ohmic family takes both transforms in closed form at every
     temperature (module docstring; gtilde_v through _hurwitz_zeta2).  A
     tabulated family takes g_v in closed form from the table
-    (_LinearTableTransform) and gtilde_v by a composite Gauss-Legendre rule
-    on [0, min(last node, 50 T)]: J_V vanishes past the last node and
-    nbar < 1e-21 past 50 T.  That rule breaks at the table nodes, its panels
-    are geometrically refined toward omega = 0 to resolve the Bose factor,
-    and it is validated against its own refinement before first use.  At
-    T = 0 gtilde_v is exactly zero; at T > 0 a table with J_V > 0 at
-    omega = 0 is rejected, since J_V nbar ~ J_V(0) T / omega there.
+    (_LinearTableTransform), and gtilde_v as the Bose sum of that g_v at the
+    complex times dt - i k/T (_BoseSumTransform), whose terms past at most
+    _BOSE_TERMS are closed by Euler-Maclaurin; both are checked for
+    a-priori roundoff here.  At T = 0 gtilde_v is exactly zero; at T > 0 a
+    table with J_V > 0 at omega = 0 is rejected, since J_V nbar ~
+    J_V(0) T / omega there.
     metadata["transforms"] names the route.
     """
     cut, temp = model.cutoff, model.temperature
@@ -596,22 +798,10 @@ def build_kernels(model: SpectralModel) -> Kernel:
                 f"T > 0")
         scheme = TABULATED_TRANSFORM_SCHEME
         g_v = _LinearTableTransform(model.tab_omega, model.tab_j)
-        # J_V * nbar stays finite at the origin: its omega -> 0 limit is
-        # slope(J_V) * T, evaluated here once from a probe near zero.
-        eps = 1e-8 * cut
-        origin_limit = float(_j_v(model, np.array([eps]))[0] / eps
-                             * temp / (2.0 * math.pi))
-
-        def _w_thermal(om):
-            with np.errstate(invalid="ignore", over="ignore"):
-                val = _j_v(model, om) * n_bar(om, temp) / (2.0 * math.pi)
-            return np.where(np.isfinite(val), val, origin_limit)
-
-        gtilde_v = _TransformFamily(
-            _w_thermal, min(float(model.tab_omega[-1]), 50.0 * temp),
-            min(temp, cut) * 0.5, "thermal", model.tab_omega)
     if temp == 0.0:
         gtilde_v = _zero_transform
+    elif model.family == "tabulated":
+        gtilde_v = _BoseSumTransform(g_v, temp)
     return Kernel(g_v, gtilde_v, model.alpha, temp, cut,
                   {"source": "continuum", "family": model.family,
                    "gamma0": model.gamma0, "transforms": scheme})

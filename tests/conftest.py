@@ -36,13 +36,14 @@ def make_model(alpha, temperature=TEMPERATURE, gamma0=GAMMA0, cutoff=CUTOFF):
                               alpha=alpha, temperature=temperature)
 
 
-def tabulated_model(temperature=TEMPERATURE):
-    """The bench tabulated model: perfbench.workloads.tabulated_table(1, 300)."""
+def tabulated_model(temperature=TEMPERATURE, seed=1):
+    """The bench tabulated model: perfbench.workloads.tabulated_table(seed,
+    300), seed 1 in the benchmark."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("_bench_workloads", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    tab_omega, tab_j = module.tabulated_table(1, 300)
+    tab_omega, tab_j = module.tabulated_table(seed, 300)
     return gqbm.SpectralModel(family="tabulated", gamma0=GAMMA0, cutoff=CUTOFF,
                               alpha=0.5, temperature=temperature,
                               tab_omega=tab_omega, tab_j=tab_j)

@@ -482,20 +482,31 @@ def test_manifest_names_exactly_the_schemes_that_ran(argv, keys, tmp_path,
         assert _manifest_value(manifest, "schemes", key) == SCHEMES[key]
 
 
-def _no_quadrature_rule(*args, **kwargs):
-    raise AssertionError("an ohmic run built a quadrature rule")
-
-
-@pytest.mark.parametrize("argv", [
-    ["reproduce-fig2", "--workers", "1"] + _SMALL_GRID,
-    ["evolve"] + _SMALL_GRID,
-    ["oracle-compare", "--alpha", "0.5"] + _SMALL_ORACLE,
+@pytest.mark.parametrize("argv, orders", [
+    (["reproduce-fig2", "--workers", "1"] + _SMALL_GRID, []),
+    (["evolve"] + _SMALL_GRID, []),
+    (["oracle-compare", "--alpha", "0.5"] + _SMALL_ORACLE, [40]),
 ], ids=["reproduce-fig2", "evolve", "oracle-compare"])
-def test_no_cli_run_builds_a_quadrature_rule(argv, tmp_path, monkeypatch):
-    # the CLI is ohmic-only, and ohmic kernels are closed form at every T
-    monkeypatch.setattr(gqbm.spectral, "_FourierRule", _no_quadrature_rule)
+def test_only_the_gauss_bath_builds_a_gauss_legendre_rule(argv, orders,
+                                                          tmp_path,
+                                                          monkeypatch):
+    # the CLI is ohmic-only, and ohmic kernels are closed form at every T;
+    # oracle-compare's 40-mode gauss bath takes the rule's nodes
+    built = []
+    real_rule = gqbm.spectral._gauss_legendre
+
+    def recording_rule(order):
+        built.append(order)
+        return real_rule(order)
+
+    gqbm.spectral._bath_leggauss.cache_clear()
+    monkeypatch.setattr(gqbm.spectral, "_gauss_legendre", recording_rule)
     out = tmp_path / "run"
-    assert _run_cli(argv + ["--out", str(out)], monkeypatch) == cli.EXIT_OK
+    try:
+        assert _run_cli(argv + ["--out", str(out)], monkeypatch) == cli.EXIT_OK
+    finally:
+        gqbm.spectral._bath_leggauss.cache_clear()
+    assert built == orders
 
 
 def test_crosscheck_from_the_environment_runs_on_greens(tmp_path, monkeypatch):

@@ -66,7 +66,9 @@ _MIRROR_KERNELS = {
 @pytest.mark.parametrize("name", sorted(_MIRROR_KERNELS))
 def test_mirrored_gtilde_table_is_the_signed_evaluation(name, monkeypatch):
     # the sums themselves are pinned to the loop: this isolates the mirror
+    # (no offsets are a lattice, so the Bose sum builds no GEMM factors)
     monkeypatch.setattr(spectral, "_exp_sum", _loop_exp_sum)
+    monkeypatch.setattr(spectral, "_lattice", lambda dt: None)
     grid = gqbm.TimeGrid(t_end=10.0, n_steps=600, max_frequency=CUTOFF)
     kernel = _MIRROR_KERNELS[name]()
     table = kernel.gtilde_signed_table(grid)
@@ -84,14 +86,16 @@ def test_mirrored_gtilde_table_with_lattice_sums_matches_to_roundoff():
 
 
 def _tabulated_rules():
-    """(weights, frequencies) of the sums the bench tables run."""
-    kernel = gqbm.build_kernels(tabulated_model())
+    """(weights, frequencies) of the sums the bench table runs."""
+    kernel = gqbm.build_kernels(tabulated_model(0.3))
     # "plain" is the closed-form g_v's sum over the table's knots on
-    # [0, 20]; "thermal" is the gtilde_v rule on [0, 50 T] = [0, 0.5] that
-    # |dt| <= 10 picks, its 16 bucket
-    thermal = kernel.gtilde_v._rule_for(10.0)
+    # [0, 20]; "thermal" is the first term of gtilde_v's Bose sum, at
+    # T = 0.3 its 139 live knots damped by e^{-w/T}
+    bose = kernel.gtilde_v
+    live = bose.knot
     return {"plain": (kernel.g_v.knot_weights, kernel.g_v.knots),
-            "thermal": (thermal.weights, thermal.nodes)}
+            "thermal": (bose.weights[live] * np.exp(-bose.freqs[live] / 0.3),
+                        bose.freqs[live])}
 
 
 @pytest.mark.parametrize("n_steps", [600, 20000])
@@ -99,8 +103,7 @@ def test_lattice_sum_matches_the_loop_on_tabulated_rules(n_steps):
     times = gqbm.TimeGrid(t_end=10.0, n_steps=n_steps,
                           max_frequency=CUTOFF).times
     rules = _tabulated_rules()
-    # at n = 20 001 check the knots: their phases reach 200 rad, the
-    # thermal rule's only 5
+    # at n = 20 001 check all the knots: their phases reach 200 rad
     names = ("plain", "thermal") if n_steps == 600 else ("plain",)
     for name in names:
         weights, freqs = rules[name]
@@ -170,31 +173,3 @@ def test_exp_sum_temporaries_stay_within_the_bound(monkeypatch):
     assert _max_rel_dev(lattice[sample],
                         _loop_exp_sum(weights, freqs, times[sample])) <= RTOL
     assert np.array_equal(direct, _loop_exp_sum(weights, freqs, jittered))
-
-
-# ---- Gauss-Legendre nodes cached by order -----------------------------------
-
-
-def test_bench_tables_call_leggauss_once_per_order(monkeypatch):
-    orders = []
-    real_rule = spectral._gauss_legendre
-
-    def counting_rule(order):
-        orders.append(order)
-        return real_rule(order)
-
-    spectral._leggauss.cache_clear()
-    monkeypatch.setattr(spectral, "_gauss_legendre", counting_rule)
-    try:
-        kernel = gqbm.build_kernels(tabulated_model())
-        grid = gqbm.TimeGrid(t_end=10.0, n_steps=600, max_frequency=CUTOFF)
-        kernel.g_table(grid)
-        kernel.gtilde_signed_table(grid)
-        cached = [spectral._leggauss(order) for order in orders]
-    finally:
-        spectral._leggauss.cache_clear()
-    assert len(orders) == len(set(orders)) == 2
-    for order, (x, w) in zip(orders, cached):
-        assert not x.flags.writeable and not w.flags.writeable
-        x_ref, w_ref = real_rule(order)
-        assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)

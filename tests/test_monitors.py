@@ -19,7 +19,7 @@ from gqbm.errors import (
 from gqbm.greens import INSTABILITY_MAX_ABS, _check_finite
 from gqbm.moments import COMMUTATOR_DRIFT_TOL, _march_block
 from gqbm.oracle import _require_commutator
-from gqbm.spectral import _LinearTableTransform, _TransformFamily
+from gqbm.spectral import _BoseSumTransform, _LinearTableTransform
 
 from test_convolutions import RTOL
 from test_moments import loop_states, recording_march, run_march
@@ -67,8 +67,13 @@ def _nan_u():
     return u
 
 
-def _nan_weight(omega):
-    return np.where(omega > 1.0, np.nan, 1.0)
+def _bose_sum_of_a_nan_weight():
+    g_v = _LinearTableTransform(np.array([0.0, 1.0, 2.0]),
+                                np.array([0.0, 1.0, 0.0]))
+    # g_v's own construction rejects NaN, so it enters afterwards, by
+    # mutation, to reach the thermal sum's roundoff guard
+    g_v.knot_weights[1] = np.nan
+    _BoseSumTransform(g_v, 0.3)
 
 
 def _require_physical_nan():
@@ -94,9 +99,8 @@ CASES = {
     "propagate": (_propagate_nan_coupling, InstabilityError),
     "invert_2x2": (lambda: _invert_2x2(_nan_u(), np.arange(4.0)),
                    SingularityError),
-    "quadrature_self_check": (lambda: _TransformFamily(
-        _nan_weight, 2.0, 0.5, "probe", np.array([0.0, 2.0]))(np.array([1.0])),
-        QuadratureConvergenceError),
+    "bose_sum_roundoff": (_bose_sum_of_a_nan_weight,
+                          QuadratureConvergenceError),
     "require_physical": (_require_physical_nan, ValidationError),
     "knot_sum": (lambda: _LinearTableTransform(
         np.array([0.0, 1.0, 2.0]), np.array([0.0, np.nan, 1.0])),

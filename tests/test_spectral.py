@@ -1,6 +1,7 @@
 """Spectral densities, scalar transforms, kernel assembly, discretization."""
 
 import math
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -165,13 +166,87 @@ def test_g_v_tabulated_family_matches_ohmic_shape():
         assert abs(a - b) / abs(b) < 5e-5  # limited by table linearization
 
 
+# ---- the quadrature the closed forms replaced, kept as their reference ------
+#
+# A composite Gauss-Legendre rule for integrals of f(w) exp(-i w dt), moved
+# here from the library when the last transform that ran it became a closed
+# form.  Its panels are geometrically refined toward w = 0 (the Bose factor
+# lives on the temperature scale) and break at a table's knots; node counts
+# scale with the largest phase, and each rule is checked against its own
+# refinement before use.
+
+_MAX_PANEL_PHASE = 350.0
+_BASE_PANEL_NODES = 24
+_NODES_PER_PHASE = 0.55
+_RULE_RTOL = 1e-8
+
+
+def _panel_edges(omega_max, inner_scale, knots):
+    first = min(max(inner_scale, omega_max * 1e-8), omega_max)
+    edges = [0.0, first]
+    while edges[-1] < omega_max:
+        edges.append(min(edges[-1] * 5.0, omega_max))
+    interior = knots[(knots > 0.0) & (knots < omega_max)]
+    return sorted(set(edges).union(float(k) for k in interior))
+
+
+class _FourierRule:
+    def __init__(self, weight_fn, omega_max, inner_scale, dt_max, knots,
+                 refine=1):
+        edges = np.array(_panel_edges(omega_max, inner_scale, knots))
+        widths = np.diff(edges)
+        n_subs = np.maximum(1, np.ceil(widths * dt_max / _MAX_PANEL_PHASE))
+        nodes = []
+        weights = []
+        for lo, hi, n_sub in zip(edges[:-1], edges[1:], n_subs.astype(int)):
+            sub = np.linspace(lo, hi, n_sub + 1)
+            for a, b in zip(sub[:-1], sub[1:]):
+                n_p = refine * (_BASE_PANEL_NODES
+                                + int(_NODES_PER_PHASE * (b - a) * dt_max))
+                x, w = spectral._gauss_legendre(n_p)
+                nodes.append(0.5 * (b - a) * x + 0.5 * (b + a))
+                weights.append(0.5 * (b - a) * w)
+        self.nodes = np.concatenate(nodes)
+        self.weights = np.concatenate(weights) * weight_fn(self.nodes)
+
+    def transform(self, dt):
+        return spectral._exp_sum(self.weights, self.nodes, dt)
+
+
+class _TransformFamily:
+    """A self-checked _FourierRule per power-of-two bucket of max |dt|."""
+
+    def __init__(self, weight_fn, omega_max, inner_scale, label, knots):
+        self.args = (weight_fn, omega_max, inner_scale)
+        self.label = label
+        self.knots = knots
+        self._rules = {}
+
+    def _rule_for(self, dt_max):
+        bucket = 2.0 ** math.ceil(math.log2(max(dt_max, 1e-3)))
+        if bucket not in self._rules:
+            rule = _FourierRule(*self.args, bucket, self.knots)
+            fine = _FourierRule(*self.args, bucket, self.knots, refine=2)
+            probes = np.array([0.0, 0.25 * bucket, 0.5 * bucket, bucket])
+            ref = fine.transform(probes)
+            dev = np.max(np.abs(rule.transform(probes) - ref))
+            assert dev <= _RULE_RTOL * np.max(np.abs(ref)), self.label
+            self._rules[bucket] = rule
+        return self._rules[bucket]
+
+    def __call__(self, dt):
+        dt = np.asarray(dt, dtype=float)
+        dt_max = float(np.max(np.abs(dt))) if dt.size else 0.0
+        return self._rule_for(dt_max).transform(dt)
+
+
 def _table_quadrature(model):
     """g_v of a tabulated model by the frequency quadrature it replaced.
 
     J_V / 2 pi on omega <= the last node, with panels breaking at the nodes
     and the cutoff as inner scale, self-checked against its refinement.
     """
-    return spectral._TransformFamily(
+    return _TransformFamily(
         lambda om: gqbm.eval_spectral_density(model, om) / (2.0 * math.pi),
         float(model.tab_omega[-1]), model.cutoff, "reference", model.tab_omega)
 
@@ -255,15 +330,83 @@ def test_knot_sum_roundoff_bound_rejects_nearly_coincident_knots():
             <= spectral.QUADRATURE_RTOL * np.max(np.abs(want)))
 
 
-def test_tabulated_g_v_builds_no_quadrature_rule(monkeypatch):
-    def no_rule(*args, **kwargs):
-        raise AssertionError("g_v built a quadrature rule")
+def test_no_continuum_kernel_builds_a_gauss_legendre_rule(monkeypatch):
+    def no_rule(order):
+        raise AssertionError("a continuum kernel built a Gauss-Legendre rule")
 
-    monkeypatch.setattr(spectral, "_FourierRule", no_rule)
-    g_v = gqbm.build_kernels(tabulated_model()).g_v
+    monkeypatch.setattr(spectral, "_gauss_legendre", no_rule)
     grid = gqbm.TimeGrid(t_end=10.0, n_steps=600)
-    assert np.all(np.isfinite(g_v(grid.times)))
-    assert np.all(np.isfinite(g_v(-0.37 * grid.times)))
+    for model in (make_model(0.5), make_model(0.5, temperature=0.3),
+                  tabulated_model(), tabulated_model(0.3)):
+        kernel = gqbm.build_kernels(model)
+        for transform in (kernel.g_v, kernel.gtilde_v):
+            assert np.all(np.isfinite(transform(grid.times)))
+            assert np.all(np.isfinite(transform(-0.37 * grid.times)))
+
+
+def _kink_table(j_kink):
+    """Knots [0, 1e-7, 0.5, 2] at T = 0.3: a kink at 1e-7 << T unless J
+    runs straight through it."""
+    return gqbm.SpectralModel(family="tabulated", temperature=0.3,
+                              tab_omega=[0.0, 1e-7, 0.5, 2.0],
+                              tab_j=[0.0, j_kink, 0.5, 0.0])
+
+
+def _bose_branches(gtilde_v, offsets):
+    """{(branch, kind)} of the terms gtilde_v sums past its loop at these
+    offsets: branch "zeta", "series" or "fraction", kind "knot" or "end"."""
+    terms, series, _ = gtilde_v.plan(float(np.max(np.abs(offsets))))
+    tails = (gtilde_v.last > terms) & (gtilde_v.rates > 0.0)
+    out = {("zeta", "knot")} if gtilde_v.zero_weight != 0.0 else set()
+    for branch, cols in (("series", series), ("fraction", tails & ~series)):
+        out |= {(branch, "knot" if knot else "end")
+                for knot in gtilde_v.knot[cols]}
+    return out
+
+
+def test_bose_sum_of_a_kink_far_below_t_closes_its_tail_at_once():
+    # the kink needs about 40 T / 1e-7 = 1.2e8 terms: 12 run in the loop,
+    # and the rest are one series
+    times = gqbm.TimeGrid(t_end=10.0, n_steps=600).times
+    start = time.perf_counter()
+    gtilde_v = gqbm.build_kernels(_kink_table(2e-7)).gtilde_v
+    got = gtilde_v(times)
+    elapsed = time.perf_counter() - start
+    assert gtilde_v.last.max() > 1e8 and gtilde_v.plan(10.0)[0].max() < 100
+    assert ("series", "knot") in _bose_branches(gtilde_v, times)
+    assert np.all(np.isfinite(got)) and elapsed < 0.1
+    # its values: test_tabulated_gtilde_against_mpmath["kink-series-T0.3"]
+
+
+def test_bose_sum_of_the_same_knots_on_a_straight_line_is_short():
+    model = _kink_table(1e-7)
+    times = gqbm.TimeGrid(t_end=10.0, n_steps=600).times
+    offsets = np.concatenate([-times[::-1], times])
+    start = time.perf_counter()
+    gtilde_v = gqbm.build_kernels(model).gtilde_v
+    got = gtilde_v(offsets)
+    elapsed = time.perf_counter() - start
+    assert gtilde_v.plan(10.0)[0].max() < 100 and elapsed < 0.1
+    want = _thermal_quadrature(model)(offsets)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_bose_sum_at_a_high_temperature_stays_within_memory():
+    # at T = 1e6 the knots at 1e8 and 2e8 are dead from k = 1 on and the
+    # zero knot carries gtilde_v, as -c_0 T^2 zeta(2, 1 + i T t); the
+    # quadrature it replaced would have taken about 4.9e8 nodes here
+    tab = gqbm.SpectralModel(family="tabulated", temperature=1e6,
+                             tab_omega=np.array([0.0, 1e8, 2e8]),
+                             tab_j=np.array([0.0, 1.0, 0.0]))
+    gtilde_v = gqbm.build_kernels(tab).gtilde_v
+    tracemalloc.start()
+    try:
+        got = gtilde_v(np.array([0.0, 16.0]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(got)) and peak < 64 * 2**20
+    assert got[0].real == pytest.approx(gtilde_v.at_zero, rel=1e-15)
 
 
 # ---- kernel assembly --------------------------------------------------------
@@ -315,7 +458,7 @@ def _thermal_quadrature(model):
     Its thermal weight J_V nbar / 2 pi, with the origin limit from a probe
     near zero, on omega <= max(20 cutoff, 50 T) with inner scale
     min(T, cutoff) / 2, breaking at a table's nodes: the ohmic route before
-    the closed form, and the tabulated one before its range ended at 50 T.
+    its closed form, and the tabulated one before its Bose sum.
     """
     cut, temp = model.cutoff, model.temperature
     eps = 1e-8 * cut
@@ -329,8 +472,8 @@ def _thermal_quadrature(model):
         return np.where(np.isfinite(val), val, origin_limit)
 
     knots = model.tab_omega if model.family == "tabulated" else np.empty(0)
-    return spectral._TransformFamily(weight, max(20.0 * cut, 50.0 * temp),
-                                     min(temp, cut) * 0.5, "reference", knots)
+    return _TransformFamily(weight, max(20.0 * cut, 50.0 * temp),
+                            min(temp, cut) * 0.5, "reference", knots)
 
 
 @pytest.mark.parametrize("temperature", [0.01, 0.3, 1.0])
@@ -342,16 +485,150 @@ def test_ohmic_gtilde_closed_form_against_quadrature(temperature):
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def _log_table(temperature):
+    """J = w e^-w on 0 and 300 log-spaced knots from 1e-6 to 20: most knots
+    far below T, each summed past its first terms in closed form."""
+    omega = np.concatenate([[0.0], np.geomspace(1e-6, 20.0, 300)])
+    return gqbm.SpectralModel(family="tabulated", temperature=temperature,
+                              tab_omega=omega, tab_j=omega * np.exp(-omega))
+
+
+def _thermal_table(name, temperature):
+    """A gate table at the temperature; at T > 0 a table needs J(0) = 0."""
+    if name.startswith("bench"):
+        return tabulated_model(temperature, seed=int(name[-1]))
+    if name == "log-spaced":
+        return _log_table(temperature)
+    if name == "rough":
+        omega, j = _rough_table()
+        return replace(_table_model(omega, np.concatenate([[0.0], j[1:]])),
+                       temperature=temperature)
+    return replace(_G_V_TABLES[name](), temperature=temperature)
+
+
 @pytest.mark.parametrize("temperature", [0.01, 0.3])
-def test_tabulated_gtilde_on_its_thermal_range_against_the_widest(temperature):
-    model = tabulated_model(temperature)
+@pytest.mark.parametrize("name", ["bench-1", "bench-2", "bench-3", "rough",
+                                  "edge-jumps", "two-knots", "log-spaced"])
+def test_tabulated_gtilde_bose_sum_against_quadrature(name, temperature):
+    model = _thermal_table(name, temperature)
     times = gqbm.TimeGrid(t_end=10.0, n_steps=600).times
     ref = _thermal_quadrature(model)
     gtilde_v = gqbm.build_kernels(model).gtilde_v
     for offsets in (times, -times[::-1]):
         want = ref(offsets)
         assert (np.max(np.abs(gtilde_v(offsets) - want))
-                <= 2e-15 * np.max(np.abs(want)))
+                <= 1e-13 * np.max(np.abs(want)))
+
+
+def _mpmath_gtilde_v(model, offsets):
+    """gtilde_v by 25-digit quadrature of J_V nbar e^{-i w t} / 2 pi, one
+    interval of the table at a time, cut where its phase passes 4."""
+    temp = mpmath.mpf(model.temperature)
+    knots = [mpmath.mpf(float(w)) for w in model.tab_omega]
+    values = [mpmath.mpf(float(j)) for j in model.tab_j]
+    out = []
+    with mpmath.workdps(25):
+        for t in offsets:
+            total = 0
+            for a, b, fa, fb in zip(knots[:-1], knots[1:], values[:-1],
+                                    values[1:]):
+                def integrand(w, a=a, b=b, fa=fa, fb=fb):
+                    j = fa + (fb - fa) * (w - a) / (b - a)
+                    return j / mpmath.expm1(w / temp) * mpmath.expj(-w * t)
+                cuts = math.ceil(float(b - a) * abs(t) / 4.0) or 1
+                total += mpmath.quad(integrand, mpmath.linspace(a, b, cuts + 1))
+            out.append(complex(total / (2 * mpmath.pi)))
+    return np.array(out)
+
+
+_OFFSETS = (0.0, 0.37, -1.5, 1.5, 7.0)
+# (knots, J, T, offsets, the branches past the loop it must take): the zero
+# knot's zeta tail at low T, and at T = 1, where |t| < sqrt 3 takes the
+# Taylor branch at tau_1 = t - i, and at T = 1000, where it runs all 256
+# terms of the loop (their Filon form read 5e-14 off); a jump onto
+# w_0 = 0.3 > 0, whose end term is damped, at T = 1 with the Taylor branch
+# and at T = 50, where the Taylor branch runs to k = 99; a kink and a jump
+# at w << T, closed by the series; and at w/T = 0.05 with |t| up to 40, too
+# far for the series, by the continued fraction
+_MPMATH_TABLES = {
+    "zero-knot-T0.05": ([0.0, 0.3, 2.0], [0.0, 1.0, 0.4], 0.05, _OFFSETS,
+                        {("zeta", "knot")}),
+    "zero-knot-T1": ([0.0, 0.3, 2.0], [0.0, 1.0, 0.4], 1.0, _OFFSETS,
+                     {("zeta", "knot")}),
+    "zero-knot-T1000": ([0.0, 0.3, 2.0], [0.0, 1.0, 0.4], 1000.0,
+                        _OFFSETS[:4], {("zeta", "knot"), ("series", "knot"),
+                                       ("fraction", "knot"),
+                                       ("fraction", "end")}),
+    "jump-T1": ([0.3, 2.0], [1.0, 0.4], 1.0, _OFFSETS, set()),
+    "jump-T50": ([0.3, 2.0], [1.0, 0.4], 50.0, _OFFSETS[:4],
+                 {("series", "knot"), ("series", "end"), ("fraction", "knot"),
+                  ("fraction", "end")}),
+    "kink-series-T0.3": ([0.0, 1e-7, 0.5, 2.0], [0.0, 2e-7, 0.5, 0.0], 0.3,
+                         _OFFSETS, {("zeta", "knot"), ("series", "knot")}),
+    "jump-series-T0.3": ([1e-3, 0.5, 2.0], [1.0, 0.5, 0.0], 0.3, _OFFSETS,
+                         {("series", "knot"), ("series", "end")}),
+    "kink-fraction-T1": ([0.0, 0.05, 0.5, 2.0], [0.0, 0.1, 0.5, 0.0], 1.0,
+                         _OFFSETS + (-40.0, 40.0),
+                         {("zeta", "knot"), ("fraction", "knot")}),
+    "jump-fraction-T1": ([0.05, 0.5, 2.0], [1.0, 0.5, 0.0], 1.0,
+                         _OFFSETS + (-40.0, 40.0),
+                         {("fraction", "knot"), ("fraction", "end")}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MPMATH_TABLES))
+def test_tabulated_gtilde_against_mpmath(name):
+    omega, j, temperature, offsets, branches = _MPMATH_TABLES[name]
+    model = replace(_table_model(omega, j), temperature=temperature)
+    offsets = np.array(offsets)
+    want = _mpmath_gtilde_v(model, offsets)
+    gtilde_v = gqbm.build_kernels(model).gtilde_v
+    assert _bose_branches(gtilde_v, offsets) == branches
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(gtilde_v(offsets) - want)) <= 1e-14 * scale
+    # the closed form of gtilde_v(0) that scales the roundoff bound
+    assert abs(gtilde_v.at_zero - want[0]) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_exp_en_against_mpmath_on_the_right_half_plane(s):
+    # every branch: the series below |w| = 1, and each band of the
+    # continued fraction, on rays from the real to the imaginary axis
+    radii = np.array([0.01, 0.3, 0.99, 1.0, 1.9, 2.0, 3.9, 4.0, 7.9, 8.0,
+                      15.9, 16.0, 31.9, 32.0, 1e4])
+    w = np.outer(radii, np.exp(1j * np.linspace(-np.pi / 2, np.pi / 2, 9)))
+    with mpmath.workdps(30):
+        want = np.array([complex(mpmath.exp(x) * mpmath.expint(s, x))
+                         for x in w.ravel()]).reshape(w.shape)
+    got = spectral._exp_en(w.ravel(), s).reshape(w.shape)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 3e-15
+
+
+def _lerch_tail(z, rate, s):
+    """sum_{k >= 0} e^{-r (z + k)} (z + k)^-s by 30-digit mpmath."""
+    with mpmath.workdps(30):
+        z = mpmath.mpc(z)
+        return complex(mpmath.exp(-rate * z)
+                       * mpmath.lerchphi(mpmath.exp(-rate), s, z))
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_bose_tails_against_mpmath_lerch_sums(s):
+    # each route past the loop on one knot of unit weight: the series where
+    # |r z| <= 2, and the continued fraction for rates up to 0.17, with
+    # phases r Im z below 70 rad (past that the phase itself carries
+    # |r z| eps)
+    for route, starts, rates in (
+            (spectral._series_tails, [13.0, 13.0 + 3j, 13.0 - 150j],
+             [1e-7, 0.02, 0.15]),
+            (spectral._fraction_tails, [257.0, 257.0 - 300j],
+             [1e-7, 0.05, 0.17])):
+        for rate in rates:
+            z = np.array([x for x in starts if route is spectral._fraction_tails
+                          or abs(rate * x) <= spectral._SERIES_RADIUS])
+            got = route(z, np.array([rate]), np.array([1.0]), s)
+            want = np.array([_lerch_tail(x, rate, s) for x in z])
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
 
 
 def test_hurwitz_zeta2_converged_in_its_direct_terms():
@@ -424,24 +701,6 @@ def test_n_bar_at_negative_frequencies_is_minus_one_minus_n_bar():
                                -1.0 - gqbm.n_bar(omega, temp), rtol=1e-12)
     assert gqbm.n_bar(np.array([-80.0]), temp)[0] == -1.0  # omega/T = -800
     assert np.all(gqbm.n_bar(np.array([-1e-14, 0.0, 1e-14]), temp) == np.inf)
-
-
-def test_quadrature_rule_over_budget_rejected_before_allocation():
-    # the thermal rule spans omega <= min(last node, 50 T) = 50 T: at T = 1e6
-    # and |dt| <= 16 it would take about 4.9e8 nodes, tens of GB with its
-    # self-check
-    tab = gqbm.SpectralModel(family="tabulated", temperature=1e6,
-                             tab_omega=np.array([0.0, 1e8, 2e8]),
-                             tab_j=np.array([0.0, 1.0, 0.0]))
-    gtilde_v = gqbm.build_kernels(tab).gtilde_v
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValidationError, match="GiB budget"):
-            gtilde_v(np.array([0.0, 16.0]))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2**20
 
 
 # ---- bath discretization ----------------------------------------------------

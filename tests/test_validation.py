@@ -154,8 +154,9 @@ def test_negative_temperature_into_n_bar_is_a_validation_error():
 
 
 def test_nan_offset_into_the_thermal_quadrature_is_a_validation_error():
-    # only a tabulated density runs the quadrature; ohmic kernels are closed
-    # form, covered by ENTRY_POINTS["Kernel.gtilde.continuum"]
+    # a tabulated density's gtilde_v is its Bose sum, one _exp_sum per term;
+    # the ohmic closed form is covered by
+    # ENTRY_POINTS["Kernel.gtilde.continuum"]
     kernel = gqbm.build_kernels(gqbm.SpectralModel(
         family="tabulated", temperature=0.01, tab_omega=[0.0, 1.0, 2.0],
         tab_j=[0.0, 1.0, 0.0]))
