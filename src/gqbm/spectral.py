@@ -97,6 +97,9 @@ TABULATED_TRANSFORM_SCHEME = (
 # 2001, and they stop once the estimated error left in a node is below tol.
 _NEWTON_SWEEPS = 8
 _NEWTON_TOL = 1e-17
+# Most elements an exponential-sum temporary holds (_exp_sum, and the
+# factors the Bose sum builds once per call).
+_EXP_ELEMENTS = 4_000_000
 
 
 def n_bar(omega, temperature: float):
@@ -215,6 +218,15 @@ def _lattice(dt: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return np.arange(-(-n // rows)) * (rows * dt[1]), np.arange(rows) * dt[1]
 
 
+def _lattice_factors(split: tuple[np.ndarray, np.ndarray], freqs: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """e^{-i coarse w} (coarse x freqs) and e^{-i w fine} (freqs x fine),
+    the two factors of the lattice GEMM of _exp_sum, split = _lattice(dt)."""
+    coarse, fine = split
+    return (np.exp(-1j * np.outer(coarse, freqs)),
+            np.exp(-1j * np.outer(freqs, fine)))
+
+
 def _exp_sum(weights: np.ndarray, freqs: np.ndarray, dt) -> np.ndarray:
     """sum_j weights[j] exp(-i freqs[j] dt), elementwise in dt.
 
@@ -223,26 +235,23 @@ def _exp_sum(weights: np.ndarray, freqs: np.ndarray, dt) -> np.ndarray:
     sum_j [w_j e^{-i w_j q B h}] [e^{-i w_j r h}], that costs
     (ceil(n / B) + B) N exponentials for N frequencies instead of n N.
     Other offsets take the direct n N route.  Either way no temporary holds
-    more than 4e6 elements: the lattice route chunks the frequency axis,
-    the direct route the offsets.
+    more than _EXP_ELEMENTS elements: the lattice route chunks the
+    frequency axis, the direct route the offsets.
     """
     dt = _offsets(dt)
     flat = dt.ravel()
     n = flat.size
     split = _lattice(dt)
     if split is not None:
-        coarse, fine = split
-        rows = fine.size
-        out = np.zeros((coarse.size, rows), dtype=complex)
-        step = max(1, int(4e6 // (coarse.size + rows)))
+        out = np.zeros((split[0].size, split[1].size), dtype=complex)
+        step = max(1, _EXP_ELEMENTS // sum(map(np.size, split)))
         for j in range(0, freqs.size, step):
-            f = freqs[j:j + step]
-            left = np.exp(-1j * np.outer(coarse, f)) * weights[j:j + step]
-            out += left @ np.exp(-1j * np.outer(fine, f)).T
+            left, right = _lattice_factors(split, freqs[j:j + step])
+            out += (left * weights[j:j + step]) @ right
         return out.ravel()[:n]
     out = np.empty(flat.shape, dtype=complex)
     # chunk the outer product so memory stays bounded for long grids
-    step = max(1, int(4e6 // max(freqs.size, 1)))
+    step = max(1, _EXP_ELEMENTS // max(freqs.size, 1))
     for k in range(0, flat.size, step):
         block = flat[k:k + step]
         out[k:k + step] = np.exp(-1j * np.outer(block, freqs)) @ weights
@@ -250,8 +259,7 @@ def _exp_sum(weights: np.ndarray, freqs: np.ndarray, dt) -> np.ndarray:
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights of order n on [-1, 1], ascending
-    and read-only.
+    """Gauss-Legendre nodes and weights of order n on [-1, 1], ascending.
 
     Newton's method on the three-term recurrence, after Hale & Townsend
     (SIAM J. Sci. Comput. 35(2), 2013) without their asymptotic formulae:
@@ -293,16 +301,7 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     half = n // 2
     x = np.concatenate((-x[:half], x[::-1]))
     w = np.concatenate((w[:half], w[::-1]))
-    x.flags.writeable = False
-    w.flags.writeable = False
     return x, w
-
-
-@functools.lru_cache(maxsize=8)
-def _bath_leggauss(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
-    """The gauss bath's nodes, cached by mode count: the rule takes about
-    15 ms at 2000 modes, and a run reuses a handful of sizes."""
-    return _gauss_legendre(n_modes)
 
 
 class _LinearTableTransform:
@@ -310,23 +309,29 @@ class _LinearTableTransform:
 
     J_V is f_k at the knots w_0 < ... < w_M, linear with slope s_k on
     [w_k, w_k+1] and zero outside, so integrating by parts twice (Filon's
-    method) gives
+    method) gives g_v as one term table,
 
-        2 pi g_v(t) = (i/t) (f_M e^{-i w_M t} - f_0 e^{-i w_0 t})
-                      + t^-2 sum_k (s_k-1 - s_k) e^{-i w_k t}
+        2 pi g_v(t) = sum_j u_j e^{-i w_j t} (i/t)^o_j,
 
-    with s_-1 = s_M = 0: one _exp_sum over the knots, which keeps its
-    lattice GEMM.  Where |t| w_M < _TAYLOR_PHASE, g_v is the series
+    held as freqs w_j, weights u_j (J_V / 2 pi) and order o_j: first the
+    knots, o = 2 and u = s_k - s_k-1 (s_-1 = s_M = 0), then the nonzero
+    end terms, o = 1 and u = f_M at w_M and -f_0 at w_0.  Each order is one
+    _exp_sum, which keeps its lattice GEMM, and _BoseSumTransform reads the
+    same table.  Where |t| w_M < _TAYLOR_PHASE, g_v is the series
     sum_n (-i t)^n mu_n / (2 pi n!) in the exact moments mu_n of J_V, taken
     in x = w / w_M so that no power overflows.
     """
 
     def __init__(self, omega: np.ndarray, j: np.ndarray):
         j = j / (2.0 * math.pi)
-        self.knots = omega
-        self.knot_weights = -np.diff(np.diff(j) / np.diff(omega),
-                                     prepend=0.0, append=0.0)
-        self.f_first, self.f_last = j[0], j[-1]
+        ends = np.array([j[-1], -j[0]])
+        live = ends != 0.0
+        self.freqs = np.concatenate([omega, omega[[-1, 0]][live]])
+        self.weights = np.concatenate([np.diff(np.diff(j) / np.diff(omega),
+                                               prepend=0.0, append=0.0),
+                                       ends[live]])
+        self.order = np.repeat([2, 1], [omega.size, live.sum()])
+        self.omega_max = omega[-1]
         # With L linear from f_a at a to f_b at b = a + h,
         # int_a^b x^n L dx = h (f_a G_n + f_b F_n) / ((n+1)(n+2)), where
         # F_n = sum_k (k+1) a^(n-k) b^k and G_n swaps a and b: sums of
@@ -343,36 +348,37 @@ class _LinearTableTransform:
             taylor[n] = (np.diff(x) @ (j[:-1] * g + j[1:] * f)
                          / math.factorial(n + 2))
         self.taylor = taylor * omega[-1]
-        # the knot sum's rounding, eps sum |knot_weights|, is divided by
+        # the knot sum's rounding, eps sum |u| over the knots, is divided by
         # t^2 >= (_TAYLOR_PHASE / w_M)^2 and must stay within QUADRATURE_RTOL
         # of g_v(0) = taylor[0] = max |g_v|; J = 0 has nothing to lose
         if j.any():
-            guard(np.finfo(float).eps * np.sum(np.abs(self.knot_weights))
+            magnitude = np.sum(np.abs(self.weights[self.order == 2]))
+            guard(np.finfo(float).eps * magnitude
                   * (omega[-1] / _TAYLOR_PHASE) ** 2 / self.taylor[0],
                   QUADRATURE_RTOL, QuadratureConvergenceError,
                   "a-priori roundoff of the tabulated g_v's knot sum")
 
     def __call__(self, dt) -> np.ndarray:
         dt = _offsets(dt)
-        t = dt.ravel()
-        ends = (self.f_last * np.exp(-1j * self.knots[-1] * t)
-                - self.f_first * np.exp(-1j * self.knots[0] * t))
-        sums = _exp_sum(self.knot_weights, self.knots, dt).ravel()
-        return self.assemble(t, sums, ends).reshape(dt.shape)
+        ends, sums = (_exp_sum(self.weights[self.order == o],
+                               self.freqs[self.order == o], dt).ravel()
+                      for o in (1, 2))
+        return self.assemble(dt.ravel(), sums, ends).reshape(dt.shape)
 
     def assemble(self, tau: np.ndarray, sums: np.ndarray, ends: np.ndarray,
                  taylor: bool = True) -> np.ndarray:
-        """g_v at the real or complex times tau, given there the knot sum
-        and the end terms of the Filon form (each possibly damped); a caller
-        that knows every |tau| w_M >= _TAYLOR_PHASE passes taylor=False."""
+        """g_v at the real or complex times tau, given there the table's
+        order-2 and order-1 sums (each possibly damped), as
+        (ends + sums i/tau) i/tau; a caller that knows every
+        |tau| w_M >= _TAYLOR_PHASE passes taylor=False."""
         if not taylor:
-            inv = 1.0 / tau
-            return (1j * ends + sums * inv) * inv
-        near = np.abs(tau) * self.knots[-1] < _TAYLOR_PHASE
-        inv = 1.0 / np.where(near, 1.0, tau)
-        out = (1j * ends + sums * inv) * inv
+            inv = 1j / tau
+            return (ends + sums * inv) * inv
+        near = np.abs(tau) * self.omega_max < _TAYLOR_PHASE
+        inv = 1j / np.where(near, 1.0, tau)
+        out = (ends + sums * inv) * inv
         if near.any():
-            x = -1j * self.knots[-1] * tau[near]
+            x = -1j * self.omega_max * tau[near]
             series = np.zeros(x.shape, dtype=complex)
             for coeff in self.taylor[::-1]:
                 series = series * x + coeff
@@ -405,79 +411,71 @@ class _BoseSumTransform:
     """gtilde_v of a tabulated J_V at T > 0, as the Bose sum of its g_v.
 
     For w > 0, nbar(w) = sum_{k >= 1} e^{-k w/T}, so gtilde_v(t) is
-    sum_k g_v(tau_k) at the complex times tau_k = t - i k/T, each in the
-    closed form of _LinearTableTransform: the knot weights c_j and the end
-    terms are damped by e^{-k w_j/T}, so each k is one _exp_sum (which
-    keeps its lattice GEMM), and |tau_k| w_M < _TAYLOR_PHASE takes the
-    Taylor branch at complex tau_k.  Knot j is needed up to the last k at
-    which the bound T^2 |c_j| e^{-k w_j/T} / (1 - e^{-w_j/T}) on its terms
-    from k on is at least _BOSE_TAIL of the sum over all knots of the
-    magnitudes of their terms at t = 0 (the end terms alike, with T for
-    T^2), and the knot at w = 0 (J = 0 there is required), undamped, in
-    every term.
+    sum_k g_v(tau_k) at the complex times tau_k = t - i k/T, each from the
+    term table of _LinearTableTransform with its weights u_j damped by
+    e^{-k w_j/T}: one _exp_sum per order (which keeps its lattice GEMM),
+    and |tau_k| w_M < _TAYLOR_PHASE takes the Taylor branch at complex
+    tau_k.  In i/tau_k = -T / (k + a), a = i T t, term j of g_v(tau_k) is
 
-    In 1/tau_k = i T / (k + i T t), a knot's terms are -T^2 c_j
-    e^{-r_j (k + a)} (k + a)^-2 and an end term's -T f e^{-r_j (k + a)}
-    (k + a)^-1, with r_j = w_j/T and a = i T t, so the terms of one knot
-    past any k are a sum that Euler-Maclaurin closes (_euler_maclaurin).
-    Each call splits the knots by the largest |t| it is given (plan): with
+        U_j e^{-r_j (k + a)} (k + a)^-o_j,  U_j = u_j (-T)^o_j, r_j = w_j/T,
+
+    so at t = 0 its sum over k is U_j Li_o(q_j), q_j = e^{-r_j}, and its
+    terms past any k are a sum that Euler-Maclaurin closes
+    (_euler_maclaurin).  Term j is needed up to the last k at which the
+    bound |U_j| q_j^k / (1 - q_j) on its terms from k on is at least
+    _BOSE_TAIL of sum_j |U_j| Li_o(q_j); the knot at w = 0 (J = 0 there is
+    required) is undamped and in every term, and past the loop it is
+    U_0 zeta(2, loop + 1 + a) (_hurwitz_zeta2).
+
+    Each call splits the terms by the largest |t| it is given (plan): with
     N the later of term 13 and the first past the Taylor branch, one whose
     r_j |N + a| <= _SERIES_RADIUS everywhere runs N - 1 terms and then the
-    power series of that closed form, summed over all such knots at once
-    (_series_tails); one that needs more than _BOSE_TERMS terms runs
-    _BOSE_TERMS and then the continued fraction of E_s per knot and offset
-    (_fraction_tails); the rest run their own number of terms.  Ordered by
-    that number, the knots and end terms of each term are a prefix.
+    power series of that closed form, summed over all such terms of one
+    order at once (_series_tails); one that needs more than _BOSE_TERMS
+    terms runs _BOSE_TERMS and then the continued fraction of E_s per term
+    and offset (_fraction_tails); the rest run their own number of terms.
+    Ordered by that number, the terms of one order in each k are a prefix.
     """
 
     def __init__(self, g_v: _LinearTableTransform, temperature: float):
         self.g_v, self.temperature = g_v, temperature
-        ends = np.array([g_v.f_last, -g_v.f_first])
-        weights = np.concatenate([g_v.knot_weights, ends[ends != 0.0]])
-        freqs = np.concatenate([g_v.knots, np.array(
-            [g_v.knots[-1], g_v.knots[0]])[ends != 0.0]])
-        knot = np.arange(freqs.size) < g_v.knots.size
-        rates, mags = freqs / temperature, np.abs(weights)
-        power = np.where(knot, temperature**2, temperature)
+        freqs, weights, order = g_v.freqs, g_v.weights, g_v.order
+        rates = freqs / temperature
+        scaled = weights * (-temperature) ** order
+        mags, knot = np.abs(scaled), order == 2
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            log_rest = np.log(-np.expm1(-rates))  # ln(1 - q), q = e^{-w/T}
-            # each term's sum over k is largest at t = 0, where i/tau_k =
-            # -T/k turns it into T ln(1 - q) for an end term and -T^2 Li_2(q)
-            # for a knot; the signed sums give gtilde_v(0) = max |gtilde_v|,
-            # and their magnitudes the a-priori roundoff.  The knot weights
-            # sum to 0, so Li_2(q) - pi^2/6 serves as well as Li_2(q); of
-            # the two, the sum with the smaller terms keeps more digits
+            log_rest = np.log(-np.expm1(-rates))  # ln(1 - q) = -Li_1(q)
+            # each term's sum over k is largest at t = 0; the signed sums
+            # give gtilde_v(0) = max |gtilde_v|, and their magnitudes the
+            # a-priori roundoff.  The knot weights sum to 0, so
+            # Li_2(q) - pi^2/6 serves as well as Li_2(q); of the two, the
+            # sum with the smaller terms keeps more digits
             li2, shifted = _dilog_exp(rates)
             at_knot = (shifted if mags[knot] @ np.abs(shifted[knot])
                        < mags[knot] @ li2[knot] else li2)
-            self.at_zero = -float(weights @ (power * np.where(
-                knot, at_knot, -log_rest)))
-            share = power * np.where(knot, li2, -log_rest)
-            scale = mags @ share
+            self.at_zero = float(scaled @ np.where(knot, at_knot, -log_rest))
+            scale = mags @ np.where(knot, li2, -log_rest)
             guard(np.finfo(float).eps * scale / abs(self.at_zero) if scale
                   else 0.0, QUADRATURE_RTOL, QuadratureConvergenceError,
                   "a-priori roundoff of the tabulated gtilde_v's Bose sum")
-            # the last k of each term by the tail rule, |tau_k| >= 1/T
-            # bounding its share past k by |w| T^s q^k / (1 - q); the zero
-            # knot's terms never shrink
+            # the last k of each term by the tail rule; the zero knot's
+            # terms never shrink
             decaying = rates > 0.0
             last = np.where(decaying, np.floor((np.log(
-                mags * power / (_BOSE_TAIL * (scale or 1.0))) - log_rest)
-                / rates), math.inf)
+                mags / (_BOSE_TAIL * (scale or 1.0))) - log_rest) / rates),
+                math.inf)
         live = (last >= 1.0) & (weights != 0.0)
-        self.knot, self.rates, self.last = knot[live], rates[live], last[live]
+        self.rates, self.last, self.order = rates[live], last[live], order[live]
         self.freqs, self.weights = freqs[live], weights[live]
-        self.zero_weight = 0.0 if decaying[0] else weights[0]
-        # the prefactor of each term past the loop: -T^2 per knot, -T per end
-        self.scaled = -np.where(self.knot, temperature, 1.0) * (
-            temperature * self.weights)
+        self.scaled = scaled[live]
+        self.zero_weight = 0.0 if decaying[0] else scaled[0]
 
     def plan(self, t_max: float) -> tuple[np.ndarray, np.ndarray, int]:
         """For offsets up to |t| = t_max: the number of loop terms of each
-        live knot and end term, which of them continue as the series, and
+        live term of the table, which of them continue as the series, and
         its first term.  Every live term is in the loop while the Taylor
         branch can run, k w_M < _TAYLOR_PHASE T, up to _BOSE_TERMS."""
-        near = _TAYLOR_PHASE * self.temperature / self.g_v.knots[-1]
+        near = _TAYLOR_PHASE * self.temperature / self.g_v.omega_max
         start = int(min(max(_EM_START, math.ceil(near)), _BOSE_TERMS + 1))
         terms = np.minimum(self.last, _BOSE_TERMS)
         radius = _SERIES_RADIUS / abs(complex(start, self.temperature
@@ -494,12 +492,10 @@ class _BoseSumTransform:
         temp = self.temperature
         terms, series, start = self.plan(np.max(np.abs(t), initial=0.0))
         loop = int(terms.max(initial=0.0))
-        out = (-self.zero_weight * temp) * temp * _hurwitz_zeta2(
-            loop + 1.0 + 1j * temp * t)
+        out = self.zero_weight * _hurwitz_zeta2(loop + 1.0 + 1j * temp * t)
         fraction = (self.last > terms) & (self.rates > 0.0) & ~series
-        for knot in (True, False):
-            cols = self.knot == knot
-            order = 2 if knot else 1
+        for order in (2, 1):
+            cols = self.order == order
             if (series & cols).any():
                 out += _series_tails(start + 1j * temp * t,
                                      self.rates[series & cols],
@@ -508,9 +504,9 @@ class _BoseSumTransform:
                 out += _fraction_tails(_BOSE_TERMS + 1.0 + 1j * temp * t,
                                        self.rates[fraction & cols],
                                        self.scaled[fraction & cols], order)
-        # the loop: each term's knots and end terms are a prefix of these
+        # the loop: the terms of one order in each k are a prefix of these
         rank = np.argsort(-terms, kind="stable")
-        knots, ends = rank[self.knot[rank]], rank[~self.knot[rank]]
+        knots, ends = (rank[self.order[rank] == o] for o in (2, 1))
         counts = [np.searchsorted(-terms[cols], -np.arange(1, loop + 1),
                                   "right") for cols in (knots, ends)]
         freqs, weights = self.freqs[knots], self.weights[knots]
@@ -519,13 +515,13 @@ class _BoseSumTransform:
         # on a lattice, every term's knot sum is _exp_sum's GEMM over the
         # same two factors; they are built once if they fit its bound
         split = _lattice(dt)
-        if split is not None and sum(map(np.size, split)) * freqs.size > 4e6:
+        if split is not None and (sum(map(np.size, split)) * freqs.size
+                                  > _EXP_ELEMENTS):
             split = None
         if split is not None:
-            left = np.exp(-1j * np.outer(split[0], freqs))
-            right = np.exp(-1j * np.outer(freqs, split[1]))
+            left, right = _lattice_factors(split, freqs)
         # |tau_k| >= k/T, so from k w_M >= _TAYLOR_PHASE T on no tau_k is near
-        near = _TAYLOR_PHASE * temp / self.g_v.knots[-1]
+        near = _TAYLOR_PHASE * temp / self.g_v.omega_max
         for k, (n, m) in enumerate(zip(*counts), 1):
             damped = weights[:n] * np.exp(-k / temp * freqs[:n])
             sums = (_exp_sum(damped, freqs[:n], t) if split is None else
@@ -741,14 +737,12 @@ def _hurwitz_zeta2(a: np.ndarray, direct: int = 12) -> np.ndarray:
 
     The first terms are summed directly; the tail from b = a + direct is
     1/b + 1/(2 b^2) + sum_j B_2j / b^(2j+1) (Euler-Maclaurin, DLMF 25.11),
-    whose first omitted term is below 1e-19 relative for |b| >= 13.
+    whose first omitted term is below 1e-19 relative for |b| >= 13.  Past
+    the integral 1/b that is the Bose tails' closure, _euler_maclaurin, for
+    one term of weight 1 at rate 0, whose moments are [1, 0, 0, ...].
     """
     b = a + direct
-    w = 1.0 / b**2
-    series = 0.0
-    for bern in reversed(_BERNOULLI):
-        series = (series + bern) * w
-    out = (1.0 + series) / b + 0.5 * w
+    out = 1.0 / b + _euler_maclaurin(b, np.eye(1, 2 * len(_BERNOULLI)), 2)
     for k in range(direct - 1, -1, -1):  # smallest terms first
         out = out + 1.0 / (a + k) ** 2
     return out
@@ -863,7 +857,7 @@ def discretize_bath(model: SpectralModel, n_modes: int, omega_max: float,
     mapped onto [0, omega_max], in ascending frequency, with their weights
     as bin widths.  Those nodes come from Newton's method on the Legendre
     recurrence (Hale & Townsend, SIAM J. Sci. Comput. 35(2), 2013), in
-    O(n_modes^2) work, and are cached by mode count.
+    O(n_modes^2) work.
     """
     if scheme not in _SCHEMES:
         raise ValidationError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
@@ -875,7 +869,7 @@ def discretize_bath(model: SpectralModel, n_modes: int, omega_max: float,
         freqs = (np.arange(n_modes) + 0.5) * h
         weights = np.full(n_modes, h)
     else:
-        x, w = _bath_leggauss(n_modes)
+        x, w = _gauss_legendre(n_modes)
         freqs = 0.5 * omega_max * (x + 1.0)
         weights = 0.5 * omega_max * w
 

@@ -91,9 +91,9 @@ def _tabulated_rules():
     # "plain" is the closed-form g_v's sum over the table's knots on
     # [0, 20]; "thermal" is the first term of gtilde_v's Bose sum, at
     # T = 0.3 its 139 live knots damped by e^{-w/T}
-    bose = kernel.gtilde_v
-    live = bose.knot
-    return {"plain": (kernel.g_v.knot_weights, kernel.g_v.knots),
+    g_v, bose = kernel.g_v, kernel.gtilde_v
+    knots, live = g_v.order == 2, bose.order == 2
+    return {"plain": (g_v.weights[knots], g_v.freqs[knots]),
             "thermal": (bose.weights[live] * np.exp(-bose.freqs[live] / 0.3),
                         bose.freqs[live])}
 
@@ -173,3 +173,36 @@ def test_exp_sum_temporaries_stay_within_the_bound(monkeypatch):
     assert _max_rel_dev(lattice[sample],
                         _loop_exp_sum(weights, freqs, times[sample])) <= RTOL
     assert np.array_equal(direct, _loop_exp_sum(weights, freqs, jittered))
+
+
+@pytest.mark.parametrize("temperature", [0.01, 0.3, 1.0])
+def test_tabulated_transforms_under_a_small_element_bound(temperature,
+                                                          monkeypatch):
+    # at a bound of 1 000 elements _exp_sum chunks its frequencies, and from
+    # T = 0.3 on the Bose sum's live knots are too many for its lattice
+    # factors, so each of its terms calls _exp_sum; the sums come in another
+    # order, measured within 1.3e-15 (g_v) and 6.5e-16 (gtilde_v) of max
+    kernel = gqbm.build_kernels(tabulated_model(temperature))
+    times = gqbm.TimeGrid(t_end=10.0, n_steps=600).times
+    want = [kernel.g_v(times), kernel.gtilde_v(times)]
+    calls = {"_exp_sum": 0, "_lattice_factors": 0}
+
+    def counted(name):
+        real = getattr(spectral, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(spectral, "_EXP_ELEMENTS", 1000)
+    for name in calls:
+        monkeypatch.setattr(spectral, name, counted(name))
+    got = [kernel.g_v(times)]
+    # one sum per order: the 300 knots in chunks of 1000 // (25 + 25) = 20,
+    # and the end term
+    assert calls == {"_exp_sum": 2, "_lattice_factors": 16}
+    got.append(kernel.gtilde_v(times))
+    assert (calls["_exp_sum"] > 2) == (temperature > 0.01)
+    for value, ref in zip(got, want):
+        assert _max_rel_dev(value, ref) <= 5e-15

@@ -72,7 +72,7 @@ def _bose_sum_of_a_nan_weight():
                                 np.array([0.0, 1.0, 0.0]))
     # g_v's own construction rejects NaN, so it enters afterwards, by
     # mutation, to reach the thermal sum's roundoff guard
-    g_v.knot_weights[1] = np.nan
+    g_v.weights[1] = np.nan
     _BoseSumTransform(g_v, 0.3)
 
 

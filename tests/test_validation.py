@@ -171,6 +171,14 @@ def test_linear_dynamics_needs_one_length():
                             w_couplings=DYN.w_couplings)
 
 
+def test_linear_dynamics_rejects_complex_couplings():
+    with pytest.raises(ValidationError,
+                       match="v_couplings must be a 1-d array of reals"):
+        gqbm.LinearDynamics(omega_s=0.5, frequencies=DYN.frequencies,
+                            v_couplings=DYN.v_couplings + 0j,
+                            w_couplings=DYN.w_couplings)
+
+
 def test_volterra_tables_are_bounded_before_allocation():
     n = 6000
     grid = gqbm.TimeGrid(t_end=10.0, n_steps=n)
