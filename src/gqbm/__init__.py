@@ -57,6 +57,7 @@ from .oracle import (
     exact_moments,
     propagate,
     reduced_moments,
+    thermal_moments,
     thermal_total_state,
 )
 from .spectral import (
@@ -93,7 +94,7 @@ __all__ = [
     # oracle
     "LinearDynamics", "BogoliubovPropagator", "OracleMoments",
     "ThermalTotalState", "build_dynamics", "propagate", "reduced_moments",
-    "exact_moments", "thermal_total_state",
+    "exact_moments", "thermal_moments", "thermal_total_state",
     # errors
     "GqbmError", "ValidationError", "ContractViolationError",
     "InstabilityError", "SingularityError", "NumericalQualityError",

@@ -22,19 +22,23 @@ exp(G^T t) (Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967) over windows
 of output steps, its degree fixed in advance by a bound that holds for any
 H.  A finite bath revives: results are trustworthy only below the
 recurrence horizon ~ 2 pi / min mode spacing, which LinearDynamics reports
-before anything is propagated.  reduced_moments() and exact_moments()
-read the rows in blocks of a fixed number of output steps, applying the
-initial product table once per block (one pair-wise rule, or one GEMM with
-a dense table).  thermal_total_state() prepares the
-correlated initial state of a quench, the Gibbs state of the coupled
-Hamiltonian.  The couplings are real, so the same arrowhead splits into an
-x block and a p block of size N + 1 in the quadratures; a Cholesky factor
-of each and one SVD of their product give the normal modes, and the
-product table is assembled in the interleaved operator ordering.
+before anything is propagated.  reduced_moments(), exact_moments() and
+thermal_moments() read the rows in blocks of a fixed number of output
+steps, applying the initial state once per block (one pair-wise rule, one
+GEMM with a dense product table, or two real GEMMs with the normal-mode
+transforms).  thermal_total_state() prepares the correlated initial state
+of a quench, the Gibbs state of the coupled Hamiltonian.  The couplings
+are real, so the same arrowhead splits into an x block and a p block of
+size N + 1 in the quadratures; a Cholesky factor of each and one SVD of
+their product give the normal modes.  The state is those real transforms
+and the normal-mode occupations; its dense product table, in the
+interleaved operator ordering, is a view of them, built only when asked
+for.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -132,19 +136,6 @@ class LinearDynamics:
         coupling[0, 1::2] = coupling[1, 0::2] = self.w_couplings
         return diag, coupling
 
-    def _dense_h(self) -> np.ndarray:
-        """The real symmetric H, filled from the arrowhead."""
-        diag, coupling = self.arrowhead()
-        h = np.diag(diag)
-        h[:2, 2:] = coupling
-        h[2:, :2] = coupling.T
-        return h
-
-    def as_matrix(self) -> np.ndarray:
-        """Dense generator G with dA/dt = G A (G = -i sigma H); intended for
-        small N (tests, spectra)."""
-        return -1j * self.sigma()[:, None] * self._dense_h()
-
     def sigma(self) -> np.ndarray:
         """Commutation metric diag(+1, -1, ...) in the interleaved ordering."""
         s = np.ones(self.dim)
@@ -180,6 +171,13 @@ class BogoliubovPropagator:
         return self.sys_rows[:, :, :2]
 
 
+def _miller_top(k_max: int, x_max: float) -> int:
+    """The order _bessel_j starts its recurrence from, for orders up to
+    k_max at arguments up to x_max."""
+    return (max(k_max, math.ceil(x_max)) + 20
+            + math.ceil(8.0 * x_max ** (1 / 3)))
+
+
 def _bessel_j(k_max: int, x: np.ndarray) -> np.ndarray:
     """J_k(x) for k = 0..k_max (rows) at each x >= 0 of a 1-d x (columns).
 
@@ -193,7 +191,7 @@ def _bessel_j(k_max: int, x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     x_max = float(np.max(x, initial=0.0))
-    top = max(k_max, math.ceil(x_max)) + 20 + math.ceil(8.0 * x_max ** (1 / 3))
+    top = _miller_top(k_max, x_max)
     two_over_x = 2.0 / np.where(x > 0.0, x, 1.0)  # x = 0 is set below
     growth = float(np.max(two_over_x, initial=0.0))
     j = np.zeros((top + 2, x.size))  # unnormalised J_0..J_(top+1)
@@ -288,10 +286,16 @@ def propagate(dyn: LinearDynamics, grid: TimeGrid) -> BogoliubovPropagator:
         window = n
     else:
         window = max(1, int(_WINDOW_PHASE / (norm * dt)))
-    degree = _chebyshev_degree(norm * window * dt)
-    # the T_0..T_K blocks of one window
-    require_budget(f"propagate at degree {degree} and dimension {dim}",
-                   (degree + 1) * dim * 32, "Chebyshev vectors")
+    phase = norm * window * dt
+    degree = _chebyshev_degree(phase)
+    # the rows and the T_0..T_K blocks, one window's product and its |.|
+    # for the guard, then the Bessel recurrence, its normalised rows and the
+    # complex coefficient table of one window
+    require_budget(
+        f"propagate at {n} steps, degree {degree} and dimension {dim}",
+        32 * dim * (n + 1 + degree + 1) + 48 * dim * window
+        + 8 * window * (_miller_top(degree, phase) + 2 + 3 * (degree + 1)),
+        "Chebyshev vectors, propagator rows and coefficient tables")
 
     k = np.arange(degree + 1)
     coef = (np.where(k == 0, 1.0, 2.0) * np.array([1, -1j, -1, 1j])[k % 4]
@@ -343,14 +347,13 @@ class OracleMoments:
         return out
 
 
-def _moments_from_rows(prop: BogoliubovPropagator, apply_m0,
+def _moments_from_rows(prop: BogoliubovPropagator, rule,
                        mean_a: np.ndarray) -> OracleMoments:
-    """Moments <A_i A_j> = r_i . M0 . r_j of the system pair, drift-checked.
+    """Moments <A_i A_j> of the system pair, drift-checked.
 
-    Reads sys_rows in blocks of _MOMENT_BLOCK output steps: apply_m0 maps a
-    (k, 2, dim) block of rows r to M0 r once per block (one GEMM or one
-    pair-wise rule), and each of delta_s, delta_n and delta_h is one einsum
-    over the block.  The transient is O(_MOMENT_BLOCK dim), whatever n.
+    Reads sys_rows in blocks of _MOMENT_BLOCK output steps: rule maps a
+    (k, 2, dim) block of rows to its (delta_s, delta_n, delta_h), each of
+    length k.  The transient is O(_MOMENT_BLOCK dim), whatever n.
     """
     rows = prop.sys_rows
     n_times = rows.shape[0]
@@ -359,15 +362,26 @@ def _moments_from_rows(prop: BogoliubovPropagator, apply_m0,
     delta_h = np.empty(n_times, dtype=complex)
     for lo in range(0, n_times, _MOMENT_BLOCK):
         steps = slice(lo, lo + _MOMENT_BLOCK)
-        r1, r2 = rows[steps, 0], rows[steps, 1]
-        m0_block = apply_m0(rows[steps])
-        delta_s[steps] = np.einsum("kd,kd->k", r1, m0_block[:, 0])
-        delta_n[steps] = np.einsum("kd,kd->k", r2, m0_block[:, 0])
-        delta_h[steps] = np.einsum("kd,kd->k", r1, m0_block[:, 1])
+        delta_s[steps], delta_n[steps], delta_h[steps] = rule(rows[steps])
     times = prop.grid.times
     _require_commutator(delta_n.real, delta_h.real, times)
     return OracleMoments(times=times, mean_a=mean_a, delta_n=delta_n.real,
                          delta_s=delta_s, delta_h=delta_h.real)
+
+
+def _table_rule(apply_m0):
+    """The block rule <A_i A_j> = r_i . M0 r_j of a product table M0:
+    apply_m0 maps a (k, 2, dim) block of rows r to M0 r once per block (one
+    GEMM or one pair-wise rule), then each moment is one einsum."""
+
+    def rule(block: np.ndarray):
+        m0_block = apply_m0(block)
+        r1, r2 = block[:, 0], block[:, 1]
+        return (np.einsum("kd,kd->k", r1, m0_block[:, 0]),
+                np.einsum("kd,kd->k", r2, m0_block[:, 0]),
+                np.einsum("kd,kd->k", r1, m0_block[:, 1]))
+
+    return rule
 
 
 def reduced_moments(prop: BogoliubovPropagator, bath: BathDiscretization,
@@ -404,7 +418,8 @@ def reduced_moments(prop: BogoliubovPropagator, bath: BathDiscretization,
     mu0 = np.zeros(prop.dim, dtype=complex)
     mu0[0] = init.mean_a
     mu0[1] = np.conj(init.mean_a)
-    return _moments_from_rows(prop, apply_m0, prop.sys_rows[:, 0, :] @ mu0)
+    return _moments_from_rows(prop, _table_rule(apply_m0),
+                              prop.sys_rows[:, 0, :] @ mu0)
 
 
 def exact_moments(prop: BogoliubovPropagator,
@@ -425,7 +440,57 @@ def exact_moments(prop: BogoliubovPropagator,
         return (block.reshape(-1, prop.dim) @ product_table.T).reshape(
             block.shape)
 
-    return _moments_from_rows(prop, apply_m0,
+    return _moments_from_rows(prop, _table_rule(apply_m0),
+                              np.zeros(prop.grid.times.size, dtype=complex))
+
+
+def thermal_moments(prop: BogoliubovPropagator,
+                    state: ThermalTotalState) -> OracleMoments:
+    """Open-mode moments from a thermal total state, read through its
+    normal-mode transforms; exact_moments(prop, state.product_table) reads
+    the same moments through the dense table.
+
+    With u = (X' + Y')/2 and v = (X' - Y')/2 (state.x_modes, state.y_modes)
+    a_j = sum_k u_jk c_k + v_jk c_k^dag, so a row r, in the interleaved
+    ordering, makes A = sum_k alpha_k c_k + beta_k c_k^dag with
+    alpha = (P + Q)/2 and beta = (P - Q)/2 for P = (r_even + r_odd) X' and
+    Q = (r_even - r_odd) Y'.  Each is one real GEMM on the real view of a
+    block of rows: 4 (N+1)^2 multiply-adds a row, against 16 (N+1)^2 for
+    the complex table.  Then <A_i A_j> = sum_k alpha^i_k beta^j_k (1 + nbar_k)
+    + beta^i_k alpha^j_k nbar_k, and delta_h - delta_n =
+    sum_k alpha^0_k beta^1_k - beta^0_k alpha^1_k still checks the march.
+    """
+    nb = state.mode_occupations.size
+    if 2 * nb != prop.dim:
+        raise ContractViolationError(
+            f"thermal state has {nb - 1} bath modes, propagator dimension "
+            f"{prop.dim}")
+    x_t, y_t = state.x_modes.T, state.y_modes.T
+    # <c c^dag> = 1 + nbar and <c^dag c> = nbar, over 4: alpha and beta
+    # below are taken twice
+    cc_dag = 0.25 * (1.0 + state.mode_occupations)
+    c_dag_c = 0.25 * state.mode_occupations
+    both = cc_dag + c_dag_c
+
+    def rule(block: np.ndarray):
+        k = block.shape[0]
+        # the 2k rows of the block as columns, a, a^dag of each step in
+        # turn, so that each real GEMM acts on real and imaginary parts
+        even = block[:, :, 0::2].reshape(2 * k, nb).T
+        odd = block[:, :, 1::2].reshape(2 * k, nb).T
+        s_d = np.empty((2, nb, 2 * k), dtype=complex)
+        np.add(even, odd, out=s_d[0])
+        np.subtract(even, odd, out=s_d[1])
+        p = (x_t @ s_d[0].view(float)).view(complex)
+        q = (y_t @ s_d[1].view(float)).view(complex)
+        alpha, beta = p + q, p - q
+        a0, a1 = alpha[:, 0::2], alpha[:, 1::2]
+        b0, b1 = beta[:, 0::2], beta[:, 1::2]
+        return (both @ (a0 * b0),
+                cc_dag @ (a1 * b0) + c_dag_c @ (b1 * a0),
+                cc_dag @ (a0 * b1) + c_dag_c @ (b0 * a1))
+
+    return _moments_from_rows(prop, rule,
                               np.zeros(prop.grid.times.size, dtype=complex))
 
 
@@ -433,13 +498,21 @@ def exact_moments(prop: BogoliubovPropagator,
 class ThermalTotalState:
     """Gaussian thermal state of the coupled system + bath Hamiltonian.
 
-    Holds the reduced system moments, the system-bath cross correlations,
-    the per-mode bath occupations/squeezes, the normal-mode frequencies in
-    ascending order, and the full initial product table for exact_moments.
-    metadata holds the scheme, its symplectic residual and the lowest
-    normal-mode frequency.  The residual is max|Omega^-1/2 X^T Y Omega^-1/2
-    - I| for the quadrature transforms X, Y (see _quadrature_modes): how
-    far the normal coordinates are from canonical pairs.
+    The state is its normal-mode transforms x_modes = X Omega^-1/2 and
+    y_modes = Y Omega^-1/2 (_quadrature_modes: real, rows in the operator
+    ordering, columns in descending Omega) and mode_occupations = nbar of
+    each column.  With u = (x_modes + y_modes)/2, v = (x_modes - y_modes)/2
+    the annihilators are a = u c + v c^dag over the normal-mode ones c, so
+    <a^dag a> = u nbar u^T + v (1 + nbar) v^T, <a a> = u (1 + nbar) v^T
+    + v nbar u^T and <a a^dag> = 1 + <a^dag a>^T.  thermal_moments reads
+    the evolved moments through the transforms.  The reduced system
+    moments, the system-bath cross correlations and the per-mode bath
+    occupations/squeezes are read off them once; normal_frequencies ascend.
+    product_table, the dense <A_p A_q> in the interleaved ordering, is a
+    view of the transforms, assembled on first use.  metadata holds the
+    scheme, its symplectic residual and the lowest normal-mode frequency.
+    The residual is max|Omega^-1/2 X^T Y Omega^-1/2 - I| for the quadrature
+    transforms X, Y: how far the normal coordinates are from canonical pairs.
     """
 
     system: GaussianMoments
@@ -447,8 +520,35 @@ class ThermalTotalState:
     bath_occupations: np.ndarray
     bath_squeezes: np.ndarray
     normal_frequencies: np.ndarray
-    product_table: np.ndarray
+    x_modes: np.ndarray
+    y_modes: np.ndarray
+    mode_occupations: np.ndarray
     metadata: dict = field(default_factory=dict)
+
+    @functools.cached_property
+    def product_table(self) -> np.ndarray:
+        """<A_p A_q>(0) in the interleaved operator ordering, for
+        exact_moments; (2N+2)^2 complex, built once."""
+        nb = self.mode_occupations.size
+        # the table, and the factors alive while it is filled
+        require_budget(f"the product table at {nb} normal modes",
+                       88 * nb * nb, "table and factors")
+        x_mat, y_mat = self.x_modes, self.y_modes
+        # each factor is freed once read: the table below sets the peak memory
+        uv = 0.5 * np.hstack([x_mat + y_mat, x_mat - y_mat])  # [u, v]
+        occ_nm = self.mode_occupations
+        gram = uv * np.sqrt(np.concatenate([occ_nm, 1.0 + occ_nm]))
+        dag_ann = gram @ gram.T
+        del gram
+        ann_ann = (uv * np.concatenate([1.0 + occ_nm, occ_nm])) @ np.roll(
+            uv, nb, axis=1).T  # [u, v] diag(1 + nbar, nbar) [v, u]^T
+        del uv
+        table = np.empty((2 * nb, 2 * nb), dtype=complex)
+        table[0::2, 0::2] = ann_ann
+        table[0::2, 1::2] = dag_ann.T + np.eye(nb)
+        table[1::2, 0::2] = dag_ann
+        table[1::2, 1::2] = ann_ann.T
+        return table
 
 
 def _quadrature_modes(dyn: LinearDynamics, omega_s0: float):
@@ -487,6 +587,7 @@ def _quadrature_modes(dyn: LinearDynamics, omega_s0: float):
             "coupled Hamiltonian is not positive definite (its Cholesky "
             "factorisation fails); no thermal state exists at these "
             "couplings") from None
+    del blocks  # the factors carry P and Q from here on
     u_svd, eps, v_svd_t = np.linalg.svd(l_p.T @ l_q)
     root = 1.0 / np.sqrt(eps)
     back = np.argsort(order)
@@ -503,47 +604,45 @@ def thermal_total_state(dyn: LinearDynamics, temperature: float,
     positive definite, otherwise no thermal state exists and an
     InstabilityError is raised.  The normal modes come from the x and p
     blocks of H (_quadrature_modes): two Cholesky factors and one SVD of
-    size N + 1.  Every field is read off the product table <A_p A_q>.
+    size N + 1.  The state is held as those transforms and the normal-mode
+    occupations; the system row and the diagonals of <a^dag a> and <a a>
+    are read off them in O(N^2), and no dense table is built.
     """
     require("temperature", temperature, ">= 0")
     require("omega_s0", omega_s0)
+    nb = dyn.n_modes + 1
+    # the x and p blocks, their Cholesky factors and the SVD's factors and
+    # workspace: the process peak rose by 11.2-12.3 x 8 nb^2 bytes at 600 to
+    # 3 000 modes
+    require_budget(f"thermal_total_state at {nb} normal modes",
+                   104 * nb * nb, "quadrature blocks and factors")
     eps, x_mat, y_mat = _quadrature_modes(dyn, omega_s0)
-    nb = eps.size
 
     resid = guard(np.max(np.abs(x_mat.T @ y_mat - np.eye(nb))),
                   SYMPLECTIC_RESIDUAL_TOL, NumericalQualityError,
                   "symplectic residual of the Bogoliubov transform")
 
-    # a = u c + v c^dag over the normal-mode annihilators c, with
-    # u = (X + Y) Omega^-1/2 / 2 and v = (X - Y) Omega^-1/2 / 2, so with
-    # <c^dag c> = nbar: <a^dag a> = u nbar u^T + v (1 + nbar) v^T and
-    # <a a> = u (1 + nbar) v^T + v nbar u^T; <a a^dag> = 1 + <a^dag a>^T
-    # each factor is freed once read: the table below sets the peak memory
-    uv = 0.5 * np.hstack([x_mat + y_mat, x_mat - y_mat])  # [u, v]
-    del x_mat, y_mat
+    # the system row and the diagonals of <a^dag a> and <a a>
+    # (ThermalTotalState), in the u, v form: half the sum of the x and p
+    # covariances, minus 1/2, gives delta_n < 0 at the vacuum
     occ_nm = n_bar(eps, temperature)
-    gram = uv * np.sqrt(np.concatenate([occ_nm, 1.0 + occ_nm]))
-    dag_ann = gram @ gram.T
-    del gram
-    ann_ann = (uv * np.concatenate([1.0 + occ_nm, occ_nm])) @ np.roll(
-        uv, nb, axis=1).T  # [u, v] diag(1 + nbar, nbar) [v, u]^T
-    del uv
-    table = np.empty((dyn.dim, dyn.dim), dtype=complex)
-    table[0::2, 0::2] = ann_ann
-    table[0::2, 1::2] = dag_ann.T + np.eye(nb)
-    table[1::2, 0::2] = dag_ann
-    table[1::2, 1::2] = ann_ann.T
+    u, v = 0.5 * (x_mat + y_mat), 0.5 * (x_mat - y_mat)
+    dag_row = u @ (occ_nm * u[0]) + v @ ((1.0 + occ_nm) * v[0])
+    ann_row = v @ ((1.0 + occ_nm) * u[0]) + u @ (occ_nm * v[0])
+    dag_diag = (u * u) @ occ_nm + (v * v) @ (1.0 + occ_nm)
+    ann_diag = (u * v) @ (1.0 + 2.0 * occ_nm)
 
-    system = GaussianMoments(mean_a=0.0 + 0.0j, delta_n=table[1, 0].real,
-                             delta_s=table[0, 0])
+    system = GaussianMoments(mean_a=0.0 + 0.0j, delta_n=float(dag_row[0]),
+                             delta_s=complex(ann_row[0]))
     return ThermalTotalState(
         system=system,
-        correlations=InitialCorrelations(n_prime=table[1, 2::2],
-                                         s_prime=table[0, 2::2]),
-        bath_occupations=np.real(np.diag(table[3::2, 2::2])),
-        bath_squeezes=np.diag(table[2::2, 2::2]),
+        correlations=InitialCorrelations(
+            n_prime=dag_row[1:].astype(complex),
+            s_prime=ann_row[1:].astype(complex)),
+        bath_occupations=dag_diag[1:],
+        bath_squeezes=ann_diag[1:].astype(complex),
         normal_frequencies=eps[::-1],
-        product_table=table,
+        x_modes=x_mat, y_modes=y_mat, mode_occupations=occ_nm,
         metadata={"scheme": THERMAL_STATE_SCHEME, "symplectic_residual": resid,
                   "min_normal_frequency": float(eps[-1])},
     )

@@ -157,7 +157,7 @@ def quench_comparison(bath: spectral.BathDiscretization, omega_s: float,
     u, v = res.outputs["sol"].u, res.outputs["sol"].v_equal_time
     dv = greens.correlated_correction(kbath, state.correlations, u, grid)
     n_me = greens.second_moments(u, state.system.n_matrix(), v) + dv
-    orc = oracle.exact_moments(prop, state.product_table)
+    orc = oracle.thermal_moments(prop, state)
     res.outputs.update(state=state, prop=prop, correction=dv, n_me=n_me,
                        oracle=orc)
     res.summaries.update(

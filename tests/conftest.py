@@ -119,5 +119,19 @@ def kernel_with(g, gtilde):
     return kernel
 
 
+def dense_h(dyn):
+    """The real symmetric H of an oracle model, filled from its arrowhead."""
+    diag, coupling = dyn.arrowhead()
+    h = np.diag(diag)
+    h[:2, 2:] = coupling
+    h[2:, :2] = coupling.T
+    return h
+
+
+def dense_generator(dyn):
+    """Dense generator G with dA/dt = G A (G = -i sigma H), for small N."""
+    return -1j * dyn.sigma()[:, None] * dense_h(dyn)
+
+
 def max_abs(x) -> float:
     return float(np.max(np.abs(x)))

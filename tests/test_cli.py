@@ -818,6 +818,17 @@ def test_quench_summary_reports_the_thermal_state_margins(tmp_path,
                                  "min_normal_frequency")) > 0.0
 
 
+def test_oracle_past_the_memory_budget_exits_2(tmp_path, monkeypatch,
+                                              capsys):
+    # 400 modes on 300 000 steps: the propagator rows alone need 7.7 GB
+    code = _run_cli(["oracle-compare", "--out", str(tmp_path / "x"),
+                     "--alpha", "0.5", "--t-end", "3", "--steps", "300000",
+                     "--oracle-modes", "400"], monkeypatch)
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "propagate at 300000 steps" in err and "MEMORY_BUDGET_BYTES" in err
+
+
 def test_quench_from_unstable_hamiltonian_exits_3(tmp_path, monkeypatch,
                                                   capsys):
     code = _run_cli(["oracle-compare", "--out", str(tmp_path / "x"),

@@ -19,7 +19,7 @@ from gqbm.errors import (
 from gqbm.oracle import BogoliubovPropagator
 from gqbm.spectral import n_bar
 
-from conftest import make_model
+from conftest import dense_generator, make_model
 
 
 def _random_dynamics(n_modes=12, alpha_like=True, seed=3):
@@ -39,12 +39,12 @@ def test_generator_without_modes():
                               v_couplings=np.zeros(0), w_couplings=np.zeros(0))
     assert dyn.dim == 2
     np.testing.assert_array_equal(
-        dyn.as_matrix(), np.diag([-0.4j, 0.4j]))
+        dense_generator(dyn), np.diag([-0.4j, 0.4j]))
 
 
 def test_generator_blocks_without_pairing():
     bath = gqbm.discretize_bath(make_model(0.0), 8, 20.0)
-    g = gqbm.build_dynamics(bath, 0.3).as_matrix()
+    g = dense_generator(gqbm.build_dynamics(bath, 0.3))
     # no pairing: a never couples to daggered bath operators and vice versa
     assert np.all(g[0, 3::2] == 0.0)
     assert np.all(g[1, 2::2] == 0.0)
@@ -54,7 +54,7 @@ def test_generator_blocks_without_pairing():
 
 def test_sigma_times_generator_is_anti_hermitian():
     dyn = _random_dynamics()
-    m = np.diag(dyn.sigma().astype(complex)) @ dyn.as_matrix()
+    m = np.diag(dyn.sigma().astype(complex)) @ dense_generator(dyn)
     assert np.max(np.abs(m + np.conj(m).T)) == 0.0
 
 
@@ -80,7 +80,7 @@ def _heisenberg_generator(dyn):
 def test_arrowhead_generator_matches_heisenberg_equations():
     dyn = _random_dynamics(n_modes=7, seed=11)
     ref = _heisenberg_generator(dyn)
-    np.testing.assert_array_equal(dyn.as_matrix(), ref)
+    np.testing.assert_array_equal(dense_generator(dyn), ref)
     # H = i sigma G: its diagonal and system rows are the arrowhead
     h = 1j * dyn.sigma()[:, None] * ref
     diag, coupling = dyn.arrowhead()
@@ -102,7 +102,7 @@ def test_energy_form_is_conserved_by_the_flow():
     # H = A^dag M A with M = i Sigma G Hermitian; the exact flow must keep
     # S^dag M S = M and the metric S^dag Sigma S = Sigma
     dyn = _random_dynamics()
-    g = dyn.as_matrix()
+    g = dense_generator(dyn)
     sig = np.diag(dyn.sigma().astype(complex))
     m_h = 1j * sig @ g
     assert np.max(np.abs(m_h - np.conj(m_h).T)) == 0.0
@@ -138,7 +138,7 @@ def test_march_matches_dense_exponential():
     dyn = gqbm.build_dynamics(bath, 0.3)
     grid = gqbm.TimeGrid(t_end=2.0, n_steps=100, max_frequency=1.0)
     prop = gqbm.propagate(dyn, grid)
-    s_full = expm(dyn.as_matrix() * grid.t_end)
+    s_full = expm(dense_generator(dyn) * grid.t_end)
     assert np.max(np.abs(prop.sys_rows[-1] - s_full[:2, :])) < 1e-9
 
 
@@ -225,7 +225,7 @@ def test_substeps_follow_the_fastest_frequency_of_either_sign():
         dyn = gqbm.LinearDynamics(omega_s=0.3, frequencies=[freq],
                                   v_couplings=[0.01], w_couplings=[0.0])
         prop = gqbm.propagate(dyn, grid)
-        exact = expm(dyn.as_matrix() * grid.t_end)[:2, :]
+        exact = expm(dense_generator(dyn) * grid.t_end)[:2, :]
         assert np.max(np.abs(prop.sys_rows[-1] - exact)) < 1e-9
 
 
@@ -263,7 +263,7 @@ def _small_dynamics(case):
 
 def _assert_matches_expm(dyn, grid):
     prop = gqbm.propagate(dyn, grid)
-    g = dyn.as_matrix()
+    g = dense_generator(dyn)
     for m, t in enumerate(grid.times):
         exact = expm(g * t)[:2, :]
         dev = np.max(np.abs(prop.sys_rows[m] - exact))
@@ -275,7 +275,7 @@ def _assert_matches_expm(dyn, grid):
                                   "pairing-dominated", "marginal-default"])
 def test_chebyshev_march_matches_expm_at_small_n(case):
     dyn = _small_dynamics(case)
-    growth = np.max(np.linalg.eigvals(dyn.as_matrix()).real)
+    growth = np.max(np.linalg.eigvals(dense_generator(dyn)).real)
     if case == "pairing-dominated":
         assert np.all(dyn.w_couplings > np.abs(dyn.v_couplings))
         assert growth > 0.3
@@ -391,6 +391,57 @@ def test_chebyshev_store_over_budget_rejected_before_allocation():
     assert peak < 64 * 2**20
 
 
+def _traced_peak(call, match):
+    """The tracemalloc peak of call, which must raise a ValidationError
+    whose message matches match."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=match):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_long_grid_over_budget_rejected_before_allocation():
+    # the oracle workload's 400 modes on 300 000 steps: the rows alone
+    # would take 7.7 GB
+    bath = gqbm.discretize_bath(make_model(0.5), 400, 20.0, scheme="gauss")
+    dyn = gqbm.build_dynamics(bath, 0.3)
+    grid = gqbm.TimeGrid(t_end=3.0, n_steps=300_000, max_frequency=1.0)
+    peak = _traced_peak(lambda: gqbm.propagate(dyn, grid),
+                        "propagate at 300000 steps.* budget")
+    assert peak < 16 * 2**20
+
+
+def test_thermal_state_over_budget_rejected_before_allocation():
+    # 20 000 modes: the quadrature blocks and factors would take 39 GiB
+    n_modes = 20_000
+    dyn = gqbm.LinearDynamics(omega_s=0.6,
+                              frequencies=np.linspace(1.0, 2.0, n_modes),
+                              v_couplings=np.full(n_modes, 1e-3),
+                              w_couplings=np.zeros(n_modes))
+    peak = _traced_peak(lambda: gqbm.thermal_total_state(dyn, 0.01, 0.6),
+                        "thermal_total_state at 20001 normal modes.* budget")
+    assert peak < 16 * 2**20
+
+
+def test_product_table_over_budget_rejected_before_allocation():
+    # zero-stride transforms of 5 000 normal modes: the table would take
+    # 1.5 GiB, its factors 0.6 GiB more
+    nb = 5_000
+    zeros = np.broadcast_to(0.0, (nb, nb))
+    state = oracle.ThermalTotalState(
+        system=gqbm.GaussianMoments(), correlations=None,
+        bath_occupations=np.zeros(nb - 1), bath_squeezes=np.zeros(nb - 1),
+        normal_frequencies=np.ones(nb), x_modes=zeros, y_modes=zeros,
+        mode_occupations=np.zeros(nb))
+    peak = _traced_peak(lambda: state.product_table,
+                        "product table at 5000 normal modes.* budget")
+    assert peak < 16 * 2**20
+    assert "product_table" not in state.__dict__
+
+
 # ---- reduced moments --------------------------------------------------------
 
 
@@ -478,6 +529,9 @@ def test_exact_moments_table_shape_contract():
     prop = gqbm.propagate(gqbm.build_dynamics(bath, 0.3), grid)
     with pytest.raises(ContractViolationError):
         gqbm.exact_moments(prop, np.zeros((4, 4), dtype=complex))
+    other = gqbm.build_dynamics(gqbm.discretize_bath(model, 3, 20.0), 0.3)
+    with pytest.raises(ContractViolationError):
+        gqbm.thermal_moments(prop, gqbm.thermal_total_state(other, 0.1, 0.3))
 
 
 # ---- thermal state of the coupled Hamiltonian --------------------------------

@@ -5,41 +5,44 @@ The functions below are the earlier implementations, kept verbatim as the
 reference: the thermal state from a non-Hermitian eigensolve of sigma M
 with symplectic normalisation, the Colpa route on H in the block ordering
 (a, b_1..b_N, a^dag, b_1^dag..b_N^dag) with index maps back to the
-interleaved table, the interleaved Colpa route on scipy's cholesky, eigh and
-solve_triangular, the same route on numpy's cholesky, eigh and solve, the
-propagation that marched the columns of S with G and
-the columns of S^T with G^T separately, the fixed-substep RK4 row march
-that followed it, and the Chebyshev row march on a sparse CSR generator
-with scipy's jv.  Their generators are CSR matrices of LinearDynamics's
-dense generator.  The quadrature route (one SVD of the product of the
-Cholesky factors of the x and p blocks) reaches the same state through
-other arithmetic, so it must agree with the eig route to roundoff amplified
-by the eigenproblem's conditioning (1e-8 of the largest table entry;
-normal-mode frequencies to 1e-12 of the largest), with the block-ordered
-Colpa route to 1e-10 of the largest table entry, and with the interleaved
-Colpa routes, on numpy's or on scipy's factorisations, to 1e-11 of the
-largest entry, the spread of scipy's own evr and evd eigensolvers.  Its
-lowest normal frequency at alpha = 0 must match a bisection of the
-arrowhead's secular equation to 1e-14 relative, and a permuted bath must
-give the permuted table to 1e-15 of the largest entry.  The RK4 row march
-is the second of the two marches alone, so its rows must be equal; its 2x2
-block U = S[:2, :2] is read off the rows instead of the columns, which
-agrees to roundoff.  The Chebyshev march must agree with the RK4 one to
-RK4's own error, 1e-10 of max|S|, and trip its instability guard at the
-same step with the same message.  On the arrowhead it sums the same
-expansion in another order, so it must agree with the CSR march to 1e-13
-of max|S|.
+interleaved table, the interleaved Colpa route on scipy's cholesky, eigh
+and solve_triangular, the same route on numpy's cholesky, eigh and solve,
+the propagation that marched the columns of S with G and the columns of
+S^T with G^T separately, the fixed-substep RK4 row march that followed it,
+and the Chebyshev row march on a sparse CSR generator with scipy's
+jv.  Their generators are CSR matrices of the dense generator that conftest
+fills from LinearDynamics's arrowhead, and each returns its state as a
+record that holds the product table.  The quadrature route (one SVD of the
+product of the Cholesky factors of the x and p blocks) reaches the same
+state through other arithmetic, so it must agree with the eig route to
+roundoff amplified by the eigenproblem's conditioning (1e-8 of the largest
+table entry; normal-mode frequencies to 1e-12 of the largest), with the
+block-ordered Colpa route to 1e-10 of the largest table entry, and with
+the interleaved Colpa routes, on numpy's or on scipy's factorisations, to
+1e-11 of the largest entry, the spread of scipy's own evr and evd
+eigensolvers.  Its lowest normal frequency at alpha = 0 must match a
+bisection of the arrowhead's secular equation to 1e-14 relative, and a
+permuted bath must give the permuted table to 1e-15 of the largest
+entry.  The RK4 row march is the second of the two marches alone, so its
+rows must be equal; its 2x2 block U = S[:2, :2] is read off the rows
+instead of the columns, which agrees to roundoff.  The Chebyshev march must
+agree with the RK4 one to RK4's own error, 1e-10 of max|S|, and trip its
+instability guard at the same step with the same message.  On the arrowhead
+it sums the same expansion in another order, so it must agree with the CSR
+march to 1e-13 of max|S|.
 
 The moment readers are kept as well: the loop that applied the initial
 product table to one row at a time, with reduced_moments' elementwise rule
 and exact_moments' dense matvec.  The block reader sums the same products
 in another order, so it must agree with the loop to 1e-14 of each series'
-largest entry.
+largest entry.  thermal_moments, which reads the thermal state through its
+normal-mode transforms, sums other products: it must agree with the dense
+table, and with the loop, to 1e-13 of max|N|.
 """
 
 import math
 import re
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -60,10 +63,10 @@ from gqbm.greens import (
 )
 from gqbm.moments import GaussianMoments, _require_commutator
 from gqbm import oracle
-from gqbm.oracle import BogoliubovPropagator, OracleMoments, ThermalTotalState
+from gqbm.oracle import BogoliubovPropagator, OracleMoments
 from gqbm.spectral import n_bar
 
-from conftest import make_model
+from conftest import dense_generator, dense_h, make_model
 
 TABLE_RTOL = 1e-8
 BLOCK_ORDER_RTOL = 1e-10
@@ -76,6 +79,7 @@ SECULAR_ROOT_RTOL = 1e-14
 PERMUTED_BATH_RTOL = 1e-15
 CSR_AGREEMENT_RTOL = 1e-13
 LOOP_READER_RTOL = 1e-14
+THERMAL_READER_RTOL = 1e-13
 
 # Target local truncation error of one RK4 substep, |lambda h|^5 / 120.
 RK4_LOCAL_ERROR = 1e-10
@@ -87,8 +91,22 @@ MAX_SUBSTEPS_PER_STEP = 1_000_000
 MODES, OMEGA_MAX, OMEGA_S0, OMEGA_S = 300, 12.0, 0.6, 0.3
 
 
+@dataclass
+class _ReferenceState:
+    """A reference route's thermal state: ThermalTotalState's fields, with
+    the product table held as a field."""
+
+    system: GaussianMoments
+    correlations: InitialCorrelations
+    bath_occupations: np.ndarray
+    bath_squeezes: np.ndarray
+    normal_frequencies: np.ndarray
+    product_table: np.ndarray
+    metadata: dict = field(default_factory=dict)
+
+
 def _csr_generator(dyn):
-    return sparse.csr_matrix(dyn.as_matrix())
+    return sparse.csr_matrix(dense_generator(dyn))
 
 
 def _eig_thermal_total_state(dyn, temperature, omega_s0):
@@ -166,7 +184,7 @@ def _eig_thermal_total_state(dyn, temperature, omega_s0):
 
     system = GaussianMoments(mean_a=0.0 + 0.0j, delta_n=delta_n,
                              delta_s=delta_s)
-    return ThermalTotalState(
+    return _ReferenceState(
         system=system,
         correlations=InitialCorrelations(n_prime=n_prime, s_prime=s_prime),
         bath_occupations=bath_occ,
@@ -239,7 +257,7 @@ def _block_colpa_thermal_total_state(dyn, temperature, omega_s0):
 
     system = GaussianMoments(mean_a=0.0 + 0.0j, delta_n=delta_n,
                              delta_s=delta_s)
-    return ThermalTotalState(
+    return _ReferenceState(
         system=system,
         correlations=InitialCorrelations(n_prime=n_prime, s_prime=s_prime),
         bath_occupations=bath_occ,
@@ -331,8 +349,8 @@ def _scipy_colpa_thermal_total_state(dyn, temperature, omega_s0):
     nb = dyn.n_modes + 1
 
     # the real symmetric H at omega_s0: dA/dt = -i sigma H A
-    h_mat = gqbm.LinearDynamics(omega_s0, dyn.frequencies, dyn.v_couplings,
-                                dyn.w_couplings)._dense_h()
+    h_mat = dense_h(gqbm.LinearDynamics(omega_s0, dyn.frequencies,
+                                        dyn.v_couplings, dyn.w_couplings))
     sigma = dyn.sigma()
 
     # Colpa: H = K^T K exists iff H is positive definite; K sigma K^T = U L U^T
@@ -370,7 +388,7 @@ def _scipy_colpa_thermal_total_state(dyn, temperature, omega_s0):
 
     system = GaussianMoments(mean_a=0.0 + 0.0j, delta_n=table[1, 0].real,
                              delta_s=table[0, 0])
-    return ThermalTotalState(
+    return _ReferenceState(
         system=system,
         correlations=InitialCorrelations(n_prime=table[1, 2::2],
                                          s_prime=table[0, 2::2]),
@@ -390,7 +408,7 @@ def _colpa_thermal_total_state(dyn, temperature, omega_s0):
     nb = dyn.n_modes + 1
 
     # the real symmetric H at omega_s0: dA/dt = -i sigma H A
-    h_mat = replace(dyn, omega_s=omega_s0)._dense_h()
+    h_mat = dense_h(replace(dyn, omega_s=omega_s0))
     sigma = dyn.sigma()
 
     # Colpa: H = K^T K exists iff H is positive definite; K sigma K^T = U L U^T
@@ -428,7 +446,7 @@ def _colpa_thermal_total_state(dyn, temperature, omega_s0):
 
     system = GaussianMoments(mean_a=0.0 + 0.0j, delta_n=table[1, 0].real,
                              delta_s=table[0, 0])
-    return ThermalTotalState(
+    return _ReferenceState(
         system=system,
         correlations=InitialCorrelations(n_prime=table[1, 2::2],
                                          s_prime=table[0, 2::2]),
@@ -689,6 +707,25 @@ def test_colpa_state_reports_its_margins(both_states):
     assert meta["min_normal_frequency"] == colpa.normal_frequencies[0] > 0.0
 
 
+@pytest.fixture(scope="module", params=STATE_POINTS + [(0.5, 0.3)],
+                ids=STATE_IDS + ["warm"])
+def thermal_point(request):
+    alpha, temperature = request.param
+    dyn = _dynamics(alpha, OMEGA_S)
+    return dyn, gqbm.thermal_total_state(dyn, temperature, OMEGA_S0)
+
+
+@pytest.mark.parametrize("n_steps", [200, 1000])
+def test_thermal_moments_match_the_dense_table(thermal_point, n_steps):
+    dyn, state = thermal_point
+    grid = gqbm.TimeGrid(t_end=2.0, n_steps=n_steps, max_frequency=1.0)
+    prop = gqbm.propagate(dyn, grid)
+    got = gqbm.thermal_moments(prop, state)
+    ref = gqbm.exact_moments(prop, state.product_table).n_matrix()
+    assert (np.max(np.abs(got.n_matrix() - ref))
+            <= THERMAL_READER_RTOL * np.max(np.abs(ref)))
+
+
 def test_row_march_is_the_row_half_of_the_two_marches():
     dyn = _dynamics(0.5, OMEGA_S, modes=80)
     grid = gqbm.TimeGrid(t_end=2.0, n_steps=40, max_frequency=1.0)
@@ -804,14 +841,14 @@ def reader_point():
         * np.exp(2j * math.pi * rng.uniform(size=bath.n_modes))
     bath = replace(bath, squeezes=squeezes)
     dyn = gqbm.build_dynamics(bath, OMEGA_S)
-    table = gqbm.thermal_total_state(dyn, 0.01, OMEGA_S0).product_table
-    return bath, dyn, table
+    return bath, dyn, gqbm.thermal_total_state(dyn, 0.01, OMEGA_S0)
 
 
 @pytest.mark.parametrize("n_times", [BLOCK - 1, BLOCK, BLOCK + 1,
                                      2 * BLOCK + 3])
 def test_block_reader_matches_the_loop(reader_point, n_times):
-    bath, dyn, table = reader_point
+    bath, dyn, state = reader_point
+    table = state.product_table
     assert np.max(np.abs(bath.squeezes)) > 0.0
     grid = gqbm.TimeGrid(t_end=0.02 * (n_times - 1), n_steps=n_times - 1,
                          max_frequency=1.0)
@@ -829,3 +866,11 @@ def test_block_reader_matches_the_loop(reader_point, n_times):
             dev = np.max(np.abs(getattr(got, name) - ref))
             assert dev <= LOOP_READER_RTOL * np.max(np.abs(ref)), name
         assert np.max(np.abs(got.delta_s)) > 0.0
+    # the transform reader sums other products: its bound is the dense
+    # route's, relative to max|N|
+    got, want = gqbm.thermal_moments(prop, state), pairs[1][1]
+    assert got.times.size == n_times
+    assert np.array_equal(got.mean_a, want.mean_a)
+    ref = want.n_matrix()
+    assert (np.max(np.abs(got.n_matrix() - ref))
+            <= THERMAL_READER_RTOL * np.max(np.abs(ref)))

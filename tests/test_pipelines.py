@@ -148,7 +148,7 @@ def test_quench_comparison_is_the_hand_built_chain():
     dv = gqbm.correlated_correction(kbath, state.correlations, sol.u, grid)
     n_me = (np.einsum("tab,bc,tdc->tad", sol.u, state.system.n_matrix(),
                       np.conj(sol.u)) + sol.v_equal_time + dv)
-    orc = gqbm.exact_moments(prop, state.product_table)
+    orc = gqbm.thermal_moments(prop, state)
 
     assert np.array_equal(res.outputs["n_me"], n_me)
     assert np.array_equal(res.outputs["correction"], dv)
@@ -161,6 +161,16 @@ def test_quench_comparison_is_the_hand_built_chain():
     assert res.summaries["symplectic_residual"] == state.metadata[
         "symplectic_residual"]
     _assert_stages(res, ["thermal_state", "oracle", "u_solver", "v_solver"])
+
+
+def test_quench_comparison_never_builds_the_product_table():
+    model = make_model(0.5)
+    grid = _grid(0.3, t_end=1.0, n_steps=40)
+    bath = gqbm.discretize_bath(model, 40, 12.0, scheme="gauss")
+    state = pipelines.quench_comparison(bath, 0.3, 0.6, grid).outputs["state"]
+    assert "product_table" not in state.__dict__
+    assert state.product_table.shape == (82, 82)  # still there on demand
+    assert "product_table" in state.__dict__
 
 
 class _Propagated(Exception):
