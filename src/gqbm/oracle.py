@@ -14,32 +14,37 @@ The generator is -i sigma H with H the real symmetric coupling table and
 sigma the commutation metric.  H is an arrowhead matrix (a diagonal plus the
 two system rows and columns) and is held once, as the diagonal and system
 rows that LinearDynamics.arrowhead() builds from the frequencies and
-couplings; propagate() acts on them in O(N) per step.  Every reduced
-quantity reads only the system rows S[:2, :], so propagate() marches those
+couplings; the march acts on them in O(N) per step.  Every reduced
+quantity reads only the system rows S[:2, :], so the march computes those
 alone, as the system columns of S^T under G^T; the system columns S[:, :2]
 are not computed.  G is constant, so the march is a Chebyshev expansion of
 exp(G^T t) (Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967) over windows
 of output steps, its degree fixed in advance by a bound that holds for any
 H.  A finite bath revives: results are trustworthy only below the
 recurrence horizon ~ 2 pi / min mode spacing, which LinearDynamics reports
-before anything is propagated.  reduced_moments(), exact_moments() and
-thermal_moments() read the rows in blocks of a fixed number of output
-steps, applying the initial state once per block (one pair-wise rule, one
-GEMM with a dense product table, or two real GEMMs with the normal-mode
-transforms).  thermal_total_state() prepares the correlated initial state
-of a quench, the Gibbs state of the coupled Hamiltonian.  The couplings
-are real, so the same arrowhead splits into an x block and a p block of
-size N + 1 in the quadratures; a Cholesky factor of each and one SVD of
-their product give the normal modes.  The state is those real transforms
-and the normal-mode occupations; its dense product table, in the
-interleaved operator ordering, is a view of them, built only when asked
-for.
+before anything is propagated.  propagate() only plans the march; the rows
+are streamed, never stored: BogoliubovPropagator.blocks() marches them and
+yields a block of output steps at a time, and reduced_moments(),
+exact_moments() and thermal_moments() apply the initial state to each block
+as it arrives (one pair-wise rule, one GEMM with a dense product table, or
+two real GEMMs with the normal-mode transforms).  Each reader runs its own
+march; u_series, the 2x2 system block, is kept from the first march to
+reach the end, and marches on first access if none has.
+
+thermal_total_state() prepares the correlated initial state of a quench,
+the Gibbs state of the coupled Hamiltonian.  The couplings are real, so
+the same arrowhead splits into an x block and a p block of size N + 1 in
+the quadratures; a Cholesky factor of each and one SVD of their product
+give the normal modes.  The state is those real transforms and the
+normal-mode occupations; its dense product table, in the interleaved
+operator ordering, is a view of them, built only when asked for.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -76,7 +81,7 @@ _CHEBYSHEV_GROWTH = 1.0 + math.sqrt(2.0)
 _MAX_DEGREE = 100_000
 # Miller's recurrence keeps its unnormalised values below this magnitude.
 _MILLER_RESCALE = 1e250
-# _moments_from_rows reads the rows in blocks of this many output steps.
+# The march yields its rows in blocks of at most this many output steps.
 _MOMENT_BLOCK = 32
 
 
@@ -151,24 +156,83 @@ def build_dynamics(bath: BathDiscretization, omega_s: float) -> LinearDynamics:
 
 @dataclass
 class BogoliubovPropagator:
-    """System rows of S(t) = exp(generator t) on a grid.
+    """The march of the system rows S(t_m)[:2, :] of S(t) = exp(generator t)
+    on a grid (what the evolved system operators are made of), planned.
 
-    sys_rows[m] = S(t_m)[:2, :] (what the evolved system operators are made
-    of); u_series is its 2x2 system block.  The columns S[:, :2] are not
-    computed.  recurrence_horizon is LinearDynamics.recurrence_horizon of
-    the model.  metadata holds the scheme, the Chebyshev degree, the window
-    in output steps and the norm bound R of the generator.
+    The rows are streamed, never stored: blocks() marches them and yields
+    them a block of output steps at a time, and each reader runs its own
+    march.  u_series, their 2x2 system block, is kept from the first march
+    to reach the end, and marches on first access if none has.  The columns
+    S[:, :2] are not computed.  recurrence_horizon is
+    LinearDynamics.recurrence_horizon of the model.  twice_b applies 2 B on
+    the arrowhead (_chebyshev_operator).  metadata holds the scheme, the
+    Chebyshev degree, the window in output steps and the norm bound R of
+    the generator, and, once a march has reached the end, max_abs_s, the
+    largest |S| entry its instability guard passed.
     """
 
     grid: TimeGrid
     dim: int
-    sys_rows: np.ndarray
     recurrence_horizon: float
+    twice_b: Callable[[np.ndarray, np.ndarray], None] = field(repr=False)
     metadata: dict = field(default_factory=dict)
+    _u_series: np.ndarray | None = field(default=None, init=False,
+                                         repr=False, compare=False)
 
     @property
     def u_series(self) -> np.ndarray:
-        return self.sys_rows[:, :, :2]
+        """U(t_m) = S(t_m)[:2, :2], (n + 1, 2, 2)."""
+        if self._u_series is None:
+            for _ in self.blocks():
+                pass
+        return self._u_series
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """March the rows: contiguous (k, 2, dim) blocks of steps 0, 1, ...,
+        n in order, k <= _MOMENT_BLOCK.
+
+        Step 0, the identity, comes alone; then each window's steps, in
+        blocks of _MOMENT_BLOCK (a window longer than one block is a whole
+        number of them), each one GEMM of its coefficient rows against the
+        window's T_0..T_K store.  The window's coefficient table is built
+        at the start of each march.  The instability guard checks each
+        block before it is yielded.
+        """
+        n, dt, dim = self.grid.n_steps, self.grid.dt, self.dim
+        meta = self.metadata
+        degree, window, norm = meta["degree"], meta["window"], meta["norm_bound"]
+        k = np.arange(degree + 1)
+        coef = (np.where(k == 0, 1.0, 2.0) * np.array([1, -1j, -1, 1j])[k % 4]
+                * _bessel_j(degree, norm * dt * np.arange(1, window + 1)).T)
+        # T_k(B) x for the (dim, 2) block x of the system columns of S^T
+        store = np.empty((degree + 1, dim, 2), dtype=complex)
+        real = store.view(float)
+        flat = store.reshape(degree + 1, 2 * dim)
+        u_series = np.empty((n + 1, 2, 2), dtype=complex)
+        u_series[0] = np.eye(2)
+        store[0] = np.eye(dim, 2)
+        worst = 1.0  # |S(0)| = |I|
+        yield np.eye(2, dim, dtype=complex)[None]
+        for m0 in range(0, n, window):
+            if degree > 0:
+                self.twice_b(real[0], real[1])
+                real[1] *= 0.5
+            for j in range(2, degree + 1):
+                self.twice_b(real[j - 1], real[j])
+                real[j] -= real[j - 2]
+            steps = min(window, n - m0)
+            for lo in range(0, steps, _MOMENT_BLOCK):
+                hi = min(lo + _MOMENT_BLOCK, steps)
+                cols = (coef[lo:hi] @ flat).reshape(hi - lo, dim, 2)
+                rows = cols.transpose(0, 2, 1).copy()
+                worst = max(worst, _check_finite(
+                    rows, m0 + lo + 1, dt * np.arange(m0 + lo + 1, m0 + hi + 1),
+                    "S"))
+                u_series[m0 + lo + 1:m0 + hi + 1] = rows[:, :, :2]
+                yield rows
+            store[0] = cols[-1]
+        meta["max_abs_s"] = worst
+        self._u_series = u_series
 
 
 def _miller_top(k_max: int, x_max: float) -> int:
@@ -261,18 +325,21 @@ def _chebyshev_operator(dyn: LinearDynamics):
 
 
 def propagate(dyn: LinearDynamics, grid: TimeGrid) -> BogoliubovPropagator:
-    """March the system rows of S (columns of S^T under G^T) by Chebyshev.
+    """Plan the march of the system rows of S (columns of S^T under G^T) by
+    Chebyshev; BogoliubovPropagator.blocks() runs it.
 
     With R = ||G^T||_inf, the max absolute row sum of H, B = G^T i/R has
     ||B||_inf <= 1 and exp(G^T t) = sum_k (2 - delta_k0) (-i)^k J_k(R t)
-    T_k(B).  A window covers W output steps, the most with R W dt <= 8 rad
-    and at least one; its start block x gives T_k(B) x by the three-term
-    recurrence (K products with the arrowhead), and one GEMM with the
-    coefficient table, shared by every window of the uniform grid, gives
-    its W rows.  K is the least degree whose bound (_chebyshev_degree) on the
-    tail sum_{k>K} 2 |J_k(R W dt)| (1 + sqrt 2)^k is at most CHEBYSHEV_TAIL_TOL,
-    so W and K depend on (H, dt) alone.  The instability guard checks each
-    window's rows, every output step.
+    T_k(B).  A window covers W output steps: all n if R n dt <= 8 rad, else
+    the most with R W dt <= 8, at least one, rounded down to a whole number
+    of _MOMENT_BLOCK blocks once longer than one.  Its start block x gives
+    T_k(B) x by the three-term recurrence (K products with the arrowhead),
+    and the coefficient table, shared by every window of the uniform grid,
+    gives its W rows.  K is the least degree whose bound
+    (_chebyshev_degree) on the tail sum_{k>K} 2 |J_k(R W dt)| (1 + sqrt 2)^k
+    is at most CHEBYSHEV_TAIL_TOL, so W and K depend on (H, dt) alone.  A
+    NaN or infinite entry of H is rejected here, and the memory the march
+    and a reader need is checked before anything is allocated.
     """
     n = grid.n_steps
     dt = grid.dt
@@ -286,44 +353,24 @@ def propagate(dyn: LinearDynamics, grid: TimeGrid) -> BogoliubovPropagator:
         window = n
     else:
         window = max(1, int(_WINDOW_PHASE / (norm * dt)))
+        if window > _MOMENT_BLOCK:
+            window -= window % _MOMENT_BLOCK
     phase = norm * window * dt
     degree = _chebyshev_degree(phase)
-    # the rows and the T_0..T_K blocks, one window's product and its |.|
-    # for the guard, then the Bessel recurrence, its normalised rows and the
-    # complex coefficient table of one window
+    # the T_0..T_K store; one block of columns, its rows and their |.| for
+    # the guard; the Bessel recurrence, its normalised rows and the complex
+    # coefficient table of one window; and the series, u_series and a
+    # reader's delta_s, delta_n, delta_h and mean
     require_budget(
         f"propagate at {n} steps, degree {degree} and dimension {dim}",
-        32 * dim * (n + 1 + degree + 1) + 48 * dim * window
-        + 8 * window * (_miller_top(degree, phase) + 2 + 3 * (degree + 1)),
-        "Chebyshev vectors, propagator rows and coefficient tables")
-
-    k = np.arange(degree + 1)
-    coef = (np.where(k == 0, 1.0, 2.0) * np.array([1, -1j, -1, 1j])[k % 4]
-            * _bessel_j(degree, norm * dt * np.arange(1, window + 1)).T)
-    # T_k(B) x for the (dim, 2) block x of the system columns of S^T
-    store = np.empty((degree + 1, dim, 2), dtype=complex)
-    real = store.view(float)
-    sys_rows = np.empty((n + 1, 2, dim), dtype=complex)
-    sys_rows[0] = np.eye(2, dim)
-    store[0] = np.eye(dim, 2)
-    for m0 in range(0, n, window):
-        if degree > 0:
-            twice_b(real[0], real[1])
-            real[1] *= 0.5
-        for j in range(2, degree + 1):
-            twice_b(real[j - 1], real[j])
-            real[j] -= real[j - 2]
-        steps = min(window, n - m0)
-        cols = (coef[:steps] @ store.reshape(degree + 1, 2 * dim)).reshape(
-            steps, dim, 2)
-        rows = sys_rows[m0 + 1:m0 + steps + 1]
-        rows[...] = cols.transpose(0, 2, 1)
-        _check_finite(rows, m0 + 1, dt * np.arange(m0 + 1, m0 + steps + 1), "S")
-        store[0] = cols[-1]
+        32 * dim * (degree + 1) + 80 * dim * _MOMENT_BLOCK
+        + 8 * window * (_miller_top(degree, phase) + 2 + 3 * (degree + 1))
+        + 128 * (n + 1),
+        "Chebyshev vectors, propagator blocks, coefficient tables and series")
 
     return BogoliubovPropagator(
-        grid=grid, dim=dim, sys_rows=sys_rows,
-        recurrence_horizon=dyn.recurrence_horizon,
+        grid=grid, dim=dim, recurrence_horizon=dyn.recurrence_horizon,
+        twice_b=twice_b,
         metadata={"scheme": PROPAGATE_SCHEME, "degree": degree,
                   "window": window, "norm_bound": norm},
     )
@@ -347,26 +394,28 @@ class OracleMoments:
         return out
 
 
-def _moments_from_rows(prop: BogoliubovPropagator, rule,
-                       mean_a: np.ndarray) -> OracleMoments:
-    """Moments <A_i A_j> of the system pair, drift-checked.
+def _moments_from_rows(prop: BogoliubovPropagator, rule) -> OracleMoments:
+    """Moments <A_i A_j> of the system pair, drift-checked; mean_a is zero.
 
-    Reads sys_rows in blocks of _MOMENT_BLOCK output steps: rule maps a
-    (k, 2, dim) block of rows to its (delta_s, delta_n, delta_h), each of
-    length k.  The transient is O(_MOMENT_BLOCK dim), whatever n.
+    Reads the rows as prop.blocks() marches them: rule maps a (k, 2, dim)
+    block of rows to its (delta_s, delta_n, delta_h), each of length k.
+    Each call marches anew, and only the block in hand and the one being
+    marched are alive, so the transient is O(_MOMENT_BLOCK dim), whatever n.
     """
-    rows = prop.sys_rows
-    n_times = rows.shape[0]
+    n_times = prop.grid.n_steps + 1
     delta_s = np.empty(n_times, dtype=complex)
     delta_n = np.empty(n_times, dtype=complex)
     delta_h = np.empty(n_times, dtype=complex)
-    for lo in range(0, n_times, _MOMENT_BLOCK):
-        steps = slice(lo, lo + _MOMENT_BLOCK)
-        delta_s[steps], delta_n[steps], delta_h[steps] = rule(rows[steps])
+    lo = 0
+    for block in prop.blocks():
+        steps = slice(lo, lo + block.shape[0])
+        delta_s[steps], delta_n[steps], delta_h[steps] = rule(block)
+        lo = steps.stop
     times = prop.grid.times
     _require_commutator(delta_n.real, delta_h.real, times)
-    return OracleMoments(times=times, mean_a=mean_a, delta_n=delta_n.real,
-                         delta_s=delta_s, delta_h=delta_h.real)
+    return OracleMoments(times=times, mean_a=np.zeros(n_times, dtype=complex),
+                         delta_n=delta_n.real, delta_s=delta_s,
+                         delta_h=delta_h.real)
 
 
 def _table_rule(apply_m0):
@@ -415,11 +464,10 @@ def reduced_moments(prop: BogoliubovPropagator, bath: BathDiscretization,
         out[..., 1] += conj_sqz * x_dag
         return out.reshape(block.shape)
 
-    mu0 = np.zeros(prop.dim, dtype=complex)
-    mu0[0] = init.mean_a
-    mu0[1] = np.conj(init.mean_a)
-    return _moments_from_rows(prop, _table_rule(apply_m0),
-                              prop.sys_rows[:, 0, :] @ mu0)
+    out = _moments_from_rows(prop, _table_rule(apply_m0))
+    # <a>(t) = U_00 <a>(0) + U_01 <a^dag>(0): the march above filled u_series
+    mu0 = np.array([init.mean_a, np.conj(init.mean_a)])
+    return replace(out, mean_a=prop.u_series[:, 0, :] @ mu0)
 
 
 def exact_moments(prop: BogoliubovPropagator,
@@ -440,8 +488,7 @@ def exact_moments(prop: BogoliubovPropagator,
         return (block.reshape(-1, prop.dim) @ product_table.T).reshape(
             block.shape)
 
-    return _moments_from_rows(prop, _table_rule(apply_m0),
-                              np.zeros(prop.grid.times.size, dtype=complex))
+    return _moments_from_rows(prop, _table_rule(apply_m0))
 
 
 def thermal_moments(prop: BogoliubovPropagator,
@@ -490,8 +537,7 @@ def thermal_moments(prop: BogoliubovPropagator,
                 cc_dag @ (a1 * b0) + c_dag_c @ (b1 * a0),
                 cc_dag @ (a0 * b1) + c_dag_c @ (b0 * a1))
 
-    return _moments_from_rows(prop, rule,
-                              np.zeros(prop.grid.times.size, dtype=complex))
+    return _moments_from_rows(prop, rule)
 
 
 @dataclass

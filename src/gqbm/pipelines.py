@@ -123,9 +123,9 @@ def oracle_comparison(model: spectral.SpectralModel,
     prop = oracle.propagate(dyn, grid)
     res = _u_and_v(kernel, omega_s, grid, {"oracle": prop.metadata["scheme"]})
     sol = res.outputs["sol"]
-    u_dev = np.max(np.abs(sol.u - prop.u_series), axis=(1, 2))
     vac = moments.GaussianMoments()
-    orc = oracle.reduced_moments(prop, bath, vac)
+    orc = oracle.reduced_moments(prop, bath, vac)  # marches, filling u_series
+    u_dev = np.max(np.abs(sol.u - prop.u_series), axis=(1, 2))
     v_oracle = orc.n_matrix() - greens.second_moments(prop.u_series,
                                                       vac.n_matrix())
     v_dev = np.max(np.abs(sol.v_equal_time - v_oracle), axis=(1, 2))

@@ -7,6 +7,8 @@ session-scoped and treated as read-only by every consumer.
 """
 
 import importlib.util
+import math
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +133,44 @@ def dense_h(dyn):
 def dense_generator(dyn):
     """Dense generator G with dA/dt = G A (G = -i sigma H), for small N."""
     return -1j * dyn.sigma()[:, None] * dense_h(dyn)
+
+
+def runaway_bath():
+    """One bath mode at zero frequency with W = 2 V = 2 (alpha = 2): near
+    omega_s = 0 its quadratures grow as exp(sqrt(3) t), so the oracle's |S|
+    passes the instability bound at t = 8.3."""
+    with pytest.warns(RuntimeWarning, match="covers only"):
+        bath = gqbm.discretize_bath(make_model(0.5), 1, 2.0)
+    return replace(bath, frequencies=np.zeros(1), v_couplings=np.ones(1),
+                   alpha=2.0)
+
+
+def stored_rows(prop):
+    """Every step's system rows S(t_m)[:2, :], (n + 1, 2, dim): the blocks
+    prop.blocks() yields, joined (a BogoliubovPropagator marches for them)."""
+    return np.concatenate(list(prop.blocks()))
+
+
+@dataclass
+class StoredPropagator:
+    """A propagator whose system rows are a stored array, (n + 1, 2, dim):
+    the oracle's readers take it as they take a BogoliubovPropagator, and
+    blocks() yields the rows _MOMENT_BLOCK steps at a time."""
+
+    grid: gqbm.TimeGrid
+    dim: int
+    sys_rows: np.ndarray
+    recurrence_horizon: float = math.inf
+    metadata: dict = field(default_factory=dict)
+
+    @property
+    def u_series(self):
+        return self.sys_rows[:, :, :2]
+
+    def blocks(self):
+        block = gqbm.oracle._MOMENT_BLOCK
+        for lo in range(0, self.sys_rows.shape[0], block):
+            yield self.sys_rows[lo:lo + block]
 
 
 def max_abs(x) -> float:

@@ -19,7 +19,7 @@ import gqbm.cli as cli
 import gqbm.pipelines as pipelines
 from gqbm.errors import ContractViolationError, NumericalQualityError, ValidationError
 
-from conftest import SCHEMES
+from conftest import SCHEMES, runaway_bath
 
 # every numeric CSV cell: 17 significant digits, scientific notation
 CELL_RE = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
@@ -820,13 +820,28 @@ def test_quench_summary_reports_the_thermal_state_margins(tmp_path,
 
 def test_oracle_past_the_memory_budget_exits_2(tmp_path, monkeypatch,
                                               capsys):
-    # 400 modes on 300 000 steps: the propagator rows alone need 7.7 GB
+    # 400 modes on 10 000 000 steps: windows of 1.3 million steps, whose
+    # Bessel and coefficient tables need 2.4 GiB, and 1.2 GiB of series
     code = _run_cli(["oracle-compare", "--out", str(tmp_path / "x"),
-                     "--alpha", "0.5", "--t-end", "3", "--steps", "300000",
+                     "--alpha", "0.5", "--t-end", "3", "--steps", "10000000",
                      "--oracle-modes", "400"], monkeypatch)
     assert code == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
-    assert "propagate at 300000 steps" in err and "MEMORY_BUDGET_BYTES" in err
+    assert "propagate at 10000000 steps" in err and "MEMORY_BUDGET_BYTES" in err
+
+
+def test_oracle_on_a_runaway_bath_exits_3_and_writes_no_csv(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    # the march trips after the kernel route has run, and before any write
+    bath = runaway_bath()
+    monkeypatch.setattr(cli, "discretize_bath", lambda *args, **kw: bath)
+    out = tmp_path / "x"
+    code = _run_cli(["oracle-compare", "--out", str(out), "--alpha", "0.5",
+                     "--t-end", "10", "--steps", "100"], monkeypatch)
+    assert code == cli.EXIT_INSTABILITY
+    assert "|S| reached" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_quench_from_unstable_hamiltonian_exits_3(tmp_path, monkeypatch,

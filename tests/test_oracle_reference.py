@@ -11,12 +11,15 @@ the propagation that marched the columns of S with G and the columns of
 S^T with G^T separately, the fixed-substep RK4 row march that followed it,
 and the Chebyshev row march on a sparse CSR generator with scipy's
 jv.  Their generators are CSR matrices of the dense generator that conftest
-fills from LinearDynamics's arrowhead, and each returns its state as a
-record that holds the product table.  The quadrature route (one SVD of the
-product of the Cholesky factors of the x and p blocks) reaches the same
-state through other arithmetic, so it must agree with the eig route to
-roundoff amplified by the eigenproblem's conditioning (1e-8 of the largest
-table entry; normal-mode frequencies to 1e-12 of the largest), with the
+fills from LinearDynamics's arrowhead.  Each thermal route returns its
+state as a record that holds the product table, and each march its rows
+as a conftest.StoredPropagator; the library streams its rows, and
+conftest.stored_rows joins them for the comparisons.  The quadrature
+route (one SVD of the product of the Cholesky factors of the x and p
+blocks) reaches the same state through other arithmetic, so it must agree
+with the eig route to roundoff amplified by the eigenproblem's
+conditioning (1e-8 of the largest table entry; normal-mode frequencies to
+1e-12 of the largest), with the
 block-ordered Colpa route to 1e-10 of the largest table entry, and with
 the interleaved Colpa routes, on numpy's or on scipy's factorisations, to
 1e-11 of the largest entry, the spread of scipy's own evr and evd
@@ -63,10 +66,16 @@ from gqbm.greens import (
 )
 from gqbm.moments import GaussianMoments, _require_commutator
 from gqbm import oracle
-from gqbm.oracle import BogoliubovPropagator, OracleMoments
+from gqbm.oracle import OracleMoments
 from gqbm.spectral import n_bar
 
-from conftest import dense_generator, dense_h, make_model
+from conftest import (
+    StoredPropagator,
+    dense_generator,
+    dense_h,
+    make_model,
+    stored_rows,
+)
 
 TABLE_RTOL = 1e-8
 BLOCK_ORDER_RTOL = 1e-10
@@ -308,7 +317,7 @@ def _rk4_propagate(dyn, grid):
         _check_finite(rows_t[None], m, [m * dt], "S")
         sys_rows[m] = rows_t.T
 
-    return BogoliubovPropagator(
+    return StoredPropagator(
         grid=grid, dim=dyn.dim, sys_rows=sys_rows,
         recurrence_horizon=dyn.recurrence_horizon,
         metadata={"scheme": "rk4-fixed, row march (S^T columns under G^T)",
@@ -471,6 +480,8 @@ def _csr_chebyshev_propagate(dyn, grid):
         window = n
     else:
         window = max(1, int(oracle._WINDOW_PHASE / (norm * dt)))
+        if window > oracle._MOMENT_BLOCK:
+            window -= window % oracle._MOMENT_BLOCK
     degree = oracle._chebyshev_degree(norm * window * dt)
 
     k = np.arange(degree + 1)
@@ -498,17 +509,17 @@ def _csr_chebyshev_propagate(dyn, grid):
             _check_finite(rows[j:j + 1], m, [m * dt], "S")
         store[0] = rows[-1]
 
-    return BogoliubovPropagator(
+    return StoredPropagator(
         grid=grid, dim=dim, sys_rows=sys_rows,
         recurrence_horizon=dyn.recurrence_horizon,
         metadata={"degree": degree, "window": window, "norm_bound": norm},
     )
 
 
-def _loop_moments_from_rows(prop: BogoliubovPropagator, apply_m0,
+def _loop_moments_from_rows(rows: np.ndarray, times: np.ndarray, apply_m0,
                             mean_a: np.ndarray) -> OracleMoments:
-    """Moments <A_i A_j> = r_i . M0 . r_j of the system pair, drift-checked."""
-    rows = prop.sys_rows
+    """Moments <A_i A_j> = r_i . M0 . r_j of the system pair, drift-checked,
+    from the stored rows (n + 1, 2, dim) at times."""
     n_times = rows.shape[0]
     delta_s = np.empty(n_times, dtype=complex)
     delta_n = np.empty(n_times, dtype=complex)
@@ -521,7 +532,6 @@ def _loop_moments_from_rows(prop: BogoliubovPropagator, apply_m0,
         delta_s[m] = r1 @ m0_r1
         delta_n[m] = r2 @ m0_r1
         delta_h[m] = r1 @ m0_r2
-    times = prop.grid.times
     _require_commutator(delta_n.real, delta_h.real, times)
     return OracleMoments(times=times, mean_a=mean_a, delta_n=delta_n.real,
                          delta_s=delta_s, delta_h=delta_h.real)
@@ -546,12 +556,14 @@ def _loop_reduced_moments(prop, bath, init):
     mu0 = np.zeros(prop.dim, dtype=complex)
     mu0[0] = init.mean_a
     mu0[1] = np.conj(init.mean_a)
-    return _loop_moments_from_rows(prop, apply_m0,
-                                   prop.sys_rows[:, 0, :] @ mu0)
+    rows = stored_rows(prop)
+    return _loop_moments_from_rows(rows, prop.grid.times, apply_m0,
+                                   rows[:, 0, :] @ mu0)
 
 
 def _loop_exact_moments(prop, product_table):
-    return _loop_moments_from_rows(prop, lambda r: product_table @ r,
+    return _loop_moments_from_rows(stored_rows(prop), prop.grid.times,
+                                   lambda r: product_table @ r,
                                    np.zeros(prop.grid.times.size,
                                             dtype=complex))
 
@@ -746,7 +758,7 @@ def test_chebyshev_rows_match_the_rk4_march_on_the_oracle_point():
     dyn = gqbm.build_dynamics(bath, gqbm.default_omega_s(model))
     grid = gqbm.TimeGrid(t_end=3.0, n_steps=300, max_frequency=1.0)
     ref = _rk4_propagate(dyn, grid).sys_rows
-    rows = gqbm.propagate(dyn, grid).sys_rows
+    rows = stored_rows(gqbm.propagate(dyn, grid))
     assert (np.max(np.abs(rows - ref))
             <= RK4_AGREEMENT_RTOL * np.max(np.abs(ref)))
 
@@ -771,7 +783,7 @@ def test_arrowhead_march_matches_the_csr_march(modes, omega_max, omega_s,
         assert prop.metadata[key] == ref.metadata[key]
     assert prop.metadata["norm_bound"] == pytest.approx(
         ref.metadata["norm_bound"], rel=1e-15)
-    assert (np.max(np.abs(prop.sys_rows - ref.sys_rows))
+    assert (np.max(np.abs(stored_rows(prop) - ref.sys_rows))
             <= CSR_AGREEMENT_RTOL * np.max(np.abs(ref.sys_rows)))
 
 
@@ -814,7 +826,7 @@ def test_instability_trips_at_the_rk4_step_with_its_message(
     with pytest.raises(InstabilityError) as ref:
         _rk4_propagate(make(), grid)
     with pytest.raises(InstabilityError) as cheb:
-        gqbm.propagate(make(), grid)
+        gqbm.propagate(make(), grid).u_series
     assert str(cheb.value) == str(ref.value)
     if where is not None:
         twin = gqbm.propagate(_beam_splitter(), grid).metadata

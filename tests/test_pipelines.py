@@ -12,9 +12,9 @@ import pytest
 
 import gqbm
 import gqbm.pipelines as pipelines
-from gqbm.errors import ValidationError
+from gqbm.errors import InstabilityError, ValidationError
 
-from conftest import SCHEMES, make_model
+from conftest import SCHEMES, make_model, runaway_bath
 
 
 def _grid(omega_s, t_end=2.0, n_steps=200):
@@ -132,6 +132,16 @@ def test_oracle_comparison_is_the_hand_built_chain():
         "max_v_deviation": float(np.max(v_dev))}
     assert res.summaries["max_u_deviation"] < 1e-4
     _assert_stages(res, ["oracle", "transforms", "u_solver", "v_solver"])
+
+
+def test_oracle_comparison_on_a_runaway_bath_raises_before_it_returns():
+    # the continuum model's kernel route is stable; the exact bath's march,
+    # which runs inside reduced_moments, trips at its step
+    model = make_model(0.5)
+    omega_s = gqbm.default_omega_s(model)
+    grid = _grid(omega_s, t_end=10.0, n_steps=100)
+    with pytest.raises(InstabilityError, match=r"\|S\| reached .* at step 83 "):
+        pipelines.oracle_comparison(model, runaway_bath(), omega_s, grid)
 
 
 def test_quench_comparison_is_the_hand_built_chain():
