@@ -15,29 +15,33 @@ sigma the commutation metric.  H is an arrowhead matrix (a diagonal plus the
 two system rows and columns) and is held once, as the diagonal and system
 rows that LinearDynamics.arrowhead() builds from the frequencies and
 couplings; the march acts on them in O(N) per step.  Every reduced
-quantity reads only the system rows S[:2, :], so the march computes those
-alone, as the system columns of S^T under G^T; the system columns S[:, :2]
-are not computed.  G is constant, so the march is a Chebyshev expansion of
-exp(G^T t) (Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967) over windows
-of output steps, its degree fixed in advance by a bound that holds for any
-H.  A finite bath revives: results are trustworthy only below the
-recurrence horizon ~ 2 pi / min mode spacing, which LinearDynamics reports
-before anything is propagated.  propagate() only plans the march; the rows
-are streamed, never stored: BogoliubovPropagator.blocks() marches them and
+quantity reads only the system rows S[:2, :], and a^dag(t) = a(t)^dag
+makes the a^dag row the a row conjugated, with each (b_k, b_k^dag) pair
+swapped.  So the march computes the a row alone, as the a column of S^T
+under G^T; the system columns S[:, :2] are not computed.  G is constant,
+so the march is a Chebyshev expansion of exp(G^T t) (Tal-Ezer & Kosloff,
+J. Chem. Phys. 81 (1984) 3967) over windows of output steps, its degree
+fixed in advance by a bound that holds for any H.  A finite bath
+revives: results are trustworthy only below the recurrence horizon
+~ 2 pi / min mode spacing, which LinearDynamics reports before anything
+is propagated.  propagate() only plans the march; the a rows are
+streamed, never stored: BogoliubovPropagator.blocks() marches them and
 yields a block of output steps at a time, and reduced_moments(),
-exact_moments() and thermal_moments() apply the initial state to each block
-as it arrives (one pair-wise rule, one GEMM with a dense product table, or
-two real GEMMs with the normal-mode transforms).  Each reader runs its own
+exact_moments() and thermal_moments() apply the initial state to each
+block as it arrives (one pair-wise rule on the a row, one GEMM with a
+dense product table on the a and rebuilt a^dag rows, or two real GEMMs
+with the normal-mode transforms on the a row).  Each reader runs its own
 march; u_series, the 2x2 system block, is kept from the first march to
 reach the end, and marches on first access if none has.
 
 thermal_total_state() prepares the correlated initial state of a quench,
 the Gibbs state of the coupled Hamiltonian.  The couplings are real, so
 the same arrowhead splits into an x block and a p block of size N + 1 in
-the quadratures; a Cholesky factor of each and one SVD of their product
-give the normal modes.  The state is those real transforms and the
-normal-mode occupations; its dense product table, in the interleaved
-operator ordering, is a view of them, built only when asked for.
+the quadratures; their Cholesky factors are O(N), and one SVD of the
+factors' product gives the normal modes.  The state is those real
+transforms and the normal-mode occupations; its dense product table, in
+the interleaved operator ordering, is a view of them, built only when
+asked for.
 """
 
 from __future__ import annotations
@@ -63,8 +67,9 @@ from .moments import GaussianMoments, _require_commutator
 from .spectral import BathDiscretization, n_bar
 
 RECURRENCE_GUARD = 0.5
-# thermal_total_state: Cholesky factors of the x and p blocks of H, then
-# one SVD of their product (the normal frequencies and both transforms)
+# thermal_total_state: the O(N) Cholesky factors of the x and p blocks of
+# H, then one SVD of their product (the normal frequencies and both
+# transforms)
 THERMAL_STATE_SCHEME = "quadrature-cholesky-svd"
 # Bound on max|X^T Y - 1| of the thermal state's Bogoliubov transform.
 SYMPLECTIC_RESIDUAL_TOL = 1e-8
@@ -156,19 +161,21 @@ def build_dynamics(bath: BathDiscretization, omega_s: float) -> LinearDynamics:
 
 @dataclass
 class BogoliubovPropagator:
-    """The march of the system rows S(t_m)[:2, :] of S(t) = exp(generator t)
-    on a grid (what the evolved system operators are made of), planned.
+    """The march of the a row S(t_m)[0, :] of S(t) = exp(generator t) on
+    a grid (what the evolved a is made of), planned.
 
-    The rows are streamed, never stored: blocks() marches them and yields
-    them a block of output steps at a time, and each reader runs its own
-    march.  u_series, their 2x2 system block, is kept from the first march
-    to reach the end, and marches on first access if none has.  The columns
-    S[:, :2] are not computed.  recurrence_horizon is
-    LinearDynamics.recurrence_horizon of the model.  twice_b applies 2 B on
-    the arrowhead (_chebyshev_operator).  metadata holds the scheme, the
-    Chebyshev degree, the window in output steps and the norm bound R of
-    the generator, and, once a march has reached the end, max_abs_s, the
-    largest |S| entry its instability guard passed.
+    The a^dag row is the a row conjugated, with each (b_k, b_k^dag) pair
+    swapped (a^dag(t) = a(t)^dag), so the a row carries the system rows
+    S[:2, :].  The rows are streamed, never stored: blocks() marches them
+    and yields them a block of output steps at a time, and each reader
+    runs its own march.  u_series, the 2x2 system block, is kept from the
+    first march to reach the end, and marches on first access if none
+    has.  The columns S[:, :2] are not computed.  recurrence_horizon is
+    LinearDynamics.recurrence_horizon of the model.  twice_b applies 2 B
+    on the arrowhead (_chebyshev_operator).  metadata holds the scheme,
+    the Chebyshev degree, the window in output steps and the norm bound R
+    of the generator, and, once a march has reached the end, max_abs_s,
+    the largest |S| entry its instability guard passed.
     """
 
     grid: TimeGrid
@@ -188,15 +195,17 @@ class BogoliubovPropagator:
         return self._u_series
 
     def blocks(self) -> Iterator[np.ndarray]:
-        """March the rows: contiguous (k, 2, dim) blocks of steps 0, 1, ...,
-        n in order, k <= _MOMENT_BLOCK.
+        """March the a row: contiguous (k, dim) blocks of S(t_m)[0, :] for
+        steps 0, 1, ..., n in order, k <= _MOMENT_BLOCK.
 
-        Step 0, the identity, comes alone; then each window's steps, in
-        blocks of _MOMENT_BLOCK (a window longer than one block is a whole
-        number of them), each one GEMM of its coefficient rows against the
-        window's T_0..T_K store.  The window's coefficient table is built
-        at the start of each march.  The instability guard checks each
-        block before it is yielded.
+        Step 0, the identity's row, comes alone; then each window's steps,
+        in blocks of _MOMENT_BLOCK (a window longer than one block is a
+        whole number of them), each one GEMM of its coefficient rows
+        against the window's T_0..T_K store of the a column of S^T.  The
+        window's coefficient table is built at the start of each march.
+        The instability guard checks each block before it is yielded; the
+        a^dag row's entries are the a row's, conjugated and permuted, so
+        the guard sees every |S| entry of the system rows.
         """
         n, dt, dim = self.grid.n_steps, self.grid.dt, self.dim
         meta = self.metadata
@@ -204,15 +213,14 @@ class BogoliubovPropagator:
         k = np.arange(degree + 1)
         coef = (np.where(k == 0, 1.0, 2.0) * np.array([1, -1j, -1, 1j])[k % 4]
                 * _bessel_j(degree, norm * dt * np.arange(1, window + 1)).T)
-        # T_k(B) x for the (dim, 2) block x of the system columns of S^T
-        store = np.empty((degree + 1, dim, 2), dtype=complex)
-        real = store.view(float)
-        flat = store.reshape(degree + 1, 2 * dim)
+        # T_k(B) x for the a column x of S^T, and its real (dim, 2) views
+        store = np.empty((degree + 1, dim), dtype=complex)
+        real = store.view(float).reshape(degree + 1, dim, 2)
         u_series = np.empty((n + 1, 2, 2), dtype=complex)
-        u_series[0] = np.eye(2)
-        store[0] = np.eye(dim, 2)
+        store[0] = np.eye(1, dim)
+        u_series[0, 0] = store[0, :2]
         worst = 1.0  # |S(0)| = |I|
-        yield np.eye(2, dim, dtype=complex)[None]
+        yield store[:1].copy()
         for m0 in range(0, n, window):
             if degree > 0:
                 self.twice_b(real[0], real[1])
@@ -223,14 +231,15 @@ class BogoliubovPropagator:
             steps = min(window, n - m0)
             for lo in range(0, steps, _MOMENT_BLOCK):
                 hi = min(lo + _MOMENT_BLOCK, steps)
-                cols = (coef[lo:hi] @ flat).reshape(hi - lo, dim, 2)
-                rows = cols.transpose(0, 2, 1).copy()
+                rows = coef[lo:hi] @ store
                 worst = max(worst, _check_finite(
                     rows, m0 + lo + 1, dt * np.arange(m0 + lo + 1, m0 + hi + 1),
                     "S"))
-                u_series[m0 + lo + 1:m0 + hi + 1] = rows[:, :, :2]
+                u_series[m0 + lo + 1:m0 + hi + 1, 0] = rows[:, :2]
                 yield rows
-            store[0] = cols[-1]
+            store[0] = rows[-1]
+        # a^dag(t) = a(t)^dag: U = [[r_0, r_1], [conj r_1, conj r_0]]
+        u_series[:, 1] = np.conj(u_series[:, 0, ::-1])
         meta["max_abs_s"] = worst
         self._u_series = u_series
 
@@ -302,8 +311,8 @@ def _chebyshev_operator(dyn: LinearDynamics):
     """(R, twice_b) for B = G^T i/R = H sigma/R with R = ||G^T||_inf.
 
     R is the max absolute row sum of H.  B is real, so twice_b(p, out)
-    writes out = 2 B p for the real views (dim, 4) of two (dim, 2) complex
-    blocks, in O(dim) on the arrowhead: the diagonal, then the system rows'
+    writes out = 2 B p for the real views (dim, 2) of two complex columns,
+    in O(dim) on the arrowhead: the diagonal, then the system rows'
     couplings into the bath rows and the bath rows' into the system rows.
     """
     diag, coupling = dyn.arrowhead()
@@ -312,7 +321,7 @@ def _chebyshev_operator(dyn: LinearDynamics):
     norm = float(np.max(np.abs(diag) + np.concatenate(
         [abs_c.sum(axis=1), abs_c.sum(axis=0)])))
     scale = 2.0 / norm if norm > 0.0 else 0.0
-    diag2 = np.repeat(scale * sigma * diag, 4).reshape(dyn.dim, 4)
+    diag2 = np.repeat(scale * sigma * diag, 2).reshape(dyn.dim, 2)
     to_bath = (scale * sigma[:2, None] * coupling).T.copy()   # (dim - 2, 2)
     to_sys = scale * coupling * sigma[2:]                     # (2, dim - 2)
 
@@ -325,17 +334,17 @@ def _chebyshev_operator(dyn: LinearDynamics):
 
 
 def propagate(dyn: LinearDynamics, grid: TimeGrid) -> BogoliubovPropagator:
-    """Plan the march of the system rows of S (columns of S^T under G^T) by
+    """Plan the march of the a row of S (the a column of S^T under G^T) by
     Chebyshev; BogoliubovPropagator.blocks() runs it.
 
     With R = ||G^T||_inf, the max absolute row sum of H, B = G^T i/R has
     ||B||_inf <= 1 and exp(G^T t) = sum_k (2 - delta_k0) (-i)^k J_k(R t)
     T_k(B).  A window covers W output steps: all n if R n dt <= 8 rad, else
     the most with R W dt <= 8, at least one, rounded down to a whole number
-    of _MOMENT_BLOCK blocks once longer than one.  Its start block x gives
+    of _MOMENT_BLOCK blocks once longer than one.  Its start column x gives
     T_k(B) x by the three-term recurrence (K products with the arrowhead),
     and the coefficient table, shared by every window of the uniform grid,
-    gives its W rows.  K is the least degree whose bound
+    gives its W a rows.  K is the least degree whose bound
     (_chebyshev_degree) on the tail sum_{k>K} 2 |J_k(R W dt)| (1 + sqrt 2)^k
     is at most CHEBYSHEV_TAIL_TOL, so W and K depend on (H, dt) alone.  A
     NaN or infinite entry of H is rejected here, and the memory the march
@@ -357,13 +366,15 @@ def propagate(dyn: LinearDynamics, grid: TimeGrid) -> BogoliubovPropagator:
             window -= window % _MOMENT_BLOCK
     phase = norm * window * dt
     degree = _chebyshev_degree(phase)
-    # the T_0..T_K store; one block of columns, its rows and their |.| for
-    # the guard; the Bessel recurrence, its normalised rows and the complex
-    # coefficient table of one window; and the series, u_series and a
-    # reader's delta_s, delta_n, delta_h and mean
+    # the T_0..T_K store; a block of a rows, the one before it, the guard's
+    # |.| and a reader's products (the process peak rose by 50-136 x
+    # 32 dim bytes beyond the other terms at 600 to 3 000 modes); the Bessel
+    # recurrence, its normalised rows and the complex coefficient table of
+    # one window; and the series, u_series and a reader's delta_s,
+    # delta_n, delta_h and mean
     require_budget(
         f"propagate at {n} steps, degree {degree} and dimension {dim}",
-        32 * dim * (degree + 1) + 80 * dim * _MOMENT_BLOCK
+        16 * dim * (degree + 1) + 144 * dim * _MOMENT_BLOCK
         + 8 * window * (_miller_top(degree, phase) + 2 + 3 * (degree + 1))
         + 128 * (n + 1),
         "Chebyshev vectors, propagator blocks, coefficient tables and series")
@@ -397,8 +408,8 @@ class OracleMoments:
 def _moments_from_rows(prop: BogoliubovPropagator, rule) -> OracleMoments:
     """Moments <A_i A_j> of the system pair, drift-checked; mean_a is zero.
 
-    Reads the rows as prop.blocks() marches them: rule maps a (k, 2, dim)
-    block of rows to its (delta_s, delta_n, delta_h), each of length k.
+    Reads the a rows as prop.blocks() marches them: rule maps a (k, dim)
+    block of them to its (delta_s, delta_n, delta_h), each of length k.
     Each call marches anew, and only the block in hand and the one being
     marched are alive, so the transient is O(_MOMENT_BLOCK dim), whatever n.
     """
@@ -418,19 +429,8 @@ def _moments_from_rows(prop: BogoliubovPropagator, rule) -> OracleMoments:
                          delta_h=delta_h.real)
 
 
-def _table_rule(apply_m0):
-    """The block rule <A_i A_j> = r_i . M0 r_j of a product table M0:
-    apply_m0 maps a (k, 2, dim) block of rows r to M0 r once per block (one
-    GEMM or one pair-wise rule), then each moment is one einsum."""
-
-    def rule(block: np.ndarray):
-        m0_block = apply_m0(block)
-        r1, r2 = block[:, 0], block[:, 1]
-        return (np.einsum("kd,kd->k", r1, m0_block[:, 0]),
-                np.einsum("kd,kd->k", r2, m0_block[:, 0]),
-                np.einsum("kd,kd->k", r1, m0_block[:, 1]))
-
-    return rule
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return z.real * z.real + z.imag * z.imag
 
 
 def reduced_moments(prop: BogoliubovPropagator, bath: BathDiscretization,
@@ -439,32 +439,33 @@ def reduced_moments(prop: BogoliubovPropagator, bath: BathDiscretization,
 
     The bath enters through its per-mode occupations and squeezes only;
     cross correlations with the system are zero by assumption (use
-    exact_moments with a full initial table otherwise).
+    exact_moments with a full initial table otherwise).  With A and B the
+    a row's entries on each pair (x, x^dag), a(t) = sum A x + B x^dag, and
+    the pairs' [[<xx>, <x x^dag>], [<x^dag x>, <x^dag x^dag>]] =
+    [[s, 1 + n], [n, s*]] give delta_s = sum A^2 s + A B (1 + 2n) + B^2 s*,
+    delta_n = sum |A|^2 n + |B|^2 (1 + n) + 2 Re(A B* s) and delta_h =
+    sum |A|^2 (1 + n) + |B|^2 n + 2 Re(A B* s); delta_h - delta_n =
+    sum |A|^2 - |B|^2 checks the march.
     """
     init.require_physical()
     if 2 * bath.n_modes + 2 != prop.dim:
         raise ContractViolationError(
             f"bath has {bath.n_modes} modes, propagator dimension {prop.dim}")
 
-    # the block-diagonal product table <A_p A_q>(0), per pair (x, x^dag)
-    # [[<xx>, <x x^dag>], [<x^dag x>, <x^dag x^dag>]] = [[s, 1 + n], [n, s*]]
     occ = np.concatenate([[init.delta_n], bath.occupations])
     sqz = np.concatenate([[init.delta_s], bath.squeezes])
-    one_occ, conj_sqz = 1.0 + occ, np.conj(sqz)
+    one_occ, two_occ, conj_sqz = 1.0 + occ, 1.0 + 2.0 * occ, np.conj(sqz)
 
-    def apply_m0(block: np.ndarray) -> np.ndarray:
-        pairs = block.reshape(block.shape[0], 2, occ.size, 2)
-        x, x_dag = pairs[..., 0], pairs[..., 1]
-        # written into out: the transient is one block and a half-block
-        # temporary
-        out = np.empty_like(pairs)
-        np.multiply(sqz, x, out=out[..., 0])
-        out[..., 0] += one_occ * x_dag
-        np.multiply(occ, x, out=out[..., 1])
-        out[..., 1] += conj_sqz * x_dag
-        return out.reshape(block.shape)
+    def rule(block: np.ndarray):
+        x, x_dag = block[:, 0::2], block[:, 1::2]
+        abs_x, abs_x_dag = _abs2(x), _abs2(x_dag)
+        cross = 2.0 * ((x * np.conj(x_dag)) @ sqz).real
+        return ((x * x) @ sqz + (x * x_dag) @ two_occ
+                + (x_dag * x_dag) @ conj_sqz,
+                abs_x @ occ + abs_x_dag @ one_occ + cross,
+                abs_x @ one_occ + abs_x_dag @ occ + cross)
 
-    out = _moments_from_rows(prop, _table_rule(apply_m0))
+    out = _moments_from_rows(prop, rule)
     # <a>(t) = U_00 <a>(0) + U_01 <a^dag>(0): the march above filled u_series
     mu0 = np.array([init.mean_a, np.conj(init.mean_a)])
     return replace(out, mean_a=prop.u_series[:, 0, :] @ mu0)
@@ -476,19 +477,26 @@ def exact_moments(prop: BogoliubovPropagator,
 
     product_table[p, q] = <A_p A_q>(0) in the interleaved operator ordering
     (means assumed zero, as for any thermal total state); its entries must
-    be finite.
+    be finite.  Each block of a rows r gets its a^dag rows r' (a^dag(t) =
+    a(t)^dag: each entry the conjugate of its pair partner's), then one
+    GEMM gives M0 r and M0 r', and <A_i A_j> = r_i . M0 r_j.
     """
     if product_table.shape != (prop.dim, prop.dim):
         raise ContractViolationError(
             f"product table shape {product_table.shape} does not match "
             f"dimension {prop.dim}")
     require("product_table entries", product_table)
+    partner = np.arange(prop.dim) ^ 1
 
-    def apply_m0(block: np.ndarray) -> np.ndarray:
-        return (block.reshape(-1, prop.dim) @ product_table.T).reshape(
-            block.shape)
+    def rule(block: np.ndarray):
+        k = block.shape[0]
+        rows = np.concatenate([block, np.conj(block[:, partner])])
+        m0_rows = rows @ product_table.T
+        return (np.einsum("kd,kd->k", block, m0_rows[:k]),
+                np.einsum("kd,kd->k", rows[k:], m0_rows[:k]),
+                np.einsum("kd,kd->k", block, m0_rows[k:]))
 
-    return _moments_from_rows(prop, _table_rule(apply_m0))
+    return _moments_from_rows(prop, rule)
 
 
 def thermal_moments(prop: BogoliubovPropagator,
@@ -498,14 +506,18 @@ def thermal_moments(prop: BogoliubovPropagator,
     the same moments through the dense table.
 
     With u = (X' + Y')/2 and v = (X' - Y')/2 (state.x_modes, state.y_modes)
-    a_j = sum_k u_jk c_k + v_jk c_k^dag, so a row r, in the interleaved
-    ordering, makes A = sum_k alpha_k c_k + beta_k c_k^dag with
+    a_j = sum_k u_jk c_k + v_jk c_k^dag, so the a row r, in the interleaved
+    ordering, makes a(t) = sum_k alpha_k c_k + beta_k c_k^dag with
     alpha = (P + Q)/2 and beta = (P - Q)/2 for P = (r_even + r_odd) X' and
     Q = (r_even - r_odd) Y'.  Each is one real GEMM on the real view of a
-    block of rows: 4 (N+1)^2 multiply-adds a row, against 16 (N+1)^2 for
-    the complex table.  Then <A_i A_j> = sum_k alpha^i_k beta^j_k (1 + nbar_k)
-    + beta^i_k alpha^j_k nbar_k, and delta_h - delta_n =
-    sum_k alpha^0_k beta^1_k - beta^0_k alpha^1_k still checks the march.
+    block of a rows: 4 (N+1)^2 real multiply-adds a step for the two,
+    against 32 (N+1)^2 for the complex table on both rows.  a^dag(t) =
+    a(t)^dag, so with <c c^dag> = 1 + nbar and <c^dag c> = nbar,
+    delta_s = sum_k alpha_k beta_k (1 + 2 nbar_k), delta_n =
+    sum_k |beta_k|^2 (1 + nbar_k) + |alpha_k|^2 nbar_k and delta_h =
+    sum_k |alpha_k|^2 (1 + nbar_k) + |beta_k|^2 nbar_k, and
+    delta_h - delta_n = sum_k |alpha_k|^2 - |beta_k|^2 still checks the
+    march.
     """
     nb = state.mode_occupations.size
     if 2 * nb != prop.dim:
@@ -520,22 +532,19 @@ def thermal_moments(prop: BogoliubovPropagator,
     both = cc_dag + c_dag_c
 
     def rule(block: np.ndarray):
-        k = block.shape[0]
-        # the 2k rows of the block as columns, a, a^dag of each step in
-        # turn, so that each real GEMM acts on real and imaginary parts
-        even = block[:, :, 0::2].reshape(2 * k, nb).T
-        odd = block[:, :, 1::2].reshape(2 * k, nb).T
-        s_d = np.empty((2, nb, 2 * k), dtype=complex)
+        # the block's a rows as columns, so that each real GEMM acts on
+        # their real and imaginary parts
+        even, odd = block[:, 0::2].T, block[:, 1::2].T
+        s_d = np.empty((2, nb, block.shape[0]), dtype=complex)
         np.add(even, odd, out=s_d[0])
         np.subtract(even, odd, out=s_d[1])
         p = (x_t @ s_d[0].view(float)).view(complex)
         q = (y_t @ s_d[1].view(float)).view(complex)
         alpha, beta = p + q, p - q
-        a0, a1 = alpha[:, 0::2], alpha[:, 1::2]
-        b0, b1 = beta[:, 0::2], beta[:, 1::2]
-        return (both @ (a0 * b0),
-                cc_dag @ (a1 * b0) + c_dag_c @ (b1 * a0),
-                cc_dag @ (a0 * b1) + c_dag_c @ (b0 * a1))
+        abs_alpha, abs_beta = _abs2(alpha), _abs2(beta)
+        return (both @ (alpha * beta),
+                cc_dag @ abs_beta + c_dag_c @ abs_alpha,
+                cc_dag @ abs_alpha + c_dag_c @ abs_beta)
 
     return _moments_from_rows(prop, rule)
 
@@ -604,40 +613,55 @@ def _quadrature_modes(dyn: LinearDynamics, omega_s0: float):
     The couplings are real, so in the quadratures x = (a + a^dag)/sqrt 2,
     p = (a - a^dag)/(i sqrt 2) of the system and each mode the Hamiltonian
     is 1/2 x^T P x + 1/2 p^T Q p + const, with (N+1)x(N+1) arrowheads
-    P = h + w and Q = h - w: h holds omega_s0 and the mode frequencies on
+    P = h + w and Q = h - w: h holds omega_s0 and the mode frequencies D on
     the diagonal and V on the system row, w holds W there.  H is positive
-    definite exactly when P and Q are.  With Cholesky factors P = L_P L_P^T
-    and Q = L_Q L_Q^T, one SVD L_P^T L_Q = U Omega V^T gives the normal
-    frequencies Omega and the transforms X = L_Q V, Y = L_P U, which make
-    x = X Omega^-1/2 xi, p = Y Omega^-1/2 pi canonical normal coordinates
-    (the Williamson normal form; Simon, Chaturvedi & Srinivasan, J. Math.
-    Phys. 40 (1999) 3632).  The bath is factored in descending frequency,
-    after the system, which lets the SVD resolve the lowest normal mode to
-    high relative accuracy.
+    definite exactly when P and Q are.  An arrowhead's Cholesky factor is
+    O(N): P = R_P R_P^T with R_P = [[r_p, c_p^T], [0, D^1/2]],
+    c_p = D^-1/2 (V + W) and r_p^2 = omega_s0 - c_p . c_p, which exists
+    exactly when D > 0 and r_p^2 > 0; R_Q likewise with V - W.  One SVD
+    R_P^T R_Q = diag(0, D) + (r_p; c_p)(r_q; c_q)^T = U Omega V^T gives the
+    normal frequencies Omega and the transforms X = R_Q V, Y = R_P U, each
+    formed in O(N^2), which make x = X Omega^-1/2 xi, p = Y Omega^-1/2 pi
+    canonical normal coordinates (the Williamson normal form; Simon,
+    Chaturvedi & Srinivasan, J. Math. Phys. 40 (1999) 3632).  The bath
+    enters the SVD in descending frequency, after the system, which lets it
+    resolve the lowest normal mode to high relative accuracy.
     """
     nb = dyn.n_modes + 1
-    # P and Q share the diagonal, with V + W and V - W on the system row
-    # and column of the arrowhead H
-    diag, coupling = replace(dyn, omega_s=omega_s0).arrowhead()
-    exchange, pair = coupling[0, 0::2], coupling[0, 1::2]
-    order = np.concatenate([[0], 1 + np.argsort(-dyn.frequencies,
-                                                 kind="stable")])
-    blocks = np.zeros((2, nb, nb))
-    blocks[:, np.arange(nb), np.arange(nb)] = diag[0::2][order]
-    blocks[:, 0, 1:] = blocks[:, 1:, 0] = np.stack(
-        [exchange + pair, exchange - pair])[:, order[1:] - 1]
-    try:
-        l_p, l_q = np.linalg.cholesky(blocks)
-    except np.linalg.LinAlgError:
+    order = np.argsort(-dyn.frequencies, kind="stable")
+    freqs = dyn.frequencies[order]
+    # the system rows (r, c^T) of R_P and R_Q
+    heads = np.empty((2, nb))
+    positive = bool(np.all(freqs > 0.0))
+    if positive:
+        v, w = dyn.v_couplings[order], dyn.w_couplings[order]
+        root_d = np.sqrt(freqs)
+        heads[:, 1:] = np.stack([v + w, v - w]) / root_d
+        pivots = omega_s0 - np.einsum("ij,ij->i", heads[:, 1:], heads[:, 1:])
+        positive = bool(np.all(pivots > 0.0))
+    if not positive:
         raise InstabilityError(
             "coupled Hamiltonian is not positive definite (its Cholesky "
             "factorisation fails); no thermal state exists at these "
-            "couplings") from None
-    del blocks  # the factors carry P and Q from here on
-    u_svd, eps, v_svd_t = np.linalg.svd(l_p.T @ l_q)
+            "couplings")
+    heads[:, 0] = np.sqrt(pivots)
+    head_p, head_q = heads
+    product = np.outer(head_p, head_q)
+    product.flat[nb + 1::nb + 1] += freqs
+    u_svd, eps, v_svd_t = np.linalg.svd(product)
+    del product
     root = 1.0 / np.sqrt(eps)
-    back = np.argsort(order)
-    return eps, (l_q @ v_svd_t.T)[back] * root, (l_p @ u_svd)[back] * root
+    rows = np.concatenate([[0], 1 + order])  # operator row of each factor row
+
+    def apply(head: np.ndarray, mat: np.ndarray) -> np.ndarray:
+        # R mat Omega^-1/2 for R = [[head], [0, D^1/2]], in operator order
+        out = np.empty((nb, nb))
+        out[0] = head @ mat
+        out[rows[1:]] = root_d[:, None] * mat[1:]
+        out *= root
+        return out
+
+    return eps, apply(head_q, v_svd_t.T), apply(head_p, u_svd)
 
 
 def thermal_total_state(dyn: LinearDynamics, temperature: float,
@@ -649,19 +673,19 @@ def thermal_total_state(dyn: LinearDynamics, temperature: float,
     subsequent evolution -- a frequency quench).  The Hamiltonian must be
     positive definite, otherwise no thermal state exists and an
     InstabilityError is raised.  The normal modes come from the x and p
-    blocks of H (_quadrature_modes): two Cholesky factors and one SVD of
-    size N + 1.  The state is held as those transforms and the normal-mode
+    blocks of H (_quadrature_modes): two O(N) Cholesky factors and one SVD
+    of size N + 1.  The state is held as those transforms and the normal-mode
     occupations; the system row and the diagonals of <a^dag a> and <a a>
     are read off them in O(N^2), and no dense table is built.
     """
     require("temperature", temperature, ">= 0")
     require("omega_s0", omega_s0)
     nb = dyn.n_modes + 1
-    # the x and p blocks, their Cholesky factors and the SVD's factors and
-    # workspace: the process peak rose by 11.2-12.3 x 8 nb^2 bytes at 600 to
-    # 3 000 modes
+    # the product of the factors, the SVD's factors and workspace, and the
+    # transforms: the process peak rose by 9.2-10.6 x 8 nb^2 bytes at 600
+    # to 3 000 modes
     require_budget(f"thermal_total_state at {nb} normal modes",
-                   104 * nb * nb, "quadrature blocks and factors")
+                   88 * nb * nb, "quadrature factors and transforms")
     eps, x_mat, y_mat = _quadrature_modes(dyn, omega_s0)
 
     resid = guard(np.max(np.abs(x_mat.T @ y_mat - np.eye(nb))),

@@ -145,17 +145,26 @@ def runaway_bath():
                    alpha=2.0)
 
 
+def dagger_rows(a_rows):
+    """The a^dag rows of S from its a rows, on the last axis: a^dag(t) =
+    a(t)^dag, so each entry is the conjugate of its pair partner's (b_k and
+    b_k^dag, a and a^dag)."""
+    return np.conj(a_rows[..., np.arange(a_rows.shape[-1]) ^ 1])
+
+
 def stored_rows(prop):
-    """Every step's system rows S(t_m)[:2, :], (n + 1, 2, dim): the blocks
-    prop.blocks() yields, joined (a BogoliubovPropagator marches for them)."""
-    return np.concatenate(list(prop.blocks()))
+    """Every step's system rows S(t_m)[:2, :], (n + 1, 2, dim): the a rows
+    prop.blocks() yields, joined, each with its a^dag row rebuilt by
+    dagger_rows (a BogoliubovPropagator marches for them)."""
+    a_rows = np.concatenate(list(prop.blocks()))
+    return np.stack([a_rows, dagger_rows(a_rows)], axis=1)
 
 
 @dataclass
 class StoredPropagator:
     """A propagator whose system rows are a stored array, (n + 1, 2, dim):
     the oracle's readers take it as they take a BogoliubovPropagator, and
-    blocks() yields the rows _MOMENT_BLOCK steps at a time."""
+    blocks() yields its a rows _MOMENT_BLOCK steps at a time."""
 
     grid: gqbm.TimeGrid
     dim: int
@@ -170,7 +179,7 @@ class StoredPropagator:
     def blocks(self):
         block = gqbm.oracle._MOMENT_BLOCK
         for lo in range(0, self.sys_rows.shape[0], block):
-            yield self.sys_rows[lo:lo + block]
+            yield self.sys_rows[lo:lo + block, 0]
 
 
 def max_abs(x) -> float:

@@ -22,6 +22,7 @@ from conftest import (
     StoredPropagator,
     dense_generator,
     make_model,
+    runaway_bath,
     stored_rows,
 )
 
@@ -95,7 +96,7 @@ def test_arrowhead_generator_matches_heisenberg_equations():
     assert norm == pytest.approx(np.max(np.sum(np.abs(ref), axis=1)),
                                  rel=1e-15)
     rng = np.random.default_rng(12)
-    x = rng.normal(size=(dyn.dim, 2)) + 1j * rng.normal(size=(dyn.dim, 2))
+    x = rng.normal(size=(dyn.dim, 1)) + 1j * rng.normal(size=(dyn.dim, 1))
     out = np.empty_like(x)
     twice_b(x.view(float), out.view(float))
     np.testing.assert_allclose(0.5 * out, ref.T @ x * (1j / norm), rtol=0.0,
@@ -383,11 +384,11 @@ def test_miller_bessel_matches_scipy_jv():
 
 
 def test_chebyshev_store_over_budget_rejected_before_allocation():
-    # 400 modes up to 2e6: degree ~ 64 000, so T_0..T_K of dimension 802
-    # would take about 1.5 GiB
+    # 400 modes up to 2.8e6: degree ~ 92 000, so T_0..T_K of dimension 802
+    # would take about 1.1 GiB
     n_modes = 400
     dyn = gqbm.LinearDynamics(omega_s=0.3,
-                              frequencies=np.linspace(1.0, 2e6, n_modes),
+                              frequencies=np.linspace(1.0, 2.8e6, n_modes),
                               v_couplings=np.full(n_modes, 1e-3),
                               w_couplings=np.zeros(n_modes))
     grid = gqbm.TimeGrid(t_end=0.1, n_steps=10, max_frequency=1.0)
@@ -489,7 +490,7 @@ def test_march_records_its_largest_entry():
 
 
 def test_thermal_state_over_budget_rejected_before_allocation():
-    # 20 000 modes: the quadrature blocks and factors would take 39 GiB
+    # 20 000 modes: the quadrature factors and transforms would take 33 GiB
     n_modes = 20_000
     dyn = gqbm.LinearDynamics(omega_s=0.6,
                               frequencies=np.linspace(1.0, 2.0, n_modes),
@@ -712,6 +713,41 @@ def test_unstable_hamiltonian_has_no_thermal_state():
     dyn = gqbm.build_dynamics(bath, 0.01)
     with pytest.raises(InstabilityError, match="positive definite"):
         gqbm.thermal_total_state(dyn, 0.05, 0.01)
+
+
+NOT_POSITIVE_DEFINITE = (
+    "coupled Hamiltonian is not positive definite (its Cholesky "
+    "factorisation fails); no thermal state exists at these couplings")
+
+
+def _one_mode(frequency, v, w):
+    return gqbm.LinearDynamics(omega_s=0.3, frequencies=np.array([frequency]),
+                               v_couplings=np.array([v]),
+                               w_couplings=np.array([w]))
+
+
+# one mode at frequency 1 with V + W = 1 (or V - W = 1): the x (or p)
+# block's pivot omega_s0 - (V +- W)^2 / omega is zero at omega_s0 = 1 and
+# negative at 0.5, while the other block's stays omega_s0
+@pytest.mark.parametrize("make, omega_s0", [
+    (lambda: _one_mode(1.0, 0.5, 0.5), 1.0),
+    (lambda: _one_mode(1.0, 0.5, 0.5), 0.5),
+    (lambda: _one_mode(1.0, 0.5, -0.5), 1.0),
+    (lambda: _one_mode(1.0, 0.5, -0.5), 0.5),
+    (lambda: gqbm.build_dynamics(runaway_bath(), 0.3), 0.3),
+    (lambda: _one_mode(-0.2, 0.01, 0.0), 0.3),
+], ids=["x-pivot-zero", "x-pivot-negative", "p-pivot-zero",
+        "p-pivot-negative", "zero-frequency-mode", "negative-frequency-mode"])
+def test_indefinite_factor_raises_before_the_svd(make, omega_s0, monkeypatch):
+    dyn = make()
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the SVD ran on an indefinite Hamiltonian")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    with pytest.raises(InstabilityError) as err:
+        gqbm.thermal_total_state(dyn, 0.05, omega_s0)
+    assert str(err.value) == NOT_POSITIVE_DEFINITE
 
 
 def test_thermal_state_rejects_negative_temperature():

@@ -7,16 +7,25 @@ with symplectic normalisation, the Colpa route on H in the block ordering
 (a, b_1..b_N, a^dag, b_1^dag..b_N^dag) with index maps back to the
 interleaved table, the interleaved Colpa route on scipy's cholesky, eigh
 and solve_triangular, the same route on numpy's cholesky, eigh and solve,
-the propagation that marched the columns of S with G and the columns of
-S^T with G^T separately, the fixed-substep RK4 row march that followed it,
-and the Chebyshev row march on a sparse CSR generator with scipy's
-jv.  Their generators are CSR matrices of the dense generator that conftest
-fills from LinearDynamics's arrowhead.  Each thermal route returns its
-state as a record that holds the product table, and each march its rows
-as a conftest.StoredPropagator; the library streams its rows, and
-conftest.stored_rows joins them for the comparisons.  The quadrature
-route (one SVD of the product of the Cholesky factors of the x and p
-blocks) reaches the same state through other arithmetic, so it must agree
+the quadrature route on dense batched Cholesky factors of the x and p
+blocks, the propagation that marched the columns of S with G and the
+columns of S^T with G^T separately, the fixed-substep RK4 row march that
+followed it, and the Chebyshev row march on a sparse CSR generator with
+scipy's jv.  Their generators are CSR matrices of the dense generator
+that conftest fills from LinearDynamics's arrowhead.  Each thermal route
+returns its state as a record that holds the product table, and each
+march both system rows, each marched on its own, as a
+conftest.StoredPropagator; the library streams its a row alone, and
+conftest.stored_rows joins its blocks and rebuilds the a^dag row as the
+a row conjugated, with each pair swapped, for the comparisons.  So the
+comparisons check the library's a row and that identity, and each
+reference march's own a^dag row must equal the conjugate-swap of its a
+row to 1e-14 of max|S|.  The quadrature route (one SVD of the product of
+the O(N) Cholesky factors of the x and p arrowheads) must match the
+dense-Cholesky route to 1e-13 of the largest table entry and of the
+largest normal frequency, and its lowest normal frequency to 1e-14
+relative, on the bath as given and permuted; it reaches the same state
+as the other routes through other arithmetic, so it must agree
 with the eig route to roundoff amplified by the eigenproblem's
 conditioning (1e-8 of the largest table entry; normal-mode frequencies to
 1e-12 of the largest), with the
@@ -71,6 +80,7 @@ from gqbm.spectral import n_bar
 
 from conftest import (
     StoredPropagator,
+    dagger_rows,
     dense_generator,
     dense_h,
     make_model,
@@ -89,6 +99,8 @@ PERMUTED_BATH_RTOL = 1e-15
 CSR_AGREEMENT_RTOL = 1e-13
 LOOP_READER_RTOL = 1e-14
 THERMAL_READER_RTOL = 1e-13
+FACTOR_PARITY_RTOL = 1e-13
+DAGGER_ROW_RTOL = 1e-14
 
 # Target local truncation error of one RK4 substep, |lambda h|^5 / 120.
 RK4_LOCAL_ERROR = 1e-10
@@ -468,6 +480,34 @@ def _colpa_thermal_total_state(dyn, temperature, omega_s0):
     )
 
 
+def _cholesky_quadrature_modes(dyn, omega_s0):
+    """oracle._quadrature_modes on dense batched Cholesky factors of the
+    x and p blocks, transformed back by two dense GEMMs."""
+    nb = dyn.n_modes + 1
+    # P and Q share the diagonal, with V + W and V - W on the system row
+    # and column of the arrowhead H
+    diag, coupling = replace(dyn, omega_s=omega_s0).arrowhead()
+    exchange, pair = coupling[0, 0::2], coupling[0, 1::2]
+    order = np.concatenate([[0], 1 + np.argsort(-dyn.frequencies,
+                                                 kind="stable")])
+    blocks = np.zeros((2, nb, nb))
+    blocks[:, np.arange(nb), np.arange(nb)] = diag[0::2][order]
+    blocks[:, 0, 1:] = blocks[:, 1:, 0] = np.stack(
+        [exchange + pair, exchange - pair])[:, order[1:] - 1]
+    try:
+        l_p, l_q = np.linalg.cholesky(blocks)
+    except np.linalg.LinAlgError:
+        raise InstabilityError(
+            "coupled Hamiltonian is not positive definite (its Cholesky "
+            "factorisation fails); no thermal state exists at these "
+            "couplings") from None
+    del blocks  # the factors carry P and Q from here on
+    u_svd, eps, v_svd_t = np.linalg.svd(l_p.T @ l_q)
+    root = 1.0 / np.sqrt(eps)
+    back = np.argsort(order)
+    return eps, (l_q @ v_svd_t.T)[back] * root, (l_p @ u_svd)[back] * root
+
+
 def _csr_chebyshev_propagate(dyn, grid):
     """The Chebyshev row march on the CSR generator with scipy's jv."""
     n = grid.n_steps
@@ -700,6 +740,33 @@ def test_permuted_bath_gives_the_permuted_table(alpha, temperature):
             <= PERMUTED_BATH_RTOL * np.max(np.abs(table)))
 
 
+def _shuffled(dyn):
+    perm = np.random.default_rng(23).permutation(dyn.n_modes)
+    return gqbm.LinearDynamics(dyn.omega_s, dyn.frequencies[perm],
+                               dyn.v_couplings[perm], dyn.w_couplings[perm])
+
+
+@pytest.mark.parametrize("permuted", [False, True], ids=["ordered",
+                                                         "permuted"])
+@pytest.mark.parametrize("alpha, temperature", STATE_POINTS, ids=STATE_IDS)
+def test_arrowhead_factors_match_the_dense_cholesky_route(
+        alpha, temperature, permuted, monkeypatch):
+    dyn = _dynamics(alpha, OMEGA_S)
+    if permuted:
+        dyn = _shuffled(dyn)
+    state = gqbm.thermal_total_state(dyn, temperature, OMEGA_S0)
+    monkeypatch.setattr(oracle, "_quadrature_modes",
+                        _cholesky_quadrature_modes)
+    ref = gqbm.thermal_total_state(dyn, temperature, OMEGA_S0)
+    assert (np.max(np.abs(state.product_table - ref.product_table))
+            <= FACTOR_PARITY_RTOL * np.max(np.abs(ref.product_table)))
+    freqs = ref.normal_frequencies
+    assert (np.max(np.abs(state.normal_frequencies - freqs))
+            <= FACTOR_PARITY_RTOL * np.max(freqs))
+    assert (abs(state.metadata["min_normal_frequency"] - freqs[0])
+            <= SECULAR_ROOT_RTOL * freqs[0])
+
+
 def test_colpa_state_is_stationary_under_its_hamiltonian(both_states):
     dyn, colpa, _ = both_states
     gen = _csr_generator(gqbm.LinearDynamics(OMEGA_S0, dyn.frequencies,
@@ -748,6 +815,18 @@ def test_row_march_is_the_row_half_of_the_two_marches():
     assert np.array_equal(prop.sys_rows, rows)
     assert np.max(np.abs(prop.u_series - cols[:, :2, :])) <= 1e-15
     assert "row march" in prop.metadata["scheme"]
+
+
+@pytest.mark.parametrize("march", ["rk4", "csr"])
+def test_reference_a_dag_row_is_the_conjugate_swap_of_its_a_row(march):
+    # the references march both system columns of S^T independently; the
+    # library marches the a column alone and rebuilds the a^dag row from it
+    dyn = _dynamics(0.5, OMEGA_S, modes=80)
+    grid = gqbm.TimeGrid(t_end=2.0, n_steps=40, max_frequency=1.0)
+    propagate = {"rk4": _rk4_propagate, "csr": _csr_chebyshev_propagate}
+    rows = propagate[march](dyn, grid).sys_rows
+    assert (np.max(np.abs(rows[:, 1] - dagger_rows(rows[:, 0])))
+            <= DAGGER_ROW_RTOL * np.max(np.abs(rows)))
 
 
 def test_chebyshev_rows_match_the_rk4_march_on_the_oracle_point():
