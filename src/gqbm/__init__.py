@@ -45,7 +45,6 @@ from .moments import (
     evolve_covariances,
     evolve_hpz_covariances,
     evolve_means,
-    quadratures_to_moments,
     to_quadratures,
 )
 from .oracle import (
@@ -90,7 +89,7 @@ __all__ = [
     # moments
     "GaussianMoments", "QuadratureCovariances", "SecondMomentSeries",
     "evolve_means", "evolve_covariances", "evolve_hpz_covariances",
-    "to_quadratures", "quadratures_to_moments",
+    "to_quadratures",
     # oracle
     "LinearDynamics", "BogoliubovPropagator", "OracleMoments",
     "ThermalTotalState", "build_dynamics", "propagate", "reduced_moments",

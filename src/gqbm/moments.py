@@ -117,17 +117,6 @@ def to_quadratures(moments, mass: float = 1.0,
     return QuadratureCovariances(var_x=var_x, var_p=var_p, cov_xp=ds.imag)
 
 
-def quadratures_to_moments(cov: QuadratureCovariances, mass: float = 1.0,
-                           omega_s: float = 1.0) -> GaussianMoments:
-    """Inverse of to_quadratures (mean left at zero)."""
-    _require_scales(mass, omega_s)
-    a = mass * omega_s * cov.var_x
-    b = cov.var_p / (mass * omega_s)
-    delta_n = 0.5 * (a + b - 1.0)
-    delta_s = 0.5 * (a - b) + 1j * cov.cov_xp
-    return GaussianMoments(mean_a=0.0 + 0.0j, delta_n=delta_n, delta_s=delta_s)
-
-
 def _mean_generator(coeffs) -> np.ndarray:
     """Series of the 2x2 generator of (<a>, <a^dag>)."""
     n = coeffs.times.size

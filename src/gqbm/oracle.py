@@ -367,14 +367,15 @@ def propagate(dyn: LinearDynamics, grid: TimeGrid) -> BogoliubovPropagator:
     phase = norm * window * dt
     degree = _chebyshev_degree(phase)
     # the T_0..T_K store; a block of a rows, the one before it, the guard's
-    # |.| and a reader's products (the process peak rose by 50-136 x
-    # 32 dim bytes beyond the other terms at 600 to 3 000 modes); the Bessel
+    # |.| and a reader's products (the process peak rose by 38-151 x
+    # 32 dim bytes beyond the other terms at 600 to 3 000 modes, the most
+    # for exact_moments' complex GEMM); the Bessel
     # recurrence, its normalised rows and the complex coefficient table of
     # one window; and the series, u_series and a reader's delta_s,
     # delta_n, delta_h and mean
     require_budget(
         f"propagate at {n} steps, degree {degree} and dimension {dim}",
-        16 * dim * (degree + 1) + 144 * dim * _MOMENT_BLOCK
+        16 * dim * (degree + 1) + 160 * dim * _MOMENT_BLOCK
         + 8 * window * (_miller_top(degree, phase) + 2 + 3 * (degree + 1))
         + 128 * (n + 1),
         "Chebyshev vectors, propagator blocks, coefficient tables and series")
@@ -437,14 +438,16 @@ def reduced_moments(prop: BogoliubovPropagator, bath: BathDiscretization,
                     init: GaussianMoments) -> OracleMoments:
     """Open-mode moments for a product initial state (system x thermal-like bath).
 
-    The bath enters through its per-mode occupations and squeezes only;
-    cross correlations with the system are zero by assumption (use
-    exact_moments with a full initial table otherwise).  With A and B the
-    a row's entries on each pair (x, x^dag), a(t) = sum A x + B x^dag, and
-    the pairs' [[<xx>, <x x^dag>], [<x^dag x>, <x^dag x^dag>]] =
-    [[s, 1 + n], [n, s*]] give delta_s = sum A^2 s + A B (1 + 2n) + B^2 s*,
-    delta_n = sum |A|^2 n + |B|^2 (1 + n) + 2 Re(A B* s) and delta_h =
-    sum |A|^2 (1 + n) + |B|^2 n + 2 Re(A B* s); delta_h - delta_n =
+    The bath enters through its per-mode occupations only: it carries no
+    squeezes, and cross correlations with the system are zero by
+    assumption (use exact_moments with a full initial table otherwise).
+    With A and B the a row's entries on each pair (x, x^dag),
+    a(t) = sum A x + B x^dag, and the pairs'
+    [[<xx>, <x x^dag>], [<x^dag x>, <x^dag x^dag>]] = [[s, 1 + n], [n, s*]],
+    s = delta_s(0) on the system pair and 0 on the bath's, give
+    delta_s = A_0^2 s + sum A B (1 + 2n) + B_0^2 s*, delta_n =
+    sum |A|^2 n + |B|^2 (1 + n) + 2 Re(A_0 B_0* s) and delta_h =
+    sum |A|^2 (1 + n) + |B|^2 n + 2 Re(A_0 B_0* s); delta_h - delta_n =
     sum |A|^2 - |B|^2 checks the march.
     """
     init.require_physical()
@@ -453,15 +456,16 @@ def reduced_moments(prop: BogoliubovPropagator, bath: BathDiscretization,
             f"bath has {bath.n_modes} modes, propagator dimension {prop.dim}")
 
     occ = np.concatenate([[init.delta_n], bath.occupations])
-    sqz = np.concatenate([[init.delta_s], bath.squeezes])
-    one_occ, two_occ, conj_sqz = 1.0 + occ, 1.0 + 2.0 * occ, np.conj(sqz)
+    one_occ, two_occ = 1.0 + occ, 1.0 + 2.0 * occ
+    sqz = complex(init.delta_s)
 
     def rule(block: np.ndarray):
         x, x_dag = block[:, 0::2], block[:, 1::2]
+        a, a_dag = block[:, 0], block[:, 1]
         abs_x, abs_x_dag = _abs2(x), _abs2(x_dag)
-        cross = 2.0 * ((x * np.conj(x_dag)) @ sqz).real
-        return ((x * x) @ sqz + (x * x_dag) @ two_occ
-                + (x_dag * x_dag) @ conj_sqz,
+        cross = 2.0 * (a * np.conj(a_dag) * sqz).real
+        return (a * a * sqz + (x * x_dag) @ two_occ
+                + a_dag * a_dag * sqz.conjugate(),
                 abs_x @ occ + abs_x_dag @ one_occ + cross,
                 abs_x @ one_occ + abs_x_dag @ occ + cross)
 
@@ -533,16 +537,19 @@ def thermal_moments(prop: BogoliubovPropagator,
 
     def rule(block: np.ndarray):
         # the block's a rows as columns, so that each real GEMM acts on
-        # their real and imaginary parts
+        # their real and imaginary parts; one buffer holds the sum, the
+        # difference and then beta, and P becomes alpha in place, so at
+        # most three (N+1) x k arrays are alive
         even, odd = block[:, 0::2].T, block[:, 1::2].T
-        s_d = np.empty((2, nb, block.shape[0]), dtype=complex)
-        np.add(even, odd, out=s_d[0])
-        np.subtract(even, odd, out=s_d[1])
-        p = (x_t @ s_d[0].view(float)).view(complex)
-        q = (y_t @ s_d[1].view(float)).view(complex)
-        alpha, beta = p + q, p - q
+        beta = np.empty((nb, block.shape[0]), dtype=complex)
+        alpha = (x_t @ np.add(even, odd, out=beta).view(float)).view(complex)
+        q = (y_t @ np.subtract(even, odd, out=beta).view(float)).view(complex)
+        np.subtract(alpha, q, out=beta)
+        alpha += q
+        del q
+        delta_s = both @ (alpha * beta)
         abs_alpha, abs_beta = _abs2(alpha), _abs2(beta)
-        return (both @ (alpha * beta),
+        return (delta_s,
                 cc_dag @ abs_beta + c_dag_c @ abs_alpha,
                 cc_dag @ abs_alpha + c_dag_c @ abs_beta)
 

@@ -31,9 +31,9 @@ Everything is expressed in units of the cutoff (hbar = k_B = 1).
 with g_w = alpha^2 g_v and g_vw = alpha g_v (likewise for gtilde), so one
 assembly path serves every Kernel.
 
-Both are stationary (depend on the time difference only) as long as the bath
-carries no anomalous pair correlations; per-mode occupations are allowed to
-be non-thermal.
+Both are stationary (depend on the time difference only): a bath carries
+per-mode occupations, which may be non-thermal, and no anomalous pair
+correlations.
 """
 
 from __future__ import annotations
@@ -55,9 +55,8 @@ from .errors import (
     require_count,
 )
 
-# Conjugation / particle-hole structure matrices used across modules.
+# Particle-hole structure matrix used across modules.
 Z = np.diag([1.0, -1.0]).astype(complex)
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 _FAMILIES = ("ohmic", "tabulated")
 _CHANNELS = ("v", "w", "vw")
@@ -818,7 +817,8 @@ class BathDiscretization:
     alpha = W_k / V_k, so the pair-production couplings w_couplings are
     derived from v_couplings, never stored beside them.  Occupations may be
     replaced by any per-mode values (e.g. from a correlated total state);
-    squeezes must stay zero for the stationary kernel machinery to apply.
+    the modes carry no squeezes, so the bath's kernels stay stationary (a
+    squeezed product state is read through exact_moments' table instead).
     Every array must be finite, checked at construction (so also on a
     dataclasses.replace copy).
     """
@@ -827,7 +827,6 @@ class BathDiscretization:
     weights: np.ndarray
     v_couplings: np.ndarray
     occupations: np.ndarray
-    squeezes: np.ndarray
     scheme: str
     coverage_fraction: float
     alpha: float
@@ -835,8 +834,7 @@ class BathDiscretization:
     cutoff: float
 
     def __post_init__(self):
-        for name in ("frequencies", "weights", "v_couplings", "occupations",
-                     "squeezes"):
+        for name in ("frequencies", "weights", "v_couplings", "occupations"):
             require(name, getattr(self, name))
 
     @property
@@ -894,7 +892,6 @@ def discretize_bath(model: SpectralModel, n_modes: int, omega_max: float,
     return BathDiscretization(
         frequencies=freqs, weights=weights, v_couplings=v,
         occupations=n_bar(freqs, model.temperature),
-        squeezes=np.zeros(n_modes, dtype=complex),
         scheme=scheme, coverage_fraction=covered,
         alpha=model.alpha, temperature=model.temperature, cutoff=model.cutoff,
     )
@@ -905,15 +902,9 @@ def kernels_from_bath(bath: BathDiscretization) -> Kernel:
 
     With W_k = alpha V_k every channel sum is a multiple of one of the two
     mode sums g_v = sum_k V_k^2 e^{-i w_k dt} and gtilde_v = sum_k V_k^2
-    nbar_k e^{-i w_k dt}.  Anomalous per-mode correlations would make the
-    fluctuation kernel depend on both time arguments, which the stationary
-    Kernel interface cannot represent, so nonzero squeezes are rejected.
+    nbar_k e^{-i w_k dt}.  The bath carries no per-mode squeezes, so both
+    kernels depend on the time difference alone.
     """
-    if np.any(np.abs(bath.squeezes) > 0.0):
-        raise ContractViolationError(
-            "kernels_from_bath requires zero per-mode squeezes "
-            "(non-stationary fluctuation kernels are not representable)")
-
     v2 = bath.v_couplings**2
     v2_occ = v2 * bath.occupations
     freqs = bath.frequencies

@@ -12,9 +12,10 @@ from gqbm.errors import (
     InstabilityError,
     ValidationError,
 )
-from gqbm.spectral import SIGMA_X
 
 from conftest import kernel_with, make_model
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 # ---- grid -------------------------------------------------------------------
 

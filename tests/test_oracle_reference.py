@@ -49,7 +49,12 @@ and exact_moments' dense matvec.  The block reader sums the same products
 in another order, so it must agree with the loop to 1e-14 of each series'
 largest entry.  thermal_moments, which reads the thermal state through its
 normal-mode transforms, sums other products: it must agree with the dense
-table, and with the loop, to 1e-13 of max|N|.
+table, and with the loop, to 1e-13 of max|N|.  reduced_moments' rule from
+when a bath could carry per-mode squeezes (one GEMV per product against
+the squeezes of every pair) is kept, fed the zero squeezes every bath had:
+the rule on the system pair alone must give the same bits at the vacuum,
+and the same moments to 1e-15 of each series' largest entry with a
+squeezed system.
 """
 
 import math
@@ -101,6 +106,7 @@ LOOP_READER_RTOL = 1e-14
 THERMAL_READER_RTOL = 1e-13
 FACTOR_PARITY_RTOL = 1e-13
 DAGGER_ROW_RTOL = 1e-14
+SQUEEZED_RULE_RTOL = 1e-15
 
 # Target local truncation error of one RK4 substep, |lambda h|^5 / 120.
 RK4_LOCAL_ERROR = 1e-10
@@ -580,7 +586,6 @@ def _loop_moments_from_rows(rows: np.ndarray, times: np.ndarray, apply_m0,
 def _loop_reduced_moments(prop, bath, init):
     init.require_physical()
     occ = bath.occupations
-    sqz = bath.squeezes
     dn0, ds0 = init.delta_n, init.delta_s
 
     def apply_m0(r: np.ndarray) -> np.ndarray:
@@ -589,8 +594,8 @@ def _loop_reduced_moments(prop, bath, init):
         out = np.empty_like(r)
         out[0] = ds0 * r[0] + (1.0 + dn0) * r[1]
         out[1] = dn0 * r[0] + np.conj(ds0) * r[1]
-        out[2::2] = sqz * r[2::2] + (1.0 + occ) * r[3::2]
-        out[3::2] = occ * r[2::2] + np.conj(sqz) * r[3::2]
+        out[2::2] = (1.0 + occ) * r[3::2]
+        out[3::2] = occ * r[2::2]
         return out
 
     mu0 = np.zeros(prop.dim, dtype=complex)
@@ -599,6 +604,32 @@ def _loop_reduced_moments(prop, bath, init):
     rows = stored_rows(prop)
     return _loop_moments_from_rows(rows, prop.grid.times, apply_m0,
                                    rows[:, 0, :] @ mu0)
+
+
+def _squeezed_bath_reduced_moments(prop, bath, init, bath_squeezes=None):
+    """reduced_moments as it was when a bath could carry per-mode squeezes
+    (zero, as every bath had, unless bath_squeezes is given): one GEMV per
+    product against the squeeze vector of every pair, the system's delta_s
+    first."""
+    init.require_physical()
+    if bath_squeezes is None:
+        bath_squeezes = np.zeros(bath.n_modes, dtype=complex)
+    occ = np.concatenate([[init.delta_n], bath.occupations])
+    sqz = np.concatenate([[init.delta_s], bath_squeezes])
+    one_occ, two_occ, conj_sqz = 1.0 + occ, 1.0 + 2.0 * occ, np.conj(sqz)
+
+    def rule(block: np.ndarray):
+        x, x_dag = block[:, 0::2], block[:, 1::2]
+        abs_x, abs_x_dag = oracle._abs2(x), oracle._abs2(x_dag)
+        cross = 2.0 * ((x * np.conj(x_dag)) @ sqz).real
+        return ((x * x) @ sqz + (x * x_dag) @ two_occ
+                + (x_dag * x_dag) @ conj_sqz,
+                abs_x @ occ + abs_x_dag @ one_occ + cross,
+                abs_x @ one_occ + abs_x_dag @ occ + cross)
+
+    out = oracle._moments_from_rows(prop, rule)
+    mu0 = np.array([init.mean_a, np.conj(init.mean_a)])
+    return replace(out, mean_a=prop.u_series[:, 0, :] @ mu0)
 
 
 def _loop_exact_moments(prop, product_table):
@@ -927,10 +958,6 @@ def reader_point():
     model = make_model(0.5, temperature=0.3)
     bath = gqbm.discretize_bath(model, READER_MODES, OMEGA_MAX,
                                 scheme="gauss")
-    rng = np.random.default_rng(11)
-    squeezes = 0.1 * np.sqrt(bath.occupations * (1.0 + bath.occupations)) \
-        * np.exp(2j * math.pi * rng.uniform(size=bath.n_modes))
-    bath = replace(bath, squeezes=squeezes)
     dyn = gqbm.build_dynamics(bath, OMEGA_S)
     return bath, dyn, gqbm.thermal_total_state(dyn, 0.01, OMEGA_S0)
 
@@ -940,7 +967,6 @@ def reader_point():
 def test_block_reader_matches_the_loop(reader_point, n_times):
     bath, dyn, state = reader_point
     table = state.product_table
-    assert np.max(np.abs(bath.squeezes)) > 0.0
     grid = gqbm.TimeGrid(t_end=0.02 * (n_times - 1), n_steps=n_times - 1,
                          max_frequency=1.0)
     prop = gqbm.propagate(dyn, grid)
@@ -965,3 +991,62 @@ def test_block_reader_matches_the_loop(reader_point, n_times):
     ref = want.n_matrix()
     assert (np.max(np.abs(got.n_matrix() - ref))
             <= THERMAL_READER_RTOL * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("init", [
+    pytest.param(GaussianMoments(), id="vacuum"),
+    pytest.param(GaussianMoments(mean_a=0.4 - 0.2j, delta_n=0.3,
+                                 delta_s=0.1 + 0.2j), id="squeezed"),
+])
+def test_reduced_moments_matches_the_squeezed_bath_rule(init):
+    # the bench oracle point's bath (alpha = 0.5, gauss modes on omega <= 20),
+    # at 120 modes and a bath temperature that fills every occupation
+    bath = gqbm.discretize_bath(make_model(0.5, temperature=0.3), 120, 20.0,
+                                scheme="gauss")
+    grid = gqbm.TimeGrid(t_end=3.0, n_steps=300, max_frequency=1.0)
+    prop = gqbm.propagate(gqbm.build_dynamics(bath, OMEGA_S), grid)
+    got = gqbm.reduced_moments(prop, bath, init)
+    want = _squeezed_bath_reduced_moments(prop, bath, init)
+    for name in ("mean_a", "delta_n", "delta_s", "delta_h"):
+        ref = getattr(want, name)
+        if init.delta_s == 0.0:
+            assert getattr(got, name).tobytes() == ref.tobytes(), name
+        else:
+            dev = np.max(np.abs(getattr(got, name) - ref))
+            assert dev <= SQUEEZED_RULE_RTOL * np.max(np.abs(ref)), name
+
+
+@pytest.mark.parametrize("init", [
+    pytest.param(GaussianMoments(), id="vacuum"),
+    pytest.param(GaussianMoments(delta_n=0.3, delta_s=0.1 + 0.2j),
+                 id="squeezed"),
+])
+def test_squeezed_product_bath_is_read_through_exact_moments(reader_point,
+                                                             init):
+    # a bath with per-mode squeezes has no field of its own: its product
+    # table, one [[s, 1 + n], [n, s*]] block per pair, goes to exact_moments,
+    # which must give the moments of the rule that read those squeezes
+    bath, dyn, _ = reader_point
+    rng = np.random.default_rng(11)
+    squeezes = 0.1 * np.sqrt(bath.occupations * (1.0 + bath.occupations)) \
+        * np.exp(2j * math.pi * rng.uniform(size=bath.n_modes))
+    occ = np.concatenate([[init.delta_n], bath.occupations])
+    sqz = np.concatenate([[init.delta_s], squeezes])
+    dim = 2 * occ.size
+    table = np.zeros((dim, dim), dtype=complex)
+    pairs = np.arange(0, dim, 2)
+    table[pairs, pairs] = sqz
+    table[pairs, pairs + 1] = 1.0 + occ
+    table[pairs + 1, pairs] = occ
+    table[pairs + 1, pairs + 1] = np.conj(sqz)
+    n_times = 2 * BLOCK + 3
+    grid = gqbm.TimeGrid(t_end=0.02 * (n_times - 1), n_steps=n_times - 1,
+                         max_frequency=1.0)
+    prop = gqbm.propagate(dyn, grid)
+    got = gqbm.exact_moments(prop, table)
+    want = _squeezed_bath_reduced_moments(prop, bath, init, squeezes)
+    for name in ("mean_a", "delta_n", "delta_s", "delta_h"):
+        ref = getattr(want, name)
+        dev = np.max(np.abs(getattr(got, name) - ref))
+        assert dev <= LOOP_READER_RTOL * np.max(np.abs(ref)), name
+    assert np.max(np.abs(got.delta_s)) > 0.0

@@ -20,9 +20,10 @@ from gqbm.errors import (
     QuadratureConvergenceError,
     ValidationError,
 )
-from gqbm.spectral import SIGMA_X
 
 from conftest import GAMMA0, TEMPERATURE, make_model, tabulated_model
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 # ---- spectral density -------------------------------------------------------
 
@@ -842,15 +843,6 @@ def test_gauss_scheme_nodes_and_validation():
         gqbm.discretize_bath(make_model(1.0), 64, -1.0)
 
 
-def test_kernels_from_bath_rejects_squeezes():
-    import dataclasses
-    bath = gqbm.discretize_bath(make_model(0.5), 16, 20.0)
-    bad = dataclasses.replace(
-        bath, squeezes=np.full(16, 0.1 + 0.0j, dtype=complex))
-    with pytest.raises(ContractViolationError):
-        gqbm.kernels_from_bath(bad)
-
-
 def test_kernels_from_bath_equals_the_six_channel_sums():
     alpha = 0.6
     bath = gqbm.discretize_bath(make_model(alpha, temperature=0.3), 300, 20.0,
@@ -904,4 +896,3 @@ def test_thermal_occupations_filled():
     np.testing.assert_allclose(bath.occupations[rep],
                                1.0 / np.expm1(x[rep]), rtol=1e-12)
     assert np.all(bath.occupations[~rep] == 0.0)
-    assert np.all(bath.squeezes == 0.0)

@@ -82,12 +82,6 @@ ENTRY_POINTS = {
     "to_quadratures.mass": lambda x: gqbm.to_quadratures(_moments(), mass=x),
     "to_quadratures.omega_s": lambda x: gqbm.to_quadratures(
         _moments(), omega_s=x),
-    "quadratures_to_moments.mass": lambda x: gqbm.quadratures_to_moments(
-        gqbm.QuadratureCovariances(0.5, 0.5, 0.0), mass=x),
-    "quadratures_to_moments.omega_s": lambda x: gqbm.quadratures_to_moments(
-        gqbm.QuadratureCovariances(0.5, 0.5, 0.0), omega_s=x),
-    "quadratures_to_moments.var_x": lambda x: gqbm.quadratures_to_moments(
-        gqbm.QuadratureCovariances(x, 0.5, 0.0)),
     "n_bar.omega": lambda x: gqbm.n_bar(np.array([0.5, x]), 0.01),
     "n_bar.temperature": lambda x: gqbm.n_bar(np.array([0.5]), x),
     "eval_spectral_density.omega": lambda x: gqbm.eval_spectral_density(
@@ -116,8 +110,7 @@ ENTRY_POINTS = {
     "evolve_hpz_covariances.var_p": lambda x: _hpz_covariances_from(var_p=x),
     "evolve_hpz_covariances.cov_xp": lambda x: _hpz_covariances_from(cov_xp=x),
 }
-for _name in ("frequencies", "weights", "v_couplings", "occupations",
-              "squeezes"):
+for _name in ("frequencies", "weights", "v_couplings", "occupations"):
     ENTRY_POINTS[f"BathDiscretization.{_name}"] = (
         lambda x, name=_name: _bath_with(name, x))
 for _label, _kernel in KERNELS.items():
