@@ -50,7 +50,6 @@ from .moments import (
 from .oracle import (
     BogoliubovPropagator,
     LinearDynamics,
-    OracleMoments,
     ThermalTotalState,
     build_dynamics,
     exact_moments,
@@ -91,9 +90,9 @@ __all__ = [
     "evolve_means", "evolve_covariances", "evolve_hpz_covariances",
     "to_quadratures",
     # oracle
-    "LinearDynamics", "BogoliubovPropagator", "OracleMoments",
-    "ThermalTotalState", "build_dynamics", "propagate", "reduced_moments",
-    "exact_moments", "thermal_moments", "thermal_total_state",
+    "LinearDynamics", "BogoliubovPropagator", "ThermalTotalState",
+    "build_dynamics", "propagate", "reduced_moments", "exact_moments",
+    "thermal_moments", "thermal_total_state",
     # errors
     "GqbmError", "ValidationError", "ContractViolationError",
     "InstabilityError", "SingularityError", "NumericalQualityError",

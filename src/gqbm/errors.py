@@ -60,7 +60,8 @@ class NumericalQualityError(GqbmError, RuntimeError):
 
 
 class QuadratureConvergenceError(GqbmError, RuntimeError):
-    """A frequency-integral rule failed its refinement or roundoff check."""
+    """A tabulated transform's a-priori roundoff guard tripped, or the
+    Newton sweeps of the Gauss-Legendre nodes did not converge."""
     exit_code = 4
 
 

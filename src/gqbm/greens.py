@@ -203,6 +203,9 @@ def solve_u(kernel: Kernel, omega_s: float, grid: TimeGrid) -> GreensSolution:
     """
     require("omega_s", omega_s)
     n = grid.n_steps
+    # the process peak rose by 694-713 bytes a step (2e4 to 8e4, 4e4 to 1.6e5)
+    require_budget(f"solve_u at n_steps = {n}", 720 * (n + 1),
+                   "kernel table, march store and convolutions")
     dt = grid.dt
     times = grid.times
 
@@ -405,14 +408,21 @@ def _fdt_double_integral(inner: np.ndarray, udag: np.ndarray,
     return out
 
 
+def _fdt_tables(who: str, kernel: Kernel, u: np.ndarray, grid: TimeGrid):
+    """U^dag and Z Gt Z for the V route, once its memory is checked."""
+    # the process peak rose by 897-899 bytes a step in either caller
+    require_budget(f"{who} at n_steps = {grid.n_steps}",
+                   920 * (grid.n_steps + 1), "kernel table and convolutions")
+    return np.conj(np.swapaxes(u, -1, -2)), kernel.zgtz_signed_table(grid)
+
+
 def solve_v_fdt(kernel: Kernel, u: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Equal-time V(t, t) from the closed double-quadrature form."""
     n = grid.n_steps
     if u.shape != (n + 1, 2, 2):
         raise ContractViolationError(
             f"u has shape {u.shape}, expected {(n + 1, 2, 2)} for this grid")
-    zgtz = kernel.zgtz_signed_table(grid)
-    udag = np.conj(np.swapaxes(u, -1, -2))
+    udag, zgtz = _fdt_tables("solve_v_fdt", kernel, u, grid)
     return _fdt_double_integral(u, udag, zgtz, n, grid.dt)
 
 
@@ -425,8 +435,7 @@ def v_first_derivative(kernel: Kernel, sol: GreensSolution) -> np.ndarray:
     grid = sol.grid
     n = grid.n_steps
     dt = grid.dt
-    zgtz = kernel.zgtz_signed_table(grid)
-    udag = np.conj(np.swapaxes(sol.u, -1, -2))
+    udag, zgtz = _fdt_tables("v_first_derivative", kernel, sol.u, grid)
 
     vdot = _fdt_double_integral(sol.u_dot, udag, zgtz, n, dt)
 

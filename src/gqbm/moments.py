@@ -70,13 +70,18 @@ class GaussianMoments:
         require("mean_a", self.mean_a)
         require("delta_s", self.delta_s)
 
+    @property
+    def delta_h(self) -> float:
+        """<da da^dag> = 1 + delta_n."""
+        return 1.0 + self.delta_n
+
     def n_matrix(self) -> np.ndarray:
-        """[[delta_n, delta_s], [conj(delta_s), 1 + delta_n]], stacked."""
+        """[[delta_n, delta_s], [conj(delta_s), delta_h]], stacked."""
         out = np.empty(np.shape(self.delta_n) + (2, 2), dtype=complex)
         out[..., 0, 0] = self.delta_n
         out[..., 0, 1] = self.delta_s
         out[..., 1, 0] = np.conj(self.delta_s)
-        out[..., 1, 1] = 1.0 + self.delta_n
+        out[..., 1, 1] = self.delta_h
         return out
 
     def heisenberg_defect(self) -> float:
@@ -90,7 +95,7 @@ class GaussianMoments:
 
 @dataclass
 class QuadratureCovariances:
-    """Symmetrized covariances of x and p (var_x, var_p, cov_xp)."""
+    """Symmetrized covariances of x and p, scalars or series on a grid."""
 
     var_x: float
     var_p: float
@@ -229,11 +234,13 @@ def evolve_means(coeffs, init: GaussianMoments, grid) -> np.ndarray:
 
 @dataclass
 class SecondMomentSeries:
-    """delta_n(t), delta_s(t) and the integrated commutator drift."""
+    """delta_n(t), delta_s(t), the propagated delta_h(t) and the largest
+    commutator drift, from evolve_covariances or an oracle reader alike."""
 
     times: np.ndarray
     delta_n: np.ndarray
     delta_s: np.ndarray
+    delta_h: np.ndarray
     max_commutator_drift: float
 
     n_matrix = GaussianMoments.n_matrix
@@ -251,9 +258,9 @@ def evolve_covariances(coeffs, init: GaussianMoments, grid) -> SecondMomentSerie
     """Second moments under dN/dt = A N + N A^dag + D.
 
     The redundant <da da^dag> entry is propagated rather than pinned to
-    1 + delta_n, so the commutator defect measures integration quality;
-    drift beyond 1e-6 raises NumericalQualityError.  No positivity
-    clipping is applied anywhere.
+    1 + delta_n and kept as delta_h, so the commutator defect measures
+    integration quality; drift beyond 1e-6 raises NumericalQualityError.
+    No positivity clipping is applied anywhere.
     """
     init.require_physical()
     _require_march(coeffs, grid, 4)
@@ -264,19 +271,20 @@ def evolve_covariances(coeffs, init: GaussianMoments, grid) -> SecondMomentSerie
     drift = _require_commutator(nms[:, 0, 0], nms[:, 1, 1], grid.times)
     return SecondMomentSeries(
         times=grid.times, delta_n=nms[:, 0, 0].real, delta_s=nms[:, 0, 1],
-        max_commutator_drift=drift)
+        delta_h=nms[:, 1, 1].real, max_commutator_drift=drift)
 
 
 def evolve_hpz_covariances(hpz, init: QuadratureCovariances, grid,
-                           mass: float = 1.0, omega_s: float = 1.0) -> dict:
+                           mass: float = 1.0,
+                           omega_s: float = 1.0) -> QuadratureCovariances:
     """Quadrature covariances under the position-coupled (alpha = 1) form.
 
     d/dt Cov = F Cov + Cov F^T + D_q with
     F = [[0, 1/M], [-M (omega_s^2 + d_omega^2), -2 Gamma]],
     D_q = [[0, Gamma_f], [Gamma_f, 2 M Gamma_h]].
-    Returns arrays var_x, var_p, cov_xp on the grid.  init must be finite;
-    the finished series is monitored: the first time with a non-finite
-    covariance raises NumericalQualityError.
+    Returns a QuadratureCovariances of series on the grid.  init must be
+    finite; the finished series is monitored: the first time with a
+    non-finite covariance raises NumericalQualityError.
     """
     _require_scales(mass, omega_s)
     _require_march(hpz, grid, 4)
@@ -298,8 +306,8 @@ def evolve_hpz_covariances(hpz, init: QuadratureCovariances, grid,
                            cov0.reshape(4), grid.dt).reshape(-1, 2, 2)
     guard(np.max(np.abs(covs), axis=(1, 2)), math.inf, NumericalQualityError,
           "largest quadrature covariance", grid.times)
-    return {"var_x": covs[:, 0, 0], "var_p": covs[:, 1, 1],
-            "cov_xp": 0.5 * (covs[:, 0, 1] + covs[:, 1, 0])}
+    return QuadratureCovariances(var_x=covs[:, 0, 0], var_p=covs[:, 1, 1],
+                                 cov_xp=0.5 * (covs[:, 0, 1] + covs[:, 1, 0]))
 
 
 def _require_march(coeffs, grid, k: int):

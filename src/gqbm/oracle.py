@@ -49,7 +49,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,7 +63,7 @@ from .errors import (
     require_budget,
 )
 from .greens import INSTABILITY_MAX_ABS, InitialCorrelations, TimeGrid, _check_finite
-from .moments import GaussianMoments, _require_commutator
+from .moments import GaussianMoments, SecondMomentSeries, _require_commutator
 from .spectral import BathDiscretization, n_bar
 
 RECURRENCE_GUARD = 0.5
@@ -372,7 +372,7 @@ def propagate(dyn: LinearDynamics, grid: TimeGrid) -> BogoliubovPropagator:
     # for exact_moments' complex GEMM); the Bessel
     # recurrence, its normalised rows and the complex coefficient table of
     # one window; and the series, u_series and a reader's delta_s,
-    # delta_n, delta_h and mean
+    # delta_n and delta_h
     require_budget(
         f"propagate at {n} steps, degree {degree} and dimension {dim}",
         16 * dim * (degree + 1) + 160 * dim * _MOMENT_BLOCK
@@ -388,26 +388,8 @@ def propagate(dyn: LinearDynamics, grid: TimeGrid) -> BogoliubovPropagator:
     )
 
 
-@dataclass
-class OracleMoments:
-    """Reduced system moments from the finite-bath propagation."""
-
-    times: np.ndarray
-    mean_a: np.ndarray
-    delta_n: np.ndarray
-    delta_s: np.ndarray
-    delta_h: np.ndarray
-
-    def n_matrix(self) -> np.ndarray:
-        """Series of [[delta_n, delta_s], [conj(delta_s), delta_h]]; the
-        propagated delta_h = <da da^dag> replaces 1 + delta_n."""
-        out = GaussianMoments.n_matrix(self)
-        out[:, 1, 1] = self.delta_h
-        return out
-
-
-def _moments_from_rows(prop: BogoliubovPropagator, rule) -> OracleMoments:
-    """Moments <A_i A_j> of the system pair, drift-checked; mean_a is zero.
+def _moments_from_rows(prop: BogoliubovPropagator, rule) -> SecondMomentSeries:
+    """Moments <A_i A_j> of the system pair, drift-checked.
 
     Reads the a rows as prop.blocks() marches them: rule maps a (k, dim)
     block of them to its (delta_s, delta_n, delta_h), each of length k.
@@ -424,10 +406,10 @@ def _moments_from_rows(prop: BogoliubovPropagator, rule) -> OracleMoments:
         delta_s[steps], delta_n[steps], delta_h[steps] = rule(block)
         lo = steps.stop
     times = prop.grid.times
-    _require_commutator(delta_n.real, delta_h.real, times)
-    return OracleMoments(times=times, mean_a=np.zeros(n_times, dtype=complex),
-                         delta_n=delta_n.real, delta_s=delta_s,
-                         delta_h=delta_h.real)
+    drift = _require_commutator(delta_n.real, delta_h.real, times)
+    return SecondMomentSeries(times=times, delta_n=delta_n.real,
+                              delta_s=delta_s, delta_h=delta_h.real,
+                              max_commutator_drift=drift)
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
@@ -435,7 +417,7 @@ def _abs2(z: np.ndarray) -> np.ndarray:
 
 
 def reduced_moments(prop: BogoliubovPropagator, bath: BathDiscretization,
-                    init: GaussianMoments) -> OracleMoments:
+                    init: GaussianMoments) -> SecondMomentSeries:
     """Open-mode moments for a product initial state (system x thermal-like bath).
 
     The bath enters through its per-mode occupations only: it carries no
@@ -448,7 +430,8 @@ def reduced_moments(prop: BogoliubovPropagator, bath: BathDiscretization,
     delta_s = A_0^2 s + sum A B (1 + 2n) + B_0^2 s*, delta_n =
     sum |A|^2 n + |B|^2 (1 + n) + 2 Re(A_0 B_0* s) and delta_h =
     sum |A|^2 (1 + n) + |B|^2 n + 2 Re(A_0 B_0* s); delta_h - delta_n =
-    sum |A|^2 - |B|^2 checks the march.
+    sum |A|^2 - |B|^2 checks the march.  The mean is U <a>(0), that is
+    prop.u_series[:, 0, :] @ (<a>(0), <a>(0)*).
     """
     init.require_physical()
     if 2 * bath.n_modes + 2 != prop.dim:
@@ -469,14 +452,11 @@ def reduced_moments(prop: BogoliubovPropagator, bath: BathDiscretization,
                 abs_x @ occ + abs_x_dag @ one_occ + cross,
                 abs_x @ one_occ + abs_x_dag @ occ + cross)
 
-    out = _moments_from_rows(prop, rule)
-    # <a>(t) = U_00 <a>(0) + U_01 <a^dag>(0): the march above filled u_series
-    mu0 = np.array([init.mean_a, np.conj(init.mean_a)])
-    return replace(out, mean_a=prop.u_series[:, 0, :] @ mu0)
+    return _moments_from_rows(prop, rule)
 
 
 def exact_moments(prop: BogoliubovPropagator,
-                  product_table: np.ndarray) -> OracleMoments:
+                  product_table: np.ndarray) -> SecondMomentSeries:
     """Open-mode moments for an arbitrary Gaussian initial total state.
 
     product_table[p, q] = <A_p A_q>(0) in the interleaved operator ordering
@@ -504,7 +484,7 @@ def exact_moments(prop: BogoliubovPropagator,
 
 
 def thermal_moments(prop: BogoliubovPropagator,
-                    state: ThermalTotalState) -> OracleMoments:
+                    state: ThermalTotalState) -> SecondMomentSeries:
     """Open-mode moments from a thermal total state, read through its
     normal-mode transforms; exact_moments(prop, state.product_table) reads
     the same moments through the dense table.

@@ -830,6 +830,25 @@ def test_oracle_past_the_memory_budget_exits_2(tmp_path, monkeypatch,
     assert "propagate at 10000000 steps" in err and "MEMORY_BUDGET_BYTES" in err
 
 
+@pytest.mark.parametrize("pipeline", ["coeffs", "greens", "evolve"])
+def test_continuum_chain_past_the_memory_budget_exits_2(pipeline, tmp_path,
+                                                       monkeypatch, capsys):
+    # 2 000 steps against a 1 MiB budget: solve_u refuses before the
+    # kernel's G table, the chain's first per-step table, is built
+    def never(*args):
+        raise AssertionError("the G table was built")
+
+    monkeypatch.setattr(gqbm.spectral.Kernel, "g_table", never)
+    monkeypatch.setattr(gqbm.errors, "MEMORY_BUDGET_BYTES", 1 << 20)
+    out = tmp_path / "x"
+    code = _run_cli([pipeline, "--out", str(out), "--steps", "2000"],
+                    monkeypatch)
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "solve_u at n_steps = 2000" in err and "MEMORY_BUDGET_BYTES" in err
+    assert list(out.glob("*.csv")) == []
+
+
 def test_oracle_on_a_runaway_bath_exits_3_and_writes_no_csv(tmp_path,
                                                             monkeypatch,
                                                             capsys):

@@ -194,6 +194,48 @@ def test_v_shape_contract(pack_alpha05):
         gqbm.solve_v_fdt(kernel, sol.u, grid)
 
 
+class _TableBuilt(Exception):
+    """Raised where a solver asks its kernel for its first table."""
+
+
+def _table_built(*args):
+    raise _TableBuilt
+
+
+def _continuum_calls(grid):
+    """solve_u and the two V route calls on grid, each by name."""
+    kernel = gqbm.build_kernels(make_model(0.5))
+    u = np.zeros((grid.n_steps + 1, 2, 2), dtype=complex)
+    sol = gqbm.GreensSolution(grid=grid, omega_s=0.3, u=u, u_dot=u)
+    return {"solve_u": lambda: gqbm.solve_u(kernel, 0.3, grid),
+            "solve_v_fdt": lambda: gqbm.solve_v_fdt(kernel, u, grid),
+            "v_first_derivative": lambda: gqbm.greens.v_first_derivative(
+                kernel, sol)}
+
+
+@pytest.mark.parametrize("name", ["solve_u", "solve_v_fdt",
+                                  "v_first_derivative"])
+def test_continuum_tables_are_bounded_before_allocation(name, monkeypatch):
+    for table in ("g_table", "gtilde_signed_table"):
+        monkeypatch.setattr(gqbm.spectral.Kernel, table, _table_built)
+    call = _continuum_calls(gqbm.TimeGrid(t_end=2.0, n_steps=40))[name]
+    monkeypatch.setattr(gqbm.errors, "MEMORY_BUDGET_BYTES", 1 << 10)
+    with pytest.raises(ValidationError,
+                       match=f"{name} at n_steps = 40 needs .* budget"):
+        call()
+
+
+def test_a_long_chain_fits_the_budget(monkeypatch):
+    # 10^5 steps over t_end = 500 (the relaxation reach): every check
+    # passes, and each call goes on to ask for its kernel table
+    for table in ("g_table", "gtilde_signed_table"):
+        monkeypatch.setattr(gqbm.spectral.Kernel, table, _table_built)
+    grid = gqbm.TimeGrid(t_end=500.0, n_steps=100_000)
+    for call in _continuum_calls(grid).values():
+        with pytest.raises(_TableBuilt):
+            call()
+
+
 def test_volterra_route_agreement_and_order(omega_s):
     # two structurally different integrators for V(t, t) must converge to
     # each other at the marching scheme's order

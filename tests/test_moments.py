@@ -369,9 +369,9 @@ def test_hpz_route_matches_mode_route(pack_alpha1, coeffs_alpha1, grid10,
     var_x = (1.0 + 2.0 * sm.delta_n + 2.0 * sm.delta_s.real) / (2.0 * omega_s)
     var_p = 0.5 * omega_s * (1.0 + 2.0 * sm.delta_n - 2.0 * sm.delta_s.real)
     cov_xp = sm.delta_s.imag
-    assert np.max(np.abs(out["var_x"] - var_x)) * omega_s < 1e-9
-    assert np.max(np.abs(out["var_p"] - var_p)) / omega_s < 1e-9
-    assert np.max(np.abs(out["cov_xp"] - cov_xp)) < 1e-9
+    assert np.max(np.abs(out.var_x - var_x)) * omega_s < 1e-9
+    assert np.max(np.abs(out.var_p - var_p)) / omega_s < 1e-9
+    assert np.max(np.abs(out.cov_xp - cov_xp)) < 1e-9
 
 
 def test_momentum_jolt(pack_alpha1, coeffs_alpha1, grid10, omega_s):
@@ -382,11 +382,11 @@ def test_momentum_jolt(pack_alpha1, coeffs_alpha1, grid10, omega_s):
     init_q = gqbm.to_quadratures(gqbm.GaussianMoments(), omega_s=omega_s)
     out = gqbm.evolve_hpz_covariances(hpz, init_q, grid10, omega_s=omega_s)
     i2 = int(round(2.0 / grid10.dt))
-    rise = out["var_p"][i2] - out["var_p"][0]
+    rise = out.var_p[i2] - out.var_p[0]
     pumped = 2.0 * np.trapezoid(hpz.gamma_h[:i2 + 1], grid10.times[:i2 + 1])
     assert rise == pytest.approx(pumped, rel=0.1)
-    rel_p = out["var_p"][i2] / out["var_p"][0] - 1.0
-    rel_x = abs(out["var_x"][i2] / out["var_x"][0] - 1.0)
+    rel_p = out.var_p[i2] / out.var_p[0] - 1.0
+    rel_x = abs(out.var_x[i2] / out.var_x[0] - 1.0)
     assert rel_p > 20.0 * rel_x
 
 

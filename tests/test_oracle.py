@@ -472,8 +472,8 @@ def test_reader_peak_grows_only_by_its_outputs():
     large, meta4 = peak(4 * n)
     for key in ("degree", "window"):
         assert meta4[key] == meta[key]
-    # u_series, and OracleMoments' times, mean_a, delta_n, delta_s, delta_h
-    outputs = 3 * n * (64 + 8 + 4 * 16)
+    # u_series, and the SecondMomentSeries' times, delta_n, delta_s, delta_h
+    outputs = 3 * n * (64 + 8 + 3 * 16)
     assert large - small <= outputs + READER_GROWTH_SLACK
 
 
@@ -529,7 +529,6 @@ def test_vacuum_is_stationary_without_pairing():
     om = gqbm.reduced_moments(prop, bath, gqbm.GaussianMoments())
     assert np.max(np.abs(om.delta_n)) < 1e-10
     assert np.max(np.abs(om.delta_s)) < 1e-10
-    assert np.max(np.abs(om.mean_a)) == 0.0
 
 
 def test_pairing_excites_the_vacuum():

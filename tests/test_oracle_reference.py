@@ -78,9 +78,8 @@ from gqbm.greens import (
     InitialCorrelations,
     _check_finite,
 )
-from gqbm.moments import GaussianMoments, _require_commutator
+from gqbm.moments import GaussianMoments, SecondMomentSeries, _require_commutator
 from gqbm import oracle
-from gqbm.oracle import OracleMoments
 from gqbm.spectral import n_bar
 
 from conftest import (
@@ -562,8 +561,8 @@ def _csr_chebyshev_propagate(dyn, grid):
     )
 
 
-def _loop_moments_from_rows(rows: np.ndarray, times: np.ndarray, apply_m0,
-                            mean_a: np.ndarray) -> OracleMoments:
+def _loop_moments_from_rows(rows: np.ndarray, times: np.ndarray,
+                            apply_m0) -> SecondMomentSeries:
     """Moments <A_i A_j> = r_i . M0 . r_j of the system pair, drift-checked,
     from the stored rows (n + 1, 2, dim) at times."""
     n_times = rows.shape[0]
@@ -578,9 +577,10 @@ def _loop_moments_from_rows(rows: np.ndarray, times: np.ndarray, apply_m0,
         delta_s[m] = r1 @ m0_r1
         delta_n[m] = r2 @ m0_r1
         delta_h[m] = r1 @ m0_r2
-    _require_commutator(delta_n.real, delta_h.real, times)
-    return OracleMoments(times=times, mean_a=mean_a, delta_n=delta_n.real,
-                         delta_s=delta_s, delta_h=delta_h.real)
+    drift = _require_commutator(delta_n.real, delta_h.real, times)
+    return SecondMomentSeries(times=times, delta_n=delta_n.real,
+                              delta_s=delta_s, delta_h=delta_h.real,
+                              max_commutator_drift=drift)
 
 
 def _loop_reduced_moments(prop, bath, init):
@@ -598,12 +598,8 @@ def _loop_reduced_moments(prop, bath, init):
         out[3::2] = occ * r[2::2]
         return out
 
-    mu0 = np.zeros(prop.dim, dtype=complex)
-    mu0[0] = init.mean_a
-    mu0[1] = np.conj(init.mean_a)
-    rows = stored_rows(prop)
-    return _loop_moments_from_rows(rows, prop.grid.times, apply_m0,
-                                   rows[:, 0, :] @ mu0)
+    return _loop_moments_from_rows(stored_rows(prop), prop.grid.times,
+                                   apply_m0)
 
 
 def _squeezed_bath_reduced_moments(prop, bath, init, bath_squeezes=None):
@@ -627,16 +623,12 @@ def _squeezed_bath_reduced_moments(prop, bath, init, bath_squeezes=None):
                 abs_x @ occ + abs_x_dag @ one_occ + cross,
                 abs_x @ one_occ + abs_x_dag @ occ + cross)
 
-    out = oracle._moments_from_rows(prop, rule)
-    mu0 = np.array([init.mean_a, np.conj(init.mean_a)])
-    return replace(out, mean_a=prop.u_series[:, 0, :] @ mu0)
+    return oracle._moments_from_rows(prop, rule)
 
 
 def _loop_exact_moments(prop, product_table):
     return _loop_moments_from_rows(stored_rows(prop), prop.grid.times,
-                                   lambda r: product_table @ r,
-                                   np.zeros(prop.grid.times.size,
-                                            dtype=complex))
+                                   lambda r: product_table @ r)
 
 
 def _dynamics(alpha, omega_s, modes=MODES):
@@ -978,16 +970,19 @@ def test_block_reader_matches_the_loop(reader_point, n_times):
               _loop_exact_moments(prop, table))]
     for got, want in pairs:
         assert got.times.size == n_times
-        for name in ("mean_a", "delta_n", "delta_s", "delta_h"):
+        for name in ("delta_n", "delta_s", "delta_h"):
             ref = getattr(want, name)
             dev = np.max(np.abs(getattr(got, name) - ref))
             assert dev <= LOOP_READER_RTOL * np.max(np.abs(ref)), name
         assert np.max(np.abs(got.delta_s)) > 0.0
+        # the drift is a max of |delta_h - delta_n - 1|, so it moves by at
+        # most the two series' deviations, each within the bound above
+        assert (abs(got.max_commutator_drift - want.max_commutator_drift)
+                <= 2.0 * LOOP_READER_RTOL * np.max(np.abs(want.delta_h)))
     # the transform reader sums other products: its bound is the dense
     # route's, relative to max|N|
     got, want = gqbm.thermal_moments(prop, state), pairs[1][1]
     assert got.times.size == n_times
-    assert np.array_equal(got.mean_a, want.mean_a)
     ref = want.n_matrix()
     assert (np.max(np.abs(got.n_matrix() - ref))
             <= THERMAL_READER_RTOL * np.max(np.abs(ref)))
@@ -1007,7 +1002,7 @@ def test_reduced_moments_matches_the_squeezed_bath_rule(init):
     prop = gqbm.propagate(gqbm.build_dynamics(bath, OMEGA_S), grid)
     got = gqbm.reduced_moments(prop, bath, init)
     want = _squeezed_bath_reduced_moments(prop, bath, init)
-    for name in ("mean_a", "delta_n", "delta_s", "delta_h"):
+    for name in ("delta_n", "delta_s", "delta_h"):
         ref = getattr(want, name)
         if init.delta_s == 0.0:
             assert getattr(got, name).tobytes() == ref.tobytes(), name
@@ -1045,7 +1040,7 @@ def test_squeezed_product_bath_is_read_through_exact_moments(reader_point,
     prop = gqbm.propagate(dyn, grid)
     got = gqbm.exact_moments(prop, table)
     want = _squeezed_bath_reduced_moments(prop, bath, init, squeezes)
-    for name in ("mean_a", "delta_n", "delta_s", "delta_h"):
+    for name in ("delta_n", "delta_s", "delta_h"):
         ref = getattr(want, name)
         dev = np.max(np.abs(getattr(got, name) - ref))
         assert dev <= LOOP_READER_RTOL * np.max(np.abs(ref)), name

@@ -293,19 +293,33 @@ def test_second_moments_is_the_hand_built_reconstruction():
                           by_hand)
 
 
-def test_to_quadratures_maps_a_series_elementwise():
-    series = gqbm.SecondMomentSeries(
-        times=np.arange(3.0), delta_n=np.array([0.0, 0.2, 1.5]),
-        delta_s=np.array([0.0, 0.1 + 0.3j, -0.4j]), max_commutator_drift=0.0)
+def _hand_built_series():
+    delta_n = np.array([0.0, 0.2, 1.5])
+    return gqbm.SecondMomentSeries(
+        times=np.arange(3.0), delta_n=delta_n,
+        delta_s=np.array([0.0, 0.1 + 0.3j, -0.4j]), delta_h=1.0 + delta_n,
+        max_commutator_drift=0.0)
+
+
+@pytest.mark.parametrize("make_series", [
+    pytest.param(_hand_built_series, id="hand-built"),
+    pytest.param(lambda: gqbm.reduced_moments(
+        PROP, BATH, gqbm.GaussianMoments(delta_n=0.3, delta_s=0.1 + 0.2j)),
+        id="oracle"),
+])
+def test_to_quadratures_maps_a_series_elementwise(make_series):
+    series = make_series()
     quads = gqbm.to_quadratures(series, mass=1.7, omega_s=0.45)
-    for m in range(3):
-        row = gqbm.to_quadratures(
-            gqbm.GaussianMoments(delta_n=series.delta_n[m],
-                                 delta_s=series.delta_s[m]), 1.7, 0.45)
+    for m in range(series.times.size):
+        moments = gqbm.GaussianMoments(delta_n=series.delta_n[m],
+                                       delta_s=series.delta_s[m])
+        row = gqbm.to_quadratures(moments, 1.7, 0.45)
         assert (quads.var_x[m], quads.var_p[m], quads.cov_xp[m]) == (
             row.var_x, row.var_p, row.cov_xp)
-    assert np.array_equal(series.n_matrix()[1], gqbm.GaussianMoments(
-        delta_n=0.2, delta_s=0.1 + 0.3j).n_matrix())
+        # the series' propagated delta_h takes the place of 1 + delta_n
+        want = moments.n_matrix()
+        want[1, 1] = series.delta_h[m]
+        assert np.array_equal(series.n_matrix()[m], want)
 
 
 # ---- the CLI rejects bad values before solve_u or propagate runs ----------
