@@ -21,12 +21,9 @@ from .coeffs import (
     jolt_estimate,
 )
 from .errors import (
-    ContractViolationError,
     GqbmError,
     InstabilityError,
     NumericalQualityError,
-    QuadratureConvergenceError,
-    SingularityError,
     ValidationError,
 )
 from .greens import (
@@ -94,7 +91,6 @@ __all__ = [
     "build_dynamics", "propagate", "reduced_moments", "exact_moments",
     "thermal_moments", "thermal_total_state",
     # errors
-    "GqbmError", "ValidationError", "ContractViolationError",
-    "InstabilityError", "SingularityError", "NumericalQualityError",
-    "QuadratureConvergenceError",
+    "GqbmError", "ValidationError", "InstabilityError",
+    "NumericalQualityError",
 ]

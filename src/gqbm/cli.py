@@ -27,9 +27,11 @@ A run checks, and records in the manifest, only the keys it reads.
 Identical configuration and build produce byte-identical CSV bodies; the
 manifest additionally records wall time and scheme identifiers.
 
-Exit codes: 0 success, else the exit_code of the gqbm.errors class raised:
-2 validation/config error (a non-finite or out-of-domain value is rejected
-before any solve), 3 instability or singular propagator, 4 numerical quality.
+Exit codes: 0 success, else the exit_code of the gqbm.errors class raised,
+one class per code: 2 ValidationError, bad input, configuration or misuse (a
+non-finite or out-of-domain value is rejected before any solve);
+3 InstabilityError, a runaway or singular propagator or a non-positive
+Hamiltonian; 4 NumericalQualityError, a tripped quality monitor.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ import numpy as np
 from . import __version__
 from .coeffs import CONDITION_MAX
 from .errors import (
-    ContractViolationError,
     GqbmError,
     InstabilityError,
     NumericalQualityError,
@@ -251,7 +252,7 @@ def _write_csv(path: Path, names: list[str], columns: list[np.ndarray]):
     formats a chunk of _CSV_CHUNK_ROWS rows, and one write writes it."""
     lengths = {len(c) for c in columns}
     if len(lengths) != 1:
-        raise ContractViolationError("CSV columns have mismatched lengths")
+        raise ValidationError("CSV columns have mismatched lengths")
     table = np.column_stack(columns).astype(float, copy=False)
     row = ",".join(["%.16e"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as fh:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolationError, SingularityError, guard
+from .errors import InstabilityError, ValidationError, guard
 from .greens import GreensSolution, v_first_derivative, _mul2, _zmul
 from .moments import _diffusion
 from .spectral import Kernel, Z, _trapezoid_panels
@@ -62,7 +62,7 @@ def _invert_2x2(u: np.ndarray, times: np.ndarray) -> np.ndarray:
     # det = 0, NaN where U = 0, and the guard trips on both
     with np.errstate(divide="ignore", invalid="ignore"):
         estimate = fro2 / np.abs(det)
-    guard(estimate, CONDITION_MAX, SingularityError,
+    guard(estimate, CONDITION_MAX, InstabilityError,
           "propagator condition estimate", times)
     inv = np.empty_like(u)
     inv[:, 0, 0] = u[:, 1, 1]
@@ -79,7 +79,7 @@ def compute_k_lambda(sol: GreensSolution, kernel: Kernel) -> KLambdaSeries:
     differentiated closed form, never by finite differences.
     """
     if sol.v_equal_time is None:
-        raise ContractViolationError(
+        raise ValidationError(
             "solution carries no equal-time V; run solve_v_fdt first")
     times = sol.grid.times
     uinv = _invert_2x2(sol.u, times)
@@ -182,7 +182,7 @@ def hpz_reduce(coeffs: CoefficientSeries, omega_s: float) -> HpzCoefficients:
     2 cov_xp / M).
     """
     if coeffs.alpha is None or coeffs.alpha != 1.0:
-        raise ContractViolationError(
+        raise ValidationError(
             f"quadrature reduction requires alpha = 1, got {coeffs.alpha}")
 
     delta_omega_sq = 2.0 * omega_s * coeffs.omega_bar_prime.real
@@ -264,11 +264,11 @@ def coeff_integral_crosscheck(kernel: Kernel, sol: GreensSolution) -> dict:
     table (solve_v_volterra with return_two_time=True).
     """
     if sol.v_two_time is None:
-        raise ContractViolationError(
+        raise ValidationError(
             "crosscheck needs the two-time V table; rerun solve_v_volterra "
             "with return_two_time=True")
     if sol.v_equal_time is None:
-        raise ContractViolationError("solution carries no equal-time V")
+        raise ValidationError("solution carries no equal-time V")
 
     grid = sol.grid
     n = grid.n_steps

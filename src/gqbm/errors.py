@@ -1,13 +1,14 @@
 """Exception hierarchy and the rules every gqbm check goes through.
 
-Each failure class carries its CLI exit code as exit_code: one code for bad
-input or misuse, one for dynamics that blew up, one for a tripped quality
-monitor.  An input is checked at the library boundary, before any work
-starts, by require (finite and in its domain), require_count (an integer of
-at least its minimum) or require_budget (the memory it needs fits
-MEMORY_BUDGET_BYTES).  A monitor checks a computed series through guard(),
-which names the first failing step and time, so a failure is reported where
-it starts.
+Each failure category is one class, which carries its CLI exit code as
+exit_code: ValidationError (2) for bad input or misuse, InstabilityError (3)
+for dynamics that blew up or a singular propagator, NumericalQualityError
+(4) for a tripped quality monitor.  An input is checked at the library
+boundary, before any work starts, by require (finite and in its domain),
+require_count (an integer of at least its minimum) or require_budget (the
+memory it needs fits MEMORY_BUDGET_BYTES).  A monitor checks a computed
+series through guard(), which names the first failing step and time, so a
+failure is reported where it starts.
 """
 
 import cmath
@@ -35,33 +36,21 @@ class GqbmError(Exception):
 
 
 class ValidationError(GqbmError, ValueError):
-    """Invalid parameter values or malformed configuration."""
-    exit_code = 2
-
-
-class ContractViolationError(GqbmError, ValueError):
-    """An operation was called with inputs that break its preconditions."""
+    """Invalid parameter values, malformed configuration, or an operation
+    called with inputs that break its preconditions."""
     exit_code = 2
 
 
 class InstabilityError(GqbmError, RuntimeError):
-    """The propagated solution grew beyond a physical bound."""
-    exit_code = 3
-
-
-class SingularityError(GqbmError, RuntimeError):
-    """A matrix inversion hit an ill-conditioned propagator."""
+    """The propagated solution grew beyond a physical bound, or a matrix
+    inversion hit an ill-conditioned propagator."""
     exit_code = 3
 
 
 class NumericalQualityError(GqbmError, RuntimeError):
-    """An internal consistency monitor (e.g. commutator drift) tripped."""
-    exit_code = 4
-
-
-class QuadratureConvergenceError(GqbmError, RuntimeError):
-    """A tabulated transform's a-priori roundoff guard tripped, or the
-    Newton sweeps of the Gauss-Legendre nodes did not converge."""
+    """An internal consistency monitor tripped: e.g. commutator drift, a
+    tabulated transform's roundoff guard, or the Gauss-Legendre Newton
+    sweeps."""
     exit_code = 4
 
 

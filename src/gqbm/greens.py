@@ -42,7 +42,6 @@ import numpy as np
 import numpy.fft
 
 from .errors import (
-    ContractViolationError,
     InstabilityError,
     ValidationError,
     guard,
@@ -420,7 +419,7 @@ def solve_v_fdt(kernel: Kernel, u: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Equal-time V(t, t) from the closed double-quadrature form."""
     n = grid.n_steps
     if u.shape != (n + 1, 2, 2):
-        raise ContractViolationError(
+        raise ValidationError(
             f"u has shape {u.shape}, expected {(n + 1, 2, 2)} for this grid")
     udag, zgtz = _fdt_tables("solve_v_fdt", kernel, u, grid)
     return _fdt_double_integral(u, udag, zgtz, n, grid.dt)
@@ -551,12 +550,12 @@ def correlated_correction(bath: BathDiscretization, corr: InitialCorrelations,
     with (n + 1) N.
     """
     if corr.n_prime.size != bath.n_modes:
-        raise ContractViolationError(
+        raise ValidationError(
             f"correlations carry {corr.n_prime.size} modes, bath has {bath.n_modes}")
     n = grid.n_steps
     dt = grid.dt
     if u.shape != (n + 1, 2, 2):
-        raise ContractViolationError(
+        raise ValidationError(
             f"u has shape {u.shape}, expected {(n + 1, 2, 2)} for this grid")
 
     vk = bath.v_couplings

@@ -54,7 +54,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    ContractViolationError,
     InstabilityError,
     NumericalQualityError,
     ValidationError,
@@ -435,7 +434,7 @@ def reduced_moments(prop: BogoliubovPropagator, bath: BathDiscretization,
     """
     init.require_physical()
     if 2 * bath.n_modes + 2 != prop.dim:
-        raise ContractViolationError(
+        raise ValidationError(
             f"bath has {bath.n_modes} modes, propagator dimension {prop.dim}")
 
     occ = np.concatenate([[init.delta_n], bath.occupations])
@@ -466,7 +465,7 @@ def exact_moments(prop: BogoliubovPropagator,
     GEMM gives M0 r and M0 r', and <A_i A_j> = r_i . M0 r_j.
     """
     if product_table.shape != (prop.dim, prop.dim):
-        raise ContractViolationError(
+        raise ValidationError(
             f"product table shape {product_table.shape} does not match "
             f"dimension {prop.dim}")
     require("product_table entries", product_table)
@@ -505,7 +504,7 @@ def thermal_moments(prop: BogoliubovPropagator,
     """
     nb = state.mode_occupations.size
     if 2 * nb != prop.dim:
-        raise ContractViolationError(
+        raise ValidationError(
             f"thermal state has {nb - 1} bath modes, propagator dimension "
             f"{prop.dim}")
     x_t, y_t = state.x_modes.T, state.y_modes.T

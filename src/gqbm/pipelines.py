@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import coeffs, greens, moments, oracle, spectral
-from .errors import ValidationError
+from .errors import ValidationError, require
 
 
 @dataclass
@@ -145,11 +145,13 @@ def quench_comparison(bath: spectral.BathDiscretization, omega_s: float,
     of the coupled Hamiltonian with system frequency omega_s0.  The kernel
     route runs on the exact kernels of the same bath with that state's
     occupations and adds the correction from its system-bath correlations;
-    outputs["n_me"] is its N(t), outputs["oracle"] the exact moments.
+    outputs["n_me"] is its N(t), outputs["oracle"] the exact moments.  The
+    march is planned, and its memory checked, before the thermal state's SVD.
     """
     dyn, horizon = _oracle_dynamics(bath, omega_s, grid)
-    state = oracle.thermal_total_state(dyn, bath.temperature, omega_s0)
+    require("omega_s0", omega_s0)
     prop = oracle.propagate(dyn, grid)
+    state = oracle.thermal_total_state(dyn, bath.temperature, omega_s0)
     kbath = replace(bath, occupations=state.bath_occupations)
     res = _u_and_v(spectral.kernels_from_bath(kbath), omega_s, grid,
                    {"thermal_state": state.metadata["scheme"],

@@ -47,8 +47,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
-    ContractViolationError,
-    QuadratureConvergenceError,
+    NumericalQualityError,
     ValidationError,
     guard,
     require,
@@ -168,7 +167,7 @@ class SpectralModel:
 def default_omega_s(model: SpectralModel) -> float:
     """System frequency giving zero fully-renormalized frequency (ohmic)."""
     if model.family != "ohmic":
-        raise ContractViolationError("default omega_s is defined for the ohmic family")
+        raise ValidationError("default omega_s is defined for the ohmic family")
     return math.sqrt(2.0 * model.gamma0 * model.cutoff / math.pi)
 
 
@@ -284,12 +283,12 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
         dx = p / dp
         x_old, x = x, x - dx
         left = guard(np.abs(x * dx**2 / one_minus_x2), math.inf,
-                     QuadratureConvergenceError,
+                     NumericalQualityError,
                      f"Gauss-Legendre Newton error of order {n}")
         if left < _NEWTON_TOL:
             break
     else:
-        raise QuadratureConvergenceError(
+        raise NumericalQualityError(
             f"Gauss-Legendre nodes of order {n} left an error of {left:.1e} "
             f"after {_NEWTON_SWEEPS} Newton sweeps, above {_NEWTON_TOL:.0e}")
     # P_n'(x) = P_n'(x_old) - dx P_n''(x_old), by Legendre's equation
@@ -354,7 +353,7 @@ class _LinearTableTransform:
             magnitude = np.sum(np.abs(self.weights[self.order == 2]))
             guard(np.finfo(float).eps * magnitude
                   * (omega[-1] / _TAYLOR_PHASE) ** 2 / self.taylor[0],
-                  QUADRATURE_RTOL, QuadratureConvergenceError,
+                  QUADRATURE_RTOL, NumericalQualityError,
                   "a-priori roundoff of the tabulated g_v's knot sum")
 
     def __call__(self, dt) -> np.ndarray:
@@ -455,7 +454,7 @@ class _BoseSumTransform:
             self.at_zero = float(scaled @ np.where(knot, at_knot, -log_rest))
             scale = mags @ np.where(knot, li2, -log_rest)
             guard(np.finfo(float).eps * scale / abs(self.at_zero) if scale
-                  else 0.0, QUADRATURE_RTOL, QuadratureConvergenceError,
+                  else 0.0, QUADRATURE_RTOL, NumericalQualityError,
                   "a-priori roundoff of the tabulated gtilde_v's Bose sum")
             # the last k of each term by the tail rule; the zero knot's
             # terms never shrink
@@ -723,26 +722,29 @@ class Kernel:
         return out
 
 
+# _hurwitz_zeta2 sums its first _ZETA_DIRECT terms directly.
+_ZETA_DIRECT = 12
 # Kernel.metadata["transforms"] of an ohmic kernel.
 OHMIC_TRANSFORM_SCHEME = ("closed form: rational g_v, Hurwitz zeta(2, a) gtilde_v "
-                          "(12 direct terms + Euler-Maclaurin to B16)")
+                          f"({_ZETA_DIRECT} direct terms + Euler-Maclaurin to B16)")
 # Bernoulli numbers B2, B4, ..., B16 of the Euler-Maclaurin tail.
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
               -3617 / 510)
 
 
-def _hurwitz_zeta2(a: np.ndarray, direct: int = 12) -> np.ndarray:
+def _hurwitz_zeta2(a: np.ndarray) -> np.ndarray:
     """zeta(2, a) = sum_{k >= 0} (a + k)^-2, elementwise, for complex Re a >= 1.
 
-    The first terms are summed directly; the tail from b = a + direct is
-    1/b + 1/(2 b^2) + sum_j B_2j / b^(2j+1) (Euler-Maclaurin, DLMF 25.11),
-    whose first omitted term is below 1e-19 relative for |b| >= 13.  Past
+    The first _ZETA_DIRECT terms are summed directly; the tail from
+    b = a + _ZETA_DIRECT is 1/b + 1/(2 b^2) + sum_j B_2j / b^(2j+1)
+    (Euler-Maclaurin, DLMF 25.11), whose first omitted term is below 1e-19
+    relative for |b| >= 13.  Past
     the integral 1/b that is the Bose tails' closure, _euler_maclaurin, for
     one term of weight 1 at rate 0, whose moments are [1, 0, 0, ...].
     """
-    b = a + direct
+    b = a + _ZETA_DIRECT
     out = 1.0 / b + _euler_maclaurin(b, np.eye(1, 2 * len(_BERNOULLI)), 2)
-    for k in range(direct - 1, -1, -1):  # smallest terms first
+    for k in range(_ZETA_DIRECT - 1, -1, -1):  # smallest terms first
         out = out + 1.0 / (a + k) ** 2
     return out
 

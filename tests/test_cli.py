@@ -17,7 +17,7 @@ import pytest
 import gqbm
 import gqbm.cli as cli
 import gqbm.pipelines as pipelines
-from gqbm.errors import ContractViolationError, NumericalQualityError, ValidationError
+from gqbm.errors import NumericalQualityError, ValidationError
 
 from conftest import SCHEMES, runaway_bath
 
@@ -299,7 +299,7 @@ def test_write_csv_is_savetxt_byte_for_byte(rows, cols, tmp_path):
 
 
 def test_write_csv_rejects_ragged_columns(tmp_path):
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ValidationError, match="mismatched lengths"):
         cli._write_csv(tmp_path / "x.csv", ["a", "b"],
                        [np.zeros(3), np.zeros(4)])
 
@@ -611,9 +611,8 @@ def test_quality_failure_exits_4(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("name, exit_code", [
-    ("ValidationError", 2), ("ContractViolationError", 2),
-    ("InstabilityError", 3), ("SingularityError", 3),
-    ("NumericalQualityError", 4), ("QuadratureConvergenceError", 4),
+    ("ValidationError", 2), ("InstabilityError", 3),
+    ("NumericalQualityError", 4),
 ])
 def test_each_error_class_exits_with_its_code(name, exit_code, tmp_path,
                                               monkeypatch, capsys):
@@ -828,6 +827,25 @@ def test_oracle_past_the_memory_budget_exits_2(tmp_path, monkeypatch,
     assert code == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "propagate at 10000000 steps" in err and "MEMORY_BUDGET_BYTES" in err
+
+
+def test_quench_past_the_memory_budget_exits_2_before_its_thermal_state(
+        tmp_path, monkeypatch, capsys):
+    # the same over-budget march from a correlated start: propagate refuses
+    # it before the thermal state's normal modes (an SVD) are computed
+    def never(*args):
+        raise AssertionError("the thermal state's normal modes were computed")
+
+    monkeypatch.setattr(gqbm.oracle, "_quadrature_modes", never)
+    out = tmp_path / "x"
+    code = _run_cli(["oracle-compare", "--out", str(out), "--alpha", "0.5",
+                     "--quench-from", "0.6", "--t-end", "3",
+                     "--steps", "10000000", "--oracle-modes", "400"],
+                    monkeypatch)
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "propagate at 10000000 steps" in err and "MEMORY_BUDGET_BYTES" in err
+    assert list(out.glob("*.csv")) == []
 
 
 @pytest.mark.parametrize("pipeline", ["coeffs", "greens", "evolve"])

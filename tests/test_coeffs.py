@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import cumulative_trapezoid, simpson
 
 import gqbm
-from gqbm.errors import ContractViolationError, SingularityError
+from gqbm.errors import InstabilityError, ValidationError
 from gqbm.greens import GreensSolution, v_first_derivative
 
 from conftest import GAMMA0, coeffs_of, make_model
@@ -48,7 +48,7 @@ def test_requires_equal_time_v(pack_alpha05, grid10, omega_s):
     _, kernel, _ = pack_alpha05
     grid = gqbm.TimeGrid(t_end=1.0, n_steps=100, max_frequency=1.0)
     sol = gqbm.solve_u(kernel, omega_s, grid)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ValidationError, match="no equal-time V"):
         gqbm.compute_k_lambda(sol, kernel)
 
 
@@ -70,7 +70,8 @@ def test_singular_propagator_reported(pack_alpha05):
     u[60] = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]])  # rank-deficient
     sol = GreensSolution(grid=grid, omega_s=0.1, u=u, u_dot=np.zeros_like(u),
                          v_equal_time=np.zeros_like(u))
-    with pytest.raises(SingularityError, match="t ="):
+    with pytest.raises(InstabilityError,
+                       match="propagator condition estimate .* at t ="):
         gqbm.compute_k_lambda(sol, kernel)
 
 
@@ -123,7 +124,7 @@ def test_omega_r_flagged_when_pairing_dominates():
 
 
 def test_hpz_rejects_partial_pairing(coeffs_alpha05, omega_s):
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ValidationError, match="requires alpha = 1"):
         gqbm.hpz_reduce(coeffs_alpha05, omega_s)
 
 
@@ -235,11 +236,11 @@ def test_jolt_peak_magnitude(pack_alpha05):
 
 def test_crosscheck_requires_two_time_table(pack_alpha05):
     _, kernel, sol = pack_alpha05
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ValidationError, match="two-time V table"):
         gqbm.coeff_integral_crosscheck(kernel, sol)
     # a two-time table alone is not enough: the equal-time V is read too
     table = np.zeros((1, 1, 2, 2), dtype=complex)
-    with pytest.raises(ContractViolationError, match="equal-time"):
+    with pytest.raises(ValidationError, match="equal-time"):
         gqbm.coeff_integral_crosscheck(
             kernel, replace(sol, v_equal_time=None, v_two_time=table))
 

@@ -7,11 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 import gqbm
-from gqbm.errors import (
-    ContractViolationError,
-    InstabilityError,
-    ValidationError,
-)
+from gqbm.errors import InstabilityError, ValidationError
 
 from conftest import kernel_with, make_model
 
@@ -190,7 +186,7 @@ def test_v_hermitian_and_positive(pack_alpha05):
 def test_v_shape_contract(pack_alpha05):
     _, kernel, sol = pack_alpha05
     grid = gqbm.TimeGrid(t_end=1.0, n_steps=100, max_frequency=1.0)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ValidationError, match="u has shape"):
         gqbm.solve_v_fdt(kernel, sol.u, grid)
 
 
@@ -303,11 +299,12 @@ def test_correlated_correction_mode_mismatch(omega_s):
     sol = gqbm.solve_u(kernel, omega_s, grid)
     corr = gqbm.InitialCorrelations(n_prime=np.zeros(8, dtype=complex),
                                     s_prime=np.zeros(8, dtype=complex))
-    with pytest.raises(ContractViolationError, match="modes"):
+    with pytest.raises(ValidationError,
+                       match="correlations carry 8 modes, bath has 16"):
         gqbm.correlated_correction(bath, corr, sol.u, grid)
     corr = gqbm.InitialCorrelations(n_prime=np.zeros(16, dtype=complex),
                                     s_prime=np.zeros(16, dtype=complex))
-    with pytest.raises(ContractViolationError, match="for this grid"):
+    with pytest.raises(ValidationError, match="for this grid"):
         gqbm.correlated_correction(bath, corr, sol.u[:-1], grid)
     with pytest.raises(ValidationError, match="matching"):
         gqbm.InitialCorrelations(n_prime=np.zeros(16), s_prime=np.zeros(8))

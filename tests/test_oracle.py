@@ -11,7 +11,6 @@ from scipy.special import jv
 import gqbm
 from gqbm import moments, oracle
 from gqbm.errors import (
-    ContractViolationError,
     InstabilityError,
     NumericalQualityError,
     ValidationError,
@@ -548,7 +547,7 @@ def test_reduced_moments_dimension_mismatch():
     other = gqbm.discretize_bath(model, 9, 20.0)
     grid = gqbm.TimeGrid(t_end=0.5, n_steps=8, max_frequency=1.0)
     prop = gqbm.propagate(gqbm.build_dynamics(bath, 0.3), grid)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ValidationError, match="propagator dimension"):
         gqbm.reduced_moments(prop, other, gqbm.GaussianMoments())
 
 
@@ -598,10 +597,10 @@ def test_exact_moments_table_shape_contract():
     bath = gqbm.discretize_bath(model, 4, 20.0)
     grid = gqbm.TimeGrid(t_end=0.5, n_steps=8, max_frequency=1.0)
     prop = gqbm.propagate(gqbm.build_dynamics(bath, 0.3), grid)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ValidationError, match="product table shape"):
         gqbm.exact_moments(prop, np.zeros((4, 4), dtype=complex))
     other = gqbm.build_dynamics(gqbm.discretize_bath(model, 3, 20.0), 0.3)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ValidationError, match="thermal state has"):
         gqbm.thermal_moments(prop, gqbm.thermal_total_state(other, 0.1, 0.3))
 
 

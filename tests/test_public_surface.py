@@ -11,6 +11,8 @@ with the reason it stays public; a kept name that gains a caller leaves it.
 import ast
 from pathlib import Path
 
+import pytest
+
 import gqbm
 
 PACKAGE = Path(gqbm.__file__).resolve().parent
@@ -62,3 +64,20 @@ def test_kept_names_are_public_and_have_no_library_caller():
         assert reason
         assert name in gqbm.__all__, name
         assert name not in reached, name
+
+
+def test_one_public_failure_class_per_exit_code():
+    classes = [obj for obj in vars(gqbm.errors).values()
+               if isinstance(obj, type) and issubclass(obj, gqbm.GqbmError)
+               and obj is not gqbm.GqbmError]
+    assert all(cls.__name__ in gqbm.__all__ for cls in classes)
+    assert sorted(cls.exit_code for cls in classes) == [2, 3, 4]
+
+
+@pytest.mark.parametrize("name", ["ContractViolationError", "SingularityError",
+                                  "QuadratureConvergenceError"])
+def test_folded_failure_classes_are_gone(name):
+    # each folded into the one class of its exit code
+    assert name not in gqbm.__all__
+    assert not hasattr(gqbm, name)
+    assert not hasattr(gqbm.errors, name)

@@ -14,7 +14,6 @@ import gqbm.cli as cli
 import gqbm.pipelines as pipelines
 from gqbm.errors import (
     MEMORY_BUDGET_BYTES,
-    ContractViolationError,
     ValidationError,
     require,
     require_budget,
@@ -273,8 +272,8 @@ def test_exact_moments_checks_its_table_before_reading_rows(monkeypatch):
                         _sentinel("_moments_from_rows"))
     with pytest.raises(ValidationError, match="product_table entries"):
         gqbm.exact_moments(PROP, _table_with(math.nan))
-    # a shape mismatch stays a contract violation, NaN or not
-    with pytest.raises(ContractViolationError):
+    # a shape mismatch is reported as such, NaN or not
+    with pytest.raises(ValidationError, match="product table shape"):
         gqbm.exact_moments(PROP, np.full((4, 4), math.nan, dtype=complex))
 
 

@@ -11,7 +11,9 @@ max|new - old| / max|old| is printed.  The manifests are compared with
 difference, or when a run fails on either side, and 0 otherwise.
 
 The grids and sizes are the perfbench bench points (perfbench/workloads.py,
-SIZES["bench"]).  The script is not part of the test suite; it takes about
+SIZES["bench"]), except coeffs-crosscheck, the one run that reaches
+coeff_integral_crosscheck, whose two-time Volterra table is O(n^2) and so
+runs at 200 steps.  The script is not part of the test suite; it takes about
 eight seconds on two cores.
 """
 
@@ -35,6 +37,8 @@ RUNS = {
     "kernels": ["kernels"] + PAPER + FIG2_GRID,
     "greens-crosscheck": ["greens", "--crosscheck"] + PAPER + FIG2_GRID,
     "coeffs-alpha1": ["coeffs", "--alpha", "1"] + PAPER + FIG2_GRID,
+    "coeffs-crosscheck": ["coeffs", "--alpha", "0.5", "--crosscheck"] + PAPER
+    + ["--t-end", "10", "--steps", "200"],
     "evolve-squeezed": ["evolve", "--init-mean-re", "2.0", "--init-delta-n",
                         "0.1", "--init-delta-s-re", "0.3"] + PAPER + FIG2_GRID,
     "jolt-sweep": ["jolt-sweep"] + PAPER + FIG2_GRID,
