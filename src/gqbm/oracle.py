@@ -37,11 +37,11 @@ reach the end, and marches on first access if none has.
 thermal_total_state() prepares the correlated initial state of a quench,
 the Gibbs state of the coupled Hamiltonian.  The couplings are real, so
 the same arrowhead splits into an x block and a p block of size N + 1 in
-the quadratures; their Cholesky factors are O(N), and one SVD of the
-factors' product gives the normal modes.  The state is those real
-transforms and the normal-mode occupations; its dense product table, in
-the interleaved operator ordering, is a view of them, built only when
-asked for.
+the quadratures; their Cholesky factors are O(N), and the secular
+equation of the factors' product gives the normal modes in O(N^2).  The
+state is those real transforms and the normal-mode occupations; its dense
+product table, in the interleaved operator ordering, is a view of them,
+built only when asked for.
 """
 
 from __future__ import annotations
@@ -67,9 +67,9 @@ from .spectral import BathDiscretization, n_bar
 
 RECURRENCE_GUARD = 0.5
 # thermal_total_state: the O(N) Cholesky factors of the x and p blocks of
-# H, then one SVD of their product (the normal frequencies and both
-# transforms)
-THERMAL_STATE_SCHEME = "quadrature-cholesky-svd"
+# H, then the roots of their product's secular equation (the normal
+# frequencies) and its closed-form singular vectors (both transforms)
+THERMAL_STATE_SCHEME = "quadrature-cholesky-secular"
 # Bound on max|X^T Y - 1| of the thermal state's Bogoliubov transform.
 SYMPLECTIC_RESIDUAL_TOL = 1e-8
 # Bound on the truncated tail of propagate's Chebyshev expansion, relative
@@ -83,6 +83,14 @@ _WINDOW_PHASE = 8.0
 _CHEBYSHEV_GROWTH = 1.0 + math.sqrt(2.0)
 # A degree past this means a grid too stiff for its generator.
 _MAX_DEGREE = 100_000
+# A secular root is taken once a Newton step moves its shift mu from the
+# pole by at most this fraction of mu.
+_SECULAR_RTOL = 1e-13
+# A secular root still moving after this many sweeps trips
+# NumericalQualityError.
+_SECULAR_SWEEPS = 64
+# Entries of each (roots x poles) table of the secular solve at a time.
+_SECULAR_CHUNK = 1 << 18
 # Miller's recurrence keeps its unnormalised values below this magnitude.
 _MILLER_RESCALE = 1e250
 # The march yields its rows in blocks of at most this many output steps.
@@ -540,7 +548,8 @@ class ThermalTotalState:
     """Gaussian thermal state of the coupled system + bath Hamiltonian.
 
     The state is its normal-mode transforms x_modes = X Omega^-1/2 and
-    y_modes = Y Omega^-1/2 (_quadrature_modes: real, rows in the operator
+    y_modes = Y Omega^-1/2 (_quadrature_modes: built from the closed-form
+    singular vectors of a secular solve, real, rows in the operator
     ordering, columns in descending Omega) and mode_occupations = nbar of
     each column.  With u = (x_modes + y_modes)/2, v = (x_modes - y_modes)/2
     the annihilators are a = u c + v c^dag over the normal-mode ones c, so
@@ -553,7 +562,8 @@ class ThermalTotalState:
     view of the transforms, assembled on first use.  metadata holds the
     scheme, its symplectic residual and the lowest normal-mode frequency.
     The residual is max|Omega^-1/2 X^T Y Omega^-1/2 - I| for the quadrature
-    transforms X, Y: how far the normal coordinates are from canonical pairs.
+    transforms X, Y: how far the normal coordinates are from canonical
+    pairs, and so how far the secular solve's vectors are from orthogonal.
     """
 
     system: GaussianMoments
@@ -592,6 +602,146 @@ class ThermalTotalState:
         return table
 
 
+def _row_chunks(n_rows: int, n_cols: int) -> Iterator[slice]:
+    """Row slices of an (n_rows, n_cols) table, _SECULAR_CHUNK entries each."""
+    step = max(1, _SECULAR_CHUNK // n_cols)
+    return (slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step))
+
+
+def _pole_gaps(d: np.ndarray, poles: np.ndarray) -> np.ndarray:
+    """d_i^2 - d_k^2 = (d_i - d_k)(d_i + d_k), one row per pole k."""
+    gaps = np.subtract(d, d[poles, None])
+    gaps *= d + d[poles, None]
+    return gaps
+
+
+def _secular_residues(d, p, q, gaps):
+    """Residue r_k of f(lam) = (1 - B)^2 - lam A C at each pole d_k^2, with
+    A, C, B the sums of q_i^2, p_i^2, d_i p_i q_i over lam - d_i^2 and
+    gaps[k, i] = d_i^2 - d_k^2.  The pole's 1/(lam - d_k^2)^2 parts cancel,
+    as (d_k p_k q_k)^2 = d_k^2 p_k^2 q_k^2, leaving, over i != k and free of
+    the sums' cancellation near d_k^2, r_k = -(p_k^2 q_k^2 + 2 d_k p_k q_k
+    (1 + sum p_i q_i / (d_k + d_i)) + d_k^2 sum (q_k p_i - p_k q_i)^2
+    / (d_k^2 - d_i^2)).
+    """
+    pq = p * q
+    res = np.empty(d.size)
+    for rows in _row_chunks(d.size, d.size):
+        k = np.arange(rows.start, rows.stop)
+        own = (k - rows.start, k)
+        plus = d[k, None] + d
+        plus[own] = np.inf  # the i = k terms are zero
+        np.reciprocal(plus, out=plus)
+        cross = q[k, None] * p - p[k, None] * q
+        cross *= cross
+        gaps[rows][own] = -np.inf
+        cross /= gaps[rows]
+        gaps[rows][own] = 0.0
+        res[rows] = -(pq[k] * pq[k] + 2.0 * d[k] * pq[k] * (1.0 + plus @ pq)
+                      - d[k] * d[k] * cross.sum(axis=1))
+    return res
+
+
+def _secular_roots(d, res, gaps):
+    """The pole k and shift mu = lam - d_k^2 of each root lam of
+    f(lam) = 1 + sum r_i / (lam - d_i^2), for ascending d and residues r < 0.
+
+    f is this sum of its residues, as it has simple poles and tends to 1.
+    With r < 0 it rises from -inf to +inf between poles, one root in each
+    interval and one above the last, and g(mu) = mu f is convex there: so
+    Newton's method converges from the side where g > 0, here kept inside
+    the bracket (a bisection otherwise).  Root j starts at its interval's
+    midpoint, and shifts from d_j^2 where f > 0 there, else from d_(j+1)^2
+    (the last starts at mu = -sum r, where g >= 0); row j of gaps holds
+    d_i^2 - d_j^2 and is moved to the chosen pole, so mu near a pole keeps
+    its relative accuracy.  A root is taken once a step moves it by at most
+    _SECULAR_RTOL of mu.
+    """
+    n = d.size
+    pole = np.arange(n)
+    far = np.append(0.5 * gaps[pole[:-1], pole[1:]], -np.sum(res))  # g > 0
+    mu, near = far.copy(), np.zeros(n)  # the pole is the bracket's other end
+    f, slope, moved = np.empty(n), np.empty(n), np.empty(n)
+    active = pole.copy()
+    for sweep in range(_SECULAR_SWEEPS):
+        for rows in _row_chunks(active.size, n):
+            j = active[rows]
+            inv = gaps[j]
+            np.subtract(mu[j, None], inv, out=inv)
+            np.reciprocal(inv, out=inv)
+            f[j] = 1.0 + inv @ res
+            inv *= inv
+            slope[j] = -(inv @ res)
+        if sweep == 0:  # f < 0 at a midpoint: the root is nearer the upper pole
+            up = active[(f < 0.0) & (active < n - 1)]
+            pole[up] += 1
+            mu[up] = far[up] = -far[up]
+            for rows in _row_chunks(up.size, n):
+                gaps[up[rows]] = _pole_gaps(d, pole[up[rows]])
+        j = active
+        g, g_slope = mu[j] * f[j], f[j] + mu[j] * slope[j]
+        far[j] = np.where(g > 0.0, mu[j], far[j])
+        near[j] = np.where(g > 0.0, near[j], mu[j])
+        new = mu[j] - np.divide(g, g_slope, out=np.full(j.size, np.inf),
+                                where=g_slope != 0.0)
+        # a step below the last bit of mu leaves it where it is
+        inside = ((new - near[j]) * (new - far[j]) < 0.0) | (new == mu[j])
+        new = np.where(inside, new, 0.5 * (near[j] + far[j]))
+        moved[j] = np.abs(new - mu[j])
+        mu[j] = new
+        active = j[moved[j] > _SECULAR_RTOL * np.abs(new)]
+        if active.size == 0:
+            return pole, mu
+    worst = active[np.argmax(moved[active] / np.abs(mu[active]))]
+    raise NumericalQualityError(
+        f"secular root {worst} of {n} did not converge in {_SECULAR_SWEEPS} "
+        f"sweeps: its last step moved mu = {mu[worst]:.6e} by "
+        f"{moved[worst]:.3e}")
+
+
+def _secular_vectors(d, p, q, pole, mu, gaps):
+    """Unit singular vectors of diag(d) + p q^T, U^T and V^T (a row per
+    root), at roots (pole, mu, gap rows) of _secular_roots.
+
+    M v = sigma u and M^T u = sigma v give u_i = (sigma p_i beta +
+    d_i q_i alpha) / (lam - d_i^2), v_i = (sigma q_i alpha + d_i p_i beta)
+    / (lam - d_i^2), for (alpha, beta) = (mu (1 - B), sigma mu A) or
+    (sigma mu C, mu (1 - B)); the one with the larger of |A|, |C| is used.
+    Entry k has the pole k term divided out, like the root (A', B', C' sum
+    over i != k), and u is turned so that u^T M v = sigma.
+    """
+    dk, pk, qk = d[pole], p[pole], q[pole]
+    lam = dk * dk + mu
+    sigma = np.sqrt(lam)
+    own = (np.arange(pole.size), pole)
+    inv = np.subtract(mu[:, None], gaps)
+    np.reciprocal(inv, out=inv)
+    inv[own] = 0.0
+    a_rest, b_rest, c_rest = (inv @ np.stack([q * q, d * p * q, p * p],
+                                             axis=1)).T
+    one_b = 1.0 - b_rest
+    mu_one_b = mu * one_b - dk * pk * qk
+    mu_a, mu_c = qk * qk + mu * a_rest, pk * pk + mu * c_rest
+    by_a = np.abs(mu_a) >= np.abs(mu_c)
+    alpha = np.where(by_a, mu_one_b, sigma * mu_c)
+    beta = np.where(by_a, sigma * mu_a, mu_one_b)
+    u = np.outer(sigma * beta, p)
+    u += np.outer(alpha, d * q)
+    u *= inv
+    v = np.outer(sigma * alpha, q)
+    v += np.outer(beta, d * p)
+    v *= inv
+    u[own] = np.where(by_a, pk * qk * qk + lam * pk * a_rest + dk * qk * one_b,
+                      sigma * (pk * one_b + dk * qk * c_rest))
+    v[own] = np.where(by_a, sigma * (qk * one_b + dk * pk * a_rest),
+                      qk * pk * pk + lam * qk * c_rest + dk * pk * one_b)
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    # u^T M v = sum u d v + (u . p)(q . v), in O(N) on the arrowhead
+    u[np.einsum("ij,ij->i", u * d, v) + (u @ p) * (v @ q) < 0.0] *= -1.0
+    return u, v
+
+
 def _quadrature_modes(dyn: LinearDynamics, omega_s0: float):
     """Normal frequencies Omega (descending) of H at omega_s0, with
     X Omega^-1/2 and Y Omega^-1/2, their rows in the operator ordering.
@@ -604,17 +754,26 @@ def _quadrature_modes(dyn: LinearDynamics, omega_s0: float):
     definite exactly when P and Q are.  An arrowhead's Cholesky factor is
     O(N): P = R_P R_P^T with R_P = [[r_p, c_p^T], [0, D^1/2]],
     c_p = D^-1/2 (V + W) and r_p^2 = omega_s0 - c_p . c_p, which exists
-    exactly when D > 0 and r_p^2 > 0; R_Q likewise with V - W.  One SVD
-    R_P^T R_Q = diag(0, D) + (r_p; c_p)(r_q; c_q)^T = U Omega V^T gives the
-    normal frequencies Omega and the transforms X = R_Q V, Y = R_P U, each
-    formed in O(N^2), which make x = X Omega^-1/2 xi, p = Y Omega^-1/2 pi
-    canonical normal coordinates (the Williamson normal form; Simon,
-    Chaturvedi & Srinivasan, J. Math. Phys. 40 (1999) 3632).  The bath
-    enters the SVD in descending frequency, after the system, which lets it
-    resolve the lowest normal mode to high relative accuracy.
+    exactly when D > 0 and r_p^2 > 0; R_Q likewise with V - W.  The SVD
+    R_P^T R_Q = M = diag(0, D) + p q^T = U Omega V^T, p = (r_p; c_p) and
+    q = (r_q; c_q), gives the normal frequencies Omega and the transforms
+    X = R_Q V, Y = R_P U, which make x = X Omega^-1/2 xi,
+    p = Y Omega^-1/2 pi canonical normal coordinates (the Williamson normal
+    form; Simon, Chaturvedi & Srinivasan, J. Math. Phys. 40 (1999) 3632).
+
+    The SVD is not formed: Omega^2 are the roots of M's secular equation
+    (_secular_residues, _secular_roots) and U, V its closed-form vectors
+    (_secular_vectors), in O(N^2) (R.-C. Li, LAPACK Working Note 89; Gu &
+    Eisenstat, SIAM J. Matrix Anal. Appl. 15 (1994) 1266).  As in LAPACK's
+    dlaed2, poles without weight are deflated first: a mode with
+    p_i = q_i = 0 has Omega = D_i and a unit vector, and a reflection makes
+    modes of one frequency, with parallel p and q there, one coupled mode
+    and uncoupled ones.  The route needs every residue negative, so that
+    the normal frequencies interlace the bath's (as for W = alpha V,
+    0 <= alpha <= 1); NumericalQualityError is raised otherwise.
     """
     nb = dyn.n_modes + 1
-    order = np.argsort(-dyn.frequencies, kind="stable")
+    order = np.argsort(dyn.frequencies, kind="stable")
     freqs = dyn.frequencies[order]
     # the system rows (r, c^T) of R_P and R_Q
     heads = np.empty((2, nb))
@@ -632,22 +791,79 @@ def _quadrature_modes(dyn: LinearDynamics, omega_s0: float):
             "couplings")
     heads[:, 0] = np.sqrt(pivots)
     head_p, head_q = heads
-    product = np.outer(head_p, head_q)
-    product.flat[nb + 1::nb + 1] += freqs
-    u_svd, eps, v_svd_t = np.linalg.svd(product)
-    del product
-    root = 1.0 / np.sqrt(eps)
+    d = np.concatenate([[0.0], freqs])
+    p, q = head_p.copy(), head_q.copy()
+    reflections = []  # I - 2 h h^T on rows lo:hi puts their p and q on lo
+    edges = 1 + np.flatnonzero(np.diff(freqs, prepend=-1.0, append=-1.0))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if hi - lo < 2:
+            continue
+        big, other = sorted((p[lo:hi], q[lo:hi]), key=np.linalg.norm)[::-1]
+        if not np.any(big):
+            continue
+        h = big / np.linalg.norm(big)
+        h[0] += math.copysign(1.0, h[0])
+        h /= np.linalg.norm(h)
+        for x in (big, other):
+            x -= 2.0 * h * (h @ x)
+        # what the reflection leaves off row lo is roundoff (8 ulp) when the
+        # two are parallel
+        if np.max(np.abs(other[1:])) > 2e-15 * np.linalg.norm(other):
+            raise NumericalQualityError(
+                f"bath modes {sorted(order[lo - 1:hi - 1].tolist())} share a "
+                f"frequency but not the ratio of V + W to V - W, which the "
+                f"secular solve of the normal modes needs")
+        p[lo + 1:hi] = q[lo + 1:hi] = 0.0
+        reflections.append((lo, hi, h))
+    live = (p != 0.0) | (q != 0.0)
+    d_l, p_l, q_l = d[live], p[live], q[live]
+    n_live = d_l.size
+    gaps = np.empty((n_live, n_live))
+    for rows in _row_chunks(n_live, n_live):
+        gaps[rows] = _pole_gaps(d_l, np.arange(rows.start, rows.stop))
+    res = _secular_residues(d_l, p_l, q_l, gaps)
+    if not np.all(res < 0.0):
+        raise NumericalQualityError(
+            f"the normal frequencies do not interlace the bath frequencies "
+            f"(secular residue {np.max(res):.3e} >= 0 at bath mode "
+            f"{order[np.flatnonzero(live)[np.argmax(res)] - 1]}), which the "
+            f"secular solve of the normal modes needs")
+    pole, mu = _secular_roots(d_l, res, gaps)
+    eps = np.concatenate([np.sqrt(d_l[pole] ** 2 + mu), d[~live]])
+    cols = np.empty(nb, dtype=int)  # the column of each, in descending Omega
+    cols[np.argsort(-eps, kind="stable")] = np.arange(nb)
     rows = np.concatenate([[0], 1 + order])  # operator row of each factor row
+    x_t, y_t = np.empty((nb, nb)), np.empty((nb, nb))  # X^T and Y^T
 
-    def apply(head: np.ndarray, mat: np.ndarray) -> np.ndarray:
-        # R mat Omega^-1/2 for R = [[head], [0, D^1/2]], in operator order
-        out = np.empty((nb, nb))
-        out[0] = head @ mat
-        out[rows[1:]] = root_d[:, None] * mat[1:]
-        out *= root
-        return out
+    def fill(at: np.ndarray, u_t: np.ndarray, v_t: np.ndarray) -> None:
+        # rows at of (R_Q V)^T and (R_P U)^T, over Omega^1/2, for R =
+        # [[head], [0, D^1/2]], from U^T and V^T on the reflected rows
+        for lo, hi, h in reflections:
+            for mat in (u_t, v_t):
+                mat[:, lo:hi] -= np.outer(mat[:, lo:hi] @ h, 2.0 * h)
+        for out, head, mat in ((x_t, head_q, v_t), (y_t, head_p, u_t)):
+            block = np.empty_like(mat)
+            block[:, 0] = mat @ head
+            block[:, rows[1:]] = mat[:, 1:] * root_d
+            block /= np.sqrt(eps[at, None])
+            out[cols[at]] = block
 
-    return eps, apply(head_q, v_svd_t.T), apply(head_p, u_svd)
+    for chunk in _row_chunks(n_live, n_live):
+        u_t, v_t = _secular_vectors(d_l, p_l, q_l, pole[chunk], mu[chunk],
+                                    gaps[chunk])
+        if n_live < nb:  # zero on the uncoupled modes
+            full = np.zeros((2, u_t.shape[0], nb))
+            full[0][:, live], full[1][:, live] = u_t, v_t
+            u_t, v_t = full
+        fill(np.arange(chunk.start, chunk.stop), u_t, v_t)
+    del gaps
+    dark = np.flatnonzero(~live)
+    for chunk in _row_chunks(dark.size, nb):  # u = v = a unit vector
+        at = np.arange(chunk.start, chunk.stop)
+        u_t = np.zeros((at.size, nb))
+        u_t[np.arange(at.size), dark[chunk]] = 1.0
+        fill(n_live + at, u_t, u_t.copy())
+    return eps[np.argsort(-eps, kind="stable")], x_t.T, y_t.T
 
 
 def thermal_total_state(dyn: LinearDynamics, temperature: float,
@@ -659,24 +875,31 @@ def thermal_total_state(dyn: LinearDynamics, temperature: float,
     subsequent evolution -- a frequency quench).  The Hamiltonian must be
     positive definite, otherwise no thermal state exists and an
     InstabilityError is raised.  The normal modes come from the x and p
-    blocks of H (_quadrature_modes): two O(N) Cholesky factors and one SVD
-    of size N + 1.  The state is held as those transforms and the normal-mode
-    occupations; the system row and the diagonals of <a^dag a> and <a a>
-    are read off them in O(N^2), and no dense table is built.
+    blocks of H (_quadrature_modes): two O(N) Cholesky factors, then the
+    N + 1 roots of their product's secular equation and its closed-form
+    singular vectors, in O(N^2); a root that does not converge, or
+    couplings for which the normal frequencies do not interlace the bath's,
+    raise NumericalQualityError.  The state is held as those transforms and
+    the normal-mode occupations; the system row and the diagonals of
+    <a^dag a> and <a a> are read off them in O(N^2), and no dense table is
+    built.  The symplectic residual, the one O(N^3) product, checks them.
     """
     require("temperature", temperature, ">= 0")
     require("omega_s0", omega_s0)
     nb = dyn.n_modes + 1
-    # the product of the factors, the SVD's factors and workspace, and the
-    # transforms: the process peak rose by 9.2-10.6 x 8 nb^2 bytes at 600
+    # the secular solve's pole gaps, the transforms, and then their u, v
+    # and products: the process peak rose by 5.2-6.4 x 8 nb^2 bytes at 600
     # to 3 000 modes
     require_budget(f"thermal_total_state at {nb} normal modes",
-                   88 * nb * nb, "quadrature factors and transforms")
+                   56 * nb * nb, "pole gaps and transforms")
     eps, x_mat, y_mat = _quadrature_modes(dyn, omega_s0)
 
-    resid = guard(np.max(np.abs(x_mat.T @ y_mat - np.eye(nb))),
+    gram = x_mat.T @ y_mat
+    gram.flat[::nb + 1] -= 1.0
+    resid = guard(np.max(np.abs(gram, out=gram)),
                   SYMPLECTIC_RESIDUAL_TOL, NumericalQualityError,
                   "symplectic residual of the Bogoliubov transform")
+    del gram
 
     # the system row and the diagonals of <a^dag a> and <a a>
     # (ThermalTotalState), in the u, v form: half the sum of the x and p

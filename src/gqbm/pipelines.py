@@ -146,7 +146,8 @@ def quench_comparison(bath: spectral.BathDiscretization, omega_s: float,
     route runs on the exact kernels of the same bath with that state's
     occupations and adds the correction from its system-bath correlations;
     outputs["n_me"] is its N(t), outputs["oracle"] the exact moments.  The
-    march is planned, and its memory checked, before the thermal state's SVD.
+    march is planned, and its memory checked, before the thermal state's
+    normal modes are solved for.
     """
     dyn, horizon = _oracle_dynamics(bath, omega_s, grid)
     require("omega_s0", omega_s0)

@@ -832,7 +832,8 @@ def test_oracle_past_the_memory_budget_exits_2(tmp_path, monkeypatch,
 def test_quench_past_the_memory_budget_exits_2_before_its_thermal_state(
         tmp_path, monkeypatch, capsys):
     # the same over-budget march from a correlated start: propagate refuses
-    # it before the thermal state's normal modes (an SVD) are computed
+    # it before the thermal state's normal modes (a secular solve) are
+    # computed
     def never(*args):
         raise AssertionError("the thermal state's normal modes were computed")
 

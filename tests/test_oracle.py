@@ -489,7 +489,7 @@ def test_march_records_its_largest_entry():
 
 
 def test_thermal_state_over_budget_rejected_before_allocation():
-    # 20 000 modes: the quadrature factors and transforms would take 33 GiB
+    # 20 000 modes: the pole gaps and transforms would take 21 GiB
     n_modes = 20_000
     dyn = gqbm.LinearDynamics(omega_s=0.6,
                               frequencies=np.linspace(1.0, 2.0, n_modes),
@@ -736,16 +736,46 @@ def _one_mode(frequency, v, w):
     (lambda: _one_mode(-0.2, 0.01, 0.0), 0.3),
 ], ids=["x-pivot-zero", "x-pivot-negative", "p-pivot-zero",
         "p-pivot-negative", "zero-frequency-mode", "negative-frequency-mode"])
-def test_indefinite_factor_raises_before_the_svd(make, omega_s0, monkeypatch):
+def test_indefinite_factor_raises_before_the_secular_solve(make, omega_s0,
+                                                           monkeypatch):
     dyn = make()
 
-    def no_svd(*args, **kwargs):
-        raise AssertionError("the SVD ran on an indefinite Hamiltonian")
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the secular solve ran on an indefinite "
+                             "Hamiltonian")
 
-    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for name in ("_secular_residues", "_secular_roots"):
+        monkeypatch.setattr(oracle, name, no_solve)
     with pytest.raises(InstabilityError) as err:
         gqbm.thermal_total_state(dyn, 0.05, omega_s0)
     assert str(err.value) == NOT_POSITIVE_DEFINITE
+
+
+def test_secular_root_past_the_sweep_cap_names_its_index_and_step(
+        monkeypatch):
+    bath = gqbm.discretize_bath(make_model(0.5), 40, 12.0, scheme="gauss")
+    monkeypatch.setattr(oracle, "_SECULAR_SWEEPS", 2)
+    with pytest.raises(NumericalQualityError,
+                       match=r"secular root \d+ of 41 did not converge in 2 "
+                             r"sweeps: its last step moved mu = \S+ by \S+"):
+        gqbm.thermal_total_state(gqbm.build_dynamics(bath, 0.3), 0.01, 0.6)
+
+
+# a positive-definite H that the secular solve does not take: one mode with
+# |W| > |V|, whose residue is positive (both normal frequencies lie below the
+# mode's), and two modes of one frequency whose V + W and V - W are not
+# proportional
+@pytest.mark.parametrize("frequencies, v, w, message", [
+    ([1.3], [0.0], [0.2], "do not interlace the bath frequencies"),
+    ([0.9, 0.9], [0.1, 0.1], [0.05, -0.05], r"modes \[0, 1\] share a "),
+], ids=["pairing-above-exchange", "tied-non-proportional"])
+def test_secular_solve_refuses_what_it_cannot_order(frequencies, v, w,
+                                                     message):
+    dyn = gqbm.LinearDynamics(omega_s=1.0, frequencies=np.array(frequencies),
+                              v_couplings=np.array(v),
+                              w_couplings=np.array(w))
+    with pytest.raises(NumericalQualityError, match=message):
+        gqbm.thermal_total_state(dyn, 0.1, 1.0)
 
 
 def test_thermal_state_rejects_negative_temperature():

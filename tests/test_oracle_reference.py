@@ -8,7 +8,8 @@ with symplectic normalisation, the Colpa route on H in the block ordering
 interleaved table, the interleaved Colpa route on scipy's cholesky, eigh
 and solve_triangular, the same route on numpy's cholesky, eigh and solve,
 the quadrature route on dense batched Cholesky factors of the x and p
-blocks, the propagation that marched the columns of S with G and the
+blocks, the quadrature route on one dense SVD of the product of its O(N)
+factors, the propagation that marched the columns of S with G and the
 columns of S^T with G^T separately, the fixed-substep RK4 row march that
 followed it, and the Chebyshev row march on a sparse CSR generator with
 scipy's jv.  Their generators are CSR matrices of the dense generator
@@ -20,11 +21,15 @@ conftest.stored_rows joins its blocks and rebuilds the a^dag row as the
 a row conjugated, with each pair swapped, for the comparisons.  So the
 comparisons check the library's a row and that identity, and each
 reference march's own a^dag row must equal the conjugate-swap of its a
-row to 1e-14 of max|S|.  The quadrature route (one SVD of the product of
-the O(N) Cholesky factors of the x and p arrowheads) must match the
-dense-Cholesky route to 1e-13 of the largest table entry and of the
-largest normal frequency, and its lowest normal frequency to 1e-14
-relative, on the bath as given and permuted; it reaches the same state
+row to 1e-14 of max|S|.  The quadrature route (the secular equation of
+the product of the O(N) Cholesky factors of the x and p arrowheads) must
+match the dense-Cholesky route to 1e-13 of the largest table entry and of
+the largest normal frequency, and its lowest normal frequency to 1e-14
+relative, on the bath as given and permuted; it must match the SVD of the
+same product to 1e-13 of the largest table entry and every normal
+frequency to 1e-14 relative, there and on baths whose poles it deflates
+(modes that share a frequency, uncoupled modes) and on a single mode,
+where the deflated frequencies are exact; it reaches the same state
 as the other routes through other arithmetic, so it must agree
 with the eig route to roundoff amplified by the eigenproblem's
 conditioning (1e-8 of the largest table entry; normal-mode frequencies to
@@ -513,6 +518,47 @@ def _cholesky_quadrature_modes(dyn, omega_s0):
     return eps, (l_q @ v_svd_t.T)[back] * root, (l_p @ u_svd)[back] * root
 
 
+def _svd_quadrature_modes(dyn, omega_s0):
+    """oracle._quadrature_modes on one dense SVD of the product of the O(N)
+    Cholesky factors, M = diag(0, D) + p q^T, the bath in descending
+    frequency."""
+    nb = dyn.n_modes + 1
+    order = np.argsort(-dyn.frequencies, kind="stable")
+    freqs = dyn.frequencies[order]
+    # the system rows (r, c^T) of R_P and R_Q
+    heads = np.empty((2, nb))
+    positive = bool(np.all(freqs > 0.0))
+    if positive:
+        v, w = dyn.v_couplings[order], dyn.w_couplings[order]
+        root_d = np.sqrt(freqs)
+        heads[:, 1:] = np.stack([v + w, v - w]) / root_d
+        pivots = omega_s0 - np.einsum("ij,ij->i", heads[:, 1:], heads[:, 1:])
+        positive = bool(np.all(pivots > 0.0))
+    if not positive:
+        raise InstabilityError(
+            "coupled Hamiltonian is not positive definite (its Cholesky "
+            "factorisation fails); no thermal state exists at these "
+            "couplings")
+    heads[:, 0] = np.sqrt(pivots)
+    head_p, head_q = heads
+    product = np.outer(head_p, head_q)
+    product.flat[nb + 1::nb + 1] += freqs
+    u_svd, eps, v_svd_t = np.linalg.svd(product)
+    del product
+    root = 1.0 / np.sqrt(eps)
+    rows = np.concatenate([[0], 1 + order])  # operator row of each factor row
+
+    def apply(head: np.ndarray, mat: np.ndarray) -> np.ndarray:
+        # R mat Omega^-1/2 for R = [[head], [0, D^1/2]], in operator order
+        out = np.empty((nb, nb))
+        out[0] = head @ mat
+        out[rows[1:]] = root_d[:, None] * mat[1:]
+        out *= root
+        return out
+
+    return eps, apply(head_q, v_svd_t.T), apply(head_p, u_svd)
+
+
 def _csr_chebyshev_propagate(dyn, grid):
     """The Chebyshev row march on the CSR generator with scipy's jv."""
     n = grid.n_steps
@@ -788,6 +834,74 @@ def test_arrowhead_factors_match_the_dense_cholesky_route(
             <= FACTOR_PARITY_RTOL * np.max(freqs))
     assert (abs(state.metadata["min_normal_frequency"] - freqs[0])
             <= SECULAR_ROOT_RTOL * freqs[0])
+
+
+def _svd_state(dyn, temperature, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_quadrature_modes", _svd_quadrature_modes)
+        return gqbm.thermal_total_state(dyn, temperature, OMEGA_S0)
+
+
+def _assert_svd_parity(state, ref):
+    assert (np.max(np.abs(state.product_table - ref.product_table))
+            <= FACTOR_PARITY_RTOL * np.max(np.abs(ref.product_table)))
+    freqs = ref.normal_frequencies
+    assert (np.max(np.abs(state.normal_frequencies - freqs) / freqs)
+            <= SECULAR_ROOT_RTOL)
+
+
+@pytest.mark.parametrize("permuted", [False, True], ids=["ordered",
+                                                         "permuted"])
+@pytest.mark.parametrize("alpha, temperature", STATE_POINTS, ids=STATE_IDS)
+def test_secular_modes_match_the_svd_route(alpha, temperature, permuted,
+                                           monkeypatch):
+    dyn = _dynamics(alpha, OMEGA_S)
+    if permuted:
+        dyn = _shuffled(dyn)
+    _assert_svd_parity(gqbm.thermal_total_state(dyn, temperature, OMEGA_S0),
+                       _svd_state(dyn, temperature, monkeypatch))
+
+
+def _tied(dyn, copies):
+    # copies more modes at the frequency of mode 7, with V (and so W = alpha
+    # V) scaled: their V + W and V - W stay parallel to mode 7's
+    scale = 0.5 ** np.arange(1, copies + 1)
+    return gqbm.LinearDynamics(
+        dyn.omega_s, np.append(dyn.frequencies, np.full(copies,
+                                                         dyn.frequencies[7])),
+        np.append(dyn.v_couplings, scale * dyn.v_couplings[7]),
+        np.append(dyn.w_couplings, scale * dyn.w_couplings[7]))
+
+
+def _uncoupled(dyn):
+    v, w = dyn.v_couplings.copy(), dyn.w_couplings.copy()
+    v[[5, 20]] = w[[5, 20]] = 0.0
+    return gqbm.LinearDynamics(dyn.omega_s, dyn.frequencies, v, w)
+
+
+# deflated poles: one or two more modes at one frequency (one coupled mode
+# and uncoupled ones after a reflection), and modes with V = W = 0; each
+# uncoupled mode leaves an exact normal frequency at its mode's (exact lists
+# the modes, once per uncoupled one).  The single mode is the Fock-space
+# Gibbs test's
+@pytest.mark.parametrize("make, exact", [
+    (lambda: _tied(_dynamics(0.5, OMEGA_S, 60), 1), [7]),
+    (lambda: _tied(_dynamics(0.5, OMEGA_S, 60), 2), [7, 7]),
+    (lambda: _tied(_dynamics(1.0, OMEGA_S, 60), 1), [7]),
+    (lambda: _uncoupled(_dynamics(0.5, OMEGA_S, 60)), [5, 20]),
+    (lambda: gqbm.LinearDynamics(1.0, np.array([1.3]), np.array([0.25]),
+                                 np.array([0.15])), []),
+], ids=["tied-pair", "tied-triple", "tied-pair-alpha-1", "uncoupled",
+        "single-mode"])
+def test_deflated_and_single_mode_baths_match_the_svd_route(make, exact,
+                                                            monkeypatch):
+    dyn = make()
+    state = gqbm.thermal_total_state(dyn, 0.3, OMEGA_S0)
+    _assert_svd_parity(state, _svd_state(dyn, 0.3, monkeypatch))
+    for mode in set(exact):
+        assert (np.count_nonzero(state.normal_frequencies
+                                 == dyn.frequencies[mode])
+                == exact.count(mode))
 
 
 def test_colpa_state_is_stationary_under_its_hamiltonian(both_states):
