@@ -5,10 +5,11 @@ exit_code: ValidationError (2) for bad input or misuse, InstabilityError (3)
 for dynamics that blew up or a singular propagator, NumericalQualityError
 (4) for a tripped quality monitor.  An input is checked at the library
 boundary, before any work starts, by require (finite and in its domain),
-require_count (an integer of at least its minimum) or require_budget (the
-memory it needs fits MEMORY_BUDGET_BYTES).  A monitor checks a computed
-series through guard(), which names the first failing step and time, so a
-failure is reported where it starts.
+require_vectors (finite 1-d real arrays of one length), require_count (an
+integer of at least its minimum) or require_budget (the memory it needs
+fits MEMORY_BUDGET_BYTES).  A monitor checks a computed series through
+guard(), which names the first failing step and time, so a failure is
+reported where it starts.
 """
 
 import cmath
@@ -92,6 +93,22 @@ def require(name: str, value, domain: str = "finite"):
         where = f" at entry {j}" if np.ndim(inside) else ""
     also = "" if domain == "finite" else " and finite"
     raise ValidationError(f"{name} must be {domain}{also}, got {value}{where}")
+
+
+def require_vectors(owner, *names: str) -> None:
+    """Set each named attribute of owner to its array as floats, if each is
+    a finite 1-d array of reals and all have one length; else a
+    ValidationError naming them."""
+    for name in names:
+        vec = np.asarray(getattr(owner, name))
+        if vec.ndim != 1 or vec.dtype.kind not in "iuf":
+            raise ValidationError(f"{name} must be a 1-d array of reals, got "
+                                  f"shape {vec.shape} of {vec.dtype}")
+        setattr(owner, name, require(name, vec).astype(float, copy=False))
+    sizes = {name: getattr(owner, name).size for name in names}
+    if len(set(sizes.values())) > 1:
+        raise ValidationError(f"{', '.join(names)} must have one length, got "
+                              + ", ".join(f"{k} {n}" for k, n in sizes.items()))
 
 
 def require_count(name: str, value, minimum: int) -> int:

@@ -22,17 +22,16 @@ under G^T; the system columns S[:, :2] are not computed.  G is constant,
 so the march is a Chebyshev expansion of exp(G^T t) (Tal-Ezer & Kosloff,
 J. Chem. Phys. 81 (1984) 3967) over windows of output steps, its degree
 fixed in advance by a bound that holds for any H.  A finite bath
-revives: results are trustworthy only below the recurrence horizon
-~ 2 pi / min mode spacing, which LinearDynamics reports before anything
-is propagated.  propagate() only plans the march; the a rows are
-streamed, never stored: BogoliubovPropagator.blocks() marches them and
-yields a block of output steps at a time, and reduced_moments(),
-exact_moments() and thermal_moments() apply the initial state to each
-block as it arrives (one pair-wise rule on the a row, one GEMM with a
-dense product table on the a and rebuilt a^dag rows, or two real GEMMs
-with the normal-mode transforms on the a row).  Each reader runs its own
-march; u_series, the 2x2 system block, is kept from the first march to
-reach the end, and marches on first access if none has.
+revives: LinearDynamics reports a recurrence horizon ~ 2 pi / min mode
+spacing before anything is propagated.  propagate() only plans the
+march; the a rows are streamed, never stored: BogoliubovPropagator.blocks()
+marches them and yields a block of output steps at a time, and
+reduced_moments(), exact_moments() and thermal_moments() apply the initial
+state to each block as it arrives (the pair rule _pair_moments on the a
+row, a dense product table on the a and rebuilt a^dag rows, or two real
+GEMMs with the normal-mode transforms, then the pair rule).  Each reader
+runs its own march; u_series, the 2x2 system block, is kept from the
+first march to reach the end, and marches on first access if none has.
 
 thermal_total_state() prepares the correlated initial state of a quench,
 the Gibbs state of the coupled Hamiltonian.  The couplings are real, so
@@ -60,6 +59,7 @@ from .errors import (
     guard,
     require,
     require_budget,
+    require_vectors,
 )
 from .greens import INSTABILITY_MAX_ABS, InitialCorrelations, TimeGrid, _check_finite
 from .moments import GaussianMoments, SecondMomentSeries, _require_commutator
@@ -111,17 +111,7 @@ class LinearDynamics:
 
     def __post_init__(self):
         require("omega_s", self.omega_s)
-        for name in ("frequencies", "v_couplings", "w_couplings"):
-            arr = np.asarray(getattr(self, name))
-            if arr.ndim != 1 or arr.dtype.kind not in "iuf":
-                raise ValidationError(f"{name} must be a 1-d array of reals")
-            setattr(self, name, require(name, arr).astype(float, copy=False))
-        sizes = {self.frequencies.size, self.v_couplings.size,
-                 self.w_couplings.size}
-        if len(sizes) != 1:
-            raise ValidationError(
-                f"frequencies, v_couplings and w_couplings must have one "
-                f"length, got {sorted(sizes)}")
+        require_vectors(self, "frequencies", "v_couplings", "w_couplings")
 
     @property
     def n_modes(self) -> int:
@@ -133,7 +123,9 @@ class LinearDynamics:
 
     @property
     def recurrence_horizon(self) -> float:
-        """Earliest finite-bath revival estimate (inf for a single frequency)."""
+        """RECURRENCE_GUARD 2 pi over the smallest gap between distinct
+        frequencies (inf for a single frequency).  On Gauss nodes that gap
+        is at a band edge, so this is the latest revival, not the earliest."""
         # modes sharing a frequency act as one bright mode plus dark modes
         gaps = np.diff(np.sort(self.frequencies))
         gaps = gaps[gaps > 0.0]
@@ -420,7 +412,21 @@ def _moments_from_rows(prop: BogoliubovPropagator, rule) -> SecondMomentSeries:
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
-    return z.real * z.real + z.imag * z.imag
+    return z.real * z.real + z.imag * z.imag if np.iscomplexobj(z) else z * z
+
+
+def _pair_moments(alpha: np.ndarray, beta: np.ndarray, occ: np.ndarray):
+    """(<A A>, <A^dag A>, <A A^dag>) of A = sum_k alpha_k c_k + beta_k c_k^dag
+    over the last axis, for independent c_k with <c^dag c> = occ, <c c> = 0:
+    sum alpha beta (1 + 2 occ), sum |alpha|^2 occ + |beta|^2 (1 + occ) and
+    sum |alpha|^2 (1 + occ) + |beta|^2 occ."""
+    one_occ = 1.0 + occ
+    ann = (alpha * beta) @ (1.0 + 2.0 * occ)
+    abs2 = _abs2(alpha)  # one |.|^2 table alive at a time
+    dag, dag_t = abs2 @ occ, abs2 @ one_occ
+    del abs2
+    abs2 = _abs2(beta)
+    return ann, dag + abs2 @ one_occ, dag_t + abs2 @ occ
 
 
 def reduced_moments(prop: BogoliubovPropagator, bath: BathDiscretization,
@@ -431,13 +437,10 @@ def reduced_moments(prop: BogoliubovPropagator, bath: BathDiscretization,
     squeezes, and cross correlations with the system are zero by
     assumption (use exact_moments with a full initial table otherwise).
     With A and B the a row's entries on each pair (x, x^dag),
-    a(t) = sum A x + B x^dag, and the pairs'
-    [[<xx>, <x x^dag>], [<x^dag x>, <x^dag x^dag>]] = [[s, 1 + n], [n, s*]],
-    s = delta_s(0) on the system pair and 0 on the bath's, give
-    delta_s = A_0^2 s + sum A B (1 + 2n) + B_0^2 s*, delta_n =
-    sum |A|^2 n + |B|^2 (1 + n) + 2 Re(A_0 B_0* s) and delta_h =
-    sum |A|^2 (1 + n) + |B|^2 n + 2 Re(A_0 B_0* s); delta_h - delta_n =
-    sum |A|^2 - |B|^2 checks the march.  The mean is U <a>(0), that is
+    a(t) = sum A x + B x^dag, and the pairs read by _pair_moments with
+    occupations (delta_n(0), bath.occupations); the system pair's squeeze
+    s = delta_s(0) adds A_0^2 s + B_0^2 s* to delta_s and 2 Re(A_0 B_0* s)
+    to delta_n and delta_h.  The mean is U <a>(0), that is
     prop.u_series[:, 0, :] @ (<a>(0), <a>(0)*).
     """
     init.require_physical()
@@ -446,18 +449,14 @@ def reduced_moments(prop: BogoliubovPropagator, bath: BathDiscretization,
             f"bath has {bath.n_modes} modes, propagator dimension {prop.dim}")
 
     occ = np.concatenate([[init.delta_n], bath.occupations])
-    one_occ, two_occ = 1.0 + occ, 1.0 + 2.0 * occ
     sqz = complex(init.delta_s)
 
     def rule(block: np.ndarray):
-        x, x_dag = block[:, 0::2], block[:, 1::2]
         a, a_dag = block[:, 0], block[:, 1]
-        abs_x, abs_x_dag = _abs2(x), _abs2(x_dag)
+        ann, dag, dag_t = _pair_moments(block[:, 0::2], block[:, 1::2], occ)
         cross = 2.0 * (a * np.conj(a_dag) * sqz).real
-        return (a * a * sqz + (x * x_dag) @ two_occ
-                + a_dag * a_dag * sqz.conjugate(),
-                abs_x @ occ + abs_x_dag @ one_occ + cross,
-                abs_x @ one_occ + abs_x_dag @ occ + cross)
+        return (a * a * sqz + ann + a_dag * a_dag * sqz.conjugate(),
+                dag + cross, dag_t + cross)
 
     return _moments_from_rows(prop, rule)
 
@@ -502,43 +501,30 @@ def thermal_moments(prop: BogoliubovPropagator,
     alpha = (P + Q)/2 and beta = (P - Q)/2 for P = (r_even + r_odd) X' and
     Q = (r_even - r_odd) Y'.  Each is one real GEMM on the real view of a
     block of a rows: 4 (N+1)^2 real multiply-adds a step for the two,
-    against 32 (N+1)^2 for the complex table on both rows.  a^dag(t) =
-    a(t)^dag, so with <c c^dag> = 1 + nbar and <c^dag c> = nbar,
-    delta_s = sum_k alpha_k beta_k (1 + 2 nbar_k), delta_n =
-    sum_k |beta_k|^2 (1 + nbar_k) + |alpha_k|^2 nbar_k and delta_h =
-    sum_k |alpha_k|^2 (1 + nbar_k) + |beta_k|^2 nbar_k, and
-    delta_h - delta_n = sum_k |alpha_k|^2 - |beta_k|^2 still checks the
-    march.
+    against 32 (N+1)^2 for the complex table on both rows.  _pair_moments
+    of (alpha, beta) gives delta_s, delta_n and delta_h.
     """
-    nb = state.mode_occupations.size
-    if 2 * nb != prop.dim:
+    occ = state.mode_occupations
+    if 2 * occ.size != prop.dim:
         raise ValidationError(
-            f"thermal state has {nb - 1} bath modes, propagator dimension "
-            f"{prop.dim}")
+            f"thermal state has {occ.size - 1} bath modes, propagator "
+            f"dimension {prop.dim}")
     x_t, y_t = state.x_modes.T, state.y_modes.T
-    # <c c^dag> = 1 + nbar and <c^dag c> = nbar, over 4: alpha and beta
-    # below are taken twice
-    cc_dag = 0.25 * (1.0 + state.mode_occupations)
-    c_dag_c = 0.25 * state.mode_occupations
-    both = cc_dag + c_dag_c
 
     def rule(block: np.ndarray):
         # the block's a rows as columns, so that each real GEMM acts on
         # their real and imaginary parts; one buffer holds the sum, the
-        # difference and then beta, and P becomes alpha in place, so at
+        # difference and then 2 beta, and P becomes 2 alpha in place, so at
         # most three (N+1) x k arrays are alive
         even, odd = block[:, 0::2].T, block[:, 1::2].T
-        beta = np.empty((nb, block.shape[0]), dtype=complex)
+        beta = np.empty((occ.size, block.shape[0]), dtype=complex)
         alpha = (x_t @ np.add(even, odd, out=beta).view(float)).view(complex)
         q = (y_t @ np.subtract(even, odd, out=beta).view(float)).view(complex)
         np.subtract(alpha, q, out=beta)
         alpha += q
         del q
-        delta_s = both @ (alpha * beta)
-        abs_alpha, abs_beta = _abs2(alpha), _abs2(beta)
-        return (delta_s,
-                cc_dag @ abs_beta + c_dag_c @ abs_alpha,
-                cc_dag @ abs_alpha + c_dag_c @ abs_beta)
+        # alpha and beta are taken twice above
+        return [0.25 * m for m in _pair_moments(alpha.T, beta.T, occ)]
 
     return _moments_from_rows(prop, rule)
 
@@ -550,11 +536,10 @@ class ThermalTotalState:
     The state is its normal-mode transforms x_modes = X Omega^-1/2 and
     y_modes = Y Omega^-1/2 (_quadrature_modes: built from the closed-form
     singular vectors of a secular solve, real, rows in the operator
-    ordering, columns in descending Omega) and mode_occupations = nbar of
+    ordering, a column per normal mode) and mode_occupations = nbar of
     each column.  With u = (x_modes + y_modes)/2, v = (x_modes - y_modes)/2
     the annihilators are a = u c + v c^dag over the normal-mode ones c, so
-    <a^dag a> = u nbar u^T + v (1 + nbar) v^T, <a a> = u (1 + nbar) v^T
-    + v nbar u^T and <a a^dag> = 1 + <a^dag a>^T.  thermal_moments reads
+    each row of u and v is read by _pair_moments.  thermal_moments reads
     the evolved moments through the transforms.  The reduced system
     moments, the system-bath cross correlations and the per-mode bath
     occupations/squeezes are read off them once; normal_frequencies ascend.
@@ -743,8 +728,9 @@ def _secular_vectors(d, p, q, pole, mu, gaps):
 
 
 def _quadrature_modes(dyn: LinearDynamics, omega_s0: float):
-    """Normal frequencies Omega (descending) of H at omega_s0, with
-    X Omega^-1/2 and Y Omega^-1/2, their rows in the operator ordering.
+    """Normal frequencies Omega of H at omega_s0, with X Omega^-1/2 and
+    Y Omega^-1/2, their rows in the operator ordering and a column per
+    entry of Omega, in the order the secular solve finds them.
 
     The couplings are real, so in the quadratures x = (a + a^dag)/sqrt 2,
     p = (a - a^dag)/(i sqrt 2) of the system and each mode the Hamiltonian
@@ -830,23 +816,20 @@ def _quadrature_modes(dyn: LinearDynamics, omega_s0: float):
             f"secular solve of the normal modes needs")
     pole, mu = _secular_roots(d_l, res, gaps)
     eps = np.concatenate([np.sqrt(d_l[pole] ** 2 + mu), d[~live]])
-    cols = np.empty(nb, dtype=int)  # the column of each, in descending Omega
-    cols[np.argsort(-eps, kind="stable")] = np.arange(nb)
     rows = np.concatenate([[0], 1 + order])  # operator row of each factor row
     x_t, y_t = np.empty((nb, nb)), np.empty((nb, nb))  # X^T and Y^T
 
-    def fill(at: np.ndarray, u_t: np.ndarray, v_t: np.ndarray) -> None:
+    def fill(at: slice, u_t: np.ndarray, v_t: np.ndarray) -> None:
         # rows at of (R_Q V)^T and (R_P U)^T, over Omega^1/2, for R =
         # [[head], [0, D^1/2]], from U^T and V^T on the reflected rows
         for lo, hi, h in reflections:
             for mat in (u_t, v_t):
                 mat[:, lo:hi] -= np.outer(mat[:, lo:hi] @ h, 2.0 * h)
         for out, head, mat in ((x_t, head_q, v_t), (y_t, head_p, u_t)):
-            block = np.empty_like(mat)
+            block = out[at]
             block[:, 0] = mat @ head
             block[:, rows[1:]] = mat[:, 1:] * root_d
             block /= np.sqrt(eps[at, None])
-            out[cols[at]] = block
 
     for chunk in _row_chunks(n_live, n_live):
         u_t, v_t = _secular_vectors(d_l, p_l, q_l, pole[chunk], mu[chunk],
@@ -855,15 +838,13 @@ def _quadrature_modes(dyn: LinearDynamics, omega_s0: float):
             full = np.zeros((2, u_t.shape[0], nb))
             full[0][:, live], full[1][:, live] = u_t, v_t
             u_t, v_t = full
-        fill(np.arange(chunk.start, chunk.stop), u_t, v_t)
+        fill(chunk, u_t, v_t)
     del gaps
     dark = np.flatnonzero(~live)
     for chunk in _row_chunks(dark.size, nb):  # u = v = a unit vector
-        at = np.arange(chunk.start, chunk.stop)
-        u_t = np.zeros((at.size, nb))
-        u_t[np.arange(at.size), dark[chunk]] = 1.0
-        fill(n_live + at, u_t, u_t.copy())
-    return eps[np.argsort(-eps, kind="stable")], x_t.T, y_t.T
+        u_t = (np.arange(nb) == dark[chunk, None]).astype(float)
+        fill(slice(n_live + chunk.start, n_live + chunk.stop), u_t, u_t.copy())
+    return eps, x_t.T, y_t.T
 
 
 def thermal_total_state(dyn: LinearDynamics, temperature: float,
@@ -887,9 +868,9 @@ def thermal_total_state(dyn: LinearDynamics, temperature: float,
     require("temperature", temperature, ">= 0")
     require("omega_s0", omega_s0)
     nb = dyn.n_modes + 1
-    # the secular solve's pole gaps, the transforms, and then their u, v
-    # and products: the process peak rose by 5.2-6.4 x 8 nb^2 bytes at 600
-    # to 3 000 modes
+    # the secular solve's pole gaps and the transforms, then blocks of
+    # rows of u, v and their products: the process peak rose by 3.2-6.3 x
+    # 8 nb^2 bytes at 600 to 3 000 modes
     require_budget(f"thermal_total_state at {nb} normal modes",
                    56 * nb * nb, "pole gaps and transforms")
     eps, x_mat, y_mat = _quadrature_modes(dyn, omega_s0)
@@ -901,27 +882,27 @@ def thermal_total_state(dyn: LinearDynamics, temperature: float,
                   "symplectic residual of the Bogoliubov transform")
     del gram
 
-    # the system row and the diagonals of <a^dag a> and <a a>
-    # (ThermalTotalState), in the u, v form: half the sum of the x and p
-    # covariances, minus 1/2, gives delta_n < 0 at the vacuum
+    # the diagonals of <a^dag a>, <a a> (the pair rule) and the system row
+    # <a_j^dag a>, <a_j a>, off blocks of rows of 2u and 2v: read is 4 times
     occ_nm = n_bar(eps, temperature)
-    u, v = 0.5 * (x_mat + y_mat), 0.5 * (x_mat - y_mat)
-    dag_row = u @ (occ_nm * u[0]) + v @ ((1.0 + occ_nm) * v[0])
-    ann_row = v @ ((1.0 + occ_nm) * u[0]) + u @ (occ_nm * v[0])
-    dag_diag = (u * u) @ occ_nm + (v * v) @ (1.0 + occ_nm)
-    ann_diag = (u * v) @ (1.0 + 2.0 * occ_nm)
+    u0, v0 = x_mat[0] + y_mat[0], x_mat[0] - y_mat[0]
+    read = np.empty((4, nb))
+    for rows in _row_chunks(nb, nb):
+        u, v = x_mat[rows] + y_mat[rows], x_mat[rows] - y_mat[rows]
+        read[0, rows], read[1, rows], _ = _pair_moments(u, v, occ_nm)
+        read[2, rows] = u @ (occ_nm * u0) + v @ ((1.0 + occ_nm) * v0)
+        read[3, rows] = v @ ((1.0 + occ_nm) * u0) + u @ (occ_nm * v0)
+    ann_diag, dag_diag, dag_row, ann_row = 0.25 * read
 
-    system = GaussianMoments(mean_a=0.0 + 0.0j, delta_n=float(dag_row[0]),
-                             delta_s=complex(ann_row[0]))
     return ThermalTotalState(
-        system=system,
-        correlations=InitialCorrelations(
-            n_prime=dag_row[1:].astype(complex),
-            s_prime=ann_row[1:].astype(complex)),
+        system=GaussianMoments(delta_n=float(dag_diag[0]),
+                               delta_s=complex(ann_diag[0])),
+        correlations=InitialCorrelations(n_prime=dag_row[1:],
+                                         s_prime=ann_row[1:]),
         bath_occupations=dag_diag[1:],
         bath_squeezes=ann_diag[1:].astype(complex),
-        normal_frequencies=eps[::-1],
+        normal_frequencies=np.sort(eps),
         x_modes=x_mat, y_modes=y_mat, mode_occupations=occ_nm,
         metadata={"scheme": THERMAL_STATE_SCHEME, "symplectic_residual": resid,
-                  "min_normal_frequency": float(eps[-1])},
+                  "min_normal_frequency": float(np.min(eps))},
     )

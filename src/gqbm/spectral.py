@@ -52,6 +52,7 @@ from .errors import (
     guard,
     require,
     require_count,
+    require_vectors,
 )
 
 # Particle-hole structure matrix used across modules.
@@ -821,8 +822,8 @@ class BathDiscretization:
     replaced by any per-mode values (e.g. from a correlated total state);
     the modes carry no squeezes, so the bath's kernels stay stationary (a
     squeezed product state is read through exact_moments' table instead).
-    Every array must be finite, checked at construction (so also on a
-    dataclasses.replace copy).
+    Every array must be a finite 1-d array of reals, all of one length,
+    checked at construction (so also on a dataclasses.replace copy).
     """
 
     frequencies: np.ndarray
@@ -836,8 +837,8 @@ class BathDiscretization:
     cutoff: float
 
     def __post_init__(self):
-        for name in ("frequencies", "weights", "v_couplings", "occupations"):
-            require(name, getattr(self, name))
+        require_vectors(self, "frequencies", "weights", "v_couplings",
+                        "occupations")
 
     @property
     def n_modes(self) -> int:

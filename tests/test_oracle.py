@@ -516,6 +516,26 @@ def test_product_table_over_budget_rejected_before_allocation():
     assert "product_table" not in state.__dict__
 
 
+# tracemalloc peak of thermal_total_state at 1 000 gauss modes, over
+# 8 (N+1)^2 bytes: 5.01 when the read-out formed u and v whole beside X'
+# and Y', 4.61 once it reads them a block of rows at a time and the
+# secular solve's tables set the peak
+THERMAL_STATE_PEAK = 4.8
+
+
+def test_thermal_state_read_out_does_not_set_its_peak():
+    bath = gqbm.discretize_bath(make_model(0.5, temperature=0.01), 1000,
+                                12.0, scheme="gauss")
+    dyn = gqbm.build_dynamics(bath, 0.3)
+    tracemalloc.start()
+    try:
+        gqbm.thermal_total_state(dyn, 0.01, 0.6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= THERMAL_STATE_PEAK * 8 * 1001 ** 2
+
+
 # ---- reduced moments --------------------------------------------------------
 
 
@@ -602,6 +622,30 @@ def test_exact_moments_table_shape_contract():
     other = gqbm.build_dynamics(gqbm.discretize_bath(model, 3, 20.0), 0.3)
     with pytest.raises(ValidationError, match="thermal state has"):
         gqbm.thermal_moments(prop, gqbm.thermal_total_state(other, 0.1, 0.3))
+
+
+def test_thermal_moments_of_identity_transforms_are_reduced_moments():
+    # x_modes = y_modes = 1 make u = 1 and v = 0: normal mode k is operator
+    # pair k, so the state is the product of an unsqueezed system and the
+    # bath, and both readers apply the one pair rule to the same rows
+    bath = gqbm.discretize_bath(make_model(0.5, temperature=0.1), 24, 12.0)
+    prop = gqbm.propagate(gqbm.build_dynamics(bath, 0.3),
+                          gqbm.TimeGrid(t_end=2.0, n_steps=40,
+                                        max_frequency=1.0))
+    init = gqbm.GaussianMoments(delta_n=0.3)
+    nb = bath.n_modes + 1
+    state = oracle.ThermalTotalState(
+        system=init, correlations=None, bath_occupations=bath.occupations,
+        bath_squeezes=np.zeros(nb - 1), normal_frequencies=np.ones(nb),
+        x_modes=np.eye(nb), y_modes=np.eye(nb),
+        mode_occupations=np.concatenate([[init.delta_n], bath.occupations]))
+    got = gqbm.thermal_moments(prop, state)
+    want = gqbm.reduced_moments(prop, bath, init)
+    # delta_n + delta_h bounds the sum of |terms| of each moment
+    scale = np.max(want.delta_n + want.delta_h)
+    for name in ("delta_n", "delta_s", "delta_h"):
+        assert (np.max(np.abs(getattr(got, name) - getattr(want, name)))
+                <= 1e-15 * scale), name
 
 
 # ---- thermal state of the coupled Hamiltonian --------------------------------

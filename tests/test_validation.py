@@ -156,19 +156,37 @@ def test_nan_offset_into_the_thermal_quadrature_is_a_validation_error():
         kernel.gtilde(np.array([np.nan]))
 
 
-def test_linear_dynamics_needs_one_length():
-    with pytest.raises(ValidationError, match="one length"):
-        gqbm.LinearDynamics(omega_s=0.5, frequencies=DYN.frequencies,
-                            v_couplings=DYN.v_couplings[:-1],
-                            w_couplings=DYN.w_couplings)
+SHAPE_CASES = {
+    # entry: (the construction, what its message names)
+    "LinearDynamics.v_couplings.short": (
+        lambda: replace(DYN, v_couplings=DYN.v_couplings[:-1]),
+        "must have one length, got frequencies 8, v_couplings 7, "
+        "w_couplings 8"),
+    "LinearDynamics.v_couplings.complex": (
+        lambda: replace(DYN, v_couplings=DYN.v_couplings + 0j),
+        "v_couplings must be a 1-d array of reals"),
+    # one occupation for an 8-mode bath was broadcast to every mode
+    "BathDiscretization.occupations.short": (
+        lambda: replace(BATH, occupations=np.array([0.5])),
+        "must have one length, got frequencies 8, weights 8, "
+        "v_couplings 8, occupations 1"),
+    "BathDiscretization.v_couplings.long": (
+        lambda: replace(BATH, v_couplings=np.append(BATH.v_couplings, 0.1)),
+        "v_couplings 9"),
+    "BathDiscretization.weights.2-d": (
+        lambda: replace(BATH, weights=BATH.weights[:, None]),
+        r"weights must be a 1-d array of reals, got shape \(8, 1\)"),
+    "BathDiscretization.frequencies.0-d": (
+        lambda: replace(BATH, frequencies=np.float64(1.0)),
+        r"frequencies must be a 1-d array of reals, got shape \(\)"),
+}
 
 
-def test_linear_dynamics_rejects_complex_couplings():
-    with pytest.raises(ValidationError,
-                       match="v_couplings must be a 1-d array of reals"):
-        gqbm.LinearDynamics(omega_s=0.5, frequencies=DYN.frequencies,
-                            v_couplings=DYN.v_couplings + 0j,
-                            w_couplings=DYN.w_couplings)
+@pytest.mark.parametrize("entry", sorted(SHAPE_CASES))
+def test_arrays_of_the_wrong_shape_are_a_validation_error(entry):
+    make, message = SHAPE_CASES[entry]
+    with pytest.raises(ValidationError, match=message):
+        make()
 
 
 def test_volterra_tables_are_bounded_before_allocation():
