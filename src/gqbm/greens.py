@@ -407,6 +407,14 @@ def _fdt_double_integral(inner: np.ndarray, udag: np.ndarray,
     return out
 
 
+def _require_u(u: np.ndarray, n: int) -> None:
+    """A ValidationError unless u is a finite (n + 1, 2, 2) table."""
+    if u.shape != (n + 1, 2, 2):
+        raise ValidationError(
+            f"u has shape {u.shape}, expected {(n + 1, 2, 2)} for this grid")
+    require("u", u)
+
+
 def _fdt_tables(who: str, kernel: Kernel, u: np.ndarray, grid: TimeGrid):
     """U^dag and Z Gt Z for the V route, once its memory is checked."""
     # the process peak rose by 897-899 bytes a step in either caller
@@ -418,9 +426,7 @@ def _fdt_tables(who: str, kernel: Kernel, u: np.ndarray, grid: TimeGrid):
 def solve_v_fdt(kernel: Kernel, u: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Equal-time V(t, t) from the closed double-quadrature form."""
     n = grid.n_steps
-    if u.shape != (n + 1, 2, 2):
-        raise ValidationError(
-            f"u has shape {u.shape}, expected {(n + 1, 2, 2)} for this grid")
+    _require_u(u, n)
     udag, zgtz = _fdt_tables("solve_v_fdt", kernel, u, grid)
     return _fdt_double_integral(u, udag, zgtz, n, grid.dt)
 
@@ -554,9 +560,7 @@ def correlated_correction(bath: BathDiscretization, corr: InitialCorrelations,
             f"correlations carry {corr.n_prime.size} modes, bath has {bath.n_modes}")
     n = grid.n_steps
     dt = grid.dt
-    if u.shape != (n + 1, 2, 2):
-        raise ValidationError(
-            f"u has shape {u.shape}, expected {(n + 1, 2, 2)} for this grid")
+    _require_u(u, n)
 
     vk = bath.v_couplings
     wk = bath.w_couplings

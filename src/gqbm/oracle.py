@@ -751,11 +751,16 @@ def _quadrature_modes(dyn: LinearDynamics, omega_s0: float):
     (_secular_residues, _secular_roots) and U, V its closed-form vectors
     (_secular_vectors), in O(N^2) (R.-C. Li, LAPACK Working Note 89; Gu &
     Eisenstat, SIAM J. Matrix Anal. Appl. 15 (1994) 1266).  As in LAPACK's
-    dlaed2, poles without weight are deflated first: a mode with
-    p_i = q_i = 0 has Omega = D_i and a unit vector, and a reflection makes
+    dlaed2, poles without weight are deflated first.  A reflection H makes
     modes of one frequency, with parallel p and q there, one coupled mode
-    and uncoupled ones.  The route needs every residue negative, so that
-    the normal frequencies interlace the bath's (as for W = alpha V,
+    and uncoupled ones; D is constant on the tie, so R H = H R' for the R'
+    whose head is the reflected one, and X = R_Q V = H R_Q' V' = H X'.  One
+    rule holds for every pole then left with p_i = q_i = 0, uncoupled from
+    the start or emptied by H: it is its own normal mode, Omega = D_i, a
+    single 1 in X' Omega^-1/2 and Y' Omega^-1/2.  The secular solve gives
+    the other columns, on the reflected heads, and each H is applied once,
+    to the finished X' and Y'.  The route needs every residue negative, so
+    that the normal frequencies interlace the bath's (as for W = alpha V,
     0 <= alpha <= 1); NumericalQualityError is raised otherwise.
     """
     nb = dyn.n_modes + 1
@@ -776,9 +781,8 @@ def _quadrature_modes(dyn: LinearDynamics, omega_s0: float):
             "factorisation fails); no thermal state exists at these "
             "couplings")
     heads[:, 0] = np.sqrt(pivots)
-    head_p, head_q = heads
+    p, q = heads  # reflected in place below: the heads of R_P H and R_Q H
     d = np.concatenate([[0.0], freqs])
-    p, q = head_p.copy(), head_q.copy()
     reflections = []  # I - 2 h h^T on rows lo:hi puts their p and q on lo
     edges = 1 + np.flatnonzero(np.diff(freqs, prepend=-1.0, append=-1.0))
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -817,33 +821,23 @@ def _quadrature_modes(dyn: LinearDynamics, omega_s0: float):
     pole, mu = _secular_roots(d_l, res, gaps)
     eps = np.concatenate([np.sqrt(d_l[pole] ** 2 + mu), d[~live]])
     rows = np.concatenate([[0], 1 + order])  # operator row of each factor row
-    x_t, y_t = np.empty((nb, nb)), np.empty((nb, nb))  # X^T and Y^T
-
-    def fill(at: slice, u_t: np.ndarray, v_t: np.ndarray) -> None:
-        # rows at of (R_Q V)^T and (R_P U)^T, over Omega^1/2, for R =
-        # [[head], [0, D^1/2]], from U^T and V^T on the reflected rows
-        for lo, hi, h in reflections:
-            for mat in (u_t, v_t):
-                mat[:, lo:hi] -= np.outer(mat[:, lo:hi] @ h, 2.0 * h)
-        for out, head, mat in ((x_t, head_q, v_t), (y_t, head_p, u_t)):
-            block = out[at]
-            block[:, 0] = mat @ head
-            block[:, rows[1:]] = mat[:, 1:] * root_d
-            block /= np.sqrt(eps[at, None])
-
+    x_t, y_t = np.zeros((nb, nb)), np.zeros((nb, nb))  # X'^T and Y'^T
+    # a live root's rows of (R_Q' V')^T and (R_P' U')^T over Omega^1/2
+    cols, root_l = rows[live][1:], root_d[live[1:]]  # the live bath rows
     for chunk in _row_chunks(n_live, n_live):
         u_t, v_t = _secular_vectors(d_l, p_l, q_l, pole[chunk], mu[chunk],
                                     gaps[chunk])
-        if n_live < nb:  # zero on the uncoupled modes
-            full = np.zeros((2, u_t.shape[0], nb))
-            full[0][:, live], full[1][:, live] = u_t, v_t
-            u_t, v_t = full
-        fill(chunk, u_t, v_t)
-    del gaps
-    dark = np.flatnonzero(~live)
-    for chunk in _row_chunks(dark.size, nb):  # u = v = a unit vector
-        u_t = (np.arange(nb) == dark[chunk, None]).astype(float)
-        fill(slice(n_live + chunk.start, n_live + chunk.stop), u_t, u_t.copy())
+        for out, head, mat in ((x_t, q_l, v_t), (y_t, p_l, u_t)):
+            block = out[chunk]
+            block[:, 0] = mat @ head
+            block[:, cols] = mat[:, 1:] * root_l
+            block /= np.sqrt(eps[chunk, None])
+    dark = (np.arange(n_live, nb), rows[~live])  # R' e_i / D_i^1/2 = e_i
+    x_t[dark] = y_t[dark] = 1.0
+    for lo, hi, h in reflections:  # now X^T = X'^T H and Y^T = Y'^T H
+        at = rows[lo:hi]
+        for out in (x_t, y_t):
+            out[:, at] -= np.outer(out[:, at] @ h, 2.0 * h)
     return eps, x_t.T, y_t.T
 
 

@@ -879,20 +879,43 @@ def _uncoupled(dyn):
     return gqbm.LinearDynamics(dyn.omega_s, dyn.frequencies, v, w)
 
 
+def _tied_uncoupled(dyn):
+    # three modes with V = W = 0 at one frequency between modes 10 and 11:
+    # a tie whose p and q are zero, so it needs no reflection
+    freq = 0.5 * (dyn.frequencies[10] + dyn.frequencies[11])
+    return gqbm.LinearDynamics(
+        dyn.omega_s, np.append(dyn.frequencies, np.full(3, freq)),
+        np.append(dyn.v_couplings, np.zeros(3)),
+        np.append(dyn.w_couplings, np.zeros(3)))
+
+
+def _gapped():
+    # the gapped table of ROADMAP item 19, a band on [0.5, 1.6], with gauss
+    # nodes on [0, 3]: 224 of the 300 modes fall where J = 0, uncoupled
+    model = gqbm.SpectralModel(
+        family="tabulated", alpha=0.5, temperature=0.01,
+        tab_omega=[0.0, 0.5, 0.6, 1.5, 1.6, 3.0],
+        tab_j=[0.0, 0.0, 0.05, 0.05, 0.0, 0.0])
+    return gqbm.build_dynamics(
+        gqbm.discretize_bath(model, MODES, 3.0, scheme="gauss"), OMEGA_S)
+
+
 # deflated poles: one or two more modes at one frequency (one coupled mode
-# and uncoupled ones after a reflection), and modes with V = W = 0; each
-# uncoupled mode leaves an exact normal frequency at its mode's (exact lists
-# the modes, once per uncoupled one).  The single mode is the Fock-space
-# Gibbs test's
+# and uncoupled ones after a reflection), modes with V = W = 0, alone, tied
+# or most of a gapped bath; each uncoupled mode leaves an exact normal
+# frequency at its mode's (exact lists the modes, once per uncoupled one).
+# The single mode is the Fock-space Gibbs test's
 @pytest.mark.parametrize("make, exact", [
     (lambda: _tied(_dynamics(0.5, OMEGA_S, 60), 1), [7]),
     (lambda: _tied(_dynamics(0.5, OMEGA_S, 60), 2), [7, 7]),
     (lambda: _tied(_dynamics(1.0, OMEGA_S, 60), 1), [7]),
     (lambda: _uncoupled(_dynamics(0.5, OMEGA_S, 60)), [5, 20]),
+    (lambda: _tied_uncoupled(_dynamics(0.5, OMEGA_S, 60)), [60, 60, 60]),
+    (_gapped, np.flatnonzero(_gapped().v_couplings == 0.0).tolist()),
     (lambda: gqbm.LinearDynamics(1.0, np.array([1.3]), np.array([0.25]),
                                  np.array([0.15])), []),
 ], ids=["tied-pair", "tied-triple", "tied-pair-alpha-1", "uncoupled",
-        "single-mode"])
+        "tied-uncoupled", "gapped", "single-mode"])
 def test_deflated_and_single_mode_baths_match_the_svd_route(make, exact,
                                                             monkeypatch):
     dyn = make()

@@ -49,6 +49,13 @@ def _bath_with(name, x):
     return replace(BATH, **{name: np.append(getattr(BATH, name)[:-1], x)})
 
 
+def _u_with(x):
+    # an identity propagator with one bad entry at step 5
+    u = np.tile(np.eye(2, dtype=complex), (GRID.n_steps + 1, 1, 1))
+    u[5, 0, 1] = x
+    return u
+
+
 def _hpz_covariances_from(**init):
     zeros = np.zeros(GRID.n_steps + 1)
     hpz = gqbm.HpzCoefficients(
@@ -97,6 +104,11 @@ ENTRY_POINTS = {
     "thermal_total_state.omega_s0": lambda x: gqbm.thermal_total_state(
         DYN, 0.01, x),
     "solve_u.omega_s": lambda x: gqbm.solve_u(KERNELS["continuum"], x, GRID),
+    "solve_v_fdt.u": lambda x: gqbm.solve_v_fdt(KERNELS["continuum"],
+                                                _u_with(x), GRID),
+    "correlated_correction.u": lambda x: gqbm.correlated_correction(
+        BATH, gqbm.InitialCorrelations(n_prime=np.zeros(8),
+                                       s_prime=np.zeros(8)), _u_with(x), GRID),
     "exact_moments.product_table.real": lambda x: gqbm.exact_moments(
         PROP, _table_with(complex(x, 0.0))),
     "exact_moments.product_table.imag": lambda x: gqbm.exact_moments(
