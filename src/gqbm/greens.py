@@ -23,13 +23,12 @@ the steps already taken by divide-and-conquer FFT convolution (Hairer,
 Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532), O(n log^2 n)
 over the march.  Each convolution is read only on its upper half, a middle
 product (Hanrot, Quercia & Zimmermann, AAECC 14 (2004) 415) that needs half
-the FFT length.  The pc2 step is linear with constant coefficients, so a
-leaf block of steps is one linear map, built once per leaf length, from the
-two states before the leaf and its history terms to its increments
-U_m - U_(m-1) and dU/dt_m.  U is summed from the increments rather than
-multiplied through I + dt A / 2, whose rounding would repeat at every step.
-The first leaf, and a leaf whose history holds a non-finite entry, take
-their steps one at a time.
+the FFT length.  The pc2 step is linear with constant coefficients, so
+after the midpoint start every leaf block of steps, the first included, is
+one linear map from the two states before the leaf and its history terms to
+its increments U_m - U_(m-1) and dU/dt_m.  U is summed from the increments
+rather than multiplied through I + dt A / 2, whose rounding would repeat at
+every step.  The kernel tables are finite, checked where Kernel builds them.
 """
 
 from __future__ import annotations
@@ -174,31 +173,37 @@ def _check_finite(block: np.ndarray, first: int, times, label: str) -> float:
                  times, first)
 
 
+@functools.lru_cache(maxsize=64)
+def _longest_leaf(size: int) -> int:
+    """The most steps in one leaf when solve_u halves size steps."""
+    if size <= _HISTORY_BLOCK:
+        return size
+    return max(_longest_leaf(size // 2), _longest_leaf(size - size // 2))
+
+
 def solve_u(kernel: Kernel, omega_s: float, grid: TimeGrid) -> GreensSolution:
     """March the retarded propagator U over the grid.
 
-    Steps are taken in order, each a pc2 step; the instability guard
-    checks each leaf block of steps once solved, before any convolution
-    reads it.  The history part of the trapezoid memory at step m,
-    sum_{j < m} w_j Z G(t_m - t_j) U_j, accumulates in a lag table: once
-    the first half of a block of steps is solved, one FFT middle product
-    adds its terms to every step of the second half, down to leaves of at
-    most _HISTORY_BLOCK steps.  O(n log^2 n).
+    Step 1 is the midpoint start; steps 2..n are pc2 steps, taken in order,
+    and the instability guard checks each leaf block of steps once solved,
+    before any convolution reads it.  The history part of the trapezoid
+    memory at step m, sum_{j < m} w_j Z G(t_m - t_j) U_j, accumulates in a
+    lag table: once the first half of a block of steps is solved, one FFT
+    middle product adds its terms to every step of the second half, down to
+    leaves of at most _HISTORY_BLOCK steps.  O(n log^2 n).
 
     The pc2 step is linear with constant coefficients.  On the stacked
     state s_m = [U_m; dU/dt_m] (4 x 2), a constant weight matrix times the
     states of its leaf, s_lo .. s_(m-1) (the predictor, the corrector and
     the in-leaf history at once), plus the lag term, gives the increment
-    U_m - U_(m-1) and dU/dt_m.  So a leaf [lo, hi) is one map from
-    (s_(lo-2), s_(lo-1), lag[lo:hi]) to its increments and dU/dt, built
-    once per leaf length by taking the steps on unit columns, and U is
-    U_(lo-1) plus the running sum of the increments.  The product form
-    (I + dt A / 2) U_(m-1) rounds I + dt A / 2 once and repeats that error
-    at every step: 7e-14 of max|U| from the per-step reference loop at
-    n = 2000, against 1e-16 in increment form.  The first leaf starts from
-    the midpoint step, and the map would carry a non-finite lag entry to
-    its leaf's earlier steps (0 * nan = nan); both take their steps one at
-    a time, so the guard reports the first bad step.
+    U_m - U_(m-1) and dU/dt_m.  So each leaf [lo, hi) is one map from
+    (s_(lo-2), s_(lo-1), lag[lo:hi]) to its increments and dU/dt, and U is
+    U_(lo-1) plus the running sum of the increments.  The map is built once,
+    for the longest leaf, by taking its steps on unit columns; a step reads
+    no later lag entry, so a shorter leaf's map is its leading block.  The
+    product form (I + dt A / 2) U_(m-1) rounds I + dt A / 2 once and repeats
+    that error at every step: 7e-14 of max|U| from the per-step reference
+    loop at n = 2000, against 1e-16 in increment form.
     """
     require("omega_s", omega_s)
     n = grid.n_steps
@@ -223,7 +228,8 @@ def solve_u(kernel: Kernel, omega_s: float, grid: TimeGrid) -> GreensSolution:
     mem_half = 0.25 * dt * (zg_half @ s[0, :2] + zg[0] @ u_half)
     s[1, :2] = s[0, :2] + dt * (mws @ u_half - mem_half)
     mem1 = 0.5 * dt * (zg[1] @ s[0, :2] + zg[0] @ s[1, :2])
-    s[1, 2:] = mws @ s[1, :2] - mem1         # checked with the first leaf
+    s[1, 2:] = mws @ s[1, :2] - mem1
+    _check_finite(s[1:2, :2], 1, times[1:2], "U")
 
     # With U' = dU/dt, A = -i omega_s Z - dt Z G(0) / 2 and h the memory
     # history at t_m, dt (lag[m] + in-leaf sum), a step is
@@ -239,65 +245,49 @@ def solve_u(kernel: Kernel, omega_s: float, grid: TimeGrid) -> GreensSolution:
     drive = -dt * np.vstack([0.5 * dt * eye, eye + 0.5 * dt * a])  # on lag
 
     # lag[m] = zg[m] / 2 + sum_{1 <= j < m} Z G(t_m - t_j) U_j, the history
-    # before the step's leaf.  The j = 0 term reads the raw kernel, so a
-    # non-finite entry trips the guard at its own step; the interior terms
-    # read zg_lag, where it is zeroed so the FFTs cannot spread it to
-    # earlier steps.
-    zg_lag = np.where(np.isfinite(zg), zg, 0.0)
+    # before the step's leaf; the march starts at step 2 with U_1's terms in
     lag = 0.5 * zg
+    lag[2:] += _mul2(zg[1:n], s[1, :2])
 
     # weights[k] acts on st[m - max(k, 2):m] at step m = lo + k of a leaf
     # starting at lo: the step matrix, and the in-leaf history
-    # drive @ zg_lag[m - j] on U_j for lo <= j < m
-    top = min(_HISTORY_BLOCK, n) - 1
+    # drive @ zg[m - j] on U_j for lo <= j < m
+    longest = _longest_leaf(n - 1)
+    top = longest - 1
     hist = np.zeros((top, 4, 4), dtype=complex)   # offsets top, ..., 1
-    hist[:, :, :2] = drive @ zg_lag[top:0:-1]
+    hist[:, :, :2] = drive @ zg[top:0:-1]
     wide = np.moveaxis(hist, 0, 1).reshape(4, 4 * top)
     wide[:, -8:] += step
     weights = ([step, step + np.hstack([np.zeros((4, 4)), hist[-1]])]
                + [wide[:, 4 * (top - k):] for k in range(2, top + 1)])
 
-    def take_steps(st, lo: int, lag_leaf, first: int):
-        """Steps lo + first .. lo + len(lag_leaf) - 1 of the store st, on
-        any number of columns; returns each step's [U_m - U_(m-1); U'_m]
-        as taken, before U_(m-1) is added."""
-        out = drive @ lag_leaf
-        cols = st.shape[-1]
-        for k in range(first, len(lag_leaf)):
-            m = lo + k
-            out[k] += weights[k] @ st[m - max(k, 2):m].reshape(-1, cols)
-            st[m] = out[k]
-            st[m, :2] += st[m - 1, :2]
-        return out
-
-    @functools.cache
-    def leaf_map(size: int) -> np.ndarray:
-        # the steps of a leaf on unit columns: the rows of (s_(lo-2),
-        # s_(lo-1), lag[lo:lo+size]) map to those of its increments and U'
-        cols = 8 + 2 * size
-        unit = np.eye(cols, dtype=complex)
-        st = np.zeros((size + 2, 4, cols), dtype=complex)
-        st[:2] = unit[:8].reshape(2, 4, cols)
-        out = take_steps(st, 2, unit[8:].reshape(size, 2, cols), 0)
-        return out.reshape(4 * size, cols)
+    # the steps of the longest leaf on unit columns: the rows of (s_(lo-2),
+    # s_(lo-1), lag[lo:lo+longest]) map to those of its increments and U';
+    # a leaf of r steps maps by the block leaf_map[:4 r, :8 + 2 r]
+    cols = 8 + 2 * longest
+    unit = np.eye(cols, dtype=complex)
+    st = np.zeros((longest + 2, 4, cols), dtype=complex)
+    st[:2] = unit[:8].reshape(2, 4, cols)
+    leaf_map = drive @ unit[8:].reshape(longest, 2, cols)
+    for k in range(longest):
+        m = k + 2
+        leaf_map[k] += weights[k] @ st[m - max(k, 2):m].reshape(-1, cols)
+        st[m] = leaf_map[k]
+        st[m, :2] += st[m - 1, :2]
+    leaf_map = leaf_map.reshape(4 * longest, cols)
 
     @functools.cache
     def kernel_spectrum(size: int) -> np.ndarray:
-        return _spectrum(zg_lag[:size], _next_fast_len(size))
+        return _spectrum(zg[:size], _next_fast_len(size))
 
     def march(lo: int, hi: int):
         """Take steps lo..hi-1, given lag[lo:hi] summed over j < lo."""
         if hi - lo <= _HISTORY_BLOCK:
-            # the first leaf starts from the midpoint step, and through the
-            # map a non-finite lag entry would reach the leaf's earlier
-            # steps (0 * nan = nan)
-            if lo > 1 and np.isfinite(lag[lo:hi]).all():
-                x = np.concatenate([s[lo - 2:lo].reshape(8, 2),
-                                    lag[lo:hi].reshape(-1, 2)])
-                s[lo:hi] = (leaf_map(hi - lo) @ x).reshape(-1, 4, 2)
-                np.cumsum(s[lo - 1:hi, :2], axis=0, out=s[lo - 1:hi, :2])
-            else:
-                take_steps(s, lo, lag[lo:hi], max(2 - lo, 0))
+            x = np.concatenate([s[lo - 2:lo].reshape(8, 2),
+                                lag[lo:hi].reshape(-1, 2)])
+            r = hi - lo
+            s[lo:hi] = (leaf_map[:4 * r, :8 + 2 * r] @ x).reshape(-1, 4, 2)
+            np.cumsum(s[lo - 1:hi, :2], axis=0, out=s[lo - 1:hi, :2])
             _check_finite(s[lo:hi, :2], lo, times[lo:hi], "U")
             return
         mid = (lo + hi) // 2
@@ -309,7 +299,7 @@ def solve_u(kernel: Kernel, omega_s: float, grid: TimeGrid) -> GreensSolution:
     # a leaf may run past its first bad step into overflow or NaN; the
     # guard reports that step, so the warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        march(1, n + 1)
+        march(2, n + 1)
     # march refers to itself: dropping it frees the store, the lag table
     # and the caches now rather than at the next cyclic collection
     del march
@@ -551,9 +541,10 @@ def correlated_correction(bath: BathDiscretization, corr: InitialCorrelations,
         E(s)  = sum_k C_k(s) Q'_k,
 
     where C_k carries the coupling phases of mode k and Q'_k the initial
-    cross moments <a^dag b_k>, <a b_k>.  Each entry of E is one phase sum
-    by spectral._exp_sum over the frequencies +-w_k, so no temporary grows
-    with (n + 1) N.
+    cross moments <a^dag b_k>, <a b_k>.  The couplings are real and
+    W_k = alpha V_k, so each e^{+i w_k s} sum is the conjugate of an
+    e^{-i w_k s} one, and E is read off two phase sums by spectral._exp_sum,
+    as Kernel.g reads G off g_v and alpha; no temporary grows with (n + 1) N.
     """
     if corr.n_prime.size != bath.n_modes:
         raise ValidationError(
@@ -562,24 +553,20 @@ def correlated_correction(bath: BathDiscretization, corr: InitialCorrelations,
     dt = grid.dt
     _require_u(u, n)
 
-    vk = bath.v_couplings
-    wk = bath.w_couplings
-    np_k = corr.n_prime
-    sp_k = corr.s_prime
-    freqs = np.concatenate([bath.frequencies, -bath.frequencies])
-
-    def phase_sum(minus, plus):
-        # sum_k minus_k e^{-i w_k s} + plus_k e^{+i w_k s} on the grid times
-        return _exp_sum(np.concatenate([minus, plus]), freqs, grid.times)
-
     # E(s) = sum_k C_k(s) Q'_k with
     # C_k(s) = [[V_k e^{-i w s}, W_k e^{+i w s}], [W_k e^{-i w s}, V_k e^{+i w s}]]
-    # Q'_k   = [[n'_k, s'_k], [conj(s'_k), conj(n'_k)]]
+    # Q'_k   = [[n'_k, s'_k], [conj(s'_k), conj(n'_k)]];
+    # with p_n = sum_k V_k n'_k e^{-i w_k s} and p_s the same sum of s'_k,
+    # E = [[p_n + alpha p_s*, p_s + alpha p_n*],
+    #      [alpha p_n + p_s*, alpha p_s + p_n*]]
+    vk, freqs, alpha = bath.v_couplings, bath.frequencies, bath.alpha
+    p_n = _exp_sum(vk * corr.n_prime, freqs, grid.times)
+    p_s = _exp_sum(vk * corr.s_prime, freqs, grid.times)
     e = np.empty((n + 1, 2, 2), dtype=complex)
-    e[:, 0, 0] = phase_sum(vk * np_k, wk * np.conj(sp_k))
-    e[:, 0, 1] = phase_sum(vk * sp_k, wk * np.conj(np_k))
-    e[:, 1, 0] = phase_sum(wk * np_k, vk * np.conj(sp_k))
-    e[:, 1, 1] = phase_sum(wk * sp_k, vk * np.conj(np_k))
+    e[:, 0, 0] = p_n + alpha * np.conj(p_s)
+    e[:, 0, 1] = p_s + alpha * np.conj(p_n)
+    e[:, 1, 0] = alpha * p_n + np.conj(p_s)
+    e[:, 1, 1] = alpha * p_s + np.conj(p_n)
 
     ze = _zmul(e)
     conv = _causal_matconv(u, ze) - 0.5 * (_mul2(u, ze[0]) + _mul2(u[0], ze))

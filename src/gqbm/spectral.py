@@ -696,21 +696,28 @@ class Kernel:
         return out
 
     def g_table(self, grid) -> np.ndarray:
-        """G sampled on the grid times [0, t_end]; cached per grid shape."""
+        """G sampled on the grid times [0, t_end]; cached per grid shape.
+        A non-finite sample is a ValidationError naming its first time."""
         key = ("g", grid.n_steps, grid.t_end)
         if key not in self._tables:
-            self._tables[key] = self.g(grid.times)
+            table = self.g(grid.times)
+            guard(np.abs(table).max(axis=(1, 2)), math.inf, ValidationError,
+                  "|G|", grid.times)
+            self._tables[key] = table
         return self._tables[key]
 
     def gtilde_signed_table(self, grid) -> np.ndarray:
         """Gt on signed offsets -t_end..t_end; index n + k holds offset k*dt.
 
         Only t >= 0 is evaluated: the negative half is the Hermitian mirror
-        Gt(-t) = Gt(t)^dagger.
+        Gt(-t) = Gt(t)^dagger.  A non-finite sample is a ValidationError
+        naming its first time, as in g_table.
         """
         key = ("gtilde_signed", grid.n_steps, grid.t_end)
         if key not in self._tables:
             half = self.gtilde(grid.times)
+            guard(np.abs(half).max(axis=(1, 2)), math.inf, ValidationError,
+                  "|Gt|", grid.times)
             mirror = np.conj(np.swapaxes(half[:0:-1], -1, -2))
             self._tables[key] = np.concatenate([mirror, half])
         return self._tables[key]

@@ -17,7 +17,7 @@ import scipy.fft
 import gqbm
 from gqbm import greens
 from gqbm.coeffs import _invert_2x2
-from gqbm.errors import InstabilityError, require
+from gqbm.errors import InstabilityError, ValidationError, require
 from gqbm.greens import (
     GreensSolution,
     Z,
@@ -418,12 +418,14 @@ def test_solve_u_matches_the_loop_on_the_quench_bath():
     _assert_u_matches_loop(gqbm.kernels_from_bath(bath), 0.3, grid)
 
 
-@pytest.mark.parametrize("n_steps", [8, 9, 31, 32, 33, 64, 65, 97, 250, 601,
-                                     1000])
+@pytest.mark.parametrize("n_steps", [8, 9, 31, 32, 33, 64, 65, 66, 97, 250,
+                                     601, 1000])
 def test_solve_u_matches_the_loop_across_block_boundaries(n_steps, omega_s):
-    # the history sums blocks of up to 32 steps directly; these straddle them,
-    # and 97, 250 and 1000 halve into map leaves of two lengths (24 and 25,
-    # 31 and 32), each map built once and reused
+    # the history sums blocks of up to 32 steps directly; these straddle them.
+    # The march from step 2 halves 97 into leaves of 24 steps, 601 into 18
+    # and 19, and 250 and 1000 into 31 and 32; a shorter leaf maps by a
+    # block of the longest one's map.  66 halves into 32 and 33 and the 33
+    # into 16 and 17, so its longest leaf is not its last
     kernel = gqbm.build_kernels(make_model(0.5))
     grid = gqbm.TimeGrid(t_end=0.25 * n_steps, n_steps=n_steps,
                          max_frequency=1.0)
@@ -478,15 +480,13 @@ def test_leaf_run_past_its_bad_step_into_overflow_reports_that_step():
 
 
 # G(t_0) enters the start step; G(t_1) only dU/dt at t_1, read by step 2.
-# At n = 800 solve_u's first leaf blocks are steps 1-25, 26-50 and 51-75;
-# the first is stepped from the midpoint start, the others each by one map.
-@pytest.mark.parametrize("bad_step, trip_step",
-                         [(0, 1), (1, 2), (2, 2), (25, 25), (26, 26),
-                          (40, 40), (50, 50), (51, 51), (500, 500),
-                          (800, 800)])
+# At n = 800 solve_u's first leaf blocks are steps 2-25, 26-50 and 51-75,
+# each one map; the bad steps sit on either side of their bounds.
+@pytest.mark.parametrize("bad_step", [0, 1, 2, 25, 26, 40, 50, 51, 500, 800])
 def test_nan_kernel_entry_trips_at_the_same_step_on_both_routes(bad_step,
-                                                                trip_step):
-    # one NaN entry of G(t_k): the FFTs must not carry it to steps before k
+                                                                monkeypatch):
+    # one NaN entry of G(t_k): Kernel.g_table rejects it, naming t_k, on
+    # either route and before either takes a step
     base = gqbm.build_kernels(make_model(0.5))
     grid = gqbm.TimeGrid(t_end=8.0, n_steps=800, max_frequency=1.0)
     bad_time = grid.times[bad_step]
@@ -496,7 +496,14 @@ def test_nan_kernel_entry_trips_at_the_same_step_on_both_routes(bad_step,
         out[np.asarray(dt) == bad_time, 1, 0] = np.nan
         return out
 
-    kernel = kernel_with(g, base.gtilde)
-    fast = _instability_message(gqbm.solve_u, kernel, grid)
-    assert fast == _instability_message(_loop_solve_u, kernel, grid)
-    assert f"reached nan at step {trip_step} " in fast
+    def no_step(*args):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(greens, "_check_finite", no_step)
+    messages = []
+    for solver in (gqbm.solve_u, _loop_solve_u):
+        with pytest.raises(ValidationError) as err:
+            solver(kernel_with(g, base.gtilde), 0.1, grid)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert f"|G| reached nan at t = {bad_time:.6g} " in messages[0]

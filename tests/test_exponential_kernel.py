@@ -1,4 +1,5 @@
-"""solve_u against an exact continuum reference: an exponential kernel.
+"""solve_u and solve_v_fdt against an exact continuum reference: an
+exponential kernel.
 
 A kernel g_v(t) = kappa e^{-mu t} closes the memory of U into a small linear
 ODE.  With C1 = [[1, a], [a, a^2]] and C2 = -[[a^2, a], [a, 1]] the weights
@@ -11,10 +12,24 @@ obeys one linear ODE, and one matrix exponential steps it over the grid.  The
 reference uses no greens, coeffs or spectral code beyond the Kernel
 constructor.  This is the pseudomode picture of a Lorentzian bath
 (Garraway, PRA 55, 2290 (1997)), and it has no recurrence horizon.
+
+V closes the same way.  With gtilde_v = nbar g_v, Kernel.gtilde applies
+Gt(t) = D1 g_v(t) + D2 conj(g_v(t)) for t >= 0, D1 = nbar C1 and
+D2 = (1 + nbar) [[a^2, a], [a, 1]] = -(1 + nbar) C2, and
+Gt(-t) = Gt(t)^dag.  Differentiating the double integral at its two upper
+limits gives
+
+    dV/dt = U Z (conj(kappa) D1 Z Q2 + kappa D2 Z Q1) + h.c.,
+
+with Q_j(t) = int_0^t e^{-mu_j (t - s)} U(s)^dag ds, so that
+dQ_j/dt = U^dag - mu_j Q_j, mu_1 = mu and mu_2 = conj(mu).  The state
+(U, Y1, Y2, Q1, Q2, V) is integrated by DOP853 at rtol 1e-13; its U agrees
+with the matrix exponential to about 2e-13.
 """
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 import gqbm
@@ -29,12 +44,21 @@ Z = np.diag([1.0, -1.0])
 # n = 800 is 1.5 times the deviation read there
 U_BOUND_800 = {0.0: 1.4e-5, 0.5: 5.8e-6, 1.0: 2.3e-5}
 ORDER_RANGE = (1.7, 2.3)
+# max|V - V_ref| / max|V_ref| of solve_v_fdt at t_end = 20 and n = 400, 800,
+# 1 600 read 8.27e-5, 2.12e-5, 5.37e-6 at alpha 0 (either nbar), 8.35e-5,
+# 2.14e-5, 5.41e-6 (alpha 0.5) and 8.56e-5, 2.17e-5, 5.45e-6 (alpha 1) at
+# nbar 0.3, and 8.09e-5, 2.08e-5, 5.25e-6 (alpha 0.5) and 7.67e-5, 1.94e-5,
+# 4.86e-6 (alpha 1) at nbar 0, orders 1.96-1.99; the bound at n = 800 is 1.5
+# times the deviation read there.  Keys are (alpha, nbar).
+V_BOUND_800 = {(0.0, 0.0): 3.2e-5, (0.0, 0.3): 3.2e-5,
+               (0.5, 0.0): 3.1e-5, (0.5, 0.3): 3.2e-5,
+               (1.0, 0.0): 2.9e-5, (1.0, 0.3): 3.3e-5}
 
 
-def exponential_kernel(alpha: float) -> gqbm.Kernel:
+def exponential_kernel(alpha: float, nbar: float = NBAR) -> gqbm.Kernel:
     """g_v = kappa e^{-mu t} and gtilde_v = nbar g_v, a flat occupation."""
     return gqbm.Kernel(g_v=lambda t: KAPPA * np.exp(-MU * t),
-                       gtilde_v=lambda t: NBAR * KAPPA * np.exp(-MU * t),
+                       gtilde_v=lambda t: nbar * KAPPA * np.exp(-MU * t),
                        alpha=alpha, temperature=0.0, cutoff=1.0)
 
 
@@ -74,3 +98,46 @@ def test_the_reference_without_coupling_is_the_free_phase():
     free = np.exp(-1j * OMEGA_S * np.outer(grid.times, np.diag(Z)))
     u = exact_u(0.5, grid, kappa=0.0)
     assert np.max(np.abs(u - free[:, :, None] * np.eye(2))) <= 1e-13
+
+
+def exact_v(alpha: float, nbar: float, times: np.ndarray) -> np.ndarray:
+    """V(t, t) at times, from the ODE of (U, Y1, Y2, Q1, Q2, V)."""
+    c1 = np.array([[1.0, alpha], [alpha, alpha**2]])
+    c2 = -np.array([[alpha**2, alpha], [alpha, 1.0]])
+    d1_z = np.conj(KAPPA) * nbar * c1 @ Z
+    d2_z = KAPPA * (1.0 + nbar) * -c2 @ Z
+    mws = -1j * OMEGA_S * Z
+
+    def rhs(_, y):
+        u, y1, y2, q1, q2, _ = y.reshape(6, 2, 2)
+        udag = np.conj(u).T
+        du = mws @ u - Z @ c1 @ y1 - Z @ c2 @ y2
+        half = u @ Z @ (d1_z @ q2 + d2_z @ q1)
+        return np.concatenate([
+            du, KAPPA * u - MU * y1, np.conj(KAPPA) * u - np.conj(MU) * y2,
+            udag - MU * q1, udag - np.conj(MU) * q2,
+            half + np.conj(half).T]).ravel()
+
+    y0 = np.zeros((6, 2, 2), dtype=complex)
+    y0[0] = np.eye(2)
+    sol = solve_ivp(rhs, (0.0, times[-1]), y0.ravel(), method="DOP853",
+                    rtol=1e-13, atol=1e-16, t_eval=times)
+    assert sol.success
+    return sol.y.T.reshape(-1, 6, 2, 2)[:, 5]
+
+
+@pytest.mark.parametrize("alpha, nbar", sorted(V_BOUND_800))
+def test_v_converges_to_the_exponential_kernel_reference(alpha, nbar):
+    kernel = exponential_kernel(alpha, nbar)
+    fine = gqbm.TimeGrid(t_end=T_END, n_steps=800)
+    v_ref = exact_v(alpha, nbar, fine.times)
+    scale = np.max(np.abs(v_ref))
+    dev = {}
+    for n in (400, 800):
+        grid = gqbm.TimeGrid(t_end=T_END, n_steps=n)
+        u = gqbm.solve_u(kernel, OMEGA_S, grid).u
+        v = gqbm.solve_v_fdt(kernel, u, grid)
+        dev[n] = np.max(np.abs(v - v_ref[::800 // n])) / scale
+    assert dev[800] <= V_BOUND_800[(alpha, nbar)]
+    order = np.log2(dev[400] / dev[800])
+    assert ORDER_RANGE[0] <= order <= ORDER_RANGE[1]

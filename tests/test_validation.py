@@ -213,6 +213,42 @@ def test_volterra_tables_are_bounded_before_allocation():
     gqbm.greens.require_volterra_budget(2000)   # the paper grid fits
 
 
+# One NaN sample of the thermal kernel Gt at step 5 of a 40-step grid.
+# Every V route reads Gt through Kernel.gtilde_signed_table, which rejects
+# it, naming t = 0.25: no route may return NaN or report a runaway instead.
+NAN_GRID = gqbm.TimeGrid(t_end=2.0, n_steps=40)
+
+
+def _kernel_with_nan_gtilde():
+    base = KERNELS["continuum"]
+    bad_time = NAN_GRID.times[5]
+
+    def gtilde_v(dt):
+        return np.where(np.asarray(dt) == bad_time, np.nan, base.gtilde_v(dt))
+
+    return gqbm.Kernel(g_v=base.g_v, gtilde_v=gtilde_v, alpha=base.alpha,
+                       temperature=base.temperature, cutoff=base.cutoff)
+
+
+def _v_route_on_nan_gtilde(route):
+    kernel = _kernel_with_nan_gtilde()
+    sol = gqbm.solve_u(kernel, 0.5, NAN_GRID)   # U reads G alone
+    if route == "solve_v_fdt":
+        return gqbm.solve_v_fdt(kernel, sol.u, NAN_GRID)
+    if route == "compute_k_lambda":
+        sol.v_equal_time = np.zeros_like(sol.u)
+        return gqbm.compute_k_lambda(sol, kernel)
+    return gqbm.solve_v_volterra(kernel, sol)
+
+
+@pytest.mark.parametrize("route", ["solve_v_fdt", "compute_k_lambda",
+                                   "solve_v_volterra"])
+def test_a_nan_thermal_kernel_sample_is_a_validation_error(route):
+    with pytest.raises(ValidationError,
+                       match=r"\|Gt\| reached nan at t = 0\.25 "):
+        _v_route_on_nan_gtilde(route)
+
+
 REQUIRE_CASES = {
     # domain: (values inside, values outside); every domain implies finite,
     # and each array outside first leaves the domain at entry 1
