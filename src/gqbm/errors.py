@@ -50,8 +50,8 @@ class InstabilityError(GqbmError, RuntimeError):
 
 class NumericalQualityError(GqbmError, RuntimeError):
     """An internal consistency monitor tripped: e.g. commutator drift, a
-    tabulated transform's roundoff guard, or the Gauss-Legendre Newton
-    sweeps."""
+    tabulated transform's roundoff guard, or the Newton sweeps of a
+    Gauss-Legendre rule of order at most 100."""
     exit_code = 4
 
 

@@ -214,6 +214,7 @@ def solve_u(kernel: Kernel, omega_s: float, grid: TimeGrid) -> GreensSolution:
     times = grid.times
 
     zg = _zmul(kernel.g_table(grid))          # Z G(t_m) for m = 0..n
+    zg_half = _zmul(kernel.g_half_step(grid))
     eye = np.eye(2, dtype=complex)
     mws = -1j * omega_s * Z
 
@@ -223,7 +224,6 @@ def solve_u(kernel: Kernel, omega_s: float, grid: TimeGrid) -> GreensSolution:
     s[0, 2:] = mws
 
     # midpoint bootstrap; the memory over [0, dt/2] uses the kernel at dt/2
-    zg_half = _zmul(kernel.g(np.array([0.5 * dt])))[0]
     u_half = s[0, :2] + 0.5 * dt * s[0, 2:]
     mem_half = 0.25 * dt * (zg_half @ s[0, :2] + zg[0] @ u_half)
     s[1, :2] = s[0, :2] + dt * (mws @ u_half - mem_half)
@@ -462,6 +462,7 @@ def solve_v_volterra(kernel: Kernel, sol: GreensSolution,
     omega_s = sol.omega_s
 
     zg = _zmul(kernel.g_table(grid))
+    zg_half = _zmul(kernel.g_half_step(grid))
     zgtz = kernel.zgtz_signed_table(grid)
     udag = np.conj(np.swapaxes(u, -1, -2))
     mws = -1j * omega_s * Z
@@ -486,7 +487,6 @@ def solve_v_volterra(kernel: Kernel, sol: GreensSolution,
     r0 = source_row(0)
     f_prev = r0.copy()  # V(0, t_j) = 0, memory empty: dV/dtau(0) = R(0, t_j)
 
-    zg_half = _zmul(kernel.g(np.array([0.5 * dt])))[0]
     half_zg0 = 0.5 * dt * zg[0]
 
     # midpoint bootstrap for tau_0 -> tau_1, columns j >= 1

@@ -92,8 +92,10 @@ TABULATED_TRANSFORM_SCHEME = (
     f"g_v(dt - i k/T), knots dropped below {_BOSE_TAIL:g} of its scale, at "
     f"most {_BOSE_TERMS} terms, later ones by Euler-Maclaurin (power series "
     f"or continued fraction of E_s), the zero knot's by Hurwitz zeta(2, a)")
-# Newton sweeps of _gauss_legendre: at most three are needed up to order
-# 2001, and they stop once the estimated error left in a node is below tol.
+# Newton sweeps of _newton_half, which _gauss_legendre runs up to order
+# _NEWTON_ORDER: at most three are needed there, and they stop once the
+# estimated error left in a node is below tol.
+_NEWTON_ORDER = 100
 _NEWTON_SWEEPS = 8
 _NEWTON_TOL = 1e-17
 # Most elements an exponential-sum temporary holds (_exp_sum, and the
@@ -257,19 +259,124 @@ def _exp_sum(weights: np.ndarray, freqs: np.ndarray, dt) -> np.ndarray:
     return out.reshape(dt.shape)
 
 
+# Bogaert's expansion in _bogaert_half, lowest power first: j_{0,k} and
+# J_1(j_{0,k})^2 for k = 1..20 and 1..21; past them McMahon's series of
+# (j_{0,k} - z) z in z^-2, z = pi (k - 1/4), and that of J_1(j_{0,k})^2 q
+# in q^-2, q = k - 1/4; and the node's and the weight's corrections, one
+# polynomial in theta^2 per power of s^2.
+_J0_ZEROS = (
+    2.404825557695773, 5.520078110286311, 8.653727912911013,
+    11.791534439014281, 14.930917708487787, 18.071063967910924,
+    21.21163662987926, 24.352471530749302, 27.493479132040253,
+    30.634606468431976, 33.77582021357357, 36.917098353664045,
+    40.05842576462824, 43.19979171317673, 46.341188371661815,
+    49.482609897397815, 52.624051841115, 55.76551075501998, 58.90698392608094,
+    62.048469190227166)
+_J1_SQUARED = (
+    0.2695141239419169, 0.11578013858220369, 0.07368635113640822,
+    0.05403757319811628, 0.04266142901724309, 0.0352421034909961,
+    0.030021070103054673, 0.02614739149530809, 0.023159121824691393,
+    0.02078382912226786, 0.01885045066931767, 0.017246157569665008,
+    0.0158935181059236, 0.01473762609647219, 0.013738465145387117,
+    0.012866181737615133, 0.012098051548626797, 0.011416471224491609,
+    0.010807592791180204, 0.010260372926280762, 0.009765897139791051)
+_MCMAHON = (
+    0.125, -0.08072916666666667, 0.24602864583333334, -1.824438767206101,
+    25.336414797343906, -567.6444121351834, 18690.476528232066,
+    -849353.5802991488, 50922546.24022268)
+_J1_SQUARED_TAIL = (
+    0.20264236728467555, 0.0, -0.00030338042971129027, 0.0001989243642459693,
+    -0.00022896990277211166, 0.0004337107191307463, -0.001236323497271754,
+    0.0049610142326888314, -0.026683739370232377, 0.18539539820634562)
+_NODE_SERIES = (
+    (-0.0416666666666663, 0.004166666666651934, -0.00014880952371390914,
+     2.7557316896206124e-06, -3.1314865463599204e-08, 2.4072468586433013e-10,
+     -1.2905299627428051e-12),
+    (0.008159722217729322, -0.002090222483878529, 0.00028211688605756045,
+     -2.53300326008232e-05, 1.6196925945383627e-06, -7.530367713737693e-08,
+     2.20639421781871e-09),
+    (-0.004160121656202043, 0.0012865419854284513, -0.0002513952932839659,
+     4.184981003295046e-05, -5.677978413568331e-06, 5.558453302237962e-07,
+     -2.9705822537552623e-08))
+_WEIGHT_SERIES = (
+    (0.08333333333333333, -0.0305555555555553, 0.004365079365075981,
+     -0.0003262786595944122, 1.4964459362502864e-05, -4.639686475532213e-07,
+     1.037560669279168e-08, -1.752577007354238e-10, 2.3036572686037738e-12,
+     -2.2090286104461664e-14),
+    (-1 / 90, 0.002689594356947297, -0.00040729718561133575,
+     4.659695306949684e-05, -3.818179186800454e-06, 2.1148388068594716e-07,
+     -7.129128572336422e-09, 7.676435450698932e-11, 3.631174121526548e-12),
+    (0.006569664899264848, -9.479693089585773e-05, -0.00010564605025407614,
+     -4.228880592829212e-05, 2.0055932639645834e-05, -3.9793331651913525e-06,
+     5.088983472886716e-07, -4.386471225202067e-08, 2.018267912567033e-09))
+
+
+def _horner(coeffs, x):
+    """sum_i coeffs[i] x^i, lowest power first, elementwise in x."""
+    out = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        out = out * x + c
+    return out
+
+
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights of order n on [-1, 1], ascending.
 
+    Above order _NEWTON_ORDER the half of the nodes in [0, 1) comes from
+    _bogaert_half, in O(n) work; up to it, where that expansion leaves more
+    than roundoff, from _newton_half.  The rule is mirrored, so it is
+    exactly symmetric, and an odd n has its middle node at exactly 0.
+    """
+    x, w = _bogaert_half(n) if n > _NEWTON_ORDER else _newton_half(n)
+    half = n // 2
+    return (np.concatenate((-x[:half], x[::-1])),
+            np.concatenate((w[:half], w[::-1])))
+
+
+def _bogaert_half(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes of order n in [0, 1), descending, and their weights.
+
+    Bogaert's iteration-free expansion (SIAM J. Sci. Comput. 36(3), 2014,
+    A1008) in x = cos(theta), with no loop over the degree: theta_k and w_k
+    are series in 1/(n + 1/2) about j_{0,k} / (n + 1/2), read off
+    _J0_ZEROS, _J1_SQUARED or their asymptotic series.  The weights never
+    form 1 - x^2, and past theta = pi/4 a node is sin(pi/2 - theta), with
+    pi/2 - theta formed from pi ((n + 1)/2 - k) without cancellation.
+    """
+    k = np.arange(1, (n + 1) // 2 + 1)
+    h = 1.0 / (n + 0.5)
+    z = np.pi * (k - 0.25)
+    shift = _horner(_MCMAHON, z**-2) / z       # j_{0,k} - z
+    shift[:len(_J0_ZEROS)] = _J0_ZEROS - z[:len(_J0_ZEROS)]
+    nu = z + shift
+    j1_squared = _horner(_J1_SQUARED_TAIL, (k - 0.25)**-2) / (k - 0.25)
+    j1_squared[:len(_J1_SQUARED)] = _J1_SQUARED
+    theta = h * nu
+    t2 = theta * theta
+    nu_sin = nu / np.sin(theta)
+    s = h * h * nu_sin
+    corr = theta * s * _horner([_horner(c, t2) for c in _NODE_SERIES], s * s)
+    phi = h * (np.pi * ((n + 1) / 2 - k) - shift - corr)
+    theta = h * (nu + corr)
+    x = np.where(theta < np.pi / 4, np.cos(theta), np.sin(phi))
+    if n % 2:
+        x[-1] = 0.0
+    w = 2.0 * h / (j1_squared * nu_sin * _horner(
+        [1.0] + [_horner(c, t2) for c in _WEIGHT_SERIES], s * s))
+    return x, w
+
+
+def _newton_half(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes of order n in [0, 1), descending, and their weights.
+
     Newton's method on the three-term recurrence, after Hale & Townsend
-    (SIAM J. Sci. Comput. 35(2), 2013) without their asymptotic formulae:
-    O(n^2) work and O(n) memory.  The half of the nodes in [0, 1) starts
-    from Tricomi's expansion; each sweep runs the recurrence for P_n and
-    P_{n-1} at all of them and steps x -= P_n / P_n'.  The sweeps stop once
-    the quadratic-convergence estimate |x dx^2 / (1 - x^2)| of the error
-    left is below _NEWTON_TOL everywhere.  The weight is
+    (SIAM J. Sci. Comput. 35(2), 2013): O(n^2) work and O(n) memory.  The
+    nodes start from Tricomi's expansion; each sweep runs the recurrence
+    for P_n and P_{n-1} at all of them and steps x -= P_n / P_n'.  The
+    sweeps stop once the quadratic-convergence estimate |x dx^2 / (1 - x^2)|
+    of the error left is below _NEWTON_TOL everywhere.  The weight is
     2 / ((1 - x^2) P_n'(x)^2), with P_n' carried from the last sweep's
-    nodes to the final ones by one Taylor term.  The rule is mirrored, so
-    it is exactly symmetric, and an odd n has its middle node at exactly 0.
+    nodes to the final ones by one Taylor term.
     """
     theta = np.pi * (4 * np.arange(1, (n + 1) // 2 + 1) - 1) / (4 * n + 2)
     x = (1.0 - (n - 1) / (8.0 * n**3)
@@ -296,11 +403,7 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     dp -= dx * (2.0 * x_old * dp - n * (n + 1) * p) / one_minus_x2
     if n % 2:
         x[-1] = 0.0
-    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp**2)
-    half = n // 2
-    x = np.concatenate((-x[:half], x[::-1]))
-    w = np.concatenate((w[:half], w[::-1]))
-    return x, w
+    return x, 2.0 / ((1.0 - x) * (1.0 + x) * dp**2)
 
 
 class _LinearTableTransform:
@@ -698,11 +801,19 @@ class Kernel:
     def g_table(self, grid) -> np.ndarray:
         """G sampled on the grid times [0, t_end]; cached per grid shape.
         A non-finite sample is a ValidationError naming its first time."""
-        key = ("g", grid.n_steps, grid.t_end)
+        return self._g_at(("g", grid.n_steps, grid.t_end), grid.times)
+
+    def g_half_step(self, grid) -> np.ndarray:
+        """G(dt/2), the midpoint start's one sample off the grid; cached
+        and checked as in g_table."""
+        key = ("g_half", grid.n_steps, grid.t_end)
+        return self._g_at(key, np.array([0.5 * grid.dt]))[0]
+
+    def _g_at(self, key, times: np.ndarray) -> np.ndarray:
         if key not in self._tables:
-            table = self.g(grid.times)
+            table = self.g(times)
             guard(np.abs(table).max(axis=(1, 2)), math.inf, ValidationError,
-                  "|G|", grid.times)
+                  "|G|", times)
             self._tables[key] = table
         return self._tables[key]
 
@@ -863,9 +974,10 @@ def discretize_bath(model: SpectralModel, n_modes: int, omega_max: float,
     "linear-midpoint" puts the modes at the bin midpoints with equal bin
     widths.  "gauss" puts them at the Gauss-Legendre nodes of order n_modes
     mapped onto [0, omega_max], in ascending frequency, with their weights
-    as bin widths.  Those nodes come from Newton's method on the Legendre
-    recurrence (Hale & Townsend, SIAM J. Sci. Comput. 35(2), 2013), in
-    O(n_modes^2) work.
+    as bin widths.  Above 100 modes those nodes come from Bogaert's
+    iteration-free expansion (SIAM J. Sci. Comput. 36(3), 2014), in
+    O(n_modes) work; up to 100, from Newton's method on the Legendre
+    recurrence (Hale & Townsend, SIAM J. Sci. Comput. 35(2), 2013).
     """
     if scheme not in _SCHEMES:
         raise ValidationError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")

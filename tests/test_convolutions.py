@@ -507,3 +507,25 @@ def test_nan_kernel_entry_trips_at_the_same_step_on_both_routes(bad_step,
         messages.append(str(err.value))
     assert messages[0] == messages[1]
     assert f"|G| reached nan at t = {bad_time:.6g} " in messages[0]
+
+
+@pytest.mark.parametrize("solver", ["solve_u", "solve_v_volterra"])
+def test_nan_kernel_at_the_half_step_is_a_validation_error(solver):
+    # the midpoint start reads G(dt/2), the one sample off the grid, through
+    # Kernel.g_half_step, which rejects a NaN there before any step
+    base = gqbm.build_kernels(make_model(0.5))
+    grid = gqbm.TimeGrid(t_end=2.0, n_steps=40, max_frequency=1.0)
+    half = 0.5 * grid.dt
+
+    def g(dt):
+        out = base.g(dt)
+        out[np.asarray(dt) == half, 1, 0] = np.nan
+        return out
+
+    kernel = kernel_with(g, base.gtilde)
+    with pytest.raises(ValidationError) as err:
+        if solver == "solve_u":
+            gqbm.solve_u(kernel, 0.1, grid)
+        else:
+            gqbm.solve_v_volterra(kernel, gqbm.solve_u(base, 0.1, grid))
+    assert f"|G| reached nan at t = {half:.6g} " in str(err.value)

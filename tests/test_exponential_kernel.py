@@ -79,8 +79,8 @@ def exact_u(alpha: float, grid: gqbm.TimeGrid, kappa=KAPPA) -> np.ndarray:
     return u
 
 
-def u_deviation(alpha: float, n_steps: int) -> float:
-    grid = gqbm.TimeGrid(t_end=T_END, n_steps=n_steps)
+def u_deviation(alpha: float, n_steps: int, t_end: float = T_END) -> float:
+    grid = gqbm.TimeGrid(t_end=t_end, n_steps=n_steps)
     sol = gqbm.solve_u(exponential_kernel(alpha), OMEGA_S, grid)
     return float(np.max(np.abs(sol.u - exact_u(alpha, grid))))
 
@@ -89,6 +89,21 @@ def u_deviation(alpha: float, n_steps: int) -> float:
 def test_u_converges_to_the_exponential_kernel_reference(alpha):
     coarse, fine = u_deviation(alpha, 400), u_deviation(alpha, 800)
     assert fine <= U_BOUND_800[alpha]
+    order = np.log2(coarse / fine)
+    assert ORDER_RANGE[0] <= order <= ORDER_RANGE[1]
+
+
+# One long grid, which no oracle reaches: at t_end = 400 and alpha 0.5,
+# max|U - U_ref| read 2.21e-5 and 5.21e-6 at n = 8 000 and 16 000, order
+# 2.09; the bound at n = 16 000 is 1.5 times the deviation read there
+LONG_T_END = 400.0
+U_BOUND_LONG = 7.8e-6
+
+
+def test_u_converges_to_the_exponential_kernel_reference_on_a_long_grid():
+    coarse = u_deviation(0.5, 8_000, LONG_T_END)
+    fine = u_deviation(0.5, 16_000, LONG_T_END)
+    assert fine <= U_BOUND_LONG
     order = np.log2(coarse / fine)
     assert ORDER_RANGE[0] <= order <= ORDER_RANGE[1]
 

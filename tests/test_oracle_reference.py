@@ -1,18 +1,20 @@
 """The quadrature thermal state and the Chebyshev march against the routes
 they replaced.
 
-The functions below are the earlier implementations, kept verbatim as the
-reference: the thermal state from a non-Hermitian eigensolve of sigma M
-with symplectic normalisation, the Colpa route on H in the block ordering
-(a, b_1..b_N, a^dag, b_1^dag..b_N^dag) with index maps back to the
-interleaved table, the interleaved Colpa route on scipy's cholesky, eigh
-and solve_triangular, the same route on numpy's cholesky, eigh and solve,
-the quadrature route on dense batched Cholesky factors of the x and p
-blocks, the quadrature route on one dense SVD of the product of its O(N)
-factors, the propagation that marched the columns of S with G and the
-columns of S^T with G^T separately, the fixed-substep RK4 row march that
-followed it, and the Chebyshev row march on a sparse CSR generator with
-scipy's jv.  Their generators are CSR matrices of the dense generator
+The functions below are the earlier implementations, kept verbatim as
+the reference: the thermal state from a non-Hermitian eigensolve of
+sigma M with symplectic normalisation, the Colpa route on H in the block
+ordering (a, b_1..b_N, a^dag, b_1^dag..b_N^dag) with index maps back to
+the interleaved table, the interleaved Colpa route on scipy's cholesky,
+eigh and solve_triangular, the same route on numpy's cholesky, eigh and
+solve (with one first-order step added that restores the symplectic
+metric its eigh leaves 2e-11 off at zero temperature), the quadrature
+route on dense batched Cholesky factors of the x and p blocks, the
+quadrature route on one dense SVD of the product of its O(N) factors,
+the propagation that marched the columns of S with G and the columns of
+S^T with G^T separately, the fixed-substep RK4 row march that followed
+it, and the Chebyshev row march on a sparse CSR generator with scipy's
+jv.  Their generators are CSR matrices of the dense generator
 that conftest fills from LinearDynamics's arrowhead.  Each thermal route
 returns its state as a record that holds the product table, and each
 march both system rows, each marched on its own, as a
@@ -461,11 +463,24 @@ def _colpa_thermal_total_state(dyn, temperature, omega_s0):
             f"normal-mode frequencies; a thermal state needs {nb} of each")
     t_mat = np.linalg.solve(k_mat, u_mat * np.sqrt(np.abs(lam)))
 
-    resid = float(np.max(np.abs((t_mat.T * sigma) @ t_mat
-                                - np.diag(np.sign(lam)))))
+    sign = np.sign(lam)
+    metric = (t_mat.T * sigma) @ t_mat
+    resid = float(np.max(np.abs(metric - np.diag(sign))))
     if resid > 1e-8:
         raise NumericalQualityError(
             f"Bogoliubov transform breaks the symplectic metric by {resid:.3e}")
+    # eigh mixes each mode's two columns, +eps and -eps, by up to 1e-11 at
+    # the lowest mode (2 eps apart in a matrix of norm about omega_max), and
+    # leaves a small eps off by its relative error: one first-order step
+    # makes each pair sigma-orthogonal, then normalises each column to the
+    # metric and rescales |lambda| by the same Rayleigh quotient
+    partner = np.arange(lam.size)[::-1]    # ascending: -eps_j <-> +eps_j
+    t_mat -= 0.5 * t_mat[:, partner] * (
+        sign[partner] * metric[np.arange(lam.size), partner])
+    norm = sign * np.einsum("ij,i,ij->j", t_mat, sigma, t_mat)
+    t_mat /= np.sqrt(norm)
+    lam = lam / norm
+    eps = lam[lam > 0.0]
 
     # <A A^dag> = T <Phi Phi^dag> T^T: a column of T with lambda > 0
     # carries an annihilator (1 + nbar), one with lambda < 0 a creator (nbar)

@@ -776,7 +776,7 @@ def test_gauss_bath_is_the_legendre_rule_mapped_onto_its_band():
     assert np.array_equal(bath.weights, 10.0 * w)
 
 
-def _mpmath_gauss_legendre(n, start):
+def _mpmath_gauss_legendre(n, start, sweeps=3):
     """40-digit nodes and weights of order n, by Newton on mpmath's own
     Legendre functions from the float nodes start (quadratic from 1e-16)."""
     def derivative(x):
@@ -787,7 +787,7 @@ def _mpmath_gauss_legendre(n, start):
     with mpmath.workdps(40):
         for x0 in start:
             x = mpmath.mpf(float(x0))
-            for _ in range(3):
+            for _ in range(sweeps):
                 x -= mpmath.legendre(n, x) / derivative(x)
             nodes.append(x)
             weights.append(2 / ((1 - x * x) * derivative(x) ** 2))
@@ -827,6 +827,55 @@ def test_gauss_legendre_rule_against_numpy_leggauss(n, weight_rtol):
     assert np.max(np.abs(x - x_ref)) <= 2.2e-16
     assert np.max(np.abs(w / w_ref - 1.0)) <= weight_rtol
     assert abs(w.sum() - 2.0) <= 4e-15
+
+
+# Above order 100 the rule is Bogaert's expansion.  Against 40-digit
+# mpmath, every node and weight read at most 3.9e-16 (nodes) and 3.8e-16
+# (weights) relative at n = 101, 150 and 300, and the n = 2000 samples
+# 1.3e-16 and 3.4e-16; each bound is 1.3 times the largest.
+GAUSS_NODE_RTOL = 5e-16
+GAUSS_WEIGHT_RTOL = 5e-16
+
+
+# the rule is checked exactly symmetric, so its half in [0, 1) suffices; at
+# n = 2000 the middle node, the nodes k = 22, 21, 20 from +1, where the
+# Bessel tables hand over to their asymptotic series, and the node next to +1
+@pytest.mark.parametrize("n, at", [
+    (101, slice(50, None)), (150, slice(75, None)), (300, slice(150, None)),
+    (2000, [1000, 1978, 1979, 1980, 1999])],
+    ids=["101", "150", "300", "2000-sampled"])
+def test_gauss_legendre_expansion_against_mpmath(n, at):
+    x, w = spectral._gauss_legendre(n)
+    assert x.shape == w.shape == (n,)
+    # one Newton sweep from the float nodes leaves about 1e-30
+    x_ref, w_ref = _mpmath_gauss_legendre(n, x[at], sweeps=1)
+    assert all(abs(float(a - b)) <= GAUSS_NODE_RTOL * abs(float(b))
+               for a, b in zip(x[at], x_ref))
+    assert all(abs(float((a - b) / b)) <= GAUSS_WEIGHT_RTOL
+               for a, b in zip(w[at], w_ref))
+    assert abs(w.sum() - 2.0) <= 4e-15
+    assert np.all(np.diff(x) > 0.0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    if n % 2:
+        assert x[n // 2] == 0.0 and not np.signbit(x[n // 2])
+
+
+def test_gauss_legendre_expansion_tables_against_mpmath():
+    with mpmath.workdps(40):
+        zeros = [mpmath.besseljzero(0, k)
+                 for k in range(1, len(spectral._J1_SQUARED) + 1)]
+        assert spectral._J0_ZEROS == tuple(
+            float(z) for z in zeros[:len(spectral._J0_ZEROS)])
+        assert spectral._J1_SQUARED == tuple(
+            float(mpmath.besselj(1, z) ** 2) for z in zeros)
+
+
+def test_gauss_legendre_rule_runs_newton_only_up_to_order_100(monkeypatch):
+    # order 100 needs three Newton sweeps; order 101 runs none
+    monkeypatch.setattr(spectral, "_NEWTON_SWEEPS", 2)
+    with pytest.raises(NumericalQualityError, match="order 100"):
+        spectral._gauss_legendre(100)
+    assert spectral._gauss_legendre(101)[0].size == 101
 
 
 def test_gauss_scheme_nodes_and_validation():

@@ -1,4 +1,4 @@
-"""Time thermal_total_state of two source trees at paper-scale baths.
+"""Time thermal_total_state and its gauss bath in two trees at paper scale.
 
 usage: python tools/time_thermal_state.py OLD_ROOT NEW_ROOT
 
@@ -9,12 +9,13 @@ gqbm.thermal_total_state once per fresh interpreter that imports gqbm from
 ROOT/src, in ten alternating pairs (old first in the even pairs, new first
 in the odd ones).  A run reports the call's wall and CPU time, the rise of
 the process's ru_maxrss across the call, the symplectic residual and the
-lowest normal frequency.  The report gives, per size and root, the median
-and quartiles of each time, the median rise in MB and as bytes per
+lowest normal frequency, and the wall time of the discretize_bath call
+that built its gauss bath.  The report gives, per size and root, the
+median and quartiles of each time, the median rise in MB and as bytes per
 (N + 1)^2, the largest residual, and the old/new ratio of the median wall
-times.  The exit status is 1 when a run fails, and 0 otherwise.  The script
-is not part of the test suite; on two cores it takes about three minutes
-when the old root is the SVD route.
+times of both calls.  The exit status is 1 when a run fails, and 0
+otherwise.  The script is not part of the test suite; on two cores it
+takes about three minutes when the old root is the SVD route.
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ import gqbm
 n_modes = int(sys.argv[1])
 model = gqbm.SpectralModel(family="ohmic", gamma0=3e-4, cutoff=1.0,
                            alpha=0.5, temperature=0.01)
+bath_wall = time.perf_counter()
 bath = gqbm.discretize_bath(model, n_modes, 12.0, scheme="gauss")
+bath_wall = time.perf_counter() - bath_wall
 dyn = gqbm.build_dynamics(bath, 0.3)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 wall, cpu = time.perf_counter(), time.process_time()
@@ -45,6 +48,7 @@ state = gqbm.thermal_total_state(dyn, 0.01, 0.6)
 wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
 rise = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
 print(json.dumps({"wall": wall, "cpu": cpu, "rise_kib": rise,
+                  "bath_wall": bath_wall,
                   "residual": state.metadata["symplectic_residual"],
                   "lowest": state.metadata["min_normal_frequency"]}))
 """
@@ -73,7 +77,7 @@ def main(argv: list[str]) -> int:
     roots = {"old": Path(argv[0]).resolve(), "new": Path(argv[1]).resolve()}
     print(f"old = {roots['old']}\nnew = {roots['new']}")
     print("modes side  wall_s median [q1, q3]     cpu_s median [q1, q3]"
-          "      rise MB  B/(N+1)^2  max residual")
+          "      rise MB  B/(N+1)^2  max residual  bath_ms median [q1, q3]")
     for n_modes in MODES:
         runs = {"old": [], "new": []}
         try:
@@ -91,13 +95,16 @@ def main(argv: list[str]) -> int:
                   f"{spread([r['wall'] for r in recs]):26s} "
                   f"{spread([r['cpu'] for r in recs]):26s} "
                   f"{rise / 2**20:7.1f}  {rise / (n_modes + 1) ** 2:9.1f}  "
-                  f"{max(r['residual'] for r in recs):.2e}")
-        old = np.median([r["wall"] for r in runs["old"]])
-        new = np.median([r["wall"] for r in runs["new"]])
-        wins = sum(n["wall"] < o["wall"]
-                   for o, n in zip(runs["old"], runs["new"]))
-        print(f"{n_modes:5d} old/new median wall {old / new:.2f}x, "
-              f"new faster in {wins} of {PAIRS} pairs")
+                  f"{max(r['residual'] for r in recs):.2e}      "
+                  f"{spread([1e3 * r['bath_wall'] for r in recs])}")
+        for call, key in (("thermal_total_state", "wall"),
+                          ("discretize_bath", "bath_wall")):
+            old = np.median([r[key] for r in runs["old"]])
+            new = np.median([r[key] for r in runs["new"]])
+            wins = sum(n[key] < o[key]
+                       for o, n in zip(runs["old"], runs["new"]))
+            print(f"{n_modes:5d} {call} old/new median wall "
+                  f"{old / new:.2f}x, new faster in {wins} of {PAIRS} pairs")
     return 0
 
 
